@@ -6,8 +6,8 @@ Times the configurations that matter for the repo's wall-clock budget:
   regime the paper's complexity claim lives in),
 * **FULL vs COUNTS** tracing (exact counters without per-message entry
   allocation),
-* **event-queue microbenchmarks** (tuple-heap push/pop, cancellation
-  compaction, O(1) ``len``).
+* **event-queue microbenchmarks** (push/pop, cancellation compaction,
+  O(1) ``len``).
 
 Every timed configuration must produce identical ``(measured, model)``
 message counts — a perf run that changes physics fails loudly (exit 1).
@@ -55,6 +55,8 @@ FULL_N = tuple(range(8, 97, 4))  # 23 points up to N=96
 #: own range (N=512 runs in seconds on the fast path), each checked
 #: against the (N-1)(2P+3Q+1) model.  Cheap enough to run in smoke too.
 SCALING_N = (64, 128, 256, 384, 512)
+#: The two sizes whose events/second ratio is the N-scaling invariant.
+N_SCALING_PAIR = (64, 256)
 DEFAULT_OUT = REPO_ROOT / "BENCH_sweeps.json"
 DEFAULT_PROFILE_OUT = REPO_ROOT / "BENCH_profile.txt"
 
@@ -144,7 +146,7 @@ def bench_sweeps(n_values, workers: int) -> dict:
     }
 
 
-def bench_throughput(n: int, repetitions: int = 5) -> dict:
+def bench_throughput(n: int, repetitions: int = 5, levels=("full", "counts")) -> dict:
     """Simulator events/second on one big scenario, FULL vs COUNTS.
 
     Best of ``repetitions`` runs: single samples on shared or single-core
@@ -154,7 +156,8 @@ def bench_throughput(n: int, repetitions: int = 5) -> dict:
     to regress against with a modest tolerance.
     """
     out = {}
-    for label, level in (("full", TraceLevel.FULL), ("counts", TraceLevel.COUNTS)):
+    for label in levels:
+        level = TraceLevel[label.upper()]
         best_eps = 0.0
         best = None
         for _ in range(repetitions):
@@ -175,6 +178,25 @@ def bench_throughput(n: int, repetitions: int = 5) -> dict:
                 }
         out[label] = best
     return out
+
+
+def bench_n_scaling(repetitions: int = 5) -> dict:
+    """COUNTS events/second at N=256 over N=64, best of ``repetitions`` each.
+
+    A same-machine, same-process ratio: per-event cost must not grow with
+    N.  It did while every event went through one binary heap (ratio ≈0.86)
+    and every HaveNested receipt swept all Q nested-action names; the
+    bucketed queue measures ≈1.05–1.2.  Gated by perf_regression_check.py.
+    """
+    small, large = (
+        bench_throughput(n, repetitions, levels=("counts",))["counts"]
+        for n in N_SCALING_PAIR
+    )
+    return {
+        "small": small,
+        "large": large,
+        "ratio": round(large["events_per_sec"] / small["events_per_sec"], 3),
+    }
 
 
 def bench_scaling(n_values=SCALING_N) -> dict:
@@ -274,7 +296,7 @@ def bench_obs(n: int) -> dict:
 
 
 def bench_event_queue(scale: int) -> dict:
-    """Microbenchmarks for the tuple-heap event queue."""
+    """Microbenchmarks for the event queue."""
     # push+pop throughput, deterministic pseudo-times without RNG cost.
     queue = EventQueue()
     noop = lambda: None  # noqa: E731
@@ -358,6 +380,7 @@ def main(argv=None) -> int:
     queue = bench_event_queue(queue_scale)
     obs = bench_obs(max(n_values))
     scaling = bench_scaling()
+    n_scaling = bench_n_scaling()
 
     if args.baseline is not None:
         baseline_timings = (
@@ -391,6 +414,7 @@ def main(argv=None) -> int:
         "sweep": sweep,
         "throughput": throughput,
         "scaling": scaling,
+        "n_scaling": n_scaling,
         "event_queue": queue,
         "obs": obs,
     }

@@ -9,8 +9,8 @@ run and the retry below the floor — fails the gate.  One-off scheduler
 noise, a cold file cache, or a busy CI neighbour must never turn the job
 red; a real 2× slowdown always will.
 
-Two machine-independent invariants are also enforced (no tolerance
-needed, they compare the same machine against itself):
+Three machine-independent invariants are also enforced (they compare the
+same machine against itself):
 
 * COUNTS throughput must not fall below FULL by more than the tolerance —
   the zero-allocation COUNTS path regressing back to *slower than FULL*
@@ -20,7 +20,12 @@ needed, they compare the same machine against itself):
   to serial exactly so that campaigns can always use it — losing to serial
   means that fallback broke (the historical 0.65× case).  *Forced* worker
   counts are deliberately not gated; forcing 4 workers onto a starved
-  single-core CI box is expected to lose.
+  single-core CI box is expected to lose;
+* COUNTS events/sec at N=256 must be at least 0.95× events/sec at N=64
+  (both best-of-5 in one process): per-event cost must not grow with N.
+  It did (ratio ≈0.86) while every event went through one binary heap and
+  every HaveNested receipt swept all Q nested-action names; like the
+  baseline comparison, a shortfall is re-measured once before it fails.
 
 Usage::
 
@@ -41,6 +46,16 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 if str(Path(__file__).resolve().parent) not in sys.path:
     sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+
+#: Floor of the N=256 / N=64 COUNTS events/sec ratio.
+N_SCALING_FLOOR = 0.95
+
+
+def _remeasure_n_scaling() -> float:
+    from bench_perf_suite import bench_n_scaling
+
+    return bench_n_scaling()["ratio"]
 
 
 def _throughputs(payload: dict) -> dict[str, int]:
@@ -100,6 +115,15 @@ def check(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
             "break-even serial fallback is not engaging (historical 0.65x "
             "regression)"
         )
+    scaling = fresh.get("n_scaling", {}).get("ratio")
+    if scaling is not None and scaling < N_SCALING_FLOOR:
+        again = _remeasure_n_scaling()
+        if again < N_SCALING_FLOOR:
+            problems.append(
+                f"sustained N-scaling regression: events/sec at N=256 is "
+                f"{scaling}x then {again}x that at N=64, floor "
+                f"{N_SCALING_FLOOR}x — a per-event cost grows with N again"
+            )
     return problems
 
 
@@ -125,6 +149,7 @@ def main(argv=None) -> int:
     for level, eps in sorted(_throughputs(fresh).items()):
         base = _throughputs(baseline).get(level)
         print(f"{level}: {eps} events/sec (baseline {base})")
+    print(f"N=256 / N=64 events/sec: {fresh.get('n_scaling', {}).get('ratio')}x")
     if problems:
         for problem in problems:
             print(f"FAIL: {problem}", file=sys.stderr)

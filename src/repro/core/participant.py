@@ -579,11 +579,12 @@ class CAParticipant(DistributedObject):
         those inner actions must never be processed (e.g. the Exception O2
         sent within A3 to the belated O3 in Example 2).
         """
+        # Walk what is buffered (almost always nothing), not the action's
+        # descendants: this runs once per HaveNested receipt.
         dropped = 0
-        for nested in self.registry.descendants(action):
-            buffered = self.pending.pop(nested, None)
-            if buffered is not None:
-                dropped += len(buffered)
+        for name in list(self.pending):
+            if self.registry.contains(action, name):
+                dropped += len(self.pending.pop(name))
         if dropped:
             self.trace("pending.cleanup", action=action, dropped=dropped)
         return dropped

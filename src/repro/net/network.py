@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from heapq import heappush
 from typing import Callable
 
 from repro.net.channel import Channel
@@ -110,9 +109,9 @@ class Network:
         #: skipping the ``receive`` frame.  ``None`` for custom receivers.
         self._targets: dict[str, tuple[Receiver, dict[str, Receiver] | None]] = {}
         # Claim the queue's raw-delivery sink (first network wins): sends
-        # may then push (time, priority, seq, message) entries with no
-        # Event allocated, and the drain loop hands the message straight
-        # to _deliver.
+        # may then queue the message itself (EventQueue.push_raw) with no
+        # Event allocated, and the drain loop hands it straight to
+        # _deliver.
         self._raw_push = False
         queue = self._sim_queue
         if queue is not None and getattr(queue, "message_sink", False) is None:
@@ -292,7 +291,7 @@ class Network:
                 return message
             message.corrupted = True  # fate == CORRUPT
         # Delivery fast path: with the deterministic kernel and FIFO
-        # tie-breaks, push a *raw* heap entry carrying the message itself —
+        # tie-breaks, queue the message itself as a *raw* entry —
         # no Event, no closure, no label string, no ScheduledHandle, no
         # schedule_at validation (``deliver_at >= now`` by construction).
         # Controlled (explorer) runs keep the labelled slow path because
@@ -301,12 +300,7 @@ class Network:
             queue = self._sim_queue
             if queue is not None and queue.tie_break is None:
                 if self._raw_push:
-                    seq = queue._seq
-                    queue._seq = seq + 1
-                    heappush(
-                        queue._heap, (deliver_at, PRIORITY_DELIVERY, seq, message)
-                    )
-                    queue._live += 1
+                    queue.push_raw(deliver_at, PRIORITY_DELIVERY, (message,))
                 else:
                     queue.push(
                         deliver_at, self._deliver, PRIORITY_DELIVERY, "", message
@@ -364,8 +358,6 @@ class Network:
         trace = self.trace
         full = trace._full
         pending = trace._pending
-        heap = queue._heap
-        seq = queue._seq
         msg_ids = _message_mod._msg_ids
         messages = []
         mappend = messages.append
@@ -384,12 +376,11 @@ class Network:
                 pending.append((
                     now, "msg.send", src, _SEND_FIELDS, dst, kind, mid, payload,
                 ))
-            heappush(heap, (deliver_at, PRIORITY_DELIVERY, seq, message))
-            seq += 1
             mappend(message)
+        # One bucket extension for the whole broadcast: every copy lands at
+        # the same instant, in ``dsts`` order.
+        queue.push_raw(deliver_at, PRIORITY_DELIVERY, messages)
         count = len(messages)
-        queue._seq = seq
-        queue._live += count
         self.sent_by_kind[kind] += count
         if not full and trace._counting:
             trace._counts["msg.send"] += count

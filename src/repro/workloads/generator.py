@@ -31,13 +31,15 @@ from repro.net.latency import LatencyModel
 from repro.objects.naming import canonical_name
 from repro.simkernel.trace import TraceLevel
 from repro.workloads.behaviour import ActionBlock, Compute, Raise
-from repro.workloads.scenarios import ParticipantSpec, Scenario
+from repro.workloads.scenarios import DEFAULT_MAX_EVENTS, ParticipantSpec, Scenario
 
 #: Default duration of "real work" steps; long enough that exceptions
 #: always interrupt mid-work, short enough to keep runs fast.
 WORK = 50.0
 #: Default instant at which raisers raise (concurrently).
 RAISE_AT = 10.0
+#: :func:`general_case` budgets this many events per modelled message.
+BUDGET_FACTOR = 4
 
 
 def _flat_tree(leaves: int, prefix: str) -> tuple[ResolutionTree, list]:
@@ -136,11 +138,20 @@ def general_case(
                 abortion_handlers=abortion_handlers,
             )
         )
-    return Scenario(
+    scenario = Scenario(
         actions, specs, latency=latency, seed=seed, trace_level=trace_level,
         failure_plan=failure_plan, reliable=reliable, ack_timeout=ack_timeout,
         max_retries=max_retries, crashes=crashes,
     )
+    # A healthy fault-free run executes about one event per resolution
+    # message plus one per exit DONE (N(N-1) of them); budgeting a fixed
+    # multiple of that keeps the livelock guard from firing on a large but
+    # finite action (N=512, P=256, Q=128 needs 722,559 events).
+    scenario.max_events = max(
+        DEFAULT_MAX_EVENTS,
+        BUDGET_FACTOR * (expected_general_messages(n, p, q) + n * (n - 1)),
+    )
+    return scenario
 
 
 def single_exception_case(n: int, **kwargs) -> Scenario:

@@ -111,6 +111,10 @@ class ScenarioResult:
         return self.runtime.metrics_snapshot()
 
 
+#: Event budget of :meth:`Scenario.run` for scenarios that do not set one.
+DEFAULT_MAX_EVENTS = 500_000
+
+
 class Scenario:
     """A declarative simulated-system builder."""
 
@@ -147,6 +151,10 @@ class Scenario:
         if unknown:
             raise ValueError(f"cannot crash unknown participants: {sorted(unknown)}")
         self.trace_level = TraceLevel(trace_level)
+        #: Event budget :meth:`run` applies when the caller names none (the
+        #: livelock guard).  Generators that know how much traffic their
+        #: workload produces raise it (see ``generator.general_case``).
+        self.max_events: int | None = DEFAULT_MAX_EVENTS
 
     def build(self) -> tuple[Runtime, CAActionManager, dict, dict]:
         runtime = Runtime(
@@ -184,9 +192,13 @@ class Scenario:
         return runtime, manager, participants, runners
 
     def run(
-        self, until: float | None = None, max_events: int | None = 500_000
+        self, until: float | None = None, max_events: int | None = None
     ) -> ScenarioResult:
+        """Build and run; ``max_events=None`` means the scenario's own
+        budget (:attr:`max_events`), an explicit value always wins."""
         runtime, manager, participants, runners = self.build()
+        if max_events is None:
+            max_events = self.max_events
         runtime.run(until=until, max_events=max_events)
         return ScenarioResult(
             runtime=runtime,

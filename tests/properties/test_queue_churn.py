@@ -1,13 +1,16 @@
 """Property: the optimized EventQueue is bit-identical to the seed heap.
 
-The queue grew a fast path (tuple-keyed heap entries, O(1) ``len`` via a
-live counter, lazy cancellation with threshold compaction, batched
-insertion).  None of it may change observable semantics: against a
-deliberately naive reference model — a plain ``heapq`` of
-``(time, priority, seq)`` keys with eager cancelled-skip on pop — a
-randomized push/cancel/pop/batch workload must produce the same pop order,
-the same ``len`` after every operation, and a fully drained heap at the
-end, while compaction keeps the physical heap bounded.
+The queue grew a fast path (one FIFO bucket per ``(time, priority)`` under
+a heap of distinct keys, O(1) ``len`` via a live counter, lazy
+cancellation with threshold compaction, batched insertion).  None of it
+may change observable semantics: against a deliberately naive reference
+model — a plain ``heapq`` of ``(time, priority, seq)`` keys with eager
+cancelled-skip on pop — a randomized push/cancel/pop/batch workload must
+produce the same pop order, the same ``len`` after every operation, and a
+fully drained queue at the end, while compaction keeps the cancelled
+residue bounded.  A second property drives the queue through the
+simulator's drain loop, with most pushes sharing a key and the handlers
+themselves pushing and cancelling.
 """
 
 import heapq
@@ -15,7 +18,9 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.simkernel import Simulator
 from repro.simkernel.events import PRIORITY_DELIVERY, PRIORITY_NORMAL, EventQueue
+from repro.simkernel.scheduler import SimulationError
 
 
 class ReferenceQueue:
@@ -124,3 +129,98 @@ def test_churn_matches_reference(ops):
         assert popped is not None and _key(popped) == expected
     assert len(queue) == 0
     assert queue.pop() is None
+
+
+# -- same-key churn through the drain loop ---------------------------------------
+#
+# Three times and two priorities: most pushes share a key, which is where a
+# bucketed queue differs from a per-event heap.  A pushed event carries a
+# script of pushes and cancels that it performs *while executing*; relative
+# to the running event a scripted push lands on the same key, on a smaller
+# one (same instant, delivery priority: it pre-empts the rest of the
+# bucket) or on a later one.  The driver drains in ``run(max_events=k)``
+# slices mixed with ``run(until=t)``, ``step()``, ``pop()`` and
+# ``peek_time()``.
+
+_FEW_TIMES = st.sampled_from([0.0, 1.0, 2.0])
+_TWO_PRIORITIES = st.sampled_from([PRIORITY_DELIVERY, PRIORITY_NORMAL])
+_CANCEL = st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000))
+_SCRIPT = st.lists(
+    st.one_of(st.tuples(st.just("push"), _FEW_TIMES, _TWO_PRIORITIES), _CANCEL),
+    max_size=4,
+)
+_DRIVER_OPS = st.one_of(
+    st.tuples(st.just("push"), _FEW_TIMES, _TWO_PRIORITIES, _SCRIPT),
+    _CANCEL,
+    st.tuples(st.just("run"), st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("until"), _FEW_TIMES),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("peek")),
+)
+
+
+def _reference_peek(reference):
+    live = [
+        entry for entry in reference._heap if entry[2] not in reference._cancelled
+    ]
+    return min(live)[0] if live else None
+
+
+@given(ops=st.lists(_DRIVER_OPS, min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_same_key_churn_through_the_drain_loop(ops):
+    sim = Simulator()
+    queue = sim._queue
+    reference = ReferenceQueue()
+    pushed = []  # (Event, ref seq), in push order — cancel targets
+
+    def push(time, priority, script=()):
+        time = max(time, sim.now)  # the simulator refuses the past
+        cell = []
+
+        def handler():
+            # Execution order IS the reference's pop order.
+            assert reference.pop() == _key(cell[0])
+            for op in script:
+                apply(op)
+
+        event = sim.schedule_at(time, handler, priority=priority).event
+        cell.append(event)
+        ref_seq = reference.push(time, priority)
+        assert event.seq == ref_seq
+        pushed.append((event, ref_seq))
+
+    def apply(op):
+        if op[0] == "push":
+            push(*op[1:])
+        elif pushed:  # cancel
+            event, ref_seq = pushed[op[1] % len(pushed)]
+            event.cancel()
+            reference.cancel(ref_seq)
+
+    for op in ops:
+        if op[0] in ("push", "cancel"):
+            apply(op)
+        elif op[0] == "run":
+            try:
+                sim.run(max_events=op[1])
+            except SimulationError:
+                pass  # budget exhausted mid-bucket: the tail must survive
+        elif op[0] == "until":
+            sim.run(until=op[1])
+        elif op[0] == "step":
+            idle = len(reference) == 0
+            assert sim.step() is not idle
+        elif op[0] == "pop":
+            popped, expected = queue.pop(), reference.pop()
+            assert (popped and _key(popped)) == expected
+        else:  # peek
+            assert queue.peek_time() == _reference_peek(reference)
+        assert len(queue) == sim.pending_events == len(reference)
+        assert queue.heap_size >= len(queue)
+
+    sim.run()
+    assert reference.pop() is None
+    assert (len(queue), queue.heap_size) == (0, 0)
+    assert queue.pop() is None and queue.peek_time() is None

@@ -309,3 +309,57 @@ class TestMisuseAndBookkeeping:
         _, _, ps = make_world()
         p = ps["O1"]
         p.cancel_handler("A1")  # nothing scheduled: no-op
+
+
+class TestPendingCleanup:
+    """``drop_pending_nested`` costs O(|pending|), not O(|descendants|): it
+    runs once per HaveNested receipt, with nothing buffered almost always."""
+
+    NESTED = 64
+
+    def world(self, monkeypatch):
+        tree = ResolutionTree(UniversalException)
+        registry = ActionRegistry()
+        registry.declare(CAActionDef("A1", ("O1", "O2"), tree))
+        registry.declare(CAActionDef("B1", ("O1", "O2"), tree))
+        for i in range(self.NESTED):
+            registry.declare(CAActionDef(f"A1.N{i}", ("O1",), tree, parent="A1"))
+        participant = CAParticipant(
+            "O1", registry, CAActionManager(registry),
+            {"A1": HandlerSet.completing_all(tree)},
+        )
+        runtime = Runtime()
+        runtime.register(participant)
+        calls = {"descendants": 0, "contains": 0}
+        for name in calls:
+            real = getattr(registry, name)
+
+            def spy(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(registry, name, spy)
+        return runtime, participant, calls
+
+    def test_drops_nested_traffic_only_and_counts_it(self, monkeypatch):
+        runtime, p, calls = self.world(monkeypatch)
+        message = Message(src="O2", dst="O1", kind=KIND_EXCEPTION, payload=None)
+        p.buffer_pending("A1.N7", message)
+        p.buffer_pending("A1.N7", message)
+        p.buffer_pending("A1.N63", message)
+        p.buffer_pending("B1", message)
+        assert p.drop_pending_nested("A1") == 3
+        assert p.pending == {"B1": [message]}
+        cleanup = [e for e in runtime.trace.entries if e.category == "pending.cleanup"]
+        assert [(e.subject, e.details) for e in cleanup] == [
+            ("O1", {"action": "A1", "dropped": 3})
+        ]
+        # One containment test per buffered action name; the 64-name
+        # descendant list is never built or walked.
+        assert calls == {"descendants": 0, "contains": 3}
+
+    def test_empty_pending_walks_nothing(self, monkeypatch):
+        runtime, p, calls = self.world(monkeypatch)
+        assert p.drop_pending_nested("A1") == 0
+        assert calls == {"descendants": 0, "contains": 0}
+        assert not [e for e in runtime.trace.entries if e.category == "pending.cleanup"]

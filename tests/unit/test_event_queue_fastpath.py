@@ -1,9 +1,9 @@
 """Fast-path behaviour of the event queue: O(1) sizing and compaction.
 
-The heap stores ``(time, priority, seq, event)`` tuples and tracks live
-events with a counter, so ``len``/``bool`` must not scan, and cancelled
-entries must not accumulate without bound (the old behaviour leaked
-cancelled timers for the whole run in latency sweeps).
+The queue tracks live events with a counter, so ``len``/``bool`` must not
+scan whatever it stores them in, and cancelled entries must not accumulate
+without bound (the old behaviour leaked cancelled timers for the whole run
+in latency sweeps).
 """
 
 
@@ -56,18 +56,28 @@ class TestConstantTimeSizing:
         assert len(queue) == 1
 
     def test_len_is_constant_work_per_call(self):
-        """Pin O(1): len() must not touch the heap at all."""
+        """Pin O(1): len()/bool() must not touch what the queue stores."""
         queue = EventQueue()
         for i in range(1000):
-            queue.push(float(i), _noop)
+            queue.push(float(i % 10), _noop)
 
-        class ExplodingHeap(list):
-            def __iter__(self):
-                raise AssertionError("len() iterated the heap")
+        class Exploding:
+            def _explode(self, *args):
+                raise AssertionError("len() touched the queue's containers")
 
-        queue._heap = ExplodingHeap(queue._heap)
+            __iter__ = __len__ = __bool__ = __getitem__ = __contains__ = _explode
+
+        # Whatever containers the queue holds, by type rather than by name.
+        swapped = [
+            name for name, value in vars(queue).items()
+            if isinstance(value, (dict, list))
+        ]
+        assert swapped
+        for name in swapped:
+            setattr(queue, name, Exploding())
         assert len(queue) == 1000
         assert bool(queue) is True
+        assert queue.heap_size == 1000
 
 
 class TestCompaction:

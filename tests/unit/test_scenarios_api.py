@@ -5,8 +5,16 @@ import pytest
 from repro.core.action import CAActionDef
 from repro.core.messages import RESOLUTION_KINDS
 from repro.exceptions import HandlerSet, ResolutionTree, UniversalException
+from repro.simkernel.scheduler import SimulationError
 from repro.workloads import ActionBlock, ParticipantSpec, Scenario
-from repro.workloads.generator import example1_scenario, single_exception_case
+from repro.workloads.generator import (
+    BUDGET_FACTOR,
+    example1_scenario,
+    expected_general_messages,
+    general_case,
+    single_exception_case,
+)
+from repro.workloads.scenarios import DEFAULT_MAX_EVENTS
 
 
 def tree():
@@ -80,3 +88,52 @@ class TestScenarioResultHelpers:
 
         result = no_exception_case(2).run()
         assert result.handled_exception("A1") is None
+
+
+class TestEventBudget:
+    """``Scenario.run``'s default livelock guard scales with the workload."""
+
+    def test_general_case_budget_follows_the_model(self):
+        # The E25 cell executes 722,559 events: the old flat 500,000 called
+        # it a livelock.  Checked on the derived value, without running it.
+        scenario = general_case(512, 256, 128)
+        modelled = expected_general_messages(512, 256, 128) + 512 * 511
+        assert modelled == 458_367 + 261_632
+        assert scenario.max_events == BUDGET_FACTOR * modelled
+        assert scenario.max_events > 722_559
+
+    def test_small_actions_keep_the_floor(self):
+        assert general_case(8, 2, 2).max_events == DEFAULT_MAX_EVENTS
+        assert general_case(3, 0, 0).max_events == DEFAULT_MAX_EVENTS
+        assert example1_scenario().max_events == DEFAULT_MAX_EVENTS
+
+    def _livelocked(self, monkeypatch):
+        """A toy scenario whose build arms an event that re-arms itself."""
+        scenario = general_case(3, 1, 0)
+        build = scenario.build
+        seen = {}
+
+        def build_and_spin():
+            built = build()
+            sim = seen["sim"] = built[0].sim
+
+            def spin():
+                sim.schedule(1.0, spin)
+
+            sim.schedule(0.0, spin)
+            return built
+
+        monkeypatch.setattr(scenario, "build", build_and_spin)
+        return scenario, seen
+
+    def test_livelock_still_trips_the_default_budget(self, monkeypatch):
+        scenario, seen = self._livelocked(monkeypatch)
+        with pytest.raises(SimulationError, match="likely livelock"):
+            scenario.run()
+        assert seen["sim"].events_executed == DEFAULT_MAX_EVENTS
+
+    def test_explicit_budget_wins(self, monkeypatch):
+        scenario, seen = self._livelocked(monkeypatch)
+        with pytest.raises(SimulationError, match="after 1000 events"):
+            scenario.run(max_events=1000)
+        assert seen["sim"].events_executed == 1000

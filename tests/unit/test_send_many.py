@@ -142,6 +142,42 @@ class TestEquivalence:
         assert [name for name, _, _ in log] == ["O2"]
 
 
+class TestOneBucketPerBroadcast:
+    def test_broadcast_is_one_bucket_delivered_in_dsts_order(self):
+        """N−1 copies land at one instant: one queue key, ``dsts`` order,
+        FIFO against unicast sends queued at the same instant."""
+        names = [f"O{i}" for i in range(1, 10)]
+        sim, net = make_network(level=TraceLevel.COUNTS)
+        log = []
+        wire(net, names, log)
+        queue = sim._queue
+        dsts = list(reversed(names[1:]))  # not sorted: order is the caller's
+        net.send_many(names[0], dsts, "K")
+        assert queue.heap_size == len(queue) == len(names) - 1
+        assert len(queue._buckets) == 1
+        before = net.send(names[0], "O5", "S")
+        net.send_many(names[1], [names[0], "O5"], "K2")
+        assert len(queue._buckets) == 1  # still one (time, priority) key
+        assert queue.heap_size == len(names) - 1 + 3
+        sim.run()
+        assert [(name, kind) for name, kind, _ in log] == (
+            [(dst, "K") for dst in dsts]
+            + [("O5", "S"), (names[0], "K2"), ("O5", "K2")]
+        )
+        assert sim.now == before.deliver_time == 1.0
+        assert sim.events_executed == len(names) - 1 + 3
+        assert queue.heap_size == 0
+
+    def test_returned_list_is_not_the_queued_bucket(self):
+        sim, net = make_network(level=TraceLevel.COUNTS)
+        log = []
+        wire(net, NAMES, log)
+        sent = net.send_many("O1", NAMES[1:], "K")
+        sent.clear()  # the caller owns what it got back
+        sim.run()
+        assert [name for name, _, _ in log] == NAMES[1:]
+
+
 class TestUniformLatencyGuard:
     def test_pair_override_clears_fast_path(self):
         sim, net = make_network()
