@@ -18,18 +18,16 @@ trade exactly:
 from _harness import record_table
 
 from repro.analysis.metrics import traffic_breakdown
-from repro.core.centralized_variant import (
-    CD_KINDS,
-    expected_centralized_messages,
-    run_centralized,
-)
-from repro.workloads.generator import all_raise_case, expected_general_messages
+from repro.analysis import centralized_messages, general_messages
+from repro.core.centralized_variant import CD_KINDS
+from repro.core.variants import run_action
+from repro.workloads.generator import all_raise_case
 
 
 def run_comparison():
     rows = []
     for n in (4, 8, 16, 32):
-        central = run_centralized(n, raisers=n)
+        central = run_action("cd", n, n)
         decentral = all_raise_case(n).run()
         breakdown = traffic_breakdown(
             central.runtime.trace, kinds=set(CD_KINDS)
@@ -38,14 +36,14 @@ def run_comparison():
         rows.append(
             (
                 n,
-                central.total_messages(),
-                expected_centralized_messages(n, n),
+                central.messages(),
+                centralized_messages(n, n),
                 decentral.resolution_message_total(),
-                expected_general_messages(n, n, 0),
+                general_messages(n, n, 0),
                 f"{coord_share:.0%}",
             )
         )
-    crash = run_centralized(6, 2, coordinator_crashes_at=10.5, run_until=400.0)
+    crash = run_action("cd", 6, 2, until=400.0, crashes=[("coord", 10.5)])
     crash_outcome = "STALLED" if not crash.all_handled() else "recovered"
     return rows, crash_outcome
 

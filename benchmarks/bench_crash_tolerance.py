@@ -19,7 +19,7 @@ Two measurements:
 
 from _harness import record_table
 
-from repro.core.crash_tolerant import run_crash_tolerant
+from repro.core.variants import run_action
 from repro.net.failures import CrashWindow, FailurePlan
 from repro.workloads.generator import all_raise_case
 
@@ -47,9 +47,7 @@ def run_cases():
     ]
     for label, crash in cases:
         raisers = N if label != "bystander (suspended) dies" else 2
-        result = run_crash_tolerant(
-            N, raisers=raisers, crash=crash, crash_at=10.2
-        )
+        result = run_action("ct", N, raisers, crashes=[(v, 10.2) for v in crash])
         commits = [
             e
             for e in result.runtime.trace.by_category("ct.commit")
@@ -61,7 +59,7 @@ def run_cases():
                 ",".join(crash) or "-",
                 f"t={commits[0].time:.1f}" if commits else "STALLED",
                 commits[0].subject if commits else "-",
-                "yes" if result.all_survivors_handled() else "NO",
+                "yes" if result.all_handled() else "NO",
                 len(result.handled_exceptions()),
             )
         )

@@ -30,13 +30,13 @@ def run_domino():
             (
                 n,
                 2 * n + 1,
-                cr.raises_total(),
-                cr.total_messages(),
+                sum(len(p.raised) for p in cr.participants.values()),
+                cr.messages(),
                 new.resolution_message_total(),
-                sorted(cr.resolved_exceptions())[0],
+                sorted(cr.handled_exceptions())[0],
             )
         )
-        points.append((n, cr.total_messages()))
+        points.append((n, cr.messages()))
     fit = fit_power_law(points[1:])
     return rows, fit
 

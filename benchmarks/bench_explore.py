@@ -49,13 +49,13 @@ if str(Path(__file__).resolve().parent) not in sys.path:
 
 from _harness import record_table  # noqa: E402
 
+from repro.core.variants import VARIANTS  # noqa: E402
 from repro.explore import DigestCache  # noqa: E402
 from repro.explore.engine import export_schedule_trace  # noqa: E402
 from repro.explore.sharding import explore_cell_sharded  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_explore.json"
 
-VARIANTS = ("base", "mc", "cd", "ct", "cr")
 
 
 def dfs_cells(n: int) -> tuple[str, ...]:

@@ -17,7 +17,7 @@ Crossover: the multicast variant's unicast bill wins once 2P + 2Q > N.
 from _harness import record_table
 
 from repro.analysis import general_messages, multicast_operations
-from repro.core.multicast_variant import run_multicast_resolution
+from repro.core.variants import run_action
 
 SWEEP = [
     (8, 1, 0),
@@ -34,9 +34,9 @@ SWEEP = [
 def run_sweep():
     rows = []
     for n, p, q in SWEEP:
-        result = run_multicast_resolution(n, p, q)
-        ops = result.multicast_operations()
-        unicasts = result.underlying_unicasts()
+        result = run_action("mc", n, p, q)
+        ops = result.messages()
+        unicasts = result.unicasts()
         base = general_messages(n, p, q)
         winner = "multicast" if unicasts < base else (
             "base" if base < unicasts else "tie"

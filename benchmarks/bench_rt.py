@@ -42,25 +42,10 @@ if str(Path(__file__).resolve().parent) not in sys.path:
 from _harness import record_table  # noqa: E402
 
 from repro.rt import ProtocolHarness, conformance_cells, tcp_transport  # noqa: E402
-from repro.rt.harness import (  # noqa: E402
-    CONFORMANCE_VARIANTS,
-    cell_horizon,
-    fault_cells,
-)
+from repro.rt.harness import cell_horizon, fault_cells  # noqa: E402
 from repro.workloads.campaigns import CampaignCell, observe_cell  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_rt.json"
-
-
-def latency_cells(ns, seed: int) -> list[CampaignCell]:
-    """One fault-free cell per (variant, N) — the latency sweep points."""
-    cells = []
-    for n in ns:
-        p = max(1, (n + 1) // 2)
-        for variant in CONFORMANCE_VARIANTS:
-            q = 1 if n >= 3 and p < n and variant in ("base", "ct", "mc") else 0
-            cells.append(CampaignCell("paper", variant, "none", n, p, q, seed))
-    return cells
 
 
 def measure_latency(harness: ProtocolHarness, cells, repeats: int) -> list[dict]:
@@ -130,7 +115,8 @@ def main(argv: list[str] | None = None) -> int:
         fault_cells(ns=fault_ns, seed=args.seed), trace_dir=args.trace_dir
     )
     latency = measure_latency(
-        asyncio_only, latency_cells(latency_ns, args.seed), repeats
+        # One fault-free cell per (variant, N): the conformance matrix's shapes.
+        asyncio_only, conformance_cells(latency_ns, seed=args.seed), repeats
     )
     tcp = measure_tcp(args.time_scale)
     elapsed = time.perf_counter() - started

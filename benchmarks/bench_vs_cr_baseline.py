@@ -16,24 +16,15 @@ algorithm).
 
 from _harness import record_table
 
-from repro.analysis import fit_power_law
-from repro.core.cr_baseline import run_cr_concurrent
-from repro.workloads.generator import all_raise_case
+from repro.analysis.report import cr_comparison, cr_growth
 
 SWEEP = (2, 4, 8, 12, 16, 24)
 
 
 def run_comparison():
-    rows = []
-    cr_points, new_points = [], []
-    for n in SWEEP:
-        cr = run_cr_concurrent(n).total_messages()
-        new = all_raise_case(n).run().resolution_message_total()
-        cr_points.append((n, cr))
-        new_points.append((n, new))
-        rows.append((n, cr, new, f"{cr / new:.1f}x"))
-    cr_fit = fit_power_law(cr_points[1:])
-    new_fit = fit_power_law(new_points[1:])
+    counts = cr_comparison(SWEEP)
+    cr_fit, new_fit = cr_growth(counts[1:])  # N=2 is below the asymptote
+    rows = [(n, cr, new, f"{cr / new:.1f}x") for n, cr, new in counts]
     return rows, cr_fit, new_fit
 
 

@@ -49,7 +49,7 @@ VICTIM = "O0003"
 
 def run_child(wal_dir: str) -> None:
     """Child process body: be mid-action, durably, until killed."""
-    from repro.core.crash_tolerant import run_crash_tolerant
+    from repro.core.variants import run_action
     from repro.net.latency import ConstantLatency
     from repro.rt.backend import asyncio_backend
 
@@ -57,12 +57,10 @@ def run_child(wal_dir: str) -> None:
         # Work transactions open (write + prepare, fsynced) at t=1; the
         # raise is parked far beyond the kill window, so no abort record
         # ever settles them — the SIGKILL is the only ending.
-        run_crash_tolerant(
-            3, raisers=1, raise_at=900.0, work_at=1.0,
-            latency=ConstantLatency(1.0),
-            hb_interval=2.0, hb_timeout=12.0,
-            durable_dir=wal_dir, wal_fsync=True,
-            run_until=1000.0,
+        run_action(
+            "ct", 3, 1, raise_at=900.0, work_at=1.0,
+            latency=ConstantLatency(1.0), hb_interval=2.0, hb_timeout=12.0,
+            durable_dir=wal_dir, wal_fsync=True, until=1000.0,
         )
 
 
@@ -131,7 +129,7 @@ def phase_process_kill(artifacts: Path) -> list[str]:
 
 def phase_in_process_restart(artifacts: Path) -> list[str]:
     """The rejoin protocol end to end on the asyncio backend."""
-    from repro.core.crash_tolerant import run_crash_tolerant
+    from repro.core.variants import run_action
     from repro.net.latency import ConstantLatency
     from repro.rt.backend import asyncio_backend
 
@@ -143,13 +141,11 @@ def phase_in_process_restart(artifacts: Path) -> list[str]:
         wal_dir = tempfile.mkdtemp(prefix=f"repro-recovery-{label}-")
         try:
             with asyncio_backend(time_scale=TIME_SCALE):
-                result = run_crash_tolerant(
-                    4, raisers=2, crash=(VICTIM,), crash_at=10.5,
-                    raise_at=10.0, latency=ConstantLatency(1.0),
-                    hb_interval=2.0, hb_timeout=12.0,
-                    restart_at=restart_at,
-                    durable_dir=wal_dir, wal_fsync=True,
-                    run_until=100.0,
+                result = run_action(
+                    "ct", 4, 2, raise_at=10.0, latency=ConstantLatency(1.0),
+                    hb_interval=2.0, hb_timeout=12.0, restart_at=restart_at,
+                    durable_dir=wal_dir, wal_fsync=True, until=100.0,
+                    crashes=[(VICTIM, 10.5)],
                 )
             returnee = result.participants[VICTIM]
             cell_problems: list[str] = []
@@ -160,7 +156,7 @@ def phase_in_process_restart(artifacts: Path) -> list[str]:
                 )
             if want == "rejoined" and returnee.handled is None:
                 cell_problems.append(f"{label}: rejoined but ran no handler")
-            if not result.all_survivors_handled():
+            if not result.all_handled():
                 cell_problems.append(f"{label}: a survivor never handled")
             store = result.stores[VICTIM]
             if not store.recovered_incomplete:

@@ -17,6 +17,8 @@ from repro.analysis.formulas import (
     case1_messages,
     case2_messages,
     case3_messages,
+    centralized_messages,
+    crash_tolerant_messages,
     general_messages,
     multicast_operations,
     resolver_group_messages,
@@ -26,7 +28,9 @@ __all__ = [
     "case1_messages",
     "case2_messages",
     "case3_messages",
+    "centralized_messages",
     "chart_rows",
+    "crash_tolerant_messages",
     "fit_power_law",
     "general_messages",
     "growth_order",

@@ -12,7 +12,10 @@ Quoting the paper, for N participants of the outermost CA action:
    "(N − 1) × (2P + 3Q + 1)".
 
 These functions are the reference values the benchmark harness compares
-simulated counts against.
+simulated counts against — and the one home of every closed form in the
+repo: the variants' counts (Section 4.5 and this repo's extensions) sit
+beside the paper's four, and :data:`repro.core.variants.VARIANTS` points
+each variant at its function here.
 """
 
 from __future__ import annotations
@@ -54,7 +57,14 @@ def general_messages(n: int, p: int, q: int) -> int:
 
 
 def resolver_group_messages(n: int, p: int, q: int, k: int) -> int:
-    """The k-resolver extension: ``(N-1)(2P + 3Q + k)`` with k ≤ P."""
+    """The k-resolver extension of Section 4.4: ``(N-1)(2P + 3Q + k)``.
+
+    The k biggest-named raisers (so k ≤ P) each resolve the same LE set
+    and each broadcasts Commit; receivers act on the first and discard the
+    agreeing duplicates — "only a constant factor".  The claim covers
+    redundant Commit *delivery*; surviving a resolver crash additionally
+    needs a failure detector (the ``ct`` variant).
+    """
     _validate(n, p, q)
     if k < 1:
         raise ValueError(f"k must be at least 1: {k}")
@@ -69,6 +79,24 @@ def multicast_operations(n: int, p: int, q: int) -> int:
     if p == 0:
         return 0
     return n + q + 1
+
+
+def centralized_messages(n: int, p: int, q: int = 0) -> int:
+    """The centralised variant: ``P exceptions + (N-1) suspends + (N-1)
+    statuses + N commits = 3N - 2 + P`` (flat: Q does not enter)."""
+    _validate(n, p)
+    if p == 0:
+        return 0
+    return 3 * n - 2 + p
+
+
+def crash_tolerant_messages(n: int, p: int, q: int = 0) -> int:
+    """The crash-tolerant variant, fault-free: ``(N-1)(2P + 2Q + 1)`` —
+    HaveNested is one broadcast per nested member, not one per raiser."""
+    _validate(n, p, q)
+    if p == 0:
+        return 0
+    return (n - 1) * (2 * p + 2 * q + 1)
 
 
 def consistency_checks() -> list[str]:

@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.analysis.fitting import fit_power_law
+from repro.analysis.fitting import PowerLawFit, fit_power_law
 from repro.analysis.formulas import (
     case1_messages,
     case2_messages,
     case3_messages,
+    resolver_group_messages,
 )
 
 
@@ -94,25 +95,35 @@ def _general_formula() -> ReportSection:
     )
 
 
-def _cr_comparison(sweep: list[int]) -> ReportSection:
-    from repro.core.cr_baseline import run_cr_concurrent
-    from repro.workloads.generator import all_raise_case
+def cr_comparison(sweep) -> list[tuple[int, int, int]]:
+    """The paper's headline comparison: all N participants raise at once,
+    under the CR baseline and under the new algorithm — ``(n, cr messages,
+    new messages)`` per N.  The report, ``repro compare`` and
+    ``bench_vs_cr_baseline`` all print this one sweep."""
+    from repro.core.variants import run_action
 
-    rows = []
-    cr_points, new_points = [], []
-    for n in sweep:
-        cr = run_cr_concurrent(n).total_messages()
-        new = all_raise_case(n).run().resolution_message_total()
-        cr_points.append((n, cr))
-        new_points.append((n, new))
-        rows.append((n, cr, new, f"{cr / new:.1f}x"))
-    cr_fit = fit_power_law(cr_points)
-    new_fit = fit_power_law(new_points)
+    return [
+        (n, run_action("cr", n, n).messages(), run_action("base", n, n).messages())
+        for n in sweep
+    ]
+
+
+def cr_growth(rows) -> tuple[PowerLawFit, PowerLawFit]:
+    """Fitted growth orders (CR, new) of :func:`cr_comparison` rows."""
+    return (
+        fit_power_law([(n, cr) for n, cr, _ in rows]),
+        fit_power_law([(n, new) for n, _, new in rows]),
+    )
+
+
+def _cr_comparison(sweep: list[int]) -> ReportSection:
+    rows = cr_comparison(sweep)
+    cr_fit, new_fit = cr_growth(rows)
     ok = cr_fit.exponent > 2.5 and 1.7 < new_fit.exponent < 2.3
     return ReportSection(
         "E5 — vs the Campbell-Randell baseline",
         ["N", "CR", "new", "ratio"],
-        rows,
+        [(n, cr, new, f"{cr / new:.1f}x") for n, cr, new in rows],
         f"CR ~ N^{cr_fit.exponent:.2f}, new ~ N^{new_fit.exponent:.2f} "
         f"(paper: O(N^3) vs O(N^2)) — "
         + ("shape holds" if ok else "SHAPE MISMATCH"),
@@ -143,33 +154,21 @@ def _worked_examples() -> ReportSection:
 
 
 def _variants(n: int = 8) -> ReportSection:
-    from repro.core.centralized_variant import (
-        expected_centralized_messages,
-        run_centralized,
-    )
-    from repro.core.multicast_variant import (
-        expected_multicast_operations,
-        run_multicast_resolution,
-    )
-    from repro.core.resolver_group import expected_messages_with_resolver_group
-    from repro.workloads.generator import general_case
+    from repro.core.variants import VARIANTS, run_action
 
     rows = []
-    mc = run_multicast_resolution(n, 2, 2)
+    for tag, spec in VARIANTS.items():
+        if spec.expected is None:
+            continue  # measured only: no model to hold it against
+        q = 2 if spec.nests else 0
+        rows.append(
+            (f"{tag}: {spec.closed_form}", spec.expected(n, 2, q),
+             run_action(tag, n, 2, q).messages())
+        )
     rows.append(
-        ("multicast ops (N+Q+1)", expected_multicast_operations(n, 2, 2),
-         mc.multicast_operations())
-    )
-    cd = run_centralized(n, 2)
-    rows.append(
-        ("centralised msgs (3N-2+P)", expected_centralized_messages(n, 2),
-         cd.total_messages())
-    )
-    rg = general_case(n, 2, 2, resolver_group_size=2).run()
-    rows.append(
-        ("k=2 resolvers ((N-1)(2P+3Q+2))",
-         expected_messages_with_resolver_group(n, 2, 2, 2),
-         rg.resolution_message_total())
+        ("k=2 resolvers: (N-1)(2P+3Q+2) messages",
+         resolver_group_messages(n, 2, 2, 2),
+         run_action("base", n, 2, 2, resolver_group_size=2).messages())
     )
     ok = all(row[1] == row[2] for row in rows)
     return ReportSection(

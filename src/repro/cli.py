@@ -35,6 +35,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.core.variants import SERVABLE
+
 
 def cmd_formulas(args: argparse.Namespace) -> int:
     from repro.analysis import (
@@ -96,22 +98,14 @@ def cmd_chart(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from repro.analysis import fit_power_law
-    from repro.core.cr_baseline import run_cr_concurrent
-    from repro.workloads.generator import all_raise_case
+    from repro.analysis.report import cr_comparison, cr_growth
 
-    sweep = [int(x) for x in args.sweep.split(",")]
+    rows = cr_comparison(int(x) for x in args.sweep.split(","))
     print(f"{'N':>4} {'CR msgs':>10} {'new msgs':>10} {'ratio':>7}")
-    cr_points, new_points = [], []
-    for n in sweep:
-        cr = run_cr_concurrent(n).total_messages()
-        new = all_raise_case(n).run().resolution_message_total()
-        cr_points.append((n, cr))
-        new_points.append((n, new))
+    for n, cr, new in rows:
         print(f"{n:>4} {cr:>10} {new:>10} {cr / new:>6.1f}x")
-    if len(sweep) >= 2:
-        cr_fit = fit_power_law(cr_points)
-        new_fit = fit_power_law(new_points)
+    if len(rows) >= 2:
+        cr_fit, new_fit = cr_growth(rows)
         print(
             f"growth: CR ~ N^{cr_fit.exponent:.2f}, "
             f"new ~ N^{new_fit.exponent:.2f} (paper: O(N^3) vs O(N^2))"
@@ -143,10 +137,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 #: Scenarios the observability commands can run.  Worked examples replay
-#: the paper's sections; ``general`` is the N/P/Q workload; ``ct``/``mc``/
-#: ``cd`` run the protocol variants on the same workload shape.
+#: the paper's sections; the rest is the N/P/Q workload under each servable
+#: variant of the registry — ``base`` under its older name ``general``.
 TRACEABLE_SCENARIOS = (
-    "example1", "example2", "figure3", "general", "ct", "mc", "cd",
+    "example1", "example2", "figure3",
+    *("general" if tag == "base" else tag for tag in SERVABLE),
 )
 
 
@@ -162,27 +157,11 @@ def _run_traced_scenario(args: argparse.Namespace):
             "figure3": generator.figure3_scenario,
         }[name]
         return factory().run().runtime
-    if name == "general":
-        from repro.workloads.generator import general_case
+    from repro.core.variants import VARIANTS, run_action
 
-        return general_case(args.n, args.p, args.q, seed=args.seed).run().runtime
-    if name == "ct":
-        from repro.core.crash_tolerant import run_crash_tolerant
-
-        return run_crash_tolerant(
-            args.n, raisers=args.p, nested=args.q, seed=args.seed
-        ).runtime
-    if name == "mc":
-        from repro.core.multicast_variant import run_multicast_resolution
-
-        return run_multicast_resolution(
-            args.n, p=args.p, q=args.q, seed=args.seed
-        ).runtime
-    if name == "cd":
-        from repro.core.centralized_variant import run_centralized
-
-        return run_centralized(args.n, raisers=args.p, seed=args.seed).runtime
-    raise ValueError(f"unknown scenario {name}")  # pragma: no cover
+    variant = "base" if name == "general" else name
+    q = args.q if VARIANTS[variant].nests else 0
+    return run_action(variant, args.n, args.p, q, seed=args.seed).runtime
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -393,7 +372,7 @@ def cmd_rt_run(args: argparse.Namespace) -> int:
         if args.backend != "asyncio":
             print("--tcp requires --backend asyncio", file=sys.stderr)
             return 2
-        with tcp_transport(time_scale=args.time_scale, mode=args.mode) as bridges:
+        with tcp_transport(time_scale=args.time_scale) as bridges:
             obs = observe_cell(cell, run_until=cell_horizon(cell))
         frames = sum(b.frames_delivered for b in bridges)
     else:
@@ -833,8 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt_run.add_argument("--time-scale", type=float, default=0.005)
     p_rt_run.add_argument("--tcp", action="store_true",
                           help="route every delivery over a localhost socket")
-    p_rt_run.add_argument("--mode", choices=("token", "pickle"),
-                          default="token", help="TCP frame mode")
     p_rt_run.set_defaults(fn=cmd_rt_run)
 
     p_hub = rt_sub.add_parser(
@@ -892,8 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="heavy", help="action-size distribution")
     p_load.add_argument("--max-n", type=int, default=32,
                         help="largest action in the mix")
-    p_load.add_argument("--variant", choices=("base", "ct", "mc", "cd"),
-                        default="base")
+    p_load.add_argument("--variant", choices=SERVABLE, default="base")
     p_load.add_argument("--seed", type=int, default=0)
     p_load.add_argument("--drain", type=float, default=5.0,
                         help="seconds to wait for straggler replies")
@@ -933,8 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--port", type=int, default=9400)
     p_trace.add_argument("--count", type=int, default=1,
                          help="requests to submit (sequentially)")
-    p_trace.add_argument("--variant", choices=("base", "ct", "mc", "cd"),
-                         default="base")
+    p_trace.add_argument("--variant", choices=SERVABLE, default="base")
     p_trace.add_argument("-n", type=int, default=6, help="participants")
     p_trace.add_argument("-p", type=int, default=2, help="raisers")
     p_trace.add_argument("-q", type=int, default=1, help="nested members")

@@ -10,9 +10,12 @@ Layout:
 * :mod:`repro.core.algorithm` — the Section 4.2 resolution engine;
 * :mod:`repro.core.abortion` — nested-action abortion chains (Section 4.1);
 * :mod:`repro.core.policies` — Figure 1's wait vs. abort nested policies;
+* :mod:`repro.core.variants` — ``run_action``: the one way to run any
+  variant below on the Section 4.4 workload, and the registry of their facts;
 * :mod:`repro.core.cr_baseline` — the Campbell–Randell 1986 comparator;
 * :mod:`repro.core.multicast_variant` — the ACK-free multicast variant;
-* :mod:`repro.core.resolver_group` — the k-resolver fault-tolerant extension.
+* :mod:`repro.core.centralized_variant` — the coordinator-based variant;
+* :mod:`repro.core.crash_tolerant` — the crash-tolerant extension.
 """
 
 from repro.core.action import ActionRegistry, CAActionDef, NestedPolicy

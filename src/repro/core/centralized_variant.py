@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.variants import VARIANTS, Member, Setup
 from repro.exceptions.handlers import HandlerSet
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
 from repro.net.message import Message
@@ -160,8 +161,10 @@ class ResolutionCoordinator(DistributedObject):
             self.send(member, KIND_CD_COMMIT, self.committed)
 
 
-class CentralizedParticipant(DistributedObject):
+class CentralizedParticipant(Member):
     """A flat-action participant under coordinator-based resolution."""
+
+    tag = "cd"
 
     def __init__(
         self,
@@ -171,38 +174,12 @@ class CentralizedParticipant(DistributedObject):
         tree: ResolutionTree,
         handlers: HandlerSet,
     ) -> None:
-        super().__init__(name)
-        self.action = action
+        super().__init__(name, action, tree, handlers)
         self.coordinator = coordinator
-        self.tree = tree
-        self.handlers = handlers
         self.raised: Optional[ExceptionClass] = None
         self.suspended = False
-        self.handled: Optional[ExceptionClass] = None
-        #: Span collector at FULL trace level (cached in attach), else None.
-        self._spans = None
-        self._span_id: Optional[int] = None
-        self._state_span_id: Optional[int] = None
         self.on_kind(KIND_CD_SUSPEND, self._on_suspend)
         self.on_kind(KIND_CD_COMMIT, self._on_commit)
-
-    def attach(self, runtime: Runtime) -> None:
-        super().attach(runtime)
-        spans = runtime.spans
-        self._spans = spans if spans.enabled else None
-
-    def _span_open(self, state: str, cause: Optional[int] = None) -> None:
-        spans = self._spans
-        if spans is None or self._span_id is not None:
-            return
-        now = self.sim_now
-        self._span_id = spans.begin(
-            f"resolution {self.action}", "resolution", self.name, now,
-            cause=cause, variant="cd",
-        )
-        self._state_span_id = spans.begin(
-            f"state {state}", "state", self.name, now, parent=self._span_id,
-        )
 
     def raise_exception(self, exception: ExceptionClass) -> None:
         if self.suspended or self.raised is not None or self.handled is not None:
@@ -210,10 +187,7 @@ class CentralizedParticipant(DistributedObject):
         self.raised = exception
         self._span_open("X")
         if self._spans is not None:
-            self._spans.event(
-                f"raise {exception.name()}", "raise", self.name, self.sim_now,
-                parent=self._span_id, exception=exception.name(),
-            )
+            self._span_raise(exception)
         self.send(
             self.coordinator,
             KIND_CD_EXCEPTION,
@@ -236,141 +210,27 @@ class CentralizedParticipant(DistributedObject):
 
     def _on_commit(self, message: Message) -> None:
         payload: CdCommit = message.payload
-        if self.handled is not None:
-            return
-        self.handled = payload.exception
-        self.runtime.trace.record(
-            self.sim_now, "cd.handle", self.name,
-            exception=payload.exception.name(),
-        )
-        spans = self._spans
-        if spans is not None:
-            self._span_open("S", cause=message.msg_id)
-            now = self.sim_now
-            spans.end(self._state_span_id, now)
-            self._state_span_id = spans.begin(
-                "state R", "state", self.name, now, parent=self._span_id,
-                cause=message.msg_id,
-            )
-            spans.event(
-                f"handler {payload.exception.name()}", "handler", self.name,
-                now, parent=self._span_id, cause=message.msg_id,
-                exception=payload.exception.name(),
-            )
-            spans.end(self._state_span_id, now)
-            spans.end(
-                self._span_id, now,
-                outcome=f"handled {payload.exception.name()}",
-            )
+        if self.handled is None:
+            self._handle(payload.exception, cause=message.msg_id)
 
 
-@dataclass
-class CentralizedRunResult:
-    runtime: Runtime
-    participants: dict[str, CentralizedParticipant]
-    coordinator: ResolutionCoordinator
-    crashed: tuple[str, ...] = ()
+def build(setup: Setup) -> dict[str, CentralizedParticipant]:
+    """The variant's part of :func:`repro.core.variants.run_action`.
 
-    def survivors(self) -> list[CentralizedParticipant]:
-        return [
-            p for n, p in self.participants.items() if n not in self.crashed
-        ]
-
-    def total_messages(self) -> int:
-        return self.runtime.network.total_sent(set(CD_KINDS))
-
-    def all_handled(self) -> bool:
-        return all(p.handled is not None for p in self.survivors())
-
-    def handled_exceptions(self) -> set[str]:
-        return {
-            p.handled.name() for p in self.survivors() if p.handled is not None
-        }
-
-    def commit_time(self) -> Optional[float]:
-        commits = self.runtime.trace.by_category("cd.commit")
-        return commits[0].time if commits else None
-
-
-def run_centralized(
-    n: int,
-    raisers: int = 1,
-    seed: int = 0,
-    latency=None,
-    raise_at: float = 10.0,
-    coordinator_crashes_at: Optional[float] = None,
-    run_until: Optional[float] = None,
-    failure_plan=None,
-    reliable: bool = False,
-    ack_timeout: float = 5.0,
-    max_retries: int = 25,
-    crash: tuple[str, ...] = (),
-    crash_at: float = 12.0,
-    trace_level=None,
-) -> CentralizedRunResult:
-    """Run the centralised variant on the flat P-raisers workload.
-
-    ``crash`` names *participants* whose nodes die at ``crash_at``; the
-    coordinator's own crash keeps its dedicated ``coordinator_crashes_at``
-    knob (it lives on ``node:coord``).  Either crash stalls the protocol
-    — the single-point-of-failure and missing-status limitations the
-    module docstring describes — which fault campaigns classify as an
-    *expected* stall.
+    The coordinator lives on its own node and is crashed by name like a
+    participant.  Either crash stalls the protocol — the
+    single-point-of-failure and missing-status limitations the module
+    docstring describes — which fault campaigns classify as an *expected*
+    stall.
     """
-    from repro.exceptions.declarations import UniversalException, declare_exception
-    from repro.objects.naming import canonical_name
-
-    if not 1 <= raisers <= n:
-        raise ValueError(f"bad raiser count {raisers} for n={n}")
-    leaves = [declare_exception(f"CD_{i}") for i in range(raisers)]
-    tree = ResolutionTree(
-        UniversalException, {leaf: UniversalException for leaf in leaves}
-    )
-    handlers = HandlerSet.completing_all(tree)
-    names = tuple(canonical_name(i) for i in range(n))
-    unknown = set(crash) - set(names)
-    if unknown:
-        raise ValueError(f"cannot crash unknown members: {sorted(unknown)}")
-    from repro.simkernel.trace import TraceLevel
-
-    runtime = Runtime(
-        seed=seed, latency=latency, failure_plan=failure_plan,
-        reliable=reliable, ack_timeout=ack_timeout, max_retries=max_retries,
-        trace_level=TraceLevel.FULL if trace_level is None else trace_level,
-    )
-    coordinator = ResolutionCoordinator("coord", "A1", names, tree)
-    runtime.register(coordinator)
+    runtime, names = setup.runtime, setup.names
+    coordinator = VARIANTS["cd"].coordinator
+    runtime.register(ResolutionCoordinator(coordinator, "A1", names, setup.tree))
     participants: dict[str, CentralizedParticipant] = {}
     for name in names:
-        participant = CentralizedParticipant(name, "A1", "coord", tree, handlers)
+        participant = CentralizedParticipant(
+            name, "A1", coordinator, setup.tree, setup.handlers
+        )
         runtime.register(participant)
         participants[name] = participant
-    for i in range(raisers):
-        raiser = participants[names[i]]
-        runtime.sim.schedule(
-            raise_at,
-            lambda r=raiser, e=leaves[i]: r.raise_exception(e),
-            label=f"cd-raise:{names[i]}",
-        )
-    if coordinator_crashes_at is not None:
-        runtime.sim.schedule(
-            coordinator_crashes_at,
-            lambda: runtime.crash_node("node:coord"),
-            label="crash-coord",
-        )
-    for victim in crash:
-        runtime.sim.schedule(
-            crash_at,
-            lambda v=victim: runtime.crash_node(f"node:{v}"),
-            label=f"crash:{victim}",
-        )
-    runtime.run(until=run_until, max_events=1_000_000)
-    return CentralizedRunResult(runtime, participants, coordinator, tuple(crash))
-
-
-def expected_centralized_messages(n: int, p: int) -> int:
-    """``P exceptions + (N-1) suspends + (N-1) statuses + N commits``
-    = ``3N - 2 + P``."""
-    if p == 0:
-        return 0
-    return p + (n - 1) + (n - 1) + n
+    return participants

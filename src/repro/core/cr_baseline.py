@@ -38,10 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.variants import VARIANTS, ActionRun, Setup
 from repro.exceptions.handlers import Handler, ReducedHandlerSet
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
 from repro.net.message import Message
 from repro.objects.base import DistributedObject
+from repro.objects.naming import canonical_name
 from repro.objects.runtime import Runtime
 
 KIND_CR_EXCEPTION = "CR_EXCEPTION"
@@ -245,85 +247,34 @@ def reduced_set_for(
     return ReducedHandlerSet(tree, mine)
 
 
-@dataclass
-class CRRunResult:
-    """Outcome of one CR-baseline run."""
-
-    runtime: Runtime
-    participants: dict[str, CRParticipant]
-
-    def total_messages(self) -> int:
-        return self.runtime.network.total_sent(set(CR_KINDS))
-
-    def messages_by_kind(self):
-        return {
-            kind: self.runtime.network.sent_by_kind.get(kind, 0)
-            for kind in sorted(CR_KINDS)
-        }
-
-    def all_handled(self) -> bool:
-        return all(p.handled is not None for p in self.participants.values())
-
-    def resolved_exceptions(self) -> set[str]:
-        return {
-            p.resolved.name()
-            for p in self.participants.values()
-            if p.resolved is not None
-        }
-
-    def raises_total(self) -> int:
-        return sum(len(p.raised) for p in self.participants.values())
-
-
-def run_cr_concurrent(
-    n: int,
-    raisers: int | None = None,
-    seed: int = 0,
-    latency=None,
-    raise_at: float = 1.0,
-    stagger: float = 0.0,
-) -> CRRunResult:
-    """Run the CR baseline with ``raisers`` concurrent primary exceptions.
+def build(setup: Setup) -> dict[str, CRParticipant]:
+    """The variant's part of :func:`repro.core.variants.run_action`:
+    concurrent primary exceptions.
 
     This is the paper's motivating situation (several errors detected
     quasi-simultaneously).  Every participant has handlers for all leaf
     exceptions (no dominoes), isolating the cost of CR's
-    everyone-resolves agreement.  With ``stagger`` larger than a network
-    round-trip, each raise lands after the previous agreement round has
-    settled and invalidates it, so the votes re-run per raise — Θ(N)
-    rounds of Θ(N²) votes, the O(N³) worst case the paper charges CR
+    everyone-resolves agreement.  With the ``stagger`` option larger than
+    a network round-trip, each raise lands after the previous agreement
+    round has settled and invalidates it, so the votes re-run per raise —
+    Θ(N) rounds of Θ(N²) votes, the O(N³) worst case the paper charges CR
     with.  The new algorithm is immune: a later raise merges into the one
     resolution and the count stays ``(N-1)(2P+1)`` (case 3, Section 4.4).
     """
-    from repro.exceptions.declarations import UniversalException, declare_exception
-    from repro.objects.naming import canonical_name
-
-    raisers = n if raisers is None else raisers
-    if not 1 <= raisers <= n:
-        raise ValueError(f"bad raiser count {raisers} for n={n}")
-    leaves = [declare_exception(f"CRC_{i}") for i in range(raisers)]
-    tree = ResolutionTree(
-        UniversalException, {leaf: UniversalException for leaf in leaves}
+    full = {exc: Handler.completing() for exc in setup.tree.members}
+    return _register(
+        setup.runtime, setup.names, setup.tree,
+        lambda index: ReducedHandlerSet(setup.tree, dict(full)),
     )
-    full = {exc: Handler.completing() for exc in tree.members}
-    names = tuple(canonical_name(i) for i in range(n))
-    runtime = Runtime(seed=seed, latency=latency)
+
+
+def _register(runtime, names, tree, reduced_for) -> dict[str, CRParticipant]:
     participants: dict[str, CRParticipant] = {}
-    for name in names:
-        participant = CRParticipant(
-            name, "A1", names, tree, ReducedHandlerSet(tree, dict(full))
-        )
+    for index, name in enumerate(names):
+        participant = CRParticipant(name, "A1", names, tree, reduced_for(index))
         runtime.register(participant)
         participants[name] = participant
-    for i in range(raisers):
-        raiser = participants[names[i]]
-        runtime.sim.schedule(
-            raise_at + i * stagger,
-            lambda r=raiser, e=leaves[i]: r.raise_exception(e),
-            label=f"cr-raise:{names[i]}",
-        )
-    runtime.run(max_events=5_000_000)
-    return CRRunResult(runtime, participants)
+    return participants
 
 
 def run_cr_domino(
@@ -332,24 +283,22 @@ def run_cr_domino(
     initial_raisers: int = 1,
     seed: int = 0,
     latency=None,
-) -> CRRunResult:
+) -> ActionRun:
     """Run the CR baseline on the adversarial domino-chain workload.
 
     The deepest chain exception is raised by the last participant(s); the
     reduced handler sets force a re-raise cascade all the way to the root.
+    A different workload from :func:`~repro.core.variants.run_action`'s
+    (a chain tree, reduced handler sets, the *last* participants raising),
+    measured the same way.
     """
-    from repro.objects.naming import canonical_name
-
     tree, chain = domino_chain_tree(n, levels_per_participant)
     names = tuple(canonical_name(i) for i in range(n))
     runtime = Runtime(seed=seed, latency=latency)
-    participants: dict[str, CRParticipant] = {}
-    for index, name in enumerate(names):
-        participant = CRParticipant(
-            name, "A1", names, tree, reduced_set_for(tree, chain, index, n)
-        )
-        runtime.register(participant)
-        participants[name] = participant
+    participants = _register(
+        runtime, names, tree,
+        lambda index: reduced_set_for(tree, chain, index, n),
+    )
     deepest = chain[-1]
     for i in range(initial_raisers):
         raiser = participants[names[-(i + 1)]]
@@ -358,4 +307,4 @@ def run_cr_domino(
             label=f"cr-raise:{raiser.name}",
         )
     runtime.run(max_events=2_000_000)
-    return CRRunResult(runtime, participants)
+    return ActionRun(VARIANTS["cr"], runtime, participants)

@@ -88,13 +88,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.variants import Member, Setup
+from repro.exceptions.declarations import UniversalException, declare_exception
 from repro.exceptions.handlers import HandlerSet
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
 from repro.net.detector import Heartbeater
-from repro.net.failures import FailurePlan
 from repro.net.message import Message
-from repro.objects.base import DistributedObject
-from repro.objects.runtime import Runtime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.transactions.durable import DurableStore
@@ -176,8 +175,10 @@ class CtRejoinReply:
     commit: Optional[CtCommit]
 
 
-class CrashTolerantParticipant(DistributedObject):
+class CrashTolerantParticipant(Member):
     """A participant that survives peer crashes, including mid-abortion."""
+
+    tag = "ct"
 
     def __init__(
         self,
@@ -194,11 +195,8 @@ class CrashTolerantParticipant(DistributedObject):
         membership_group: str | None = None,
         store: "DurableStore | None" = None,
     ) -> None:
-        super().__init__(name)
-        self.action = action
+        super().__init__(name, action, tree, handlers)
         self.group = group
-        self.tree = tree
-        self.handlers = handlers
         self.nested_depth = nested_depth
         self.abort_duration = abort_duration
         self.abort_signal = abort_signal
@@ -215,7 +213,6 @@ class CrashTolerantParticipant(DistributedObject):
         self.raised_local = False
         self.aborting = False
         self.commit: Optional[CtCommit] = None
-        self.handled: Optional[ExceptionClass] = None
         #: Durable state (WAL + atomic objects); ``None`` = volatile-only.
         self.store = store
         #: The action's open work transaction over the durable store —
@@ -227,11 +224,6 @@ class CrashTolerantParticipant(DistributedObject):
         #: us; our effects are undone) or ``"already-handled"``.
         self.rejoin_outcome: Optional[str] = None
         self._ckpt_rank = 0
-        #: Span collector at FULL trace level (cached in attach), else None.
-        self._spans = None
-        self._span_id: Optional[int] = None
-        self._state_span_id: Optional[int] = None
-        self._abort_span_id: Optional[int] = None
         self.detector = Heartbeater(
             self, group, interval=hb_interval, timeout=hb_timeout,
             on_suspect=self._on_suspect, membership_group=membership_group,
@@ -281,38 +273,6 @@ class CrashTolerantParticipant(DistributedObject):
             self.work_txn.abort()
             self.work_txn = None
 
-    # -- observability ---------------------------------------------------------
-
-    def attach(self, runtime: Runtime) -> None:
-        super().attach(runtime)
-        spans = runtime.spans
-        self._spans = spans if spans.enabled else None
-
-    def _span_open(self, state: str, cause: Optional[int] = None) -> None:
-        """Open this member's resolution span with an initial state dwell."""
-        spans = self._spans
-        if spans is None or self._span_id is not None:
-            return
-        now = self.sim_now
-        self._span_id = spans.begin(
-            f"resolution {self.action}", "resolution", self.name, now,
-            cause=cause, variant="ct",
-        )
-        self._state_span_id = spans.begin(
-            f"state {state}", "state", self.name, now, parent=self._span_id,
-        )
-
-    def _span_state(self, state: str, cause: Optional[int] = None) -> None:
-        spans = self._spans
-        if spans is None or self._span_id is None:
-            return
-        now = self.sim_now
-        spans.end(self._state_span_id, now)
-        self._state_span_id = spans.begin(
-            f"state {state}", "state", self.name, now, parent=self._span_id,
-            cause=cause,
-        )
-
     # -- raising --------------------------------------------------------------
 
     def raise_exception(self, exception: ExceptionClass) -> None:
@@ -329,10 +289,7 @@ class CrashTolerantParticipant(DistributedObject):
         self._checkpoint("raised", exception=exception.name())
         self._span_open("X")
         if self._spans is not None:
-            self._spans.event(
-                f"raise {exception.name()}", "raise", self.name, self.sim_now,
-                parent=self._span_id, exception=exception.name(),
-            )
+            self._span_raise(exception)
         self.acks_missing = set(self.detector.alive_peers())
         for peer in self.group:
             if peer != self.name:
@@ -553,10 +510,7 @@ class CrashTolerantParticipant(DistributedObject):
             depth=self.nested_depth,
         )
         if self._spans is not None:
-            self._abort_span_id = self._spans.begin(
-                f"abort {self.action}", "abort", self.name, self.sim_now,
-                parent=self._span_id, depth=self.nested_depth,
-            )
+            self._span_abort_begin(self.nested_depth)
         self.runtime.sim.schedule(
             self.abort_duration * self.nested_depth,
             self._nested_completed,
@@ -579,10 +533,7 @@ class CrashTolerantParticipant(DistributedObject):
             signal=self.abort_signal.name() if self.abort_signal else None,
         )
         if self._spans is not None:
-            self._spans.end(
-                self._abort_span_id, self.sim_now,
-                signal=self.abort_signal.name() if self.abort_signal else None,
-            )
+            self._span_abort_end(self.abort_signal)
         self._advance()
 
     # -- progress ----------------------------------------------------------------
@@ -660,7 +611,6 @@ class CrashTolerantParticipant(DistributedObject):
     def _start_handler(self, exception: ExceptionClass) -> None:
         if self.handled is not None:
             return
-        self.handled = exception
         self.detector.stop()
         # Backward recovery precedes the handler: the action's durable
         # effects roll back (undo records -> WAL abort record) so the
@@ -673,20 +623,7 @@ class CrashTolerantParticipant(DistributedObject):
                 self.sim_now, "ct.rejoin", self.name,
                 action=self.action, exception=exception.name(),
             )
-        self.runtime.trace.record(
-            self.sim_now, "ct.handle", self.name, exception=exception.name()
-        )
-        spans = self._spans
-        if spans is not None:
-            self._span_open("S")  # e.g. Commit raced ahead of the Exception
-            self._span_state("R")
-            now = self.sim_now
-            spans.event(
-                f"handler {exception.name()}", "handler", self.name, now,
-                parent=self._span_id, exception=exception.name(),
-            )
-            spans.end(self._state_span_id, now)
-            spans.end(self._span_id, now, outcome=f"handled {exception.name()}")
+        self._handle(exception)
 
     # -- crash-restart recovery ---------------------------------------------------
 
@@ -776,201 +713,114 @@ class CrashTolerantParticipant(DistributedObject):
                 )
 
 
-def ct_expected_messages(n: int, p: int, q: int = 0) -> int:
-    """Fault-free protocol messages: ``(N-1)(2P + 2Q + 1)`` (module doc)."""
-    if p == 0:
-        return 0
-    return (n - 1) * (2 * p + 2 * q + 1)
 
 
-@dataclass
-class CrashTolerantRunResult:
-    runtime: Runtime
-    participants: dict[str, CrashTolerantParticipant]
-    crashed: tuple[str, ...]
-    membership_group: str = "ct:A1"
-    restarted: tuple[str, ...] = ()
-    stores: "dict[str, DurableStore] | None" = None
-
-    def survivors(self) -> list[CrashTolerantParticipant]:
-        return [
-            p for n, p in self.participants.items() if n not in self.crashed
-        ]
-
-    def returnees(self) -> list[CrashTolerantParticipant]:
-        """Participants that crashed and later restarted."""
-        return [self.participants[name] for name in self.restarted]
-
-    def all_survivors_handled(self) -> bool:
-        return all(p.handled is not None for p in self.survivors())
-
-    def handled_exceptions(self) -> set[str]:
-        return {
-            p.handled.name() for p in self.survivors() if p.handled is not None
-        }
-
-    def protocol_messages(self) -> int:
-        return self.runtime.network.total_sent(set(CT_KINDS))
-
-    def final_view(self):
-        return self.runtime.membership.view(self.membership_group)
-
-
-def run_crash_tolerant(
-    n: int,
-    raisers: int = 2,
-    nested: int = 0,
-    crash: tuple[str, ...] = (),
-    crash_at: float = 12.0,
-    raise_at: float = 10.0,
-    seed: int = 0,
-    latency=None,
+def build(
+    setup: Setup,
     hb_interval: float = 2.0,
     hb_timeout: float = 7.0,
     abort_duration: float = 1.0,
     nested_signal: bool = False,
-    failure_plan: FailurePlan | None = None,
-    reliable: bool = False,
-    ack_timeout: float = 5.0,
-    max_retries: int = 25,
-    run_until: float = 200.0,
-    trace_level=None,
     restart_at: float | None = None,
     durable_dir: "str | None" = None,
     wal_fsync: bool = False,
     work_at: float | None = None,
-) -> CrashTolerantRunResult:
-    """Run the crash-tolerant variant, optionally crashing members.
+) -> dict[str, CrashTolerantParticipant]:
+    """The variant's part of :func:`repro.core.variants.run_action`.
 
-    ``crash`` names participants whose nodes die at ``crash_at`` —
-    typically *after* raising, the case that deadlocks the base algorithm.
-    The first ``raisers`` members raise; the next ``nested`` members sit
-    inside one-level nested actions and abort them (taking
-    ``abort_duration`` each, signalling an exception when
-    ``nested_signal``).  ``failure_plan``/``reliable`` run the protocol
-    over a faulty channel with the ARQ transport underneath.
+    Crash victims typically die *after* raising, the case that deadlocks
+    the base algorithm.  The nested members sit inside one-level nested
+    actions and abort them (taking ``abort_duration`` each, signalling an
+    exception when ``nested_signal``).
 
     ``restart_at`` restarts every crash victim at that (virtual) time:
     the node comes back, and the participant replays its WAL and runs the
     rejoin protocol.  ``durable_dir`` gives every participant a durable
     store (an atomic object plus a per-node WAL file under that
     directory); each opens a work transaction at ``work_at`` (default:
-    ``raise_at``) whose writes a crash cuts short — exactly the state the
-    restart path must undo.  ``wal_fsync=False`` (the default) keeps
+    the raise instant) whose writes a crash cuts short — exactly the state
+    the restart path must undo.  ``wal_fsync=False`` (the default) keeps
     simulated-time runs off the disk-latency path; the recovery benchmark
     and CI smoke turn it on.
     """
-    from repro.exceptions.declarations import UniversalException, declare_exception
-    from repro.objects.naming import canonical_name
-
-    if not 1 <= raisers <= n:
-        raise ValueError(f"bad raiser count {raisers} for n={n}")
-    if not 0 <= nested <= n - raisers:
-        raise ValueError(f"bad nested count {nested} for n={n}, raisers={raisers}")
-    leaves = [declare_exception(f"CT_{i}") for i in range(raisers)]
-    signal_exc = declare_exception("CT_ABORT_SIG") if nested_signal else None
-    members = leaves + ([signal_exc] if signal_exc else [])
-    tree = ResolutionTree(
-        UniversalException, {leaf: UniversalException for leaf in members}
+    runtime, names, tree, handlers = (
+        setup.runtime, setup.names, setup.tree, setup.handlers
     )
-    handlers = HandlerSet.completing_all(tree)
-    names = tuple(canonical_name(i) for i in range(n))
-    unknown = set(crash) - set(names)
-    if unknown:
-        raise ValueError(f"cannot crash unknown members: {sorted(unknown)}")
-    from repro.simkernel.trace import TraceLevel
-
-    runtime = Runtime(
-        seed=seed, latency=latency, failure_plan=failure_plan,
-        reliable=reliable, ack_timeout=ack_timeout, max_retries=max_retries,
-        trace_level=TraceLevel.FULL if trace_level is None else trace_level,
-    )
+    signal_exc = None
+    if nested_signal:
+        # The abortion signal is one more leaf of the action's tree.
+        signal_exc = declare_exception("CT_ABORT_SIG")
+        tree = ResolutionTree(
+            UniversalException,
+            {leaf: UniversalException for leaf in [*setup.leaves, signal_exc]},
+        )
+        handlers = HandlerSet.completing_all(tree)
     group_name = "ct:A1"
     runtime.membership.create(group_name, list(names))
-    stores: dict[str, "DurableStore"] | None = None
     if durable_dir is not None:
         from pathlib import Path
 
         from repro.transactions.atomic_object import AtomicObject
         from repro.transactions.durable import DurableStore
-
-        base = Path(durable_dir)
-        stores = {}
-        for name in names:
-            obj = AtomicObject(f"st:{name}", {"progress": None})
-            stores[name] = DurableStore(
-                base / f"{name}.wal", [obj], fsync=wal_fsync
-            )
     participants: dict[str, CrashTolerantParticipant] = {}
     for index, name in enumerate(names):
-        depth = 1 if raisers <= index < raisers + nested else 0
+        store = None
+        if durable_dir is not None:
+            obj = AtomicObject(f"st:{name}", {"progress": None})
+            store = DurableStore(
+                Path(durable_dir) / f"{name}.wal", [obj], fsync=wal_fsync
+            )
+        depth = 1 if setup.p <= index < setup.p + setup.q else 0
         participant = CrashTolerantParticipant(
             name, "A1", names, tree, handlers,
             hb_interval=hb_interval, hb_timeout=hb_timeout,
             nested_depth=depth, abort_duration=abort_duration,
             abort_signal=signal_exc if depth else None,
-            membership_group=group_name,
-            store=stores[name] if stores is not None else None,
+            membership_group=group_name, store=store,
         )
         runtime.register(participant)
         participants[name] = participant
         runtime.sim.schedule(0.0, participant.start, label=f"start:{name}")
-    if stores is not None:
+    if durable_dir is not None:
         for name in names:
             runtime.sim.schedule(
-                raise_at if work_at is None else work_at,
+                setup.raise_at if work_at is None else work_at,
                 participants[name].begin_work,
                 label=f"ct-work:{name}",
             )
-    for i in range(raisers):
-        raiser = participants[names[i]]
-        runtime.sim.schedule(
-            raise_at,
-            lambda r=raiser, e=leaves[i]: r.raise_exception(e),
-            label=f"ct-raise:{names[i]}",
-        )
-    for victim in crash:
-        runtime.sim.schedule(
-            crash_at,
-            lambda v=victim: runtime.crash_node(f"node:{v}"),
-            label=f"crash:{victim}",
-        )
-    restarted: tuple[str, ...] = ()
+
+        def close_stores() -> None:
+            for participant in participants.values():
+                participant.store.close()
+
+        setup.after_run.append(close_stores)
     if restart_at is not None:
-        if restart_at <= crash_at:
-            raise ValueError(
-                f"restart_at ({restart_at}) must follow crash_at ({crash_at})"
-            )
-        restarted = tuple(crash)
+        for _, crash_at in setup.crashes:
+            if restart_at <= crash_at:
+                raise ValueError(
+                    f"restart_at ({restart_at}) must follow crash_at ({crash_at})"
+                )
 
-        def _restart(victim: str) -> None:
+        def restart(victim: str) -> None:
             runtime.restart_node(f"node:{victim}")
-            store = None
-            if stores is not None:
-                from repro.transactions.durable import DurableStore
-
-                old = stores[victim]
-                old.close()
+            store = participants[victim].store
+            if store is not None:  # durable_dir was given: see the imports above
+                store.close()
                 # Reopen over the same WAL file and the same (durable)
                 # objects: this runs the real recover() path — torn-tail
                 # truncation, replay, undo, recovered-abort markers.
                 store = DurableStore(
-                    old.path, old.objects.values(), fsync=wal_fsync
+                    store.path, store.objects.values(), fsync=wal_fsync
                 )
-                stores[victim] = store
             participants[victim].restart(store)
 
-        for victim in crash:
-            runtime.sim.schedule(
-                restart_at,
-                lambda v=victim: _restart(v),
-                label=f"restart:{victim}",
-            )
-    runtime.run(until=run_until, max_events=2_000_000)
-    if stores is not None:
-        for store in stores.values():
-            store.close()
-    return CrashTolerantRunResult(
-        runtime, participants, tuple(crash), membership_group=group_name,
-        restarted=restarted, stores=stores,
-    )
+        def schedule_restarts() -> None:
+            for victim, _ in setup.crashes:
+                runtime.sim.schedule(
+                    restart_at,
+                    lambda v=victim: restart(v),
+                    label=f"restart:{victim}",
+                )
+
+        setup.after_crashes.append(schedule_restarts)
+    return participants

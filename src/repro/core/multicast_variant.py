@@ -35,11 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.variants import Member, Setup
 from repro.exceptions.handlers import HandlerSet
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
 from repro.net.message import Message
-from repro.objects.base import DistributedObject
-from repro.objects.runtime import Runtime
 
 KIND_MC_EXCEPTION = "MC_EXCEPTION"
 KIND_MC_FLUSH = "MC_FLUSH"
@@ -79,8 +78,10 @@ class McCommit:
     exception: ExceptionClass
 
 
-class MulticastParticipant(DistributedObject):
+class MulticastParticipant(Member):
     """A participant of the flat-action multicast variant."""
+
+    tag = "mc"
 
     def __init__(
         self,
@@ -94,12 +95,9 @@ class MulticastParticipant(DistributedObject):
         abort_duration: float = 0.0,
         abort_signal: Optional[ExceptionClass] = None,
     ) -> None:
-        super().__init__(name)
-        self.action = action
+        super().__init__(name, action, tree, handlers)
         self.group = group
         self.members = members
-        self.tree = tree
-        self.handlers = handlers
         self.nested_depth = nested_depth
         self.abort_duration = abort_duration
         self.abort_signal = abort_signal
@@ -107,35 +105,9 @@ class MulticastParticipant(DistributedObject):
         self.nested_members: set[str] = set()
         self.nested_done: dict[str, Optional[ExceptionClass]] = {}
         self.flushed = False
-        self.handled: Optional[ExceptionClass] = None
         self.commit: Optional[McCommit] = None
-        #: Span collector at FULL trace level (cached in attach), else None.
-        self._spans = None
-        self._span_id: Optional[int] = None
-        self._state_span_id: Optional[int] = None
-        self._abort_span_id: Optional[int] = None
         for kind in MC_KINDS:
             self.on_kind(kind, self._on_message)
-
-    # -- observability ---------------------------------------------------------
-
-    def attach(self, runtime: Runtime) -> None:
-        super().attach(runtime)
-        spans = runtime.spans
-        self._spans = spans if spans.enabled else None
-
-    def _span_open(self, state: str, cause: Optional[int] = None) -> None:
-        spans = self._spans
-        if spans is None or self._span_id is not None:
-            return
-        now = self.sim_now
-        self._span_id = spans.begin(
-            f"resolution {self.action}", "resolution", self.name, now,
-            cause=cause, variant="mc",
-        )
-        self._state_span_id = spans.begin(
-            f"state {state}", "state", self.name, now, parent=self._span_id,
-        )
 
     # -- sending ------------------------------------------------------------------
 
@@ -149,10 +121,7 @@ class MulticastParticipant(DistributedObject):
         self.statuses[self.name] = exception
         self._span_open("X")
         if self._spans is not None:
-            self._spans.event(
-                f"raise {exception.name()}", "raise", self.name, self.sim_now,
-                parent=self._span_id, exception=exception.name(),
-            )
+            self._span_raise(exception)
         self._mcast(
             KIND_MC_EXCEPTION, McException(self.action, self.name, exception)
         )
@@ -172,10 +141,7 @@ class MulticastParticipant(DistributedObject):
         if has_nested:
             self.nested_members.add(self.name)
             if self._spans is not None:
-                self._abort_span_id = self._spans.begin(
-                    f"abort {self.action}", "abort", self.name, self.sim_now,
-                    parent=self._span_id, depth=self.nested_depth,
-                )
+                self._span_abort_begin(self.nested_depth)
             # Abort the nested chain (one abortion handler per level), then
             # announce completion with the admissible signal.
             self.runtime.sim.schedule(
@@ -190,10 +156,7 @@ class MulticastParticipant(DistributedObject):
         if self.abort_signal is not None:
             self.statuses[self.name] = self.abort_signal
         if self._spans is not None:
-            self._spans.end(
-                self._abort_span_id, self.sim_now,
-                signal=self.abort_signal.name() if self.abort_signal else None,
-            )
+            self._span_abort_end(self.abort_signal)
         self._mcast(
             KIND_MC_NESTED_COMPLETED,
             McNestedCompleted(self.action, self.name, self.abort_signal),
@@ -218,7 +181,8 @@ class MulticastParticipant(DistributedObject):
                 self.statuses[payload.sender] = payload.exception
         elif message.kind == KIND_MC_COMMIT:
             self.commit = payload
-            self._start_handler(payload.exception)
+            if self.handled is None:
+                self._handle(payload.exception)
             return
         self._check_complete()
 
@@ -255,136 +219,27 @@ class MulticastParticipant(DistributedObject):
                 parent=self._span_id, exception=resolved.name(),
             )
         self._mcast(KIND_MC_COMMIT, self.commit)
-        self._start_handler(resolved)
-
-    def _start_handler(self, exception: ExceptionClass) -> None:
-        if self.handled is not None:
-            return
-        self.handled = exception
-        if self.runtime is not None:
-            self.runtime.trace.record(
-                self.sim_now, "mc.handle", self.name,
-                exception=exception.name(),
-            )
-        spans = self._spans
-        if spans is not None:
-            self._span_open("S")  # Commit raced ahead of every status
-            now = self.sim_now
-            spans.end(self._state_span_id, now)
-            self._state_span_id = spans.begin(
-                "state R", "state", self.name, now, parent=self._span_id
-            )
-            spans.event(
-                f"handler {exception.name()}", "handler", self.name, now,
-                parent=self._span_id, exception=exception.name(),
-            )
-            spans.end(self._state_span_id, now)
-            spans.end(self._span_id, now, outcome=f"handled {exception.name()}")
+        self._handle(resolved)
 
 
-@dataclass
-class MulticastRunResult:
-    runtime: Runtime
-    participants: dict[str, MulticastParticipant]
-    crashed: tuple[str, ...] = ()
+def build(setup: Setup, abort_duration: float = 0.5) -> dict[str, MulticastParticipant]:
+    """The variant's part of :func:`repro.core.variants.run_action`.
 
-    def multicast_operations(self) -> int:
-        return self.runtime.multicast.total_operations(set(MC_KINDS))
-
-    def underlying_unicasts(self) -> int:
-        return self.runtime.network.total_sent(set(MC_KINDS))
-
-    def survivors(self) -> list[MulticastParticipant]:
-        return [
-            p for n, p in self.participants.items() if n not in self.crashed
-        ]
-
-    def all_handled(self) -> bool:
-        return all(p.handled is not None for p in self.survivors())
-
-    def handled_exceptions(self) -> set[str]:
-        return {
-            p.handled.name() for p in self.survivors() if p.handled is not None
-        }
-
-
-def run_multicast_resolution(
-    n: int,
-    p: int,
-    q: int = 0,
-    seed: int = 0,
-    latency=None,
-    raise_at: float = 1.0,
-    abort_duration: float = 0.5,
-    failure_plan=None,
-    reliable: bool = False,
-    ack_timeout: float = 5.0,
-    max_retries: int = 25,
-    crash: tuple[str, ...] = (),
-    crash_at: float = 12.0,
-    run_until: float | None = None,
-    trace_level=None,
-) -> MulticastRunResult:
-    """Run the multicast variant on the Section 4.4 workload shape.
-
-    ``failure_plan``/``reliable`` run the variant over a faulty channel
-    with the ARQ transport underneath (the multicast layer detects the
-    reliable substrate and skips its own per-destination retries).
-    ``crash`` names participants whose nodes die at ``crash_at`` — the
-    variant has no failure detector, so a mid-protocol crash stalls the
-    survivors (a documented limitation that fault campaigns classify as
-    an *expected* stall).
+    Over a faulty channel the multicast layer detects the reliable
+    substrate and skips its own per-destination retries.  The variant has
+    no failure detector, so a mid-protocol crash stalls the survivors (a
+    documented limitation that fault campaigns classify as an *expected*
+    stall).
     """
-    from repro.exceptions.declarations import UniversalException, declare_exception
-    from repro.objects.naming import canonical_name
-
-    if not 1 <= p <= n or not 0 <= q <= n - p:
-        raise ValueError(f"bad workload n={n} p={p} q={q}")
-    leaves = [declare_exception(f"MC_{i}") for i in range(p)]
-    tree = ResolutionTree(
-        UniversalException, {leaf: UniversalException for leaf in leaves}
-    )
-    handlers = HandlerSet.completing_all(tree)
-    names = tuple(canonical_name(i) for i in range(n))
-    unknown = set(crash) - set(names)
-    if unknown:
-        raise ValueError(f"cannot crash unknown members: {sorted(unknown)}")
-    from repro.simkernel.trace import TraceLevel
-
-    runtime = Runtime(
-        seed=seed, latency=latency, failure_plan=failure_plan,
-        reliable=reliable, ack_timeout=ack_timeout, max_retries=max_retries,
-        trace_level=TraceLevel.FULL if trace_level is None else trace_level,
-    )
+    runtime, names = setup.runtime, setup.names
     runtime.membership.create("GA", list(names))
     participants: dict[str, MulticastParticipant] = {}
     for index, name in enumerate(names):
-        nested = 1 if p <= index < p + q else 0
+        nested = 1 if setup.p <= index < setup.p + setup.q else 0
         participant = MulticastParticipant(
-            name, "A1", "GA", names, tree, handlers,
+            name, "A1", "GA", names, setup.tree, setup.handlers,
             nested_depth=nested, abort_duration=abort_duration,
         )
         runtime.register(participant)
         participants[name] = participant
-    for i in range(p):
-        raiser = participants[names[i]]
-        runtime.sim.schedule(
-            raise_at,
-            lambda r=raiser, e=leaves[i]: r.raise_exception(e),
-            label=f"mc-raise:{names[i]}",
-        )
-    for victim in crash:
-        runtime.sim.schedule(
-            crash_at,
-            lambda v=victim: runtime.crash_node(f"node:{v}"),
-            label=f"crash:{victim}",
-        )
-    runtime.run(until=run_until, max_events=2_000_000)
-    return MulticastRunResult(runtime, participants, tuple(crash))
-
-
-def expected_multicast_operations(n: int, p: int, q: int) -> int:
-    """N + Q + 1 multicast operations (see module docstring)."""
-    if p == 0:
-        return 0
-    return n + q + 1
+    return participants

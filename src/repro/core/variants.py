@@ -1,0 +1,507 @@
+"""One way to run an action: :func:`run_action` over a registry of variants.
+
+The Section 4.2 algorithm and every variant this repo sets beside it run
+the same Section 4.4 workload — N participants of one action ``A1``, the
+first P raising concurrently, the next Q sitting in nested actions — and
+are asked the same questions afterwards: who handled what, and what did it
+cost in messages.  This module hosts all of them once:
+
+* :class:`Member` — the participant shell the variant engines share:
+  identity, the ``handled`` verdict, span bookkeeping and the one
+  ``_handle`` that activates the resolved handler;
+* :class:`VariantSpec` and :data:`VARIANTS` — one row of facts per variant
+  (what it counts, its closed form, whether it nests or detects failures,
+  the defaults and extra options of its runs) — the only list of variant
+  names in the repo;
+* :func:`run_action` — validation, exception tree, ``Runtime``,
+  registration, raise and crash scheduling and the run, for any row;
+* :class:`ActionRun` — the one result type.
+
+The engines (``crash_tolerant``, ``multicast_variant``,
+``centralized_variant``, ``cr_baseline``; ``base`` is
+:func:`repro.workloads.generator.general_case`) are imported on a
+variant's first run, so importing the registry costs no engine.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cache
+from importlib import import_module
+from typing import Callable, NamedTuple, Optional
+
+from repro.analysis import formulas
+from repro.exceptions.declarations import UniversalException, declare_exception
+from repro.exceptions.handlers import HandlerSet
+from repro.exceptions.tree import ExceptionClass, ResolutionTree
+from repro.objects.base import DistributedObject
+from repro.objects.naming import canonical_name
+from repro.objects.runtime import Runtime
+from repro.simkernel.trace import TraceLevel
+
+
+class Member(DistributedObject):
+    """What a variant's participant keeps besides its protocol state."""
+
+    #: The variant's tag: span attribute and ``<tag>.handle`` trace category.
+    tag = ""
+
+    def __init__(
+        self, name: str, action: str, tree: ResolutionTree, handlers: HandlerSet
+    ) -> None:
+        super().__init__(name)
+        self.action = action
+        self.tree = tree
+        self.handlers = handlers
+        self.handled: Optional[ExceptionClass] = None
+        #: Span collector at FULL trace level (cached in attach), else None.
+        self._spans = None
+        self._span_id: Optional[int] = None
+        self._state_span_id: Optional[int] = None
+        self._abort_span_id: Optional[int] = None
+
+    def attach(self, runtime: Runtime) -> None:
+        super().attach(runtime)
+        spans = runtime.spans
+        self._spans = spans if spans.enabled else None
+
+    # -- spans (callers test ``self._spans is not None`` first) ------------------
+
+    def _span_open(self, state: str, cause: Optional[int] = None) -> None:
+        """Open this member's resolution span with an initial state dwell."""
+        spans = self._spans
+        if spans is None or self._span_id is not None:
+            return
+        now = self.sim_now
+        self._span_id = spans.begin(
+            f"resolution {self.action}", "resolution", self.name, now,
+            cause=cause, variant=self.tag,
+        )
+        self._state_span_id = spans.begin(
+            f"state {state}", "state", self.name, now, parent=self._span_id,
+        )
+
+    def _span_state(self, state: str, cause: Optional[int] = None) -> None:
+        spans = self._spans
+        if spans is None or self._span_id is None:
+            return
+        now = self.sim_now
+        spans.end(self._state_span_id, now)
+        self._state_span_id = spans.begin(
+            f"state {state}", "state", self.name, now, parent=self._span_id,
+            cause=cause,
+        )
+
+    def _span_raise(self, exception: ExceptionClass) -> None:
+        self._spans.event(
+            f"raise {exception.name()}", "raise", self.name, self.sim_now,
+            parent=self._span_id, exception=exception.name(),
+        )
+
+    def _span_abort_begin(self, depth: int) -> None:
+        self._abort_span_id = self._spans.begin(
+            f"abort {self.action}", "abort", self.name, self.sim_now,
+            parent=self._span_id, depth=depth,
+        )
+
+    def _span_abort_end(self, signal: Optional[ExceptionClass]) -> None:
+        self._spans.end(
+            self._abort_span_id, self.sim_now,
+            signal=signal.name() if signal else None,
+        )
+
+    # -- the resolved handler ------------------------------------------------------
+
+    def _handle(self, exception: ExceptionClass, cause: Optional[int] = None) -> None:
+        """Activate the handler for the resolved ``exception`` (S/X -> R)."""
+        self.handled = exception
+        name = exception.name()
+        self.runtime.trace.record(
+            self.sim_now, f"{self.tag}.handle", self.name, exception=name
+        )
+        spans = self._spans
+        if spans is not None:
+            self._span_open("S", cause)  # the Commit raced ahead of everything
+            self._span_state("R", cause)
+            now = self.sim_now
+            spans.event(
+                f"handler {name}", "handler", self.name, now,
+                parent=self._span_id, cause=cause, exception=name,
+            )
+            spans.end(self._state_span_id, now)
+            spans.end(self._span_id, now, outcome=f"handled {name}")
+
+
+# -- the registry --------------------------------------------------------------------
+
+
+def _state_handled(participant) -> Optional[str]:
+    handled = participant.handled
+    return None if handled is None else handled.name()
+
+
+def _log_handled(participant) -> Optional[str]:
+    """base: the last ``A1`` entry of the participant's handler log."""
+    handled = None
+    for execution in participant.handler_log:
+        if execution.action == "A1":
+            handled = execution.exception
+    return handled
+
+
+def _resolved(participant) -> Optional[str]:
+    """cr: participants agree on the *resolved* exception and each handles
+    its own cover of it."""
+    resolved = participant.resolved
+    return None if resolved is None else resolved.name()
+
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """The facts about one variant that anything outside its engine needs."""
+
+    tag: str
+    #: Where the paper (or this repo) defines it, and what it is.
+    source: str
+    #: Leaves of the action's flat exception tree are ``<prefix>_<i>``.
+    prefix: str
+    #: ``module:NAME`` of the message kinds charged to the variant.
+    kinds: str
+    #: The closed form as text, and as ``(n, p, q) -> count`` for a
+    #: fault-free run (``None``: measured only).
+    closed_form: str
+    expected: Optional[Callable[[int, int, int], int]]
+    #: ``module:function`` taking ``(setup, **options)`` and returning the
+    #: registered participants by name; ``None`` for ``base``, whose
+    #: ``general_case`` builds the whole scenario.
+    build: Optional[str] = None
+    #: Does it model nested actions (Q > 0)?
+    nests: bool = False
+    #: Does it carry a failure detector?  Without one a mid-protocol crash
+    #: stalls the survivors — documented, and classified as expected.
+    detects_failures: bool = False
+    #: Is it served, swept by the fault matrix and offered by the CLI?
+    servable: bool = True
+    #: ``messages()`` counts multicast operations, not the unicasts below.
+    multicast: bool = False
+    #: A dedicated resolver object beside the participants: it resolves,
+    #: can be crashed by name (event label ``crash-<name>``) and sits on
+    #: the network.  ``None``: the biggest raiser resolves.
+    coordinator: Optional[str] = None
+    #: Virtual time by which a fault-free run has resolved, for a variant
+    #: that never quiesces (heartbeats); ``None``: it stops on its own.
+    horizon: Optional[float] = None
+    #: Name of the exception a participant handled, or ``None``.
+    handled_of: Callable[[object], Optional[str]] = _state_handled
+    # Defaults of a run (each is what the variant's own runner used).
+    raise_at: float = 10.0
+    until: Optional[float] = None
+    max_events: Optional[int] = None
+    max_retries: int = 25
+    #: Keyword options beyond the common ones of :func:`run_action`.
+    options: tuple[str, ...] = ()
+
+    def resolver(self, p: int) -> str:
+        """Who resolves when the first ``p`` participants raise."""
+        return self.coordinator or canonical_name(p - 1)
+
+
+VARIANTS: dict[str, VariantSpec] = {
+    spec.tag: spec
+    for spec in (
+        VariantSpec(
+            "base", "§4.2, the decentralised algorithm", "GeneralExc",
+            "repro.core.messages:RESOLUTION_KINDS",
+            "(N-1)(2P+3Q+1) messages", formulas.general_messages,
+            nests=True, handled_of=_log_handled, max_retries=60,
+            options=(
+                "policy", "abort_duration", "nested_work", "resolver_group_size",
+            ),
+        ),
+        VariantSpec(
+            "ct", "beyond the paper: crash-tolerant, with crash-restart", "CT",
+            "repro.core.crash_tolerant:CT_KINDS",
+            "(N-1)(2P+2Q+1) messages", formulas.crash_tolerant_messages,
+            build="repro.core.crash_tolerant:build",
+            nests=True, detects_failures=True, horizon=80.0,
+            until=200.0, max_events=2_000_000,
+            options=(
+                "hb_interval", "hb_timeout", "abort_duration", "nested_signal",
+                "restart_at", "durable_dir", "wal_fsync", "work_at",
+            ),
+        ),
+        VariantSpec(
+            "mc", "§4.5, reliable multicast with a flush round", "MC",
+            "repro.core.multicast_variant:MC_KINDS",
+            "N+Q+1 multicasts", formulas.multicast_operations,
+            build="repro.core.multicast_variant:build",
+            nests=True, multicast=True, raise_at=1.0, max_events=2_000_000,
+            options=("abort_duration",),
+        ),
+        VariantSpec(
+            "cd", "§4.5, centralised: a coordinator resolves", "CD",
+            "repro.core.centralized_variant:CD_KINDS",
+            "3N-2+P messages", formulas.centralized_messages,
+            build="repro.core.centralized_variant:build",
+            coordinator="coord", max_events=1_000_000,
+        ),
+        VariantSpec(
+            "cr", "§3.3, the Campbell-Randell baseline (reconstructed)", "CRC",
+            "repro.core.cr_baseline:CR_KINDS",
+            "O(N^3) messages, measured", None,
+            build="repro.core.cr_baseline:build",
+            servable=False, handled_of=_resolved,
+            raise_at=1.0, max_events=5_000_000, options=("stagger",),
+        ),
+    )
+}
+
+#: The variants the service runs, the fault matrix sweeps and the CLI offers.
+SERVABLE = tuple(tag for tag, spec in VARIANTS.items() if spec.servable)
+
+
+@cache
+def _load(ref: str):
+    """``module:attr``, importing the engine module on first use."""
+    module, _, attr = ref.partition(":")
+    return getattr(import_module(module), attr)
+
+
+# -- the host ------------------------------------------------------------------------
+
+
+def flat_tree(leaves: int, prefix: str) -> tuple[ResolutionTree, list]:
+    """Root plus ``leaves`` sibling exceptions; returns (tree, leaf list)."""
+    classes = [
+        declare_exception(f"{prefix}_{i}") for i in range(leaves)
+    ]
+    tree = ResolutionTree(
+        UniversalException, {cls: UniversalException for cls in classes}
+    )
+    return tree, classes
+
+
+class Setup(NamedTuple):
+    """What :func:`run_action` hands an engine's ``build``."""
+
+    runtime: Runtime
+    names: tuple[str, ...]
+    tree: ResolutionTree
+    #: ``leaves[i]`` is what ``names[i]`` raises, for ``i < p``.
+    leaves: list
+    handlers: HandlerSet
+    p: int
+    q: int
+    raise_at: float
+    crashes: tuple[tuple[str, float], ...]
+    #: Callables a build leaves behind for the host to call once the
+    #: crashes are scheduled (ct: the restarts that follow them) and once
+    #: the run has ended (ct: closing the write-ahead logs).
+    after_crashes: list
+    after_run: list
+
+
+@dataclass
+class ActionRun:
+    """Outcome of one :func:`run_action`."""
+
+    spec: VariantSpec
+    runtime: Runtime
+    participants: dict
+    crashed: tuple[str, ...] = ()
+    #: base only: the behaviour runners — a base participant is done when
+    #: its behaviour has left the action, not when its handler started.
+    runners: Optional[dict] = None
+
+    @property
+    def variant(self) -> str:
+        return self.spec.tag
+
+    @property
+    def duration(self) -> float:
+        """Virtual time at which the run stopped."""
+        return self.runtime.sim.now
+
+    def survivors(self) -> list:
+        return [
+            p for name, p in self.participants.items() if name not in self.crashed
+        ]
+
+    def handled(self) -> dict[str, str]:
+        """Participant -> the exception it handled, for all that handled one."""
+        handled_of = self.spec.handled_of
+        handled = {}
+        for name, participant in self.participants.items():
+            exception = handled_of(participant)
+            if exception is not None:
+                handled[name] = exception
+        return handled
+
+    def all_handled(self) -> bool:
+        """Did every survivor start a resolved handler?"""
+        handled = self.handled()
+        return all(name in handled for name in self.participants
+                   if name not in self.crashed)
+
+    def handled_exceptions(self) -> set[str]:
+        """What the survivors handled (one name when they agree)."""
+        return {
+            exception for name, exception in self.handled().items()
+            if name not in self.crashed
+        }
+
+    def unicasts(self) -> int:
+        """Network messages of the variant's kinds."""
+        return self.runtime.network.total_sent(set(_load(self.spec.kinds)))
+
+    def messages(self) -> int:
+        """The variant's cost metric — what its closed form counts."""
+        kinds = set(_load(self.spec.kinds))
+        if self.spec.multicast:
+            return self.runtime.multicast.total_operations(kinds)
+        return self.runtime.network.total_sent(kinds)
+
+    # -- ct: membership view, crash-restart and durable state --------------------
+
+    def final_view(self):
+        """The action group's last membership view (suspects have left)."""
+        (group,) = self.runtime.membership.groups()
+        return self.runtime.membership.view(group)
+
+    @property
+    def restarted(self) -> tuple[str, ...]:
+        """Crash victims whose node came back and replayed its log."""
+        return tuple(
+            name for name in self.crashed
+            if getattr(self.participants.get(name), "restarted", False)
+        )
+
+    @property
+    def stores(self) -> Optional[dict]:
+        """Each member's durable store, when the run was given a
+        ``durable_dir``; ``None`` for a volatile run."""
+        stores = {
+            name: getattr(participant, "store", None)
+            for name, participant in self.participants.items()
+        }
+        return stores if None not in stores.values() else None
+
+
+def run_action(
+    variant: str,
+    n: int,
+    p: int,
+    q: int = 0,
+    *,
+    seed: int = 0,
+    latency=None,
+    raise_at: Optional[float] = None,
+    crashes=(),
+    failure_plan=None,
+    reliable: bool = False,
+    ack_timeout: float = 5.0,
+    max_retries: Optional[int] = None,
+    until: Optional[float] = None,
+    max_events: Optional[int] = None,
+    trace_level: TraceLevel = TraceLevel.FULL,
+    **options,
+) -> ActionRun:
+    """Run one ``variant`` action of ``n`` participants to the end.
+
+    The first ``p`` participants raise at ``raise_at``; the next ``q`` sit
+    in nested actions they abort (variants that nest).  ``crashes`` lists
+    ``(name, time)`` node deaths, scheduled in the order given — a
+    coordinator is crashed by its name like anyone else.
+    ``failure_plan``/``reliable`` run the protocol over a faulty channel
+    with the ARQ transport underneath.  ``None`` for ``raise_at``,
+    ``max_retries``, ``until`` or ``max_events`` means the variant's own
+    default (:class:`VariantSpec`); ``options`` are the variant's extra
+    keywords, documented on its engine's ``build``.
+    """
+    spec = VARIANTS.get(variant)
+    if spec is None:
+        raise ValueError(
+            f"unknown variant {variant!r} (expected one of {tuple(VARIANTS)})"
+        )
+    if options and not set(options) <= set(spec.options):
+        raise TypeError(
+            f"{variant} takes no option "
+            f"{sorted(set(options) - set(spec.options))} "
+            f"(its options: {spec.options})"
+        )
+    if not 1 <= p <= n:
+        raise ValueError(f"bad raiser count {p} for n={n}")
+    if not 0 <= q <= (n - p if spec.nests else 0):
+        raise ValueError(
+            f"bad nested count {q} for n={n}, raisers={p}"
+            + ("" if spec.nests else f" ({variant} is a flat variant)")
+        )
+    crashes = tuple(crashes)
+    victims = tuple([victim for victim, _ in crashes])
+    if raise_at is None:
+        raise_at = spec.raise_at
+    if max_retries is None:
+        max_retries = spec.max_retries
+    if until is None:
+        until = spec.until
+    if max_events is None:
+        max_events = spec.max_events
+
+    if spec.build is None:
+        # base: general_case owns the names, the tree, the Runtime, the
+        # behaviours that raise and the crash scheduling (and checks the
+        # victims); its scenario knows how many events its traffic needs.
+        from repro.workloads.generator import general_case
+
+        scenario = general_case(
+            n, p, q, latency=latency, seed=seed, raise_at=raise_at,
+            trace_level=trace_level, failure_plan=failure_plan,
+            reliable=reliable, ack_timeout=ack_timeout,
+            max_retries=max_retries, crashes=crashes, **options,
+        )
+        runtime, _manager, participants, runners = scenario.build()
+        if max_events is None:
+            max_events = scenario.max_events
+        runtime.run(until=until, max_events=max_events)
+        return ActionRun(spec, runtime, participants, victims, runners)
+
+    names = tuple([canonical_name(i) for i in range(n)])
+    if victims:
+        unknown = set(victims) - set(names) - {spec.coordinator}
+        if unknown:
+            raise ValueError(f"cannot crash unknown members: {sorted(unknown)}")
+    tree, leaves = flat_tree(p, spec.prefix)
+    runtime = Runtime(
+        seed=seed, latency=latency, failure_plan=failure_plan,
+        reliable=reliable, ack_timeout=ack_timeout, max_retries=max_retries,
+        trace_level=trace_level,
+    )
+    setup = Setup(
+        runtime, names, tree, leaves, HandlerSet.completing_all(tree),
+        p, q, raise_at, crashes, [], [],
+    )
+    # cr only (checked above): raiser i raises at raise_at + i * stagger.
+    stagger = options.pop("stagger", 0.0)
+    participants = _load(spec.build)(setup, **options)
+    schedule = runtime.sim.schedule
+    for i in range(p):
+        schedule(
+            raise_at + i * stagger,
+            lambda r=participants[names[i]], e=leaves[i]: r.raise_exception(e),
+            label=f"{spec.tag}-raise:{names[i]}",
+        )
+    for victim, at in crashes:
+        schedule(
+            at,
+            lambda v=victim: runtime.crash_node(f"node:{v}"),
+            label=(
+                f"crash-{victim}" if victim == spec.coordinator
+                else f"crash:{victim}"
+            ),
+        )
+    for late in setup.after_crashes:
+        late()
+    runtime.run(until=until, max_events=max_events)
+    for done in setup.after_run:
+        done()
+    return ActionRun(spec, runtime, participants, victims)

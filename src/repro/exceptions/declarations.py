@@ -97,9 +97,9 @@ def declare_exception(
     if not issubclass(parent, ActionException):
         raise TypeError(f"parent must derive from ActionException: {parent!r}")
     cls = type(name, (parent,), {"description": description, "_dynamic": True})
-    # Register on this module so instances pickle (the TCP transport's
-    # pickle frame mode sends raised occurrences across real process
-    # boundaries).  Redeclaring a name rebinds it — only the newest class
+    # Register on this module so instances pickle (process pools carry
+    # raised occurrences and sweep results between workers and their
+    # parent).  Redeclaring a name rebinds it — only the newest class
     # of that name is picklable — and generated names can never shadow a
     # statically declared symbol.
     module = sys.modules[__name__]

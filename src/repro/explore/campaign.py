@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.core.variants import VARIANTS
 from repro.explore.cache import DigestCache
 from repro.explore.engine import ExploreResult, Finding
 from repro.explore.sharding import explore_cell_sharded
@@ -42,10 +43,7 @@ def _slug(text: str) -> str:
 #: the sabotage cells (which must *stay* caught under every interleaving)
 #: and the tractable fault cells.
 def default_roster(n: int = 3, seed: int = 0) -> list[str]:
-    cells = [
-        f"paper:{variant}:none:n{n}p1q1:s{seed}"
-        for variant in ("base", "mc", "cd", "ct", "cr")
-    ]
+    cells = [f"paper:{variant}:none:n{n}p1q1:s{seed}" for variant in VARIANTS]
     cells += [
         f"paper:base:none:n{n}p1q1:s{seed}:sab-{kind}"
         for kind in ("disagree", "double", "count")

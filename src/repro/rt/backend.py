@@ -1,11 +1,11 @@
 """Backend selection helpers for real-concurrency runs.
 
-The variant runners (``run_crash_tolerant``, ``run_multicast_resolution``,
-…) build their :class:`~repro.objects.runtime.Runtime` internally, so the
-asyncio kernel is installed around them via the kernel seam::
+:func:`repro.core.variants.run_action` (like ``Scenario.run``) builds its
+:class:`~repro.objects.runtime.Runtime` internally, so the asyncio kernel
+is installed around it via the kernel seam::
 
     with asyncio_backend(time_scale=0.005):
-        result = run_crash_tolerant(5, raisers=2)
+        run = run_action("ct", 5, 2)
 
 Every Runtime constructed inside the block runs on a fresh
 :class:`~repro.rt.kernel.AsyncioKernel` — same protocol state machines,

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.core.variants import SERVABLE, VARIANTS
 from repro.rt.backend import BACKENDS, backend as backend_scope
 from repro.rt.kernel import DEFAULT_TIME_SCALE
 from repro.workloads.campaigns import (
@@ -49,18 +50,19 @@ from repro.workloads.campaigns import (
 #: Default horizons (virtual time) per cell.  The crash-tolerant variant
 #: heartbeats forever, so its runs never quiesce and always pay the full
 #: horizon — on the asyncio backend that is real wall time, hence the
-#: tighter bounds (fault-free ct resolves by ~t=30; crash cells need the
-#: detector timeout plus a re-resolution round).  Every other variant
-#: quiesces on its own; 400 matches the fault campaigns' RUN_UNTIL.
-CT_HORIZON_FAULT_FREE = 80.0
+#: tighter bounds: the registry's ``horizon`` fault-free (ct resolves by
+#: ~t=30), and for crash cells the detector timeout plus a re-resolution
+#: round.  Every other variant quiesces on its own; 400 matches the fault
+#: campaigns' RUN_UNTIL.
 CT_HORIZON_FAULT = 150.0
 DEFAULT_HORIZON = 400.0
 
 
 def cell_horizon(cell: CampaignCell) -> float:
-    if cell.variant == "ct":
-        return CT_HORIZON_FAULT_FREE if cell.fault == "none" else CT_HORIZON_FAULT
-    return DEFAULT_HORIZON
+    horizon = VARIANTS[cell.variant].horizon
+    if horizon is None:
+        return DEFAULT_HORIZON
+    return horizon if cell.fault == "none" else CT_HORIZON_FAULT
 
 
 def oracle_digest(cell: CampaignCell, obs, classification: str,
@@ -237,7 +239,7 @@ class ProtocolHarness:
 
 # -- default cell sets -----------------------------------------------------------
 
-CONFORMANCE_VARIANTS = ("base", "ct", "mc", "cd", "cr")
+CONFORMANCE_VARIANTS = tuple(VARIANTS)
 
 
 def conformance_cells(
@@ -248,14 +250,13 @@ def conformance_cells(
     """The fault-free conformance matrix: every variant at each N.
 
     Shapes follow the Section 4.4 workload: P = ⌈N/2⌉ raisers and, for
-    the variants that model nesting (base, ct, mc), one nested member
-    when N ≥ 3.
+    the variants that model nesting, one nested member when N ≥ 3.
     """
     cells = []
     for n in ns:
         p = max(1, (n + 1) // 2)
         for variant in variants:
-            q = 1 if n >= 3 and p < n and variant in ("base", "ct", "mc") else 0
+            q = 1 if n >= 3 and p < n and VARIANTS[variant].nests else 0
             cells.append(
                 CampaignCell("paper", variant, "none", n, p, q, seed=seed)
             )
@@ -275,8 +276,8 @@ def fault_cells(
     cells = []
     for n in ns:
         p = max(1, (n + 1) // 2)
-        for variant in ("base", "ct", "mc", "cd"):
-            q = 1 if n >= 3 and p < n and variant in ("base", "ct", "mc") else 0
+        for variant in SERVABLE:
+            q = 1 if n >= 3 and p < n and VARIANTS[variant].nests else 0
             cells.append(
                 CampaignCell("paper", variant, "drop", n, p, q, seed=seed)
             )

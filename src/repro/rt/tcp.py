@@ -9,18 +9,13 @@ model have had their say — crosses a real localhost socket through the
 hub and back before reaching the destination object.  Delivery order and
 timing then include genuine kernel socket scheduling.
 
-Two frame modes:
-
-* ``token`` (default, in-process) — the frame carries only a routing
-  header and an opaque token; the message object itself stays in the
-  sending process and is delivered by identity when its token returns.
-  No serialisation, so arbitrary payloads (exception trees, object
-  references) survive untouched.
-* ``pickle`` (multi-process) — the frame carries the pickled
-  :class:`~repro.net.message.Message`; a hub plus one process per node
-  can then run the protocol across real process boundaries.  The codec
-  (:func:`encode_frame` / :func:`decode_frame`) is shared; only payloads
-  that pickle cleanly qualify.
+One frame format: a length prefix, the mode byte ``J`` and a JSON header.
+The bridge's frames carry only a routing header and an opaque token; the
+message object itself stays in the sending process and is delivered by
+identity when its token returns.  No serialisation, so arbitrary payloads
+(exception trees, object references) survive untouched — and nothing read
+from a socket is ever unpickled: the hub and the resolution service both
+decode bytes from peers they do not control.
 
 Usage (single process, every message over TCP)::
 
@@ -38,7 +33,6 @@ import asyncio
 import contextlib
 import itertools
 import json
-import pickle
 import struct
 from typing import Callable, Iterator, Optional
 
@@ -49,9 +43,8 @@ from repro.rt.kernel import DEFAULT_TIME_SCALE, AsyncioKernel
 
 _LEN = struct.Struct("!I")
 
-#: Frame bodies start with one mode byte.
+#: Frame bodies start with one mode byte; JSON is the only mode.
 _MODE_JSON = b"J"
-_MODE_PICKLE = b"P"
 
 #: Ceiling on one frame body.  A misbehaving (or merely confused — e.g.
 #: HTTP) client whose first four bytes decode to a huge length must not
@@ -61,7 +54,7 @@ MAX_FRAME = 1 << 20
 
 
 class FrameError(ValueError):
-    """A malformed wire frame (bad mode, truncated body, oversized length).
+    """A malformed wire frame (unknown mode, bad header, oversized length).
 
     Subclasses :class:`ValueError` so pre-existing callers that caught
     ``ValueError`` from :func:`decode_frame` keep working.
@@ -71,63 +64,36 @@ class FrameError(ValueError):
 # -- frame codec -----------------------------------------------------------------
 
 
-def encode_frame(header: dict, message: Optional[Message] = None) -> bytes:
-    """One wire frame: length prefix + mode byte + header (+ pickled body).
-
-    ``token`` mode sends just the JSON header; ``pickle`` mode appends the
-    pickled message after the header (header gains a ``hlen`` so the
-    receiver can split).
-    """
-    head = json.dumps(header, separators=(",", ":")).encode()
-    if message is None:
-        body = _MODE_JSON + head
-    else:
-        body = _MODE_PICKLE + _LEN.pack(len(head)) + head + pickle.dumps(message)
+def encode_frame(header: dict) -> bytes:
+    """One wire frame: length prefix + mode byte + JSON header."""
+    body = _MODE_JSON + json.dumps(header, separators=(",", ":")).encode()
     return _LEN.pack(len(body)) + body
 
 
-def decode_frame(body: bytes) -> tuple[dict, Optional[Message]]:
+def decode_frame(body: bytes) -> tuple[dict, None]:
     """Inverse of :func:`encode_frame` (body excludes the length prefix).
 
     Raises :class:`FrameError` on anything malformed — empty body, unknown
-    mode byte, truncated pickle header, undecodable JSON — so transports
-    can treat "bad frame" as one clean error class.
+    mode byte, undecodable JSON — so transports can treat "bad frame" as
+    one clean error class.  The second element is always ``None``: no frame
+    carries a body beside its header, but callers — ``benchmarks/perf``
+    among them, which may not be edited — unpack two values.
     """
     mode, rest = body[:1], body[1:]
-    if mode == _MODE_JSON:
-        try:
-            header = json.loads(rest.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FrameError(f"undecodable JSON frame header: {exc}") from None
-        if not isinstance(header, dict):
-            raise FrameError(f"frame header is not an object: {header!r}")
-        return header, None
-    if mode == _MODE_PICKLE:
-        if len(rest) < _LEN.size:
-            raise FrameError("truncated pickle frame: missing header length")
-        (hlen,) = _LEN.unpack(rest[: _LEN.size])
-        if hlen > len(rest) - _LEN.size:
-            raise FrameError(
-                f"truncated pickle frame: header length {hlen} exceeds body"
-            )
-        head = rest[_LEN.size : _LEN.size + hlen]
-        try:
-            header = json.loads(head.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FrameError(f"undecodable JSON frame header: {exc}") from None
-        if not isinstance(header, dict):
-            raise FrameError(f"frame header is not an object: {header!r}")
-        try:
-            payload = pickle.loads(rest[_LEN.size + hlen :])
-        except Exception as exc:  # pickle raises a zoo of error types
-            raise FrameError(f"undecodable pickle payload: {exc}") from None
-        return header, payload
-    raise FrameError(f"unknown frame mode {mode!r}")
+    if mode != _MODE_JSON:
+        raise FrameError(f"unknown frame mode {mode!r}")
+    try:
+        header = json.loads(rest.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FrameError(f"undecodable JSON frame header: {exc}") from None
+    if not isinstance(header, dict):
+        raise FrameError(f"frame header is not an object: {header!r}")
+    return header, None
 
 
 async def read_frame(
     reader: asyncio.StreamReader, max_frame: int = MAX_FRAME
-) -> tuple[dict, Optional[Message]]:
+) -> tuple[dict, None]:
     """Read one length-prefixed frame.
 
     Raises :class:`FrameError` on an oversized or empty length prefix and
@@ -287,21 +253,17 @@ class TcpTransport:
     frames in flight.
     """
 
-    def __init__(self, runtime: Runtime, hub: TcpHub | None = None,
-                 mode: str = "token") -> None:
+    def __init__(self, runtime: Runtime, hub: TcpHub | None = None) -> None:
         kernel = runtime.sim
         if not isinstance(kernel, AsyncioKernel):
             raise TypeError(
                 "TcpTransport requires an AsyncioKernel runtime "
                 f"(got {type(kernel).__name__}); use tcp_transport()"
             )
-        if mode not in ("token", "pickle"):
-            raise ValueError(f"unknown frame mode {mode!r}")
         self.kernel = kernel
         self.network = runtime.network
         self.hub = hub if hub is not None else TcpHub()
         self.own_hub = hub is None
-        self.mode = mode
         self.frames_sent = 0
         self.frames_delivered = 0
         self._tokens = itertools.count()
@@ -326,12 +288,8 @@ class TcpTransport:
 
     def _transmit(self, message: Message) -> None:
         token = next(self._tokens)
-        header = {"dst": message.dst, "token": token}
-        if self.mode == "token":
-            self._outstanding[token] = message
-            frame = encode_frame(header)
-        else:
-            frame = encode_frame(header, message)
+        self._outstanding[token] = message
+        frame = encode_frame({"dst": message.dst, "token": token})
         self.frames_sent += 1
         if self._writer is not None:
             self._writer.write(frame)
@@ -352,11 +310,8 @@ class TcpTransport:
                 writer.write(frame)
             self._backlog.clear()
             while True:
-                header, pickled = await read_frame(reader)
-                if pickled is not None:
-                    message = pickled
-                else:
-                    message = self._outstanding.pop(header["token"])
+                header, _ = await read_frame(reader)
+                message = self._outstanding.pop(header["token"])
                 self.frames_delivered += 1
                 try:
                     self.network._deliver(message)
@@ -381,7 +336,7 @@ class TcpTransport:
 
 @contextlib.contextmanager
 def tcp_transport(
-    time_scale: float = DEFAULT_TIME_SCALE, mode: str = "token"
+    time_scale: float = DEFAULT_TIME_SCALE,
 ) -> Iterator[list[TcpTransport]]:
     """Asyncio kernel + TCP wire for every runtime built in scope.
 
@@ -391,7 +346,7 @@ def tcp_transport(
     bridges: list[TcpTransport] = []
 
     def attach(runtime: Runtime) -> None:
-        bridges.append(TcpTransport(runtime, mode=mode))
+        bridges.append(TcpTransport(runtime))
 
     with asyncio_backend(time_scale=time_scale), runtime_hook(attach):
         yield bridges

@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.core.variants import VARIANTS
 from repro.obs.spans import SpanCollector, TraceContext
 from repro.rt.tcp import encode_frame, read_frame
 from repro.service.protocol import ActionRequest
@@ -174,8 +175,8 @@ def sample_request(rng: random.Random, spec: LoadSpec, req_id: int) -> ActionReq
         n = min(spec.max_n, 1 + int(rng.paretovariate(1.6)))
         n = max(2, n)
     p = rng.randint(1, max(1, (n + 1) // 2))
-    # cd is a flat variant; others get a sprinkling of nested members.
-    q = 0 if spec.variant == "cd" else min(n - p, rng.randint(0, 2))
+    # Variants that nest get a sprinkling of nested members.
+    q = min(n - p, rng.randint(0, 2)) if VARIANTS[spec.variant].nests else 0
     return ActionRequest(
         id=req_id, variant=spec.variant, n=n, p=p, q=q,
         seed=rng.randrange(1 << 30),

@@ -1,8 +1,9 @@
 """Service wire protocol: action requests, outcomes, and their execution.
 
 The resolution service speaks the same length-prefixed frame codec as the
-:mod:`repro.rt.tcp` hub (JSON ``token`` mode only — no pickles from
-untrusted peers).  Every frame header carries a ``"type"``:
+:mod:`repro.rt.tcp` hub: a JSON header per frame and nothing else — the
+codec has no mode that unpickles, so no byte a client sends is ever
+executed.  Every frame header carries a ``"type"``:
 
 client → server
     ``submit``     one CA-action request (see :class:`ActionRequest`);
@@ -33,14 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.variants import SERVABLE, VARIANTS, run_action
 from repro.simkernel.trace import TraceLevel
 
-#: Protocol variants the service can run, mapping to the repo's engines:
-#: ``base`` — the Section 4.2 decentralised algorithm (supports nesting),
-#: ``ct``   — the crash-tolerant extension,
-#: ``mc``   — the Section 4.5 multicast variant,
-#: ``cd``   — the Section 4.5 centralised variant (flat actions only).
-SERVICE_VARIANTS = ("base", "ct", "mc", "cd")
+#: Protocol variants the service can run: the servable rows of
+#: :data:`repro.core.variants.VARIANTS`.
+SERVICE_VARIANTS = SERVABLE
 
 #: Hard ceiling on participants per served action.  An N=128 action costs
 #: tens of milliseconds of engine time; anything bigger belongs in the
@@ -58,8 +57,8 @@ class ActionRequest:
 
     ``n``/``p``/``q`` follow the paper's Section 4.4 workload shape:
     ``n`` participants of whom ``p`` raise concurrently and ``q`` sit in
-    nested actions (``p + q <= n``; ``cd`` ignores ``q`` — it is a flat
-    variant by construction).
+    nested actions (``p + q <= n``; a variant that does not nest ignores
+    ``q`` — it is flat by construction).
     """
 
     id: int
@@ -128,7 +127,7 @@ class ActionOutcome:
 
     id: int
     variant: str
-    status: str  # "committed" | "aborted" | "stalled"
+    status: str  # "committed" | "stalled"
     exception: Optional[str]  # resolved exception class name
     handlers: int  # participants that activated the resolved handler
     messages: int  # resolution messages (mc: multicast operations)
@@ -155,109 +154,24 @@ class ActionOutcome:
 # -- execution --------------------------------------------------------------------
 
 
-def _exc_name(exc) -> Optional[str]:
-    if exc is None:
-        return None
-    return exc.name() if hasattr(exc, "name") else type(exc).__name__
-
-
-def _execute_base(
+def _execute(
     request: ActionRequest, trace_level: TraceLevel
 ) -> tuple[ActionOutcome, object]:
-    from repro.core.manager import ActionStatus
-    from repro.workloads.generator import general_case
-
-    result = general_case(
-        request.n, request.p, request.q, seed=request.seed,
-        trace_level=trace_level,
-    ).run(max_events=400_000)
-    instance = result.manager.instance("A1")
-    status = {
-        ActionStatus.COMPLETED: "committed",
-        ActionStatus.ABORTED: "aborted",
-    }.get(instance.status, "stalled")
-    handled = instance.handled_exception
-    handlers = sum(
-        1
-        for participant in result.participants.values()
-        for execution in participant.handler_log
-        if execution.action == "A1"
+    spec = VARIANTS[request.variant]
+    run = run_action(
+        request.variant, request.n, request.p,
+        request.q if spec.nests else 0,
+        seed=request.seed, until=spec.horizon, trace_level=trace_level,
     )
+    handled = run.handled()
+    names = sorted(set(handled.values()))
+    committed = names and len(handled) == len(run.participants)
     return ActionOutcome(
-        id=request.id, variant="base", status=status,
-        exception=_exc_name(handled), handlers=handlers,
-        messages=result.resolution_message_total(),
-        sim_duration=result.duration,
-    ), result.runtime
-
-
-def _execute_ct(
-    request: ActionRequest, trace_level: TraceLevel
-) -> tuple[ActionOutcome, object]:
-    from repro.core.crash_tolerant import run_crash_tolerant
-
-    result = run_crash_tolerant(
-        request.n, raisers=request.p, nested=request.q, seed=request.seed,
-        run_until=80.0, trace_level=trace_level,
-    )
-    return _variant_outcome(
-        request, "ct", result, result.all_survivors_handled(),
-        result.handled_exceptions(), result.protocol_messages(),
-    ), result.runtime
-
-
-def _execute_mc(
-    request: ActionRequest, trace_level: TraceLevel
-) -> tuple[ActionOutcome, object]:
-    from repro.core.multicast_variant import run_multicast_resolution
-
-    result = run_multicast_resolution(
-        request.n, p=request.p, q=request.q, seed=request.seed,
-        trace_level=trace_level,
-    )
-    return _variant_outcome(
-        request, "mc", result, result.all_handled(),
-        result.handled_exceptions(), result.multicast_operations(),
-    ), result.runtime
-
-
-def _execute_cd(
-    request: ActionRequest, trace_level: TraceLevel
-) -> tuple[ActionOutcome, object]:
-    from repro.core.centralized_variant import run_centralized
-
-    result = run_centralized(
-        request.n, raisers=request.p, seed=request.seed,
-        trace_level=trace_level,
-    )
-    return _variant_outcome(
-        request, "cd", result, result.all_handled(),
-        result.handled_exceptions(), result.total_messages(),
-    ), result.runtime
-
-
-def _variant_outcome(
-    request: ActionRequest, variant: str, result, all_handled: bool,
-    handled_names: set, messages: int,
-) -> ActionOutcome:
-    handlers = sum(
-        1 for p in result.participants.values() if p.handled is not None
-    )
-    exception = sorted(handled_names)[0] if handled_names else None
-    status = "committed" if all_handled and handled_names else "stalled"
-    return ActionOutcome(
-        id=request.id, variant=variant, status=status, exception=exception,
-        handlers=handlers, messages=messages,
-        sim_duration=result.runtime.sim.now,
-    )
-
-
-_EXECUTORS = {
-    "base": _execute_base,
-    "ct": _execute_ct,
-    "mc": _execute_mc,
-    "cd": _execute_cd,
-}
+        id=request.id, variant=request.variant,
+        status="committed" if committed else "stalled",
+        exception=names[0] if names else None, handlers=len(handled),
+        messages=run.messages(), sim_duration=run.duration,
+    ), run.runtime
 
 
 def execute_request(request: ActionRequest) -> ActionOutcome:
@@ -266,7 +180,7 @@ def execute_request(request: ActionRequest) -> ActionOutcome:
     Deterministic given ``(variant, n, p, q, seed)`` — the service is a
     stateless resolution oracle, so retried requests are idempotent.
     """
-    outcome, _runtime = _EXECUTORS[request.variant](request, TraceLevel.COUNTS)
+    outcome, _runtime = _execute(request, TraceLevel.COUNTS)
     return outcome
 
 
@@ -279,7 +193,7 @@ def execute_request_traced(
     records (virtual-time timestamps — see :func:`rescale_records` for
     mapping them onto a wall-clock window).
     """
-    outcome, runtime = _EXECUTORS[request.variant](request, TraceLevel.FULL)
+    outcome, runtime = _execute(request, TraceLevel.FULL)
     return outcome, runtime.spans.to_records()
 
 

@@ -283,8 +283,10 @@ class ResolutionServer:
             # task from a plain callback and would log a spurious
             # ``CancelledError`` per open session otherwise.
             pass
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            pass  # peer vanished (possibly mid-frame)
+        except (asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError):
+            # Peer vanished, possibly mid-frame — or mid-reply: a worker's
+            # write to it failed with EPIPE and this session's drain() saw it.
+            pass
         except Exception as exc:  # noqa: BLE001 — surface through run()
             self.kernel.fail(exc)
         finally:

@@ -18,15 +18,16 @@ internals.
   asyncio event loop (genuine concurrency: timer jitter, real latencies,
   optional TCP transport).
 
-Variant runners construct their :class:`~repro.objects.runtime.Runtime`
-internally, so a caller cannot thread a kernel through every signature.
+``run_action`` and ``Scenario.run`` construct their
+:class:`~repro.objects.runtime.Runtime` internally, so a caller cannot
+thread a kernel through every signature.
 Instead — exactly like the schedule explorer's
 :func:`~repro.simkernel.scheduler.scheduling_policy` — a *factory* is
 installed process-globally with :func:`kernel_backend` and every Runtime
 built inside the ``with`` block adopts it::
 
     with kernel_backend(lambda: AsyncioKernel(time_scale=0.005)):
-        result = run_crash_tolerant(5, raisers=2)   # real timers
+        run = run_action("ct", 5, 2)   # real timers
 
 Process-global and not thread-safe, matching the repo's process-based
 parallelism (:func:`repro.workloads.parallel.parallel_map` workers each

@@ -62,8 +62,9 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
+from repro.core import variants
 from repro.net.failures import FailurePlan, split_partition
 from repro.net.latency import ConstantLatency
 from repro.objects.naming import canonical_name
@@ -86,7 +87,9 @@ BAD = (STALLED_BUG, INVARIANT_VIOLATION, CRASHED_HARNESS)
 
 # Matrix axes ------------------------------------------------------------------
 
-VARIANTS = ("base", "ct", "mc", "cd")
+#: The matrix's variant axis: every servable row of the registry (``cr``
+#: is explorer and conformance material, and knows no fault but ``none``).
+VARIANTS = variants.SERVABLE
 FAULTS = (
     "none", "drop", "corrupt", "partition",
     "crash_participant", "crash_resolver",
@@ -143,7 +146,7 @@ class CampaignCell:
     """One point of the fault matrix (picklable, fully describes a run)."""
 
     family: str  # "paper" | "fuzz"
-    variant: str  # "base" | "ct" | "mc" | "cd" ("fuzz" family: always "base")
+    variant: str  # a key of core.variants.VARIANTS ("fuzz" family: "base")
     fault: str
     n: int
     p: int = 0
@@ -229,11 +232,11 @@ class _Observation:
 # -- victim selection -----------------------------------------------------------
 
 
-def _resolver_victim(cell: CampaignCell) -> str:
-    """The paper-family resolver: the biggest raiser (``cd``: the coordinator)."""
-    if cell.variant == "cd":
-        return "coord"
-    return canonical_name(cell.p - 1)
+def _crash_mid_abortion(cell: CampaignCell) -> bool:
+    """Does this cell's participant crash land *during nested abortion*?
+    Only where surviving it is the contract: a detector variant (``ct``)
+    with nested members."""
+    return cell.q > 0 and variants.VARIANTS[cell.variant].detects_failures
 
 
 def _participant_victim(cell: CampaignCell) -> str:
@@ -243,7 +246,7 @@ def _participant_victim(cell: CampaignCell) -> str:
     member so the crash lands mid-abortion; otherwise the last (or, when
     everyone raises, the first) participant.
     """
-    if cell.variant == "ct" and cell.q > 0:
+    if _crash_mid_abortion(cell):
         return canonical_name(cell.p)
     if cell.p == cell.n:
         return canonical_name(0)
@@ -262,7 +265,7 @@ def stall_expected(cell: CampaignCell) -> bool:
         return cell.fault == "crash"
     if cell.fault not in ("crash_participant", "crash_resolver"):
         return False
-    return cell.variant in ("base", "mc", "cd")
+    return not variants.VARIANTS[cell.variant].detects_failures
 
 
 # -- cell execution --------------------------------------------------------------
@@ -292,27 +295,21 @@ def _fault_knobs(cell: CampaignCell, members: Sequence[str]) -> dict:
             ),
             "reliable": True,
         }
-    if cell.fault in ("crash_participant", "crash_resolver", "crash"):
-        return {}  # crashes are scheduled per-variant, not injector knobs
-    if cell.fault in RECOVERY_FAULTS:
-        return {}  # crash + restart are scheduled per-variant too
+    if cell.fault in ("crash_participant", "crash_resolver", "crash", *RECOVERY_FAULTS):
+        return {}  # crashes and restarts are scheduled events, not injector knobs
     raise ValueError(f"unknown fault: {cell.fault}")
 
 
 def _crash_spec(cell: CampaignCell) -> tuple[tuple[str, ...], float]:
     """(victims, crash time) for crash cells; ((), 0.0) otherwise."""
     if cell.fault in ("crash_resolver", "crash_restart_resolver"):
-        return (_resolver_victim(cell),), CRASH_AT
+        # The biggest raiser (``cd``: the coordinator).
+        return (variants.VARIANTS[cell.variant].resolver(cell.p),), CRASH_AT
     if cell.fault in (
         "crash_participant", "crash_restart_early", "crash_restart_late"
     ):
-        victim = _participant_victim(cell)
-        at = (
-            CT_NESTED_CRASH_AT
-            if cell.variant == "ct" and cell.q > 0
-            else CRASH_AT
-        )
-        return (victim,), at
+        at = CT_NESTED_CRASH_AT if _crash_mid_abortion(cell) else CRASH_AT
+        return (_participant_victim(cell),), at
     return (), 0.0
 
 
@@ -334,34 +331,12 @@ def expected_rejoin_outcome(cell: CampaignCell) -> Optional[str]:
     return None
 
 
-def _observe_paper_base(
-    cell: CampaignCell, run_until: Optional[float] = None
-) -> _Observation:
-    from repro.workloads.generator import expected_general_messages, general_case
-
-    victims, crash_at = _crash_spec(cell)
-    names = [canonical_name(i) for i in range(cell.n)]
-    knobs = _fault_knobs(cell, names)
-    scenario = general_case(
-        cell.n, cell.p, cell.q,
-        latency=ConstantLatency(1.0), seed=cell.seed,
-        ack_timeout=ACK_TIMEOUT, max_retries=MAX_RETRIES,
-        crashes=[(v, crash_at) for v in victims],
-        **knobs,
-    )
-    result = scenario.run(
-        until=RUN_UNTIL if run_until is None else run_until,
-        max_events=2_000_000,
-    )
-    survivors = tuple(n for n in names if n not in victims)
-    finished = all(
-        runner.finished
-        for name, runner in result.runners.items()
-        if name not in victims
-    )
+def _log_handled(participants) -> tuple[dict[str, str], list[str]]:
+    """(who handled what in ``A1``, double-activation violations) from the
+    base participants' handler logs — every action, every incarnation."""
     handled: dict[str, str] = {}
     double: list[str] = []
-    for name, participant in result.participants.items():
+    for name, participant in participants.items():
         seen = set()
         for execution in participant.handler_log:
             key = (execution.action, execution.incarnation)
@@ -373,26 +348,7 @@ def _observe_paper_base(
             seen.add(key)
             if execution.action == "A1":
                 handled[name] = execution.exception
-    measured = result.resolution_message_total()
-    expected = (
-        expected_general_messages(cell.n, cell.p, cell.q)
-        if cell.fault == "none"
-        else None
-    )
-    problems: list[str] = []
-    if finished and not victims:
-        missing = set(names) - set(handled)
-        if missing:
-            problems.append(
-                f"completeness: {sorted(missing)} never started the "
-                "resolved handler"
-            )
-    return _Observation(
-        finished=finished, handled=handled, double_handled=double,
-        problems=problems, measured=measured, expected=expected,
-        crashed=victims, survivors=survivors,
-        sim_duration=result.duration, runtime=result.runtime,
-    )
+    return handled, double
 
 
 def _trace_handled(runtime, category: str) -> tuple[dict[str, str], list[str]]:
@@ -402,21 +358,38 @@ def _trace_handled(runtime, category: str) -> tuple[dict[str, str], list[str]]:
     for entry in runtime.trace.by_category(category):
         if entry.subject in handled:
             double.append(f"{entry.subject} activated a handler twice")
-        handled[entry.subject] = entry.details.get("exception", "?")
+        # CR participants agree on the *resolved* exception and
+        # legitimately handle different covers of it.
+        handled[entry.subject] = entry.details.get(
+            "resolved", entry.details.get("exception", "?")
+        )
     return handled, double
 
 
-def _observe_paper_ct(
+def _observe_paper(
     cell: CampaignCell, run_until: Optional[float] = None
 ) -> _Observation:
+    """One paper-family cell of any variant: ``run_action`` plus one
+    reduction to the facts the oracles judge."""
     import shutil
     import tempfile
 
-    from repro.core.crash_tolerant import ct_expected_messages, run_crash_tolerant
-
+    spec = variants.VARIANTS[cell.variant]
+    if cell.fault != "none" and not spec.servable:
+        raise ValueError(
+            f"{cell.variant} cells support only fault 'none' (the variant "
+            f"is outside the fault matrix), got {cell.fault!r}"
+        )
+    q = cell.q if spec.nests else 0  # a flat variant runs the flat projection
     victims, crash_at = _crash_spec(cell)
     names = [canonical_name(i) for i in range(cell.n)]
-    knobs = _fault_knobs(cell, names)
+    members = [*names, spec.coordinator] if spec.coordinator else names
+    knobs = _fault_knobs(cell, members)
+    if spec.detects_failures:
+        knobs.update(
+            hb_interval=HB_INTERVAL, hb_timeout=HB_TIMEOUT,
+            abort_duration=ABORT_DURATION,
+        )
     restart_at = restart_spec(cell)
     wal_dir: Optional[str] = None
     if restart_at is not None:
@@ -426,45 +399,53 @@ def _observe_paper_ct(
         wal_dir = tempfile.mkdtemp(prefix="repro-wal-")
         knobs.update(restart_at=restart_at, durable_dir=wal_dir)
     try:
-        result = run_crash_tolerant(
-            cell.n, raisers=cell.p, nested=cell.q,
-            crash=victims, crash_at=crash_at,
-            raise_at=RAISE_AT, seed=cell.seed, latency=ConstantLatency(1.0),
-            hb_interval=HB_INTERVAL, hb_timeout=HB_TIMEOUT,
-            abort_duration=ABORT_DURATION,
+        run = variants.run_action(
+            cell.variant, cell.n, cell.p, q,
+            seed=cell.seed, latency=ConstantLatency(1.0), raise_at=RAISE_AT,
+            crashes=[(victim, crash_at) for victim in victims],
             ack_timeout=ACK_TIMEOUT, max_retries=MAX_RETRIES,
-            run_until=RUN_UNTIL if run_until is None else run_until,
+            until=RUN_UNTIL if run_until is None else run_until,
             **knobs,
         )
-        problems: list[str] = []
-        handled, double = _trace_handled(result.runtime, "ct.handle")
         survivors = tuple(n for n in names if n not in victims)
-        if restart_at is not None:
-            problems.extend(_check_recovery(cell, result))
-            # A rejoined returnee ran the resolved handler: it re-enters
-            # the agreement and exactly-once oracles alongside survivors.
-            rejoined = tuple(
-                v for v in victims
-                if result.participants[v].rejoin_outcome == "rejoined"
+        problems: list[str] = []
+        if run.runners is not None:
+            # base: a participant is done when its behaviour has left the
+            # action; crashed members' pre-death handlers stay in the
+            # agreement check.
+            handled, double = _log_handled(run.participants)
+            finished = all(
+                runner.finished
+                for name, runner in run.runners.items()
+                if name not in victims
             )
-            handled = {
-                n: e for n, e in handled.items()
-                if n in survivors or n in rejoined
-            }
         else:
-            handled = {n: e for n, e in handled.items() if n in survivors}
-        finished = all(n in handled for n in survivors)
-        measured = result.protocol_messages()
-        expected = (
-            ct_expected_messages(cell.n, cell.p, cell.q)
-            if cell.fault == "none"
-            else None
-        )
+            handled, double = _trace_handled(run.runtime, f"{spec.tag}.handle")
+            judged = set(survivors)
+            if restart_at is not None:
+                problems.extend(_check_recovery(cell, run))
+                # A rejoined returnee ran the resolved handler: it re-enters
+                # the agreement and exactly-once oracles alongside survivors.
+                judged.update(
+                    v for v in victims
+                    if run.participants[v].rejoin_outcome == "rejoined"
+                )
+            handled = {n: e for n, e in handled.items() if n in judged}
+            finished = all(n in handled for n in survivors)
+        if finished and not victims:
+            missing = set(names) - set(handled)
+            if missing:
+                problems.append(
+                    f"completeness: {sorted(missing)} never started the "
+                    "resolved handler"
+                )
+        fault_free = cell.fault == "none" and spec.expected is not None
         return _Observation(
             finished=finished, handled=handled, double_handled=double,
-            problems=problems, measured=measured, expected=expected,
+            problems=problems, measured=run.messages(),
+            expected=spec.expected(cell.n, cell.p, q) if fault_free else None,
             crashed=victims, survivors=survivors,
-            sim_duration=result.runtime.sim.now, runtime=result.runtime,
+            sim_duration=run.duration, runtime=run.runtime,
         )
     finally:
         if wal_dir is not None:
@@ -484,7 +465,7 @@ def _check_recovery(cell: CampaignCell, result) -> list[str]:
     """
     problems: list[str] = []
     want = expected_rejoin_outcome(cell)
-    for victim in result.restarted:
+    for victim in result.crashed:  # a recovery cell restarts every victim
         participant = result.participants[victim]
         outcome = participant.rejoin_outcome
         if outcome != want:
@@ -511,83 +492,6 @@ def _check_recovery(cell: CampaignCell, result) -> list[str]:
                 f"recovery: {victim} rejoined but never ran a handler"
             )
     return problems
-
-
-def _observe_paper_mc(
-    cell: CampaignCell, run_until: Optional[float] = None
-) -> _Observation:
-    from repro.core.multicast_variant import (
-        expected_multicast_operations,
-        run_multicast_resolution,
-    )
-
-    victims, crash_at = _crash_spec(cell)
-    names = [canonical_name(i) for i in range(cell.n)]
-    knobs = _fault_knobs(cell, names)
-    result = run_multicast_resolution(
-        cell.n, cell.p, cell.q, seed=cell.seed,
-        latency=ConstantLatency(1.0), raise_at=RAISE_AT,
-        ack_timeout=ACK_TIMEOUT, max_retries=MAX_RETRIES,
-        crash=victims, crash_at=crash_at,
-        run_until=RUN_UNTIL if run_until is None else run_until,
-        **knobs,
-    )
-    handled, double = _trace_handled(result.runtime, "mc.handle")
-    survivors = tuple(n for n in names if n not in victims)
-    handled = {n: e for n, e in handled.items() if n in survivors}
-    finished = all(n in handled for n in survivors)
-    measured = result.multicast_operations()
-    expected = (
-        expected_multicast_operations(cell.n, cell.p, cell.q)
-        if cell.fault == "none"
-        else None
-    )
-    return _Observation(
-        finished=finished, handled=handled, double_handled=double,
-        measured=measured, expected=expected,
-        crashed=victims, survivors=survivors,
-        sim_duration=result.runtime.sim.now, runtime=result.runtime,
-    )
-
-
-def _observe_paper_cd(
-    cell: CampaignCell, run_until: Optional[float] = None
-) -> _Observation:
-    from repro.core.centralized_variant import (
-        expected_centralized_messages,
-        run_centralized,
-    )
-
-    victims, crash_at = _crash_spec(cell)
-    names = [canonical_name(i) for i in range(cell.n)]
-    knobs = _fault_knobs(cell, [*names, "coord"])
-    coord_crash = CRASH_AT if "coord" in victims else None
-    participant_victims = tuple(v for v in victims if v != "coord")
-    result = run_centralized(
-        cell.n, raisers=cell.p, seed=cell.seed,
-        latency=ConstantLatency(1.0), raise_at=RAISE_AT,
-        coordinator_crashes_at=coord_crash,
-        run_until=RUN_UNTIL if run_until is None else run_until,
-        ack_timeout=ACK_TIMEOUT, max_retries=MAX_RETRIES,
-        crash=participant_victims, crash_at=crash_at,
-        **knobs,
-    )
-    handled, double = _trace_handled(result.runtime, "cd.handle")
-    survivors = tuple(n for n in names if n not in victims)
-    handled = {n: e for n, e in handled.items() if n in survivors}
-    finished = all(n in handled for n in survivors)
-    measured = result.total_messages()
-    expected = (
-        expected_centralized_messages(cell.n, cell.p)
-        if cell.fault == "none"
-        else None
-    )
-    return _Observation(
-        finished=finished, handled=handled, double_handled=double,
-        measured=measured, expected=expected,
-        crashed=victims, survivors=survivors,
-        sim_duration=result.runtime.sim.now, runtime=result.runtime,
-    )
 
 
 def _observe_fuzz(
@@ -622,51 +526,6 @@ def _observe_fuzz(
     )
 
 
-def _observe_paper_cr(
-    cell: CampaignCell, run_until: Optional[float] = None
-) -> _Observation:
-    """The Campbell–Randell baseline (schedule explorer and conformance
-    kit only: not part of the default campaign matrix, and fault axes
-    beyond ``none`` are not modelled for it — ``run_until`` is likewise
-    ignored, the baseline runs to quiescence).  Agreement is checked on
-    the *resolved* exception — CR participants legitimately handle
-    different covers of it."""
-    from repro.core.cr_baseline import run_cr_concurrent
-
-    if cell.fault != "none":
-        raise ValueError(
-            f"CR baseline cells support only fault 'none', got {cell.fault!r}"
-        )
-    result = run_cr_concurrent(
-        cell.n, raisers=cell.p, seed=cell.seed,
-        latency=ConstantLatency(1.0), raise_at=RAISE_AT,
-    )
-    names = [canonical_name(i) for i in range(cell.n)]
-    handled: dict[str, str] = {}
-    double: list[str] = []
-    for entry in result.runtime.trace.by_category("cr.handle"):
-        if entry.subject in handled:
-            double.append(f"{entry.subject} activated a handler twice")
-        handled[entry.subject] = entry.details.get("resolved", "?")
-    finished = all(name in handled for name in names)
-    return _Observation(
-        finished=finished, handled=handled, double_handled=double,
-        measured=result.total_messages(), expected=None,
-        survivors=tuple(names),
-        sim_duration=result.runtime.sim.now, runtime=result.runtime,
-    )
-
-
-_OBSERVERS: dict[tuple[str, str], Callable[..., _Observation]] = {
-    ("paper", "base"): _observe_paper_base,
-    ("paper", "ct"): _observe_paper_ct,
-    ("paper", "mc"): _observe_paper_mc,
-    ("paper", "cd"): _observe_paper_cd,
-    ("paper", "cr"): _observe_paper_cr,
-    ("fuzz", "base"): _observe_fuzz,
-}
-
-
 def observe_cell(
     cell: CampaignCell, run_until: Optional[float] = None
 ) -> _Observation:
@@ -677,12 +536,18 @@ def observe_cell(
     the conformance harness shortens it on the wall-clocked asyncio
     backend, where simulated time units cost real seconds.
     """
-    observer = _OBSERVERS.get((cell.family, cell.variant))
-    if observer is None:
+    if cell.family == "paper" and cell.variant in variants.VARIANTS:
+        observer = _observe_paper
+    elif (cell.family, cell.variant) == ("fuzz", "base"):
+        observer = _observe_fuzz
+    else:
         raise ValueError(
             f"no observer for family={cell.family} variant={cell.variant}"
         )
-    if cell.fault in RECOVERY_FAULTS and cell.variant != "ct":
+    if (
+        cell.fault in RECOVERY_FAULTS
+        and "restart_at" not in variants.VARIANTS[cell.variant].options
+    ):
         raise ValueError(
             f"recovery fault {cell.fault!r} requires the ct variant "
             "(only the crash-tolerant extension has a rejoin protocol)"
@@ -758,11 +623,6 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
     """Run one cell and classify it.  Never raises: harness failures come
     back as ``CRASHED-HARNESS`` outcomes so one broken cell cannot take a
     campaign down."""
-    if (cell.family, cell.variant) not in _OBSERVERS:
-        return CellOutcome(
-            cell, CRASHED_HARNESS,
-            detail=f"no observer for family={cell.family} variant={cell.variant}",
-        )
     try:
         obs = observe_cell(cell)
     except Exception:  # noqa: BLE001 — any harness error becomes an outcome
@@ -794,12 +654,7 @@ def export_cell_trace(cell: CampaignCell, out_dir) -> "Path":
 
     from repro.obs import render_span_tree, spans_to_chrome
 
-    observer = _OBSERVERS.get((cell.family, cell.variant))
-    if observer is None:
-        raise ValueError(
-            f"no observer for family={cell.family} variant={cell.variant}"
-        )
-    obs = observer(replace(cell, sabotage=None))
+    obs = observe_cell(replace(cell, sabotage=None))
     runtime = obs.runtime
     if runtime is None or not runtime.spans.enabled:
         raise RuntimeError(

@@ -19,8 +19,10 @@ paper:
 
 from __future__ import annotations
 
+from repro.analysis.formulas import general_messages
 from repro.core.abortion import AbortionHandler
 from repro.core.action import CAActionDef, NestedPolicy
+from repro.core.variants import flat_tree
 from repro.exceptions.declarations import (
     UniversalException,
     declare_exception,
@@ -40,17 +42,6 @@ WORK = 50.0
 RAISE_AT = 10.0
 #: :func:`general_case` budgets this many events per modelled message.
 BUDGET_FACTOR = 4
-
-
-def _flat_tree(leaves: int, prefix: str) -> tuple[ResolutionTree, list]:
-    """Root plus ``leaves`` sibling exceptions; returns (tree, leaf list)."""
-    classes = [
-        declare_exception(f"{prefix}_{i}") for i in range(leaves)
-    ]
-    tree = ResolutionTree(
-        UniversalException, {cls: UniversalException for cls in classes}
-    )
-    return tree, classes
 
 
 def general_case(
@@ -92,7 +83,7 @@ def general_case(
         raise ValueError(f"bad nested count q={q} for n={n}, p={p}")
 
     names = [canonical_name(i) for i in range(n)]
-    tree, leaves = _flat_tree(max(p, 1), "GeneralExc")
+    tree, leaves = flat_tree(max(p, 1), "GeneralExc")
     top = CAActionDef(
         "A1",
         tuple(names),
@@ -380,8 +371,5 @@ def figure3_scenario(
     return Scenario(actions, specs, latency=latency, seed=seed)
 
 
-def expected_general_messages(n: int, p: int, q: int) -> int:
-    """The paper's Section 4.4 formula ``(N-1)(2P + 3Q + 1)``."""
-    if p == 0:
-        return 0
-    return (n - 1) * (2 * p + 3 * q + 1)
+#: The paper's Section 4.4 formula ``(N-1)(2P + 3Q + 1)``.
+expected_general_messages = general_messages

@@ -151,24 +151,21 @@ class TestMulticastGoldenTable:
         "n,p,q", sorted(GOLDEN), ids=[f"n{n}p{p}q{q}" for n, p, q in sorted(GOLDEN)]
     )
     def test_operations_match_golden_value(self, n, p, q):
-        from repro.core.multicast_variant import (
-            expected_multicast_operations,
-            run_multicast_resolution,
-        )
+        from repro.core.variants import VARIANTS, run_action
 
-        result = run_multicast_resolution(n, p=p, q=q, seed=0)
+        result = run_action("mc", n, p, q, seed=0)
         golden = self.GOLDEN[(n, p, q)]
         assert golden == n + q + 1  # the table agrees with the closed form
-        assert expected_multicast_operations(n, p, q) == golden
-        assert result.multicast_operations() == golden
+        assert VARIANTS["mc"].expected(n, p, q) == golden
+        assert result.messages() == golden
 
     def test_no_raise_means_no_operations(self):
         """P = 0 is outside the runner's domain (someone must raise);
         the closed form still pins the zero-overhead claim."""
-        from repro.core.multicast_variant import expected_multicast_operations
+        from repro.core.variants import VARIANTS
 
-        assert expected_multicast_operations(4, 0, 0) == 0
-        assert expected_multicast_operations(6, 0, 3) == 0
+        assert VARIANTS["mc"].expected(4, 0, 0) == 0
+        assert VARIANTS["mc"].expected(6, 0, 3) == 0
 
 
 class TestZeroOverhead:

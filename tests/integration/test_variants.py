@@ -4,11 +4,10 @@ flavour and the Section 4.4 k-resolver extension."""
 import pytest
 
 from repro.analysis import multicast_operations, resolver_group_messages
-from repro.core.multicast_variant import (
-    expected_multicast_operations,
-    run_multicast_resolution,
-)
+from repro.core.variants import VARIANTS, run_action
 from repro.net.latency import UniformLatency
+
+expected_multicast_operations = VARIANTS["mc"].expected
 from repro.workloads.generator import expected_general_messages, general_case
 
 
@@ -18,8 +17,8 @@ class TestMulticastVariant:
         [(2, 1, 0), (3, 1, 0), (5, 1, 3), (6, 3, 2), (8, 2, 4), (4, 4, 0)],
     )
     def test_operation_count(self, n, p, q):
-        result = run_multicast_resolution(n, p, q)
-        assert result.multicast_operations() == expected_multicast_operations(
+        result = run_action("mc", n, p, q)
+        assert result.messages() == expected_multicast_operations(
             n, p, q
         )
         assert result.all_handled()
@@ -30,16 +29,16 @@ class TestMulticastVariant:
         )
 
     def test_no_acks_anywhere(self):
-        result = run_multicast_resolution(6, 2, 2)
+        result = run_action("mc", 6, 2, 2)
         kinds = set(result.runtime.network.sent_by_kind)
         assert not any("ACK" in kind for kind in kinds)
 
     def test_consistent_handling(self):
-        result = run_multicast_resolution(6, 3, 1)
+        result = run_action("mc", 6, 3, 1)
         assert len(result.handled_exceptions()) == 1
 
     def test_single_resolver_commits(self):
-        result = run_multicast_resolution(5, 3, 0)
+        result = run_action("mc", 5, 3, 0)
         commits = result.runtime.trace.by_category("mc.commit")
         assert len(commits) == 1
         assert commits[0].subject == "O0002"  # biggest raiser among O0..O2
@@ -47,19 +46,19 @@ class TestMulticastVariant:
     def test_crossover_with_unicast_algorithm(self):
         """Light workloads favour unicast; heavy ones favour multicast —
         the crossover sits near 2P + 2Q = N."""
-        light = run_multicast_resolution(8, 1, 0)
-        assert light.underlying_unicasts() > expected_general_messages(8, 1, 0)
-        heavy = run_multicast_resolution(8, 6, 0)
-        assert heavy.underlying_unicasts() < expected_general_messages(8, 6, 0)
+        light = run_action("mc", 8, 1, 0)
+        assert light.unicasts() > expected_general_messages(8, 1, 0)
+        heavy = run_action("mc", 8, 6, 0)
+        assert heavy.unicasts() < expected_general_messages(8, 6, 0)
 
     def test_robust_under_random_latency(self):
         for seed in range(5):
-            result = run_multicast_resolution(
-                7, 3, 2, latency=UniformLatency(0.2, 3.0), seed=seed
+            result = run_action(
+                "mc", 7, 3, 2, latency=UniformLatency(0.2, 3.0), seed=seed
             )
             assert result.all_handled()
             assert len(result.handled_exceptions()) == 1
-            assert result.multicast_operations() == expected_multicast_operations(
+            assert result.messages() == expected_multicast_operations(
                 7, 3, 2
             )
 
@@ -100,9 +99,9 @@ class TestMulticastVariant:
 
     def test_invalid_workload_rejected(self):
         with pytest.raises(ValueError):
-            run_multicast_resolution(3, 0)
+            run_action("mc", 3, 0)
         with pytest.raises(ValueError):
-            run_multicast_resolution(3, 2, 2)
+            run_action("mc", 3, 2, 2)
 
 
 class TestResolverGroup:

@@ -5,15 +5,8 @@ timing-dependent by design, but their *semantics* must not be)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.centralized_variant import (
-    expected_centralized_messages,
-    run_centralized,
-)
-from repro.core.cr_baseline import run_cr_concurrent, run_cr_domino
-from repro.core.multicast_variant import (
-    expected_multicast_operations,
-    run_multicast_resolution,
-)
+from repro.core.cr_baseline import run_cr_domino
+from repro.core.variants import VARIANTS, run_action
 from repro.net.latency import ConstantLatency, ExponentialLatency, UniformLatency
 
 latencies = st.sampled_from(
@@ -36,11 +29,9 @@ class TestCRBaselineProperties:
     def test_concurrent_always_terminates_consistently(
         self, n, raisers, seed, latency
     ):
-        result = run_cr_concurrent(
-            n, raisers=min(raisers, n), seed=seed, latency=latency
-        )
+        result = run_action("cr", n, min(raisers, n), seed=seed, latency=latency)
         assert result.all_handled()
-        assert len(result.resolved_exceptions()) == 1
+        assert len(result.handled_exceptions()) == 1
 
     @given(
         n=st.integers(min_value=2, max_value=6),
@@ -51,8 +42,9 @@ class TestCRBaselineProperties:
     def test_domino_always_reaches_the_root(self, n, levels, seed):
         result = run_cr_domino(n, levels_per_participant=levels, seed=seed)
         assert result.all_handled()
-        assert result.resolved_exceptions() == {"Chain_0"}
-        assert result.raises_total() >= n * levels + 1
+        assert result.handled_exceptions() == {"Chain_0"}
+        raises = sum(len(p.raised) for p in result.participants.values())
+        assert raises >= n * levels + 1
 
 
 class TestMulticastVariantProperties:
@@ -67,8 +59,8 @@ class TestMulticastVariantProperties:
     def test_operation_formula_and_agreement(self, n, p, q, seed, latency):
         p = min(p, n)
         q = min(q, n - p)
-        result = run_multicast_resolution(n, p, q, seed=seed, latency=latency)
-        assert result.multicast_operations() == expected_multicast_operations(
+        result = run_action("mc", n, p, q, seed=seed, latency=latency)
+        assert result.messages() == VARIANTS["mc"].expected(
             n, p, q
         )
         assert result.all_handled()
@@ -85,7 +77,7 @@ class TestCentralizedVariantProperties:
     @settings(max_examples=30, deadline=None)
     def test_linear_formula_and_agreement(self, n, p, seed, latency):
         p = min(p, n)
-        result = run_centralized(n, p, seed=seed, latency=latency)
-        assert result.total_messages() == expected_centralized_messages(n, p)
+        result = run_action("cd", n, p, seed=seed, latency=latency)
+        assert result.messages() == VARIANTS["cd"].expected(n, p, 0)
         assert result.all_handled()
         assert len(result.handled_exceptions()) == 1

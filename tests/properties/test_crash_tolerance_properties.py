@@ -8,7 +8,7 @@ its seed (the reproduction's foundational promise).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.crash_tolerant import run_crash_tolerant
+from repro.core.variants import run_action
 from repro.net.latency import UniformLatency
 from repro.objects.naming import canonical_name
 
@@ -30,16 +30,11 @@ class TestCrashToleranceProperties:
     ):
         raisers = min(raisers, n)
         victim = canonical_name(victim_index % n)
-        result = run_crash_tolerant(
-            n,
-            raisers=raisers,
-            crash=(victim,),
-            crash_at=crash_at,
-            seed=seed,
-            latency=UniformLatency(0.2, 2.0),
-            run_until=400.0,
+        result = run_action(
+            "ct", n, raisers, seed=seed, latency=UniformLatency(0.2, 2.0),
+            until=400.0, crashes=[(victim, crash_at)],
         )
-        assert result.all_survivors_handled()
+        assert result.all_handled()
         assert len(result.handled_exceptions()) == 1
 
     @given(
@@ -49,11 +44,11 @@ class TestCrashToleranceProperties:
     @settings(max_examples=20, deadline=None)
     def test_two_victims(self, n, seed):
         victims = (canonical_name(0), canonical_name(n - 1))
-        result = run_crash_tolerant(
-            n, raisers=n, crash=victims, crash_at=10.3, seed=seed,
-            run_until=400.0,
+        result = run_action(
+            "ct", n, n, seed=seed, until=400.0,
+            crashes=[(v, 10.3) for v in victims],
         )
-        assert result.all_survivors_handled()
+        assert result.all_handled()
         assert len(result.handled_exceptions()) == 1
 
 

@@ -17,9 +17,7 @@ shapes exercised here are the same ones the campaign engine sweeps.
 
 import pytest
 
-from repro.core.centralized_variant import run_centralized
-from repro.core.crash_tolerant import run_crash_tolerant
-from repro.core.multicast_variant import run_multicast_resolution
+from repro.core.variants import run_action
 from repro.net.failures import FailurePlan
 from repro.net.latency import ConstantLatency
 from repro.simkernel.trace import TraceLevel
@@ -49,24 +47,24 @@ def _run_variant(variant: str, n: int, p: int, q: int, level, knobs):
         ).run(until=400.0)
         return result.runtime, result.resolution_message_total()
     if variant == "ct":
-        result = run_crash_tolerant(
-            n, raisers=p, nested=q, seed=0, latency=ConstantLatency(1.0),
+        result = run_action(
+            "ct", n, p, q, seed=0, latency=ConstantLatency(1.0),
             trace_level=level, ack_timeout=2.0, max_retries=25,
             hb_timeout=12.0, **knobs,
         )
-        return result.runtime, result.protocol_messages()
+        return result.runtime, result.messages()
     if variant == "mc":
-        result = run_multicast_resolution(
-            n, p, q, seed=0, latency=ConstantLatency(1.0),
+        result = run_action(
+            "mc", n, p, q, seed=0, latency=ConstantLatency(1.0),
             trace_level=level, ack_timeout=2.0, max_retries=25, **knobs,
         )
-        return result.runtime, result.multicast_operations()
+        return result.runtime, result.messages()
     if variant == "cd":
-        result = run_centralized(
-            n, raisers=p, seed=0, latency=ConstantLatency(1.0),
+        result = run_action(
+            "cd", n, p, seed=0, latency=ConstantLatency(1.0),
             trace_level=level, ack_timeout=2.0, max_retries=25, **knobs,
         )
-        return result.runtime, result.total_messages()
+        return result.runtime, result.messages()
     raise ValueError(variant)
 
 
@@ -117,7 +115,7 @@ class TestSpanForest:
         from repro.objects.naming import canonical_name
 
         victim = canonical_name(2)
-        result = run_crash_tolerant(4, raisers=2, crash=(victim,))
+        result = run_action("ct", 4, 2, crashes=[(victim, 12.0)])
         open_subjects = {
             span.subject for span in result.runtime.spans.open_spans()
         }

@@ -5,12 +5,17 @@ import math
 import pytest
 
 from repro.core.cr_baseline import (
+    CR_KINDS,
     domino_chain_tree,
     reduced_set_for,
-    run_cr_concurrent,
     run_cr_domino,
 )
+from repro.core.variants import run_action
 from repro.workloads.generator import all_raise_case, single_exception_case
+
+
+def raises_total(result) -> int:
+    return sum(len(p.raised) for p in result.participants.values())
 
 
 class TestDominoChainConstruction:
@@ -42,22 +47,22 @@ class TestDominoEffect:
     def test_cascade_reaches_root(self):
         result = run_cr_domino(2, levels_per_participant=2)
         assert result.all_handled()
-        assert result.resolved_exceptions() == {"Chain_0"}
+        assert result.handled_exceptions() == {"Chain_0"}
         # Every chain level was raised along the way.
-        assert result.raises_total() == 5
+        assert raises_total(result) == 5
 
     def test_new_algorithm_needs_one_exception(self):
         """The paper's fix: complete handler sets kill the domino."""
         cr = run_cr_domino(4)
         new = single_exception_case(4).run()
-        assert cr.raises_total() > 1
+        assert raises_total(cr) > 1
         raises = new.runtime.trace.by_category("raise")
         assert len(raises) == 1
 
     def test_all_participants_handle_consistently(self):
         result = run_cr_domino(6)
         assert result.all_handled()
-        assert len(result.resolved_exceptions()) == 1
+        assert len(result.handled_exceptions()) == 1
 
 
 class TestComplexityShape:
@@ -70,7 +75,7 @@ class TestComplexityShape:
 
     def test_cr_concurrent_grows_cubically(self):
         points = [
-            (n, run_cr_concurrent(n).total_messages()) for n in (4, 8, 16)
+            (n, run_action("cr", n, n).messages()) for n in (4, 8, 16)
         ]
         slope = self._slope(points)
         assert 2.6 < slope < 3.4
@@ -84,14 +89,14 @@ class TestComplexityShape:
         assert 1.7 < slope < 2.3
 
     def test_cr_domino_grows_cubically(self):
-        points = [(n, run_cr_domino(n).total_messages()) for n in (4, 8, 16)]
+        points = [(n, run_cr_domino(n).messages()) for n in (4, 8, 16)]
         slope = self._slope(points)
         assert 2.6 < slope < 3.5
 
     def test_new_algorithm_wins_and_gap_widens(self):
         ratios = []
         for n in (4, 8, 16):
-            cr = run_cr_concurrent(n).total_messages()
+            cr = run_action("cr", n, n).messages()
             new = all_raise_case(n).run().resolution_message_total()
             assert cr > new
             ratios.append(cr / new)
@@ -100,31 +105,32 @@ class TestComplexityShape:
 
 class TestCRBehaviour:
     def test_concurrent_resolution_consistent(self):
-        result = run_cr_concurrent(5)
+        result = run_action("cr", 5, 5)
         assert result.all_handled()
-        assert len(result.resolved_exceptions()) == 1
+        assert len(result.handled_exceptions()) == 1
 
     def test_single_raiser_subset(self):
-        result = run_cr_concurrent(6, raisers=1)
+        result = run_action("cr", 6, 1)
         assert result.all_handled()
-        assert result.resolved_exceptions() == {"CRC_0"}
+        assert result.handled_exceptions() == {"CRC_0"}
 
     def test_invalid_raisers_rejected(self):
         with pytest.raises(ValueError):
-            run_cr_concurrent(3, raisers=0)
+            run_action("cr", 3, 0)
         with pytest.raises(ValueError):
-            run_cr_concurrent(3, raisers=4)
+            run_action("cr", 3, 4)
 
     def test_messages_by_kind_totals(self):
-        result = run_cr_concurrent(4)
-        by_kind = result.messages_by_kind()
-        assert sum(by_kind.values()) == result.total_messages()
+        result = run_action("cr", 4, 4)
+        sent = result.runtime.network.sent_by_kind
+        by_kind = {kind: sent.get(kind, 0) for kind in CR_KINDS}
+        assert sum(by_kind.values()) == result.messages()
         assert by_kind["CR_EXCEPTION"] == 4 * 3
         assert by_kind["CR_ACK"] == 4 * 3
 
     def test_duplicate_raise_ignored(self):
-        result = run_cr_concurrent(3, raisers=1)
+        result = run_action("cr", 3, 1)
         participant = result.participants["O0000"]
-        before = result.total_messages()
+        before = result.messages()
         participant.raise_exception(next(iter(participant.raised)))
-        assert result.total_messages() == before
+        assert result.messages() == before

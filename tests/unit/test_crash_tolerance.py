@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.crash_tolerant import ct_expected_messages, run_crash_tolerant
+from repro.analysis import crash_tolerant_messages as ct_expected_messages
+from repro.core.variants import run_action
 from repro.net.detector import Heartbeater
 from repro.objects import DistributedObject, Runtime
 
@@ -99,71 +100,65 @@ class TestHeartbeater:
 
 class TestCrashTolerantResolution:
     def test_no_crash_agreement(self):
-        result = run_crash_tolerant(5, raisers=2)
-        assert result.all_survivors_handled()
+        result = run_action("ct", 5, 2)
+        assert result.all_handled()
         assert len(result.handled_exceptions()) == 1
 
     def test_bystander_crash_tolerated(self):
-        result = run_crash_tolerant(5, raisers=2, crash=("O0004",), crash_at=10.5)
-        assert result.all_survivors_handled()
+        result = run_action("ct", 5, 2, crashes=[("O0004", 10.5)])
+        assert result.all_handled()
         assert len(result.handled_exceptions()) == 1
 
     def test_resolver_crash_reelects(self):
         """The biggest raiser dies after raising — the base algorithm's
         deadlock case; here the next-biggest commits."""
-        result = run_crash_tolerant(5, raisers=5, crash=("O0004",), crash_at=10.2)
-        assert result.all_survivors_handled()
+        result = run_action("ct", 5, 5, crashes=[("O0004", 10.2)])
+        assert result.all_handled()
         commits = result.runtime.trace.by_category("ct.commit")
         live_commits = [e for e in commits if e.subject != "O0004"]
         assert len(live_commits) == 1
         assert live_commits[0].subject == "O0003"
 
     def test_multiple_crashes(self):
-        result = run_crash_tolerant(
-            6, raisers=3, crash=("O0002", "O0005"), crash_at=10.3
-        )
-        assert result.all_survivors_handled()
+        result = run_action("ct", 6, 3, crashes=[("O0002", 10.3), ("O0005", 10.3)])
+        assert result.all_handled()
         assert len(result.handled_exceptions()) == 1
 
     def test_crash_before_raise(self):
-        result = run_crash_tolerant(4, raisers=2, crash=("O0003",), crash_at=5.0)
-        assert result.all_survivors_handled()
+        result = run_action("ct", 4, 2, crashes=[("O0003", 5.0)])
+        assert result.all_handled()
 
     def test_dead_raisers_exception_still_resolved(self):
         """A raiser that crashes after broadcasting still contributes its
         exception to the resolution (survivors saw it)."""
-        result = run_crash_tolerant(4, raisers=2, crash=("O0001",), crash_at=10.4)
-        assert result.all_survivors_handled()
+        result = run_action("ct", 4, 2, crashes=[("O0001", 10.4)])
+        assert result.all_handled()
         # Both CT_0 and CT_1 were raised -> siblings resolve to the root.
         assert result.handled_exceptions() == {"UniversalException"}
 
     def test_sole_raiser_dies_survivor_takes_over(self):
         """If every raiser dies after broadcasting, the biggest surviving
         member resolves — the takeover rule."""
-        result = run_crash_tolerant(
-            4, raisers=1, crash=("O0000",), crash_at=10.2, run_until=400.0
-        )
-        assert result.all_survivors_handled()
+        result = run_action("ct", 4, 1, until=400.0, crashes=[("O0000", 10.2)])
+        assert result.all_handled()
         takeovers = result.runtime.trace.by_category("ct.takeover")
         assert len(takeovers) == 1
         assert takeovers[0].subject == "O0003"  # biggest survivor
 
     def test_victim_crashing_before_raising_means_no_recovery(self):
         """Nothing was raised: survivors must NOT run handlers."""
-        result = run_crash_tolerant(
-            3, raisers=1, crash=("O0000",), crash_at=5.0, run_until=300.0
-        )
-        assert not result.all_survivors_handled()
+        result = run_action("ct", 3, 1, until=300.0, crashes=[("O0000", 5.0)])
+        assert not result.all_handled()
         assert result.handled_exceptions() == set()
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_crash_tolerant(3, raisers=0)
+            run_action("ct", 3, 0)
         with pytest.raises(ValueError):
-            run_crash_tolerant(3, crash=("NOPE",))
+            run_action("ct", 3, 2, crashes=[("NOPE", 12.0)])
 
     def test_crashed_object_takes_no_decisions(self):
-        result = run_crash_tolerant(5, raisers=5, crash=("O0004",), crash_at=10.2)
+        result = run_action("ct", 5, 5, crashes=[("O0004", 10.2)])
         victim = result.participants["O0004"]
         assert victim.handled is None
         assert all(e.subject != "O0004"
@@ -172,17 +167,17 @@ class TestCrashTolerantResolution:
     def test_all_raisers_crash_survivor_takes_over(self):
         """Every raiser dies after broadcasting: no raiser is left to
         resolve, so the biggest *surviving* member must take over."""
-        result = run_crash_tolerant(
-            5, raisers=2, crash=("O0000", "O0001"), crash_at=10.5,
-            run_until=400.0,
+        result = run_action(
+            "ct", 5, 2, until=400.0,
+            crashes=[("O0000", 10.5), ("O0001", 10.5)],
         )
-        assert result.all_survivors_handled()
+        assert result.all_handled()
         assert result.handled_exceptions() == {"UniversalException"}
         takeovers = result.runtime.trace.by_category("ct.takeover")
         assert [e.subject for e in takeovers] == ["O0004"]
 
     def test_crash_victim_evicted_from_membership_view(self):
-        result = run_crash_tolerant(5, raisers=2, crash=("O0004",), crash_at=10.5)
+        result = run_action("ct", 5, 2, crashes=[("O0004", 10.5)])
         view = result.final_view()
         assert "O0004" not in view
         assert view.version == 2
@@ -199,12 +194,12 @@ class TestCrashTolerantResolution:
 
         suspects = 0
         for seed in range(8):
-            result = run_crash_tolerant(
-                4, raisers=2, seed=seed, latency=UniformLatency(0.5, 9.0),
-                hb_interval=2.0, hb_timeout=6.5, run_until=400.0,
+            result = run_action(
+                "ct", 4, 2, seed=seed, latency=UniformLatency(0.5, 9.0),
+                hb_interval=2.0, hb_timeout=6.5, until=400.0,
             )
             suspects += len(result.runtime.trace.by_category("detector.suspect"))
-            assert result.all_survivors_handled(), f"seed {seed} stalled"
+            assert result.all_handled(), f"seed {seed} stalled"
             assert result.handled_exceptions() == {"UniversalException"}, (
                 f"seed {seed}: {result.handled_exceptions()}"
             )
@@ -217,24 +212,22 @@ class TestNestedAbortion:
     CT_NESTED_COMPLETED)."""
 
     def test_fault_free_counts_match_formula(self):
-        result = run_crash_tolerant(5, raisers=2, nested=1, abort_duration=1.0)
-        assert result.all_survivors_handled()
-        assert result.protocol_messages() == ct_expected_messages(5, 2, 1)
+        result = run_action("ct", 5, 2, 1, abort_duration=1.0)
+        assert result.all_handled()
+        assert result.messages() == ct_expected_messages(5, 2, 1)
 
     def test_abort_signal_joins_resolution(self):
-        result = run_crash_tolerant(
-            5, raisers=2, nested=2, nested_signal=True, abort_duration=1.0
-        )
-        assert result.all_survivors_handled()
+        result = run_action("ct", 5, 2, 2, nested_signal=True, abort_duration=1.0)
+        assert result.all_handled()
         assert result.handled_exceptions() == {"UniversalException"}
-        assert result.protocol_messages() == ct_expected_messages(5, 2, 2)
+        assert result.messages() == ct_expected_messages(5, 2, 2)
         assert len(result.runtime.trace.by_category("ct.abort_done")) == 2
 
     def test_commit_waits_for_live_nested_member(self):
         # With a slow abortion the resolver must not commit before the
         # nested member reports CT_NESTED_COMPLETED.
-        result = run_crash_tolerant(5, raisers=2, nested=1, abort_duration=5.0)
-        assert result.all_survivors_handled()
+        result = run_action("ct", 5, 2, 1, abort_duration=5.0)
+        assert result.all_handled()
         done = result.runtime.trace.by_category("ct.abort_done")
         commits = result.runtime.trace.by_category("ct.commit")
         assert len(done) == 1 and len(commits) == 1
@@ -244,11 +237,11 @@ class TestNestedAbortion:
         """The tentpole case: the nested member dies *mid-abortion*, so
         its CT_NESTED_COMPLETED never arrives.  Suspicion must waive it
         or the resolver deadlocks waiting on a dead member."""
-        result = run_crash_tolerant(
-            5, raisers=2, nested=1, crash=("O0002",), crash_at=13.0,
-            abort_duration=5.0, run_until=400.0,
+        result = run_action(
+            "ct", 5, 2, 1, abort_duration=5.0, until=400.0,
+            crashes=[("O0002", 13.0)],
         )
-        assert result.all_survivors_handled()
+        assert result.all_handled()
         assert result.handled_exceptions() == {"UniversalException"}
         # The victim started aborting but never finished.
         starts = result.runtime.trace.by_category("ct.abort_start")

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import asyncio
+import json
+import os
+import pickle
 import struct
 
 import pytest
 
-from repro.net.message import Message
 from repro.rt.tcp import (
     FrameError,
     TcpTransport,
@@ -24,11 +26,22 @@ from repro.workloads.generator import (
 SCALE = 0.002
 
 
-def _message() -> Message:
-    return Message(
-        src="O1", dst="O2", kind="exception.broadcast",
-        payload={"exc": "UniversalException"}, send_time=1.0,
-    )
+FIRED = "REPRO_TEST_PICKLE_FIRED"
+
+
+class _Hostile:
+    """Unpickling this runs code: it sets an environment variable."""
+
+    def __reduce__(self):
+        return (exec, (f"import os; os.environ[{FIRED!r}] = '1'",))
+
+
+def hostile_pickle_frame(header: dict) -> bytes:
+    """A frame of the removed ``P`` mode (mode byte, header length, JSON
+    header, pickled body) whose body is a :class:`_Hostile`."""
+    head = json.dumps(header).encode()
+    body = b"P" + struct.pack("!I", len(head)) + head + pickle.dumps(_Hostile())
+    return struct.pack("!I", len(body)) + body
 
 
 class TestFrameCodec:
@@ -38,14 +51,15 @@ class TestFrameCodec:
         assert header == {"dst": "O2", "token": 7}
         assert message is None
 
-    def test_pickle_frame_roundtrip(self) -> None:
-        original = _message()
-        frame = encode_frame({"dst": "O2", "token": 0}, original)
-        header, message = decode_frame(frame[4:])
-        assert header["dst"] == "O2"
-        assert message is not None
-        assert message.kind == original.kind
-        assert message.payload == original.payload
+    def test_pickle_frame_is_rejected_without_unpickling(self, monkeypatch) -> None:
+        monkeypatch.delenv(FIRED, raising=False)
+        frame = hostile_pickle_frame({"dst": "O2", "token": 0})
+        with pytest.raises(FrameError, match="frame mode"):
+            decode_frame(frame[4:])
+        assert FIRED not in os.environ
+        # Control: the payload is live — unpickling it does run its code.
+        pickle.loads(pickle.dumps(_Hostile()))
+        assert os.environ.pop(FIRED) == "1"
 
     def test_length_prefix_matches_body(self) -> None:
         import struct
@@ -79,20 +93,6 @@ class TestMalformedFrames:
     def test_non_utf8_json_header(self) -> None:
         with pytest.raises(FrameError, match="undecodable JSON"):
             decode_frame(b"J\xff\xfe")
-
-    def test_pickle_frame_missing_header_length(self) -> None:
-        with pytest.raises(FrameError, match="missing header length"):
-            decode_frame(b"P\x00\x01")
-
-    def test_pickle_frame_header_length_exceeds_body(self) -> None:
-        with pytest.raises(FrameError, match="exceeds body"):
-            decode_frame(b"P" + struct.pack("!I", 999) + b"{}")
-
-    def test_pickle_frame_garbage_payload(self) -> None:
-        head = b'{"dst":"x"}'
-        body = b"P" + struct.pack("!I", len(head)) + head + b"not a pickle"
-        with pytest.raises(FrameError, match="undecodable pickle"):
-            decode_frame(body)
 
     def _read(self, data: bytes, **kwargs):
         async def go():
@@ -149,16 +149,6 @@ class TestTcpRuns:
         # The wire carried at least every resolution message.
         assert bridge.frames_delivered >= result.resolution_message_total()
 
-    def test_pickle_mode_round_trips_real_payloads(self) -> None:
-        """Pickle frames re-materialise messages (multi-process shape)."""
-        with tcp_transport(time_scale=SCALE, mode="pickle") as bridges:
-            result = general_case(3, 1, 0, seed=0).run(
-                until=100.0, max_events=100_000
-            )
-        assert all(r.finished for r in result.runners.values())
-        (bridge,) = bridges
-        assert bridge.frames_delivered == bridge.frames_sent > 0
-
     def test_requires_asyncio_kernel(self) -> None:
         from repro.objects.runtime import Runtime
 
@@ -171,7 +161,8 @@ class TestTcpRuns:
 
         with asyncio_backend(time_scale=SCALE):
             runtime = Runtime()
-        with pytest.raises(ValueError, match="frame mode"):
+        # There is one frame format and no knob to pick another.
+        with pytest.raises(TypeError, match="mode"):
             TcpTransport(runtime, mode="msgpack")
 
 
@@ -265,6 +256,51 @@ class TestHubTracePropagation:
         context = TraceContext.from_header(forwarded)
         assert context == TraceContext(trace_id="feedface01", parent_span=31)
         assert forwarded["token"] == 9
+
+    def test_pickle_frame_drops_its_sender_only(self, monkeypatch) -> None:
+        """A frame of the removed pickle mode is a protocol error for the
+        connection that sent it — never unpickled — while the hub keeps
+        routing everyone else's frames."""
+        monkeypatch.delenv(FIRED, raising=False)
+        received: list[dict] = []
+
+        async def scenario(hub) -> None:
+            reader_b, writer_b = await asyncio.open_connection(
+                hub.host, hub.port
+            )
+            writer_b.write(encode_frame({"register": ["b"]}))
+            await writer_b.drain()
+            deadline = asyncio.get_running_loop().time() + 5.0
+            while "b" not in hub._routes:
+                assert asyncio.get_running_loop().time() < deadline
+                await asyncio.sleep(0.005)
+
+            reader_x, writer_x = await asyncio.open_connection(
+                hub.host, hub.port
+            )
+            writer_x.write(encode_frame({"register": ["x"]}))
+            writer_x.write(hostile_pickle_frame({"dst": "b", "token": 1}))
+            await writer_x.drain()
+            # The hub hangs up on the offender...
+            assert await asyncio.wait_for(reader_x.read(), timeout=10) == b""
+
+            # ...and still forwards a well-formed frame to b.
+            _, writer_a = await asyncio.open_connection(hub.host, hub.port)
+            writer_a.write(encode_frame({"register": ["a"]}))
+            writer_a.write(encode_frame({"dst": "b", "token": 2}))
+            await writer_a.drain()
+            forwarded, _ = await asyncio.wait_for(
+                read_frame(reader_b), timeout=10
+            )
+            received.append(forwarded)
+            for writer in (writer_a, writer_b, writer_x):
+                writer.close()
+
+        hub = self._run_hub_scenario(scenario)
+        assert received == [{"dst": "b", "token": 2}]
+        assert hub.protocol_errors == 1
+        assert hub.frames_routed == 1
+        assert FIRED not in os.environ
 
     def test_on_protocol_error_hook_fires(self) -> None:
         """A malformed frame invokes the observer with the error detail —

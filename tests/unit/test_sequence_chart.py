@@ -167,11 +167,11 @@ class TestSpanChart:
         assert all(r.text.startswith("· · ") for r in abort_rows)
 
     def test_open_spans_listed_in_footer(self):
-        from repro.core.crash_tolerant import run_crash_tolerant
+        from repro.core.variants import run_action
         from repro.objects.naming import canonical_name
 
         victim = canonical_name(2)
-        result = run_crash_tolerant(4, raisers=2, crash=(victim,))
+        result = run_action("ct", 4, 2, crashes=[(victim, 12.0)])
         lanes = [canonical_name(i) for i in range(4)]
         chart = render_span_chart(result.runtime.spans, lanes)
         assert f"... open: {victim} " in chart

@@ -259,6 +259,51 @@ class TestLiveServer:
         assert pong == {"type": "pong"}
         assert server.metrics.counter("service.protocol_errors").value == 1
 
+    def test_pickle_frame_is_an_error_reply_never_unpickled(
+        self, start_server, monkeypatch
+    ) -> None:
+        """The codec has no mode that unpickles: a hostile ``P`` frame gets
+        the protocol-error reply and a closed session, its payload never
+        runs, and a session another client already has open keeps working."""
+        import os
+
+        from tests.unit.test_rt_tcp import FIRED, hostile_pickle_frame
+
+        monkeypatch.delenv(FIRED, raising=False)
+        server = start_server()
+
+        async def go() -> tuple[dict, dict]:
+            bystander = await asyncio.open_connection("127.0.0.1", server.port)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                writer.write(hostile_pickle_frame({"type": "ping"}))
+                await writer.drain()
+                error, _ = await asyncio.wait_for(
+                    read_frame(reader), timeout=REPLY_TIMEOUT
+                )
+                with pytest.raises(asyncio.IncompleteReadError):
+                    await asyncio.wait_for(
+                        read_frame(reader), timeout=REPLY_TIMEOUT
+                    )
+                bystander[1].write(encode_frame({"type": "ping"}))
+                await bystander[1].drain()
+                pong, _ = await asyncio.wait_for(
+                    read_frame(bystander[0]), timeout=REPLY_TIMEOUT
+                )
+                return error, pong
+            finally:
+                writer.close()
+                bystander[1].close()
+
+        error, pong = asyncio.run(go())
+        assert error["type"] == "error"
+        assert "frame mode" in error["reason"]
+        assert pong == {"type": "pong"}
+        assert server.metrics.counter("service.protocol_errors").value == 1
+        assert FIRED not in os.environ
+
     def test_oversized_frame_rejected(self, start_server) -> None:
         server = start_server(max_frame=1024)
 

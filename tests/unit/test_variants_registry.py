@@ -1,0 +1,148 @@
+"""The registry is the only list of variants, and ``run_action`` the only
+way to run one: every consumer must agree with each row."""
+
+import random
+
+import pytest
+
+from repro.cli import build_parser
+from repro.core.variants import SERVABLE, VARIANTS, run_action
+from repro.rt.harness import CONFORMANCE_VARIANTS, conformance_cells, fault_cells
+from repro.service.loadgen import LoadSpec, sample_request
+from repro.service.protocol import ActionRequest, ServiceProtocolError
+from repro.workloads.campaigns import (
+    CampaignCell,
+    default_matrix,
+    observe_cell,
+    stall_expected,
+)
+
+
+def variants_table() -> str:
+    """The registry as the markdown table README.md and DESIGN.md carry
+    (print this to refresh them after editing a row)."""
+    lines = [
+        "| variant | what | counts | nests | detects failures | extra options |",
+        "|---|---|---|---|---|---|",
+    ]
+    for spec in VARIANTS.values():
+        lines.append(
+            f"| `{spec.tag}` | {spec.source} | {spec.closed_form} "
+            f"| {'yes' if spec.nests else 'no'} "
+            f"| {'yes' if spec.detects_failures else 'no'} "
+            f"| {', '.join(f'`{o}`' for o in spec.options) or '—'} |"
+        )
+    return "\n".join(lines)
+
+
+def _parses(*argv: str) -> bool:
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("tag", VARIANTS)
+class TestEveryConsumerReadsTheRow:
+    def test_service_accepts_exactly_the_servable(self, tag):
+        header = {"id": 1, "variant": tag, "n": 4, "p": 2}
+        if VARIANTS[tag].servable:
+            assert ActionRequest.from_header(header).variant == tag
+        else:
+            with pytest.raises(ServiceProtocolError, match="unknown variant"):
+                ActionRequest.from_header(header)
+
+    def test_clean_cell_measures_the_closed_form(self, tag):
+        spec = VARIANTS[tag]
+        q = 1 if spec.nests else 0
+        obs = observe_cell(CampaignCell("paper", tag, "none", 4, 2, q, seed=0))
+        assert obs.finished and len(set(obs.handled.values())) == 1
+        if spec.expected is None:
+            assert obs.expected is None and obs.measured > 0
+        else:
+            assert obs.measured == obs.expected == spec.expected(4, 2, q)
+
+    def test_cli_offers_exactly_the_servable(self, tag):
+        servable = VARIANTS[tag].servable
+        scenario = "general" if tag == "base" else tag  # base's older CLI name
+        assert _parses("service", "load", "--variant", tag) is servable
+        assert _parses("service", "trace", "--variant", tag) is servable
+        assert _parses("metrics", scenario) is servable
+        assert _parses("trace", scenario) is servable
+
+    def test_matrices_cover_it(self, tag):
+        assert tag in CONFORMANCE_VARIANTS
+        assert any(cell.variant == tag for cell in conformance_cells())
+        in_matrix = any(cell.variant == tag for cell in default_matrix(smoke=True))
+        assert in_matrix is VARIANTS[tag].servable is (tag in SERVABLE)
+
+    def test_nested_members_only_where_it_nests(self, tag):
+        spec = VARIANTS[tag]
+        offered = [
+            cell.q for cell in (*conformance_cells(ns=(3, 5)), *fault_cells())
+            if cell.variant == tag
+        ]
+        if spec.servable:
+            rng = random.Random(0)
+            offered += [
+                sample_request(rng, LoadSpec(variant=tag, mix="uniform"), i).q
+                for i in range(50)
+            ]
+        assert any(offered) is spec.nests
+        if not spec.nests:
+            with pytest.raises(ValueError, match="flat variant"):
+                run_action(tag, 4, 2, 1)
+
+    def test_a_crash_stalls_it_unless_it_detects_failures(self, tag):
+        cell = CampaignCell("paper", tag, "crash_participant", 4, 2, 0)
+        assert stall_expected(cell) is not VARIANTS[tag].detects_failures
+
+    def test_docs_carry_its_row(self, tag):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[2]
+        (row,) = [r for r in variants_table().splitlines() if f"| `{tag}` |" in r]
+        for doc in ("README.md", "DESIGN.md"):
+            assert row in (root / doc).read_text(), f"{doc} lacks the {tag} row"
+
+
+class TestRunActionRejects:
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant 'zz'"):
+            run_action("zz", 3, 1)
+
+    @pytest.mark.parametrize("tag", VARIANTS)
+    def test_bad_shape(self, tag):
+        with pytest.raises(ValueError, match="bad raiser count 0 for n=3"):
+            run_action(tag, 3, 0)
+        with pytest.raises(ValueError, match="bad raiser count 4 for n=3"):
+            run_action(tag, 3, 4)
+        with pytest.raises(ValueError, match="bad nested count 2 for n=3, raisers=2"):
+            run_action(tag, 3, 2, 2)
+
+    @pytest.mark.parametrize("tag", VARIANTS)
+    def test_unknown_crash_victim(self, tag):
+        with pytest.raises(ValueError, match=r"cannot crash unknown \w+: \['NOPE'\]"):
+            run_action(tag, 3, 1, crashes=[("NOPE", 5.0)])
+
+    @pytest.mark.parametrize("tag", VARIANTS)
+    def test_option_the_variant_does_not_declare(self, tag):
+        with pytest.raises(TypeError, match=f"{tag} takes no option .'coordinator_crashes_at'"):
+            run_action(tag, 3, 1, coordinator_crashes_at=10.5)
+
+    def test_the_coordinator_is_crashed_by_name(self):
+        run = run_action("cd", 4, 2, crashes=[("coord", 10.5)], until=100.0)
+        assert run.crashed == ("coord",) and not run.all_handled()
+        (crash,) = run.runtime.trace.by_category("node.crash")
+        assert crash.subject == "node:coord"
+
+    def test_restart_must_follow_the_crash(self, tmp_path):
+        with pytest.raises(ValueError, match="must follow crash_at"):
+            run_action("ct", 3, 1, crashes=[("O0001", 12.0)], restart_at=11.0)
+
+
+def test_frame_mode_flag_is_gone():
+    cell = "paper:base:none:n3p1q0:s0"
+    assert _parses("rt", "run", "--cell", cell, "--tcp")
+    assert not _parses("rt", "run", "--cell", cell, "--mode", "pickle")

@@ -244,15 +244,14 @@ class TestManagerPruning:
 class TestCrashRestartRecovery:
     """The rejoin protocol end to end, over real per-node WAL files."""
 
-    def _run(self, tmp_path, restart_at, crash="O0004", crash_at=10.5, **kw):
-        from repro.core.crash_tolerant import run_crash_tolerant
+    def _run(self, tmp_path, restart_at, crash="O0004", crash_at=10.5, q=0, **kw):
+        from repro.core.variants import run_action
 
-        return run_crash_tolerant(
-            5, raisers=2, crash=(crash,), crash_at=crash_at,
-            raise_at=10.0, latency=ConstantLatency(1.0),
-            hb_interval=2.0, hb_timeout=12.0,
-            restart_at=restart_at, durable_dir=str(tmp_path),
-            run_until=400.0, **kw,
+        return run_action(
+            "ct", 5, 2, q, raise_at=10.0, latency=ConstantLatency(1.0),
+            hb_interval=2.0, hb_timeout=12.0, restart_at=restart_at,
+            durable_dir=str(tmp_path), until=400.0,
+            crashes=[(crash, crash_at)], **kw,
         )
 
     def test_early_restart_rejoins_with_agreed_handler(self, tmp_path):
@@ -275,7 +274,7 @@ class TestCrashRestartRecovery:
         assert returnee.rejoin_outcome == "confirmed-abort"
         # Survivors resolved over the shrunk view; the returnee accepts
         # the verdict rather than re-running a handler of its own.
-        assert result.all_survivors_handled()
+        assert result.all_handled()
         self._check_durability(result, "O0004")
 
     def test_restarted_resolver_rejoins_and_commits(self, tmp_path):
@@ -284,13 +283,13 @@ class TestCrashRestartRecovery:
         returnee = result.participants["O0001"]
         assert returnee.rejoin_outcome == "rejoined"
         assert returnee.handled is not None
-        assert result.all_survivors_handled()
+        assert result.all_handled()
         self._check_durability(result, "O0001")
 
     def test_nested_victim_restart_mid_abortion(self, tmp_path):
         result = self._run(
             tmp_path, restart_at=16.0, crash="O0002", crash_at=13.0,
-            nested=1, abort_duration=5.0,
+            q=1, abort_duration=5.0,
         )
         returnee = result.participants["O0002"]
         assert returnee.rejoin_outcome == "rejoined"
@@ -299,18 +298,16 @@ class TestCrashRestartRecovery:
 
     def test_fault_free_counts_survive_durable_layer(self, tmp_path):
         """Durability must not cost protocol messages."""
-        from repro.core.crash_tolerant import (
-            ct_expected_messages,
-            run_crash_tolerant,
-        )
+        from repro.analysis import crash_tolerant_messages
+        from repro.core.variants import run_action
 
-        result = run_crash_tolerant(
-            4, raisers=2, nested=1, raise_at=10.0,
-            latency=ConstantLatency(1.0), hb_interval=2.0, hb_timeout=12.0,
-            abort_duration=5.0, durable_dir=str(tmp_path), run_until=400.0,
+        result = run_action(
+            "ct", 4, 2, 1, raise_at=10.0, latency=ConstantLatency(1.0),
+            hb_interval=2.0, hb_timeout=12.0, abort_duration=5.0,
+            durable_dir=str(tmp_path), until=400.0,
         )
-        assert result.protocol_messages() == ct_expected_messages(4, 2, 1)
-        assert result.all_survivors_handled()
+        assert result.messages() == crash_tolerant_messages(4, 2, 1)
+        assert result.all_handled()
 
     def _check_durability(self, result, victim):
         store = result.stores[victim]
