@@ -1,22 +1,24 @@
-"""E29 — distributed schedule exploration: certified N=4 bounds, sharding, caching.
+"""E29 — schedule exploration campaign: certified bounds, pooled walks, caching.
 
-Extends the PR-8 explorer bench (E22) to the PR-10 distributed search:
+Extends the PR-8 explorer bench (E22) with the walk pool and the digest
+cache, all through the one entry point
+:func:`repro.explore.engine.explore_cell`:
 
 1. **Certified bounds** — bounded-exhaustive DFS over every protocol
-   variant's fault-free cell, now through the *sharded* frontier driver
-   (:func:`repro.explore.sharding.explore_cell_sharded`): N=3 in smoke
-   mode, **N=4 in full mode** — tens of thousands of interleavings per
-   variant, drained or proven Mazurkiewicz-equivalent.  A search that
-   hits ``max_runs`` without exhausting **fails the bench loudly**
-   (non-zero exit + a ``problems`` entry): a truncated certification
-   certifies nothing and must never record as ``ok``.
+   variant's fault-free cell: N=3 in smoke and campaign modes, N=4 in
+   full mode.  A search that hits ``max_runs`` without exhausting
+   **fails the bench loudly** (non-zero exit + a ``problems`` entry): a
+   truncated certification certifies nothing and must never record as
+   ``ok``.
 2. **Delay-bounded fault cells, d=2** — CHESS-style two-deviation sweeps
    over the crash/partition cells (d=1 in smoke/budget modes).
-3. **Sharded random-walk throughput** — seed-range-sharded walks across
-   the warm fork pools, compared against the recorded serial baseline
-   (25,147.6 schedules/min on the 1-CPU reference box).  Multi-core
-   boxes must clear 2x; a single-core box falls back to the bit-identical
-   in-process path and must stay within noise of 1x.
+3. **Random-walk throughput, one process then a pool** — the same walks
+   with ``workers=1`` and with ``workers=usable_cpus()``, both measured
+   in this run on this machine.  Gated: the two results are bit-identical
+   and the in-process throughput clears an absolute sanity floor.  The
+   pooled/in-process ratio is recorded with the usable-CPU count and is
+   judged by nothing; below four usable CPUs the pooled row's verdict
+   reads ``not-measurable``.
 4. **Cross-run digest cache** — the same campaign cold then warm
    (:class:`repro.explore.cache.DigestCache`): the warm pass must skip
    at least half of its runs via cache hits while reproducing the cold
@@ -50,12 +52,11 @@ if str(Path(__file__).resolve().parent) not in sys.path:
 from _harness import record_table  # noqa: E402
 
 from repro.core.variants import VARIANTS  # noqa: E402
-from repro.explore import DigestCache  # noqa: E402
+from repro.explore import DigestCache, explore_cell  # noqa: E402
 from repro.explore.engine import export_schedule_trace  # noqa: E402
-from repro.explore.sharding import explore_cell_sharded  # noqa: E402
+from repro.workloads.parallel import usable_cpus  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_explore.json"
-
 
 
 def dfs_cells(n: int) -> tuple[str, ...]:
@@ -79,13 +80,6 @@ DELAY_CELLS = (
 WALK_CELL = "paper:ct:none:n3p1q1:s0"
 
 THROUGHPUT_FLOOR = 500.0  # schedules/min, absolute sanity floor
-#: Serial random-walk throughput recorded by the PR-8 bench on the 1-CPU
-#: reference box — the denominator of the sharding speedup claim.
-RECORDED_SERIAL_PER_MIN = 25_147.6
-#: Required sharded/recorded ratio: 2x with real cores to spread over;
-#: on a single core the serial fallback must stay within noise of 1x.
-SPEEDUP_FLOOR_MULTI = 2.0
-SPEEDUP_FLOOR_SINGLE = 0.8
 
 #: Warm cache pass must skip at least this fraction of its lookups.
 CACHE_SKIP_FLOOR = 0.5
@@ -148,7 +142,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="CI gate: N=3 sharded DFS + walks + warm-cache check",
+        help="CI gate: N=3 DFS + walks + warm-cache check",
     )
     parser.add_argument(
         "--campaign", action="store_true",
@@ -167,12 +161,8 @@ def main(argv=None) -> int:
         "--seed", type=int, default=0, help="random-walk seed base"
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="shard worker count (default: one per usable core)",
-    )
-    parser.add_argument(
-        "--split-depth", type=int, default=None,
-        help="DFS frontier split depth (default: 4 multi-core, 1 single)",
+        "--workers", type=int, default=usable_cpus(),
+        help="processes for the pooled walks (default: usable CPUs)",
     )
     parser.add_argument(
         "--cache", type=Path, default=None, metavar="FILE",
@@ -190,10 +180,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     walks = args.walks if args.walks is not None else (
         200 if (args.smoke or args.campaign) else 500
-    )
-    cores = os.cpu_count() or 1
-    split_depth = args.split_depth if args.split_depth is not None else (
-        4 if cores > 1 else 1
     )
     dfs_n = 3 if (args.smoke or args.campaign) else 4
     delay_bound = 1 if (args.smoke or args.campaign) else 2
@@ -217,7 +203,7 @@ def main(argv=None) -> int:
 
     try:
         _run_campaign(
-            args, walks, split_depth, dfs_n, delay_bound, deadline,
+            args, walks, dfs_n, delay_bound, deadline,
             cache_path, problems, skipped, rows, sections,
         )
     except BudgetExceeded as exc:
@@ -232,7 +218,8 @@ def main(argv=None) -> int:
         "experiment": "E29",
         "generated_unix": round(time.time(), 3),
         "machine": {
-            "cpu_count": cores,
+            "cpu_count": os.cpu_count(),
+            "usable_cpus": usable_cpus(),
             "platform": platform.platform(),
             "python": platform.python_version(),
         },
@@ -240,13 +227,11 @@ def main(argv=None) -> int:
             "smoke": args.smoke, "campaign": args.campaign,
             "budget_s": args.budget_s if args.campaign else None,
             "walks": walks, "seed": args.seed, "workers": args.workers,
-            "split_depth": split_depth, "dfs_n": dfs_n,
-            "delay_bound": delay_bound,
+            "dfs_n": dfs_n, "delay_bound": delay_bound,
             "cache_file": str(args.cache) if args.cache else "(temp)",
         },
         "wall_seconds": round(elapsed, 3),
         "throughput_floor_per_min": THROUGHPUT_FLOOR,
-        "recorded_serial_per_min": RECORDED_SERIAL_PER_MIN,
         "skipped_by_budget": skipped,
         "problems": problems,
         "ok": not problems,
@@ -256,7 +241,7 @@ def main(argv=None) -> int:
 
     record_table(
         "E29",
-        "distributed schedule exploration: certified bounds, sharding, cache",
+        "schedule exploration campaign: certified bounds, pooled walks, cache",
         (
             "mode", "cell", "runs", "pruned", "exhaustive",
             "digests", "findings", "sched/min", "verdict",
@@ -265,7 +250,8 @@ def main(argv=None) -> int:
         notes=(
             f"{elapsed:.1f}s total (smoke={args.smoke}, "
             f"campaign={args.campaign}, N={dfs_n}, d={delay_bound}, "
-            f"walks={walks}, split_depth={split_depth}); exhaustive=yes "
+            f"walks={walks}, workers={args.workers} on {usable_cpus()} "
+            f"usable CPUs); exhaustive=yes "
             f"certifies the windowed choice tree was drained under the "
             f"POR documented in EXPERIMENTS.md E22/E29; budget-truncated "
             f"searches fail the bench"
@@ -278,19 +264,16 @@ def main(argv=None) -> int:
 
 
 def _run_campaign(
-    args, walks, split_depth, dfs_n, delay_bound, deadline,
+    args, walks, dfs_n, delay_bound, deadline,
     cache_path, problems, skipped, rows, sections,
 ) -> None:
-    # -- certified DFS bounds (sharded) ---------------------------------------
+    # -- certified DFS bounds --------------------------------------------------
     cells = dfs_cells(dfs_n)
     if args.smoke:
         cells = cells[:1] + cells[3:4]  # base + ct: cheapest and densest
     for cell_id in cells:
         _budget_check(deadline, skipped, f"dfs {cell_id}")
-        result = explore_cell_sharded(
-            cell_id, mode="dfs", max_runs=MAX_RUNS[dfs_n],
-            workers=args.workers, split_depth=split_depth,
-        )
+        result = explore_cell(cell_id, mode="dfs", max_runs=MAX_RUNS[dfs_n])
         sections["dfs"].append(result.to_payload())
         verdict = _check_certification(
             result, cell_id, problems, args.artifacts
@@ -306,7 +289,7 @@ def _run_campaign(
     if not args.smoke:
         for cell_id in DELAY_CELLS:
             _budget_check(deadline, skipped, f"delay {cell_id}")
-            result = explore_cell_sharded(
+            result = explore_cell(
                 cell_id, mode="delay", bound=delay_bound,
                 max_runs=DELAY_MAX_RUNS[delay_bound],
             )
@@ -321,57 +304,74 @@ def _run_campaign(
                 f"{result.schedules_per_minute():.0f}", verdict,
             ))
 
-    # -- sharded random-walk throughput ---------------------------------------
-    _budget_check(deadline, skipped, "sharded walks")
-    walk_result = explore_cell_sharded(
-        WALK_CELL, mode="random", schedules=walks, seed=args.seed,
-        workers=args.workers,
+    # -- random-walk throughput: in process, then pooled -----------------------
+    _budget_check(deadline, skipped, "random walks")
+    serial, pooled = (
+        explore_cell(
+            WALK_CELL, mode="random", schedules=walks, seed=args.seed,
+            workers=workers,
+        )
+        for workers in (1, args.workers)
     )
-    sections["random"].append(walk_result.to_payload())
-    throughput = walk_result.schedules_per_minute()
-    cores = os.cpu_count() or 1
-    speedup = throughput / RECORDED_SERIAL_PER_MIN
-    speedup_floor = (
-        SPEEDUP_FLOOR_MULTI if cores > 1 else SPEEDUP_FLOOR_SINGLE
+    throughput = serial.schedules_per_minute()
+    pooled_throughput = pooled.schedules_per_minute()
+    cpus = usable_cpus()
+    identical = (
+        pooled.digests == serial.digests
+        and pooled.findings == serial.findings
+        and pooled.schedules_run == serial.schedules_run
     )
-    sections["random"][-1]["speedup_vs_recorded_serial"] = round(speedup, 3)
-    sections["random"][-1]["speedup_floor"] = speedup_floor
-    walk_ok = walk_result.ok
+    sections["random"].append(serial.to_payload())
+    sections["random"].append({
+        **pooled.to_payload(),
+        "workers": args.workers,
+        "usable_cpus": cpus,
+        "identical_to_in_process": identical,
+        "pooled_vs_in_process": round(pooled_throughput / throughput, 3),
+    })
+    walk_ok = serial.ok
     if throughput < THROUGHPUT_FLOOR:
         problems.append(
             f"random-walk throughput {throughput:.0f}/min "
             f"below the {THROUGHPUT_FLOOR:.0f}/min floor"
         )
         walk_ok = False
-    if speedup < speedup_floor:
+    if not identical:
         problems.append(
-            f"sharded walk throughput {throughput:.0f}/min is "
-            f"{speedup:.2f}x the recorded serial "
-            f"{RECORDED_SERIAL_PER_MIN:.0f}/min (floor {speedup_floor}x "
-            f"on {cores} core(s))"
+            f"{WALK_CELL}: walks on {args.workers} workers differ from "
+            "the same walks in process"
         )
-        walk_ok = False
-    if not walk_result.ok:
-        problems.append(f"{WALK_CELL}: {len(walk_result.findings)} finding(s)")
-        _report_findings(walk_result, args.artifacts)
+    if not serial.ok:
+        problems.append(f"{WALK_CELL}: {len(serial.findings)} finding(s)")
+        _report_findings(serial, args.artifacts)
     rows.append((
-        "random", WALK_CELL, walk_result.schedules_run,
-        walk_result.pruned, "-", walk_result.distinct_digests,
-        len(walk_result.findings), f"{throughput:.0f}",
+        "random(w=1)", WALK_CELL, serial.schedules_run, serial.pruned, "-",
+        serial.distinct_digests, len(serial.findings), f"{throughput:.0f}",
         "OK" if walk_ok else "FAIL",
+    ))
+    if not identical:
+        pooled_verdict = "FAIL"
+    elif cpus < 4:  # ROADMAP item 2: no parallel verdict below four cores
+        pooled_verdict = "not-measurable"
+    else:
+        pooled_verdict = "OK"
+    rows.append((
+        f"random(w={args.workers})", WALK_CELL, pooled.schedules_run,
+        pooled.pruned, "-", pooled.distinct_digests, len(pooled.findings),
+        f"{pooled_throughput:.0f}", pooled_verdict,
     ))
 
     # -- cross-run digest cache: cold then warm -------------------------------
     _budget_check(deadline, skipped, "cache cold/warm")
     with DigestCache(cache_path) as cold_cache:
-        cold = explore_cell_sharded(
+        cold = explore_cell(
             WALK_CELL, mode="random", schedules=walks, seed=args.seed,
             workers=args.workers, cache=cold_cache,
         )
         cold_stats = cold_cache.stats.to_payload()
     with DigestCache(cache_path) as warm_cache:
         warm_started = time.perf_counter()
-        warm = explore_cell_sharded(
+        warm = explore_cell(
             WALK_CELL, mode="random", schedules=walks, seed=args.seed,
             workers=args.workers, cache=warm_cache,
         )
@@ -415,12 +415,4 @@ def _run_campaign(
 
 
 if __name__ == "__main__":
-    try:
-        raise SystemExit(main())
-    except KeyboardInterrupt:
-        # Interrupted benchmarks must still release the warm fork pools —
-        # orphaned workers would hang CI waiting on their pipes.
-        from repro.workloads.parallel import shutdown_warm_pools
-
-        shutdown_warm_pools()
-        raise SystemExit(130) from None
+    raise SystemExit(main())

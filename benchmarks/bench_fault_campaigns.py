@@ -120,7 +120,7 @@ def main(argv=None) -> int:
 
     cells = default_matrix(smoke=args.smoke, seed=args.seed)
     start = time.perf_counter()
-    report = run_campaign(cells, max_workers=args.workers)
+    report = run_campaign(cells, workers=args.workers)
     elapsed = time.perf_counter() - start
 
     payload = {
@@ -183,12 +183,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    try:
-        raise SystemExit(main())
-    except KeyboardInterrupt:
-        # Interrupted benchmarks must still release the warm fork pools —
-        # orphaned workers would hang CI waiting on their pipes.
-        from repro.workloads.parallel import shutdown_warm_pools
-
-        shutdown_warm_pools()
-        raise SystemExit(130) from None
+    raise SystemExit(main())

@@ -2,8 +2,11 @@
 
 Times the configurations that matter for the repo's wall-clock budget:
 
-* **serial vs parallel** sweeps over ``scaling_grid`` (the Θ(N²)-messages
-  regime the paper's complexity claim lives in),
+* **serial vs pooled** sweeps over ``scaling_grid`` (the Θ(N²)-messages
+  regime the paper's complexity claim lives in) — the pooled one is
+  ``parallel_map`` over ``measure_point``, gated on bit-identity with the
+  serial sweep only: its speed is recorded with the usable-CPU count and
+  reads ``not-measurable`` below four usable CPUs,
 * **FULL vs COUNTS** tracing (exact counters without per-message entry
   allocation),
 * **event-queue microbenchmarks** (push/pop, cancellation compaction,
@@ -44,8 +47,13 @@ from repro.workloads.generator import (  # noqa: E402
     expected_general_messages,
     general_case,
 )
-from repro.workloads.parallel import ParallelSweepRunner  # noqa: E402
-from repro.workloads.sweeps import scaling_grid, sweep_general  # noqa: E402
+from repro.workloads.parallel import parallel_map, usable_cpus  # noqa: E402
+from repro.workloads.sweeps import (  # noqa: E402
+    SweepResult,
+    measure_point,
+    scaling_grid,
+    sweep_general,
+)
 
 # Dense grids give the pool real work to balance; scaling_grid is one
 # point per N, so the N range doubles as the point count.
@@ -71,8 +79,14 @@ def _count_pairs(result):
     return [(p.measured, p.model) for p in result.points]
 
 
+def _measure_counts(point):
+    """``measure_point`` at COUNTS as the one-argument function a pool maps."""
+    n, p, q = point
+    return measure_point(n, p, q, trace_level=TraceLevel.COUNTS)
+
+
 def bench_sweeps(n_values, workers: int) -> dict:
-    """Time the five sweep configurations on the same grid and seed.
+    """Time the three sweep configurations on the same grid and seed.
 
     Each configuration is timed twice and the better run recorded: on
     shared hosts the measurement directly after a FULL-trace sweep runs
@@ -89,22 +103,10 @@ def bench_sweeps(n_values, workers: int) -> dict:
          lambda: sweep_general(grid, trace_level=TraceLevel.FULL)),
         ("serial_counts",
          lambda: sweep_general(grid, trace_level=TraceLevel.COUNTS)),
-        ("parallel_full",
-         lambda: ParallelSweepRunner(
-             max_workers=workers, trace_level=TraceLevel.FULL
-         ).sweep_general(grid)),
-        ("parallel_counts",
-         lambda: ParallelSweepRunner(
-             max_workers=workers, trace_level=TraceLevel.COUNTS
-         ).sweep_general(grid)),
-        # Defaulted workers: the runner itself decides serial vs pool
-        # (serial on single-core hosts and below-break-even grids) — the
-        # configuration campaigns actually use, and it must never lose to
-        # plain serial the way forced pooling can on a starved machine.
-        ("parallel_auto_full",
-         lambda: ParallelSweepRunner(
-             trace_level=TraceLevel.FULL
-         ).sweep_general(grid)),
+        ("pool_counts",
+         lambda: SweepResult(
+             parallel_map(_measure_counts, grid, workers=workers)
+         )),
     ]
     timings: dict[str, float] = {}
     results = {}
@@ -121,9 +123,10 @@ def bench_sweeps(n_values, workers: int) -> dict:
         _count_pairs(result) == reference for result in results.values()
     )
     parallel_bitwise_identical = (
-        results["parallel_full"].points == results["serial_full"].points
+        results["pool_counts"].points == results["serial_counts"].points
     )
     mismatches = len(results["serial_full"].mismatches())
+    cpus = usable_cpus()
 
     def speedup(base: str, opt: str) -> float:
         return round(timings[base] / timings[opt], 3) if timings[opt] > 0 else 0.0
@@ -132,14 +135,15 @@ def bench_sweeps(n_values, workers: int) -> dict:
         "n_values": list(n_values),
         "grid_points": len(grid),
         "workers": workers,
+        "usable_cpus": cpus,
         "timings_s": {k: round(v, 4) for k, v in timings.items()},
         "speedups": {
-            "parallel_vs_serial_full": speedup("serial_full", "parallel_full"),
-            "parallel_vs_serial_counts": speedup("serial_counts", "parallel_counts"),
-            "auto_vs_serial_full": speedup("serial_full", "parallel_auto_full"),
+            "pool_vs_serial_counts": speedup("serial_counts", "pool_counts"),
             "counts_vs_full_serial": speedup("serial_full", "serial_counts"),
-            "optimized_vs_baseline": speedup("serial_full", "parallel_counts"),
         },
+        # A pool's speed says something about the code only with cores to
+        # spread over; below four the ratio is kept but stands for nothing.
+        "pool_verdict": "measured" if cpus >= 4 else "not-measurable",
         "counts_identical": counts_identical,
         "parallel_bitwise_identical": parallel_bitwise_identical,
         "model_mismatches": mismatches,
@@ -346,8 +350,8 @@ def main(argv=None) -> int:
         help="small grid, suitable as a <60s CI smoke check",
     )
     parser.add_argument(
-        "--workers", type=int, default=4,
-        help="pool size for the parallel configurations (default: 4)",
+        "--workers", type=int, default=usable_cpus(),
+        help="pool size for the pooled configuration (default: usable CPUs)",
     )
     parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT,
@@ -356,7 +360,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--baseline", type=Path, default=None, metavar="JSON",
         help="prior BENCH_sweeps.json to regress against: fails if the "
-             "COUNTS-level sweep timings (spans disabled) regressed >5%%",
+             "serial COUNTS-level sweep timing (spans disabled) regressed >5%%",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -394,7 +398,7 @@ def main(argv=None) -> int:
                 / baseline_timings[key] * 100.0,
                 2,
             )
-            for key in ("serial_counts", "parallel_counts")
+            for key in ("serial_counts",)
             if baseline_timings.get(key)
         }
         obs["counts_regression_pct_vs_baseline"] = regression_pct
@@ -431,10 +435,11 @@ def main(argv=None) -> int:
         timing_rows,
         notes=(
             f"grid={sweep['grid_points']} points over N={sweep['n_values']}, "
-            f"workers={sweep['workers']}; "
-            f"parallel-vs-serial {sweep['speedups']['parallel_vs_serial_counts']}x, "
-            f"COUNTS-vs-FULL {sweep['speedups']['counts_vs_full_serial']}x, "
-            f"optimized-vs-baseline {sweep['speedups']['optimized_vs_baseline']}x; "
+            f"workers={sweep['workers']} on {sweep['usable_cpus']} usable "
+            f"CPUs; pool-vs-serial (COUNTS) "
+            f"{sweep['speedups']['pool_vs_serial_counts']}x "
+            f"[{sweep['pool_verdict']}], "
+            f"COUNTS-vs-FULL {sweep['speedups']['counts_vs_full_serial']}x; "
             f"events/sec (COUNTS) {throughput['counts']['events_per_sec']}; "
             f"counts identical: {sweep['counts_identical']}"
         ),
@@ -502,12 +507,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    try:
-        raise SystemExit(main())
-    except KeyboardInterrupt:
-        # Interrupted benchmarks must still release the warm fork pools —
-        # orphaned workers would hang CI waiting on their pipes.
-        from repro.workloads.parallel import shutdown_warm_pools
-
-        shutdown_warm_pools()
-        raise SystemExit(130) from None
+    raise SystemExit(main())

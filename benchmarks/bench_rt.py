@@ -179,12 +179,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    try:
-        raise SystemExit(main())
-    except KeyboardInterrupt:
-        # Interrupted benchmarks must still release the warm fork pools —
-        # orphaned workers would hang CI waiting on their pipes.
-        from repro.workloads.parallel import shutdown_warm_pools
-
-        shutdown_warm_pools()
-        raise SystemExit(130) from None
+    raise SystemExit(main())

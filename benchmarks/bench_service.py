@@ -53,7 +53,6 @@ from repro.service import (  # noqa: E402
     request_shutdown,
     run_load,
 )
-from repro.workloads.parallel import shutdown_warm_pools  # noqa: E402
 
 REPO_ROOT = Path(__file__).parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_service.json"
@@ -269,7 +268,6 @@ def main(argv: list[str] | None = None) -> int:
         ), fetch_stats=True)
     finally:
         trace_rc = trace_server.stop()
-        shutdown_warm_pools()
     if trace_rc != 0:
         problems.append(f"trace server exited rc={trace_rc}")
 
@@ -401,10 +399,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except KeyboardInterrupt:
-        # Interrupted benchmarks must still release any warm fork pools —
-        # orphaned workers hang CI waiting on their pipes.
-        shutdown_warm_pools()
-        sys.exit(130)
+    sys.exit(main())

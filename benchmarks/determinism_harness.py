@@ -5,13 +5,16 @@ constants (module-level ``CELL`` and ``MINIMIZED``) encodes a one-line
 repro: *this cell under this schedule produces exactly this outcome*.
 The whole exploration edifice rests on those replays being bit-identical
 — across interpreter restarts, across ``PYTHONHASHSEED`` (set ordering
-leaks into iteration-order bugs), and across the sharded fan-out (a
-replay routed through a ``parallel_map`` worker must equal the in-process
+leaks into iteration-order bugs), and across a process boundary (a
+replay made by a forked ``parallel_map`` worker must equal the in-process
 one).
 
 This harness replays every pinned schedule **5x in fresh interpreters**
 under distinct hash seeds and worker counts and asserts the full repro
 line — classification, digest, trace hash — is identical every time.
+A round with two workers maps two items (the pinned schedule and ``fifo``
+on the same cell: a one-item map never leaves the process) and fails
+unless both replays ran in a pid other than the interpreter's own.
 Any drift is a determinism regression in the simkernel, the scheduler,
 or the replay path, and fails loudly with the differing lines.
 
@@ -35,30 +38,37 @@ SRC = REPO_ROOT / "src"
 REGRESSIONS = REPO_ROOT / "tests" / "regressions"
 DEFAULT_OUT = REPO_ROOT / "BENCH_determinism.json"
 
-#: (PYTHONHASHSEED, parallel_map max_workers) per replay round: distinct
+#: (PYTHONHASHSEED, parallel_map workers) per replay round: distinct
 #: hash seeds shake out set/dict-order dependence; worker counts >1 route
 #: the replay through a forked pool worker.
 ROUNDS = ((0, 1), (1, 1), (42, 2), (12345, 2), (99991, 1))
 
 _REPLAY_SNIPPET = """
-import json
+import json, os
 from repro.explore import replay_cell
-from repro.workloads.parallel import parallel_map, shutdown_warm_pools
+from repro.workloads.parallel import parallel_map
+
+def replay_in(item):
+    return os.getpid(), replay_cell(item)
 
 cell, schedule, workers = {cell!r}, {schedule!r}, {workers}
-if workers > 1:
-    [outcome] = parallel_map(replay_cell, [(cell, schedule)],
-                             max_workers=workers)
-    shutdown_warm_pools()
-else:
-    outcome = replay_cell((cell, schedule))
+replays = parallel_map(
+    replay_in, [(cell, schedule), (cell, "fifo")], workers=workers
+)
 print(json.dumps({{
-    "cell": outcome.cell_id,
-    "schedule": outcome.schedule,
-    "classification": outcome.classification,
-    "violations": list(outcome.violations),
-    "digest": repr(outcome.digest),
-    "trace_hash": outcome.trace_hash,
+    "parent_pid": os.getpid(),
+    "replay_pids": [pid for pid, _ in replays],
+    "lines": [
+        {{
+            "cell": outcome.cell_id,
+            "schedule": outcome.schedule,
+            "classification": outcome.classification,
+            "violations": list(outcome.violations),
+            "digest": repr(outcome.digest),
+            "trace_hash": outcome.trace_hash,
+        }}
+        for _, outcome in replays
+    ],
 }}, sort_keys=True))
 """
 
@@ -91,8 +101,13 @@ def pinned_cells(root: Path = REGRESSIONS) -> list[tuple[str, str, str]]:
 def replay_once(
     cell: str, schedule: str, hash_seed: int, workers: int,
     timeout: float = 300.0,
-) -> str:
-    """One repro line from a fresh interpreter; raises on failure."""
+) -> dict:
+    """Replay ``schedule`` and ``fifo`` on ``cell`` in a fresh interpreter.
+
+    Returns ``{"parent_pid", "replay_pids", "lines"}`` — ``lines`` are the
+    two repro lines; raises if the interpreter fails, or if ``workers > 1``
+    and a replay ran in the interpreter's own process.
+    """
     code = _REPLAY_SNIPPET.format(
         cell=cell, schedule=schedule, workers=workers
     )
@@ -108,27 +123,34 @@ def replay_once(
             f"replay of {cell} / {schedule} (hashseed={hash_seed}, "
             f"workers={workers}) crashed:\n{proc.stderr.strip()[-2000:]}"
         )
-    return proc.stdout.strip().splitlines()[-1]
+    replay = json.loads(proc.stdout.strip().splitlines()[-1])
+    if workers > 1 and replay["parent_pid"] in replay["replay_pids"]:
+        raise RuntimeError(
+            f"replay of {cell} / {schedule} (workers={workers}) never left "
+            f"the parent process (pid {replay['parent_pid']})"
+        )
+    return replay
 
 
 def check_pin(
     module: str, cell: str, schedule: str, repeats: int
 ) -> dict:
     """Replay one pin across the rounds; returns the verdict record."""
-    lines = []
-    for hash_seed, workers in ROUNDS[:repeats]:
-        lines.append(
-            (hash_seed, workers, replay_once(cell, schedule, hash_seed, workers))
-        )
-    distinct = sorted({line for _, _, line in lines})
+    rounds = [
+        {
+            "hash_seed": hash_seed, "workers": workers,
+            **replay_once(cell, schedule, hash_seed, workers),
+        }
+        for hash_seed, workers in ROUNDS[:repeats]
+    ]
+    distinct = sorted(
+        {json.dumps(replay["lines"], sort_keys=True) for replay in rounds}
+    )
     return {
         "module": module,
         "cell": cell,
         "schedule": schedule,
-        "rounds": [
-            {"hash_seed": seed, "workers": workers, "line": line}
-            for seed, workers, line in lines
-        ],
+        "rounds": rounds,
         "deterministic": len(distinct) == 1,
         "distinct_lines": distinct,
     }

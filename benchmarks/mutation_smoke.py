@@ -4,14 +4,15 @@ A green test suite only means something if it *fails* when the protocol
 is wrong.  This bench applies hand-rolled mutants to the two protocol
 engines — :mod:`repro.core.algorithm` (base Section 4.2) and
 :mod:`repro.core.crash_tolerant` — and to the exploration infrastructure
-itself (:mod:`repro.explore.sharding` frontier/seed sharding and
+itself (:mod:`repro.explore.engine` search drivers and
 :mod:`repro.explore.cache` persistence: a skipped CRC check, a cache key
-that forgets the code version, an off-by-one in seed-range splitting).
+that forgets the code version, walks that all replay one seed, a search
+that hits its budget silently).
 Each is a realistic implementation slip: a dropped ACK, a swapped send
 order, a guard turned permissive.  For every mutant, a shadow copy of
 ``src/`` is patched and a fast detection suite (campaign cells with the
 invariant oracles, exact Section 4.4 counts, one schedule-explorer
-replay, plus shard/cache safety probes) runs against it in a fresh
+replay, plus search/cache safety probes) runs against it in a fresh
 interpreter.
 
 The bench passes only if **at least 90 %** of the mutants are killed
@@ -67,7 +68,7 @@ class Mutant:
 
 ALG = "src/repro/core/algorithm.py"
 CT = "src/repro/core/crash_tolerant.py"
-SHARD = "src/repro/explore/sharding.py"
+ENGINE = "src/repro/explore/engine.py"
 CACHE = "src/repro/explore/cache.py"
 
 MUTANTS: tuple[Mutant, ...] = (
@@ -235,7 +236,7 @@ MUTANTS: tuple[Mutant, ...] = (
             return""",
         """            return""",
     ),
-    # -- exploration infrastructure (PR-10 sharding + digest cache) --------------
+    # -- exploration infrastructure (search drivers + digest cache) --------------
     Mutant(
         "cache-crc-ignored", CACHE,
         "corrupted cache lines accepted: bit rot replays stale digests",
@@ -287,33 +288,21 @@ MUTANTS: tuple[Mutant, ...] = (
         )""",
     ),
     Mutant(
-        "shard-ranges-overlap", SHARD,
-        "seed-range split off by one: walks duplicated and dropped",
-        """        ranges.append((cursor, cursor + length))
-        cursor += length""",
-        """        ranges.append((cursor, cursor + length))
-        cursor += length - 1""",
+        "walk-seed-pinned", ENGINE,
+        "every random walk of a search replays the search's first seed",
+        """            (cell.cell_id, f"rw:{seed + walk}", window, max_choice_points)""",
+        """            (cell.cell_id, f"rw:{seed}", window, max_choice_points)""",
     ),
     Mutant(
-        "shard-walk-seed-pinned", SHARD,
-        "every walk in a shard replays the shard's first seed",
-        """    for seed in range(seed_start, seed_stop):
-        outcome, controller, _ = _run(
-            cell, ScheduleSpec.random_walk(seed), window=window,""",
-        """    for seed in range(seed_start, seed_stop):
-        outcome, controller, _ = _run(
-            cell, ScheduleSpec.random_walk(seed_start), window=window,""",
-    ),
-    Mutant(
-        "shard-budget-silent", SHARD,
-        "subtree hits max_runs but reports the search as complete",
-        """    while True:
-        if schedules_run + pruned >= config["max_runs"]:
-            budget_exhausted = True
-            break""",
-        """    while True:
-        if schedules_run + pruned >= config["max_runs"]:
-            break""",
+        "dfs-budget-silent", ENGINE,
+        "DFS hits max_runs but never says the budget ran out",
+        """                if schedules_run + pruned >= max_runs:
+                    exhaustive = False
+                    budget_exhausted = True
+                    break""",
+        """                if schedules_run + pruned >= max_runs:
+                    exhaustive = False
+                    break""",
     ),
 )
 
@@ -323,7 +312,7 @@ SMOKE_IDS = (
     "alg-drop-exception-ack", "alg-ready-or", "alg-handler-restarted",
     "alg-commit-not-broadcast", "ct-ack-before-have-nested",
     "ct-no-acks-missing", "ct-resolver-never-handles", "ct-commit-not-adopted",
-    "cache-crc-ignored", "shard-ranges-overlap",
+    "cache-crc-ignored", "walk-seed-pinned",
 )
 
 
@@ -381,25 +370,19 @@ def detection_problems() -> list[str]:
 
 
 def _explore_infra_problems() -> list[str]:
-    """Probes over the sharded explorer and the digest cache.
+    """Probes over the explorer's drivers and the digest cache.
 
-    Behavioral properties, not pinned constants: seed-range splits must
-    partition, shard walks must replay their absolute seeds bit-for-bit,
-    a subtree that hits its budget must say so, and the cache must *miss*
-    for the wrong schedule / code version / anything behind a bad line.
-    Each probe is exactly the wrong-skip or wrong-merge a mutant of
-    ``sharding.py`` / ``cache.py`` would cause.
+    Behavioral properties, not pinned constants: a search's walks must be
+    the absolute seeds' walks bit-for-bit, a DFS that hits its budget must
+    say so, and the cache must *miss* for the wrong schedule / code
+    version / anything behind a bad line.  Each probe is exactly the
+    wrong-skip or wrong-result a mutant of ``engine.py`` / ``cache.py``
+    would cause.
     """
     import tempfile
 
-    from repro.explore import DigestCache, run_digest
+    from repro.explore import DigestCache, explore_cell, run_digest
     from repro.explore.engine import DEFAULT_WINDOW, _run
-    from repro.explore.sharding import (
-        _dfs_config,
-        _shard_ranges,
-        explore_subtree,
-        explore_walks,
-    )
     from repro.workloads.campaigns import parse_cell_id
 
     problems: list[str] = []
@@ -407,45 +390,35 @@ def _explore_infra_problems() -> list[str]:
     try:
         baseline, _, _ = _run(parse_cell_id(cell_id))
     except Exception as exc:
-        return [f"shard baseline: {type(exc).__name__}: {exc}"]
+        return [f"explore baseline: {type(exc).__name__}: {exc}"]
 
-    # Seed-range splitting must partition [4, 9) exactly.
-    covered = [
-        seed for lo, hi in _shard_ranges(4, 5, 2) for seed in range(lo, hi)
-    ]
-    if covered != [4, 5, 6, 7, 8]:
-        problems.append(f"shard ranges don't partition: {covered}")
+    # A three-walk search must leave, per seed, that seed's own walk in the
+    # cache — schedule string included.
+    with tempfile.TemporaryDirectory(prefix="repro-mutwalks-") as tmp:
+        try:
+            with DigestCache(Path(tmp) / "walks.jsonl") as cache:
+                explore_cell(
+                    cell_id, mode="random", schedules=3, seed=4,
+                    minimize=False, cache=cache,
+                )
+                for seed in (4, 5, 6):
+                    want = run_digest(cell_id, f"rw:{seed}")
+                    hit = cache.get_run(cache.run_key(
+                        cell_id, f"rw:{seed}", DEFAULT_WINDOW, 400
+                    ))
+                    if hit is None or hit[0] != want:
+                        problems.append(f"walk diverged at seed {seed}")
+                        break
+        except Exception as exc:
+            problems.append(f"walks: {type(exc).__name__}: {exc}")
 
-    # A shard's walks must be the absolute seeds' walks, bit-identical.
-    config = {
-        "window": list(DEFAULT_WINDOW), "max_choice_points": 400,
-        "minimize": False, "shrink_budget": 0,
-    }
+    # A DFS that hits max_runs must report it loudly.
     try:
-        walks = explore_walks((cell_id, baseline, 4, 7, config))
-        for expected, (seed, outcome, _finding) in zip(range(4, 7), walks):
-            want = run_digest(cell_id, f"rw:{expected}")
-            if (
-                seed != expected
-                or outcome.schedule != want.schedule
-                or outcome.digest != want.digest
-                or outcome.trace_hash != want.trace_hash
-            ):
-                problems.append(f"walk shard diverged at seed {expected}")
-                break
+        result = explore_cell(cell_id, mode="dfs", max_runs=1, minimize=False)
+        if not result.budget_exhausted:
+            problems.append("dfs hit max_runs silently")
     except Exception as exc:
-        problems.append(f"walk shard: {type(exc).__name__}: {exc}")
-
-    # A subtree that hits max_runs must report it loudly.
-    try:
-        result = explore_subtree((
-            cell_id, baseline, (),
-            _dfs_config(DEFAULT_WINDOW, 400, 1, True, True, False, 0),
-        ))
-        if not result["budget_exhausted"]:
-            problems.append("subtree hit max_runs silently")
-    except Exception as exc:
-        problems.append(f"subtree budget: {type(exc).__name__}: {exc}")
+        problems.append(f"dfs budget: {type(exc).__name__}: {exc}")
 
     # Cache safety: every lookup below must MISS on correct code.
     with tempfile.TemporaryDirectory(prefix="repro-mutcache-") as tmp:

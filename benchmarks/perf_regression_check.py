@@ -9,18 +9,12 @@ run and the retry below the floor — fails the gate.  One-off scheduler
 noise, a cold file cache, or a busy CI neighbour must never turn the job
 red; a real 2× slowdown always will.
 
-Three machine-independent invariants are also enforced (they compare the
+Two machine-independent invariants are also enforced (they compare the
 same machine against itself):
 
 * COUNTS throughput must not fall below FULL by more than the tolerance —
   the zero-allocation COUNTS path regressing back to *slower than FULL*
   was a real historical inversion;
-* the defaulted-workers sweep runner must not be slower than plain serial
-  by more than the tolerance: the runner's own break-even logic falls back
-  to serial exactly so that campaigns can always use it — losing to serial
-  means that fallback broke (the historical 0.65× case).  *Forced* worker
-  counts are deliberately not gated; forcing 4 workers onto a starved
-  single-core CI box is expected to lose;
 * COUNTS events/sec at N=256 must be at least 0.95× events/sec at N=64
   (both best-of-5 in one process): per-event cost must not grow with N.
   It did (ratio ≈0.86) while every event went through one binary heap and
@@ -106,14 +100,6 @@ def check(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
         problems.append(
             f"COUNTS inversion: {counts} events/sec vs FULL {full} — the "
             "zero-allocation path is slower than full tracing again"
-        )
-    speedups = fresh.get("sweep", {}).get("speedups", {})
-    ratio = speedups.get("auto_vs_serial_full")
-    if ratio is not None and ratio < 1.0 - tolerance:
-        problems.append(
-            f"defaulted-workers sweep slower than serial: {ratio}x — the "
-            "break-even serial fallback is not engaging (historical 0.65x "
-            "regression)"
         )
     scaling = fresh.get("n_scaling", {}).get("ratio")
     if scaling is not None and scaling < N_SCALING_FLOOR:

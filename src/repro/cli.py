@@ -220,8 +220,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     import json
+    from contextlib import nullcontext
 
-    from repro.explore import explore_cell, run_digest
+    from repro.explore import DigestCache, explore_cell, run_digest
     from repro.explore.engine import DEFAULT_WINDOW, export_schedule_trace
 
     window = DEFAULT_WINDOW if args.window is None else tuple(args.window)
@@ -245,33 +246,16 @@ def cmd_explore(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
         return 0 if outcome.classification == "OK" else 1
 
-    sharded = (
-        args.workers is not None
-        or args.split_depth is not None
-        or args.cache is not None
-    )
-    if sharded:
-        from repro.explore import DigestCache, explore_cell_sharded
-
-        cache = None
-        if args.cache is not None:
-            cache = DigestCache(args.cache)
-        result = explore_cell_sharded(
-            args.cell,
-            mode=args.mode,
-            schedules=args.schedules,
-            seed=args.seed,
-            bound=args.bound,
-            max_runs=args.max_runs,
-            window=window,
-            por=not args.no_por,
-            workers=args.workers,
-            split_depth=args.split_depth if args.split_depth else 4,
-            cache=cache,
+    if args.workers != 1 and args.mode != "random":
+        print(
+            "--workers applies to --mode random only (dfs and delay "
+            "searches are sequential)",
+            file=sys.stderr,
         )
-        if cache is not None:
-            cache.close()
-    else:
+        return 2
+    with (
+        DigestCache(args.cache) if args.cache is not None else nullcontext()
+    ) as cache:
         result = explore_cell(
             args.cell,
             mode=args.mode,
@@ -281,6 +265,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
             max_runs=args.max_runs,
             window=window,
             por=not args.no_por,
+            workers=args.workers,
+            cache=cache,
         )
     payload = result.to_payload()
     if args.artifacts and result.findings:
@@ -763,12 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None, help="exploration window in sim time",
     )
     p_explore.add_argument(
-        "--workers", type=int, default=None,
-        help="shard the search across a process pool (default: serial engine)",
-    )
-    p_explore.add_argument(
-        "--split-depth", type=int, default=None,
-        help="choice-point depth at which DFS frontiers shard (default 4)",
+        "--workers", type=int, default=1,
+        help="processes to run the random walks on (mode=random only)",
     )
     p_explore.add_argument(
         "--cache", default=None, metavar="FILE",

@@ -27,7 +27,6 @@ from repro.explore.campaign import (
     hunt_schedule,
     pin_campaign_findings,
     pin_regression,
-    run_campaign,
 )
 from repro.explore.controller import PruneRun, ScheduleController
 from repro.explore.engine import (
@@ -38,7 +37,6 @@ from repro.explore.engine import (
     run_digest,
 )
 from repro.explore.schedule import ScheduleSpec
-from repro.explore.sharding import explore_cell_sharded, rt_interleaving_probe
 from repro.explore.shrink import ddmin
 
 __all__ = [
@@ -53,12 +51,9 @@ __all__ = [
     "ddmin",
     "default_roster",
     "explore_cell",
-    "explore_cell_sharded",
     "hunt_schedule",
     "pin_campaign_findings",
     "pin_regression",
     "replay_cell",
-    "run_campaign",
     "run_digest",
-    "rt_interleaving_probe",
 ]

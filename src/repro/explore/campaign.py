@@ -5,9 +5,9 @@ once — by the nightly sweep, by a mutation-survivor hunt, by a one-off
 deep search — should keep guarding the tree forever.  This module closes
 that loop:
 
-* :func:`run_campaign` fans a roster of cells out through the sharded
-  explorer (:mod:`repro.explore.sharding`), with the cross-run digest
-  cache making repeat campaigns incremental;
+* :func:`default_roster` names the cells worth searching adversarially;
+  a campaign is ``[explore_cell(cell, cache=...) for cell in roster]``,
+  with the cross-run digest cache making repeat campaigns incremental;
 * :func:`pin_regression` turns a :class:`~repro.explore.engine.Finding`
   into a pytest module under ``tests/regressions/`` following the repo's
   pinned-cell convention (module-level ``CELL`` and ``MINIMIZED``
@@ -28,9 +28,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.variants import VARIANTS
-from repro.explore.cache import DigestCache
 from repro.explore.engine import ExploreResult, Finding
-from repro.explore.sharding import explore_cell_sharded
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 
@@ -53,35 +51,6 @@ def default_roster(n: int = 3, seed: int = 0) -> list[str]:
         f"paper:ct:crash_resolver:n{n}p1q1:s{seed}",
     ]
     return cells
-
-
-def run_campaign(
-    cells: Sequence[str],
-    mode: str = "dfs",
-    workers: Optional[int] = None,
-    split_depth: int = 4,
-    cache: Optional[DigestCache] = None,
-    max_runs: int = 20000,
-    schedules: int = 200,
-    bound: int = 2,
-    seed: int = 0,
-) -> list[ExploreResult]:
-    """Explore every cell; returns one result per cell, in roster order.
-
-    Cells are explored sequentially (each exploration shards internally);
-    a shared ``cache`` makes the second campaign over the same roster
-    mostly lookups.
-    """
-    results = []
-    for cell in cells:
-        results.append(
-            explore_cell_sharded(
-                cell, mode=mode, workers=workers, split_depth=split_depth,
-                cache=cache, max_runs=max_runs, schedules=schedules,
-                bound=bound, seed=seed,
-            )
-        )
-    return results
 
 
 # -- pinned regressions --------------------------------------------------------------

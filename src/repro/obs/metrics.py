@@ -8,8 +8,7 @@ retransmissions) are *pulled* from the live network counters at snapshot
 time, so the message hot path is untouched at every trace level.
 
 Snapshots are plain dicts — picklable, so :func:`merge_snapshots` can
-aggregate the registries produced by
-:class:`~repro.workloads.parallel.ParallelSweepRunner` workers into one
+aggregate the registries of runs made in other processes into one
 fleet-wide view.
 
 Histograms use **fixed virtual-time buckets** (:data:`VT_BUCKETS` by

@@ -18,11 +18,6 @@ from repro.workloads.behaviour import (
     Raise,
     Step,
 )
-from repro.workloads.parallel import (
-    ParallelSweepRunner,
-    SweepWorkerError,
-    parallel_sweep_general,
-)
 from repro.workloads.scenarios import ParticipantSpec, Scenario, ScenarioResult
 
 __all__ = [
@@ -31,12 +26,9 @@ __all__ = [
     "AtomicWrite",
     "BehaviourRunner",
     "Compute",
-    "ParallelSweepRunner",
     "ParticipantSpec",
     "Raise",
     "Scenario",
     "ScenarioResult",
     "Step",
-    "SweepWorkerError",
-    "parallel_sweep_general",
 ]

@@ -68,7 +68,7 @@ from repro.core import variants
 from repro.net.failures import FailurePlan, split_partition
 from repro.net.latency import ConstantLatency
 from repro.objects.naming import canonical_name
-from repro.workloads.parallel import ProgressCallback, parallel_map
+from repro.workloads.parallel import parallel_map
 
 # Classifications --------------------------------------------------------------
 
@@ -828,17 +828,10 @@ class CampaignReport:
 
 
 def run_campaign(
-    cells: Sequence[CampaignCell],
-    max_workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
+    cells: Sequence[CampaignCell], workers: Optional[int] = None
 ) -> CampaignReport:
     """Fan the cells out over a process pool and aggregate the outcomes."""
-    outcomes = parallel_map(
-        run_cell, list(cells),
-        max_workers=max_workers, chunk_size=chunk_size, progress=progress,
-    )
-    return CampaignReport(outcomes)
+    return CampaignReport(parallel_map(run_cell, cells, workers=workers))
 
 
 def oracle_selftest(seed: int = 0) -> list[str]:

@@ -1,106 +1,21 @@
-"""Process-parallel parameter sweeps.
+"""One process-pool map for independent, seeded, deterministic work.
 
-Sweep points are independent, seeded, deterministic simulations — the ideal
-shape for process-level parallelism (one Python process per core sidesteps
-the GIL entirely).  :class:`ParallelSweepRunner` fans a grid out across a
-``multiprocessing`` pool in chunks and reassembles the points in grid
-order, so the returned :class:`~repro.workloads.sweeps.SweepResult` is
-**bit-identical** to what the serial :func:`~repro.workloads.sweeps.sweep_general`
-produces for the same grid and seed: both paths run the exact same
-:func:`~repro.workloads.sweeps.measure_point` per (N, P, Q) with the same
-per-point seed.
-
-Making the pool actually win
-----------------------------
-
-Three mechanisms keep the pool from losing to its own overhead (which it
-did, 0.65×, before they existed):
-
-* **Warm pools** — forked worker pools persist between sweeps (keyed by
-  start method, worker count and the sweep's shared configuration), so
-  repeated sweeps — the shape of every benchmark and campaign — pay the
-  fork/import cost once, not per call.  :func:`shutdown_warm_pools`
-  releases them explicitly; an ``atexit`` hook does so at interpreter
-  exit.
-* **Fork-shared read-only tables** — the grid and scenario configuration
-  are published in a module global *before* the pool forks; children
-  inherit the pages copy-on-write and chunk payloads shrink to bare
-  ``(start, stop)`` index ranges instead of re-pickling the configuration
-  per chunk.
-* **Cost-balanced chunks** — chunk boundaries are auto-tuned from the
-  per-cell cost estimate :func:`estimate_point_cost` (the Section 4.4
-  message model plus per-point setup), so a grid mixing N=8 and N=500
-  cells splits into chunks of comparable *work*, not comparable *length*.
-
-Determinism & caveats
----------------------
-
-* Workers are spawned with the ``fork`` start method by default (no
-  pickling of scenario internals; child processes inherit the imported
-  modules).  On platforms without ``fork`` the runner silently falls back
-  to the serial path unless an explicit ``start_method`` is given.
-* ``max_workers=1`` (or a single-point grid) also runs serially — useful
-  as a control and on single-core boxes where pool overhead cannot pay
-  for itself.  When ``max_workers`` is left to default, the runner also
-  falls back to serial on single-core hosts (``_default_workers() == 1``)
-  and for grids whose estimated total cost is below
-  :attr:`ParallelSweepRunner.POOL_BREAK_EVEN_COST` — dispatch overhead
-  would dominate such sweeps.  An explicit ``max_workers >= 2`` always
-  pools (that is what the conformance tests use to force both paths).
-* Worker failures are wrapped in :class:`SweepWorkerError` carrying the
-  failing grid point and the worker's formatted traceback.
+Sweep points, campaign cells and schedule replays are independent
+simulations, so a pool of forked workers (one Python process per core
+sidesteps the GIL) runs them concurrently and :func:`parallel_map` hands
+the results back in input order — the same list a plain loop over ``fn``
+produces.  The pool lives exactly as long as the call: forked inside it,
+terminated and joined on every way out.  That costs one fork (tens of
+milliseconds) per call and keeps this module free of state.
 """
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
-import pickle
 import traceback
-from typing import Callable, Iterable, Optional, Sequence
-
-from repro.net.latency import LatencyModel
-from repro.simkernel.trace import TraceLevel
-from repro.workloads.sweeps import (
-    SweepPoint,
-    SweepResult,
-    measure_point,
-    measure_point_metrics,
-    sweep_general,
-    sweep_general_metrics,
-)
-
-#: ``(done_points, total_points)`` callback invoked after each finished chunk.
-ProgressCallback = Callable[[int, int], None]
-
-
-#: Modelled fixed cost of measuring one grid point, in the same unit as the
-#: Section 4.4 message model (≈ one protocol message of work): scenario
-#: assembly scales with N, plus a constant for runtime setup and result
-#: collection.
-POINT_SETUP_COST = 64
-POINT_PER_PARTICIPANT_COST = 8
-
-
-def estimate_point_cost(n: int, p: int, q: int) -> int:
-    """Relative cost estimate for measuring one (N, P, Q) cell.
-
-    The dominant term is the paper's general-case message count
-    ``(N-1)(2P+3Q+1)`` — simulated work is proportional to messages — with
-    a per-point setup charge so that many tiny cells are not mistaken for
-    free.  Used to balance chunk boundaries and to decide whether a sweep
-    clears the pool's break-even point; only *relative* magnitudes matter.
-    The formula is applied without the (N, P, Q) validation of
-    :func:`repro.analysis.formulas.general_messages`: estimating an invalid
-    point must not raise here — the point itself fails inside a worker, so
-    the error surfaces as a :class:`SweepWorkerError` naming it.
-    """
-    return (
-        (n - 1) * (2 * p + 3 * q + 1)
-        + POINT_PER_PARTICIPANT_COST * n
-        + POINT_SETUP_COST
-    )
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 
 class ParallelMapError(RuntimeError):
@@ -120,640 +35,62 @@ class ParallelMapError(RuntimeError):
         self.worker_traceback = worker_traceback
 
 
-class SweepWorkerError(RuntimeError):
-    """A sweep worker failed on one grid point.
-
-    Attributes:
-        point: the ``(n, p, q)`` tuple that failed.
-        worker_traceback: the traceback formatted inside the worker process.
-    """
-
-    def __init__(self, point: tuple[int, int, int], worker_traceback: str) -> None:
-        super().__init__(
-            f"sweep worker failed on point (n={point[0]}, p={point[1]}, "
-            f"q={point[2]})\n--- worker traceback ---\n{worker_traceback}"
-        )
-        self.point = point
-        self.worker_traceback = worker_traceback
-
-
-#: Read-only sweep configuration published by the parent *before* the pool
-#: forks: ``(grid, latency, seed, trace_level, scenario_kwargs)``.  Workers
-#: inherit it copy-on-write, so chunk payloads are bare index ranges.
-_SHARED_TABLES: Optional[tuple] = None
-
-
-def _run_shared_chunk(bounds):
-    """Pool worker: measure grid[start:stop] from the fork-shared tables.
-
-    Returns ``("ok", [(index, SweepPoint), ...])`` or
-    ``("error", point, formatted_traceback)``.  Errors are returned as data
-    (not raised) so the parent can re-raise them with the failing point
-    attached instead of an opaque pool traceback.
-    """
-    start, stop = bounds
-    grid, latency, seed, trace_level, scenario_kwargs = _SHARED_TABLES
-    measured = []
-    for index in range(start, stop):
-        n, p, q = grid[index]
-        try:
-            point = measure_point(
-                n, p, q, latency=latency, seed=seed,
-                trace_level=trace_level, **scenario_kwargs,
-            )
-        except Exception:  # noqa: BLE001 — reported verbatim to the parent
-            return ("error", (n, p, q), traceback.format_exc())
-        measured.append((index, point))
-    return ("ok", measured)
-
-
-def _run_shared_chunk_metrics(bounds):
-    """Pool worker: measure one chunk, returning points *and* snapshots.
-
-    Same errors-as-data protocol as :func:`_run_shared_chunk`; each result
-    slot is ``(index, SweepPoint, metrics_snapshot)`` with the snapshot
-    being the plain dict produced by :meth:`Runtime.metrics_snapshot`
-    (picklable, and mergeable in the parent with
-    :func:`repro.obs.metrics.merge_snapshots`).
-    """
-    start, stop = bounds
-    grid, latency, seed, trace_level, scenario_kwargs = _SHARED_TABLES
-    measured = []
-    for index in range(start, stop):
-        n, p, q = grid[index]
-        try:
-            point, snapshot = measure_point_metrics(
-                n, p, q, latency=latency, seed=seed,
-                trace_level=trace_level, **scenario_kwargs,
-            )
-        except Exception:  # noqa: BLE001 — reported verbatim to the parent
-            return ("error", (n, p, q), traceback.format_exc())
-        measured.append((index, point, snapshot))
-    return ("ok", measured)
-
-
-def _default_workers() -> int:
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover — non-Linux
         return os.cpu_count() or 1
 
 
-# -- warm pools ------------------------------------------------------------------
-#
-# Forking a pool costs tens of milliseconds plus the first-task import lag
-# in every worker; benchmarks and campaigns run many sweeps back to back,
-# so pools are kept warm between calls.  Two caches:
-#
-# * the *sweep* pool is keyed by the sweep's full shared configuration
-#   (workers fork with the tables already in memory — reusable only while
-#   the configuration matches bit-for-bit);
-# * the *map* pool is keyed by (start_method, workers) only, because
-#   parallel_map payloads carry their function and items explicitly.
+def _call(fn: Callable, item):
+    """``(True, fn(item))`` or ``(False, formatted_traceback)``.
 
-_sweep_pool: Optional[tuple] = None  # (key, pool)
-_map_pool: Optional[tuple] = None  # (key, pool)
-
-
-def _pool_alive(pool) -> bool:
-    try:
-        return pool._state == "RUN"  # multiprocessing.pool.RUN
-    except AttributeError:  # pragma: no cover — future stdlib change
-        return False
-
-
-def shutdown_warm_pools() -> None:
-    """Terminate any cached worker pools (idempotent).
-
-    Tests and long-lived hosts call this to release worker processes
-    deterministically; it is also registered via ``atexit``.
-    """
-    global _sweep_pool, _map_pool
-    for cached in (_sweep_pool, _map_pool):
-        if cached is not None:
-            # A pool may already be half-dead (interpreter teardown after
-            # SIGINT, workers reaped by the OS); releasing the rest must
-            # not mask the original exit.
-            try:
-                cached[1].terminate()
-                cached[1].join()
-            except Exception:  # pragma: no cover — depends on kill timing
-                pass
-    _sweep_pool = None
-    _map_pool = None
-
-
-atexit.register(shutdown_warm_pools)
-
-
-def _sweep_pool_for(key, start_method: str, workers: int, shared: tuple):
-    """A warm pool whose forked workers hold ``shared`` as their tables.
-
-    ``key`` must capture everything the workers inherited (configuration
-    token included); a mismatch tears the old pool down and forks a fresh
-    one with the new tables published first.
-    """
-    global _sweep_pool, _SHARED_TABLES
-    if _sweep_pool is not None:
-        cached_key, pool = _sweep_pool
-        if cached_key == key and _pool_alive(pool):
-            return pool
-        pool.terminate()
-        pool.join()
-        _sweep_pool = None
-    _SHARED_TABLES = shared
-    try:
-        context = multiprocessing.get_context(start_method)
-        pool = context.Pool(processes=workers)
-    finally:
-        # The children hold their copy; the parent needs no reference (and
-        # keeping one would pin every sweep's tables for the process life).
-        _SHARED_TABLES = None
-    _sweep_pool = (key, pool)
-    return pool
-
-
-def _map_pool_for(start_method: str, workers: int):
-    """A warm pool for :func:`parallel_map` (payload-carrying chunks)."""
-    global _map_pool
-    key = (start_method, workers)
-    if _map_pool is not None:
-        cached_key, pool = _map_pool
-        if cached_key == key and _pool_alive(pool):
-            return pool
-        pool.terminate()
-        pool.join()
-        _map_pool = None
-    context = multiprocessing.get_context(start_method)
-    pool = context.Pool(processes=workers)
-    _map_pool = (key, pool)
-    return pool
-
-
-def _shared_key(
-    start_method: str, workers: int, shared: tuple
-) -> Optional[tuple]:
-    """Cache key for a sweep pool: identity of everything workers inherit.
-
-    ``None`` when the configuration cannot be pickled — such a sweep could
-    not have been dispatched to a pool anyway (payloads and results cross
-    process boundaries pickled), so the caller surfaces the original
-    pickling error by proceeding with a fresh dispatch.
+    Errors are returned as data (not raised) so the parent can re-raise
+    them with the failing item attached instead of an opaque pool traceback.
     """
     try:
-        token = pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:  # noqa: BLE001 — unpicklable config: no reuse
-        return None
-    return (start_method, workers, token)
+        return True, fn(item)
+    except Exception:  # noqa: BLE001 — reported verbatim to the parent
+        return False, traceback.format_exc()
 
 
-def _acquire_sweep_pool(key, start_method: str, workers: int, shared: tuple):
-    """The pool to dispatch one sweep on: ``(pool, transient)``.
-
-    With a picklable configuration (``key`` is not None) the warm cached
-    pool is (re)used.  Otherwise a one-shot pool is forked with the tables
-    published — fork itself needs no pickling — and the caller tears it
-    down after the sweep (``transient=True``).
-    """
-    if key is not None:
-        return _sweep_pool_for(key, start_method, workers, shared), False
-    global _SHARED_TABLES
-    _SHARED_TABLES = shared
-    try:
-        context = multiprocessing.get_context(start_method)
-        pool = context.Pool(processes=workers)
-    finally:
-        _SHARED_TABLES = None
-    return pool, True
-
-
-def _discard_pool(pool) -> None:
-    """Terminate ``pool`` and drop it from the warm caches if cached.
-
-    Called on the error path: a failed sweep leaves undrained chunks in
-    flight, and terminating stops the workers from burning CPU on results
-    nobody will read.
-    """
-    global _sweep_pool, _map_pool
-    pool.terminate()
-    pool.join()
-    if _sweep_pool is not None and _sweep_pool[1] is pool:
-        _sweep_pool = None
-    if _map_pool is not None and _map_pool[1] is pool:
-        _map_pool = None
-
-
-def _balanced_bounds(
-    costs: Sequence[float], target_chunks: int
-) -> list[tuple[int, int]]:
-    """Contiguous ``(start, stop)`` ranges with near-equal total cost.
-
-    Greedy: close a chunk once its accumulated cost reaches an even share
-    of the *remaining* cost, re-targeting after each close — so one huge
-    item gets a chunk to itself and the small ones regroup around it.
-    Shared by the sweep runner's grid chunking and ``parallel_map``'s
-    ``item_costs`` path.
-    """
-    total_points = len(costs)
-    if target_chunks <= 1 or total_points <= 1:
-        return [(0, total_points)] if total_points else []
-    target_chunks = min(target_chunks, total_points)
-    remaining_cost = float(sum(costs))
-    remaining_chunks = target_chunks
-    bounds: list[tuple[int, int]] = []
-    start = 0
-    acc = 0.0
-    target = remaining_cost / remaining_chunks
-    for index, cost in enumerate(costs):
-        acc += cost
-        stop = index + 1
-        if acc >= target and stop < total_points and remaining_chunks > 1:
-            bounds.append((start, stop))
-            start = stop
-            remaining_cost -= acc
-            remaining_chunks -= 1
-            acc = 0.0
-            target = remaining_cost / remaining_chunks
-    bounds.append((start, total_points))
-    return bounds
-
-
-def _map_chunk(payload):
-    """Pool worker for :func:`parallel_map`: apply ``fn`` to one chunk.
-
-    Returns ``("ok", [(index, result), ...])`` or
-    ``("error", item, formatted_traceback)`` — same errors-as-data protocol
-    as :func:`_run_chunk`, for the same reason.
-    """
-    fn, indexed_items = payload
+def _collect(items: list, outcomes: Iterable) -> list:
     results = []
-    for index, item in indexed_items:
-        try:
-            value = fn(item)
-        except Exception:  # noqa: BLE001 — reported verbatim to the parent
-            return ("error", item, traceback.format_exc())
-        results.append((index, value))
-    return ("ok", results)
+    for item, (ok, value) in zip(items, outcomes):
+        if not ok:
+            raise ParallelMapError(item, value)
+        results.append(value)
+    return results
 
 
 def parallel_map(
-    fn: Callable,
-    items: Sequence,
-    max_workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    start_method: Optional[str] = None,
-    progress: Optional[ProgressCallback] = None,
-    cost_hint: Optional[float] = None,
-    item_costs: Optional[Sequence[float]] = None,
+    fn: Callable, items: Iterable, workers: Optional[int] = None
 ) -> list:
-    """Map a picklable function over items across a process pool, in order.
+    """``[fn(item) for item in items]``, spread over forked worker processes.
 
-    The generic engine underneath the sweep runner, reused by the fault
-    campaigns: items are chunked, fanned out with the ``fork`` start
-    method (serial fallback when unavailable or pointless), and results
-    are reassembled in input order — deterministic given a deterministic
-    ``fn``.  ``fn`` must be an importable module-level callable (pool
-    payloads are pickled even under fork).  A worker exception surfaces as
-    :class:`ParallelMapError` carrying the failing item.
-
-    ``cost_hint`` is an optional caller estimate of the *total* work, in
-    :func:`estimate_point_cost` units (≈ protocol messages).  When the
-    worker count is defaulted and the hint is below
-    :attr:`ParallelSweepRunner.POOL_BREAK_EVEN_COST`, the map runs
-    serially — pool dispatch would cost more than it saves.  An explicit
-    ``max_workers >= 2`` always pools.
-
-    ``item_costs`` (one relative weight per item) switches the default
-    fixed-length chunking to cost-balanced boundaries via
-    :func:`_balanced_bounds` — for heterogeneous items (the schedule
-    explorer's frontier shards vary by orders of magnitude) this keeps a
-    giant item from serializing a chunk of small ones behind it.  Ignored
-    when an explicit ``chunk_size`` is given.  Chunking never affects
-    results, only load balance.
+    ``fn`` must be an importable module-level callable and items and
+    results picklable (they cross the process boundary pickled even under
+    fork).  ``workers`` defaults to :func:`usable_cpus`.  With fewer than
+    two workers or items, or on a platform without ``fork``, the map runs
+    in this process — same results, same errors.  An exception in ``fn``
+    surfaces as :class:`ParallelMapError` carrying the failing item and
+    the worker's traceback; the first one in input order wins and the
+    rest of the work is abandoned.
     """
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     items = list(items)
-    if item_costs is not None and len(item_costs) != len(items):
-        raise ValueError(
-            f"item_costs has {len(item_costs)} entries for {len(items)} items"
-        )
-    workers = max_workers if max_workers is not None else _default_workers()
-    if start_method is None:
-        available = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in available else None
-    elif start_method not in multiprocessing.get_all_start_methods():
-        raise ValueError(f"start method {start_method!r} not available here")
-    below_break_even = (
-        max_workers is None
-        and cost_hint is not None
-        and cost_hint < ParallelSweepRunner.POOL_BREAK_EVEN_COST
-    )
-    if workers <= 1 or len(items) <= 1 or start_method is None or below_break_even:
-        results = []
-        for index, item in enumerate(items):
-            try:
-                results.append(fn(item))
-            except Exception:  # noqa: BLE001 — mirror the pooled error shape
-                raise ParallelMapError(item, traceback.format_exc()) from None
-            if progress is not None:
-                progress(index + 1, len(items))
-        return results
-    indexed = list(enumerate(items))
-    if chunk_size is None and item_costs is not None:
-        chunks = [
-            indexed[start:stop]
-            for start, stop in _balanced_bounds(item_costs, workers * 4)
-        ]
-    else:
-        size = chunk_size
-        if size is None:
-            size = max(1, -(-len(items) // (workers * 4)))
-        chunks = [indexed[i : i + size] for i in range(0, len(indexed), size)]
-    payloads = [(fn, chunk) for chunk in chunks]
-    slots: list = [None] * len(items)
-    filled = [False] * len(items)
-    done = 0
-    pool = _map_pool_for(start_method, workers)
+    workers = min(usable_cpus() if workers is None else workers, len(items))
+    call = partial(_call, fn)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return _collect(items, map(call, items))
+    pool = multiprocessing.get_context("fork").Pool(processes=workers)
     try:
-        for outcome in pool.imap_unordered(_map_chunk, payloads):
-            if outcome[0] == "error":
-                _, item, worker_tb = outcome
-                raise ParallelMapError(item, worker_tb)
-            for index, value in outcome[1]:
-                slots[index] = value
-                filled[index] = True
-                done += 1
-            if progress is not None:
-                progress(done, len(items))
-    except BaseException:
-        _discard_pool(pool)
-        raise
-    missing = [i for i, ok in enumerate(filled) if not ok]
-    if missing:  # pragma: no cover — indicates a pool bug, not a workload
-        raise RuntimeError(f"pool returned no result for indices {missing}")
-    return slots
-
-
-class ParallelSweepRunner:
-    """Run (N, P, Q) sweeps across a process pool.
-
-    Args:
-        max_workers: pool size; defaults to the usable CPU count.  ``1``
-            forces the serial path.  When left to default, small sweeps
-            (estimated cost below :attr:`POOL_BREAK_EVEN_COST`) also run
-            serially — an explicit ``max_workers >= 2`` always pools.
-        chunk_size: grid points per dispatched task.  Defaults to
-            cost-balanced chunks targeting ~4 chunks per worker, with
-            boundaries tuned by :func:`estimate_point_cost` so mixed-size
-            grids split into chunks of comparable work.
-        start_method: explicit multiprocessing start method (``"fork"``,
-            ``"spawn"``, ``"forkserver"``).  Default: ``"fork"`` when the
-            platform offers it, otherwise fall back to serial execution.
-        trace_level: trace granularity for every point (``COUNTS`` is the
-            fast path; ``FULL`` matches the serial default).
-        progress: optional ``(done, total)`` callback, called in the parent
-            after each completed chunk.
-    """
-
-    #: Minimum estimated sweep cost (in :func:`estimate_point_cost` units,
-    #: ≈ protocol messages) for the pool to beat serial when the worker
-    #: count was defaulted: below this, chunk dispatch and result pickling
-    #: dominate.  Roughly a quarter-second of serial simulation.
-    POOL_BREAK_EVEN_COST = 50_000
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        start_method: Optional[str] = None,
-        trace_level: TraceLevel = TraceLevel.FULL,
-        progress: Optional[ProgressCallback] = None,
-    ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self._auto_workers = max_workers is None
-        self.max_workers = max_workers if max_workers is not None else _default_workers()
-        self.chunk_size = chunk_size
-        self.start_method = start_method
-        self.trace_level = TraceLevel(trace_level)
-        self.progress = progress
-
-    # -- public API ------------------------------------------------------------
-
-    def sweep_general(
-        self,
-        grid: Iterable[tuple[int, int, int]],
-        latency: LatencyModel | None = None,
-        seed: int = 0,
-        **scenario_kwargs,
-    ) -> SweepResult:
-        """Parallel mirror of :func:`repro.workloads.sweeps.sweep_general`.
-
-        Same signature and same result, re-ordered back to grid order after
-        the fan-out; falls back to the serial implementation when a pool
-        would not help (or is unavailable).
-        """
-        grid = list(grid)
-        start_method = self._resolve_start_method()
-        if self._should_run_serial(grid, start_method):
-            result = sweep_general(
-                grid, latency=latency, seed=seed,
-                trace_level=self.trace_level, **scenario_kwargs,
-            )
-            if self.progress is not None:
-                self.progress(len(grid), len(grid))
-            return result
-        return self._pooled_sweep(
-            grid, latency, seed, start_method, scenario_kwargs
-        )
-
-    def sweep_general_metrics(
-        self,
-        grid: Iterable[tuple[int, int, int]],
-        latency: LatencyModel | None = None,
-        seed: int = 0,
-        **scenario_kwargs,
-    ) -> tuple[SweepResult, dict]:
-        """Parallel mirror of :func:`repro.workloads.sweeps.sweep_general_metrics`.
-
-        Each worker returns its points alongside per-point metrics
-        snapshots; the parent folds them with
-        :func:`repro.obs.metrics.merge_snapshots` **in grid order**, so the
-        merged snapshot (counter/histogram sums, last-point gauges) is
-        identical to the serial path's regardless of pool scheduling.
-        """
-        grid = list(grid)
-        start_method = self._resolve_start_method()
-        if self._should_run_serial(grid, start_method):
-            result = sweep_general_metrics(
-                grid, latency=latency, seed=seed,
-                trace_level=self.trace_level, **scenario_kwargs,
-            )
-            if self.progress is not None:
-                self.progress(len(grid), len(grid))
-            return result
-        return self._pooled_sweep_metrics(
-            grid, latency, seed, start_method, scenario_kwargs
-        )
-
-    # -- internals -------------------------------------------------------------
-
-    def _resolve_start_method(self) -> Optional[str]:
-        available = multiprocessing.get_all_start_methods()
-        if self.start_method is not None:
-            if self.start_method not in available:
-                raise ValueError(
-                    f"start method {self.start_method!r} not available here "
-                    f"(have: {available})"
-                )
-            return self.start_method
-        # Fork keeps workers cheap and avoids pickling scenario callables;
-        # without it (e.g. some non-POSIX platforms) serial is the safe
-        # deterministic fallback.
-        return "fork" if "fork" in available else None
-
-    def _should_run_serial(
-        self,
-        grid: Sequence[tuple[int, int, int]],
-        start_method: Optional[str],
-    ) -> bool:
-        """Serial beats the pool for this sweep (or no pool is possible).
-
-        Unconditional serial cases: one worker (including single-core
-        hosts, where ``_default_workers()`` is 1), a trivial grid, no
-        usable start method.  With a *defaulted* worker count, sweeps whose
-        estimated total cost is under :attr:`POOL_BREAK_EVEN_COST` also run
-        serially — the 0.65× regime where dispatch overhead dominates.  An
-        explicit ``max_workers >= 2`` is an instruction to pool.
-        """
-        if self.max_workers <= 1 or len(grid) <= 1 or start_method is None:
-            return True
-        if not self._auto_workers:
-            return False
-        estimated = sum(estimate_point_cost(n, p, q) for n, p, q in grid)
-        return estimated < self.POOL_BREAK_EVEN_COST
-
-    def _chunk_bounds(
-        self, grid: Sequence[tuple[int, int, int]]
-    ) -> list[tuple[int, int]]:
-        """Contiguous ``(start, stop)`` chunk ranges over the grid.
-
-        An explicit ``chunk_size`` gives fixed-length ranges.  Otherwise
-        boundaries are cost-balanced: ~4 chunks per worker, each closed
-        once its accumulated :func:`estimate_point_cost` reaches an even
-        share of the *remaining* cost — so a grid mixing N=8 and N=500
-        cells yields chunks of comparable work, not comparable length.
-        """
-        total_points = len(grid)
-        size = self.chunk_size
-        if size is not None:
-            return [
-                (start, min(start + size, total_points))
-                for start in range(0, total_points, size)
-            ]
-        costs = [estimate_point_cost(n, p, q) for n, p, q in grid]
-        return _balanced_bounds(costs, self.max_workers * 4)
-
-    def _pooled_sweep(
-        self,
-        grid: list[tuple[int, int, int]],
-        latency: LatencyModel | None,
-        seed: int,
-        start_method: str,
-        scenario_kwargs: dict,
-    ) -> SweepResult:
-        bounds = self._chunk_bounds(grid)
-        workers = min(self.max_workers, len(bounds))
-        shared = (grid, latency, seed, self.trace_level, scenario_kwargs)
-        key = _shared_key(start_method, workers, shared)
-        pool, transient = _acquire_sweep_pool(key, start_method, workers, shared)
-        slots: list[Optional[SweepPoint]] = [None] * len(grid)
-        done = 0
-        try:
-            for outcome in pool.imap_unordered(_run_shared_chunk, bounds):
-                if outcome[0] == "error":
-                    _, point, worker_tb = outcome
-                    raise SweepWorkerError(point, worker_tb)
-                for index, sweep_point in outcome[1]:
-                    slots[index] = sweep_point
-                    done += 1
-                if self.progress is not None:
-                    self.progress(done, len(grid))
-        except BaseException:
-            _discard_pool(pool)
-            raise
-        if transient:
-            _discard_pool(pool)
-        missing = [i for i, slot in enumerate(slots) if slot is None]
-        if missing:  # pragma: no cover — indicates a pool bug, not a workload
-            raise RuntimeError(f"pool returned no result for indices {missing}")
-        return SweepResult(list(slots))
-
-    def _pooled_sweep_metrics(
-        self,
-        grid: list[tuple[int, int, int]],
-        latency: LatencyModel | None,
-        seed: int,
-        start_method: str,
-        scenario_kwargs: dict,
-    ) -> tuple[SweepResult, dict]:
-        from repro.obs.metrics import merge_snapshots
-
-        bounds = self._chunk_bounds(grid)
-        workers = min(self.max_workers, len(bounds))
-        shared = (grid, latency, seed, self.trace_level, scenario_kwargs)
-        # The metrics variant shares the warm pool with the plain sweep —
-        # the forked tables are identical; only the chunk function differs.
-        key = _shared_key(start_method, workers, shared)
-        pool, transient = _acquire_sweep_pool(key, start_method, workers, shared)
-        slots: list[Optional[SweepPoint]] = [None] * len(grid)
-        snapshot_slots: list[Optional[dict]] = [None] * len(grid)
-        done = 0
-        try:
-            for outcome in pool.imap_unordered(_run_shared_chunk_metrics, bounds):
-                if outcome[0] == "error":
-                    _, point, worker_tb = outcome
-                    raise SweepWorkerError(point, worker_tb)
-                for index, sweep_point, snapshot in outcome[1]:
-                    slots[index] = sweep_point
-                    snapshot_slots[index] = snapshot
-                    done += 1
-                if self.progress is not None:
-                    self.progress(done, len(grid))
-        except BaseException:
-            _discard_pool(pool)
-            raise
-        if transient:
-            _discard_pool(pool)
-        missing = [i for i, slot in enumerate(slots) if slot is None]
-        if missing:  # pragma: no cover — indicates a pool bug, not a workload
-            raise RuntimeError(f"pool returned no result for indices {missing}")
-        merged = merge_snapshots([s for s in snapshot_slots if s is not None])
-        return SweepResult(list(slots)), merged
-
-
-def parallel_sweep_general(
-    grid: Iterable[tuple[int, int, int]],
-    latency: LatencyModel | None = None,
-    seed: int = 0,
-    max_workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    trace_level: TraceLevel = TraceLevel.FULL,
-    progress: Optional[ProgressCallback] = None,
-    **scenario_kwargs,
-) -> SweepResult:
-    """One-shot convenience wrapper around :class:`ParallelSweepRunner`."""
-    runner = ParallelSweepRunner(
-        max_workers=max_workers,
-        chunk_size=chunk_size,
-        trace_level=trace_level,
-        progress=progress,
-    )
-    return runner.sweep_general(
-        grid, latency=latency, seed=seed, **scenario_kwargs
-    )
+        chunksize = -(-len(items) // (4 * workers))
+        return _collect(items, pool.imap(call, items, chunksize))
+    finally:
+        # Also the KeyboardInterrupt and error paths: undrained chunks must
+        # not keep workers burning CPU on results nobody will read.
+        pool.terminate()
+        pool.join()

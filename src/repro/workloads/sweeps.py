@@ -70,9 +70,9 @@ def measure_point(
 ) -> SweepPoint:
     """Run one (N, P, Q) workload and produce its :class:`SweepPoint`.
 
-    Shared by the serial sweep and the process-pool workers of
-    :mod:`repro.workloads.parallel`, so both paths are the same code and
-    produce bit-identical points.  Under ``COUNTS``/``OFF`` tracing the
+    The one measurement function: :func:`sweep_general` loops over it and
+    a pooled sweep maps it with :func:`repro.workloads.parallel.parallel_map`,
+    so both produce bit-identical points.  Under ``COUNTS``/``OFF`` tracing the
     commit-latency timeline cannot be extracted (it needs full entries), so
     ``commit_latency`` is ``None`` — measured counts are unaffected.
     """
@@ -92,39 +92,6 @@ def measure_point(
     )
 
 
-def measure_point_metrics(
-    n: int,
-    p: int,
-    q: int,
-    latency: LatencyModel | None = None,
-    seed: int = 0,
-    trace_level: TraceLevel = TraceLevel.FULL,
-    **scenario_kwargs,
-) -> tuple[SweepPoint, dict]:
-    """Like :func:`measure_point`, plus the run's metrics snapshot.
-
-    Kept separate from :func:`measure_point` so the plain sweep path (and
-    its bit-identical serial/parallel guarantee over :class:`SweepPoint`)
-    is untouched; the snapshot is a plain picklable dict suitable for
-    cross-process merging with :func:`repro.obs.metrics.merge_snapshots`.
-    """
-    result = general_case(
-        n, p, q, latency=latency, seed=seed, trace_level=trace_level,
-        **scenario_kwargs,
-    ).run()
-    trace = result.runtime.trace
-    commit_latency = None
-    if trace.wants_entries:
-        commit_latency = resolution_timeline(trace, "A1").detection_to_commit
-    point = SweepPoint(
-        n=n, p=p, q=q,
-        measured=result.resolution_message_total(),
-        model=general_messages(n, p, q),
-        commit_latency=commit_latency,
-    )
-    return point, result.metrics_snapshot()
-
-
 def sweep_general(
     grid: Iterable[tuple[int, int, int]],
     latency: LatencyModel | None = None,
@@ -141,32 +108,6 @@ def sweep_general(
         for n, p, q in grid
     ]
     return SweepResult(points)
-
-
-def sweep_general_metrics(
-    grid: Iterable[tuple[int, int, int]],
-    latency: LatencyModel | None = None,
-    seed: int = 0,
-    trace_level: TraceLevel = TraceLevel.FULL,
-    **scenario_kwargs,
-) -> tuple[SweepResult, dict]:
-    """Serial sweep that also folds every point's metrics into one snapshot.
-
-    Counters and histograms add across points; gauges keep the last point's
-    value (grid order), matching the parallel runner's merge order.
-    """
-    from repro.obs.metrics import merge_snapshots
-
-    points: list[SweepPoint] = []
-    snapshots: list[dict] = []
-    for n, p, q in grid:
-        point, snapshot = measure_point_metrics(
-            n, p, q, latency=latency, seed=seed, trace_level=trace_level,
-            **scenario_kwargs,
-        )
-        points.append(point)
-        snapshots.append(snapshot)
-    return SweepResult(points), merge_snapshots(snapshots)
 
 
 def full_grid(n_values: Sequence[int]) -> list[tuple[int, int, int]]:

@@ -33,7 +33,7 @@ class TestReplayDeterminism:
     def test_replay_is_bit_identical_across_pool_workers(self):
         items = [(CT_CELL, schedule) for schedule in SCHEDULES]
         serial = [replay_cell(item) for item in items]
-        pooled = parallel_map(replay_cell, items, max_workers=4)
+        pooled = parallel_map(replay_cell, items, workers=4)
         assert [outcome.digest for outcome in pooled] == [
             outcome.digest for outcome in serial
         ]

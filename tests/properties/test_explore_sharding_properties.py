@@ -1,19 +1,15 @@
-"""Property tests: sharded exploration is equivalent to serial exploration.
+"""Property tests: ``explore_cell(workers=, cache=)`` changes no result.
 
-Satellite invariants of the distributed explorer, checked under
-Hypothesis across randomized cells, worker counts, shard boundaries, and
-cache corruption:
+Checked under Hypothesis across randomized cells, worker counts and cache
+corruption:
 
-* sharded bounded-exhaustive DFS produces **the same digest set** as the
-  serial DFS for every ``split_depth`` and worker count, and the sharded
-  result itself is invariant across worker counts;
-* seed-range sharding of random walks is **bit-identical** regardless of
-  how the range is partitioned;
+* random walks run on a process pool give **the in-process result** —
+  digests, findings, schedule counts — for every worker count;
 * a warm digest cache reproduces the cold run exactly, and a corrupted
   or torn cache degrades to a cold start — never a wrong skip.
 
-Serial reference results are memoised per cell so Hypothesis examples
-pay only for the sharded side.
+In-process reference results are memoised per cell so Hypothesis examples
+pay only for the pooled side.
 """
 
 from __future__ import annotations
@@ -22,34 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.explore.cache import DigestCache
-from repro.explore.engine import DEFAULT_WINDOW, explore_cell
-from repro.explore.sharding import (
-    _shard_ranges,
-    explore_cell_sharded,
-    explore_walks,
-)
+from repro.explore.engine import explore_cell
 
 CELLS = (
     "paper:base:none:n2p1q1:s0",
     "paper:mc:none:n2p1q1:s0",
     "paper:ct:none:n2p1q1:s0",
-    "paper:cr:none:n2p1q1:s0",
-    "paper:cd:none:n2p1q1:s0",
 )
-MAX_RUNS = 8000
-
-_SERIAL_DFS: dict[str, object] = {}
 _SERIAL_RANDOM: dict[tuple, object] = {}
-_BASELINES: dict[str, object] = {}
-
-
-def _serial_dfs(cell_id: str):
-    result = _SERIAL_DFS.get(cell_id)
-    if result is None:
-        result = explore_cell(cell_id, mode="dfs", max_runs=MAX_RUNS)
-        assert result.exhaustive, f"{cell_id} must be exhaustible at n2"
-        _SERIAL_DFS[cell_id] = result
-    return result
 
 
 def _serial_random(cell_id: str, schedules: int, seed: int):
@@ -63,124 +39,25 @@ def _serial_random(cell_id: str, schedules: int, seed: int):
     return result
 
 
-def _baseline(cell_id: str):
-    outcome = _BASELINES.get(cell_id)
-    if outcome is None:
-        outcome = _serial_random(cell_id, 2, 0).baseline
-        _BASELINES[cell_id] = outcome
-    return outcome
-
-
-def _walk_config() -> dict:
-    return {
-        "window": list(DEFAULT_WINDOW),
-        "max_choice_points": 400,
-        "minimize": True,
-        "shrink_budget": 150,
-    }
-
-
-def _outcome_line(outcome) -> tuple:
-    return (
-        outcome.schedule,
-        outcome.classification,
-        outcome.violations,
-        outcome.digest,
-        outcome.trace_hash,
-    )
-
-
-# -- satellite 1: sharded search == serial search ------------------------------------
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    cell_id=st.sampled_from(CELLS),
-    split_depth=st.integers(min_value=1, max_value=6),
-    workers=st.sampled_from([1, 2, 4]),
-)
-def test_sharded_dfs_digest_set_equals_serial(cell_id, split_depth, workers):
-    serial = _serial_dfs(cell_id)
-    sharded = explore_cell_sharded(
-        cell_id, mode="dfs", max_runs=MAX_RUNS, workers=workers,
-        split_depth=split_depth,
-    )
-    assert sharded.exhaustive
-    assert sharded.digests == serial.digests
-    assert [f.digest for f in sharded.findings] == [
-        f.digest for f in serial.findings
-    ]
-    assert [f.classification for f in sharded.findings] == [
-        f.classification for f in serial.findings
-    ]
-
-
-@settings(max_examples=6, deadline=None)
-@given(
-    cell_id=st.sampled_from(CELLS),
-    split_depth=st.integers(min_value=1, max_value=4),
-)
-def test_sharded_dfs_is_worker_count_invariant(cell_id, split_depth):
-    results = [
-        explore_cell_sharded(
-            cell_id, mode="dfs", max_runs=MAX_RUNS, workers=workers,
-            split_depth=split_depth,
-        )
-        for workers in (1, 2, 4)
-    ]
-    first = results[0]
-    for other in results[1:]:
-        assert other.digests == first.digests
-        assert other.findings == first.findings
-        assert other.schedules_run == first.schedules_run
-        assert other.pruned == first.pruned
-        assert other.exhaustive == first.exhaustive
-        assert other.bounds["prefixes"] == first.bounds["prefixes"]
-
-
-# -- satellite 1: seed-range sharding is partition-invariant -------------------------
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    cell_id=st.sampled_from(CELLS[:3]),
-    seed=st.integers(min_value=0, max_value=50),
-    count=st.integers(min_value=1, max_value=8),
-    shards=st.integers(min_value=1, max_value=8),
-)
-def test_walk_shards_merge_bit_identically(cell_id, seed, count, shards):
-    baseline = _baseline(cell_id)
-    config = _walk_config()
-    whole = explore_walks((cell_id, baseline, seed, seed + count, config))
-    pieces = []
-    for lo, hi in _shard_ranges(seed, count, shards):
-        pieces.extend(explore_walks((cell_id, baseline, lo, hi, config)))
-    assert [s for s, _, _ in pieces] == [s for s, _, _ in whole]
-    assert [_outcome_line(o) for _, o, _ in pieces] == [
-        _outcome_line(o) for _, o, _ in whole
-    ]
-    assert [f for _, _, f in pieces] == [f for _, _, f in whole]
-
-
 @settings(max_examples=8, deadline=None)
 @given(
-    cell_id=st.sampled_from(CELLS[:3]),
+    cell_id=st.sampled_from(CELLS),
     seed=st.integers(min_value=0, max_value=20),
     schedules=st.integers(min_value=2, max_value=10),
     workers=st.sampled_from([1, 2, 4]),
 )
 def test_sharded_random_equals_serial(cell_id, seed, schedules, workers):
     serial = _serial_random(cell_id, schedules, seed)
-    sharded = explore_cell_sharded(
+    pooled = explore_cell(
         cell_id, mode="random", schedules=schedules, seed=seed,
         workers=workers,
     )
-    assert sharded.digests == serial.digests
-    assert sharded.findings == serial.findings
-    assert sharded.schedules_run == serial.schedules_run
+    assert pooled.digests == serial.digests
+    assert pooled.findings == serial.findings
+    assert pooled.schedules_run == serial.schedules_run
 
 
-# -- satellite 2: warm cache == cold run; corruption degrades safely -----------------
+# -- warm cache == cold run; corruption degrades safely ------------------------------
 
 
 @st.composite
@@ -212,7 +89,7 @@ def _corrupt(path, op) -> None:
 
 @settings(max_examples=10, deadline=None)
 @given(
-    cell_id=st.sampled_from(CELLS[:3]),
+    cell_id=st.sampled_from(CELLS),
     seed=st.integers(min_value=0, max_value=10),
     op=_corruptions(),
 )
@@ -221,15 +98,15 @@ def test_corrupted_cache_never_wrong_always_equal(tmp_path_factory, cell_id, see
     path = tmp_path / "digests.jsonl"
     schedules = 5
     with DigestCache(path, context="prop") as cache:
-        cold = explore_cell_sharded(
+        cold = explore_cell(
             cell_id, mode="random", schedules=schedules, seed=seed,
-            workers=1, cache=cache,
+            cache=cache,
         )
     _corrupt(path, op)
     with DigestCache(path, context="prop") as cache:
-        warm = explore_cell_sharded(
+        warm = explore_cell(
             cell_id, mode="random", schedules=schedules, seed=seed,
-            workers=1, cache=cache,
+            cache=cache,
         )
         loaded = cache.stats.entries_loaded
     # Whatever survived corruption, the exploration result is identical —
@@ -243,7 +120,7 @@ def test_corrupted_cache_never_wrong_always_equal(tmp_path_factory, cell_id, see
 
 @settings(max_examples=8, deadline=None)
 @given(
-    cell_id=st.sampled_from(CELLS[:3]),
+    cell_id=st.sampled_from(CELLS),
     seed=st.integers(min_value=0, max_value=10),
     schedules=st.integers(min_value=2, max_value=8),
 )
@@ -253,15 +130,15 @@ def test_warm_cache_is_digest_identical_and_all_hits(
     tmp_path = tmp_path_factory.mktemp("cache")
     path = tmp_path / "digests.jsonl"
     with DigestCache(path, context="prop") as cache:
-        cold = explore_cell_sharded(
+        cold = explore_cell(
             cell_id, mode="random", schedules=schedules, seed=seed,
-            workers=1, cache=cache,
+            cache=cache,
         )
         assert cold.bounds["cache_misses"] == schedules
     with DigestCache(path, context="prop") as cache:
-        warm = explore_cell_sharded(
+        warm = explore_cell(
             cell_id, mode="random", schedules=schedules, seed=seed,
-            workers=1, cache=cache,
+            cache=cache,
         )
     assert warm.bounds["cache_hits"] == schedules
     assert warm.bounds["cache_misses"] == 0
@@ -276,14 +153,12 @@ def test_stale_code_context_forces_cold_start(tmp_path_factory, seed):
     path = tmp_path / "digests.jsonl"
     cell_id = CELLS[2]
     with DigestCache(path, context="code-v1") as cache:
-        explore_cell_sharded(
-            cell_id, mode="random", schedules=3, seed=seed, workers=1,
-            cache=cache,
+        explore_cell(
+            cell_id, mode="random", schedules=3, seed=seed, cache=cache
         )
     with DigestCache(path, context="code-v2") as cache:
-        rerun = explore_cell_sharded(
-            cell_id, mode="random", schedules=3, seed=seed, workers=1,
-            cache=cache,
+        rerun = explore_cell(
+            cell_id, mode="random", schedules=3, seed=seed, cache=cache
         )
     assert rerun.bounds["cache_hits"] == 0
     assert rerun.bounds["cache_misses"] == 3

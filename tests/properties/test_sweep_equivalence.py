@@ -1,22 +1,28 @@
 """Property: sweep results are invariant to execution strategy.
 
-Whatever the grid and seed, (a) the parallel runner must reproduce the
-serial sweep bit-for-bit, and (b) ``COUNTS`` tracing must report the same
-``(measured, model)`` pairs as ``FULL`` — the trace level changes what is
-*remembered*, never what *happens*.
+Whatever the grid and seed, (a) ``parallel_map`` over ``measure_point``
+must reproduce the serial sweep bit-for-bit, and (b) ``COUNTS`` tracing
+must report the same ``(measured, model)`` pairs as ``FULL`` — the trace
+level changes what is *remembered*, never what *happens*.
 """
 
 import multiprocessing
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simkernel.trace import TraceLevel
-from repro.workloads.parallel import ParallelSweepRunner
-from repro.workloads.sweeps import sweep_general
+from repro.workloads.parallel import parallel_map
+from repro.workloads.sweeps import measure_point, sweep_general
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _measure(point, seed):
+    n, p, q = point
+    return measure_point(n, p, q, seed=seed)
 
 
 @st.composite
@@ -54,12 +60,9 @@ class TestParallelEquivalence:
         grid=grids(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         workers=st.integers(min_value=2, max_value=3),
-        chunk_size=st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=8, deadline=None)
-    def test_parallel_matches_serial_bitwise(self, grid, seed, workers, chunk_size):
+    def test_parallel_matches_serial_bitwise(self, grid, seed, workers):
         serial = sweep_general(grid, seed=seed)
-        parallel = ParallelSweepRunner(
-            max_workers=workers, chunk_size=chunk_size
-        ).sweep_general(grid, seed=seed)
-        assert parallel.points == serial.points
+        pooled = parallel_map(partial(_measure, seed=seed), grid, workers=workers)
+        assert pooled == serial.points

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -79,6 +81,33 @@ class TestFuzz:
     def test_verbose_lists_plans(self, capsys):
         main(["fuzz", "--count", "2", "--participants", "3", "--verbose"])
         assert "FuzzPlan" in capsys.readouterr().out
+
+
+class TestExplore:
+    CELL = "paper:ct:none:n2p1q1:s0"
+
+    @pytest.mark.parametrize("mode", ["dfs", "delay"])
+    def test_workers_is_a_usage_error_outside_random_mode(self, mode, capsys):
+        code = main(
+            ["explore", "--cell", self.CELL, "--mode", mode, "--workers", "2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--workers" in captured.err and captured.out == ""
+
+    def test_pooled_walks_with_cache(self, capsys, tmp_path):
+        argv = [
+            "explore", "--cell", self.CELL, "--mode", "random",
+            "--schedules", "4", "--workers", "2",
+            "--cache", str(tmp_path / "digests.jsonl"), "--json",
+        ]
+        assert main(argv) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert cold["bounds"]["cache_misses"] == 4
+        assert warm["bounds"]["cache_hits"] == 4
+        assert warm["schedules_run"] == cold["schedules_run"] == 5
 
 
 class TestServiceErrors:

@@ -12,6 +12,7 @@ every pinned repro is minutes of subprocess work and runs at tier-2:
 from __future__ import annotations
 
 import importlib.util
+import multiprocessing
 import os
 import sys
 import textwrap
@@ -83,6 +84,24 @@ def test_rounds_vary_both_axes() -> None:
     assert len(mod.ROUNDS) == 5
     assert len({seed for seed, _ in mod.ROUNDS}) >= 4
     assert {workers for _, workers in mod.ROUNDS} == {1, 2}
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="platform lacks fork",
+)
+def test_two_worker_round_replays_outside_the_interpreter() -> None:
+    # The round exists to carry a pinned repro across a process boundary;
+    # a map of one item never forks, so the harness maps two.
+    mod = _load_module()
+    _, cell, schedule = mod.pinned_cells()[0]
+    pooled = mod.replay_once(cell, schedule, hash_seed=42, workers=2)
+    assert len(pooled["replay_pids"]) == 2
+    assert pooled["parent_pid"] not in pooled["replay_pids"]
+    in_process = mod.replay_once(cell, schedule, hash_seed=0, workers=1)
+    assert set(in_process["replay_pids"]) == {in_process["parent_pid"]}
+    assert pooled["lines"] == in_process["lines"]
+    assert [line["schedule"] for line in pooled["lines"]] == [schedule, "fifo"]
 
 
 @TIER2

@@ -18,9 +18,8 @@ from repro.explore.campaign import (
     hunt_schedule,
     pin_campaign_findings,
     pin_regression,
-    run_campaign,
 )
-from repro.explore.engine import Finding
+from repro.explore.engine import Finding, explore_cell
 from repro.workloads.campaigns import parse_cell_id
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -107,10 +106,12 @@ class TestPinRegression:
 
 class TestCampaign:
     def test_tiny_campaign_and_pinning(self, tmp_path):
-        results = run_campaign(
-            ["paper:base:none:n2p1q1:s0", "paper:ct:none:n2p1q1:s0"],
-            mode="dfs", workers=1, split_depth=2, max_runs=6000,
-        )
+        results = [
+            explore_cell(cell, mode="dfs", max_runs=6000)
+            for cell in (
+                "paper:base:none:n2p1q1:s0", "paper:ct:none:n2p1q1:s0"
+            )
+        ]
         assert [r.cell.cell_id for r in results] == [
             "paper:base:none:n2p1q1:s0", "paper:ct:none:n2p1q1:s0",
         ]

@@ -1,242 +1,101 @@
-"""Unit tests for sharded exploration: range math, workers, and merges.
+"""``explore_cell(workers=, cache=)``: pooled walks, cached modes, loud budgets.
 
-The deep equivalence claims (sharded == serial across randomized cells,
-worker counts, and shard boundaries) live in
+The randomized equivalence claims (pooled walks == in-process walks across
+cells and worker counts, cache corruption) live in
 ``tests/properties/test_explore_sharding_properties.py``; this module
-pins the deterministic building blocks on small fixed cells.
+pins the same behaviour on small fixed cells.
 """
 
 import pytest
 
+from repro.explore import engine
 from repro.explore.cache import DigestCache, context_token
-from repro.explore.engine import DEFAULT_WINDOW, explore_cell
-from repro.explore.sharding import (
-    _prefix_frames,
-    _shard_ranges,
-    explore_cell_sharded,
-    explore_subtree,
-    explore_walks,
-)
-from repro.workloads.parallel import _balanced_bounds, parallel_map
+from repro.explore.engine import explore_cell
 
 BASE_N2 = "paper:base:none:n2p1q1:s0"
 CT_N2 = "paper:ct:none:n2p1q1:s0"
 CT_N3 = "paper:ct:none:n3p1q1:s0"
 
 
-def _dfs_config(max_runs: int = 4000) -> dict:
-    return {
-        "window": list(DEFAULT_WINDOW),
-        "max_choice_points": 400,
-        "max_runs": max_runs,
-        "por": True,
-        "collapse": True,
-        "minimize": True,
-        "shrink_budget": 150,
-    }
-
-
-def _walk_config() -> dict:
-    return {
-        "window": list(DEFAULT_WINDOW),
-        "max_choice_points": 400,
-        "minimize": True,
-        "shrink_budget": 150,
-    }
-
-
-class TestShardRanges:
-    @pytest.mark.parametrize(
-        "start,count,shards",
-        [(0, 10, 3), (4, 5, 2), (7, 1, 8), (0, 16, 4), (100, 7, 7)],
-    )
-    def test_partition_properties(self, start, count, shards):
-        ranges = _shard_ranges(start, count, shards)
-        # contiguous, exhaustive, disjoint
-        assert ranges[0][0] == start
-        assert ranges[-1][1] == start + count
-        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-            assert hi == lo
-        # balanced within one seed
-        lengths = [hi - lo for lo, hi in ranges]
-        assert max(lengths) - min(lengths) <= 1
-        assert sum(lengths) == count
-
-    def test_more_shards_than_seeds_clamps(self):
-        assert _shard_ranges(3, 2, 10) == [(3, 4), (4, 5)]
-
-    def test_empty_range(self):
-        assert _shard_ranges(5, 0, 4) == []
-
-
-class TestBalancedBounds:
-    def test_covers_everything_in_order(self):
-        costs = [5.0, 1.0, 1.0, 1.0, 8.0, 1.0]
-        bounds = _balanced_bounds(costs, 3)
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == len(costs)
-        for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-            assert hi == lo
-
-    def test_expensive_item_closes_its_chunk(self):
-        # An item carrying ~all the cost must end its chunk: later small
-        # items land in fresh chunks instead of serializing behind it.
-        costs = [1.0, 1.0, 100.0, 1.0, 1.0]
-        bounds = _balanced_bounds(costs, 4)
-        assert any(hi == 3 for _, hi in bounds)
-        assert (3, 4) in bounds or (3, 5) in bounds
-
-    def test_degenerate_inputs(self):
-        assert _balanced_bounds([], 4) == []
-        assert _balanced_bounds([3.0], 4) == [(0, 1)]
-        assert _balanced_bounds([0.0, 0.0], 2) == [(0, 1), (1, 2)]
-
-
-class TestParallelMapItemCosts:
-    def test_results_match_plain_map(self):
-        items = list(range(17))
-        costs = [float(i % 5 + 1) for i in items]
-        got = parallel_map(
-            lambda x: x * x, items, max_workers=1, item_costs=costs
-        )
-        assert got == [x * x for x in items]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_map(
-                lambda x: x, [1, 2, 3], max_workers=1, item_costs=[1.0]
-            )
-
-
-class TestPrefixFrames:
-    def test_frames_are_pinned(self):
-        frames = _prefix_frames(((2, False), (0, True)))
-        assert [f.chosen for f in frames] == [2, 0]
-        assert [f.collapsed for f in frames] == [False, True]
-        for frame in frames:
-            # tried == {chosen} and no recorded eligibility: backtracking
-            # can never flip a prefix frame to a different branch.
-            assert frame.tried == {frame.chosen}
-            assert frame.eligible == ()
-
-
-class TestShardWorkers:
-    def test_explore_walks_matches_serial_replay(self):
-        serial = explore_cell(
-            CT_N2, mode="random", schedules=4, seed=3, minimize=True
-        )
-        baseline = serial.baseline
-        out = explore_walks((CT_N2, baseline, 3, 7, _walk_config()))
-        assert [seed for seed, _, _ in out] == [3, 4, 5, 6]
-        assert {o.digest for _, o, _ in out} <= serial.digests
-
-    def test_explore_subtree_budget_exhaustion(self):
-        serial = explore_cell(CT_N2, mode="dfs", max_runs=4000)
-        shard = explore_subtree(
-            (CT_N2, serial.baseline, (), _dfs_config(max_runs=1))
-        )
-        assert shard["budget_exhausted"] is True
-        assert shard["unsound"] is False
-
-    def test_explore_subtree_full_tree_matches_serial(self):
-        # An empty prefix makes the subtree worker run the entire DFS.
-        serial = explore_cell(CT_N2, mode="dfs", max_runs=4000)
-        shard = explore_subtree(
-            (CT_N2, serial.baseline, (), _dfs_config())
-        )
-        assert set(shard["digests"]) | {serial.baseline.digest} == set(
-            serial.digests
-        )
-        assert shard["budget_exhausted"] is False
-
-
 class TestShardedDfs:
-    @pytest.mark.parametrize("split_depth", [1, 2, 5])
-    def test_digest_set_equals_serial(self, split_depth):
-        serial = explore_cell(BASE_N2, mode="dfs", max_runs=6000)
-        assert serial.exhaustive
-        sharded = explore_cell_sharded(
-            BASE_N2, mode="dfs", max_runs=6000, workers=1,
-            split_depth=split_depth,
-        )
-        assert sharded.exhaustive
-        assert sharded.digests == serial.digests
-        assert sharded.findings == serial.findings == []
-        assert sharded.bounds["sharded"] is True
-        assert sharded.bounds["split_depth"] == split_depth
-
-    def test_worker_count_invariance(self):
-        one = explore_cell_sharded(
-            CT_N2, mode="dfs", max_runs=6000, workers=1, split_depth=2
-        )
-        two = explore_cell_sharded(
-            CT_N2, mode="dfs", max_runs=6000, workers=2, split_depth=2
-        )
-        assert one.digests == two.digests
-        assert one.findings == two.findings
-        assert one.schedules_run == two.schedules_run
-        assert one.pruned == two.pruned
-        assert one.exhaustive and two.exhaustive
-
     def test_budget_exhaustion_is_loud(self):
-        starved = explore_cell_sharded(
-            CT_N3, mode="dfs", max_runs=3, workers=1, split_depth=1
-        )
+        starved = explore_cell(CT_N3, mode="dfs", max_runs=3)
         assert starved.budget_exhausted is True
         assert starved.exhaustive is False
-        assert starved.bounds["exhausted_shards"] >= 0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            explore_cell_sharded(BASE_N2, mode="bfs")
+            explore_cell(BASE_N2, mode="bfs")
 
 
 class TestShardedRandom:
     def test_bit_identical_to_serial(self):
         serial = explore_cell(CT_N2, mode="random", schedules=10, seed=5)
-        sharded = explore_cell_sharded(
+        pooled = explore_cell(
             CT_N2, mode="random", schedules=10, seed=5, workers=2
         )
-        assert sharded.digests == serial.digests
-        assert sharded.findings == serial.findings
-        assert sharded.schedules_run == serial.schedules_run
+        assert pooled.digests == serial.digests
+        assert pooled.findings == serial.findings
+        assert pooled.schedules_run == serial.schedules_run
+
+    def test_findings_are_the_serial_ones(self, monkeypatch, tmp_path):
+        # Healthy protocols give the walks nothing to find, so plant an
+        # order-sensitivity: a digest that also sees the trace hash.
+        # (Forked workers inherit the patch.)
+        real_digest = engine._digest
+
+        def order_sensitive(cell, classification, obs):
+            hashed = engine._trace_hash(obs.runtime)
+            return real_digest(cell, classification, obs) + (hashed[0] < "8",)
+
+        monkeypatch.setattr(engine, "_digest", order_sensitive)
+        serial = explore_cell(CT_N2, mode="random", schedules=12, seed=3)
+        assert serial.findings
+        assert sum(f.occurrences for f in serial.findings) > len(serial.findings)
+        assert all(f.minimized.startswith("ch:") for f in serial.findings)
+        with DigestCache(tmp_path / "c.jsonl", context="t") as cache:
+            pooled = explore_cell(
+                CT_N2, mode="random", schedules=12, seed=3, workers=2,
+                cache=cache,
+            )
+            warm = explore_cell(
+                CT_N2, mode="random", schedules=12, seed=3, cache=cache
+            )
+        assert warm.bounds["cache_hits"] == 12
+        for other in (pooled, warm):
+            assert other.findings == serial.findings
+            assert other.digests == serial.digests
+            assert other.schedules_run == serial.schedules_run
 
 
 class TestCachedModes:
     def test_dfs_result_cache_round_trip(self, tmp_path):
         with DigestCache(tmp_path / "c.jsonl", context="t") as cache:
-            cold = explore_cell_sharded(
-                CT_N2, mode="dfs", max_runs=6000, workers=1,
-                split_depth=2, cache=cache,
-            )
-            warm = explore_cell_sharded(
-                CT_N2, mode="dfs", max_runs=6000, workers=1,
-                split_depth=2, cache=cache,
-            )
+            cold = explore_cell(CT_N2, mode="dfs", max_runs=6000, cache=cache)
+            warm = explore_cell(CT_N2, mode="dfs", max_runs=6000, cache=cache)
         assert "from_cache" not in cold.bounds
         assert warm.bounds["from_cache"] is True
         assert warm.digests == cold.digests
         assert warm.findings == cold.findings
         assert warm.exhaustive == cold.exhaustive
         assert warm.budget_exhausted == cold.budget_exhausted
+        assert (warm.schedules_run, warm.pruned) == (
+            cold.schedules_run, cold.pruned,
+        )
 
     def test_dfs_cache_keys_include_bounds(self, tmp_path):
         # A different budget must not reuse the cached tree.
         with DigestCache(tmp_path / "c.jsonl", context="t") as cache:
-            explore_cell_sharded(
-                CT_N2, mode="dfs", max_runs=6000, workers=1, cache=cache
-            )
-            other = explore_cell_sharded(
-                CT_N2, mode="dfs", max_runs=5999, workers=1, cache=cache
-            )
+            explore_cell(CT_N2, mode="dfs", max_runs=6000, cache=cache)
+            other = explore_cell(CT_N2, mode="dfs", max_runs=5999, cache=cache)
         assert "from_cache" not in other.bounds
 
     def test_delay_result_cache_round_trip(self, tmp_path):
         with DigestCache(tmp_path / "c.jsonl", context="t") as cache:
-            cold = explore_cell_sharded(
+            cold = explore_cell(
                 CT_N2, mode="delay", bound=1, max_runs=2000, cache=cache
             )
-            warm = explore_cell_sharded(
+            warm = explore_cell(
                 CT_N2, mode="delay", bound=1, max_runs=2000, cache=cache
             )
         assert warm.bounds["from_cache"] is True
@@ -245,14 +104,12 @@ class TestCachedModes:
 
     def test_random_walk_cache_hits_per_seed(self, tmp_path):
         with DigestCache(tmp_path / "c.jsonl", context="t") as cache:
-            cold = explore_cell_sharded(
-                CT_N2, mode="random", schedules=6, seed=0, workers=1,
-                cache=cache,
+            cold = explore_cell(
+                CT_N2, mode="random", schedules=6, seed=0, cache=cache
             )
             assert cold.bounds["cache_misses"] == 6
-            warm = explore_cell_sharded(
-                CT_N2, mode="random", schedules=6, seed=0, workers=1,
-                cache=cache,
+            warm = explore_cell(
+                CT_N2, mode="random", schedules=6, seed=0, cache=cache
             )
         assert warm.bounds["cache_hits"] == 6
         assert warm.bounds["cache_misses"] == 0
@@ -261,20 +118,16 @@ class TestCachedModes:
 
     def test_partial_overlap_fills_only_the_gap(self, tmp_path):
         with DigestCache(tmp_path / "c.jsonl", context="t") as cache:
-            explore_cell_sharded(
-                CT_N2, mode="random", schedules=4, seed=0, workers=1,
-                cache=cache,
+            explore_cell(
+                CT_N2, mode="random", schedules=4, seed=0, cache=cache
             )
-            shifted = explore_cell_sharded(
-                CT_N2, mode="random", schedules=6, seed=2, workers=1,
-                cache=cache,
+            shifted = explore_cell(
+                CT_N2, mode="random", schedules=6, seed=2, cache=cache
             )
         # seeds 2,3 hit; 4..7 miss
         assert shifted.bounds["cache_hits"] == 2
         assert shifted.bounds["cache_misses"] == 4
-        plain = explore_cell_sharded(
-            CT_N2, mode="random", schedules=6, seed=2, workers=1
-        )
+        plain = explore_cell(CT_N2, mode="random", schedules=6, seed=2)
         assert shifted.digests == plain.digests
         assert shifted.findings == plain.findings
 

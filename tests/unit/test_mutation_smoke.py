@@ -47,7 +47,7 @@ def test_mutant_ids_unique_and_smoke_subset_valid() -> None:
     assert targets == {
         "src/repro/core/algorithm.py",
         "src/repro/core/crash_tolerant.py",
-        "src/repro/explore/sharding.py",
+        "src/repro/explore/engine.py",
         "src/repro/explore/cache.py",
     }
     # The CI subset covers both protocol engines and both infra families.

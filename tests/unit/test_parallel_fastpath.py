@@ -1,162 +1,65 @@
-"""The sweep pool's fast-path machinery: warm pools, cost model, chunking.
+"""When ``parallel_map`` forks a pool, and that the pool never outlives it.
 
-Complements ``test_parallel_sweeps.py`` (bit-identity and error paths) with
-the mechanisms that make the pool *win*: the per-cell cost estimate, the
-break-even serial fallback, cost-balanced chunk bounds, and warm-pool
-reuse/shutdown.
+Complements ``test_parallel_sweeps.py`` (bit-identity and error paths):
+the only things that decide pooling are the worker count, the item count
+and whether the platform has ``fork``; and whichever way the call ends,
+no worker process is left behind.
 """
 
 import multiprocessing
+import os
+import time
 
 import pytest
 
-from repro.workloads import parallel as par
-from repro.workloads.parallel import (
-    ParallelSweepRunner,
-    estimate_point_cost,
-    parallel_map,
-    shutdown_warm_pools,
-)
+from repro.workloads.parallel import ParallelMapError, parallel_map
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
 
 
-def _square(x):
-    return x * x
+def _pid(_item):
+    return os.getpid()
 
 
-class TestCostModel:
-    def test_tracks_the_message_formula(self):
-        # (N-1)(2P+3Q+1) dominates; the setup terms only add.
-        base = (32 - 1) * (2 * 16 + 3 * 8 + 1)
-        cost = estimate_point_cost(32, 16, 8)
-        assert base < cost < base + 1000
+def _pid_after_pause(_item):
+    time.sleep(0.2)  # long enough for the second worker to take the next item
+    return os.getpid()
 
-    def test_tiny_points_are_not_free(self):
-        assert estimate_point_cost(1, 0, 0) >= par.POINT_SETUP_COST
 
-    def test_does_not_validate(self):
-        # Invalid cells must fail inside a worker (as SweepWorkerError),
-        # not in the parent's estimator.
-        assert estimate_point_cost(3, 9, 0) > 0
-
-    def test_monotone_in_n(self):
-        costs = [estimate_point_cost(n, n // 2, n // 4) for n in (8, 64, 512)]
-        assert costs == sorted(costs) and costs[0] < costs[-1]
+def _explode_on_three(x):
+    if x == 3:
+        raise ValueError("three is right out")
+    return x
 
 
 class TestSerialFallback:
-    def test_cheap_grid_runs_serial_with_defaulted_workers(self):
-        runner = ParallelSweepRunner()
-        assert runner._should_run_serial([(4, 1, 0), (5, 2, 1)], "fork")
-
-    def test_expensive_grid_pools_with_defaulted_workers(self):
-        runner = ParallelSweepRunner()
-        grid = [(128, 64, 32)] * 4  # far past break-even
-        if runner.max_workers <= 1:  # single-core host: serial regardless
-            assert runner._should_run_serial(grid, "fork")
-        else:
-            assert not runner._should_run_serial(grid, "fork")
-
+    @needs_fork
     def test_explicit_workers_always_pool(self):
-        runner = ParallelSweepRunner(max_workers=2)
-        assert not runner._should_run_serial([(4, 1, 0), (5, 2, 1)], "fork")
+        # Two trivial items: no size or cost heuristic keeps them in
+        # process, and imap's chunks of one put each on its own worker.
+        pids = parallel_map(_pid_after_pause, [0, 1], workers=2)
+        assert len(set(pids)) == 2
+        assert os.getpid() not in pids
 
-    def test_no_start_method_forces_serial(self):
-        runner = ParallelSweepRunner(max_workers=8)
-        assert runner._should_run_serial([(64, 32, 16)] * 8, None)
+    def test_no_start_method_forces_serial(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        assert set(parallel_map(_pid, range(8), workers=8)) == {os.getpid()}
 
     def test_single_point_forces_serial(self):
-        runner = ParallelSweepRunner(max_workers=8)
-        assert runner._should_run_serial([(512, 256, 128)], "fork")
-
-
-class TestChunkBounds:
-    def test_explicit_chunk_size_gives_fixed_ranges(self):
-        runner = ParallelSweepRunner(max_workers=2, chunk_size=3)
-        grid = [(4, 1, 0)] * 8
-        assert runner._chunk_bounds(grid) == [(0, 3), (3, 6), (6, 8)]
-
-    def test_bounds_cover_grid_exactly(self):
-        runner = ParallelSweepRunner(max_workers=3)
-        grid = [(n, 1, 0) for n in range(2, 30)]
-        bounds = runner._chunk_bounds(grid)
-        assert bounds[0][0] == 0 and bounds[-1][1] == len(grid)
-        for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-            assert stop == start  # contiguous, no gaps or overlaps
-
-    def test_cost_balanced_splits_isolate_heavy_cells(self):
-        # One N=256 cell outweighs dozens of N=4 cells; balanced bounds
-        # must not lump everything into one chunk just because the heavy
-        # cell comes first.
-        runner = ParallelSweepRunner(max_workers=2)
-        grid = [(256, 128, 64)] + [(4, 1, 0)] * 30
-        bounds = runner._chunk_bounds(grid)
-        assert len(bounds) > 1
-        assert bounds[0] == (0, 1)  # the heavy cell stands alone
-
-    def test_uniform_grid_splits_evenly(self):
-        runner = ParallelSweepRunner(max_workers=2)
-        grid = [(16, 8, 4)] * 16
-        bounds = runner._chunk_bounds(grid)
-        sizes = [stop - start for start, stop in bounds]
-        assert max(sizes) - min(sizes) <= 1
+        assert parallel_map(_pid, ["only"], workers=8) == [os.getpid()]
 
 
 @needs_fork
-class TestWarmPools:
-    def test_sweep_pool_is_reused_across_sweeps(self):
-        shutdown_warm_pools()
-        runner = ParallelSweepRunner(max_workers=2)
-        grid = [(4, 1, 0), (5, 2, 1), (6, 2, 2), (7, 3, 1)]
-        runner.sweep_general(grid)
-        first = par._sweep_pool
-        assert first is not None
-        runner.sweep_general(grid)  # identical config: same warm pool
-        assert par._sweep_pool is not None
-        assert par._sweep_pool[1] is first[1]
-        shutdown_warm_pools()
+class TestPoolLifetime:
+    def test_no_children_after_return(self):
+        assert parallel_map(_pid, range(8), workers=2)
+        assert multiprocessing.active_children() == []
 
-    def test_config_change_replaces_pool(self):
-        shutdown_warm_pools()
-        runner = ParallelSweepRunner(max_workers=2)
-        grid = [(4, 1, 0), (5, 2, 1), (6, 2, 2), (7, 3, 1)]
-        runner.sweep_general(grid, seed=0)
-        first = par._sweep_pool[1]
-        runner.sweep_general(grid, seed=1)  # different shared tables
-        assert par._sweep_pool[1] is not first
-        shutdown_warm_pools()
-
-    def test_shutdown_is_idempotent_and_clears_caches(self):
-        shutdown_warm_pools()
-        parallel_map(_square, list(range(8)), max_workers=2)
-        assert par._map_pool is not None
-        shutdown_warm_pools()
-        assert par._map_pool is None and par._sweep_pool is None
-        shutdown_warm_pools()  # second call is a no-op
-
-    def test_map_pool_reused_for_same_shape(self):
-        shutdown_warm_pools()
-        assert parallel_map(_square, [1, 2, 3, 4], max_workers=2) == [1, 4, 9, 16]
-        first = par._map_pool
-        assert parallel_map(_square, [5, 6, 7, 8], max_workers=2) == [25, 36, 49, 64]
-        assert par._map_pool[1] is first[1]
-        shutdown_warm_pools()
-
-
-class TestParallelMapCostHint:
-    def test_low_cost_hint_runs_serial(self):
-        shutdown_warm_pools()
-        result = parallel_map(_square, [1, 2, 3], cost_hint=10.0)
-        assert result == [1, 4, 9]
-        assert par._map_pool is None  # no pool was built
-
-    @needs_fork
-    def test_explicit_workers_override_cost_hint(self):
-        shutdown_warm_pools()
-        result = parallel_map(_square, [1, 2, 3], max_workers=2, cost_hint=10.0)
-        assert result == [1, 4, 9]
-        assert par._map_pool is not None
-        shutdown_warm_pools()
+    def test_no_children_after_error(self):
+        with pytest.raises(ParallelMapError):
+            parallel_map(_explode_on_three, range(40), workers=2)
+        assert multiprocessing.active_children() == []

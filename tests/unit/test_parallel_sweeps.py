@@ -1,18 +1,19 @@
-"""ParallelSweepRunner: identity with the serial path, fallback, errors."""
+"""parallel_map: identity with the serial sweep, in-process fallback, errors."""
 
 import multiprocessing
+import os
+from functools import partial
 
 import pytest
 
 from repro.simkernel.trace import TraceLevel
-from repro.workloads.parallel import (
-    ParallelMapError,
-    ParallelSweepRunner,
-    SweepWorkerError,
-    parallel_map,
-    parallel_sweep_general,
+from repro.workloads.parallel import ParallelMapError, parallel_map
+from repro.workloads.sweeps import (
+    full_grid,
+    measure_point,
+    scaling_grid,
+    sweep_general,
 )
-from repro.workloads.sweeps import full_grid, scaling_grid, sweep_general
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="platform lacks fork")
@@ -20,66 +21,52 @@ needs_fork = pytest.mark.skipif(not HAS_FORK, reason="platform lacks fork")
 GRID = scaling_grid([4, 6, 8]) + full_grid([5])
 
 
+def _measure(point, **kwargs):
+    """``measure_point`` as the one-argument function a pool maps."""
+    n, p, q = point
+    return measure_point(n, p, q, **kwargs)
+
+
+def _measure_in(point):
+    return os.getpid(), _measure(point)
+
+
 class TestIdentityWithSerial:
     @needs_fork
     def test_points_bit_identical_to_serial(self):
         serial = sweep_general(GRID, seed=7)
-        parallel = ParallelSweepRunner(max_workers=2).sweep_general(GRID, seed=7)
-        assert parallel.points == serial.points
+        pooled = parallel_map(partial(_measure, seed=7), GRID, workers=2)
+        assert pooled == serial.points
 
     @needs_fork
     def test_identical_under_counts_tracing(self):
         serial = sweep_general(GRID, seed=1, trace_level=TraceLevel.COUNTS)
-        parallel = ParallelSweepRunner(
-            max_workers=2, trace_level=TraceLevel.COUNTS
-        ).sweep_general(GRID, seed=1)
-        assert parallel.points == serial.points
-
-    @needs_fork
-    def test_chunk_size_does_not_change_results(self):
-        baseline = ParallelSweepRunner(max_workers=2).sweep_general(GRID)
-        for chunk_size in (1, 3, 100):
-            chunked = ParallelSweepRunner(
-                max_workers=2, chunk_size=chunk_size
-            ).sweep_general(GRID)
-            assert chunked.points == baseline.points
-
-    @needs_fork
-    def test_convenience_wrapper(self):
-        serial = sweep_general(GRID)
-        parallel = parallel_sweep_general(GRID, max_workers=2)
-        assert parallel.points == serial.points
+        pooled = parallel_map(
+            partial(_measure, seed=1, trace_level=TraceLevel.COUNTS),
+            GRID, workers=2,
+        )
+        assert pooled == serial.points
 
 
 class TestFallbacks:
     def test_single_worker_runs_serially(self):
-        result = ParallelSweepRunner(max_workers=1).sweep_general(GRID)
-        assert result.points == sweep_general(GRID).points
+        ran = parallel_map(_measure_in, GRID, workers=1)
+        assert {pid for pid, _ in ran} == {os.getpid()}
+        assert [point for _, point in ran] == sweep_general(GRID).points
 
     def test_single_point_grid_runs_serially(self):
         grid = [(5, 2, 1)]
-        result = ParallelSweepRunner(max_workers=4).sweep_general(grid)
-        assert result.points == sweep_general(grid).points
+        [(pid, point)] = parallel_map(_measure_in, grid, workers=4)
+        assert pid == os.getpid()
+        assert [point] == sweep_general(grid).points
 
     def test_serial_when_fork_unavailable(self, monkeypatch):
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        runner = ParallelSweepRunner(max_workers=4)
-        assert runner._resolve_start_method() is None
-        result = runner.sweep_general(GRID[:3])
-        assert result.points == sweep_general(GRID[:3]).points
-
-    def test_unknown_start_method_rejected(self):
-        runner = ParallelSweepRunner(max_workers=2, start_method="not-a-method")
-        with pytest.raises(ValueError, match="not-a-method"):
-            runner.sweep_general(GRID[:2])
-
-    def test_bad_worker_and_chunk_args_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelSweepRunner(max_workers=0)
-        with pytest.raises(ValueError):
-            ParallelSweepRunner(chunk_size=0)
+        ran = parallel_map(_measure_in, GRID[:3], workers=4)
+        assert {pid for pid, _ in ran} == {os.getpid()}
+        assert [point for _, point in ran] == sweep_general(GRID[:3]).points
 
 
 def _square(x):
@@ -93,81 +80,44 @@ def _explode_on_three(x):
 
 
 class TestParallelMap:
-    """The generic fork-pool map engine shared with the fault campaigns."""
+    """The one fork-pool map shared by sweeps, campaigns and the explorer."""
 
     @needs_fork
     def test_preserves_input_order(self):
         items = list(range(37))
-        assert parallel_map(_square, items, max_workers=3) == [
+        assert parallel_map(_square, items, workers=3) == [
             x * x for x in items
         ]
 
     @needs_fork
-    def test_chunk_size_does_not_change_results(self):
-        items = list(range(20))
-        expected = [x * x for x in items]
-        for chunk_size in (1, 3, 50):
-            got = parallel_map(
-                _square, items, max_workers=2, chunk_size=chunk_size
-            )
-            assert got == expected
-
-    @needs_fork
     def test_worker_error_carries_item_and_traceback(self):
         with pytest.raises(ParallelMapError) as excinfo:
-            parallel_map(_explode_on_three, [1, 2, 3, 4], max_workers=2)
+            parallel_map(_explode_on_three, [1, 2, 3, 4], workers=2)
         assert excinfo.value.item == 3
         assert "three is right out" in excinfo.value.worker_traceback
 
-    def test_serial_fallback_matches_and_reports_progress(self):
-        seen = []
-        got = parallel_map(
-            _square, [1, 2, 3], max_workers=1,
-            progress=lambda d, t: seen.append((d, t)),
-        )
-        assert got == [1, 4, 9]
-        assert seen == [(1, 3), (2, 3), (3, 3)]
-
     def test_serial_fallback_wraps_errors_identically(self):
         with pytest.raises(ParallelMapError) as excinfo:
-            parallel_map(_explode_on_three, [3], max_workers=1)
+            parallel_map(_explode_on_three, [3], workers=1)
         assert excinfo.value.item == 3
+        assert "three is right out" in excinfo.value.worker_traceback
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            parallel_map(_square, [1], max_workers=0)
+            parallel_map(_square, [1], workers=0)
         with pytest.raises(ValueError):
-            parallel_map(_square, [1], chunk_size=0)
-        with pytest.raises(ValueError):
-            parallel_map(_square, [1, 2], start_method="not-a-method")
+            parallel_map(_square, [1, 2], workers=-1)
 
     def test_empty_input(self):
         assert parallel_map(_square, []) == []
+        assert parallel_map(_square, [], workers=2) == []
 
 
 class TestProgressAndErrors:
     @needs_fork
-    def test_progress_reaches_total_in_order(self):
-        seen = []
-        runner = ParallelSweepRunner(
-            max_workers=2, chunk_size=2, progress=lambda d, t: seen.append((d, t))
-        )
-        runner.sweep_general(GRID)
-        assert seen[-1] == (len(GRID), len(GRID))
-        assert [d for d, _ in seen] == sorted(d for d, _ in seen)
-        assert all(t == len(GRID) for _, t in seen)
-
-    def test_progress_fires_on_serial_fallback(self):
-        seen = []
-        ParallelSweepRunner(
-            max_workers=1, progress=lambda d, t: seen.append((d, t))
-        ).sweep_general(GRID[:2])
-        assert seen == [(2, 2)]
-
-    @needs_fork
     def test_worker_error_carries_point_and_traceback(self):
         bad_grid = [(4, 1, 0), (3, 9, 0)]  # p > n: invalid workload
-        with pytest.raises(SweepWorkerError) as excinfo:
-            ParallelSweepRunner(max_workers=2).sweep_general(bad_grid)
-        assert excinfo.value.point == (3, 9, 0)
+        with pytest.raises(ParallelMapError) as excinfo:
+            parallel_map(_measure, bad_grid, workers=2)
+        assert excinfo.value.item == (3, 9, 0)
         assert "ValueError" in excinfo.value.worker_traceback

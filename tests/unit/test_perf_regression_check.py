@@ -29,7 +29,6 @@ def _payload(ratio: float | None) -> dict:
             "full": {"n": 32, "events_per_sec": 200_000},
             "counts": {"n": 32, "events_per_sec": 230_000},
         },
-        "sweep": {"speedups": {"auto_vs_serial_full": 1.0}},
     }
     if ratio is not None:
         payload["n_scaling"] = {"ratio": ratio}
