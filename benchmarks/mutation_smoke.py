@@ -171,9 +171,9 @@ MUTANTS: tuple[Mutant, ...] = (
         "ct-no-acks-missing", CT,
         "raiser awaits no ACKs: commits before the group is informed",
         """        self.acks_missing = set(self.detector.alive_peers())
-        for peer in self.group:""",
+        self.send_many(""",
         """        self.acks_missing = set()
-        for peer in self.group:""",
+        self.send_many(""",
     ),
     Mutant(
         "ct-ack-noop", CT,
@@ -204,8 +204,10 @@ MUTANTS: tuple[Mutant, ...] = (
         """        self.aborting = True
         self.nested_members.add(self.name)
         self._checkpoint("aborting")
-        for peer in self.detector.alive_peers():
-            self.send(peer, KIND_CT_HAVE_NESTED, CtHaveNested(self.action, self.name))""",
+        self.send_many(
+            self.detector.alive_peers(), KIND_CT_HAVE_NESTED,
+            CtHaveNested(self.action, self.name),
+        )""",
         """        self.aborting = True
         self.nested_members.add(self.name)
         self._checkpoint("aborting")""",
@@ -220,13 +222,9 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "ct-resolver-never-handles", CT,
         "resolver commits but never starts its own handler",
-        """        for peer in self.group:
-            if peer != self.name:
-                self.send(peer, KIND_CT_COMMIT, commit)
+        """        self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)
         self._start_handler(resolved)""",
-        """        for peer in self.group:
-            if peer != self.name:
-                self.send(peer, KIND_CT_COMMIT, commit)""",
+        """        self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)""",
     ),
     Mutant(
         "ct-commit-not-adopted", CT,
@@ -235,6 +233,59 @@ MUTANTS: tuple[Mutant, ...] = (
             self._start_handler(payload.exception)
             return""",
         """            return""",
+    ),
+    # -- ct fan-out peer sets: whole group vs unsuspected peers vs self ----------
+    Mutant(
+        "ct-exception-to-alive-only", CT,
+        "Exception skips suspected peers: a falsely suspected one never learns",
+        "            self.detector.peers, KIND_CT_EXCEPTION,",
+        "            self.detector.alive_peers(), KIND_CT_EXCEPTION,",
+    ),
+    Mutant(
+        "ct-exception-to-self-too", CT,
+        "Exception broadcast includes the raiser itself",
+        "            self.detector.peers, KIND_CT_EXCEPTION,",
+        "            self.group, KIND_CT_EXCEPTION,",
+    ),
+    Mutant(
+        "ct-have-nested-to-whole-group", CT,
+        "HaveNested also goes to suspected peers",
+        "            self.detector.alive_peers(), KIND_CT_HAVE_NESTED,",
+        "            self.detector.peers, KIND_CT_HAVE_NESTED,",
+    ),
+    Mutant(
+        "ct-nested-completed-to-whole-group", CT,
+        "NestedCompleted also goes to suspected peers",
+        "            self.detector.alive_peers(), KIND_CT_NESTED_COMPLETED,",
+        "            self.detector.peers, KIND_CT_NESTED_COMPLETED,",
+    ),
+    Mutant(
+        "ct-commit-to-alive-only", CT,
+        "Commit skips suspected peers: a falsely suspected one never converges",
+        """        self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)
+        self._start_handler(resolved)""",
+        """        self.send_many(self.detector.alive_peers(), KIND_CT_COMMIT, commit)
+        self._start_handler(resolved)""",
+    ),
+    Mutant(
+        "ct-commit-to-self-too", CT,
+        "Commit broadcast includes the resolver itself",
+        """        self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)
+        self._start_handler(resolved)""",
+        """        self.send_many(self.group, KIND_CT_COMMIT, commit)
+        self._start_handler(resolved)""",
+    ),
+    Mutant(
+        "ct-commit-extend-to-alive-only", CT,
+        "an extended Commit skips the peers its sender suspects",
+        "                self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)",
+        "                self.send_many(self.detector.alive_peers(), KIND_CT_COMMIT, commit)",
+    ),
+    Mutant(
+        "ct-rejoin-req-to-self-too", CT,
+        "a restarted member asks itself to rejoin",
+        "            self.detector.peers, KIND_CT_REJOIN_REQ,",
+        "            self.group, KIND_CT_REJOIN_REQ,",
     ),
     # -- exploration infrastructure (search drivers + digest cache) --------------
     Mutant(
@@ -312,7 +363,7 @@ SMOKE_IDS = (
     "alg-drop-exception-ack", "alg-ready-or", "alg-handler-restarted",
     "alg-commit-not-broadcast", "ct-ack-before-have-nested",
     "ct-no-acks-missing", "ct-resolver-never-handles", "ct-commit-not-adopted",
-    "cache-crc-ignored", "walk-seed-pinned",
+    "ct-commit-to-alive-only", "cache-crc-ignored", "walk-seed-pinned",
 )
 
 
@@ -365,7 +416,67 @@ def detection_problems() -> list[str]:
             )
     except Exception as exc:
         problems.append(f"explore ch:6=1: {type(exc).__name__}: {exc}")
+    problems.extend(_fanout_problems())
     problems.extend(_explore_infra_problems())
+    return problems
+
+
+def _fanout_problems() -> list[str]:
+    """Who each ct broadcast reaches, counted where the peer sets differ.
+
+    Exception, Commit and RejoinReq go to the whole group bar the sender;
+    HaveNested and NestedCompleted to the unsuspected peers only.  In a
+    fault-free run the two sets are equal, so each world below has a
+    suspected member when the broadcast in question goes out.
+    """
+    from repro.core.variants import run_action
+    from repro.net.latency import UniformLatency
+
+    worlds = (
+        # O0003 dies at t=1 and is suspected before the raise: 3 copies of
+        # the Exception and the Commit, 2 of each nested announcement.
+        (
+            "dead-before-raise",
+            dict(n=4, p=1, q=1, crashes=[("O0003", 1.0)], raise_at=12.0),
+            {"CT_EXCEPTION": 3, "CT_ACK": 2, "CT_HAVE_NESTED": 2,
+             "CT_NESTED_COMPLETED": 2, "CT_COMMIT": 3},
+        ),
+        # Latency beyond the timeout: O0001, suspecting O0002 since t=8, is
+        # passed over by the resolver, extends the Commit it is offered at
+        # t=20.2 and re-broadcasts it to both others, suspected or not.
+        (
+            "commit-extend",
+            dict(n=3, p=2, seed=1, latency=UniformLatency(0.5, 9.0),
+                 hb_timeout=6.5, until=400.0),
+            {"CT_EXCEPTION": 4, "CT_ACK": 3, "CT_COMMIT": 5},
+        ),
+        # O0003 dies mid-resolution and comes back: one RejoinReq per peer.
+        (
+            "restart",
+            dict(n=4, p=2, crashes=[("O0003", 10.5)], hb_timeout=12.0,
+                 restart_at=16.0),
+            {"CT_EXCEPTION": 8, "CT_ACK": 6, "CT_COMMIT": 3,
+             "CT_REJOIN_REQ": 3, "CT_REJOIN_REPLY": 3},
+        ),
+    )
+    problems = []
+    for label, world, expected in worlds:
+        try:
+            world = dict(world)
+            run = run_action(
+                "ct", world.pop("n"), world.pop("p"), world.pop("q", 0), **world
+            )
+            sent = {
+                kind: count
+                for kind, count in run.runtime.network.sent_by_kind.items()
+                if kind != "HEARTBEAT"
+            }
+            if sent != expected or not run.all_handled():
+                problems.append(
+                    f"fan-out {label}: sent {sent}, handled {run.handled()}"
+                )
+        except Exception as exc:
+            problems.append(f"fan-out {label}: {type(exc).__name__}: {exc}")
     return problems
 
 

@@ -95,7 +95,7 @@ class ResolutionEngine:
         self, src: str, dsts, kind: str, payload: object
     ):
         # Pre-attach fallback; replaced by the runtime's network.send_many.
-        return [self.p.send(dst, kind, payload) for dst in dsts]
+        return self.p.send_many(dsts, kind, payload)
 
     # -- queries -------------------------------------------------------------
 

@@ -118,11 +118,10 @@ class ResolutionCoordinator(DistributedObject):
         self.statuses.add(payload.sender)
         if not self.suspend_sent:
             self.suspend_sent = True
-            for member in self.members:
-                if member != payload.sender:
-                    self.send(
-                        member, KIND_CD_SUSPEND, CdSuspend(self.action, self.name)
-                    )
+            self.send_many(
+                [m for m in self.members if m != payload.sender],
+                KIND_CD_SUSPEND, CdSuspend(self.action, self.name),
+            )
         self._maybe_commit()
 
     def _on_status(self, message: Message) -> None:
@@ -157,8 +156,7 @@ class ResolutionCoordinator(DistributedObject):
                 self._span_id, self.sim_now,
                 outcome=f"committed {resolved.name()}",
             )
-        for member in self.members:
-            self.send(member, KIND_CD_COMMIT, self.committed)
+        self.send_many(self.members, KIND_CD_COMMIT, self.committed)
 
 
 class CentralizedParticipant(Member):

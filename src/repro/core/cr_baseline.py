@@ -88,6 +88,7 @@ class CRParticipant(DistributedObject):
         super().__init__(name)
         self.action = action
         self.group = group
+        self.others = tuple([g for g in group if g != name])
         self.tree = tree
         self.reduced = reduced
         #: Exceptions known to have been raised, with their raiser.
@@ -114,14 +115,11 @@ class CRParticipant(DistributedObject):
         self.raised.add(exception)
         self.known.add((self.name, exception))
         self._invalidate_vote()
-        others = [g for g in self.group if g != self.name]
-        self._acks_awaited += len(others)
-        for other in others:
-            self.send(
-                other,
-                KIND_CR_EXCEPTION,
-                CRExceptionMsg(self.action, self.name, exception),
-            )
+        self._acks_awaited += len(self.others)
+        self.send_many(
+            self.others, KIND_CR_EXCEPTION,
+            CRExceptionMsg(self.action, self.name, exception),
+        )
         self._maybe_domino(exception)
         self._maybe_vote()
 
@@ -180,13 +178,10 @@ class CRParticipant(DistributedObject):
             return
         self._voted_fingerprint = fingerprint
         self._votes[self.name] = fingerprint
-        for other in self.group:
-            if other != self.name:
-                self.send(
-                    other,
-                    KIND_CR_STABLE,
-                    CRStableMsg(self.action, self.name, fingerprint),
-                )
+        self.send_many(
+            self.others, KIND_CR_STABLE,
+            CRStableMsg(self.action, self.name, fingerprint),
+        )
         self._maybe_resolve()
 
     def _maybe_resolve(self) -> None:

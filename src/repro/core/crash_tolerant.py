@@ -291,12 +291,10 @@ class CrashTolerantParticipant(Member):
         if self._spans is not None:
             self._span_raise(exception)
         self.acks_missing = set(self.detector.alive_peers())
-        for peer in self.group:
-            if peer != self.name:
-                self.send(
-                    peer, KIND_CT_EXCEPTION,
-                    CtException(self.action, self.name, exception),
-                )
+        self.send_many(
+            self.detector.peers, KIND_CT_EXCEPTION,
+            CtException(self.action, self.name, exception),
+        )
         self._advance()
 
     # -- message handling ------------------------------------------------------
@@ -360,9 +358,7 @@ class CrashTolerantParticipant(Member):
                     self.sim_now, "ct.commit_extend", self.name,
                     action=self.action, exception=merged.name(),
                 )
-                for peer in self.group:
-                    if peer != self.name:
-                        self.send(peer, KIND_CT_COMMIT, commit)
+                self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)
                 self._start_handler(merged)
                 return
             self.commit = payload
@@ -503,8 +499,10 @@ class CrashTolerantParticipant(Member):
         self.aborting = True
         self.nested_members.add(self.name)
         self._checkpoint("aborting")
-        for peer in self.detector.alive_peers():
-            self.send(peer, KIND_CT_HAVE_NESTED, CtHaveNested(self.action, self.name))
+        self.send_many(
+            self.detector.alive_peers(), KIND_CT_HAVE_NESTED,
+            CtHaveNested(self.action, self.name),
+        )
         self.runtime.trace.record(
             self.sim_now, "ct.abort_start", self.name, action=self.action,
             depth=self.nested_depth,
@@ -523,11 +521,10 @@ class CrashTolerantParticipant(Member):
         self.nested_done.add(self.name)
         if self.abort_signal is not None:
             self.le[self.name] = self.abort_signal
-        for peer in self.detector.alive_peers():
-            self.send(
-                peer, KIND_CT_NESTED_COMPLETED,
-                CtNestedCompleted(self.action, self.name, self.abort_signal),
-            )
+        self.send_many(
+            self.detector.alive_peers(), KIND_CT_NESTED_COMPLETED,
+            CtNestedCompleted(self.action, self.name, self.abort_signal),
+        )
         self.runtime.trace.record(
             self.sim_now, "ct.abort_done", self.name, action=self.action,
             signal=self.abort_signal.name() if self.abort_signal else None,
@@ -603,9 +600,7 @@ class CrashTolerantParticipant(Member):
         # Commit goes to the *whole* group, not just unsuspected peers: a
         # falsely suspected member is alive and must still converge, and a
         # genuinely dead one simply never receives it (crash = silence).
-        for peer in self.group:
-            if peer != self.name:
-                self.send(peer, KIND_CT_COMMIT, commit)
+        self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)
         self._start_handler(resolved)
 
     def _start_handler(self, exception: ExceptionClass) -> None:
@@ -705,14 +700,10 @@ class CrashTolerantParticipant(Member):
         elif last is not None:
             self._ckpt_rank = _CHECKPOINT_RANK[last]
         self._span_open("X" if exception is not None else "S")
-        for peer in self.group:
-            if peer != self.name:
-                self.send(
-                    peer, KIND_CT_REJOIN_REQ,
-                    CtRejoinReq(self.action, self.name, exception),
-                )
-
-
+        self.send_many(
+            self.detector.peers, KIND_CT_REJOIN_REQ,
+            CtRejoinReq(self.action, self.name, exception),
+        )
 
 
 def build(

@@ -142,9 +142,7 @@ class CAParticipant(DistributedObject):
         #: Span collector when the trace level is FULL, else None (cached
         #: at attach() so every emission site is one pointer comparison).
         self._spans = None
-        #: Bound ``network.send``/``send_many`` once attached (broadcast
-        #: hot path).
-        self._net_send = None
+        #: Bound ``network.send_many`` once attached (broadcast hot path).
         self._net_send_many = None
         #: Open span ids: per entered action, and per running handler.
         self._action_span_ids: dict[str, int] = {}
@@ -177,7 +175,6 @@ class CAParticipant(DistributedObject):
         self.engine._metrics = runtime.metrics
         # Bind the network's send directly for the protocol hot paths (the
         # DistributedObject.send wrapper only re-derives these arguments).
-        self._net_send = runtime.network.send
         self._net_send_many = runtime.network.send_many
         self.engine._send = runtime.network.send
         self.engine._send_many = runtime.network.send_many
@@ -271,8 +268,7 @@ class CAParticipant(DistributedObject):
             me = self.name
             send_many = self._net_send_many
             if send_many is None:  # not attached (unit-test construction)
-                for other in definition.others(me):
-                    self.send(other, KIND_DONE, done_msg)
+                self.send_many(definition.others(me), KIND_DONE, done_msg)
             else:
                 send_many(me, definition.others(me), KIND_DONE, done_msg)
         self._waiting_barrier = action

@@ -270,15 +270,30 @@ def _load(ref: str):
 # -- the host ------------------------------------------------------------------------
 
 
-def flat_tree(leaves: int, prefix: str) -> tuple[ResolutionTree, list]:
-    """Root plus ``leaves`` sibling exceptions; returns (tree, leaf list)."""
-    classes = [
-        declare_exception(f"{prefix}_{i}") for i in range(leaves)
-    ]
+@cache
+def _leaf(prefix: str, index: int) -> ExceptionClass:
+    return declare_exception(f"{prefix}_{index}")
+
+
+@cache
+def flat_tree(
+    leaves: int, prefix: str
+) -> tuple[ResolutionTree, tuple[ExceptionClass, ...], HandlerSet]:
+    """Root plus ``leaves`` sibling exceptions ``<prefix>_<i>``: the tree,
+    its leaves and its complete handler set.
+
+    All three are immutable and the same for every action of that shape,
+    so they are made once per ``(leaves, prefix)`` and each leaf class once
+    per name (at most max P entries per prefix).  One class per generated
+    name also means every generated leaf pickles: the "only the newest
+    class of that name" caveat of
+    :func:`~repro.exceptions.declarations.declare_exception` never arises.
+    """
+    classes = tuple([_leaf(prefix, i) for i in range(leaves)])
     tree = ResolutionTree(
         UniversalException, {cls: UniversalException for cls in classes}
     )
-    return tree, classes
+    return tree, classes, HandlerSet.completing_all(tree)
 
 
 class Setup(NamedTuple):
@@ -288,7 +303,7 @@ class Setup(NamedTuple):
     names: tuple[str, ...]
     tree: ResolutionTree
     #: ``leaves[i]`` is what ``names[i]`` raises, for ``i < p``.
-    leaves: list
+    leaves: tuple
     handlers: HandlerSet
     p: int
     q: int
@@ -470,15 +485,14 @@ def run_action(
         unknown = set(victims) - set(names) - {spec.coordinator}
         if unknown:
             raise ValueError(f"cannot crash unknown members: {sorted(unknown)}")
-    tree, leaves = flat_tree(p, spec.prefix)
+    tree, leaves, handlers = flat_tree(p, spec.prefix)
     runtime = Runtime(
         seed=seed, latency=latency, failure_plan=failure_plan,
         reliable=reliable, ack_timeout=ack_timeout, max_retries=max_retries,
         trace_level=trace_level,
     )
     setup = Setup(
-        runtime, names, tree, leaves, HandlerSet.completing_all(tree),
-        p, q, raise_at, crashes, [], [],
+        runtime, names, tree, leaves, handlers, p, q, raise_at, crashes, [], [],
     )
     # cr only (checked above): raiser i raises at raise_at + i * stagger.
     stagger = options.pop("stagger", 0.0)

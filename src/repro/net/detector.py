@@ -22,6 +22,7 @@ view, and under the crash-only fault model they will never answer again.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.net.message import Message
@@ -55,11 +56,11 @@ class Heartbeater:
         self.last_seen: dict[str, float] = {}
         self.suspected: set[str] = set()
         self._running = False
-        # Each start() bumps the generation; beat/check chains carry the
-        # generation they were started under and die when it goes stale.
-        # Without this, stop() followed by start() before the old callbacks
-        # fire would leave two live chains (doubled heartbeat traffic and
-        # check frequency).
+        # start() and stop() each bump the generation; beat/check chains
+        # carry the generation they were started under and die when it goes
+        # stale (or the object crashes).  Without this, stop() followed by
+        # start() before the old callbacks fire would leave two live chains
+        # (doubled heartbeat traffic and check frequency).
         self._generation = 0
         obj.on_kind(KIND_HEARTBEAT, self._on_heartbeat)
 
@@ -77,6 +78,7 @@ class Heartbeater:
 
     def stop(self) -> None:
         self._running = False
+        self._generation += 1
 
     def restart(self) -> None:
         """Fresh start after this object's *own* node restarts.
@@ -111,52 +113,47 @@ class Heartbeater:
         return name in self.suspected
 
     def alive_peers(self) -> list[str]:
-        return [p for p in self.peers if p not in self.suspected]
+        suspected = self.suspected
+        if not suspected:
+            return list(self.peers)
+        return [p for p in self.peers if p not in suspected]
 
     # -- internals ------------------------------------------------------------
 
-    def _stale(self, generation: int) -> bool:
-        return (
-            not self._running
-            or generation != self._generation
-            or self.obj.crashed
-        )
-
     def _beat(self, generation: int) -> None:
-        if self._stale(generation):
+        if generation != self._generation or self.obj.crashed:
             return
-        for peer in self.peers:
-            if peer not in self.suspected:
-                self.obj.send(peer, KIND_HEARTBEAT, None)
+        # One beat is one fan-out: the unsuspected peers, one shared payload.
+        self.obj.send_many(self.alive_peers(), KIND_HEARTBEAT)
         self.obj.runtime.sim.schedule(
             self.interval,
-            lambda: self._beat(generation),
+            partial(self._beat, generation),
             label=f"hb:{self.obj.name}",
         )
 
     def _on_heartbeat(self, message: Message) -> None:
-        self.last_seen[message.src] = self.obj.sim_now
-        if message.src in self.suspected:
+        src = message.src
+        self.last_seen[src] = now = self.obj.runtime.sim.now
+        if src in self.suspected:
             # Late heartbeat from a suspected peer: with crash-only faults
             # this cannot happen, but under message delays it can — we keep
             # the suspicion (decisions already made must stay stable).
             self.obj.runtime.trace.record(
-                self.obj.sim_now, "detector.late_heartbeat", self.obj.name,
-                peer=message.src,
+                now, "detector.late_heartbeat", self.obj.name, peer=src
             )
 
     def _check(self, generation: int) -> None:
-        if self._stale(generation):
+        if generation != self._generation or self.obj.crashed:
             return
-        now = self.obj.sim_now
+        now = self.obj.runtime.sim.now
+        # ``start`` stamped every peer, so ``last_seen`` is total here.
+        last_seen, suspected = self.last_seen, self.suspected
         for peer in self.peers:
-            if peer in self.suspected:
-                continue
-            if now - self.last_seen.get(peer, now) > self.timeout:
+            if peer not in suspected and now - last_seen[peer] > self.timeout:
                 self._suspect(peer, now)
         self.obj.runtime.sim.schedule(
             self.interval,
-            lambda: self._check(generation),
+            partial(self._check, generation),
             label=f"hbcheck:{self.obj.name}",
         )
 

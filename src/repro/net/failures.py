@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,26 @@ class FailureInjector:
     DROP = "drop"
     CORRUPT = "corrupt"
 
-    def __init__(self, plan: FailurePlan | None = None, rng: random.Random | None = None):
+    def __init__(
+        self,
+        plan: FailurePlan | None = None,
+        rng: random.Random | Callable[[], random.Random] | None = None,
+    ):
         self.plan = plan if plan is not None else FailurePlan()
-        self._rng = rng if rng is not None else random.Random(0)
+        self._rng_source = rng
         self.dropped = 0
         self.corrupted = 0
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        """The stream drop/corrupt fates are drawn from, made on the first
+        draw when a callable was given: a named stream is seeded from its
+        name alone, so making it late changes no fate, and a fault-free
+        run never pays for seeding one."""
+        source = self._rng_source
+        if source is None:
+            return random.Random(0)
+        return source if isinstance(source, random.Random) else source()
 
     def crashed(self, name: str, time: float) -> bool:
         """True if endpoint ``name`` is inside a crash window at ``time``."""

@@ -38,7 +38,9 @@ class GroupView:
 
     def others(self, name: str) -> tuple[str, ...]:
         """All members except ``name`` (used for 'all O_j in G_A' sends)."""
-        return tuple(member for member in self.members if member != name)
+        # A list comprehension, not a generator: every multicast asks, and a
+        # generator is resumed (one frame entry) per member.
+        return tuple([member for member in self.members if member != name])
 
 
 #: Callback invoked with every new view of a subscribed group.

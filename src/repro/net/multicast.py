@@ -71,18 +71,19 @@ class ReliableMulticast:
         view = self.membership.view(group)
         targets = view.members if include_self else view.others(src)
         self.operations[kind] += 1
-        for dst in targets:
-            self._send_reliably(src, dst, kind, payload, attempt=0)
+        sent = self.network.send_many(src, targets, kind, payload)
+        # A transport with its own ARQ recovers its drops itself.
+        if not getattr(self.network, "provides_reliable_delivery", False):
+            for message in sent:
+                if message.dropped:
+                    self._retry(src, message.dst, kind, payload, attempt=0)
         return len(targets)
 
-    def _send_reliably(
+    def _retry(
         self, src: str, dst: str, kind: str, payload: object, attempt: int
     ) -> None:
-        message = self.network.send(src, dst, kind, payload)
-        if not message.dropped:
-            return
-        if getattr(self.network, "provides_reliable_delivery", False):
-            return  # the transport's own ARQ recovers the drop
+        """Attempt ``attempt`` to ``dst`` was dropped: resend after
+        ``retry_delay``, or dead-letter once the budget is spent."""
         if attempt >= self.max_retries:
             self.dead_letters += 1
             self.network.trace.record(
@@ -97,9 +98,15 @@ class ReliableMulticast:
             return
         self.network.sim.schedule(
             self.retry_delay,
-            lambda: self._send_reliably(src, dst, kind, payload, attempt + 1),
+            lambda: self._resend(src, dst, kind, payload, attempt + 1),
             label=f"mcast-retry:{kind}:{src}->{dst}",
         )
+
+    def _resend(
+        self, src: str, dst: str, kind: str, payload: object, attempt: int
+    ) -> None:
+        if self.network.send(src, dst, kind, payload).dropped:
+            self._retry(src, dst, kind, payload, attempt)
 
     def total_operations(self, kinds: set[str] | None = None) -> int:
         if kinds is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import partial
 from typing import Callable
 
 from repro.net.channel import Channel
@@ -60,7 +61,7 @@ class Network:
         self.default_latency = latency if latency is not None else ConstantLatency(1.0)
         self.rng = rng if rng is not None else RngRegistry(0)
         self.injector = injector if injector is not None else FailureInjector(
-            rng=self.rng.stream("net.failures")
+            rng=partial(self.rng.stream, "net.failures")
         )
         self.trace = trace if trace is not None else TraceRecorder()
         #: Span collector (set by the runtime when trace level is FULL);
@@ -320,7 +321,9 @@ class Network:
         per-send constants (clock read, injector check, latency lookup,
         counter hashes, queue bookkeeping) are hoisted out of the loop.
         Broadcasts (DONE, EXCEPTION, COMMIT, ...) are ~70% of all sends in
-        a resolution run, so the hoisting is worth a dedicated entry point.
+        a resolution run and heartbeats most of a crash-tolerant one, so
+        this is the one entry point every fan-out in the stack goes
+        through (engines, failure detector, multicast layer).
 
         The batched loop is only sound on the stock configuration; any
         wrinkle (subclassed ``send``, per-pair latency, wire diversion,

@@ -50,6 +50,13 @@ class DistributedObject:
             raise RuntimeError(f"{self.name} is not attached to a runtime")
         return self.runtime.network.send(self.name, dst, kind, payload)
 
+    def send_many(self, dsts, kind: str, payload: object = None) -> list[Message]:
+        """Send one ``payload`` to every name in ``dsts``, in order: the one
+        way to fan out (see :meth:`repro.net.network.Network.send_many`)."""
+        if self.runtime is None:
+            raise RuntimeError(f"{self.name} is not attached to a runtime")
+        return self.runtime.network.send_many(self.name, dsts, kind, payload)
+
     def receive(self, message: Message) -> None:
         """Entry point called by the network; dispatches by kind."""
         handler = self._kind_handlers.get(message.kind)

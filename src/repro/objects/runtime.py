@@ -8,6 +8,7 @@ a one-stop construction API for scenarios and examples.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Iterator
 
 from repro.net.failures import FailureInjector, FailurePlan
@@ -76,7 +77,9 @@ class Runtime:
         #: Metrics registry: protocol engines push rare events; bulk
         #: network counters are pulled lazily by :meth:`metrics_snapshot`.
         self.metrics = MetricsRegistry()
-        injector = FailureInjector(failure_plan, self.rng.stream("net.failures"))
+        injector = FailureInjector(
+            failure_plan, partial(self.rng.stream, "net.failures")
+        )
         if reliable:
             from repro.net.reliable import ReliableNetwork
 

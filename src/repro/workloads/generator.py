@@ -42,6 +42,10 @@ WORK = 50.0
 RAISE_AT = 10.0
 #: :func:`general_case` budgets this many events per modelled message.
 BUDGET_FACTOR = 4
+#: Every nested action of :func:`general_case`: the root-only tree and its
+#: complete handler set (both immutable, so one of each serves every run).
+_NESTED_TREE = ResolutionTree(UniversalException)
+_NESTED_HANDLERS = HandlerSet.completing_all(_NESTED_TREE)
 
 
 def general_case(
@@ -83,7 +87,7 @@ def general_case(
         raise ValueError(f"bad nested count q={q} for n={n}, p={p}")
 
     names = [canonical_name(i) for i in range(n)]
-    tree, leaves = flat_tree(max(p, 1), "GeneralExc")
+    tree, leaves, top_handlers = flat_tree(max(p, 1), "GeneralExc")
     top = CAActionDef(
         "A1",
         tuple(names),
@@ -94,13 +98,11 @@ def general_case(
     actions = [top]
     specs = []
     # All participants share the same (immutable) complete handler set for
-    # A1, every nested action shares one root-only tree/handler set, and
-    # every nested participant the same silent abortion handler: the former
-    # per-participant construction was O(N·P) Handler allocations and
-    # dominated scenario build time at large N.
-    top_handlers = HandlerSet.completing_all(tree)
-    nested_tree = ResolutionTree(UniversalException)
-    nested_handlers = HandlerSet.completing_all(nested_tree)
+    # A1 (made once per tree shape by ``flat_tree``), every nested action
+    # the root-only tree/handler set above, and every nested participant
+    # the same silent abortion handler: the former per-participant
+    # construction was O(N·P) Handler allocations and dominated scenario
+    # build time at large N.
     silent_abort = AbortionHandler.silent(abort_duration)
     for i, name in enumerate(names):
         handler_sets = {"A1": top_handlers}
@@ -110,9 +112,9 @@ def general_case(
         elif i < p + q:
             nested_name = f"A1.N{i}"
             actions.append(
-                CAActionDef(nested_name, (name,), nested_tree, parent="A1")
+                CAActionDef(nested_name, (name,), _NESTED_TREE, parent="A1")
             )
-            handler_sets[nested_name] = nested_handlers
+            handler_sets[nested_name] = _NESTED_HANDLERS
             abortion_handlers[nested_name] = silent_abort
             behaviour = [
                 ActionBlock(

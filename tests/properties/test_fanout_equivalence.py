@@ -1,0 +1,154 @@
+"""Batched ≡ loop, for every caller of ``send_many``.
+
+Every engine and the failure detector fan out through one call,
+:meth:`repro.net.network.Network.send_many`, which batches on the stock
+configuration and otherwise *is* the per-send loop.  So for each variant
+and each way of configuring a run, one action with ``send_many`` replaced
+by the plain loop must be indistinguishable from the same action as
+shipped: same message ids in the same order, same counters, same FULL
+trace records (hashed — they carry every id, time and kind), same
+handlers.  A handful of fingerprints are pinned as they were before any
+caller was batched, so "indistinguishable from the loop" also means
+"indistinguishable from the previous commit".
+
+Run this file as a script to print the fingerprints it pins.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.core.variants import VARIANTS, run_action
+from repro.explore import run_digest
+from repro.net.failures import FailurePlan
+from repro.net.latency import ConstantLatency
+from repro.net.message import reset_msg_ids
+from repro.net.network import Network
+from repro.objects.runtime import runtime_hook
+from repro.rt.backend import asyncio_backend
+
+#: (n, p, q) per variant: raisers, a nested member where the variant nests,
+#: and at least one bystander.
+SHAPES = {"base": (5, 2, 1), "ct": (5, 2, 1), "mc": (5, 2, 1),
+          "cd": (5, 2, 0), "cr": (4, 2, 0)}
+
+
+def _slow_pair(runtime) -> None:
+    runtime.network.set_pair_latency("O0000", "O0001", ConstantLatency(2.5))
+
+
+#: name -> (run_action keywords, runtime hook or None).  Only ``stock`` takes
+#: the batched loop; every other row is one of ``send_many``'s fallbacks.
+CONFIGS = {
+    "stock": ({}, None),
+    "drop": ({"failure_plan": lambda: FailurePlan(drop_probability=0.2),
+              "until": 120.0}, None),
+    "crash": ({"crashes": [("O0002", 10.5)], "until": 120.0}, None),
+    "reliable": ({"failure_plan": lambda: FailurePlan(drop_probability=0.2),
+                  "reliable": True, "until": 120.0}, None),
+    "pair-latency": ({}, _slow_pair),
+}
+
+
+def _loop_send_many(self, src, dsts, kind, payload=None):
+    return [self.send(src, dst, kind, payload) for dst in dsts]
+
+
+def fingerprint(variant: str, config: str, seed: int = 3) -> dict:
+    keywords, hook = CONFIGS[config]
+    keywords = {
+        key: value() if callable(value) else value
+        for key, value in keywords.items()
+    }
+    reset_msg_ids()
+    if hook is None:
+        run = run_action(variant, *SHAPES[variant], seed=seed, **keywords)
+    else:
+        with runtime_hook(hook):
+            run = run_action(variant, *SHAPES[variant], seed=seed, **keywords)
+    network = run.runtime.network
+    return {
+        "trace": hashlib.sha256(run.runtime.trace.dump().encode()).hexdigest()[:16],
+        "sent": dict(sorted(network.sent_by_kind.items())),
+        "delivered": dict(sorted(network.delivered_by_kind.items())),
+        "handled": dict(sorted(run.handled().items())),
+    }
+
+
+def explored(variant: str) -> tuple:
+    """One random walk under the explorer's ``tie_break`` (labelled
+    per-send deliveries): its oracle digest and FULL-trace hash."""
+    outcome = run_digest(f"paper:{variant}:none:n4p1q1:s0", "rw:5")
+    return outcome.digest, outcome.trace_hash, outcome.choice_points
+
+
+@pytest.fixture
+def looped(monkeypatch):
+    """Replace the batched fan-out by the loop it must equal."""
+    def install():
+        monkeypatch.setattr(Network, "send_many", _loop_send_many)
+    return install
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_run_equals_looped_run(variant, config, looped):
+    shipped = fingerprint(variant, config)
+    assert shipped["sent"], "the run sent nothing"
+    looped()
+    assert fingerprint(variant, config) == shipped
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_explorer_walk_equals_looped_walk(variant, looped):
+    shipped = explored(variant)
+    looped()
+    assert explored(variant) == shipped
+
+
+@pytest.mark.parametrize("variant", ["base", "ct", "mc", "cd"])
+def test_asyncio_kernel_reaches_the_same_verdict(variant, looped):
+    """Wall-clock timers decide the order there, so the comparison is the
+    conformance kit's: who handled what, and the exact count."""
+    def verdict():
+        with asyncio_backend(time_scale=0.002):
+            run = run_action(variant, 3, 1, until=VARIANTS[variant].horizon)
+        return run.handled(), run.messages()
+
+    shipped = verdict()
+    assert len(shipped[0]) == 3
+    looped()
+    assert verdict() == shipped
+
+
+#: FULL-trace hashes pinned at c3437ca, where only ``base`` called
+#: ``send_many`` and everything below was a per-peer ``send`` loop.
+GOLDEN = {
+    ("ct", "stock"): "b64dca26ee0b6b99",
+    ("ct", "crash"): "f6e50dfa55dd12dc",
+    ("ct", "reliable"): "d0555b4faf5ce4f6",
+    ("mc", "drop"): "970718c78792f9e4",
+    ("cd", "stock"): "ad795564800c247c",
+    ("cr", "stock"): "8d2e64ef515f992e",
+}
+
+GOLDEN_WALKS = {"ct": "d2cc60295185711b", "mc": "fc75d6d3bb3e99e6"}
+
+
+@pytest.mark.parametrize("key", GOLDEN)
+def test_fingerprints_are_those_of_the_per_peer_loops(key):
+    assert fingerprint(*key)["trace"] == GOLDEN[key]
+
+
+@pytest.mark.parametrize("variant", GOLDEN_WALKS)
+def test_walks_are_those_of_the_per_peer_loops(variant):
+    assert explored(variant)[1] == GOLDEN_WALKS[variant]
+
+
+if __name__ == "__main__":  # pragma: no cover - prints the goldens
+    for variant in VARIANTS:
+        for config in CONFIGS:
+            print((variant, config), fingerprint(variant, config))
+        print(variant, "walk", explored(variant))

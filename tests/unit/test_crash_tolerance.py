@@ -206,6 +206,37 @@ class TestCrashTolerantResolution:
         assert suspects > 0  # the sweep really exercised false suspicion
 
 
+class TestFanOutPeerSets:
+    """Which broadcast reaches whom once the view has shrunk: Exception and
+    Commit go to the whole group (a falsely suspected member must still
+    converge, a dead one just never receives), HaveNested / NestedCompleted
+    and heartbeats to the unsuspected peers only, nothing to oneself."""
+
+    def test_dead_member_still_gets_exception_and_commit_but_no_nested_news(self):
+        # O0003 dies at t=1 and is suspected by everyone before the raise.
+        n, p, q = 4, 1, 1
+        result = run_action(
+            "ct", n, p, q, crashes=[("O0003", 1.0)], raise_at=12.0
+        )
+        assert result.all_handled()
+        sent = result.runtime.network.sent_by_kind
+        assert sent["CT_EXCEPTION"] == p * (n - 1)
+        assert sent["CT_COMMIT"] == n - 1
+        assert sent["CT_HAVE_NESTED"] == q * (n - 2)
+        assert sent["CT_NESTED_COMPLETED"] == q * (n - 2)
+        assert sent["CT_ACK"] == p * (n - 2)
+        sends = result.runtime.trace.by_category("msg.send")
+        assert all(e.subject != e.details["dst"] for e in sends)
+        suspected = max(
+            e.time for e in result.runtime.trace.by_category("detector.suspect")
+        )
+        assert not [
+            e for e in sends
+            if e.details["dst"] == "O0003" and e.time > suspected
+            and e.details["kind"] not in ("CT_EXCEPTION", "CT_COMMIT")
+        ]
+
+
 class TestNestedAbortion:
     """Section 4.4 increment: suspended members inside nested actions
     abort them before resolution proceeds (CT_HAVE_NESTED /

@@ -265,6 +265,37 @@ class TestFailureInjection:
         sim.run()
         assert 0 < net.injector.dropped < 200
 
+    def test_stream_is_made_on_the_first_draw_not_before(self):
+        from repro.objects import Runtime
+
+        rt = Runtime(seed=7)
+        rt.network.register("b", lambda m: None)
+        rt.network.send("a", "b", "K")
+        rt.run()
+        assert "net.failures" not in rt.rng._streams  # fault-free: never seeded
+        lossy = Runtime(seed=7, failure_plan=FailurePlan(drop_probability=0.5))
+        lossy.network.register("b", lambda m: None)
+        assert "net.failures" not in lossy.rng._streams
+        lossy.network.send("a", "b", "K")
+        assert "net.failures" in lossy.rng._streams
+
+    def test_late_stream_draws_the_fates_of_an_eager_one(self):
+        """The stream is seeded from its name, so when it is made cannot
+        change a single fate — dropped, corrupted or delivered."""
+        def fates(rng_of):
+            plan = FailurePlan(drop_probability=0.3, corrupt_probability=0.2)
+            registry = RngRegistry(11)
+            injector = FailureInjector(plan, rng_of(registry))
+            net = Network(Simulator(), rng=registry, injector=injector)
+            net.register("b", lambda m: None)
+            sent = [net.send("a", "b", "K") for _ in range(300)]
+            return [(m.dropped, m.corrupted) for m in sent]
+
+        eager = fates(lambda registry: registry.stream("net.failures"))
+        late = fates(lambda registry: lambda: registry.stream("net.failures"))
+        assert late == eager
+        assert len(set(eager)) == 3  # all three fates occurred
+
 
 class TestGroupMembership:
     def test_create_and_view(self):

@@ -16,8 +16,12 @@ from repro.net import (
     UniformLatency,
 )
 from repro.net import message as message_mod
+from repro.net.detector import KIND_HEARTBEAT, Heartbeater
+from repro.net.membership import GroupMembership
+from repro.net.multicast import ReliableMulticast
 from repro.net.network import UnknownEndpointError
 from repro.net.reliable import ReliableNetwork
+from repro.objects import DistributedObject, Runtime
 from repro.simkernel import RngRegistry, Simulator
 from repro.simkernel.trace import TraceLevel
 
@@ -204,3 +208,185 @@ class TestUniformLatencyGuard:
         assert fast.deliver_time == 1.0
         sim.run()
         assert [name for name, _, _ in log] == ["O3", "O2"]
+
+
+# -- the callers: every fan-out in the stack is one send_many --------------------
+
+
+class TestObjectSendMany:
+    def test_unattached_object_refuses(self):
+        with pytest.raises(RuntimeError, match="not attached"):
+            DistributedObject("lonely").send_many(["x"], "K")
+
+    def test_attached_object_fans_out_under_its_own_name(self):
+        rt = Runtime()
+        got = []
+        for name in ("a", "b", "c"):
+            obj = DistributedObject(name)
+            obj.on_kind("K", lambda m, name=name: got.append((name, m.src, m.payload)))
+            rt.register(obj)
+        sent = rt.objects["a"].send_many(["c", "b"], "K", "p")
+        assert [(m.src, m.dst) for m in sent] == [("a", "c"), ("a", "b")]
+        rt.run()
+        assert got == [("c", "a", "p"), ("b", "a", "p")]
+
+
+def detector_world(n, **kwargs):
+    rt = Runtime()
+    names = [f"m{i:02d}" for i in range(n)]
+    hbs = {}
+    for name in names:
+        obj = DistributedObject(name)
+        rt.register(obj)
+        hbs[name] = Heartbeater(obj, names, **kwargs)
+    return rt, names, hbs
+
+
+def beats_by_pair(rt):
+    """(src, dst) -> HEARTBEATs sent, from the FULL trace."""
+    pairs = {}
+    for entry in rt.trace.by_category("msg.send"):
+        if entry.details["kind"] == KIND_HEARTBEAT:
+            key = (entry.subject, entry.details["dst"])
+            pairs[key] = pairs.get(key, 0) + 1
+    return pairs
+
+
+@pytest.mark.parametrize("n", [2, 32])
+class TestHeartbeaterFanOut:
+    def test_one_queue_push_per_beat_and_every_peer_reached(self, n):
+        rt, names, hbs = detector_world(n, interval=1.0, timeout=4.0)
+        pushes = []
+        push_raw = rt.sim._queue.push_raw
+        rt.sim._queue.push_raw = lambda t, p, payloads: (
+            pushes.append(len(payloads)), push_raw(t, p, payloads)
+        )
+        for hb in hbs.values():
+            hb.start()
+        rt.run(until=3.5)  # beats at t = 0, 1, 2, 3
+        assert pushes == [n - 1] * (4 * n)
+        pairs = beats_by_pair(rt)
+        assert set(pairs.values()) == {4}
+        assert len(pairs) == n * (n - 1)  # everyone to everyone else, never self
+        assert rt.network.delivered_by_kind[KIND_HEARTBEAT] == 3 * n * (n - 1)
+
+    def test_suspected_peers_get_no_beat(self, n):
+        rt, names, hbs = detector_world(n, interval=1.0, timeout=4.0)
+        for hb in hbs.values():
+            hb.start()
+        victim = names[-1]
+        rt.sim.schedule(2.5, lambda: rt.crash_node(f"node:{victim}"))
+        rt.run(until=20.5)
+        survivors = names[:-1]
+        assert all(hbs[s].suspected == {victim} for s in survivors)
+        suspected_at = {
+            e.subject: e.time for e in rt.trace.by_category("detector.suspect")
+        }
+        for entry in rt.trace.by_category("msg.send"):
+            if entry.details["dst"] == victim:
+                # The last beat to the victim is at the suspicion instant at
+                # the latest (beat runs before check at equal times).
+                assert entry.time <= suspected_at[entry.subject]
+        if n > 2:
+            pairs = beats_by_pair(rt)
+            assert pairs[(names[0], names[1])] == 21  # t = 0 .. 20
+
+    def test_stop_start_generations_never_double_the_traffic(self, n):
+        rt, names, hbs = detector_world(n, interval=1.0, timeout=4.0)
+        for hb in hbs.values():
+            hb.start()
+        rt.run(until=2.5)  # 3 beats each
+        first = hbs[names[0]]
+        first.stop()
+        first.start()  # beats at once (t=2.5), then on its own grid
+        first.stop()
+        first.start()
+        rt.run(until=5.4)  # t=3.5, 4.5 for first; t=3, 4, 5 for the rest
+        pairs = beats_by_pair(rt)
+        assert pairs[(names[0], names[1])] == 3 + 2 + 2
+        assert pairs[(names[1], names[0])] == 6
+        assert not any(hb.suspected for hb in hbs.values())
+
+    def test_restart_rebeats_everyone(self, n):
+        rt, names, hbs = detector_world(n, interval=1.0, timeout=4.0)
+        for hb in hbs.values():
+            hb.start()
+        first = hbs[names[0]]
+        first.suspected.update(names[1:])  # after its t=0 beat to everyone
+        rt.run(until=1.5)
+        assert beats_by_pair(rt)[(names[0], names[-1])] == 1  # none at t=1
+        first.restart()
+        assert first.suspected == set()
+        assert beats_by_pair(rt)[(names[0], names[-1])] == 2
+
+    def test_unknown_endpoint_raises_where_the_loop_raised(self, n):
+        rt, names, hbs = detector_world(n, interval=1.0, timeout=4.0)
+        rt.deregister(names[-1])
+        with pytest.raises(UnknownEndpointError):
+            hbs[names[0]].start()
+        # The peers before the unknown one were beaten, as by the loop.
+        assert rt.network.sent_by_kind[KIND_HEARTBEAT] == n - 2
+
+
+class TestMulticastRetries:
+    """Under drops the fan-out is still one send_many; each dropped copy is
+    retried on its own timer, ``max_retries`` times, then dead-lettered."""
+
+    def _world(self, plan, max_retries):
+        sim, net = make_network(plan=plan)
+        log = []
+        wire(net, NAMES, log)
+        membership = GroupMembership()
+        membership.create("G", NAMES)
+        mcast = ReliableMulticast(
+            net, membership, retry_delay=1.0, max_retries=max_retries
+        )
+        return sim, net, mcast, log
+
+    def test_black_hole_retries_max_retries_times_then_dead_letters_once(self):
+        sim, net, mcast, log = self._world(
+            FailurePlan(drop_probability=1.0), max_retries=3
+        )
+        assert mcast.multicast("G", "O1", "K", "x") == 3
+        sim.run()
+        assert log == []
+        assert net.sent_by_kind["K"] == 3 * (1 + 3)  # first copy + 3 retries
+        assert mcast.dead_letters == 3
+        letters = net.trace.by_category("mcast.dead_letter")
+        assert sorted(e.details["dst"] for e in letters) == ["O2", "O3", "O4"]
+        assert {e.details["retries"] for e in letters} == {3}
+
+    def test_zero_budget_dead_letters_in_the_multicast_call(self):
+        sim, net, mcast, log = self._world(
+            FailurePlan(drop_probability=1.0), max_retries=0
+        )
+        mcast.multicast("G", "O1", "K", "x")
+        assert mcast.dead_letters == 3 and net.sent_by_kind["K"] == 3
+        assert sim.pending_events == 0
+
+    def test_lossy_channel_delivers_every_copy_exactly_once(self):
+        sim, net, mcast, log = self._world(
+            FailurePlan(drop_probability=0.5), max_retries=50
+        )
+        for src in NAMES:
+            mcast.multicast("G", src, "K", src)
+        sim.run()
+        assert mcast.dead_letters == 0
+        assert sorted((name, kind) for name, kind, _ in log) == sorted(
+            (dst, "K") for src in NAMES for dst in NAMES if dst != src
+        )
+        assert net.sent_by_kind["K"] == 12 + net.injector.dropped
+
+    def test_reliable_transport_is_left_to_its_own_arq(self):
+        sim, net = make_network(
+            plan=FailurePlan(drop_probability=0.5), cls=ReliableNetwork
+        )
+        log = []
+        wire(net, NAMES, log)
+        membership = GroupMembership()
+        membership.create("G", NAMES)
+        mcast = ReliableMulticast(net, membership, max_retries=0)
+        mcast.multicast("G", "O1", "K", "x")
+        sim.run()
+        assert mcast.dead_letters == 0  # no retry loop of its own, no give-up
+        assert sorted(name for name, _, _ in log) == ["O2", "O3", "O4"]

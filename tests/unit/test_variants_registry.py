@@ -146,3 +146,67 @@ def test_frame_mode_flag_is_gone():
     cell = "paper:base:none:n3p1q0:s0"
     assert _parses("rt", "run", "--cell", cell, "--tcp")
     assert not _parses("rt", "run", "--cell", cell, "--mode", "pickle")
+
+
+class TestSharedSkeleton:
+    """The immutable slice of a scenario is made once per shape."""
+
+    def test_flat_tree_is_one_object_per_shape(self):
+        from repro.core.variants import flat_tree
+
+        tree, leaves, handlers = flat_tree(3, "CT")
+        assert flat_tree(3, "CT") == (tree, leaves, handlers)
+        assert flat_tree(3, "CT")[0] is tree
+        assert [leaf.name() for leaf in leaves] == ["CT_0", "CT_1", "CT_2"]
+        assert tree.members == {tree.root, *leaves}
+        handlers.validate_complete(tree)
+        # A bigger tree of the same prefix reuses the leaf classes.
+        assert flat_tree(4, "CT")[1][:3] == leaves
+        assert flat_tree(3, "MC")[1][0] is not leaves[0]
+
+    def test_generated_leaves_pickle(self):
+        import pickle
+
+        from repro.core.variants import flat_tree
+
+        run_action("ct", 3, 2)
+        leaves = flat_tree(2, "CT")[1]
+        run_action("ct", 3, 2)  # a second run redeclares nothing
+        assert [pickle.loads(pickle.dumps(leaf)) for leaf in leaves] == list(leaves)
+
+    def test_runs_share_the_tree_and_nothing_mutable(self):
+        first, second = run_action("cd", 3, 2), run_action("cd", 3, 2)
+        a, b = first.participants["O0000"], second.participants["O0000"]
+        assert a.tree is b.tree and a.handlers is b.handlers
+        assert first.runtime is not second.runtime and a is not b
+        assert first.handled() == second.handled()
+
+    def test_general_case_nested_actions_share_the_root_only_tree(self):
+        from repro.workloads.generator import general_case
+
+        one, two = general_case(4, 1, 2), general_case(5, 2, 2)
+        nested = [
+            s.registry.get(name)
+            for s in (one, two) for name in s.registry.names() if name != "A1"
+        ]
+        assert len(nested) == 4
+        assert len({id(d.tree) for d in nested}) == 1
+        assert len(nested[0].tree) == 1
+
+
+
+def test_explorer_smoke_certifies_base_and_ct_whatever_the_registry_order():
+    """The CI step is named "base + ct"; it once sliced VARIANTS by position
+    and, after a reorder, certified cd instead of ct."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_explore.py"
+    spec = importlib.util.spec_from_file_location("bench_explore_under_test", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.dfs_cells(3, module.SMOKE_VARIANTS) == (
+        "paper:base:none:n3p1q1:s0", "paper:ct:none:n3p1q1:s0",
+    )
+    assert set(module.SMOKE_VARIANTS) <= set(VARIANTS)
+    assert len(module.dfs_cells(3)) == len(VARIANTS)
