@@ -270,9 +270,9 @@ def bench_obs(n: int) -> dict:
 
     Two hard requirements from the span/metrics design:
 
-    * spans are collected **only** at FULL — COUNTS and OFF runs must end
-      with an empty span forest (the emission sites reduce to one ``None``
-      comparison);
+    * there are spans **only** at FULL — the forest is a view of the trace
+      entries, so COUNTS and OFF runs must end with an empty one (and the
+      FULL-only records behind it cost them one comparison each);
     * the COUNTS fast path must report the same resolution message total
       as FULL (observability must not change physics).
     """

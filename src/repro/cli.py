@@ -165,42 +165,22 @@ def _run_traced_scenario(args: argparse.Namespace):
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs import (
-        render_span_tree,
-        spans_to_chrome,
-        spans_to_jsonl,
-        validate_chrome_trace,
-    )
+    from repro.obs import write_span_artifacts
 
     runtime = _run_traced_scenario(args)
     spans = runtime.spans
-    problems = spans.forest_problems()
+    problems = write_span_artifacts(
+        spans, {args.format: args.output or sys.stdout}, runtime.sim.now,
+        f"repro:{args.scenario}",
+    )
     for problem in problems:
-        print(f"span-forest problem: {problem}", file=sys.stderr)
-    if args.format == "tree":
-        text = render_span_tree(spans)
-    elif args.format == "jsonl":
-        text = spans_to_jsonl(spans)
-    else:
-        doc = spans_to_chrome(spans, process_name=f"repro:{args.scenario}")
-        schema_issues = validate_chrome_trace(doc)
-        for issue in schema_issues:
-            print(f"trace-event schema issue: {issue}", file=sys.stderr)
-        problems.extend(schema_issues)
-        text = json.dumps(doc, indent=1)
+        print(f"span export problem: {problem}", file=sys.stderr)
     if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(text + "\n")
         print(
             f"{len(spans)} spans ({args.format}) -> {args.output}"
             + (" [load in Perfetto / chrome://tracing]"
                if args.format == "chrome" else "")
         )
-    else:
-        print(text)
     return 1 if problems else 0
 
 
@@ -599,9 +579,9 @@ def cmd_service_stats(args: argparse.Namespace) -> int:
 
 def cmd_service_trace(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
+    import time
 
-    from repro.obs import render_span_tree, spans_to_chrome, validate_chrome_trace
+    from repro.obs import render_span_tree, write_span_artifacts
     from repro.service import ActionRequest, run_traced_requests
 
     requests = [
@@ -619,12 +599,13 @@ def cmd_service_trace(args: argparse.Namespace) -> int:
         print(f"trace failed: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        doc = spans_to_chrome(spans, process_name="service-trace")
-        problems = validate_chrome_trace(doc)
+        # The client's spans are on the event loop's clock: time.monotonic().
+        problems = write_span_artifacts(
+            spans, {"chrome": args.out}, time.monotonic(), "service-trace"
+        )
         if problems:
             print(f"chrome trace INVALID: {problems[:3]}", file=sys.stderr)
             return 1
-        Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
         print(f"chrome trace written to {args.out}", file=sys.stderr)
     # Render wall-clock spans relative to the first send, in milliseconds —
     # raw loop.time() epochs are unreadable.

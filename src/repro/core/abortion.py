@@ -119,24 +119,13 @@ class AbortionTask:
         participant.trace(
             "abort.start", action=action, duration=handler.duration
         )
-        spans = participant.engine._spans
-        span_id = None
-        if spans is not None:
-            ctx = participant.engine.ctx
-            span_id = spans.begin(
-                f"abort {action}", "abort", participant.name,
-                participant.sim_now,
-                parent=ctx.span_id if ctx is not None else None,
-            )
         participant.runtime.sim.schedule(
             handler.duration,
-            lambda: self._run_handler(action, handler, span_id),
+            lambda: self._run_handler(action, handler),
             label=f"abort:{participant.name}:{action}",
         )
 
-    def _run_handler(
-        self, action: str, handler: AbortionHandler, span_id: Optional[int] = None
-    ) -> None:
+    def _run_handler(self, action: str, handler: AbortionHandler) -> None:
         participant = self.participant
         # The handler runs while the context still exists, then the context
         # is popped and the action (and its transaction) marked aborted.
@@ -148,12 +137,6 @@ class AbortionTask:
             action=action,
             signal=signal.name() if signal else None,
         )
-        spans = participant.engine._spans
-        if spans is not None:
-            spans.end(
-                span_id, participant.sim_now,
-                signal=signal.name() if signal else None,
-            )
         # "ignoring any exception which may be signalled to a containing
         # action" — only the last (outermost-aborted) handler's signal is
         # remembered; earlier ones are overwritten and thus ignored.

@@ -71,13 +71,13 @@ class ResolutionEngine:
         self.abortion: Optional[AbortionTask] = None
         #: Actions whose resolution committed (stragglers are drained).
         self.completed: dict[str, CommitMsg] = {}
-        #: Span collector when the trace level is FULL, else None; set by
-        #: the participant's attach() so the disabled path is one check.
-        self._spans = None
+        #: True when the trace level is FULL (set by the participant's
+        #: attach()): the one test guarding the FULL-only ``state`` records.
+        self._full = False
         #: The runtime's metrics registry (None until attached).
         self._metrics = None
-        #: msg_id of the message currently being processed — the causal
-        #: edge stamped on spans it opens.  Only tracked when spans are on.
+        #: msg_id of the message currently being processed — the ``cause``
+        #: detail of the trace records its processing writes.
         self._cause: Optional[int] = None
         #: Bound ``network.send``/``network.send_many`` (rebound at
         #: participant attach); protocol send sites call them directly,
@@ -110,31 +110,17 @@ class ResolutionEngine:
         """Called when the participant exits ``action``."""
         self.completed.pop(action, None)
         if self.ctx is not None and self.ctx.action == action:
-            self._close_ctx_spans(self.ctx, "reset")
             self.ctx = None
 
-    # -- observability helpers ---------------------------------------------------
-
     def _set_state(self, ctx: ResolutionCtx, state: PState) -> None:
-        """Transition the protocol state, rolling the state-dwell span."""
+        """Transition the protocol state (a ``state`` record at FULL)."""
         if ctx.state is state:
             return
         ctx.state = state
-        spans = self._spans
-        if spans is not None:
-            now = self.p.sim_now
-            spans.end(ctx.state_span_id, now)
-            ctx.state_span_id = spans.begin(
-                f"state {state.value}", "state", self.p.name, now,
-                parent=ctx.span_id, cause=self._cause,
+        if self._full:
+            self.p.trace(
+                "state", action=ctx.action, state=state.value, cause=self._cause
             )
-
-    def _close_ctx_spans(self, ctx: ResolutionCtx, outcome: str) -> None:
-        spans = self._spans
-        if spans is not None:
-            now = self.p.sim_now
-            spans.end(ctx.state_span_id, now)
-            spans.end(ctx.span_id, now, outcome=outcome)
 
     # -- local raise ------------------------------------------------------------
 
@@ -149,12 +135,6 @@ class ResolutionEngine:
         ctx.raised_local = True
         ctx.le[self.p.name] = exception
         self.p.trace("raise", action=action, exception=exception.name())
-        if self._spans is not None:
-            self._spans.event(
-                f"raise {exception.name()}", "raise", self.p.name,
-                self.p.sim_now, parent=ctx.span_id, cause=self._cause,
-                exception=exception.name(),
-            )
         me = self.p.name
         others = ctx.definition.others(me)
         ctx.ack_awaited[KIND_EXCEPTION] = set(others)
@@ -176,8 +156,8 @@ class ResolutionEngine:
         action: str = payload.action
         kind = message.kind
         ctx = self.ctx
-        # Stamp the causal edge for spans this message may open.  Done
-        # unconditionally (a slot write is cheaper than a spans-enabled
+        # Stamp the causal edge for records this message may cause.  Done
+        # unconditionally (a slot write is cheaper than a trace-level
         # branch would save) and cleared in the finally below; in CPython
         # 3.11 a try/finally with no exception in flight costs nothing.
         self._cause = message.msg_id
@@ -387,19 +367,11 @@ class ResolutionEngine:
             self.ctx = ctx = ResolutionCtx(action, started_at=now)
             ctx.instance = self.p.action_manager.instance(action)
             ctx.definition = self.p.registry.get(action)
-            spans = self._spans
-            if spans is not None:
-                ctx.span_id = spans.begin(
-                    f"resolution {action}", "resolution", self.p.name, now,
-                    parent=self.p.action_span_id(action), cause=self._cause,
-                )
-                ctx.state_span_id = spans.begin(
-                    f"state {ctx.state.value}", "state", self.p.name, now,
-                    parent=ctx.span_id,
-                )
             if self._metrics is not None:
                 self._metrics.counter("resolution.contexts").inc()
-            self.p.trace("resolution.join", action=action)
+            self.p.trace("resolution.join", action=action, cause=self._cause)
+            if self._full:
+                self.p.trace("state", action=action, state=ctx.state.value)
             self.p.interrupt_behaviour()
         elif self.ctx.action != action:  # pragma: no cover - guarded by caller
             raise ResolutionProtocolError("context mismatch")
@@ -410,7 +382,6 @@ class ResolutionEngine:
         old = self.ctx
         assert old is not None
         self.p.trace("resolution.escalate", inner=old.action, outer=action)
-        self._close_ctx_spans(old, "escalated")
         if old.handler_scheduled:
             # "any activity of the nested action is stopped (including any
             # nested resolution in progress and execution of any handlers)"
@@ -530,14 +501,8 @@ class ResolutionEngine:
             )
         self.p.trace(
             "resolution.commit", action=ctx.action, exception=resolved.name(),
-            raisers=",".join(commit.raisers),
+            raisers=",".join(commit.raisers), cause=self._cause,
         )
-        if self._spans is not None:
-            self._spans.event(
-                f"commit {resolved.name()}", "commit", self.p.name,
-                self.p.sim_now, parent=ctx.span_id, cause=self._cause,
-                exception=resolved.name(), raisers=",".join(commit.raisers),
-            )
         if self._metrics is not None:
             self._metrics.counter("resolution.commits").inc()
             self._metrics.histogram("resolution.rounds", COUNT_BUCKETS).observe(
@@ -573,8 +538,5 @@ class ResolutionEngine:
             raise ResolutionProtocolError(
                 f"{self.p.name}: handler finished for {action} without context"
             )
-        self._close_ctx_spans(
-            self.ctx, f"handled {self.ctx.commit.exception.name()}"
-        )
         self.completed[action] = self.ctx.commit
         self.ctx = None

@@ -39,7 +39,6 @@ from repro.exceptions.handlers import HandlerSet
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
 from repro.net.message import Message
 from repro.objects.base import DistributedObject
-from repro.objects.runtime import Runtime
 
 KIND_CD_EXCEPTION = "CD_EXCEPTION"
 KIND_CD_SUSPEND = "CD_SUSPEND"
@@ -93,26 +92,17 @@ class ResolutionCoordinator(DistributedObject):
         self.statuses: set[str] = set()
         self.suspend_sent = False
         self.committed: Optional[CdCommit] = None
-        #: Span collector at FULL trace level (cached in attach), else None.
-        self._spans = None
-        self._span_id: Optional[int] = None
         self.on_kind(KIND_CD_EXCEPTION, self._on_exception)
         self.on_kind(KIND_CD_STATUS, self._on_status)
-
-    def attach(self, runtime: Runtime) -> None:
-        super().attach(runtime)
-        spans = runtime.spans
-        self._spans = spans if spans.enabled else None
 
     def _on_exception(self, message: Message) -> None:
         payload: CdException = message.payload
         if self.committed is not None:
             return  # post-commit raiser: recovery already decided
-        spans = self._spans
-        if spans is not None and self._span_id is None:
-            self._span_id = spans.begin(
-                f"resolution {self.action}", "resolution", self.name,
-                self.sim_now, cause=message.msg_id, variant="cd",
+        if not self.le and self.runtime.trace._full:
+            self.runtime.trace.record(
+                self.sim_now, "resolution.join", self.name,
+                action=self.action, variant="cd", cause=message.msg_id,
             )
         self.le[payload.sender] = payload.exception
         self.statuses.add(payload.sender)
@@ -143,19 +133,9 @@ class ResolutionCoordinator(DistributedObject):
         self.runtime.trace.record(
             self.sim_now, "cd.commit", self.name,
             action=self.action, exception=resolved.name(),
+            raisers=self.committed.raisers,
         )
         self.runtime.metrics.counter("resolution.commits").inc()
-        spans = self._spans
-        if spans is not None:
-            spans.event(
-                f"commit {resolved.name()}", "commit", self.name, self.sim_now,
-                parent=self._span_id, exception=resolved.name(),
-                raisers=",".join(self.committed.raisers),
-            )
-            spans.end(
-                self._span_id, self.sim_now,
-                outcome=f"committed {resolved.name()}",
-            )
         self.send_many(self.members, KIND_CD_COMMIT, self.committed)
 
 
@@ -183,9 +163,7 @@ class CentralizedParticipant(Member):
         if self.suspended or self.raised is not None or self.handled is not None:
             return  # informed first: no further raising (paper assumption)
         self.raised = exception
-        self._span_open("X")
-        if self._spans is not None:
-            self._span_raise(exception)
+        self._enter("X", raised=exception)
         self.send(
             self.coordinator,
             KIND_CD_EXCEPTION,
@@ -196,7 +174,7 @@ class CentralizedParticipant(Member):
         if self.suspended:
             return
         self.suspended = True
-        self._span_open("S", cause=message.msg_id)
+        self._enter("S", message.msg_id)
         # Answer the suspension.  Even if we raced it with a raise of our
         # own, the CD_EXCEPTION already carries that exception, so the
         # status is always "clean" — the coordinator dedupes by sender.

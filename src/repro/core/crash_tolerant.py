@@ -287,9 +287,7 @@ class CrashTolerantParticipant(Member):
         self.raisers.add(self.name)
         self.le[self.name] = exception
         self._checkpoint("raised", exception=exception.name())
-        self._span_open("X")
-        if self._spans is not None:
-            self._span_raise(exception)
+        self._enter("X", raised=exception)
         self.acks_missing = set(self.detector.alive_peers())
         self.send_many(
             self.detector.peers, KIND_CT_EXCEPTION,
@@ -304,7 +302,7 @@ class CrashTolerantParticipant(Member):
         self.le[payload.sender] = payload.exception
         self.raisers.add(payload.sender)
         self._checkpoint("informed")
-        self._span_open("S", cause=message.msg_id)
+        self._enter("S", message.msg_id)
         if self.commit is not None:
             # Decision already taken (the sender is a late raiser — e.g.
             # falsely suspected and slow): reply with the verdict, not an
@@ -471,22 +469,11 @@ class CrashTolerantParticipant(Member):
             self.sim_now, "ct.rejoin_abort", self.name,
             action=self.action, exception=payload.commit.exception.name(),
         )
-        if self._spans is not None:
-            self._spans.event(
-                "rejoin confirmed-abort", "rejoin", self.name, self.sim_now,
-                parent=self._span_id,
-                exception=payload.commit.exception.name(),
-            )
 
     def _on_suspect(self, peer: str) -> None:
         # Waive anything the dead peer owed us — its ACK and, if it died
         # mid-abortion, its NestedCompleted — then re-evaluate: this is
         # the liveness fix and the resolver re-election trigger in one.
-        if self._spans is not None:
-            self._spans.event(
-                f"suspect {peer}", "suspect", self.name, self.sim_now,
-                parent=self._span_id, peer=peer,
-            )
         self.acks_missing.discard(peer)
         self._advance()
 
@@ -507,8 +494,6 @@ class CrashTolerantParticipant(Member):
             self.sim_now, "ct.abort_start", self.name, action=self.action,
             depth=self.nested_depth,
         )
-        if self._spans is not None:
-            self._span_abort_begin(self.nested_depth)
         self.runtime.sim.schedule(
             self.abort_duration * self.nested_depth,
             self._nested_completed,
@@ -529,8 +514,6 @@ class CrashTolerantParticipant(Member):
             self.sim_now, "ct.abort_done", self.name, action=self.action,
             signal=self.abort_signal.name() if self.abort_signal else None,
         )
-        if self._spans is not None:
-            self._span_abort_end(self.abort_signal)
         self._advance()
 
     # -- progress ----------------------------------------------------------------
@@ -585,17 +568,12 @@ class CrashTolerantParticipant(Member):
             self.action, self.name, resolved, raisers=tuple(sorted(self.le))
         )
         self.commit = commit
+        if self.state == "N":  # the takeover path joins only now
+            self._enter("X")
         self.runtime.trace.record(
             self.sim_now, "ct.commit", self.name,
-            action=self.action, exception=resolved.name(),
+            action=self.action, exception=resolved.name(), raisers=commit.raisers,
         )
-        if self._spans is not None:
-            self._span_open("X")  # takeover path: never opened a span
-            self._spans.event(
-                f"commit {resolved.name()}", "commit", self.name,
-                self.sim_now, parent=self._span_id,
-                exception=resolved.name(), raisers=",".join(commit.raisers),
-            )
         self.runtime.metrics.counter("resolution.commits").inc()
         # Commit goes to the *whole* group, not just unsuspected peers: a
         # falsely suspected member is alive and must still converge, and a
@@ -653,9 +631,7 @@ class CrashTolerantParticipant(Member):
         self.commit = None
         self.handled = None
         self.work_txn = None
-        self._span_id = None
-        self._state_span_id = None
-        self._abort_span_id = None
+        self.state = "N"
         self.restarted = True
         self.rejoin_outcome = None
         self._ckpt_rank = 0
@@ -673,11 +649,6 @@ class CrashTolerantParticipant(Member):
             self.sim_now, "ct.restart", self.name,
             action=self.action, replayed=last, undone=recovered,
         )
-        if self._spans is not None:
-            self._spans.event(
-                f"restart {self.name}", "restart", self.name, self.sim_now,
-                replayed=last or "none", undone=recovered,
-            )
         if last in ("handled", "confirmed-abort"):
             # We crashed *after* the action finished with us: nothing to
             # rejoin, and the WAL already holds the final word.
@@ -699,7 +670,7 @@ class CrashTolerantParticipant(Member):
             self._ckpt_rank = _CHECKPOINT_RANK["raised"]
         elif last is not None:
             self._ckpt_rank = _CHECKPOINT_RANK[last]
-        self._span_open("X" if exception is not None else "S")
+        self._enter("X" if exception is not None else "S")
         self.send_many(
             self.detector.peers, KIND_CT_REJOIN_REQ,
             CtRejoinReq(self.action, self.name, exception),

@@ -119,9 +119,7 @@ class MulticastParticipant(Member):
             return  # informed first: suspended, does not raise any more
         self.flushed = True
         self.statuses[self.name] = exception
-        self._span_open("X")
-        if self._spans is not None:
-            self._span_raise(exception)
+        self._enter("X", raised=exception)
         self._mcast(
             KIND_MC_EXCEPTION, McException(self.action, self.name, exception)
         )
@@ -133,15 +131,18 @@ class MulticastParticipant(Member):
             return
         self.flushed = True
         self.statuses[self.name] = None
-        self._span_open("S")
+        self._enter("S")
         has_nested = self.nested_depth > 0
         self._mcast(
             KIND_MC_FLUSH, McFlush(self.action, self.name, has_nested)
         )
         if has_nested:
             self.nested_members.add(self.name)
-            if self._spans is not None:
-                self._span_abort_begin(self.nested_depth)
+            if self._full:
+                self.runtime.trace.record(
+                    self.sim_now, "mc.abort_start", self.name,
+                    action=self.action, depth=self.nested_depth,
+                )
             # Abort the nested chain (one abortion handler per level), then
             # announce completion with the admissible signal.
             self.runtime.sim.schedule(
@@ -155,8 +156,12 @@ class MulticastParticipant(Member):
         self.nested_done[self.name] = self.abort_signal
         if self.abort_signal is not None:
             self.statuses[self.name] = self.abort_signal
-        if self._spans is not None:
-            self._span_abort_end(self.abort_signal)
+        if self._full:
+            signal = self.abort_signal
+            self.runtime.trace.record(
+                self.sim_now, "mc.abort_done", self.name, action=self.action,
+                signal=signal.name() if signal else None,
+            )
         self._mcast(
             KIND_MC_NESTED_COMPLETED,
             McNestedCompleted(self.action, self.name, self.abort_signal),
@@ -213,11 +218,6 @@ class MulticastParticipant(Member):
                 exception=resolved.name(),
             )
             self.runtime.metrics.counter("resolution.commits").inc()
-        if self._spans is not None:
-            self._spans.event(
-                f"commit {resolved.name()}", "commit", self.name, self.sim_now,
-                parent=self._span_id, exception=resolved.name(),
-            )
         self._mcast(KIND_MC_COMMIT, self.commit)
         self._handle(resolved)
 

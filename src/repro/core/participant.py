@@ -139,14 +139,8 @@ class CAParticipant(DistributedObject):
             [str, str, Optional[ExceptionClass]], None
         ] = lambda action, outcome, exc: None
 
-        #: Span collector when the trace level is FULL, else None (cached
-        #: at attach() so every emission site is one pointer comparison).
-        self._spans = None
         #: Bound ``network.send_many`` once attached (broadcast hot path).
         self._net_send_many = None
-        #: Open span ids: per entered action, and per running handler.
-        self._action_span_ids: dict[str, int] = {}
-        self._handler_span_ids: dict[str, int] = {}
 
         # Engine import is deferred to dodge the module cycle.
         from repro.core.algorithm import ResolutionEngine
@@ -169,19 +163,13 @@ class CAParticipant(DistributedObject):
 
     def attach(self, runtime) -> None:
         super().attach(runtime)
-        spans = runtime.spans
-        self._spans = spans if spans.enabled else None
-        self.engine._spans = self._spans
+        self.engine._full = runtime.trace._full
         self.engine._metrics = runtime.metrics
         # Bind the network's send directly for the protocol hot paths (the
         # DistributedObject.send wrapper only re-derives these arguments).
         self._net_send_many = runtime.network.send_many
         self.engine._send = runtime.network.send
         self.engine._send_many = runtime.network.send_many
-
-    def action_span_id(self, action: str) -> Optional[int]:
-        """The open span of ``action``, if spans are on and it is entered."""
-        return self._action_span_ids.get(action)
 
     def trace(self, category: str, **details: object) -> None:
         if self.runtime is not None:
@@ -236,17 +224,6 @@ class CAParticipant(DistributedObject):
         self.action_manager.note_entered(action, self.name, self.sim_now)
         self.contexts.push(ExceptionContext(action, definition.tree, handlers))
         self.trace("action.enter", action=action)
-        spans = self._spans
-        if spans is not None:
-            parent = (
-                self._action_span_ids.get(definition.parent)
-                if definition.parent is not None
-                else None
-            )
-            self._action_span_ids[action] = spans.begin(
-                f"action {action}", "action", self.name, self.sim_now,
-                parent=parent,
-            )
         self._process_pending(action)
 
     def request_leave(self, action: str) -> None:
@@ -340,11 +317,6 @@ class CAParticipant(DistributedObject):
             "action.exit", action=action, outcome=EXIT_COMPLETED,
             handled=handled.name() if handled else None,
         )
-        if self._spans is not None:
-            self._spans.end(
-                self._action_span_ids.pop(action, None), self.sim_now,
-                outcome=EXIT_COMPLETED,
-            )
         self.on_action_exit(action, EXIT_COMPLETED, handled)
         # Messages deferred under WAIT_FOR_NESTED become processable once
         # the containing action is active again.
@@ -380,11 +352,6 @@ class CAParticipant(DistributedObject):
         if context is not None:
             context.raised.clear()  # a fresh attempt may raise anew
         self.trace("action.retry", action=action, attempt=next_attempt)
-        if self._spans is not None:
-            self._spans.event(
-                f"retry {action}", "retry", self.name, self.sim_now,
-                parent=self._action_span_ids.get(action), attempt=next_attempt,
-            )
         self.on_action_retry(action, next_attempt)
         # A faster peer may have raised in the new attempt already; its
         # Exception was buffered against our completed previous attempt
@@ -406,11 +373,6 @@ class CAParticipant(DistributedObject):
         self._attempts.pop(action, None)
         if self._waiting_barrier == action:
             self._waiting_barrier = None
-        if self._spans is not None:
-            self._spans.end(
-                self._action_span_ids.pop(action, None), self.sim_now,
-                outcome="aborted",
-            )
         self.action_manager.note_aborted(action, self.sim_now)
 
     def _purge_barrier(self, action: str) -> None:
@@ -449,18 +411,6 @@ class CAParticipant(DistributedObject):
             "handler.start", action=action, exception=exception.name(),
             duration=handler.duration,
         )
-        spans = self._spans
-        if spans is not None:
-            ctx = self.engine.ctx
-            parent = (
-                ctx.span_id
-                if ctx is not None and ctx.action == action
-                else self._action_span_ids.get(action)
-            )
-            self._handler_span_ids[action] = spans.begin(
-                f"handler {exception.name()}", "handler", self.name,
-                self.sim_now, parent=parent, exception=exception.name(),
-            )
         self._handler_handles[action] = self.runtime.sim.schedule(
             handler.duration,
             lambda: self._finish_handler(action, exception, handler),
@@ -475,11 +425,6 @@ class CAParticipant(DistributedObject):
         if handle is not None:
             handle.cancel()
             self.trace("handler.cancelled", action=action)
-            if self._spans is not None:
-                self._spans.end(
-                    self._handler_span_ids.pop(action, None), self.sim_now,
-                    outcome="cancelled",
-                )
 
     def _finish_handler(self, action, exception, handler) -> None:
         self._handler_handles.pop(action, None)
@@ -502,11 +447,6 @@ class CAParticipant(DistributedObject):
             "handler.done", action=action, exception=exception.name(),
             outcome=result.outcome.value,
         )
-        if self._spans is not None:
-            self._spans.end(
-                self._handler_span_ids.pop(action, None), self.sim_now,
-                outcome=result.outcome.value,
-            )
         self.engine.handler_finished(action)
         if result.outcome is HandlerOutcome.COMPLETED:
             # Termination model: the handler took over and completed the
@@ -541,11 +481,6 @@ class CAParticipant(DistributedObject):
             "action.exit", action=action, outcome=EXIT_FAILED,
             signal=signal.name(),
         )
-        if self._spans is not None:
-            self._spans.end(
-                self._action_span_ids.pop(action, None), self.sim_now,
-                outcome=EXIT_FAILED, signal=signal.name(),
-            )
         parent = self.registry.get(action).parent
         if parent is None:
             self.on_action_exit(action, EXIT_FAILED, signal)

@@ -66,10 +66,6 @@ class ResolutionCtx:
     raised_local: bool = False
     #: Virtual time the context was created (resolution-latency metric).
     started_at: float = 0.0
-    #: Causal span of this resolution (None unless spans are enabled).
-    span_id: Optional[int] = None
-    #: Currently open state-dwell span (child of ``span_id``).
-    state_span_id: Optional[int] = None
     #: Cached :class:`~repro.core.manager.ActionInstance` and
     #: :class:`~repro.core.action.CAActionDef` for ``action`` — both are
     #: stable for the context's lifetime (instances are only replaced for

@@ -7,7 +7,7 @@ are asked the same questions afterwards: who handled what, and what did it
 cost in messages.  This module hosts all of them once:
 
 * :class:`Member` — the participant shell the variant engines share:
-  identity, the ``handled`` verdict, span bookkeeping and the one
+  identity, the N/X/S/R state, the ``handled`` verdict and the one
   ``_handle`` that activates the resolved handler;
 * :class:`VariantSpec` and :data:`VARIANTS` — one row of facts per variant
   (what it counts, its closed form, whether it nests or detects failures,
@@ -43,7 +43,7 @@ from repro.simkernel.trace import TraceLevel
 class Member(DistributedObject):
     """What a variant's participant keeps besides its protocol state."""
 
-    #: The variant's tag: span attribute and ``<tag>.handle`` trace category.
+    #: The variant's tag: ``variant`` detail and ``<tag>.handle`` category.
     tag = ""
 
     def __init__(
@@ -54,82 +54,53 @@ class Member(DistributedObject):
         self.tree = tree
         self.handlers = handlers
         self.handled: Optional[ExceptionClass] = None
-        #: Span collector at FULL trace level (cached in attach), else None.
-        self._spans = None
-        self._span_id: Optional[int] = None
-        self._state_span_id: Optional[int] = None
-        self._abort_span_id: Optional[int] = None
+        #: Section 4.2's N / X / S / R, as far as this member has got.
+        self.state = "N"
+        #: True at FULL trace level (cached in attach): the one test that
+        #: guards the FULL-only ``resolution.join`` / ``state`` / ``raise``.
+        self._full = False
 
     def attach(self, runtime: Runtime) -> None:
         super().attach(runtime)
-        spans = runtime.spans
-        self._spans = spans if spans.enabled else None
+        self._full = runtime.trace._full
 
-    # -- spans (callers test ``self._spans is not None`` first) ------------------
-
-    def _span_open(self, state: str, cause: Optional[int] = None) -> None:
-        """Open this member's resolution span with an initial state dwell."""
-        spans = self._spans
-        if spans is None or self._span_id is not None:
+    def _enter(
+        self,
+        state: str,
+        cause: Optional[int] = None,
+        raised: Optional[ExceptionClass] = None,
+    ) -> None:
+        """Join the resolution in ``state`` — X on raising ``raised``, S on
+        being informed by message ``cause``; a no-op once joined."""
+        if self.state != "N":
             return
-        now = self.sim_now
-        self._span_id = spans.begin(
-            f"resolution {self.action}", "resolution", self.name, now,
-            cause=cause, variant=self.tag,
-        )
-        self._state_span_id = spans.begin(
-            f"state {state}", "state", self.name, now, parent=self._span_id,
-        )
-
-    def _span_state(self, state: str, cause: Optional[int] = None) -> None:
-        spans = self._spans
-        if spans is None or self._span_id is None:
-            return
-        now = self.sim_now
-        spans.end(self._state_span_id, now)
-        self._state_span_id = spans.begin(
-            f"state {state}", "state", self.name, now, parent=self._span_id,
-            cause=cause,
-        )
-
-    def _span_raise(self, exception: ExceptionClass) -> None:
-        self._spans.event(
-            f"raise {exception.name()}", "raise", self.name, self.sim_now,
-            parent=self._span_id, exception=exception.name(),
-        )
-
-    def _span_abort_begin(self, depth: int) -> None:
-        self._abort_span_id = self._spans.begin(
-            f"abort {self.action}", "abort", self.name, self.sim_now,
-            parent=self._span_id, depth=depth,
-        )
-
-    def _span_abort_end(self, signal: Optional[ExceptionClass]) -> None:
-        self._spans.end(
-            self._abort_span_id, self.sim_now,
-            signal=signal.name() if signal else None,
-        )
-
-    # -- the resolved handler ------------------------------------------------------
+        self.state = state
+        if self._full:
+            record, now, me = self.runtime.trace.record, self.sim_now, self.name
+            record(
+                now, "resolution.join", me,
+                action=self.action, variant=self.tag, cause=cause,
+            )
+            record(now, "state", me, action=self.action, state=state)
+            if raised is not None:
+                record(
+                    now, "raise", me, action=self.action, exception=raised.name()
+                )
 
     def _handle(self, exception: ExceptionClass, cause: Optional[int] = None) -> None:
         """Activate the handler for the resolved ``exception`` (S/X -> R)."""
         self.handled = exception
-        name = exception.name()
-        self.runtime.trace.record(
-            self.sim_now, f"{self.tag}.handle", self.name, exception=name
-        )
-        spans = self._spans
-        if spans is not None:
-            self._span_open("S", cause)  # the Commit raced ahead of everything
-            self._span_state("R", cause)
-            now = self.sim_now
-            spans.event(
-                f"handler {name}", "handler", self.name, now,
-                parent=self._span_id, cause=cause, exception=name,
+        if self._full:
+            self._enter("S", cause)  # the Commit raced ahead of everything
+            self.runtime.trace.record(
+                self.sim_now, "state", self.name,
+                action=self.action, state="R", cause=cause,
             )
-            spans.end(self._state_span_id, now)
-            spans.end(self._span_id, now, outcome=f"handled {name}")
+        self.state = "R"
+        self.runtime.trace.record(
+            self.sim_now, f"{self.tag}.handle", self.name,
+            exception=exception.name(), cause=cause,
+        )
 
 
 # -- the registry --------------------------------------------------------------------

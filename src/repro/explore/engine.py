@@ -803,17 +803,15 @@ def export_schedule_trace(
     import json
     from pathlib import Path
 
-    from repro.obs import render_span_tree, spans_to_chrome
+    from repro.obs import write_span_artifacts
 
     if isinstance(cell, str):
         cell = parse_cell_id(cell)
     if isinstance(schedule, str):
         schedule = ScheduleSpec.parse(schedule)
     outcome, _, runtime = _run(cell, schedule)
-    if runtime is None or not runtime.spans.enabled:
-        raise RuntimeError(
-            f"cell {cell.cell_id} produced no spans (trace level below FULL)"
-        )
+    if runtime is None:
+        raise RuntimeError(f"cell {cell.cell_id} ran no runtime to trace")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = (
@@ -821,19 +819,11 @@ def export_schedule_trace(
         .replace(",", "+").replace("=", "-")
     )
     chrome_path = out / f"{stem}.chrome.json"
-    chrome_path.write_text(
-        json.dumps(
-            spans_to_chrome(
-                runtime.spans,
-                process_name=f"explore:{cell.cell_id}",
-                end_time=runtime.sim.now,
-            ),
-            indent=1,
-        )
-        + "\n"
-    )
     tree_path = out / f"{stem}.tree.txt"
-    tree_path.write_text(render_span_tree(runtime.spans) + "\n")
+    write_span_artifacts(
+        runtime.spans, {"chrome": chrome_path, "tree": tree_path},
+        runtime.sim.now, f"explore:{cell.cell_id}",
+    )
     outcome_path = out / f"{stem}.outcome.json"
     outcome_path.write_text(
         json.dumps(

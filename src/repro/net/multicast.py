@@ -52,8 +52,6 @@ class ReliableMulticast:
         self.max_retries = max_retries
         self.operations: Counter[str] = Counter()
         self.dead_letters = 0
-        #: Span collector (wired by the runtime at FULL trace level).
-        self.spans = None
 
     def multicast(
         self,
@@ -90,11 +88,6 @@ class ReliableMulticast:
                 self.network.sim.now, "mcast.dead_letter", src,
                 dst=dst, kind=kind, retries=attempt,
             )
-            if self.spans is not None:
-                self.spans.event(
-                    f"dead_letter {kind}", "dead_letter", src,
-                    self.network.sim.now, dst=dst, kind=kind, retries=attempt,
-                )
             return
         self.network.sim.schedule(
             self.retry_delay,

@@ -64,9 +64,6 @@ class Network:
             rng=partial(self.rng.stream, "net.failures")
         )
         self.trace = trace if trace is not None else TraceRecorder()
-        #: Span collector (set by the runtime when trace level is FULL);
-        #: only rare events (dead letters) emit — never the send path.
-        self.spans = None
         #: Wire diversion hook ``(message, deliver_at) -> None``: when set,
         #: delivery is handed to it instead of a kernel timer — the TCP
         #: transport uses this to push every frame through a real socket.

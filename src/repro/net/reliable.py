@@ -151,12 +151,6 @@ class ReliableNetwork(Network):
                 dst=pending.dst, kind=pending.frame.kind,
                 seq=pending.frame.seq, retries=pending.retries,
             )
-            if self.spans is not None:
-                self.spans.event(
-                    f"dead_letter {pending.frame.kind}", "dead_letter",
-                    pending.src, self.sim.now, dst=pending.dst,
-                    kind=pending.frame.kind, retries=pending.retries,
-                )
             if self.on_delivery_failure is not None:
                 self.on_delivery_failure(pending)
             # Resynchronize the receive window past the dead frame:

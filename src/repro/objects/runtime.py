@@ -19,7 +19,7 @@ from repro.net.network import Network
 from repro.objects.base import DistributedObject
 from repro.objects.node import Node
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanCollector
+from repro.obs.spans import SpanCollector, from_trace
 from repro.simkernel.kernel import current_kernel_factory
 from repro.simkernel.rng import RngRegistry
 from repro.simkernel.scheduler import Simulator
@@ -71,9 +71,7 @@ class Runtime:
         self.sim = Simulator() if factory is None else factory()
         self.rng = RngRegistry(seed)
         self.trace = TraceRecorder(level=trace_level)
-        #: Causal spans, collected only at FULL (COUNTS/OFF sweeps pay
-        #: one pointer comparison per would-be emission).
-        self.spans = SpanCollector(enabled=(trace_level is TraceLevel.FULL))
+        self._span_view: tuple[object, SpanCollector] | None = None
         #: Metrics registry: protocol engines push rare events; bulk
         #: network counters are pulled lazily by :meth:`metrics_snapshot`.
         self.metrics = MetricsRegistry()
@@ -95,8 +93,6 @@ class Runtime:
             )
         self.membership = GroupMembership()
         self.multicast = ReliableMulticast(self.network, self.membership)
-        self.network.spans = self.spans if self.spans.enabled else None
-        self.multicast.spans = self.network.spans
         self.nodes: dict[str, Node] = {}
         self.objects: dict[str, DistributedObject] = {}
         for hook in _runtime_hooks:
@@ -154,8 +150,6 @@ class Runtime:
                 CrashWindow(name, self.sim.now)
             )
         self.trace.record(self.sim.now, "node.crash", node_id)
-        if self.spans.enabled:
-            self.spans.event(f"crash {node_id}", "crash", node_id, self.sim.now)
         self.metrics.counter("node.crashes").inc()
 
     def restart_node(self, node_id: str) -> None:
@@ -182,8 +176,6 @@ class Runtime:
             if window.name in hosted and window.covers(now):
                 crashes[index] = CrashWindow(window.name, window.start, now)
         self.trace.record(now, "node.restart", node_id)
-        if self.spans.enabled:
-            self.spans.event(f"restart {node_id}", "restart", node_id, now)
         self.metrics.counter("node.restarts").inc()
 
     # -- execution -------------------------------------------------------------
@@ -193,6 +185,16 @@ class Runtime:
         self.sim.run(until=until, max_events=max_events)
 
     # -- observability -----------------------------------------------------------
+
+    @property
+    def spans(self) -> SpanCollector:
+        """The causal span forest: a view of the trace (empty below FULL),
+        rebuilt when the trace has grown since the last read."""
+        entries = self.trace.entries
+        stamp = (len(entries), entries[-1:])
+        if self._span_view is None or self._span_view[0] != stamp:
+            self._span_view = (stamp, from_trace(entries))
+        return self._span_view[1]
 
     def metrics_snapshot(self) -> dict:
         """One picklable dict of every metric, pulling the bulk counters.

@@ -11,6 +11,7 @@ from .export import (
     spans_to_chrome,
     spans_to_jsonl,
     validate_chrome_trace,
+    write_span_artifacts,
 )
 from .metrics import (
     COUNT_BUCKETS,
@@ -24,7 +25,7 @@ from .metrics import (
     log_spaced_buckets,
     merge_snapshots,
 )
-from .spans import Span, SpanCollector, TraceContext
+from .spans import SPAN_ROWS, Span, SpanCollector, TraceContext, from_trace
 
 __all__ = [
     "COUNT_BUCKETS",
@@ -34,9 +35,11 @@ __all__ = [
     "GaugeMetric",
     "HistogramMetric",
     "MetricsRegistry",
+    "SPAN_ROWS",
     "Span",
     "SpanCollector",
     "TraceContext",
+    "from_trace",
     "histogram_quantile",
     "log_spaced_buckets",
     "merge_snapshots",
@@ -45,4 +48,5 @@ __all__ = [
     "spans_to_chrome",
     "spans_to_jsonl",
     "validate_chrome_trace",
+    "write_span_artifacts",
 ]

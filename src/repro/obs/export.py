@@ -1,6 +1,6 @@
 """Exporters: JSONL event log, Chrome trace-event JSON, text span tree.
 
-Three views of the same :class:`~repro.obs.spans.SpanCollector` forest:
+Three renderings of one :class:`~repro.obs.spans.SpanCollector` forest:
 
 * :func:`spans_to_jsonl` — one JSON object per span, append-friendly, for
   ad-hoc ``jq``/pandas post-mortems.
@@ -13,15 +13,18 @@ Three views of the same :class:`~repro.obs.spans.SpanCollector` forest:
 * :func:`render_span_tree` — a plain-text forest for terminals and golden
   tests.
 
-:func:`validate_chrome_trace` is the schema check CI runs against the
-exported JSON — deliberately dependency-free (no jsonschema in the
+:func:`write_span_artifacts` is the one place that puts them in files —
+every ``repro`` command and recorder that dumps a forest goes through it.
+:func:`validate_chrome_trace` is the schema check it (and CI) runs against
+the exported JSON — deliberately dependency-free (no jsonschema in the
 image).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Optional
+from pathlib import Path
+from typing import Any, Iterable, Mapping, Optional
 
 from .spans import Span, SpanCollector
 
@@ -33,24 +36,10 @@ VT_TO_US = 1000.0
 WALL_TO_US = 1_000_000.0
 
 
-def _span_record(span: Span) -> dict[str, Any]:
-    return {
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "name": span.name,
-        "category": span.category,
-        "subject": span.subject,
-        "start": span.start,
-        "end": span.end,
-        "cause_ids": list(span.cause_ids),
-        "attrs": span.attrs,
-    }
-
-
 def spans_to_jsonl(spans: Iterable[Span]) -> str:
     """One JSON object per line, in span-creation order."""
     return "".join(
-        json.dumps(_span_record(s), sort_keys=True, default=str) + "\n"
+        json.dumps(s.record(), sort_keys=True, default=str) + "\n"
         for s in spans
     )
 
@@ -146,6 +135,42 @@ def spans_to_chrome(
             "vt_to_us": VT_TO_US,
         },
     }
+
+
+def write_span_artifacts(
+    spans: SpanCollector,
+    targets: Mapping[str, Any],
+    end_time: float,
+    process_name: str = "repro",
+    **other_data: Any,
+) -> list[str]:
+    """Write the forest once per entry of ``targets``: format -> where.
+
+    A format is ``"chrome"``, ``"tree"`` or ``"jsonl"``; a target is a path
+    or an open text stream.  ``end_time`` is *now* on the forest's clock:
+    in the chrome document a span still open ends there, so a stall reads
+    as a bar up to the moment of the dump.  ``other_data`` joins the chrome
+    document's ``otherData``.  Returns what is wrong with the forest or
+    with the chrome document's schema (``[]``: nothing).
+    """
+    problems = spans.forest_problems()
+    for fmt, target in targets.items():
+        if fmt == "chrome":
+            doc = spans_to_chrome(spans, process_name, end_time)
+            doc["otherData"].update(other_data)
+            problems += validate_chrome_trace(doc)
+            text = json.dumps(doc, indent=1) + "\n"
+        elif fmt == "tree":
+            text = render_span_tree(spans) + "\n"
+        elif fmt == "jsonl":
+            text = spans_to_jsonl(spans)
+        else:
+            raise ValueError(f"unknown span artifact format {fmt!r}")
+        if hasattr(target, "write"):
+            target.write(text)
+        else:
+            Path(target).write_text(text)
+    return problems
 
 
 def validate_chrome_trace(doc: Any) -> list[str]:

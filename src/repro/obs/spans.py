@@ -1,11 +1,11 @@
-"""Causal spans: the hierarchical upgrade of the flat trace.
+"""Causal spans: the hierarchical reading of the flat trace.
 
 The paper's claims are behavioural — the ``N → X/S → R`` state machine per
 object (Section 4.2), innermost-first abortion of nested-action chains
 (Section 4.1), domino chains (Section 3.3) — and a flat
 ``(time, category, subject)`` log cannot answer "which exception caused
-this abortion chain?".  A :class:`Span` is an interval of virtual time with
-a parent span and the ids of the messages that *caused* it, so a run
+this abortion chain?".  A :class:`Span` is an interval of time with a
+parent span and the ids of the messages that *caused* it, so a run
 becomes a forest:
 
     action A1 (O2)
@@ -18,19 +18,20 @@ becomes a forest:
        ├─ ● resolver.commit
        └─ handler UniversalException
 
-Spans are emitted by the protocol engines (all four variants) through a
-:class:`SpanCollector` owned by the :class:`~repro.objects.runtime.Runtime`.
-Collection is **off** unless the trace level is ``FULL`` — every emission
-site guards on a cached ``None`` collector, so ``COUNTS``/``OFF`` sweeps
-pay nothing beyond a pointer comparison (checked by
-``benchmarks/bench_perf_suite.py``).
+Engines never write spans.  They write trace records, and a simulated
+run's forest (``Runtime.spans``) is :func:`from_trace` applied to them:
+:data:`SPAN_ROWS` says, per trace category, which span a record opens,
+closes or marks.  A trace below ``FULL`` holds no entries, so its forest is
+empty.  A :class:`SpanCollector` is written to directly only where there is
+no trace to read: the service's and the load generator's wall-clock request
+trees, and forests moved across the wire (``to_records`` / ``graft``).
 """
 
 from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 #: Clock domains a collector can record in.  ``virtual`` is the simulator's
 #: virtual time (the original, deterministic domain); ``wall`` is wall-clock
@@ -80,6 +81,20 @@ class Span:
     def is_event(self) -> bool:
         """True for instantaneous occurrences (raise, commit, crash …)."""
         return self.end is not None and self.end == self.start
+
+    def record(self) -> dict[str, Any]:
+        """The span as a plain JSON-able dict (the wire and JSONL shape)."""
+        return {
+            "span_id": self.span_id,
+            "parent_id": self.parent_id,
+            "name": self.name,
+            "category": self.category,
+            "subject": self.subject,
+            "start": self.start,
+            "end": self.end,
+            "cause_ids": list(self.cause_ids),
+            "attrs": dict(self.attrs),
+        }
 
 
 @dataclass(frozen=True)
@@ -149,20 +164,15 @@ class TraceContext:
 class SpanCollector:
     """Append-only collector of :class:`Span` with forest queries.
 
-    A disabled collector is never handed to emission sites: callers cache
-    ``runtime.spans if runtime.spans.enabled else None`` once and guard on
-    ``None``, so the disabled path costs one comparison.
-
     ``clock`` names the time domain every ``time`` argument lives in:
     ``"virtual"`` (simulator units, the default) or ``"wall"`` (wall-clock
     seconds) — the collector itself is clock-agnostic, the exporters scale
     per domain.
     """
 
-    def __init__(self, enabled: bool = True, clock: str = "virtual") -> None:
+    def __init__(self, clock: str = "virtual") -> None:
         if clock not in CLOCKS:
             raise ValueError(f"unknown clock {clock!r} (expected one of {CLOCKS})")
-        self.enabled = enabled
         self.clock = clock
         self.spans: list[Span] = []
         self._by_id: dict[int, Span] = {}
@@ -240,18 +250,9 @@ class SpanCollector:
     def by_category(self, category: str) -> list[Span]:
         return [s for s in self.spans if s.category == category]
 
-    def by_subject(self, subject: str) -> list[Span]:
-        return [s for s in self.spans if s.subject == subject]
-
     def open_spans(self) -> list[Span]:
         """Spans never closed — in a healthy terminated run, empty."""
         return [s for s in self.spans if s.end is None]
-
-    def roots(self) -> list[Span]:
-        return [s for s in self.spans if s.parent_id is None]
-
-    def children(self, span_id: int) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span_id]
 
     def child_index(self) -> dict[Optional[int], list[Span]]:
         """parent id (``None`` for roots) -> children in creation order."""
@@ -269,20 +270,7 @@ class SpanCollector:
         move a span forest across a process boundary (the resolution server
         ships its per-request spans back to the tracing client this way).
         """
-        return [
-            {
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-                "name": span.name,
-                "category": span.category,
-                "subject": span.subject,
-                "start": span.start,
-                "end": span.end,
-                "cause_ids": list(span.cause_ids),
-                "attrs": dict(span.attrs),
-            }
-            for span in self.spans
-        ]
+        return [span.record() for span in self.spans]
 
     def graft(
         self, records: list[dict], parent: Optional[int] = None
@@ -365,3 +353,141 @@ class SpanCollector:
                 seen.add(current.span_id)
                 current = self._by_id.get(current.parent_id)
         return problems
+
+
+# -- the forest as a view of the trace ------------------------------------------------
+
+
+class SpanRow(NamedTuple):
+    """What the records of one trace category mean for the forest."""
+
+    #: ``"open"`` a span, ``"close"`` the one open under the same subject
+    #: and action, mark an instantaneous ``"event"``, or ``""``: only ``ends``.
+    op: str = ""
+    kind: str = ""  #: the span's category
+    name: str = ""  #: the span's name, formatted over ``subject`` and the details
+    parent: str = ""  #: kind of the enclosing span: action, resolution, or a root
+    attrs: tuple[str, ...] = ()  #: details copied onto the span, where present
+    outcome: str = ""  #: a fixed ``outcome`` attribute
+    ends: str = ""  #: the outcome with which the record also ends the resolution
+
+
+_COMMIT = SpanRow("event", "commit", "commit {exception}", "resolution", ("exception", "raisers"))
+_ABORT_START = SpanRow("open", "abort", "abort {action}", "resolution", ("depth",))
+_ABORT_DONE = SpanRow("close", "abort", attrs=("signal",))
+_HANDLE = SpanRow(
+    "event", "handler", "handler {exception}", "resolution", ("exception",),
+    ends="handled {exception}",
+)
+_DEAD_LETTER = SpanRow(
+    "event", "dead_letter", "dead_letter {kind}", attrs=("dst", "kind", "retries")
+)
+
+#: trace category -> its row.  Any record may carry ``cause=<msg id>``, the
+#: causal edge of the span it opens or marks.  A category that is not here
+#: (every ``msg.*`` but the dead letters, say) leaves the forest alone.
+SPAN_ROWS: dict[str, SpanRow] = {
+    # the Section 4.2 participant: core/{participant,algorithm,abortion}.py
+    "action.enter": SpanRow("open", "action", "action {action}", "action"),
+    "action.exit": SpanRow("close", "action", attrs=("outcome", "signal")),
+    "action.retry": SpanRow("event", "retry", "retry {action}", "action", ("attempt",)),
+    "resolution.join": SpanRow("open", "resolution", "resolution {action}", "action", ("variant",)),
+    "resolution.escalate": SpanRow(ends="escalated"),
+    "state": SpanRow("open", "state", "state {state}", "resolution"),
+    "raise": SpanRow("event", "raise", "raise {exception}", "resolution", ("exception",)),
+    "resolution.commit": _COMMIT,
+    "abort.start": _ABORT_START,
+    "abort.done": _ABORT_DONE,
+    "handler.start": SpanRow(
+        "open", "handler", "handler {exception}", "resolution", ("exception",)
+    ),
+    "handler.done": SpanRow("close", "handler", attrs=("outcome",), ends="handled {exception}"),
+    "handler.cancelled": SpanRow("close", "handler", outcome="cancelled"),
+    # the Member variants: core/{crash_tolerant,multicast_variant,centralized_variant}.py
+    "ct.commit": _COMMIT,
+    "mc.commit": _COMMIT,
+    "cd.commit": _COMMIT._replace(ends="committed {exception}"),
+    "ct.abort_start": _ABORT_START,
+    "ct.abort_done": _ABORT_DONE,
+    "mc.abort_start": _ABORT_START,
+    "mc.abort_done": _ABORT_DONE,
+    "ct.handle": _HANDLE,
+    "mc.handle": _HANDLE,
+    "cd.handle": _HANDLE,
+    "ct.rejoin_abort": SpanRow(
+        "event", "rejoin", "rejoin confirmed-abort", "resolution", ("exception",)
+    ),
+    "ct.restart": SpanRow("event", "restart", "restart {subject}", attrs=("replayed", "undone")),
+    # the substrate: net/detector.py, objects/runtime.py, net/{reliable,multicast}.py
+    "detector.suspect": SpanRow("event", "suspect", "suspect {peer}", "resolution", ("peer",)),
+    "node.crash": SpanRow("event", "crash", "crash {subject}"),
+    "node.restart": SpanRow("event", "restart", "restart {subject}"),
+    "msg.dead_letter": _DEAD_LETTER,
+    "mcast.dead_letter": _DEAD_LETTER,
+}
+
+#: Span kinds a subject has one of at a time (the rest are one per action).
+_ONE_PER_SUBJECT = ("resolution", "state")
+
+
+def from_trace(entries: Iterable[Any]) -> SpanCollector:
+    """The span forest that a run's trace entries describe.
+
+    One pass in record order, so spans are numbered in the order the
+    engines reached them, and a longer trace only extends the forest of
+    its prefix and closes what the prefix left open.
+    """
+    forest = SpanCollector()
+    #: (kind, subject, action) -> newest such span; ``action`` is ``None``
+    #: for the one resolution and the one state dwell a subject is in.
+    newest: dict[tuple[str, str, Optional[str]], int] = {}
+    entered: dict[str, list[int]] = {}  # subject -> its action spans, inner last
+
+    for entry in entries:
+        row = SPAN_ROWS.get(entry.category)
+        if row is None:
+            continue
+        time, subject, details = entry.time, entry.subject, entry.details
+        action = details.get("action")
+        key = (row.kind, subject, None if row.kind in _ONE_PER_SUBJECT else action)
+        attrs = {
+            name: ",".join(value) if isinstance(value, tuple) else value
+            for name, value in details.items() if name in row.attrs
+        }
+        if row.op == "close":
+            if row.outcome:
+                attrs["outcome"] = row.outcome
+            forest.end(newest.get(key), time, **attrs)
+            if row.kind == "abort":  # its abortion handler is how an action is left
+                forest.end(newest.get(("action", subject, action)), time, outcome="aborted")
+        elif row.op:
+            if row.kind == "action":  # nests in the innermost action still open
+                inside = entered.setdefault(subject, [])
+                parent = next(
+                    (s for s in reversed(inside) if not forest.get(s).closed), None
+                )
+            else:
+                parent = newest.get(
+                    (row.parent, subject, action if row.parent == "action" else None)
+                )
+            if row.kind == "state":  # one dwell at a time
+                forest.end(newest.get(key), time)
+            record = forest.begin if row.op == "open" else forest.event
+            span = record(
+                row.name.format(subject=subject, **details), row.kind, subject,
+                time, parent=parent, cause=details.get("cause"), **attrs,
+            )
+            if row.op == "open":
+                newest[key] = span
+            if row.kind == "action":
+                inside.append(span)
+            elif row.kind == "restart":  # memory is lost: what was open stays open
+                for stale in [k for k in newest if k[1] == subject]:
+                    del newest[stale]
+        if row.ends:
+            forest.end(newest.get(("state", subject, None)), time)
+            forest.end(
+                newest.get(("resolution", subject, None)), time,
+                outcome=row.ends.format(**details),
+            )
+    return forest

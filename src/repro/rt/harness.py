@@ -318,9 +318,7 @@ def export_conformance_traces(
     ``<cell>_<backend>.tree.txt`` per backend and returns the paths —
     the diffable artifact pair for a sim-vs-real divergence.
     """
-    import json
-
-    from repro.obs import render_span_tree, spans_to_chrome
+    from repro.obs import write_span_artifacts
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -330,16 +328,13 @@ def export_conformance_traces(
         with backend_scope(name, time_scale=time_scale):
             obs = observe_cell(cell, run_until=cell_horizon(cell))
         runtime = obs.runtime
-        if runtime is None or not runtime.spans.enabled:
+        if runtime is None:
             continue
-        doc = spans_to_chrome(
-            runtime.spans,
-            process_name=f"repro:{cell.cell_id}:{name}",
-            end_time=runtime.sim.now,
-        )
         chrome_path = out / f"{stem}_{name}.chrome.json"
-        chrome_path.write_text(json.dumps(doc, indent=1) + "\n")
         tree_path = out / f"{stem}_{name}.tree.txt"
-        tree_path.write_text(render_span_tree(runtime.spans) + "\n")
+        write_span_artifacts(
+            runtime.spans, {"chrome": chrome_path, "tree": tree_path},
+            runtime.sim.now, f"repro:{cell.cell_id}:{name}",
+        )
         paths.extend([chrome_path, tree_path])
     return paths

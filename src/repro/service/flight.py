@@ -28,12 +28,11 @@ clock and the server passes ``loop.time()``.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from pathlib import Path
 from typing import Optional
 
-from repro.obs.export import spans_to_chrome, spans_to_jsonl
+from repro.obs.export import write_span_artifacts
 from repro.obs.spans import SpanCollector, TraceContext
 
 #: Trigger reasons the recorder recognises (anything else raises — a typo
@@ -171,15 +170,11 @@ class FlightRecorder:
         malformed-context case, which parses to ``None`` — it becomes a
         fresh root trace.
         """
-        if context is not None:
-            trace = RequestTrace(
-                context.trace_id, request_id, now, subject=subject,
-                remote_parent=context.parent_span,
-            )
-        else:
-            trace = RequestTrace(
-                TraceContext.new().trace_id, request_id, now, subject=subject
-            )
+        context = context or TraceContext.new()
+        trace = RequestTrace(
+            context.trace_id, request_id, now, subject=subject,
+            remote_parent=context.parent_span,
+        )
         key = self._next_key
         self._next_key += 1
         self._open[key] = trace
@@ -261,15 +256,12 @@ class FlightRecorder:
         self._dump_seq += 1
         stem = f"flight-{self._dump_seq:04d}-{reason}"
         self.dump_dir.mkdir(parents=True, exist_ok=True)
-        doc = spans_to_chrome(merged, process_name=f"flight:{reason}")
-        doc["otherData"]["trigger"] = reason
-        doc["otherData"]["detail"] = detail
-        doc["otherData"]["wall_now"] = now
-        doc["otherData"]["completed_traces"] = len(self._ring)
-        doc["otherData"]["open_traces"] = len(self._open)
         chrome_path = self.dump_dir / f"{stem}.trace.json"
-        chrome_path.write_text(json.dumps(doc, indent=1) + "\n")
         jsonl_path = self.dump_dir / f"{stem}.spans.jsonl"
-        jsonl_path.write_text(spans_to_jsonl(merged))
+        write_span_artifacts(
+            merged, {"chrome": chrome_path, "jsonl": jsonl_path}, now,
+            f"flight:{reason}", trigger=reason, detail=detail, wall_now=now,
+            completed_traces=len(self._ring), open_traces=len(self._open),
+        )
         self.dumps += [chrome_path, jsonl_path]
         return chrome_path

@@ -1,9 +1,11 @@
-"""Structured trace recorder.
+"""Structured trace recorder: the one stream engines and substrates write.
 
-Protocol engines and substrates record what happened as typed entries
-``(time, category, subject, details)``.  Integration tests for the paper's
-worked examples (Sections 4.3 and 3.3) assert on these traces, and the
-benchmark harness prints them for EXPERIMENTS.md.
+They record what happened as typed entries ``(time, category, subject,
+details)`` and nothing else; counts, the causal span forest
+(:func:`repro.obs.spans.from_trace`) and the sequence charts are views of
+it.  Integration tests for the paper's worked examples (Sections 4.3 and
+3.3) assert on these traces, and the benchmark harness prints them for
+EXPERIMENTS.md.
 
 Recording granularity is controlled by :class:`TraceLevel`:
 
@@ -17,7 +19,10 @@ Recording granularity is controlled by :class:`TraceLevel`:
 
 Per-category counters are maintained at every level except ``OFF``, so
 ``count("msg.send")`` agrees between ``FULL`` and ``COUNTS`` runs of the
-same seeded scenario.
+same seeded scenario.  The exception is the few categories a writer emits
+at ``FULL`` only, behind its own cached "trace is FULL" test (protocol
+``state`` transitions and the like; docs/SUBSTRATES.md lists them): they
+exist for the views, and ``COUNTS`` runs do not execute a call for them.
 """
 
 from __future__ import annotations
@@ -184,26 +189,6 @@ class TraceRecorder:
             self._counted = 0
         return self._entries
 
-    @entries.setter
-    def entries(self, value: list[TraceEntry]) -> None:
-        # Wholesale replacement of the log (tests wrap it to assert on
-        # access patterns); pending raw records are dropped with the old
-        # log's contents — but their tallies stay counted, as they would
-        # have been under eager counting.
-        self.counts
-        self._pending.clear()
-        self._counted = 0
-        self._entries = value
-
-    @property
-    def enabled(self) -> bool:
-        """Backwards-compatible on/off switch (pre-:class:`TraceLevel` API)."""
-        return self._level is not TraceLevel.OFF
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self.level = TraceLevel.FULL if value else TraceLevel.OFF
-
     # -- recording -------------------------------------------------------------
 
     def clear(self) -> None:
@@ -227,21 +212,6 @@ class TraceRecorder:
             self._pending.append((time, category, subject, details))
         elif self._counting:
             self._counts[category] += 1
-
-    def tick(self, category: str) -> None:
-        """Count an occurrence without entry payload (hot-path helper).
-
-        Equivalent to :meth:`record` for counting purposes but skips detail
-        construction entirely; callers on hot paths use it when
-        ``wants_entries`` is false.
-        """
-        if self._counting:
-            self._counts[category] += 1
-
-    @property
-    def wants_entries(self) -> bool:
-        """True when callers should build full entry details (FULL level)."""
-        return self._full
 
     # -- queries ---------------------------------------------------------------
 
@@ -281,17 +251,6 @@ class TraceRecorder:
             ]
             self._category_cache[category] = (matches, len(entries))
         return list(matches)
-
-    def by_subject(self, subject: str) -> list[TraceEntry]:
-        return [entry for entry in self.entries if entry.subject == subject]
-
-    def matching(self, **details: Any) -> list[TraceEntry]:
-        """Entries whose details contain every given key/value pair."""
-        return [
-            entry
-            for entry in self.entries
-            if all(entry.details.get(k) == v for k, v in details.items())
-        ]
 
     def __iter__(self) -> Iterator[TraceEntry]:
         return iter(self.entries)

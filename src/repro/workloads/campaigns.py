@@ -649,29 +649,21 @@ def export_cell_trace(cell: CampaignCell, out_dir) -> "Path":
     stripped before the re-run — sabotage perturbs observations, not the
     simulation, so there is nothing of it to see in a trace.
     """
-    import json
     from pathlib import Path
 
-    from repro.obs import render_span_tree, spans_to_chrome
+    from repro.obs import write_span_artifacts
 
-    obs = observe_cell(replace(cell, sabotage=None))
-    runtime = obs.runtime
-    if runtime is None or not runtime.spans.enabled:
-        raise RuntimeError(
-            f"cell {cell.cell_id} produced no spans (trace level below FULL)"
-        )
+    runtime = observe_cell(replace(cell, sabotage=None)).runtime
+    if runtime is None:
+        raise RuntimeError(f"cell {cell.cell_id} ran no runtime to trace")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = cell.cell_id.replace(":", "_")
-    doc = spans_to_chrome(
-        runtime.spans,
-        process_name=f"repro:{cell.cell_id}",
-        end_time=runtime.sim.now,
-    )
     chrome_path = out / f"{stem}.chrome.json"
-    chrome_path.write_text(json.dumps(doc, indent=1) + "\n")
-    (out / f"{stem}.tree.txt").write_text(
-        render_span_tree(runtime.spans) + "\n"
+    write_span_artifacts(
+        runtime.spans,
+        {"chrome": chrome_path, "tree": out / f"{stem}.tree.txt"},
+        runtime.sim.now, f"repro:{cell.cell_id}",
     )
     return chrome_path
 

@@ -82,7 +82,7 @@ def measure_point(
     ).run()
     trace = result.runtime.trace
     commit_latency = None
-    if trace.wants_entries:
+    if trace.level is TraceLevel.FULL:
         commit_latency = resolution_timeline(trace, "A1").detection_to_commit
     return SweepPoint(
         n=n, p=p, q=q,

@@ -69,10 +69,11 @@ class TestDeterminism:
         ).run()
         dump_a = first.runtime.trace.dump()
         dump_b = second.runtime.trace.dump()
-        # Message ids are global counters; strip them before comparing.
+        # Message ids are global counters; strip them (``id=`` of a message
+        # record, ``cause=`` of what it caused) before comparing.
         import re
 
-        normalize = lambda s: re.sub(r"id=\d+", "id=*", s)  # noqa: E731
+        normalize = lambda s: re.sub(r"(id|cause)=\d+", r"\1=*", s)  # noqa: E731
         assert normalize(dump_a) == normalize(dump_b)
 
     def test_different_seeds_differ_under_random_latency(self):

@@ -2,24 +2,35 @@
 
 Two properties over every protocol variant in the repo:
 
-* **Level agreement** — a FULL run (spans + entries collected) and a
-  COUNTS run (spans off, counters only) of the same seeded scenario must
+* **Level agreement** — a FULL run (entries recorded, so a span forest to
+  read) and a COUNTS run (counters only) of the same seeded scenario must
   report identical protocol message counts *and* identical metrics
-  snapshots.  Any metric accidentally gated behind span collection, or
-  any emission site that perturbs the simulation, breaks this.
+  snapshots.  Any metric accidentally gated behind the FULL-only records,
+  or any record whose writing perturbs the simulation, breaks this.
 * **Forest shape** — span parent ids must form a forest: no orphan
   parents, no cycles, children within their parents' lifetime, and in a
-  healthy (fault-free) run every span closed by the end.
+  run that terminates (fault-free, or lossy under the reliable transport)
+  every span closed by the end.
+* **A view, not a second log** — the forest is derived from the trace on
+  read: reading it mid-run changes nothing, a COUNTS run has none and
+  writes none of the FULL-only records, and no engine or substrate module
+  mentions a span collector.
 
 The scenario sample is seeded from the fault-campaign matrix so the
 shapes exercised here are the same ones the campaign engine sweeps.
 """
+
+import itertools
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.core.variants import run_action
 from repro.net.failures import FailurePlan
 from repro.net.latency import ConstantLatency
+from repro.net.message import reset_msg_ids
+from repro.obs import spans_to_jsonl
 from repro.simkernel.trace import TraceLevel
 from repro.workloads.campaigns import default_matrix
 from repro.workloads.generator import general_case
@@ -65,6 +76,12 @@ def _run_variant(variant: str, n: int, p: int, q: int, level, knobs):
             trace_level=level, ack_timeout=2.0, max_retries=25, **knobs,
         )
         return result.runtime, result.messages()
+    if variant == "cr":
+        result = run_action(
+            "cr", n, p, seed=0, latency=ConstantLatency(1.0),
+            trace_level=level, ack_timeout=2.0, max_retries=25, **knobs,
+        )
+        return result.runtime, result.messages()
     raise ValueError(variant)
 
 
@@ -90,14 +107,14 @@ class TestFullCountsAgreement:
 
 
 class TestSpanForest:
-    @pytest.mark.parametrize("variant", ["base", "ct", "mc", "cd"])
+    @pytest.mark.parametrize("variant", ["base", "ct", "mc", "cd", "cr"])
     def test_parent_ids_form_a_closed_forest(self, variant):
-        for n, p, q in CAMPAIGN_SHAPES:
-            runtime, _ = _run_variant(variant, n, p, q, TraceLevel.FULL, {})
+        for (n, p, q), knobs in itertools.product(CAMPAIGN_SHAPES, FAULT_KNOBS):
+            runtime, _ = _run_variant(variant, n, p, q, TraceLevel.FULL, knobs)
             spans = runtime.spans
-            shape = f"{variant} n={n} p={p} q={q}"
+            shape = f"{variant} n={n} p={p} q={q} knobs={sorted(knobs)}"
             assert spans.forest_problems() == [], shape
-            # Fault-free runs leave nothing open.
+            # Runs that terminate leave nothing open.
             assert spans.open_spans() == [], shape
             # Every parent id resolves and every child starts within its
             # parent's lifetime (forest_problems already guards cycles).
@@ -123,3 +140,47 @@ class TestSpanForest:
         # Survivors' resolution spans all closed (the CT contract).
         survivors = {canonical_name(i) for i in range(4)} - {victim}
         assert not (open_subjects & survivors)
+
+
+class TestForestIsAViewOfTheTrace:
+    def test_reading_mid_run_changes_nothing(self):
+        def built():
+            reset_msg_ids()  # cause ids are message ids: number both runs alike
+            scenario = general_case(5, 2, 2, seed=0, latency=ConstantLatency(1.0))
+            return scenario.build()[0]
+
+        once = built()
+        once.run()
+        peeked = built()
+        peeked.run(until=11.5)  # raised, resolution under way
+        assert peeked.spans.open_spans()
+        assert len(peeked.spans) < len(once.spans)
+        peeked.run()
+        assert spans_to_jsonl(peeked.spans) == spans_to_jsonl(once.spans)
+        assert peeked.trace.dump() == once.trace.dump()
+
+    @pytest.mark.parametrize("variant", ["base", "ct", "mc", "cd"])
+    def test_counts_run_has_no_spans_and_no_full_only_records(self, variant):
+        runtime, _ = _run_variant(variant, 5, 2, 1, TraceLevel.COUNTS, {})
+        assert len(runtime.spans) == 0
+        assert runtime.trace.count("state") == 0
+        assert runtime.trace.count("mc.abort_start") == 0
+        if variant != "base":  # base counts its join and raise at every level
+            assert runtime.trace.count("resolution.join") == 0
+            assert runtime.trace.count("raise") == 0
+
+    def test_no_engine_or_substrate_writes_spans(self):
+        """Engines write trace records; nothing under core/, net/ or
+        objects/ may hold a collector again (ISSUE 22)."""
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        pattern = re.compile(
+            r"spans\.(begin|end|event)\(|_spans\b|span_id|_span_ids"
+        )
+        offenders = [
+            f"{path.relative_to(src)}:{number}"
+            for package in ("core", "net", "objects")
+            for path in sorted((src / package).rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert offenders == []

@@ -78,7 +78,7 @@ class TestInterleavedTracesStayDisjoint:
         retained = recorder.open_traces() + recorder.completed_traces()
         for trace in retained:
             assert trace.spans.forest_problems() == []
-            roots = trace.spans.roots()
+            roots = trace.spans.child_index()[None]
             assert [r.span_id for r in roots] == [trace.root]
             assert roots[0].attrs["trace_id"] == trace.trace_id
             assert expected_ids[id(trace)] == trace.trace_id
@@ -92,7 +92,7 @@ class TestInterleavedTracesStayDisjoint:
         # retained trace, and grafting preserved every span count.
         merged = recorder.merged_collector()
         assert merged.forest_problems() == []
-        assert len(merged.roots()) == len(retained)
+        assert len(merged.child_index().get(None, [])) == len(retained)
         assert len(merged) == sum(len(t.spans) for t in retained)
 
         # Ring semantics: the last `capacity` finished requests, in order.

@@ -158,6 +158,25 @@ class TestTriggers:
         assert recorder.check_stalls(40.0) == 1
         recorder.finish(fresh, 41.0, "error")
 
+    def test_stalled_request_bar_runs_to_the_moment_of_the_dump(self, tmp_path) -> None:
+        """A span still open at a dump ends at the dump's ``now`` — not at
+        the latest timestamp seen, which is some *other* request's reply."""
+        recorder = FlightRecorder(
+            dump_dir=tmp_path, stall_after=10.0, min_dump_interval=0.0
+        )
+        stalled = recorder.start(1.0, request_id=3)
+        other = recorder.start(2.0, request_id=4)
+        recorder.finish(other, 4.0, "committed")  # the latest timestamp: 4.0
+        now = 12.5
+        assert recorder.check_stalls(now) == 1
+        doc = json.loads(recorder.dumps[0].read_text())
+        [bar] = [
+            event for event in doc["traceEvents"]
+            if event["ph"] == "X" and event["args"].get("open")
+        ]
+        assert bar["name"] == "request 3"
+        assert bar["dur"] == (now - stalled.started) * 1e6
+
     def test_merged_collector_is_a_clean_forest(self) -> None:
         recorder = FlightRecorder(capacity=4)
         for i in range(3):
@@ -167,5 +186,5 @@ class TestTriggers:
         recorder.start(5.0, request_id=99)  # stays open
         merged = recorder.merged_collector()
         assert merged.clock == "wall"
-        assert len(merged.roots()) == 4
+        assert len(merged.child_index()[None]) == 4
         assert merged.forest_problems() == []

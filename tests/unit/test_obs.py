@@ -36,7 +36,7 @@ class TestSpanCollector:
     def test_begin_end_lifecycle(self):
         spans = _sample_forest()
         assert len(spans) == 4
-        root = spans.roots()[0]
+        root = spans.child_index()[None][0]
         assert root.name == "action A1"
         assert root.duration == 14.0
         assert spans.open_spans() == []
@@ -62,11 +62,10 @@ class TestSpanCollector:
 
     def test_children_and_child_index(self):
         spans = _sample_forest()
-        root = spans.roots()[0]
-        children = spans.children(root.span_id)
-        assert [c.name for c in children] == ["resolution A1"]
         index = spans.child_index()
         assert [s.name for s in index[None]] == ["action A1"]
+        children = index[index[None][0].span_id]
+        assert [c.name for c in children] == ["resolution A1"]
 
     def test_forest_problems_detects_orphans_and_bad_intervals(self):
         spans = SpanCollector()

@@ -399,7 +399,7 @@ class TestLiveTracing:
         client.graft(records, parent=root)
         client.end(root, 1.0)
         assert client.forest_problems() == []
-        assert len(client.roots()) == 1
+        assert len(client.child_index()[None]) == 1
 
     def test_untraced_submit_keeps_old_reply_shape(self, start_server) -> None:
         server = start_server()

@@ -26,7 +26,7 @@ class TestLevels:
         trace = TraceRecorder(level=TraceLevel.COUNTS)
         for _ in range(5):
             trace.record(1.0, "msg.send", "O1", dst="O2", kind="ACK")
-        trace.tick("msg.recv")
+        trace.record(1.0, "msg.recv", "O2")
         assert len(trace) == 0
         assert trace.entries == []
         assert trace.counts["msg.send"] == 5
@@ -36,25 +36,8 @@ class TestLevels:
     def test_off_records_nothing(self):
         trace = TraceRecorder(level=TraceLevel.OFF)
         trace.record(1.0, "msg.send", "O1")
-        trace.tick("msg.send")
         assert len(trace) == 0
         assert trace.counts == {}
-
-    def test_enabled_backwards_compat(self):
-        trace = TraceRecorder()
-        trace.enabled = False
-        assert trace.level is TraceLevel.OFF
-        trace.record(1.0, "x", "y")
-        assert len(trace) == 0
-        trace.enabled = True
-        assert trace.level is TraceLevel.FULL
-        trace.record(1.0, "x", "y")
-        assert len(trace) == 1
-
-    def test_wants_entries_only_at_full(self):
-        assert TraceRecorder(TraceLevel.FULL).wants_entries
-        assert not TraceRecorder(TraceLevel.COUNTS).wants_entries
-        assert not TraceRecorder(TraceLevel.OFF).wants_entries
 
     def test_count_is_prefix_component_wise(self):
         trace = TraceRecorder(level=TraceLevel.COUNTS)
@@ -90,7 +73,7 @@ class TestByCategoryCache:
 
         # With the cache warm and no new entries, a second query must not
         # slice the entries list again.
-        trace.entries = ExplodingList(trace.entries)
+        trace._entries = ExplodingList(trace.entries)
         result = trace.by_category("msg.send")
         assert len(result) == 100
 
