@@ -3,8 +3,10 @@
 A green test suite only means something if it *fails* when the protocol
 is wrong.  This bench applies hand-rolled mutants to the two protocol
 engines — :mod:`repro.core.algorithm` (base Section 4.2) and
-:mod:`repro.core.crash_tolerant` — and to the exploration infrastructure
-itself (:mod:`repro.explore.engine` search drivers and
+:mod:`repro.core.crash_tolerant` — to the substrate's per-delivery
+shortcuts (:mod:`repro.core.participant`'s counted exit barrier,
+:mod:`repro.net.network`'s delivery and fan-out) and to the exploration
+infrastructure itself (:mod:`repro.explore.engine` search drivers and
 :mod:`repro.explore.cache` persistence: a skipped CRC check, a cache key
 that forgets the code version, walks that all replay one seed, a search
 that hits its budget silently).
@@ -67,6 +69,8 @@ class Mutant:
 
 
 ALG = "src/repro/core/algorithm.py"
+PARTICIPANT = "src/repro/core/participant.py"
+NET = "src/repro/net/network.py"
 CT = "src/repro/core/crash_tolerant.py"
 ENGINE = "src/repro/explore/engine.py"
 CACHE = "src/repro/explore/cache.py"
@@ -77,8 +81,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "alg-drop-exception-ack", ALG,
         "receiver of Exception never ACKs: resolver can't reach READY",
         """        ctx.le[m.sender] = m.exception
-        me = self.p.name
-        self._send(me, m.sender, KIND_ACK, AckMsg(ctx.action, me, KIND_EXCEPTION))""",
+        self._send(self.p.name, m.sender, KIND_ACK, ctx.ack_exception)""",
         """        ctx.le[m.sender] = m.exception""",
     ),
     Mutant(
@@ -118,9 +121,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "alg-drop-nested-completed-ack", ALG,
         "NestedCompleted never ACKed: sender's ack set never drains",
-        """        self._send(
-            me, m.sender, KIND_ACK, AckMsg(ctx.action, me, KIND_NESTED_COMPLETED)
-        )
+        """        self._send(self.p.name, m.sender, KIND_ACK, ctx.ack_nested_completed)
         ctx.nested_completed.add(m.sender)""",
         """        ctx.nested_completed.add(m.sender)""",
     ),
@@ -158,13 +159,44 @@ MUTANTS: tuple[Mutant, ...] = (
         "        ctx.ack_awaited[KIND_EXCEPTION] = set(others)",
         "        ctx.ack_awaited[KIND_EXCEPTION] = set()",
     ),
+    Mutant(
+        "ack-payload-wrong-ref-kind", ALG,
+        "the cached Exception ACK answers a NestedCompleted: the raiser's "
+        "ACK set never drains",
+        "        self._send(self.p.name, m.sender, KIND_ACK, ctx.ack_nested_completed)",
+        "        self._send(self.p.name, m.sender, KIND_ACK, ctx.ack_exception)",
+    ),
+    # -- the substrate's constant cost per delivery ------------------------------
+    Mutant(
+        "barrier-gate-off-by-one", PARTICIPANT,
+        "the DONE that completes the set does not reach the barrier test: "
+        "nobody leaves",
+        "and len(arrived) >= self._barrier_need:",
+        "and len(arrived) > self._barrier_need:",
+    ),
+    Mutant(
+        "send-many-ids-misaligned", NET,
+        "the block of ids is one short: the last copy of a fan-out is never built",
+        "        ids = islice(_message_mod._msg_ids, count)",
+        "        ids = islice(_message_mod._msg_ids, count - 1)",
+    ),
+    Mutant(
+        "deliver-fallback-skipped", NET,
+        "a kind absent from the kind map no longer reaches receive / on_unhandled",
+        """            except KeyError:
+                pass
+            else:""",
+        """            except KeyError:
+                return
+            else:""",
+    ),
     # -- crash-tolerant variant ------------------------------------------------
     Mutant(
         "ct-ack-before-have-nested", CT,
         "the explorer-found ordering bug: ACK overtakes HaveNested",
         """        self._maybe_start_abort()
-        self.send(payload.sender, KIND_CT_ACK, CtAck(self.action, self.name))""",
-        """        self.send(payload.sender, KIND_CT_ACK, CtAck(self.action, self.name))
+        self.send(payload.sender, KIND_CT_ACK, self._ack)""",
+        """        self.send(payload.sender, KIND_CT_ACK, self._ack)
         self._maybe_start_abort()""",
     ),
     Mutant(
@@ -364,6 +396,7 @@ SMOKE_IDS = (
     "alg-commit-not-broadcast", "ct-ack-before-have-nested",
     "ct-no-acks-missing", "ct-resolver-never-handles", "ct-commit-not-adopted",
     "ct-commit-to-alive-only", "cache-crc-ignored", "walk-seed-pinned",
+    "barrier-gate-off-by-one", "deliver-fallback-skipped",
 )
 
 
@@ -405,6 +438,17 @@ def detection_problems() -> list[str]:
             problems.append(
                 f"{cell.cell_id}: {classification} {list(violations)}"
             )
+    # The paper's Example 2: the one base world here whose resolver raised
+    # through an abortion handler's signal, so it is the NestedCompleted
+    # ACKs, not the Exception ACKs, that make it ready.
+    try:
+        from repro.workloads.generator import example2_scenario
+
+        handled = example2_scenario().run().handlers_started("A1")
+        if len(handled) != 4 or len(set(handled.values())) != 1:
+            problems.append(f"example2: handlers started in A1: {handled}")
+    except Exception as exc:
+        problems.append(f"example2: {type(exc).__name__}: {exc}")
     # The interleaving that once broke the ct ACK/HaveNested ordering
     # (fixed in commit 01eb862; only this replay catches a reintroduction).
     try:
@@ -417,6 +461,7 @@ def detection_problems() -> list[str]:
     except Exception as exc:
         problems.append(f"explore ch:6=1: {type(exc).__name__}: {exc}")
     problems.extend(_fanout_problems())
+    problems.extend(_delivery_problems())
     problems.extend(_explore_infra_problems())
     return problems
 
@@ -478,6 +523,41 @@ def _fanout_problems() -> list[str]:
         except Exception as exc:
             problems.append(f"fan-out {label}: {type(exc).__name__}: {exc}")
     return problems
+
+
+def _delivery_problems() -> list[str]:
+    """What the network owes every endpoint, whatever it costs: a fan-out
+    takes the ids the per-send loop would, and a kind the object registered
+    no handler for still reaches ``on_unhandled``."""
+    from repro.net.message import reset_msg_ids
+    from repro.objects.base import DistributedObject
+    from repro.objects.runtime import Runtime
+
+    class Recorder(DistributedObject):
+        def __init__(self, name: str) -> None:
+            super().__init__(name)
+            self.unhandled: list[int] = []
+            self.on_kind("KNOWN", lambda message: None)
+
+        def on_unhandled(self, message) -> None:
+            self.unhandled.append(message.msg_id)
+
+    try:
+        reset_msg_ids()
+        runtime = Runtime()
+        objects = [Recorder(f"R{i}") for i in range(4)]
+        for obj in objects:
+            runtime.register(obj)
+        first = objects[0].send("R1", "KNOWN").msg_id
+        ids = [m.msg_id for m in objects[0].send_many(["R1", "R2", "R3"], "UNKNOWN")]
+        after = objects[0].send("R1", "KNOWN").msg_id
+        runtime.run()
+        got = [obj.unhandled for obj in objects[1:]]
+        if [first, *ids, after] != [1, 2, 3, 4, 5] or got != [[2], [3], [4]]:
+            return [f"delivery: ids {first} {ids} {after}, unhandled {got}"]
+    except Exception as exc:
+        return [f"delivery: {type(exc).__name__}: {exc}"]
+    return []
 
 
 def _explore_infra_problems() -> list[str]:

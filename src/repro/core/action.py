@@ -103,15 +103,15 @@ class CAActionDef:
         memo: dict[str, tuple[str, ...]] = self._others_memo
         cached = memo.get(name)
         if cached is None:
-            cached = tuple(p for p in self.participants if p != name)
+            cached = tuple([p for p in self.participants if p != name])
             memo[name] = cached
         return cached
 
     def others_set(self, name: str) -> frozenset[str]:
         """Frozen-set view of :meth:`others`, memoized.
 
-        The exit barrier compares arrivals against this once per DONE
-        receipt; building a fresh set there made the barrier O(N²) per
+        The exit barrier compares arrivals against this on every barrier
+        test; building a fresh set there made the barrier O(N²) per
         participant and dominated large-N sweeps.
         """
         memo: dict[str, frozenset[str]] = self._others_set_memo

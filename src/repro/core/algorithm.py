@@ -319,8 +319,7 @@ class ResolutionEngine:
 
     def _on_exception(self, ctx: ResolutionCtx, m: ExceptionMsg) -> None:
         ctx.le[m.sender] = m.exception
-        me = self.p.name
-        self._send(me, m.sender, KIND_ACK, AckMsg(ctx.action, me, KIND_EXCEPTION))
+        self._send(self.p.name, m.sender, KIND_ACK, ctx.ack_exception)
 
     def _on_have_nested(self, ctx: ResolutionCtx, m: HaveNestedMsg) -> None:
         ctx.lo.add(m.sender)
@@ -328,10 +327,7 @@ class ResolutionEngine:
         self.p.drop_pending_nested(ctx.action)
 
     def _on_nested_completed(self, ctx: ResolutionCtx, m: NestedCompletedMsg) -> None:
-        me = self.p.name
-        self._send(
-            me, m.sender, KIND_ACK, AckMsg(ctx.action, me, KIND_NESTED_COMPLETED)
-        )
+        self._send(self.p.name, m.sender, KIND_ACK, ctx.ack_nested_completed)
         ctx.nested_completed.add(m.sender)
         if m.exception is not None:
             ctx.le[m.sender] = m.exception
@@ -367,6 +363,9 @@ class ResolutionEngine:
             self.ctx = ctx = ResolutionCtx(action, started_at=now)
             ctx.instance = self.p.action_manager.instance(action)
             ctx.definition = self.p.registry.get(action)
+            me = self.p.name
+            ctx.ack_exception = AckMsg(action, me, KIND_EXCEPTION)
+            ctx.ack_nested_completed = AckMsg(action, me, KIND_NESTED_COMPLETED)
             if self._metrics is not None:
                 self._metrics.counter("resolution.contexts").inc()
             self.p.trace("resolution.join", action=action, cause=self._cause)

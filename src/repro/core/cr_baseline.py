@@ -96,6 +96,8 @@ class CRParticipant(DistributedObject):
         #: Exceptions this object itself raised (primary or domino).
         self.raised: set[ExceptionClass] = set()
         self._acks_awaited = 0
+        #: The one ACK payload this object ever sends, shared by every reply.
+        self._ack = CRAckMsg(action, name)
         self._voted_fingerprint: Optional[frozenset] = None
         self._votes: dict[str, frozenset] = {}
         self.handled: Optional[ExceptionClass] = None
@@ -127,7 +129,7 @@ class CRParticipant(DistributedObject):
 
     def _on_exception(self, message: Message) -> None:
         payload: CRExceptionMsg = message.payload
-        self.send(payload.sender, KIND_CR_ACK, CRAckMsg(self.action, self.name))
+        self.send(payload.sender, KIND_CR_ACK, self._ack)
         if (payload.sender, payload.exception) in self.known:
             return
         self.known.add((payload.sender, payload.exception))

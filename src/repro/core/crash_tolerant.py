@@ -208,6 +208,9 @@ class CrashTolerantParticipant(Member):
         #: sender eligible to resolve).
         self.raisers: set[str] = set()
         self.acks_missing: set[str] = set()
+        #: The one ACK payload this member ever sends (both fields are its
+        #: constants), shared by every reply.
+        self._ack = CtAck(action, name)
         self.nested_members: set[str] = set()
         self.nested_done: set[str] = set()
         self.raised_local = False
@@ -323,7 +326,7 @@ class CrashTolerantParticipant(Member):
         # NestedCompleted round — found by ``repro explore``, schedule
         # ``ch:6=1`` on ``paper:ct:none:n3p1q1:s0``.)
         self._maybe_start_abort()
-        self.send(payload.sender, KIND_CT_ACK, CtAck(self.action, self.name))
+        self.send(payload.sender, KIND_CT_ACK, self._ack)
         self._advance()
 
     def _on_ack(self, message: Message) -> None:
@@ -437,7 +440,7 @@ class CrashTolerantParticipant(Member):
                     CtNestedCompleted(self.action, self.name, self.abort_signal),
                 )
         if payload.exception is not None:
-            self.send(payload.sender, KIND_CT_ACK, CtAck(self.action, self.name))
+            self.send(payload.sender, KIND_CT_ACK, self._ack)
         if self.raised_local:
             self.send(
                 payload.sender, KIND_CT_EXCEPTION,

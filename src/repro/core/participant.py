@@ -119,6 +119,8 @@ class CAParticipant(DistributedObject):
         self._barrier: dict[tuple[str, int], set[str]] = {}
         self._done_broadcast: set[str] = set()
         self._waiting_barrier: Optional[str] = None
+        #: How many DONEs ``_waiting_barrier`` needs (set with it).
+        self._barrier_need = 0
         self._handled_markers: dict[str, ExceptionClass] = {}
         self._handler_handles: dict[str, object] = {}
         #: This participant's attempt number per action (1 = primary).
@@ -249,6 +251,7 @@ class CAParticipant(DistributedObject):
             else:
                 send_many(me, definition.others(me), KIND_DONE, done_msg)
         self._waiting_barrier = action
+        self._barrier_need = len(definition.others(self.name))
         self.trace("action.leave_requested", action=action, attempt=attempt)
         self._check_barrier(action)
 
@@ -261,10 +264,14 @@ class CAParticipant(DistributedObject):
         if arrived is None:
             barrier[key] = arrived = set()
         arrived.add(done.sender)
-        # Most DONEs arrive before this participant has requested leave
-        # itself; the barrier check's own precondition is tested here so
-        # those take no extra frame.
-        if self._waiting_barrier == action:
+        # Invariant: a DONE can newly open the barrier only by completing
+        # the sender set of this participant's own attempt, so the full
+        # test runs only once the set just grown has reached the needed
+        # size.  Every other way the barrier opens (leave requested after
+        # the last DONE, a live resolution context retiring) goes through
+        # an ungated caller: request_leave, reached also from
+        # _exit_after_handler.
+        if self._waiting_barrier == action and len(arrived) >= self._barrier_need:
             self._check_barrier(action)
 
     def _check_barrier(self, action: str) -> None:
@@ -287,9 +294,8 @@ class CAParticipant(DistributedObject):
             self._waiting_barrier = None
             self._complete_action(action)
             return
-        # Cheap length gate first: the subset test is O(N) and this check
-        # runs once per DONE received, so testing it before the last
-        # arrival made the barrier O(N²) per participant.
+        # Cheap length gate first: the subset test is O(N), and an ungated
+        # caller may get here long before the last arrival.
         if len(arrived) >= len(expected) and expected <= arrived:
             self._waiting_barrier = None
             self._complete_action(action)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.exceptions.tree import ExceptionClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.messages import CommitMsg
+    from repro.core.messages import AckMsg, CommitMsg
 
 
 class PState(enum.Enum):
@@ -74,6 +74,11 @@ class ResolutionCtx:
     #: protocol message.
     instance: Optional[object] = None
     definition: Optional[object] = None
+    #: The only two ACK payloads this context can ever send (their fields
+    #: are constants of the context): one frozen payload per ref kind,
+    #: shared by the N-1 replies.
+    ack_exception: Optional["AckMsg"] = None
+    ack_nested_completed: Optional["AckMsg"] = None
 
     def all_acks_received(self) -> bool:
         return not any(self.ack_awaited.values())

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import partial
+from itertools import islice
 from typing import Callable
 
 from repro.net.channel import Channel
@@ -358,16 +359,18 @@ class Network:
         trace = self.trace
         full = trace._full
         pending = trace._pending
-        msg_ids = _message_mod._msg_ids
-        messages = []
-        mappend = messages.append
-        for dst in dsts:
-            message = Message.__new__(Message)
+        # Ids are taken as one block of the shared counter per fan-out and
+        # the list is sized once: no ``next()`` and no ``append`` per copy.
+        count = len(dsts)
+        messages = [None] * count
+        ids = islice(_message_mod._msg_ids, count)
+        for i, (dst, mid) in enumerate(zip(dsts, ids)):
+            messages[i] = message = Message.__new__(Message)
             message.src = src
             message.dst = dst
             message.kind = kind
             message.payload = payload
-            message.msg_id = mid = next(msg_ids)
+            message.msg_id = mid
             message.corrupted = False
             message.dropped = False
             message.send_time = now
@@ -376,11 +379,9 @@ class Network:
                 pending.append((
                     now, "msg.send", src, _SEND_FIELDS, dst, kind, mid, payload,
                 ))
-            mappend(message)
         # One bucket extension for the whole broadcast: every copy lands at
         # the same instant, in ``dsts`` order.
         queue.push_raw(deliver_at, PRIORITY_DELIVERY, messages)
-        count = len(messages)
         self.sent_by_kind[kind] += count
         if not full and trace._counting:
             trace._counts["msg.send"] += count
@@ -407,8 +408,9 @@ class Network:
         kind = message.kind
         clock = self._sim_clock
         now = clock._now if clock is not None else self.sim.now
-        target = self._targets.get(dst)
-        if target is None:
+        try:
+            target = self._targets[dst]
+        except KeyError:
             # Endpoint disappeared (e.g. crashed and deregistered) while the
             # message was in flight: the message is silently lost, matching
             # the non-fail-stop fault model.
@@ -441,8 +443,11 @@ class Network:
         # unknown kinds fall back so on_unhandled semantics are preserved.
         kind_map = target[1]
         if kind_map is not None:
-            handler = kind_map.get(kind)
-            if handler is not None:
+            try:
+                handler = kind_map[kind]
+            except KeyError:
+                pass
+            else:
                 handler(message)
                 return
         target[0](message)

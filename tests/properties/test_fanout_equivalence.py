@@ -20,6 +20,7 @@ import hashlib
 
 import pytest
 
+from repro.core.participant import CAParticipant
 from repro.core.variants import VARIANTS, run_action
 from repro.explore import ScheduleSpec, run_digest
 from repro.explore.engine import _run as explore_run
@@ -31,6 +32,7 @@ from repro.objects.runtime import runtime_hook
 from repro.rt.backend import asyncio_backend
 from repro.simkernel.trace import TraceEntry
 from repro.workloads.campaigns import parse_cell_id
+from repro.workloads.fuzz import build_random_scenario
 
 #: (n, p, q) per variant: raisers, a nested member where the variant nests,
 #: and at least one bystander.
@@ -49,6 +51,8 @@ CONFIGS = {
     "drop": ({"failure_plan": lambda: FailurePlan(drop_probability=0.2),
               "until": 120.0}, None),
     "crash": ({"crashes": [("O0002", 10.5)], "until": 120.0}, None),
+    # After base's Commit, before anyone's DONE: the exit barrier never fills.
+    "late-crash": ({"crashes": [("O0002", 12.5)], "until": 120.0}, None),
     "reliable": ({"failure_plan": lambda: FailurePlan(drop_probability=0.2),
                   "reliable": True, "until": 120.0}, None),
     "pair-latency": ({}, _slow_pair),
@@ -135,6 +139,45 @@ def test_explorer_walk_equals_looped_walk(variant, looped):
     shipped = explored(variant)
     looped()
     assert explored(variant) == shipped
+
+
+@pytest.fixture
+def ungated(monkeypatch):
+    """Run the whole exit-barrier test on every ``DONE``, as before the
+    barrier counted: the size a ``DONE`` must reach reads 0 whatever
+    ``request_leave`` writes."""
+    def install():
+        monkeypatch.setattr(
+            CAParticipant, "_barrier_need",
+            property(lambda self: 0, lambda self, value: None), raising=False,
+        )
+    return install
+
+
+@pytest.mark.parametrize(
+    "config", ["stock", "reliable", "late-crash", "pair-latency"]
+)
+def test_counted_barrier_equals_a_test_on_every_done(config, ungated):
+    shipped = fingerprint("base", config)
+    assert shipped["delivered"]["DONE"], "nobody reached the exit line"
+    ungated()
+    assert fingerprint("base", config) == shipped
+
+
+def _retried_world(seed: int) -> str:
+    """FULL-trace dump of a random nested world whose root action fails its
+    acceptance test twice (``max_attempts`` = 3)."""
+    reset_msg_ids()
+    scenario, _ = build_random_scenario(seed, n_participants=5, failing_attempts=2)
+    return scenario.run().runtime.trace.dump()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_counted_barrier_equals_a_test_on_every_done_across_retries(seed, ungated):
+    shipped = _retried_world(seed)
+    assert shipped.count(" action.retry ") >= 2
+    ungated()
+    assert _retried_world(seed) == shipped
 
 
 @pytest.mark.parametrize("variant", ["base", "ct", "mc", "cd"])

@@ -14,11 +14,13 @@ from repro.core.manager import CAActionManager
 from repro.core.messages import (
     KIND_ACK,
     KIND_COMMIT,
+    KIND_DONE,
     KIND_EXCEPTION,
     KIND_HAVE_NESTED,
     KIND_NESTED_COMPLETED,
     AckMsg,
     CommitMsg,
+    DoneMsg,
     ExceptionMsg,
     HaveNestedMsg,
     NestedCompletedMsg,
@@ -42,13 +44,13 @@ ExcA = declare_exception("EngineExcA")
 ExcB = declare_exception("EngineExcB")
 
 
-def make_world(names=("O1", "O2", "O3"), nested=False):
+def make_world(names=("O1", "O2", "O3"), nested=False, **top):
     tree = ResolutionTree(
         UniversalException,
         {ExcA: UniversalException, ExcB: UniversalException},
     )
     registry = ActionRegistry()
-    registry.declare(CAActionDef("A1", tuple(names), tree))
+    registry.declare(CAActionDef("A1", tuple(names), tree, **top))
     if nested:
         registry.declare(
             CAActionDef("A2", (names[0],), ResolutionTree(UniversalException),
@@ -363,3 +365,92 @@ class TestPendingCleanup:
         assert p.drop_pending_nested("A1") == 0
         assert calls == {"descendants": 0, "contains": 0}
         assert not [e for e in runtime.trace.entries if e.category == "pending.cleanup"]
+
+
+class TestExitBarrier:
+    """The counted exit barrier: a ``DONE`` runs the barrier test only when
+    the sender set it just grew has reached the size the action needs;
+    every other way the barrier opens goes through ``request_leave``."""
+
+    def leaving(self, monkeypatch, names=("O1", "O2", "O3"), **top):
+        """O1 inside A1, its exits recorded and its barrier tests counted."""
+        runtime, _, ps = make_world(names=names, **top)
+        p = ps[names[0]]
+        exits, tests = [], []
+        p.on_action_exit = lambda action, outcome, exc: exits.append(outcome)
+        real = p._check_barrier
+        monkeypatch.setattr(
+            p, "_check_barrier", lambda action: (tests.append(action), real(action))
+        )
+        p.enter_action("A1")
+        return runtime, p, exits, tests
+
+    @staticmethod
+    def done(p, sender, epoch=1):
+        deliver(p, sender, KIND_DONE, DoneMsg("A1", sender, epoch))
+
+    def test_opens_on_the_done_that_completes_the_set_and_tests_once(
+        self, monkeypatch
+    ):
+        _, p, exits, tests = self.leaving(monkeypatch)
+        p.request_leave("A1")
+        self.done(p, "O2")
+        assert exits == [] and tests == ["A1"]  # request_leave's own test
+        self.done(p, "O3")
+        assert exits == ["completed"] and tests == ["A1", "A1"]
+
+    def test_stale_epoch_done_does_not_count(self, monkeypatch):
+        _, p, exits, _ = self.leaving(monkeypatch)
+        p.request_leave("A1")
+        self.done(p, "O2", epoch=2)
+        self.done(p, "O3", epoch=2)  # a full set, of another attempt
+        self.done(p, "O2", epoch=1)
+        assert exits == [] and p._waiting_barrier == "A1"
+        self.done(p, "O3", epoch=1)
+        assert exits == ["completed"]
+
+    def test_same_senders_done_twice_counts_once(self, monkeypatch):
+        _, p, exits, tests = self.leaving(monkeypatch)
+        p.request_leave("A1")
+        self.done(p, "O2")
+        self.done(p, "O2")
+        assert exits == [] and tests == ["A1"]
+        self.done(p, "O3")
+        assert exits == ["completed"]
+
+    def test_last_done_during_resolution_leaves_the_exit_to_the_handler(
+        self, monkeypatch
+    ):
+        runtime, p, exits, tests = self.leaving(monkeypatch)
+        p.request_leave("A1")
+        self.done(p, "O2")
+        deliver(p, "O3", KIND_EXCEPTION, ExceptionMsg("A1", "O3", ExcA))
+        deliver(p, "O3", KIND_COMMIT, CommitMsg("A1", "O3", ExcA, ("O3",)))
+        assert p.engine.ctx is not None and p.engine.ctx.handler_scheduled
+        self.done(p, "O3")  # completes the set while the context is live
+        assert exits == [] and tests == ["A1", "A1"] and p._waiting_barrier == "A1"
+        runtime.run()  # the handler completes and asks to leave again
+        assert exits == ["completed"] and tests == ["A1", "A1", "A1"]
+
+    def test_next_attempts_dones_before_own_retry(self, monkeypatch):
+        verdicts = iter([False, True])
+        _, p, exits, _ = self.leaving(
+            monkeypatch, acceptance=lambda: next(verdicts), max_attempts=2
+        )
+        retries = []
+        p.on_action_retry = lambda action, attempt: retries.append(attempt)
+        p.request_leave("A1")
+        self.done(p, "O2", epoch=1)
+        self.done(p, "O2", epoch=2)  # O2 already finished its second attempt
+        self.done(p, "O3", epoch=1)  # attempt 1's barrier: test fails, retry
+        assert retries == [2] and exits == [] and p._waiting_barrier is None
+        self.done(p, "O3", epoch=2)  # before this participant asked to leave
+        assert exits == []
+        p.request_leave("A1")
+        assert exits == ["completed"]
+
+    def test_single_participant_leaves_at_once(self, monkeypatch):
+        runtime, p, exits, _ = self.leaving(monkeypatch, names=("O1",))
+        p.request_leave("A1")
+        assert exits == ["completed"]
+        assert runtime.network.total_sent() == 0

@@ -46,11 +46,14 @@ def test_mutant_ids_unique_and_smoke_subset_valid() -> None:
     targets = {m.path for m in mod.MUTANTS}
     assert targets == {
         "src/repro/core/algorithm.py",
+        "src/repro/core/participant.py",
         "src/repro/core/crash_tolerant.py",
+        "src/repro/net/network.py",
         "src/repro/explore/engine.py",
         "src/repro/explore/cache.py",
     }
-    # The CI subset covers both protocol engines and both infra families.
+    # The CI subset covers both protocol engines, the substrate's two files
+    # and both infra families.
     smoke_targets = {
         m.path for m in mod.MUTANTS if m.mutant_id in mod.SMOKE_IDS
     }
