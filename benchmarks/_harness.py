@@ -1,15 +1,17 @@
-"""Shared helpers for the benchmark harness.
+"""The one writer of ``benchmarks/results/<exp_id>.txt``.
 
-Every benchmark reproduces one table/figure-equivalent of the paper
-(experiment ids E1..E15, see DESIGN.md).  Besides pytest-benchmark timing,
-each bench *prints* the rows it reproduces and records them under
-``benchmarks/results/<exp_id>.txt`` so EXPERIMENTS.md can quote them.
+The paper's tables are rows of :mod:`repro.analysis.report` and are
+rewritten by ``benchmarks/experiments.py``; the campaign benches and
+``mutation_smoke.py`` (E20, E23, E24, E26–E29) record their own tables
+here in the same layout.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 from typing import Sequence
+
+from repro.analysis.report import format_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -22,32 +24,7 @@ def record_table(
     notes: str = "",
 ) -> str:
     """Format, print and persist one experiment's table."""
-    lines = [f"== {exp_id}: {title} =="]
-    if rows:
-        # max() needs the header length as a plain argument: star-unpacking
-        # an empty generator alongside it raises TypeError on empty rows.
-        widths = [
-            max(len(str(header)), *(len(str(row[i])) for row in rows))
-            for i, header in enumerate(headers)
-        ]
-        lines.append(
-            "  ".join(str(h).rjust(w) for h, w in zip(headers, widths))
-        )
-        lines.append("  ".join("-" * w for w in widths))
-        for row in rows:
-            lines.append(
-                "  ".join(str(cell).rjust(w) for cell, w in zip(row, widths))
-            )
-    else:
-        widths = [len(str(header)) for header in headers]
-        lines.append(
-            "  ".join(str(h).rjust(w) for h, w in zip(headers, widths))
-        )
-        lines.append("  ".join("-" * w for w in widths))
-        lines.append("(no rows)")
-    if notes:
-        lines.append(notes)
-    text = "\n".join(lines)
+    text = format_table(exp_id, title, headers, rows, notes)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{exp_id}.txt").write_text(text + "\n")
     print("\n" + text)

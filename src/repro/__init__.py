@@ -31,8 +31,9 @@ Typical use::
     result = Scenario([action], specs).run()
     print(result.handlers_started("mission"))
 
-See ``examples/`` for complete programs and ``benchmarks/`` for the
-experiment harness reproducing the paper's Section 4.4 analysis.
+See ``examples/`` for complete programs and :mod:`repro.analysis.report`
+(``python -m repro report``) for the experiments reproducing the paper's
+Section 4.4 analysis.
 """
 
 from repro.conversation import (

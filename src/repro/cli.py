@@ -7,6 +7,9 @@ Commands:
 * ``chart {example1,example2,figure3}`` — replay a worked example and
   render its message-sequence chart;
 * ``compare``        — the new algorithm vs the CR baseline (O(N²) vs O(N³));
+* ``report``         — rerun every experiment of the registry
+  (:mod:`repro.analysis.report`, the committed ``benchmarks/results``
+  tables) and print one markdown report; exits 1 if a check fails;
 * ``fuzz``           — random nested-scenario invariant checking;
 * ``trace``          — run a scenario and export its causal span forest
   (plain tree, JSONL, or Chrome trace-event JSON for Perfetto);
@@ -25,9 +28,8 @@ Commands:
   ``service load`` drives it with open-loop Poisson/bursty traffic and
   prints goodput, shed counts and latency percentiles.
 
-The pytest-benchmark harness under ``benchmarks/`` remains the canonical
-reproduction; this CLI is the quick, dependency-free way to poke at the
-system.
+``benchmarks/experiments.py`` rewrites the committed tables from the same
+registry; this CLI is the quick, dependency-free way to poke at the system.
 """
 
 from __future__ import annotations
@@ -676,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(fn=cmd_compare)
 
     p_report = sub.add_parser(
-        "report", help="rerun the key experiments, emit a markdown report"
+        "report", help="rerun every registered experiment, emit a markdown report"
     )
     p_report.add_argument("--output", default=None)
     p_report.set_defaults(fn=cmd_report)

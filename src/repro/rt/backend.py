@@ -9,7 +9,7 @@ is installed around it via the kernel seam::
 
 Every Runtime constructed inside the block runs on a fresh
 :class:`~repro.rt.kernel.AsyncioKernel` — same protocol state machines,
-real wall-clock timers.
+real wall-clock timers — whose event loop is closed when the block exits.
 """
 
 from __future__ import annotations
@@ -26,9 +26,23 @@ BACKENDS = ("sim", "asyncio")
 
 @contextmanager
 def asyncio_backend(time_scale: float = DEFAULT_TIME_SCALE) -> Iterator[None]:
-    """Run every Runtime built in scope on a fresh asyncio kernel."""
-    with kernel_backend(lambda: AsyncioKernel(time_scale=time_scale)):
-        yield
+    """Run every Runtime built in scope on a fresh asyncio kernel.
+
+    Each kernel owns a private event loop; all of them are closed when the
+    scope exits, so a run leaves no loop behind for the garbage collector.
+    """
+    kernels: list[AsyncioKernel] = []
+
+    def make() -> AsyncioKernel:
+        kernels.append(AsyncioKernel(time_scale=time_scale))
+        return kernels[-1]
+
+    try:
+        with kernel_backend(make):
+            yield
+    finally:
+        for kernel in kernels:
+            kernel.close()
 
 
 @contextmanager

@@ -223,6 +223,9 @@ class _Observation:
     crashed: tuple[str, ...] = ()
     survivors: tuple[str, ...] = ()
     sim_duration: float = 0.0
+    #: Why the run did not finish, when the observer can say (who waits on
+    #: whom); carried to :attr:`CellOutcome.detail`.
+    detail: str = ""
     #: The run's Runtime — in-process diagnostics only (never pickled:
     #: :func:`run_cell` reduces observations to plain :class:`CellOutcome`
     #: before results cross the pool boundary).
@@ -516,10 +519,10 @@ def _observe_fuzz(
         max_events=2_000_000,
     )
     problems = check_invariants(result, plan, crashed=victims)
-    finished = not any(p.startswith("non-termination") for p in problems)
+    stalls = [p for p in problems if p.startswith("non-termination")]
     problems = [p for p in problems if not p.startswith("non-termination")]
     return _Observation(
-        finished=finished, problems=problems,
+        finished=not stalls, problems=problems, detail="; ".join(stalls),
         crashed=victims,
         survivors=tuple(n for n in names if n not in victims),
         sim_duration=result.duration, runtime=result.runtime,
@@ -632,7 +635,7 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
     _apply_sabotage(cell, obs)
     classification, violations = classify_observation(cell, obs)
     return CellOutcome(
-        cell, classification, violations=violations,
+        cell, classification, violations=violations, detail=obs.detail,
         measured=obs.measured, expected=obs.expected,
         sim_duration=obs.sim_duration,
     )

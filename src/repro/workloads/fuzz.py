@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.core.abortion import AbortionHandler
 from repro.core.action import CAActionDef
+from repro.core.state import PState
 from repro.exceptions.declarations import UniversalException, declare_exception
 from repro.exceptions.handlers import HandlerSet
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
@@ -227,7 +228,9 @@ def check_invariants(
     the termination and completeness checks (a dead object owes nobody
     anything) but their *recorded* handler executions still count toward
     agreement — a crashed object must not have handled a conflicting
-    exception before it died.
+    exception before it died.  A live participant left without a handler
+    because it waits for a crashed peer's ACK is reported as
+    non-termination, naming whom it waits on, not as partial handling.
     """
     problems: list[str] = []
     dead = set(crashed)
@@ -294,6 +297,14 @@ def check_invariants(
                     if name not in excused and name in entered
                     and name not in dead
                 }
+                if dead:
+                    blocked = _blocked_on_dead(result, definition.name, unexcused, dead)
+                    problems.extend(
+                        f"non-termination: {', '.join(names)} in "
+                        f"{definition.name}: {reason}"
+                        for reason, names in blocked.items()
+                    )
+                    unexcused.difference_update(*blocked.values())
                 if unexcused:
                     problems.append(
                         f"partial handling in {definition.name} ({status}): "
@@ -301,3 +312,36 @@ def check_invariants(
                         f"aborted; handlers ran in {sorted(last)}"
                     )
     return problems
+
+
+def _blocked_on_dead(
+    result, action: str, names: set[str], dead: set[str]
+) -> dict[str, list[str]]:
+    """Live participants of ``action`` that wait for a crashed peer's ACK.
+
+    A participant that holds a Commit, or sits in X, with a dead peer in
+    ``ack_awaited`` can never start its handler: the Section 4.2 rule
+    applied to a crash the base variant does not tolerate (a stall, not a
+    disagreement).  Returns reason -> the participants it names.
+    """
+    blocked: dict[str, list[str]] = {}
+    for name in sorted(names):
+        ctx = result.participants[name].engine.ctx
+        if ctx is None or ctx.action != action:
+            continue
+        if ctx.commit is None and ctx.state is not PState.EXCEPTIONAL:
+            continue
+        for kind, awaited in sorted(ctx.ack_awaited.items()):
+            peers = sorted(awaited & dead)
+            if peers:
+                held = (
+                    f", holding Commit from {ctx.commit.sender}"
+                    if ctx.commit is not None else ""
+                )
+                reason = (
+                    f"state {ctx.state.value}{held}, awaiting ACK({kind}) "
+                    f"from crashed {', '.join(peers)}"
+                )
+                blocked.setdefault(reason, []).append(name)
+                break
+    return blocked

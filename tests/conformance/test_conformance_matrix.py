@@ -14,6 +14,9 @@ re-runs them under ten distinct seeds (the flaky-guard job).
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import pytest
 
 from repro.rt import ProtocolHarness
@@ -87,6 +90,18 @@ def test_report_aggregation(harness: ProtocolHarness) -> None:
     assert payload["cells"] == 2
     assert payload["failures"] == []
     json.dumps(payload)  # must not contain unserialisable values
+
+
+def test_conformance_run_leaves_no_event_loop_open(harness: ProtocolHarness) -> None:
+    """Each asyncio kernel's loop is closed when its backend scope exits, so
+    collecting the run's garbage raises no "unclosed event loop" warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert harness.run(conformance_cells(ns=(2,), variants=("base",))).ok
+        gc.collect()
+    assert [
+        str(w.message) for w in caught if issubclass(w.category, ResourceWarning)
+    ] == []
 
 
 def test_digest_excludes_counts_for_fault_cells() -> None:

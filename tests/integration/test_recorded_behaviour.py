@@ -1,11 +1,16 @@
 """Behaviour pinned to what the repo has committed.
 
-The fault and recovery campaigns must reproduce ``BENCH_faults.json`` and
-``BENCH_recovery.json`` row for row (every variant x every fault, exact
-counts and virtual durations included), and the live path must keep
-serving the outcomes recorded below.  Both are the regression net for any
-change to how an action is built or run: a schedule that moves shows up
-here before it shows up anywhere else.
+The fault and recovery campaigns must reproduce the outcome rows of
+``tests/golden/BENCH_faults.json`` and ``tests/golden/BENCH_recovery.json``
+row for row (every variant x every fault, exact counts and virtual
+durations included), and the live path must keep serving the outcomes
+recorded below.  Both are the regression net for any change to how an
+action is built or run: a schedule that moves shows up here before it
+shows up anywhere else.  The campaign benches write their own reports
+elsewhere and never touch these goldens.
+
+Regenerate on purpose only: ``PYTHONPATH=src python
+tests/integration/test_recorded_behaviour.py``.
 """
 
 import json
@@ -21,17 +26,20 @@ from repro.workloads.campaigns import (
     run_cell,
 )
 
-ROOT = Path(__file__).resolve().parents[2]
+GOLDEN = Path(__file__).resolve().parents[1] / "golden"
+
+#: golden file -> the campaign whose outcome rows it holds.
+CAMPAIGNS = {"BENCH_faults.json": default_matrix, "BENCH_recovery.json": recovery_matrix}
 
 
-@pytest.mark.parametrize(
-    "artifact,matrix",
-    [("BENCH_faults.json", default_matrix), ("BENCH_recovery.json", recovery_matrix)],
-)
+def _outcomes(matrix) -> list[dict]:
+    return CampaignReport([run_cell(cell) for cell in matrix(seed=0)]).to_payload()["outcomes"]
+
+
+@pytest.mark.parametrize("artifact,matrix", list(CAMPAIGNS.items()))
 def test_campaign_reproduces_committed_artifact(artifact, matrix):
-    recorded = json.loads((ROOT / artifact).read_text())["outcomes"]
-    report = CampaignReport([run_cell(cell) for cell in matrix(seed=0)])
-    assert report.to_payload()["outcomes"] == recorded
+    recorded = json.loads((GOLDEN / artifact).read_text())["outcomes"]
+    assert _outcomes(matrix) == recorded
 
 
 #: ``execute_request`` at commit 2756296 (the parent of the run_action
@@ -64,3 +72,10 @@ def test_service_golden_grid(shape, seed):
         outcome.status, outcome.exception, outcome.handlers,
         outcome.messages, outcome.sim_duration,
     ) == SERVED[shape]
+
+
+if __name__ == "__main__":
+    for artifact, matrix in CAMPAIGNS.items():
+        outcomes = _outcomes(matrix)
+        (GOLDEN / artifact).write_text(json.dumps({"outcomes": outcomes}, indent=2) + "\n")
+        print(f"{artifact}: {len(outcomes)} outcome rows")

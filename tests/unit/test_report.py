@@ -1,6 +1,6 @@
-"""Unit tests for the report generator's pieces."""
+"""Unit tests for the report generator's pieces: every registry row renders."""
 
-from repro.analysis.report import ReportSection, generate_report
+from repro.analysis.report import EXPERIMENTS, ReportSection, generate_report
 
 
 class TestReportSection:
@@ -26,20 +26,13 @@ class TestReportSection:
 
 class TestGenerateReport:
     def test_small_sweep_report(self):
-        text = generate_report(sweep=[2, 4])
+        text = generate_report()
         assert "Overall: all claims hold" in text
-        for marker in (
-            "E1 — one exception",
-            "E2 — one exception, all others nested",
-            "E3 — all N raise",
-            "E4 — general formula",
-            "E5 — vs the Campbell-Randell baseline",
-            "E7/E8 — the worked examples",
-            "E12/E14/E18 — algorithm variants",
-        ):
-            assert marker in text
+        for row in EXPERIMENTS.values():
+            assert f"### {row.id} — {row.title}" in text
 
     def test_exact_sections_show_ok_rows(self):
-        text = generate_report(sweep=[2, 4])
+        text = generate_report()
         assert "MISMATCH" not in text
-        assert text.count("exact match") >= 4
+        assert "DOES NOT HOLD" not in text
+        assert text.count("**Verdict: holds**") == len(EXPERIMENTS)
