@@ -2,7 +2,8 @@
 
 A green test suite only means something if it *fails* when the protocol
 is wrong.  This bench applies hand-rolled mutants to the two protocol
-engines — :mod:`repro.core.algorithm` (base Section 4.2) and
+engines — :mod:`repro.core.algorithm` (base Section 4.2, rows of its
+receive and progress tables included) and
 :mod:`repro.core.crash_tolerant` — to the substrate's per-delivery
 shortcuts (:mod:`repro.core.participant`'s counted exit barrier,
 :mod:`repro.net.network`'s delivery and fan-out) and to the exploration
@@ -97,12 +98,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "alg-ready-or", ALG,
         "READY on nested-complete OR acks instead of AND",
-        """            ctx.state is PState.EXCEPTIONAL
-            and not aborting
+        """            not ctx.aborting
             and ctx.lo <= ctx.nested_completed
             and not any(ctx.ack_awaited.values())""",
-        """            ctx.state is PState.EXCEPTIONAL
-            and not aborting
+        """            not ctx.aborting
             and (ctx.lo <= ctx.nested_completed
                  or not any(ctx.ack_awaited.values()))""",
     ),
@@ -115,8 +114,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "alg-resolver-off-by-one", ALG,
         "resolver election slice off by one: nobody resolves",
-        "        top = sorted(ctx.le, reverse=True)[: definition.resolver_group_size]",
-        "        top = sorted(ctx.le, reverse=True)[: definition.resolver_group_size - 1]",
+        "            top = sorted(ctx.le, reverse=True)[: ctx.definition.resolver_group_size]",
+        "            top = sorted(ctx.le, reverse=True)[: ctx.definition.resolver_group_size - 1]",
     ),
     Mutant(
         "alg-drop-nested-completed-ack", ALG,
@@ -135,23 +134,21 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "alg-have-nested-rebroadcast", ALG,
         "sent_have_nested never latched: HaveNested storms per receipt",
-        """        ctx.sent_have_nested = True
-        ctx.aborting = True""",
-        """        ctx.aborting = True""",
+        """            ctx.sent_have_nested = True
+            ctx.aborting = True""",
+        """            ctx.aborting = True""",
     ),
     Mutant(
         "alg-handler-restarted", ALG,
         "handler_scheduled latch dropped: handler starts more than once",
-        """        if ctx.commit is None or ctx.handler_scheduled:
-            return""",
-        """        if ctx.commit is None:
-            return""",
+        "        if commit is None or ctx.handler_scheduled or ctx.aborting:",
+        "        if commit is None or ctx.aborting:",
     ),
     Mutant(
         "alg-commit-ignored", ALG,
         "received Commit discarded: non-resolvers never learn the verdict",
-        "        ctx.commit = m",
-        "        ctx.commit = None",
+        "            ctx.commit = m",
+        "            ctx.commit = None",
     ),
     Mutant(
         "alg-no-acks-awaited", ALG,
@@ -165,6 +162,32 @@ MUTANTS: tuple[Mutant, ...] = (
         "ACK set never drains",
         "        self._send(self.p.name, m.sender, KIND_ACK, ctx.ack_nested_completed)",
         "        self._send(self.p.name, m.sender, KIND_ACK, ctx.ack_exception)",
+    ),
+    # -- rows of the base engine's tables -----------------------------------------
+    Mutant(
+        "row-stale-processed", ALG,
+        "stale row: traffic of an aborted action is processed as live",
+        """    "stale": (_stale,) * _ALL,""",
+        """    "stale": (
+        _E._on_exception, _E._on_have_nested, _E._on_nested_completed,
+        _E._on_ack, _E._on_commit,
+    ),""",
+    ),
+    Mutant(
+        "row-resolved-nested-completed-unacked", ALG,
+        "resolved x NESTED_COMPLETED row: a late NestedCompleted is not ACKed",
+        """        self.p.send(m.sender, KIND_ACK, AckMsg(m.action, self.p.name, KIND_NESTED_COMPLETED))
+""",
+        "",
+    ),
+    Mutant(
+        "row-x-ignores-acks", ALG,
+        "X row: a raiser becomes ready with ACKs still awaited",
+        """            and ctx.lo <= ctx.nested_completed
+            and not any(ctx.ack_awaited.values())
+        ):""",
+        """            and ctx.lo <= ctx.nested_completed
+        ):""",
     ),
     # -- the substrate's constant cost per delivery ------------------------------
     Mutant(
@@ -449,6 +472,7 @@ def detection_problems() -> list[str]:
             problems.append(f"example2: handlers started in A1: {handled}")
     except Exception as exc:
         problems.append(f"example2: {type(exc).__name__}: {exc}")
+    problems.extend(_rare_row_problems())
     # The interleaving that once broke the ct ACK/HaveNested ordering
     # (fixed in commit 01eb862; only this replay catches a reintroduction).
     try:
@@ -463,6 +487,30 @@ def detection_problems() -> list[str]:
     problems.extend(_fanout_problems())
     problems.extend(_delivery_problems())
     problems.extend(_explore_infra_problems())
+    return problems
+
+
+def _rare_row_problems() -> list[str]:
+    """Base worlds that reach the receive table's rarer rows: a
+    NestedCompleted that trails the Commit (still ACKed, so the Section 4.4
+    count stays exact) and traffic of an aborted nested action (dropped, so
+    the fuzz invariants hold)."""
+    from repro.net.latency import UniformLatency
+    from repro.workloads.fuzz import build_random_scenario, check_invariants
+    from repro.workloads.generator import expected_general_messages, general_case
+
+    problems = []
+    try:
+        late = general_case(5, 2, 2, latency=UniformLatency(0.5, 3.0), seed=5).run()
+        if late.resolution_message_total() != expected_general_messages(5, 2, 2):
+            problems.append(f"late NestedCompleted: {late.messages_by_kind()}")
+    except Exception as exc:
+        problems.append(f"late NestedCompleted: {type(exc).__name__}: {exc}")
+    try:
+        scenario, plan = build_random_scenario(56, n_participants=4, max_depth=3)
+        problems += [f"stale traffic: {v}" for v in check_invariants(scenario.run(), plan)]
+    except Exception as exc:
+        problems.append(f"stale traffic: {type(exc).__name__}: {exc}")
     return problems
 
 

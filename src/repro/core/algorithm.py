@@ -1,19 +1,11 @@
 """The distributed exception-resolution algorithm (paper Section 4.2).
 
-This engine is the paper's contribution, implemented as an event-driven
-state machine per participant.  It mirrors the published pseudocode:
-
-* local raise → state ``X``, broadcast ``Exception(A, O_i, E_i)``;
-* receiving ``Exception``/``HaveNested`` while inside an action nested in
-  ``A`` → broadcast ``HaveNested``, abort the nested chain innermost-first,
-  then broadcast ``NestedCompleted(A, O_i, E_i)`` carrying the one
-  admissible abortion-handler signal;
-* every ``Exception``/``NestedCompleted`` is ACKed by its receiver;
-* an ``X`` object becomes ``R`` (ready) once it holds a ``NestedCompleted``
-  from everything in its ``LO`` and an ACK from every other participant;
-* the ready object with the *biggest name among raisers* resolves the
-  collected exceptions through the action's resolution tree and broadcasts
-  ``Commit(E)``; everyone then starts the handler for the same ``E``.
+This engine is the paper's contribution: an event-driven state machine per
+participant, written once as two tables built at import.  :data:`RECEIVE`
+maps a message's relation to this participant (:data:`RELATIONS`) and its
+kind to one effect, or to an explicit reject; :data:`PROGRESS` maps each of
+N / X / S / R to the row run after every processed message — clauses (4b),
+(7), (8)/(9) and (10).  ``docs/ALGORITHM.md`` quotes both, clause by clause.
 
 Differences from a literal reading of the pseudocode are deliberate
 clarifications, each grounded in the paper's own prose:
@@ -32,10 +24,11 @@ clarifications, each grounded in the paper's own prose:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.abortion import AbortionTask
 from repro.core.action import NestedPolicy
+from repro.core.manager import ActionStatus
 from repro.core.messages import (
     KIND_ACK,
     KIND_COMMIT,
@@ -48,7 +41,6 @@ from repro.core.messages import (
     HaveNestedMsg,
     NestedCompletedMsg,
 )
-from repro.core.manager import ActionStatus
 from repro.core.state import PState, ResolutionCtx
 from repro.exceptions.tree import ExceptionClass
 from repro.net.message import Message
@@ -141,20 +133,14 @@ class ResolutionEngine:
         # One frozen payload shared by the whole broadcast (N-1 sends).
         self._send_many(me, others, KIND_EXCEPTION, ExceptionMsg(action, me, exception))
         self.p.interrupt_behaviour()
-        self._advance(ctx)
+        PROGRESS[ctx.state](self, ctx)
 
-    # -- message entry point ---------------------------------------------------------
-
-    def on_message(self, message: Message) -> None:
-        # Kept as the documented entry point; the kind maps bind straight
-        # to :meth:`_dispatch` (see ``Participant.attach``), which owns the
-        # causal-edge bookkeeping itself.
-        self._dispatch(message)
+    # -- the receive rule ---------------------------------------------------------
 
     def _dispatch(self, message: Message) -> None:
-        payload = message.payload
-        action: str = payload.action
-        kind = message.kind
+        """Receive one protocol message: classify it, run its ``RECEIVE``
+        row and, when that row processed it, its context's ``PROGRESS`` row."""
+        action: str = message.payload.action
         ctx = self.ctx
         # Stamp the causal edge for records this message may cause.  Done
         # unconditionally (a slot write is cheaper than a trace-level
@@ -162,205 +148,172 @@ class ResolutionEngine:
         # 3.11 a try/finally with no exception in flight costs nothing.
         self._cause = message.msg_id
         try:
-            if ctx is not None and ctx.action == action:
-                # Hot path: traffic for the resolution already in progress.
-                # A live context implies the action is entered and not
-                # committed here (handler completion clears the context),
-                # and there is no escalation relation to examine.
-                status = ctx.instance.status
-                if status is ActionStatus.ABORTED:
-                    self.p.trace("msg.stale", action=action, kind=kind)
-                    return
-                if kind == KIND_ACK and status is ActionStatus.COMPLETED:
-                    self.p.trace("msg.straggler", action=action, kind=kind)
-                    return
-                if ctx.definition.policy is NestedPolicy.WAIT_FOR_NESTED:
-                    # depth_below(action) > 0, unrolled: a live context
-                    # implies this participant entered the action, so it is
-                    # nested-busy iff the *innermost* entered action is a
-                    # different one.
-                    stack = self.p.contexts._stack
-                    if (
-                        stack[-1].action_name != action
-                        if stack
-                        else self.p.contexts.depth_below(action) > 0
-                    ):
-                        self.p.buffer_pending(action, message)
-                        self.p.trace("msg.deferred", action=action, kind=kind)
-                        return
+            if (
+                ctx is not None
+                and ctx.action == action
+                and ctx.instance.status is ActionStatus.RUNNING
+            ):
+                # Hot path.  A live context implies the action is entered, so
+                # the participant is nested-busy iff its innermost action is
+                # another one (the one unrolled form of that test).
+                if self.p.contexts._stack[-1].action_name == action:
+                    relation = "live"
+                elif ctx.definition.policy is NestedPolicy.WAIT_FOR_NESTED:
+                    relation = "deferred"
+                else:
+                    relation = "nested"
             else:
-                ctx = self._dispatch_slow(message, action)
-                if ctx is None:
-                    return
-
-            if kind == KIND_EXCEPTION or kind == KIND_HAVE_NESTED:
-                self._maybe_nested_trigger(ctx)
-
-            if kind == KIND_EXCEPTION:
-                self._on_exception(ctx, payload)
-            elif kind == KIND_HAVE_NESTED:
-                self._on_have_nested(ctx, payload)
-            elif kind == KIND_NESTED_COMPLETED:
-                self._on_nested_completed(ctx, payload)
-            elif kind == KIND_ACK:
-                self._on_ack(ctx, payload)
-            elif kind == KIND_COMMIT:
-                self._on_commit(ctx, payload)
-            else:  # pragma: no cover - the kind map is closed
-                raise ResolutionProtocolError(f"unknown kind {kind}")
-
-            self._advance(ctx)
+                relation = self._relation(action, message.kind)
+            ctx = RECEIVE[relation, message.kind](self, ctx, message)
+            if ctx is not None:
+                PROGRESS[ctx.state](self, ctx)
         finally:
             self._cause = None
 
-    def _dispatch_slow(self, message: Message, action: str):
-        """Dispatch prologue for traffic outside the current context.
-
-        Handles stale/straggler traffic, belated buffering, Figure 1(a)
-        deferral and escalation; returns the context to process the message
-        under, or ``None`` when the message was consumed.
-        """
-        payload = message.payload
-        registry = self.p.registry
-        manager = self.p.action_manager
-
-        # Stale traffic for cancelled or completed actions is dropped.
-        # (One instance() lookup serves both status checks.)
-        status = manager.instance(action).status
+    def _relation(self, action: str, kind: str) -> str:
+        """The rest of the prologue: what ``action`` is to this participant,
+        for a message the hot path did not classify."""
+        status = self.p.action_manager.instance(action).status
         if status is ActionStatus.ABORTED:
-            self.p.trace("msg.stale", action=action, kind=message.kind)
-            return None
-        if (
-            message.kind == KIND_ACK
-            and status is ActionStatus.COMPLETED
-        ):
-            # An ACK overtaken by the whole exit barrier; nothing awaits it.
-            self.p.trace("msg.straggler", action=action, kind=message.kind)
-            return None
+            return "stale"
+        if status is ActionStatus.COMPLETED and kind == KIND_ACK:
+            return "straggler"
         if action in self.completed:
-            # A suspended object may start its handler without ever needing
-            # a slow peer's HaveNested/NestedCompleted (only the resolver
-            # needs them all), and ACKs for our own broadcasts may likewise
-            # trail the Commit.
-            if message.kind == KIND_EXCEPTION:
-                # A raise from the *next* incarnation of a backward-recovery
-                # retry: the sender's acceptance test failed, it re-entered
-                # and raised again before we processed our own retry.  The
-                # raise belongs to the attempt we are about to join — buffer
-                # it for processing (and ACKing) once _start_retry resets
-                # this action's protocol state.  (Within one incarnation an
-                # Exception cannot trail a Commit: the Commit's raiser list
-                # is complete — see _maybe_start_handler.)
-                self.p.buffer_pending(action, message)
-                self.p.trace(
-                    "msg.next_incarnation", action=action, kind=message.kind
-                )
-                return
-            if message.kind == KIND_COMMIT:
-                committed = self.completed[action]
-                if (
-                    committed.exception is payload.exception
-                    and committed.raisers == payload.raisers
-                ):
-                    # Another resolver of a k-resolver group; agreed verdict.
-                    self.p.trace("msg.straggler", action=action, kind=message.kind)
-                    return
-                raise ResolutionProtocolError(
-                    f"{self.p.name}: conflicting late Commit for {action}"
-                )
-            if message.kind in (KIND_HAVE_NESTED, KIND_NESTED_COMPLETED, KIND_ACK):
-                if message.kind == KIND_NESTED_COMPLETED:
-                    # Still acknowledged — "ACK(O_i) ⇒ O_j" applies on every
-                    # receipt, which is also what keeps the Section 4.4
-                    # count at exactly (N-1) ACKs per NestedCompleted.
-                    self.p.send(
-                        payload.sender,
-                        KIND_ACK,
-                        AckMsg(action, self.p.name, KIND_NESTED_COMPLETED),
-                    )
-                self.p.trace("msg.straggler", action=action, kind=message.kind)
-                return
-            raise ResolutionProtocolError(
-                f"{self.p.name}: {message.kind} for already-resolved {action}"
-            )
+            return "resolved"
+        contexts = self.p.contexts
+        if not contexts.entered(action):
+            return "belated"
+        nested = contexts.depth_below(action) > 0
+        registry = self.p.registry
+        if nested and registry.get(action).policy is NestedPolicy.WAIT_FOR_NESTED:
+            return "deferred"
+        ctx = self.ctx
+        if ctx is None:
+            return "fresh"
+        if ctx.action == action:
+            return "nested" if nested else "live"
+        if registry.contains(ctx.action, action):
+            return "eliminated"
+        if registry.contains(action, ctx.action):
+            return "outer"
+        return "unrelated"
 
-        # Belated participant: buffer until this object enters the action.
-        if not self.p.contexts.entered(action):
-            self.p.buffer_pending(action, message)
-            self.p.trace("msg.buffered", action=action, kind=message.kind)
-            return
+    # -- RECEIVE effects: (ctx, message) -> the context to advance, or None once
+    # the message is consumed.  Each docstring opens with its clause.
 
-        # Figure 1(a) policy: while inside a nested action, defer the
-        # containing action's resolution until the nested one completes.
-        depth = self.p.contexts.depth_below(action)
-        if depth > 0 and registry.get(action).policy is NestedPolicy.WAIT_FOR_NESTED:
-            self.p.buffer_pending(action, message)
-            self.p.trace("msg.deferred", action=action, kind=message.kind)
-            return
-
-        # Relation between this message's action and any current context.
-        if self.ctx is not None and self.ctx.action != action:
-            if registry.contains(self.ctx.action, action):
-                # Traffic of a nested resolution that the current, more
-                # containing one has eliminated.
-                self.p.trace("msg.eliminated", action=action, kind=message.kind)
-                return
-            if not registry.contains(action, self.ctx.action):
-                raise ResolutionProtocolError(
-                    f"{self.p.name}: resolution contexts {self.ctx.action} and "
-                    f"{action} are unrelated"
-                )
-            # An outer resolution overrides the one in progress.
-            self._escalate_to(action)
-
-        return self._context_for(action)
-
-    # -- per-kind handling -------------------------------------------------------
-
-    def _on_exception(self, ctx: ResolutionCtx, m: ExceptionMsg) -> None:
+    def _on_exception(self, ctx: ResolutionCtx, message: Message) -> ResolutionCtx:
+        """(4c) ``<A, O_j, E_j> -> LE_i; ACK => O_j``."""
+        m: ExceptionMsg = message.payload
         ctx.le[m.sender] = m.exception
         self._send(self.p.name, m.sender, KIND_ACK, ctx.ack_exception)
+        return ctx
 
-    def _on_have_nested(self, ctx: ResolutionCtx, m: HaveNestedMsg) -> None:
-        ctx.lo.add(m.sender)
-        # "clean up messages related to nested actions"
+    def _on_have_nested(self, ctx: ResolutionCtx, message: Message) -> ResolutionCtx:
+        """(4c) ``<O_j, A> -> LO_i``; "clean up messages related to nested
+        actions" deletes what is buffered for every action nested in A."""
+        ctx.lo.add(message.payload.sender)
         self.p.drop_pending_nested(ctx.action)
+        return ctx
 
-    def _on_nested_completed(self, ctx: ResolutionCtx, m: NestedCompletedMsg) -> None:
+    def _on_nested_completed(self, ctx: ResolutionCtx, message: Message) -> ResolutionCtx:
+        """(5) ``ACK => O_j``; if ``E_j /= null`` then ``<A, O_j, E_j> -> LE_i``
+        (the pseudocode's ``E_i`` here is read as ``E_j``, an evident typo)."""
+        m: NestedCompletedMsg = message.payload
         self._send(self.p.name, m.sender, KIND_ACK, ctx.ack_nested_completed)
         ctx.nested_completed.add(m.sender)
         if m.exception is not None:
             ctx.le[m.sender] = m.exception
+        return ctx
 
-    def _on_ack(self, ctx: ResolutionCtx, m: AckMsg) -> None:
+    def _on_ack(self, ctx: ResolutionCtx, message: Message) -> ResolutionCtx:
+        """(6) ``<O_j> -> LP_i``, kept as its complement: the sender leaves
+        ``ack_awaited`` of the broadcast the ACK's ``ref_kind`` names."""
+        m: AckMsg = message.payload
         awaited = ctx.ack_awaited.get(m.ref_kind)
         if awaited is not None:
             awaited.discard(m.sender)
+        return ctx
 
-    def _on_commit(self, ctx: ResolutionCtx, m: CommitMsg) -> None:
-        if ctx.commit is not None:
-            # With a resolver group (k > 1), the other resolvers' Commits
-            # are expected duplicates — they must agree.
-            if (
-                ctx.commit.exception is m.exception
-                and ctx.commit.raisers == m.raisers
-            ):
-                self.p.trace(
-                    "msg.duplicate_commit", action=ctx.action, sender=m.sender
-                )
-                return
+    def _on_commit(self, ctx: ResolutionCtx, message: Message) -> ResolutionCtx:
+        """(9)/(10) ``commit(E)`` kept for the state's row; a resolver
+        group's (k > 1) other Commits are duplicates and must agree."""
+        m: CommitMsg = message.payload
+        held = ctx.commit
+        if held is None:
+            ctx.commit = m
+        elif held.exception is m.exception and held.raisers == m.raisers:
+            self.p.trace("msg.duplicate_commit", action=ctx.action, sender=m.sender)
+        else:
             raise ResolutionProtocolError(
                 f"{self.p.name}: conflicting Commits for {ctx.action}: "
-                f"{ctx.commit.exception.name()} vs {m.exception.name()}"
+                f"{held.exception.name()} vs {m.exception.name()}"
             )
-        ctx.commit = m
+        return ctx
+
+    def _abort_nested(self, ctx: ResolutionCtx, message: Message) -> ResolutionCtx:
+        """(4a) ``HaveNested(O_i, A) => all`` and abort the nested chain
+        innermost-first (once per context; its end broadcasts NestedCompleted
+        with the last handler's signal), then receive the message as live."""
+        if not ctx.sent_have_nested:
+            ctx.sent_have_nested = True
+            ctx.aborting = True
+            action, me = ctx.action, self.p.name
+            others = ctx.definition.others(me)
+            self._send_many(me, others, KIND_HAVE_NESTED, HaveNestedMsg(action, me))
+            # Inner actions are cancelled: never process their buffered traffic.
+            self.p.drop_pending_nested(action)
+            if self.abortion is not None and self.abortion.running:
+                self.abortion.retarget(action, self._abortion_done)
+            else:
+                self.abortion = AbortionTask(self.p, action, self._abortion_done)
+                self.abortion.start()
+        return RECEIVE["live", message.kind](self, ctx, message)
+
+    def _join(self, ctx: Optional[ResolutionCtx], message: Message) -> None:
+        """(4) Open A's context (state N, the behaviour interrupted), then
+        receive the message again."""
+        self._context_for(message.payload.action)
+        self._dispatch(message)
+
+    def _escalate(self, ctx: ResolutionCtx, message: Message) -> None:
+        """(4a) ``empty LE_i, LO_i, LP_i``: the nested resolution's context
+        is discarded whole and its handler stopped (Section 3.3 problem 4),
+        then the message is received as ``fresh``."""
+        action = message.payload.action
+        self.p.trace("resolution.escalate", inner=ctx.action, outer=action)
+        if ctx.handler_scheduled:
+            self.p.cancel_handler(ctx.action)
+        self.ctx = None
+        self._join(None, message)
+
+    def _ack_late(self, ctx: Optional[ResolutionCtx], message: Message) -> None:
+        """(5) Still ``ACK => O_j`` after the handler ran (only the resolver
+        needs every NestedCompleted), keeping the Section 4.4 count exact."""
+        m: NestedCompletedMsg = message.payload
+        self.p.send(m.sender, KIND_ACK, AckMsg(m.action, self.p.name, KIND_NESTED_COMPLETED))
+        self.p.trace("msg.straggler", action=m.action, kind=message.kind)
+
+    def _late_commit(self, ctx: Optional[ResolutionCtx], message: Message) -> None:
+        """(9)/(10) A resolver group's other Commit after the handler ran:
+        dropped if it agrees, a protocol error if not."""
+        m: CommitMsg = message.payload
+        committed = self.completed[m.action]
+        if committed.exception is not m.exception or committed.raisers != m.raisers:
+            raise ResolutionProtocolError(
+                f"{self.p.name}: conflicting late Commit for {m.action}"
+            )
+        self.p.trace("msg.straggler", action=m.action, kind=message.kind)
+
+    def _reject(self, ctx: Optional[ResolutionCtx], message: Message) -> None:
+        """reject: the pair cannot occur; a protocol error, not a fault."""
+        action = message.payload.action
+        raise ResolutionProtocolError(f"{self.p.name}: impossible {message} for {action}")
 
     # -- context management -----------------------------------------------------------
 
     def _context_for(self, action: str) -> ResolutionCtx:
         if self.ctx is None:
-            now = self.p.sim_now
-            self.ctx = ctx = ResolutionCtx(action, started_at=now)
+            self.ctx = ctx = ResolutionCtx(action, started_at=self.p.sim_now)
             ctx.instance = self.p.action_manager.instance(action)
             ctx.definition = self.p.registry.get(action)
             me = self.p.name
@@ -375,52 +328,6 @@ class ResolutionEngine:
         elif self.ctx.action != action:  # pragma: no cover - guarded by caller
             raise ResolutionProtocolError("context mismatch")
         return self.ctx
-
-    def _escalate_to(self, action: str) -> None:
-        """Replace the nested resolution context by the containing one."""
-        old = self.ctx
-        assert old is not None
-        self.p.trace("resolution.escalate", inner=old.action, outer=action)
-        if old.handler_scheduled:
-            # "any activity of the nested action is stopped (including any
-            # nested resolution in progress and execution of any handlers)"
-            self.p.cancel_handler(old.action)
-        self.ctx = None
-        self._context_for(action)
-
-    # -- the nested trigger ---------------------------------------------------------
-
-    def _maybe_nested_trigger(self, ctx: ResolutionCtx) -> None:
-        """First clause of the receive rule: "if O_i is in the action
-        nested within A then ..." — broadcast HaveNested, abort the chain,
-        and later broadcast NestedCompleted."""
-        action = ctx.action
-        # depth_below(action) == 0, unrolled as in _dispatch: the context
-        # implies this participant entered the action, so it is outside any
-        # nested action iff the innermost entered action is this one.
-        stack = self.p.contexts._stack
-        if (
-            stack[-1].action_name == action
-            if stack
-            else self.p.contexts.depth_below(action) == 0
-        ):
-            return
-        if ctx.sent_have_nested:
-            return
-        ctx.sent_have_nested = True
-        ctx.aborting = True
-        me = self.p.name
-        self._send_many(
-            me, ctx.definition.others(me), KIND_HAVE_NESTED,
-            HaveNestedMsg(action, me),
-        )
-        # Inner actions are cancelled: never process their buffered traffic.
-        self.p.drop_pending_nested(action)
-        if self.abortion is not None and self.abortion.running:
-            self.abortion.retarget(action, self._abortion_done)
-        else:
-            self.abortion = AbortionTask(self.p, action, self._abortion_done)
-            self.abortion.start()
 
     def _abortion_done(self, signal: Optional[ExceptionClass]) -> None:
         ctx = self.ctx
@@ -439,54 +346,54 @@ class ResolutionEngine:
             self._set_state(ctx, PState.EXCEPTIONAL)
         elif ctx.state is PState.NORMAL:
             self._set_state(ctx, PState.SUSPENDED)
-        self._advance(ctx)
+        PROGRESS[ctx.state](self, ctx)
 
-    # -- progress ------------------------------------------------------------------
+    # -- PROGRESS rows: the algorithm's tail, run after every processed message --
 
-    def _advance(self, ctx: ResolutionCtx) -> None:
-        """Run the state-transition checks of the algorithm's tail.
-
-        The ready/resolve/handler checks are guarded inline (rather than
-        delegated unconditionally) because ``_advance`` runs after every
-        protocol message and the sub-checks almost always have nothing to
-        do — see :meth:`_maybe_resolve` and :meth:`_maybe_start_handler`
-        for the semantics.
-        """
-        if ctx is not self.ctx:
-            return  # context was replaced while this event was in flight
-        aborting = ctx.aborting
-        if ctx.state is PState.NORMAL and not aborting:
-            # Involved without being a raiser: suspended.
+    def _progress_n(self, ctx: ResolutionCtx) -> None:
+        """(4b) ``if S(O_i) = N then S(O_i) := S``, once its own abortion
+        chain (if any) is over."""
+        if not ctx.aborting:
             self._set_state(ctx, PState.SUSPENDED)
+            self._progress_s(ctx)
+
+    def _progress_x(self, ctx: ResolutionCtx) -> None:
+        """(7) ``X -> R`` with NestedCompleted from all of ``LO_i``, every ACK
+        and its own abortion chain over.  A Commit does not shortcut this: a
+        crashed peer's missing ACK stalls a raiser holding one (decision 8)."""
         if (
-            ctx.state is PState.EXCEPTIONAL
-            and not aborting
+            not ctx.aborting
             and ctx.lo <= ctx.nested_completed
             and not any(ctx.ack_awaited.values())
         ):
             self._set_state(ctx, PState.READY)
             self.p.trace("resolution.ready", action=ctx.action)
-        if ctx.state is PState.READY and not ctx.sent_commit:
-            self._maybe_resolve(ctx)
-        if ctx.commit is not None:
-            self._maybe_start_handler(ctx)
+            self._progress_r(ctx)
 
-    def _maybe_resolve(self, ctx: ResolutionCtx) -> None:
-        """The chosen raiser(s) resolve and commit.
+    def _progress_r(self, ctx: ResolutionCtx) -> None:
+        """(8) The biggest raiser (k biggest: ``resolver_group_size``) resolves
+        ``LE_i``, complete as FIFO puts each Exception before its ACK, and
+        commits; (9) with the Commit held, start the handler for E."""
+        if not ctx.sent_commit:
+            top = sorted(ctx.le, reverse=True)[: ctx.definition.resolver_group_size]
+            if self.p.name in top:
+                self._commit(ctx)
+        if ctx.commit is not None and not ctx.handler_scheduled:
+            self._start_handler(ctx)
 
-        Base algorithm: the single biggest-named raiser.  With
-        ``resolver_group_size`` k > 1, the k biggest raisers each resolve
-        (identically — they hold the same LE) and each sends Commit, which
-        buys tolerance of resolver crashes for a constant-factor cost.
-        """
-        if ctx.state is not PState.READY or ctx.sent_commit:
+    def _progress_s(self, ctx: ResolutionCtx) -> None:
+        """(10) "wait until all exception messages are handled": start the
+        handler once ``commit.raisers ⊆ LE_i``."""
+        commit = ctx.commit
+        if commit is None or ctx.handler_scheduled or ctx.aborting:
             return
+        if set(commit.raisers) <= set(ctx.le):
+            self._start_handler(ctx)
+
+    def _commit(self, ctx: ResolutionCtx) -> None:
+        # Every resolver of a group holds the same LE and commits the same E.
         definition = ctx.definition
-        top = sorted(ctx.le, reverse=True)[: definition.resolver_group_size]
-        if self.p.name not in top:
-            return
-        tree = definition.tree
-        resolved = tree.resolve(ctx.le.values())
+        resolved = definition.tree.resolve(ctx.le.values())
         commit = CommitMsg(
             ctx.action, self.p.name, resolved, raisers=tuple(ctx.raisers())
         )
@@ -510,20 +417,7 @@ class ResolutionEngine:
         me = self.p.name
         self._send_many(me, definition.others(me), KIND_COMMIT, commit)
 
-    def _maybe_start_handler(self, ctx: ResolutionCtx) -> None:
-        if ctx.commit is None or ctx.handler_scheduled:
-            return
-        if ctx.state is PState.READY:
-            pass  # raisers (and the resolver) start once ready
-        elif ctx.state is PState.SUSPENDED:
-            # "wait until all exception messages are handled": every raiser
-            # listed in the Commit must have been heard (and ACKed).
-            if not set(ctx.commit.raisers) <= set(ctx.le):
-                return
-            if ctx.aborting:
-                return
-        else:
-            return
+    def _start_handler(self, ctx: ResolutionCtx) -> None:
         ctx.handler_scheduled = True
         if self._metrics is not None:
             self._metrics.histogram("resolution.latency").observe(
@@ -539,3 +433,92 @@ class ResolutionEngine:
             )
         self.completed[action] = self.ctx.commit
         self.ctx = None
+
+
+# -- the tables ------------------------------------------------------------------
+
+#: The protocol kinds in the pseudocode's order: the columns of RECEIVE.
+KINDS = (KIND_EXCEPTION, KIND_HAVE_NESTED, KIND_NESTED_COMPLETED, KIND_ACK, KIND_COMMIT)
+
+#: What a message's action A is to this participant; ``_dispatch`` picks one.
+RELATIONS = {
+    "live": "A's resolution is in progress here",
+    "nested": "as `live`, and this participant sits in an action nested in A, which A aborts",
+    "deferred": "as `nested`, but A waits for its nested actions (`WAIT_FOR_NESTED`)",
+    "stale": "A was aborted",
+    "straggler": "an ACK for A, whose exit barrier has completed",
+    "resolved": "this participant's handler for A's resolution has run",
+    "belated": "this participant has not entered A (yet)",
+    "eliminated": "A is nested in the action resolving here",
+    "outer": "A contains the action resolving here",
+    "fresh": "no resolution is in progress here",
+    "unrelated": "neither A nor the action resolving here contains the other",
+}
+
+
+def _consume(verb: str, category: str, doc: str) -> Callable:
+    """A RECEIVE effect that records ``category`` and consumes the message,
+    buffering it for later when ``verb`` is ``hold``."""
+
+    def effect(engine, ctx, message) -> None:
+        if verb == "hold":
+            engine.p.buffer_pending(message.payload.action, message)
+        engine.p.trace(category, action=message.payload.action, kind=message.kind)
+
+    effect.__name__, effect.__doc__ = f"{verb} {category}", doc
+    return effect
+
+
+_E, _ALL = ResolutionEngine, len(KINDS)
+_stale = _consume("drop", "msg.stale", "(4) Traffic of an aborted action is never processed.")
+_belated = _consume("hold", "msg.buffered", "(4) Held until A is entered; (1) processes it.")
+_deferred = _consume("hold", "msg.deferred", "(4) Figure 1(a): held until the nested action exits.")
+_eliminated = _consume(
+    "drop", "msg.eliminated", "(4a) Traffic of a nested resolution the one here eliminated."
+)
+_straggler = _consume(
+    "drop", "msg.straggler",
+    "(4) Nothing awaits it: an ACK overtaken by the exit barrier, or a HaveNested or "
+    "ACK trailing the Commit.",
+)
+_next_attempt = _consume(
+    "hold", "msg.next_incarnation",
+    "(4) A raise of the next backward-recovery attempt (within one attempt no Exception "
+    "trails the Commit, whose raiser list is complete): held for this participant's retry.",
+)
+
+#: The receive rule: one row per relation, one column per :data:`KINDS`.
+_RECEIVE_ROWS: dict[str, tuple[Callable, ...]] = {
+    "live": (
+        _E._on_exception, _E._on_have_nested, _E._on_nested_completed, _E._on_ack,
+        _E._on_commit,
+    ),
+    "nested": (
+        _E._abort_nested, _E._abort_nested, _E._on_nested_completed, _E._on_ack,
+        _E._on_commit,
+    ),
+    "deferred": (_deferred,) * _ALL,
+    "stale": (_stale,) * _ALL,
+    "straggler": (_E._reject, _E._reject, _E._reject, _straggler, _E._reject),
+    "resolved": (_next_attempt, _straggler, _E._ack_late, _straggler, _E._late_commit),
+    "belated": (_belated,) * _ALL,
+    "eliminated": (_eliminated,) * _ALL,
+    "outer": (_E._escalate,) * _ALL,
+    "fresh": (_E._join,) * _ALL,
+    "unrelated": (_E._reject,) * _ALL,
+}
+
+#: ``(relation, kind)`` -> effect: the receive rule compiled at import.
+RECEIVE: dict[tuple[str, str], Callable] = {
+    (relation, kind): effect
+    for relation, row in _RECEIVE_ROWS.items()
+    for kind, effect in zip(KINDS, row)
+}
+
+#: Protocol state -> the row that advances it after a processed message.
+PROGRESS: dict[PState, Callable] = {
+    PState.NORMAL: _E._progress_n,
+    PState.EXCEPTIONAL: _E._progress_x,
+    PState.SUSPENDED: _E._progress_s,
+    PState.READY: _E._progress_r,
+}

@@ -19,20 +19,13 @@ The participant owns everything that is *not* the resolution algorithm:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from repro.core.abortion import AbortionHandler
 from repro.core.action import ActionRegistry
 from repro.core.manager import CAActionManager
-from repro.core.messages import (
-    KIND_ACK,
-    KIND_COMMIT,
-    KIND_DONE,
-    KIND_EXCEPTION,
-    KIND_HAVE_NESTED,
-    KIND_NESTED_COMPLETED,
-    DoneMsg,
-)
+from repro.core.messages import KIND_DONE, DoneMsg
 from repro.exceptions.context import ExceptionContext, ExceptionContextStack
 from repro.exceptions.handlers import HandlerOutcome, HandlerSet
 from repro.exceptions.tree import ExceptionClass
@@ -46,9 +39,6 @@ EXIT_FAILED = "failed"
 
 class ProtocolViolation(RuntimeError):
     """The participant was driven in a way the model forbids."""
-
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -145,19 +135,13 @@ class CAParticipant(DistributedObject):
         self._net_send_many = None
 
         # Engine import is deferred to dodge the module cycle.
-        from repro.core.algorithm import ResolutionEngine
+        from repro.core.algorithm import KINDS, ResolutionEngine
 
         self.engine = ResolutionEngine(self)
         # The engine's dispatcher is registered directly (not via a
         # participant wrapper method): protocol messages are the hot kinds,
         # and the wrapper frame is pure overhead.
-        for kind in (
-            KIND_EXCEPTION,
-            KIND_HAVE_NESTED,
-            KIND_NESTED_COMPLETED,
-            KIND_ACK,
-            KIND_COMMIT,
-        ):
+        for kind in KINDS:
             self.on_kind(kind, self.engine._dispatch)
         self.on_kind(KIND_DONE, self._on_done)
 
@@ -361,7 +345,7 @@ class CAParticipant(DistributedObject):
         self.on_action_retry(action, next_attempt)
         # A faster peer may have raised in the new attempt already; its
         # Exception was buffered against our completed previous attempt
-        # (engine.on_message next-incarnation path) and is live again now.
+        # (the engine's ``resolved`` × Exception row) and is live again now.
         self._process_pending(action)
 
     def abort_local(self, action: str) -> None:
@@ -488,10 +472,9 @@ class CAParticipant(DistributedObject):
             signal=signal.name(),
         )
         parent = self.registry.get(action).parent
-        if parent is None:
-            self.on_action_exit(action, EXIT_FAILED, signal)
-            return
         self.on_action_exit(action, EXIT_FAILED, signal)
+        if parent is None:
+            return
         active = self.contexts.active
         if active is not None and active.action_name == parent:
             if not active.raised:
@@ -499,11 +482,6 @@ class CAParticipant(DistributedObject):
                 self.engine.local_raise(parent, signal)
 
     # -- protocol plumbing ---------------------------------------------------------
-
-    def _on_protocol_message(self, message: Message) -> None:
-        # Kept for API compatibility; kind handlers now bind
-        # ``engine.on_message`` directly.
-        self.engine.on_message(message)
 
     def buffer_pending(self, action: str, message: Message) -> None:
         self.pending.setdefault(action, []).append(message)
@@ -533,7 +511,7 @@ class CAParticipant(DistributedObject):
         if self.action_manager.is_cancelled(action):
             return
         for message in queued:
-            self.engine.on_message(message)
+            self.engine._dispatch(message)
 
     # -- behaviour integration -----------------------------------------------------
 

@@ -32,6 +32,11 @@ class PState(enum.Enum):
     SUSPENDED = "S"
     READY = "R"
 
+    # Members are singletons, so identity hashing is exact; unlike Enum's
+    # Python-level ``__hash__`` it costs no call on the per-message
+    # ``PROGRESS[ctx.state]`` lookup.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class ResolutionCtx:

@@ -11,8 +11,8 @@ cost in messages.  This module hosts all of them once:
   ``_handle`` that activates the resolved handler;
 * :class:`VariantSpec` and :data:`VARIANTS` — one row of facts per variant
   (what it counts, its closed form, whether it nests or detects failures,
-  the defaults and extra options of its runs) — the only list of variant
-  names in the repo;
+  the two run defaults that differ and its extra options) — the only list
+  of variant names in the repo;
 * :func:`run_action` — validation, exception tree, ``Runtime``,
   registration, raise and crash scheduling and the run, for any row;
 * :class:`ActionRun` — the one result type.
@@ -164,11 +164,9 @@ class VariantSpec:
     horizon: Optional[float] = None
     #: Name of the exception a participant handled, or ``None``.
     handled_of: Callable[[object], Optional[str]] = _state_handled
-    # Defaults of a run (each is what the variant's own runner used).
+    #: When the raisers raise, and when a run stops (``None``: once quiet).
     raise_at: float = 10.0
     until: Optional[float] = None
-    max_events: Optional[int] = None
-    max_retries: int = 25
     #: Keyword options beyond the common ones of :func:`run_action`.
     options: tuple[str, ...] = ()
 
@@ -184,7 +182,7 @@ VARIANTS: dict[str, VariantSpec] = {
             "base", "§4.2, the decentralised algorithm", "GeneralExc",
             "repro.core.messages:RESOLUTION_KINDS",
             "(N-1)(2P+3Q+1) messages", formulas.general_messages,
-            nests=True, handled_of=_log_handled, max_retries=60,
+            nests=True, handled_of=_log_handled,
             options=(
                 "policy", "abort_duration", "nested_work", "resolver_group_size",
             ),
@@ -195,7 +193,7 @@ VARIANTS: dict[str, VariantSpec] = {
             "(N-1)(2P+2Q+1) messages", formulas.crash_tolerant_messages,
             build="repro.core.crash_tolerant:build",
             nests=True, detects_failures=True, horizon=80.0,
-            until=200.0, max_events=2_000_000,
+            until=200.0,  # heartbeats never fall quiet: a run needs an end
             options=(
                 "hb_interval", "hb_timeout", "abort_duration", "nested_signal",
                 "restart_at", "durable_dir", "wal_fsync", "work_at",
@@ -206,7 +204,8 @@ VARIANTS: dict[str, VariantSpec] = {
             "repro.core.multicast_variant:MC_KINDS",
             "N+Q+1 multicasts", formulas.multicast_operations,
             build="repro.core.multicast_variant:build",
-            nests=True, multicast=True, raise_at=1.0, max_events=2_000_000,
+            nests=True, multicast=True,
+            raise_at=1.0,  # the golden mc service grid, span forest and fan-out hash pin t=1
             options=("abort_duration",),
         ),
         VariantSpec(
@@ -214,7 +213,7 @@ VARIANTS: dict[str, VariantSpec] = {
             "repro.core.centralized_variant:CD_KINDS",
             "3N-2+P messages", formulas.centralized_messages,
             build="repro.core.centralized_variant:build",
-            coordinator="coord", max_events=1_000_000,
+            coordinator="coord",
         ),
         VariantSpec(
             "cr", "§3.3, the Campbell-Randell baseline (reconstructed)", "CRC",
@@ -222,13 +221,18 @@ VARIANTS: dict[str, VariantSpec] = {
             "O(N^3) messages, measured", None,
             build="repro.core.cr_baseline:build",
             servable=False, handled_of=_resolved,
-            raise_at=1.0, max_events=5_000_000, options=("stagger",),
+            raise_at=1.0,  # the pinned cr fan-out hash was recorded at t=1
+            options=("stagger",),
         ),
     )
 }
 
 #: The variants the service runs, the fault matrix sweeps and the CLI offers.
 SERVABLE = tuple(tag for tag, spec in VARIANTS.items() if spec.servable)
+
+
+#: The livelock budget of every engine's run; ``base`` sizes its own.
+MAX_EVENTS = 5_000_000
 
 
 @cache
@@ -386,7 +390,7 @@ def run_action(
     failure_plan=None,
     reliable: bool = False,
     ack_timeout: float = 5.0,
-    max_retries: Optional[int] = None,
+    max_retries: int = 60,
     until: Optional[float] = None,
     max_events: Optional[int] = None,
     trace_level: TraceLevel = TraceLevel.FULL,
@@ -399,10 +403,11 @@ def run_action(
     ``(name, time)`` node deaths, scheduled in the order given — a
     coordinator is crashed by its name like anyone else.
     ``failure_plan``/``reliable`` run the protocol over a faulty channel
-    with the ARQ transport underneath.  ``None`` for ``raise_at``,
-    ``max_retries``, ``until`` or ``max_events`` means the variant's own
-    default (:class:`VariantSpec`); ``options`` are the variant's extra
-    keywords, documented on its engine's ``build``.
+    with the ARQ transport underneath.  ``None`` for ``raise_at`` or
+    ``until`` means the variant's own default (:class:`VariantSpec`), and
+    for ``max_events`` :data:`MAX_EVENTS` (``base``: its scenario's
+    budget); ``options`` are the variant's extra keywords, documented on
+    its engine's ``build``.
     """
     spec = VARIANTS.get(variant)
     if spec is None:
@@ -426,12 +431,8 @@ def run_action(
     victims = tuple([victim for victim, _ in crashes])
     if raise_at is None:
         raise_at = spec.raise_at
-    if max_retries is None:
-        max_retries = spec.max_retries
     if until is None:
         until = spec.until
-    if max_events is None:
-        max_events = spec.max_events
 
     if spec.build is None:
         # base: general_case owns the names, the tree, the Runtime, the
@@ -486,7 +487,7 @@ def run_action(
         )
     for late in setup.after_crashes:
         late()
-    runtime.run(until=until, max_events=max_events)
+    runtime.run(until=until, max_events=MAX_EVENTS if max_events is None else max_events)
     for done in setup.after_run:
         done()
     return ActionRun(spec, runtime, participants, victims)
