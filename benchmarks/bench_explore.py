@@ -5,8 +5,9 @@ cache, all through the one entry point
 :func:`repro.explore.engine.explore_cell`:
 
 1. **Certified bounds** — bounded-exhaustive DFS over every protocol
-   variant's fault-free cell: N=3 in smoke and campaign modes, N=4 in
-   full mode.  A search that hits ``max_runs`` without exhausting
+   variant's fault-free cell: N=3 (and the crash-tolerant cell at N=4) in
+   smoke and campaign modes, N=4 in full mode.  A search that hits
+   ``max_runs`` without exhausting
    **fails the bench loudly** (non-zero exit + a ``problems`` entry): a
    truncated certification certifies nothing and must never record as
    ``ok``.
@@ -54,6 +55,7 @@ from _harness import record_table  # noqa: E402
 from repro.core.variants import VARIANTS  # noqa: E402
 from repro.explore import DigestCache, explore_cell  # noqa: E402
 from repro.explore.engine import export_schedule_trace  # noqa: E402
+from repro.workloads.campaigns import parse_cell_id  # noqa: E402
 from repro.workloads.parallel import usable_cpus  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_explore.json"
@@ -68,6 +70,12 @@ SMOKE_VARIANTS = ("base", "ct")
 def dfs_cells(n: int, variants=VARIANTS) -> tuple[str, ...]:
     """Fault-free cells, one per protocol variant, at size ``n``."""
     return tuple(f"paper:{v}:none:n{n}p1q1:s0" for v in variants)
+
+
+#: Certified beside the N=3 cells in smoke and campaign modes: the
+#: crash-tolerant cell at N=4 drains in about a second now that its failure
+#: detector arms one timer per member and interval.
+N4_CERTIFIED = "paper:ct:none:n4p1q1:s0"
 
 
 #: Fault cells for the delay-bounded sweep.  All four are exhaustible at
@@ -274,15 +282,19 @@ def _run_campaign(
     cache_path, problems, skipped, rows, sections,
 ) -> None:
     # -- certified DFS bounds --------------------------------------------------
-    for cell_id in dfs_cells(dfs_n, SMOKE_VARIANTS if args.smoke else VARIANTS):
+    cells = dfs_cells(dfs_n, SMOKE_VARIANTS if args.smoke else VARIANTS)
+    if dfs_n == 3:
+        cells += (N4_CERTIFIED,)
+    for cell_id in cells:
+        n = parse_cell_id(cell_id).n
         _budget_check(deadline, skipped, f"dfs {cell_id}")
-        result = explore_cell(cell_id, mode="dfs", max_runs=MAX_RUNS[dfs_n])
+        result = explore_cell(cell_id, mode="dfs", max_runs=MAX_RUNS[n])
         sections["dfs"].append(result.to_payload())
         verdict = _check_certification(
             result, cell_id, problems, args.artifacts
         )
         rows.append((
-            f"dfs(n{dfs_n})", cell_id, result.schedules_run, result.pruned,
+            f"dfs(n{n})", cell_id, result.schedules_run, result.pruned,
             "yes" if result.exhaustive else "NO",
             result.distinct_digests, len(result.findings),
             f"{result.schedules_per_minute():.0f}", verdict,

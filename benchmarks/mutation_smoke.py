@@ -6,11 +6,14 @@ engines — :mod:`repro.core.algorithm` (base Section 4.2, rows of its
 receive and progress tables included) and
 :mod:`repro.core.crash_tolerant` — to the substrate's per-delivery
 shortcuts (:mod:`repro.core.participant`'s counted exit barrier,
-:mod:`repro.net.network`'s delivery and fan-out) and to the exploration
-infrastructure itself (:mod:`repro.explore.engine` search drivers and
-:mod:`repro.explore.cache` persistence: a skipped CRC check, a cache key
-that forgets the code version, walks that all replay one seed, a search
-that hits its budget silently).
+:mod:`repro.net.network`'s delivery and fan-out), to the failure detector
+(:mod:`repro.net.detector`'s tick) and the datagram path under it
+(:mod:`repro.net.reliable`), and to the exploration infrastructure itself
+(:mod:`repro.explore.engine` search loops, :mod:`repro.explore.cache`
+persistence and :mod:`repro.explore.independence` labels: a skipped CRC
+check, a cache key that forgets the code version, walks that all replay
+one seed, a search that hits its budget silently, a tick that commutes
+with the protocol work it can trigger).
 Each is a realistic implementation slip: a dropped ACK, a swapped send
 order, a guard turned permissive.  For every mutant, a shadow copy of
 ``src/`` is patched and a fast detection suite (campaign cells with the
@@ -25,8 +28,9 @@ honestly.
 
 One mutant is special: ``ct-ack-before-have-nested`` reintroduces the
 *real* interleaving bug the schedule explorer found (commit e01eb862,
-schedule ``ch:6=1``); only the explorer replay kills it, which keeps
-that regression pinned forever.
+schedule ``ch:6=1`` then, ``ch:3=1`` since the failure detector's beat and
+check timers became one tick); only the explorer replay kills it, which
+keeps that regression pinned forever.
 
     PYTHONPATH=src python benchmarks/mutation_smoke.py --smoke   # CI gate
     PYTHONPATH=src python benchmarks/mutation_smoke.py           # all mutants
@@ -72,9 +76,12 @@ class Mutant:
 ALG = "src/repro/core/algorithm.py"
 PARTICIPANT = "src/repro/core/participant.py"
 NET = "src/repro/net/network.py"
+DETECTOR = "src/repro/net/detector.py"
+RELIABLE = "src/repro/net/reliable.py"
 CT = "src/repro/core/crash_tolerant.py"
 ENGINE = "src/repro/explore/engine.py"
 CACHE = "src/repro/explore/cache.py"
+INDEPENDENCE = "src/repro/explore/independence.py"
 
 MUTANTS: tuple[Mutant, ...] = (
     # -- base algorithm (Section 4.2) -------------------------------------------
@@ -212,6 +219,63 @@ MUTANTS: tuple[Mutant, ...] = (
         """            except KeyError:
                 return
             else:""",
+    ),
+    # -- the failure detector and the transport under it -------------------------
+    Mutant(
+        "tick-checks-before-beating", DETECTOR,
+        "the tick suspects before it beats: the peer it suspects misses the "
+        "beat of that instant",
+        """        obj.send_many(self.alive_peers(), KIND_HEARTBEAT)
+        sim = obj.runtime.sim
+        now = sim.now
+        # ``start`` stamped every peer, so ``last_seen`` is total here.
+        last_seen, suspected = self.last_seen, self.suspected
+        for peer in self.peers:
+            if peer not in suspected and now - last_seen[peer] > self.timeout:
+                self._suspect(peer, now)""",
+        """        sim = obj.runtime.sim
+        now = sim.now
+        # ``start`` stamped every peer, so ``last_seen`` is total here.
+        last_seen, suspected = self.last_seen, self.suspected
+        for peer in self.peers:
+            if peer not in suspected and now - last_seen[peer] > self.timeout:
+                self._suspect(peer, now)
+        obj.send_many(self.alive_peers(), KIND_HEARTBEAT)""",
+    ),
+    Mutant(
+        "tick-rearms-stale-generation", DETECTOR,
+        "a tick of a stopped generation keeps beating and re-arming",
+        """        if generation != self._generation or obj.crashed:
+            return""",
+        """        if obj.crashed:
+            return""",
+    ),
+    Mutant(
+        "heartbeat-sent-sequenced", RELIABLE,
+        "a beat goes through ARQ again: framed, acknowledged, retransmitted",
+        """        if kind in UNSEQUENCED_KINDS:
+            return super().send(src, dst, kind, payload)""",
+        """        if kind == KIND_TRANSPORT_ACK:
+            return super().send(src, dst, kind, payload)""",
+    ),
+    Mutant(
+        "corrupt-datagram-delivered", RELIABLE,
+        "only a corrupted ACK is checksum-dropped: a corrupted beat counts as life",
+        """        if kind in UNSEQUENCED_KINDS:
+            if message.corrupted:""",
+        """        if kind in UNSEQUENCED_KINDS:
+            if message.corrupted and kind == KIND_TRANSPORT_ACK:""",
+    ),
+    Mutant(
+        "tick-touches-beat-only", INDEPENDENCE,
+        "the explorer treats a tick as touching only beat state: a suspicion "
+        "racing a protocol delivery is never explored",
+        """    if head in _LOCAL_PREFIXES and len(parts) >= 2 and parts[-1]:
+        return EventMeta(label, touched=frozenset((parts[-1],)))""",
+        """    if head in _LOCAL_PREFIXES and len(parts) >= 2 and parts[-1]:
+        if head == "hb":
+            return EventMeta(label, touched=frozenset((parts[-1] + "::beat",)))
+        return EventMeta(label, touched=frozenset((parts[-1],)))""",
     ),
     # -- crash-tolerant variant ------------------------------------------------
     Mutant(
@@ -420,6 +484,8 @@ SMOKE_IDS = (
     "ct-no-acks-missing", "ct-resolver-never-handles", "ct-commit-not-adopted",
     "ct-commit-to-alive-only", "cache-crc-ignored", "walk-seed-pinned",
     "barrier-gate-off-by-one", "deliver-fallback-skipped",
+    "tick-checks-before-beating", "heartbeat-sent-sequenced",
+    "tick-touches-beat-only",
 )
 
 
@@ -476,16 +542,17 @@ def detection_problems() -> list[str]:
     # The interleaving that once broke the ct ACK/HaveNested ordering
     # (fixed in commit 01eb862; only this replay catches a reintroduction).
     try:
-        outcome = run_digest("paper:ct:none:n3p1q1:s0", "ch:6=1")
+        outcome = run_digest("paper:ct:none:n3p1q1:s0", "ch:3=1")
         if outcome.classification != "OK":
             problems.append(
-                f"explore ch:6=1: {outcome.classification} "
+                f"explore ch:3=1: {outcome.classification} "
                 f"{list(outcome.violations)}"
             )
     except Exception as exc:
-        problems.append(f"explore ch:6=1: {type(exc).__name__}: {exc}")
+        problems.append(f"explore ch:3=1: {type(exc).__name__}: {exc}")
     problems.extend(_fanout_problems())
     problems.extend(_delivery_problems())
+    problems.extend(_detector_problems())
     problems.extend(_explore_infra_problems())
     return problems
 
@@ -606,6 +673,84 @@ def _delivery_problems() -> list[str]:
     except Exception as exc:
         return [f"delivery: {type(exc).__name__}: {exc}"]
     return []
+
+
+def _detector_problems() -> list[str]:
+    """What the failure detector and its transport owe each other, probed
+    on bare detectors: a tick beats before it checks (the peer it suspects
+    still gets that instant's beat), a stopped detector beats no more, a
+    beat over the reliable transport is a datagram (no transport ACK, no
+    retransmission) whose corruption proves no life, and the explorer keeps
+    a tick dependent with its object's protocol deliveries."""
+    from repro.explore.independence import event_meta, independent
+    from repro.net.detector import KIND_HEARTBEAT, Heartbeater
+    from repro.net.failures import FailurePlan
+    from repro.objects import DistributedObject, Runtime
+
+    def world(names, **runtime_options):
+        runtime = Runtime(**runtime_options)
+        detectors = {}
+        for name in names:
+            obj = DistributedObject(name)
+            runtime.register(obj)
+            detectors[name] = Heartbeater(obj, names, interval=1.0, timeout=4.0)
+        return runtime, detectors
+
+    def beats(runtime, src, dst):
+        return [
+            e.time for e in runtime.trace.by_category("msg.send")
+            if e.subject == src and e.details["dst"] == dst
+            and e.details["kind"] == KIND_HEARTBEAT
+        ]
+
+    problems = []
+    try:
+        runtime, detectors = world(("a", "b", "c"))
+        for detector in detectors.values():
+            detector.start()
+        runtime.sim.schedule(2.5, lambda: runtime.crash_node("node:c"))
+        runtime.run(until=12.5)
+        suspected = [
+            e.time for e in runtime.trace.by_category("detector.suspect")
+            if e.subject == "a"
+        ]
+        if suspected != [max(beats(runtime, "a", "c"))]:
+            problems.append(
+                f"tick order: a suspected c at {suspected}, beat it at "
+                f"{beats(runtime, 'a', 'c')}"
+            )
+        runtime, detectors = world(("a", "b"))
+        for detector in detectors.values():
+            detector.start()
+        runtime.run(until=2.5)
+        detectors["a"].stop()
+        runtime.run(until=6.5)
+        if max(beats(runtime, "a", "b")) > 2.5:
+            problems.append(f"stopped detector beat at {beats(runtime, 'a', 'b')}")
+        runtime, detectors = world(("a", "b"), reliable=True)
+        detectors["a"].obj.send("b", KIND_HEARTBEAT)
+        runtime.run()
+        network = runtime.network
+        if network.transport_acks or network.retransmissions or network._pending:
+            problems.append(
+                f"beat sequenced: {network.transport_acks} transport ACKs, "
+                f"{network.retransmissions} retransmissions"
+            )
+        runtime, detectors = world(
+            ("a", "b"), reliable=True,
+            failure_plan=FailurePlan(corrupt_probability=1.0),
+        )
+        detectors["b"].last_seen["a"] = -1.0
+        detectors["a"].obj.send("b", KIND_HEARTBEAT)
+        runtime.run(until=50.0)
+        if detectors["b"].last_seen["a"] != -1.0:
+            problems.append("a corrupted beat refreshed last_seen")
+    except Exception as exc:
+        problems.append(f"detector: {type(exc).__name__}: {exc}")
+    tick, delivery = event_meta("hb:O0000"), event_meta("deliver:CT_ACK:O0001->O0000")
+    if independent(tick, delivery):
+        problems.append("explorer: a tick commutes with its object's protocol delivery")
+    return problems
 
 
 def _explore_infra_problems() -> list[str]:

@@ -227,6 +227,8 @@ class CrashTolerantParticipant(Member):
         #: us; our effects are undone) or ``"already-handled"``.
         self.rejoin_outcome: Optional[str] = None
         self._ckpt_rank = 0
+        # Every handler below first stamps its sender's ``last_seen`` as a
+        # heartbeat would: protocol traffic is a sign of life too.
         self.detector = Heartbeater(
             self, group, interval=hb_interval, timeout=hb_timeout,
             on_suspect=self._on_suspect, membership_group=membership_group,
@@ -301,6 +303,7 @@ class CrashTolerantParticipant(Member):
     # -- message handling ------------------------------------------------------
 
     def _on_exception(self, message: Message) -> None:
+        self.detector.last_seen[message.src] = message.deliver_time
         payload: CtException = message.payload
         self.le[payload.sender] = payload.exception
         self.raisers.add(payload.sender)
@@ -324,16 +327,18 @@ class CrashTolerantParticipant(Member):
         # process the other members' ACKs and ours before our HaveNested
         # and commit prematurely, dropping the abortion's signal and its
         # NestedCompleted round — found by ``repro explore``, schedule
-        # ``ch:6=1`` on ``paper:ct:none:n3p1q1:s0``.)
+        # ``ch:3=1`` on ``paper:ct:none:n3p1q1:s0``.)
         self._maybe_start_abort()
         self.send(payload.sender, KIND_CT_ACK, self._ack)
         self._advance()
 
     def _on_ack(self, message: Message) -> None:
+        self.detector.last_seen[message.src] = message.deliver_time
         self.acks_missing.discard(message.src)
         self._advance()
 
     def _on_commit(self, message: Message) -> None:
+        self.detector.last_seen[message.src] = message.deliver_time
         payload: CtCommit = message.payload
         if self.rejoin_outcome == "confirmed-abort":
             # We restarted after the action resolved and confirmed our
@@ -392,11 +397,13 @@ class CrashTolerantParticipant(Member):
         )
 
     def _on_have_nested(self, message: Message) -> None:
+        self.detector.last_seen[message.src] = message.deliver_time
         payload: CtHaveNested = message.payload
         self.nested_members.add(payload.sender)
         self._advance()
 
     def _on_nested_completed(self, message: Message) -> None:
+        self.detector.last_seen[message.src] = message.deliver_time
         payload: CtNestedCompleted = message.payload
         self.nested_members.add(payload.sender)
         self.nested_done.add(payload.sender)
@@ -405,6 +412,7 @@ class CrashTolerantParticipant(Member):
         self._advance()
 
     def _on_rejoin_req(self, message: Message) -> None:
+        self.detector.last_seen[message.src] = message.deliver_time
         payload: CtRejoinReq = message.payload
         self.runtime.trace.record(
             self.sim_now, "ct.rejoin_req", self.name,
@@ -453,6 +461,7 @@ class CrashTolerantParticipant(Member):
         self._advance()
 
     def _on_rejoin_reply(self, message: Message) -> None:
+        self.detector.last_seen[message.src] = message.deliver_time
         payload: CtRejoinReply = message.payload
         if payload.commit is None:
             return  # peer is still resolving; its protocol messages follow

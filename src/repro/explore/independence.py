@@ -9,7 +9,7 @@ this repo labels its events, and the labels follow a small grammar:
   a message delivery: runs receiver code on ``dst`` (which may *send*,
   but sending only mutates ``dst``'s outgoing channel cursors and seeds
   future events — future orderings are their own choice points).
-* ``hb:<name>`` / ``hbcheck:<name>`` / ``behaviour:<name>`` /
+* ``hb:<name>`` / ``behaviour:<name>`` /
   ``ct-abort:<name>`` / ``start:<name>`` / ``crash:<name>`` /
   ``*-raise:<name>`` ... — local work of one named object.
 * ``rto:<src>-><dst>:<seq>`` — an ARQ retransmission timer: reads the
@@ -22,7 +22,7 @@ Two events are **independent** when their touched sets are known and
 disjoint: executing them in either order yields the same oracle-visible
 state.  Heartbeat deliveries get a stronger rule: their handler only
 refreshes ``last_seen[src]`` (see :class:`repro.net.detector.Heartbeater`),
-which no same-instant event reads — suspicion checks run at local
+which no same-instant event reads — the detector's tick checks at local
 priority, *after* every same-time delivery — so a ``HEARTBEAT`` delivery
 commutes with every event except later deliveries on its own channel
 (FIFO).  This is what keeps the heartbeat chatter of the crash-tolerant
@@ -46,17 +46,14 @@ from typing import Optional
 from repro.net.detector import KIND_HEARTBEAT
 
 #: Label prefixes naming local work of a single object: ``<prefix>:<name>``.
+#: ``hb`` is the failure detector's tick: it beats and then checks, and a
+#: check may suspect a peer and run the engine's progress rule, so it
+#: touches the object's protocol state like any other local work.
 _LOCAL_PREFIXES = (
-    "hbcheck", "behaviour", "start", "crash", "handler", "abort",
+    "hb", "behaviour", "start", "crash", "handler", "abort",
     "ct-abort", "mc-abort", "prop", "arche", "ct-raise", "mc-raise",
     "cd-raise", "cr-raise",
 )
-
-#: Local prefixes whose handler also touches the object's *beat* state
-#: (``crash`` stops beating via the ``crashed`` flag that ``_beat`` reads,
-#: ``start``/``behaviour`` may start/stop the Heartbeater) — they stay
-#: dependent with that object's ``hb:`` timer events.
-_BEAT_TOUCHING_PREFIXES = ("crash", "start", "behaviour")
 
 
 @dataclass(frozen=True)
@@ -111,24 +108,8 @@ def event_meta(label: str) -> EventMeta:
         if pair is not None:
             return EventMeta(label, touched=frozenset(pair))
         return EventMeta(label)
-    if head == "hb" and len(parts) == 2 and parts[1]:
-        # A beat timer reads only the Heartbeater's own bookkeeping
-        # (_running/generation/crashed) plus the ``suspected`` set — and
-        # the single thing ``suspected`` changes is whether a HEARTBEAT
-        # is sent to an already-suspected peer.  Suspicions are permanent
-        # (a late heartbeat never un-suspects, see Heartbeater._on_heartbeat)
-        # and heartbeat deliveries are themselves commuting, so swapping a
-        # beat with a same-instant ``hbcheck`` of the *same* object
-        # changes at most one oracle-invisible HEARTBEAT.  Beats
-        # therefore touch a private ``<name>::beat`` token: independent
-        # of the object's protocol work, dependent with the events that
-        # really do reach beat state (``crash:``/``start:``).
-        return EventMeta(label, touched=frozenset((parts[1] + "::beat",)))
     if head in _LOCAL_PREFIXES and len(parts) >= 2 and parts[-1]:
-        name = parts[-1]
-        if head in _BEAT_TOUCHING_PREFIXES:
-            return EventMeta(label, touched=frozenset((name, name + "::beat")))
-        return EventMeta(label, touched=frozenset((name,)))
+        return EventMeta(label, touched=frozenset((parts[-1],)))
     if head == "crash-coord":
         return EventMeta(label, touched=frozenset(("coord",)))
     return EventMeta(label)

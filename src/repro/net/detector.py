@@ -56,12 +56,13 @@ class Heartbeater:
         self.last_seen: dict[str, float] = {}
         self.suspected: set[str] = set()
         self._running = False
-        # start() and stop() each bump the generation; beat/check chains
-        # carry the generation they were started under and die when it goes
+        # start() and stop() each bump the generation; the tick chain
+        # carries the generation it was started under and dies when it goes
         # stale (or the object crashes).  Without this, stop() followed by
-        # start() before the old callbacks fire would leave two live chains
+        # start() before the old tick fires would leave two live chains
         # (doubled heartbeat traffic and check frequency).
         self._generation = 0
+        self._label = f"hb:{obj.name}"
         obj.on_kind(KIND_HEARTBEAT, self._on_heartbeat)
 
     def start(self) -> None:
@@ -73,8 +74,7 @@ class Heartbeater:
         now = self.obj.sim_now
         for peer in self.peers:
             self.last_seen[peer] = now
-        self._beat(self._generation)
-        self._check(self._generation)
+        self._tick(self._generation)
 
     def stop(self) -> None:
         self._running = False
@@ -83,7 +83,7 @@ class Heartbeater:
     def restart(self) -> None:
         """Fresh start after this object's *own* node restarts.
 
-        The crash killed the beat/check chains (they die on
+        The crash killed the tick chain (it dies on
         ``obj.crashed``) but left ``_running`` set, so a plain
         :meth:`start` would no-op.  Force a new generation and forget
         pre-crash suspicions — a restarted node re-learns who is alive
@@ -120,42 +120,38 @@ class Heartbeater:
 
     # -- internals ------------------------------------------------------------
 
-    def _beat(self, generation: int) -> None:
-        if generation != self._generation or self.obj.crashed:
+    def _tick(self, generation: int) -> None:
+        """One detector round on one timer: beat, then check, then re-arm."""
+        obj = self.obj
+        if generation != self._generation or obj.crashed:
             return
         # One beat is one fan-out: the unsuspected peers, one shared payload.
-        self.obj.send_many(self.alive_peers(), KIND_HEARTBEAT)
-        self.obj.runtime.sim.schedule(
-            self.interval,
-            partial(self._beat, generation),
-            label=f"hb:{self.obj.name}",
-        )
-
-    def _on_heartbeat(self, message: Message) -> None:
-        src = message.src
-        self.last_seen[src] = now = self.obj.runtime.sim.now
-        if src in self.suspected:
-            # Late heartbeat from a suspected peer: with crash-only faults
-            # this cannot happen, but under message delays it can — we keep
-            # the suspicion (decisions already made must stay stable).
-            self.obj.runtime.trace.record(
-                now, "detector.late_heartbeat", self.obj.name, peer=src
-            )
-
-    def _check(self, generation: int) -> None:
-        if generation != self._generation or self.obj.crashed:
-            return
-        now = self.obj.runtime.sim.now
+        obj.send_many(self.alive_peers(), KIND_HEARTBEAT)
+        sim = obj.runtime.sim
+        now = sim.now
         # ``start`` stamped every peer, so ``last_seen`` is total here.
         last_seen, suspected = self.last_seen, self.suspected
         for peer in self.peers:
             if peer not in suspected and now - last_seen[peer] > self.timeout:
                 self._suspect(peer, now)
-        self.obj.runtime.sim.schedule(
-            self.interval,
-            partial(self._check, generation),
-            label=f"hbcheck:{self.obj.name}",
-        )
+        sim.schedule(self.interval, partial(self._tick, generation), label=self._label)
+
+    def _on_heartbeat(self, message: Message) -> None:
+        """Stamp ``last_seen`` with the message's delivery stamp, not a clock
+        read.  On the simulator the stamp is the delivery instant.  On the
+        asyncio kernel it is the instant the send scheduled the delivery
+        for; the handler runs at or after it, so the stamp can trail the
+        kernel clock by the loop's dispatch lag, which only ever brings a
+        suspicion forward by that lag."""
+        src = message.src
+        self.last_seen[src] = message.deliver_time
+        if src in self.suspected:
+            # Late heartbeat from a suspected peer: with crash-only faults
+            # this cannot happen, but under message delays it can — we keep
+            # the suspicion (decisions already made must stay stable).
+            self.obj.runtime.trace.record(
+                self.obj.sim_now, "detector.late_heartbeat", self.obj.name, peer=src
+            )
 
     def _suspect(self, peer: str, now: float) -> None:
         self.suspected.add(peer)

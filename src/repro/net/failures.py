@@ -115,10 +115,12 @@ class FailureInjector:
 
     def crashed(self, name: str, time: float) -> bool:
         """True if endpoint ``name`` is inside a crash window at ``time``."""
-        crashes = self.plan.crashes
-        if not crashes:
-            return False
-        return any(w.name == name and w.covers(time) for w in crashes)
+        # Plain loops here and in ``decide``: every send of a faulted run
+        # asks, and ``any(<genexpr>)`` pays a generator step per window.
+        for window in self.plan.crashes:
+            if window.name == name and window.covers(time):
+                return True
+        return False
 
     def decide(self, src: str, dst: str, time: float) -> str:
         """Fate of a message sent ``src → dst`` at ``time``."""
@@ -134,19 +136,17 @@ class FailureInjector:
             # checks short-circuit before sampling), so skipping it keeps
             # all random streams bit-identical.
             return self.DELIVER
-        if self.crashed(src, time) or self.crashed(dst, time):
+        if plan.crashes and (self.crashed(src, time) or self.crashed(dst, time)):
             self.dropped += 1
             return self.DROP
-        if any(p.separates(src, dst, time) for p in self.plan.partitions):
+        for partition in plan.partitions:
+            if partition.separates(src, dst, time):
+                self.dropped += 1
+                return self.DROP
+        if plan.drop_probability and self._rng.random() < plan.drop_probability:
             self.dropped += 1
             return self.DROP
-        if self.plan.drop_probability and self._rng.random() < self.plan.drop_probability:
-            self.dropped += 1
-            return self.DROP
-        if (
-            self.plan.corrupt_probability
-            and self._rng.random() < self.plan.corrupt_probability
-        ):
+        if plan.corrupt_probability and self._rng.random() < plan.corrupt_probability:
             self.corrupted += 1
             return self.CORRUPT
         return self.DELIVER

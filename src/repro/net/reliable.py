@@ -8,6 +8,14 @@ over the lossy base network: per-pair sequence numbers, positive
 acknowledgements, timer-driven retransmission, duplicate suppression and
 in-order delivery.
 
+Two kinds travel unsequenced, as plain datagrams (``UNSEQUENCED_KINDS``):
+the transport's own ``T_ACK`` and the failure detector's ``HEARTBEAT``.  A
+beat is a liveness probe, so its loss is the signal the detector
+measures: sending it reliably would cost a frame, a pending entry, a
+retransmission timer and a transport ACK per beat, buy nothing, and hold
+back the protocol frames queued behind a lost beat on the same pair.  A
+corrupted datagram is checksum-dropped like a corrupted frame.
+
 Accounting: ``sent_by_kind`` keeps counting *logical* sends (one per
 ``send`` call) so the paper's complexity formulas remain checkable;
 retransmissions and transport ACKs are tallied separately
@@ -26,11 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.net.detector import KIND_HEARTBEAT
 from repro.net.failures import FailureInjector
 from repro.net.message import Message
 from repro.net.network import Network
 
 KIND_TRANSPORT_ACK = "T_ACK"
+UNSEQUENCED_KINDS = frozenset((KIND_TRANSPORT_ACK, KIND_HEARTBEAT))
 
 
 @dataclass
@@ -76,11 +86,11 @@ class ReliableDeliveryError(RuntimeError):
 class ReliableNetwork(Network):
     """A :class:`Network` with ARQ-style reliable, in-order delivery.
 
-    Messages sent through :meth:`send` are guaranteed to reach a live
-    receiver exactly once and in per-pair FIFO order, even when the
-    failure plan drops frames.  Liveness requires the destination to stay
-    up; ``max_retries`` bounds the wait for a dead one, after which the
-    frame is dead-lettered (see module docstring).
+    Messages sent through :meth:`send`, bar ``UNSEQUENCED_KINDS``, are
+    guaranteed to reach a live receiver exactly once and in per-pair FIFO
+    order, even when the failure plan drops frames.  Liveness requires the
+    destination to stay up; ``max_retries`` bounds the wait for a dead one,
+    after which the frame is dead-lettered (see module docstring).
     """
 
     #: Upper layers (e.g. :class:`~repro.net.multicast.ReliableMulticast`)
@@ -116,7 +126,7 @@ class ReliableNetwork(Network):
     # -- sending ------------------------------------------------------------------
 
     def send(self, src: str, dst: str, kind: str, payload: object = None) -> Message:
-        if kind == KIND_TRANSPORT_ACK:
+        if kind in UNSEQUENCED_KINDS:
             return super().send(src, dst, kind, payload)
         pair = (src, dst)
         seq = self._next_seq.get(pair, 0)
@@ -191,16 +201,20 @@ class ReliableNetwork(Network):
     # -- receiving -----------------------------------------------------------------
 
     def _deliver(self, message: Message) -> None:
-        if message.kind == KIND_TRANSPORT_ACK:
+        kind = message.kind
+        if kind in UNSEQUENCED_KINDS:
             if message.corrupted:
-                # Checksum failure on the ACK itself: a corrupted ACK must
-                # NOT cancel retransmission — its seq field is untrusted.
-                # Drop it; the retransmission timer re-sends the frame and
-                # the receiver re-acknowledges.
+                # Checksum failure on a datagram: its fields are untrusted.
+                # A corrupted ACK must NOT cancel retransmission (the timer
+                # re-sends the frame and the receiver re-acknowledges), and
+                # a corrupted beat must not count as a sign of life.
                 self.trace.record(
                     self.sim.now, "msg.checksum_drop", message.dst,
-                    src=message.src, kind=KIND_TRANSPORT_ACK,
+                    src=message.src, kind=kind,
                 )
+                return
+            if kind != KIND_TRANSPORT_ACK:
+                super()._deliver(message)
                 return
             ack: _AckFrame = message.payload
             settled = self._pending.pop((message.dst, message.src, ack.seq), None)

@@ -3,11 +3,13 @@
 The fault and recovery campaigns must reproduce the outcome rows of
 ``tests/golden/BENCH_faults.json`` and ``tests/golden/BENCH_recovery.json``
 row for row (every variant x every fault, exact counts and virtual
-durations included), and the live path must keep serving the outcomes
-recorded below.  Both are the regression net for any change to how an
-action is built or run: a schedule that moves shows up here before it
-shows up anywhere else.  The campaign benches write their own reports
-elsewhere and never touch these goldens.
+durations included), every failure detector of their ``ct`` cells must
+first suspect each peer at the instant ``tests/golden/first_suspicions.json``
+holds, and the live path must keep serving the outcomes recorded below.
+These are the regression net for any change to how an action is built or
+run: a schedule that moves shows up here before it shows up anywhere
+else.  The campaign benches write their own reports elsewhere and never
+touch these goldens.
 
 Regenerate on purpose only: ``PYTHONPATH=src python
 tests/integration/test_recorded_behaviour.py``.
@@ -22,6 +24,7 @@ from repro.service.protocol import ActionRequest, execute_request
 from repro.workloads.campaigns import (
     CampaignReport,
     default_matrix,
+    observe_cell,
     recovery_matrix,
     run_cell,
 )
@@ -30,6 +33,7 @@ GOLDEN = Path(__file__).resolve().parents[1] / "golden"
 
 #: golden file -> the campaign whose outcome rows it holds.
 CAMPAIGNS = {"BENCH_faults.json": default_matrix, "BENCH_recovery.json": recovery_matrix}
+SUSPICIONS = "first_suspicions.json"
 
 
 def _outcomes(matrix) -> list[dict]:
@@ -40,6 +44,27 @@ def _outcomes(matrix) -> list[dict]:
 def test_campaign_reproduces_committed_artifact(artifact, matrix):
     recorded = json.loads((GOLDEN / artifact).read_text())["outcomes"]
     assert _outcomes(matrix) == recorded
+
+
+def _first_suspicions() -> dict[str, dict[str, float]]:
+    """Per ``ct`` cell of both campaigns: ``"observer>peer"`` -> the instant
+    the observer's detector first suspected that peer (an empty map for a
+    cell where nobody suspected anyone)."""
+    cells = [
+        cell for matrix in CAMPAIGNS.values() for cell in matrix(seed=0)
+        if cell.variant == "ct"
+    ]
+    instants = {}
+    for cell in cells:
+        first = instants[cell.cell_id] = {}
+        for entry in observe_cell(cell).runtime.trace.by_category("detector.suspect"):
+            first.setdefault(f"{entry.subject}>{entry.details['peer']}", entry.time)
+    return instants
+
+
+def test_detectors_first_suspect_at_the_recorded_instants():
+    recorded = json.loads((GOLDEN / SUSPICIONS).read_text())
+    assert _first_suspicions() == recorded
 
 
 #: ``execute_request`` at commit 2756296 (the parent of the run_action
@@ -79,3 +104,6 @@ if __name__ == "__main__":
         outcomes = _outcomes(matrix)
         (GOLDEN / artifact).write_text(json.dumps({"outcomes": outcomes}, indent=2) + "\n")
         print(f"{artifact}: {len(outcomes)} outcome rows")
+    suspicions = _first_suspicions()
+    (GOLDEN / SUSPICIONS).write_text(json.dumps(suspicions, indent=1) + "\n")
+    print(f"{SUSPICIONS}: {len(suspicions)} ct cells")

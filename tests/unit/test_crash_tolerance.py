@@ -5,7 +5,10 @@ import pytest
 from repro.analysis import crash_tolerant_messages as ct_expected_messages
 from repro.core.variants import run_action
 from repro.net.detector import Heartbeater
+from repro.net.failures import FailurePlan
 from repro.objects import DistributedObject, Runtime
+from repro.objects.runtime import runtime_hook
+from tests.unit.test_reliable import scheduled_labels
 
 
 class TestHeartbeater:
@@ -85,6 +88,30 @@ class TestHeartbeater:
         # leaked duplicate schedule on "a" would push this past 15.
         assert delta <= 12
         assert not hbs["a"].suspected and not hbs["b"].suspected
+
+    def test_one_tick_per_member_per_interval(self):
+        rt, objs, hbs = self._world(interval=1.0, timeout=4.0)
+        labels = scheduled_labels(rt.sim)
+        for hb in hbs.values():
+            hb.start()
+        rt.run(until=4.5)  # ticks at t = 0 .. 4, each arming the next
+        assert sorted(labels) == sorted(f"hb:{name}" for name in "abc" for _ in range(5))
+
+    def test_no_check_timer_in_a_crash_tolerant_run(self):
+        labels = []
+
+        def hook(runtime):
+            labels.append(scheduled_labels(runtime.sim))
+
+        with runtime_hook(hook):
+            run = run_action(
+                "ct", 5, 2, 1, crashes=[("O0004", 10.5)], reliable=True,
+                failure_plan=FailurePlan(drop_probability=0.1),
+            )
+        assert run.all_handled()
+        (armed,) = labels
+        assert armed.count("hb:O0000") >= 5
+        assert not [label for label in armed if label.startswith("hbcheck:")]
 
     def test_stale_check_after_stop_never_suspects(self):
         # The stop()ed detector's already-scheduled _check must not fire

@@ -49,11 +49,14 @@ def test_mutant_ids_unique_and_smoke_subset_valid() -> None:
         "src/repro/core/participant.py",
         "src/repro/core/crash_tolerant.py",
         "src/repro/net/network.py",
+        "src/repro/net/detector.py",
+        "src/repro/net/reliable.py",
         "src/repro/explore/engine.py",
         "src/repro/explore/cache.py",
+        "src/repro/explore/independence.py",
     }
-    # The CI subset covers both protocol engines, the substrate's two files
-    # and both infra families.
+    # The CI subset covers every mutated file: both protocol engines, the
+    # substrate, the detector and its transport, and the explorer.
     smoke_targets = {
         m.path for m in mod.MUTANTS if m.mutant_id in mod.SMOKE_IDS
     }

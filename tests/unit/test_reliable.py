@@ -1,12 +1,14 @@
 """Unit tests for the reliable (ARQ) transport layer."""
 
 
+from repro.net.detector import KIND_HEARTBEAT, Heartbeater
 from repro.net.failures import CrashWindow, FailurePlan, FailureInjector
 from repro.net.latency import UniformLatency
 from repro.net.reliable import (
     KIND_TRANSPORT_ACK,
     ReliableNetwork,
 )
+from repro.objects import DistributedObject, Runtime
 from repro.simkernel import RngRegistry, Simulator
 
 
@@ -19,6 +21,96 @@ def make_reliable(plan=None, seed=0, latency=None, ack_timeout=5.0, max_retries=
         ack_timeout=ack_timeout, max_retries=max_retries,
     )
     return sim, net
+
+
+def scheduled_labels(sim) -> list[str]:
+    """Record the label of every timer ``sim.schedule`` arms from now on."""
+    labels = []
+    schedule = sim.schedule
+
+    def recording(*args, **kwargs):
+        labels.append(kwargs.get("label", args[3] if len(args) > 3 else ""))
+        return schedule(*args, **kwargs)
+
+    sim.schedule = recording
+    return labels
+
+
+class DropFirst(FailureInjector):
+    """Drops the first message sent, delivers every later one."""
+
+    def __init__(self):
+        super().__init__()
+        self._armed = True
+
+    def decide(self, src, dst, time):
+        if self._armed:
+            self._armed = False
+            self.dropped += 1
+            return self.DROP
+        return self.DELIVER
+
+
+class TestHeartbeatDatagrams:
+    """A beat is a liveness probe: its loss is what the detector measures,
+    so the transport neither sequences nor repairs it."""
+
+    def test_a_beat_creates_no_frame_ack_or_retransmission_timer(self):
+        sim, net = make_reliable()
+        labels = scheduled_labels(sim)
+        beats = []
+        net.register("a", lambda m: None)
+        net.register("b", beats.append)
+        message = net.send("a", "b", KIND_HEARTBEAT)
+        assert message.payload is None and not net._pending
+        sim.run()
+        assert [m.kind for m in beats] == [KIND_HEARTBEAT]
+        assert beats[0].payload is None
+        assert dict(net.sent_by_kind) == {KIND_HEARTBEAT: 1}
+        assert net.transport_acks == 0
+        assert not [label for label in labels if label.startswith("rto:")]
+
+    def test_a_dropped_beat_is_never_retransmitted(self):
+        sim, net = make_reliable(plan=FailurePlan(drop_probability=1.0), ack_timeout=1.0)
+        labels = scheduled_labels(sim)
+        net.register("a", lambda m: None)
+        net.register("b", lambda m: None)
+        net.send("a", "b", KIND_HEARTBEAT)
+        sim.run(max_events=1_000)
+        assert net.retransmissions == 0 and net.dead_letters == 0
+        assert not net.trace.by_category("msg.retransmit")
+        assert len(net.trace.by_category("msg.drop")) == 1
+        assert labels == []
+
+    def test_a_corrupted_beat_is_dropped_and_leaves_last_seen_unchanged(self):
+        rt = Runtime(reliable=True, failure_plan=FailurePlan(corrupt_probability=1.0))
+        a, b = DistributedObject("a"), DistributedObject("b")
+        rt.register(a)
+        rt.register(b)
+        detector = Heartbeater(b, ("a", "b"), interval=1.0, timeout=4.0)
+        detector.last_seen["a"] = -1.0
+        a.send("b", KIND_HEARTBEAT)
+        rt.run()
+        assert detector.last_seen == {"a": -1.0}
+        assert rt.network.delivered_by_kind[KIND_HEARTBEAT] == 0
+        drops = rt.trace.by_category("msg.checksum_drop")
+        assert [(e.subject, e.details["kind"]) for e in drops] == [("b", KIND_HEARTBEAT)]
+
+    def test_a_frame_after_a_dropped_beat_is_not_held_back(self):
+        sim = Simulator()
+        net = ReliableNetwork(
+            sim, rng=RngRegistry(0), injector=DropFirst(), ack_timeout=5.0
+        )
+        received = []
+        net.register("a", lambda m: None)
+        net.register("b", lambda m: received.append((sim.now, m.kind)))
+        net.send("a", "b", KIND_HEARTBEAT)  # lost
+        net.send("a", "b", "K")
+        sim.run()
+        # Delivered one latency after the send, not after the lost beat's
+        # retransmission timeout.
+        assert received == [(1.0, "K")]
+        assert net.retransmissions == 0
 
 
 class TestLosslessPath:
