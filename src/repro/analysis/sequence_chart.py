@@ -17,25 +17,38 @@ Example output (Example 1)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from repro.simkernel.trace import TraceEntry, TraceRecorder
 
+
+class ChartText(NamedTuple):
+    """How the records of one trace category read in their lane."""
+
+    text: str  #: formatted over the record's details
+    suffix: str = ""  #: appended, formatted the same way, when ``if_set`` is set
+    if_set: str = ""
+
+
+#: trace category -> its annotation.  A category that is not here is not
+#: drawn, even when asked for.
+CHART_ROWS: dict[str, ChartText] = {
+    "raise": ChartText("raise {exception}"),
+    "msg.send": ChartText("{kind} →{dst}"),
+    "msg.recv": ChartText("◀ {kind} from {src}"),
+    "msg.buffered": ChartText("buffer {kind} ({action})"),
+    "pending.cleanup": ChartText("clean {dropped} stale msg(s)"),
+    "abort.start": ChartText("aborting {action}"),
+    "abort.done": ChartText("aborted {action}", ", signals {signal}", "signal"),
+    "resolution.commit": ChartText("RESOLVE → {exception}"),
+    "handler.start": ChartText("handler[{exception}] starts"),
+    "handler.done": ChartText("handler done ({outcome})"),
+    "action.enter": ChartText("enter {action}"),
+    "action.exit": ChartText("exit {action} ({outcome})"),
+}
+
 #: Categories rendered by default, in the lane of ``entry.subject``.
-DEFAULT_CATEGORIES = (
-    "raise",
-    "msg.send",
-    "msg.recv",
-    "msg.buffered",
-    "pending.cleanup",
-    "abort.start",
-    "abort.done",
-    "resolution.commit",
-    "handler.start",
-    "handler.done",
-    "action.enter",
-    "action.exit",
-)
+DEFAULT_CATEGORIES = tuple(CHART_ROWS)
 
 
 @dataclass(frozen=True)
@@ -48,35 +61,14 @@ class ChartRow:
 
 
 def _annotation(entry: TraceEntry) -> Optional[str]:
+    row = CHART_ROWS.get(entry.category)
+    if row is None:
+        return None
     details = entry.details
-    category = entry.category
-    if category == "raise":
-        return f"raise {details['exception']}"
-    if category == "msg.send":
-        return f"{details['kind']} →{details['dst']}"
-    if category == "msg.recv":
-        return f"◀ {details['kind']} from {details['src']}"
-    if category == "msg.buffered":
-        return f"buffer {details['kind']} ({details['action']})"
-    if category == "pending.cleanup":
-        return f"clean {details['dropped']} stale msg(s)"
-    if category == "abort.start":
-        return f"aborting {details['action']}"
-    if category == "abort.done":
-        signal = details.get("signal")
-        extra = f", signals {signal}" if signal else ""
-        return f"aborted {details['action']}{extra}"
-    if category == "resolution.commit":
-        return f"RESOLVE → {details['exception']}"
-    if category == "handler.start":
-        return f"handler[{details['exception']}] starts"
-    if category == "handler.done":
-        return f"handler done ({details['outcome']})"
-    if category == "action.enter":
-        return f"enter {details['action']}"
-    if category == "action.exit":
-        return f"exit {details['action']} ({details['outcome']})"
-    return None
+    text = row.text.format(**details)
+    if row.if_set and details.get(row.if_set):
+        text += row.suffix.format(**details)
+    return text
 
 
 def chart_rows(

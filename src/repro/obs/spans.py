@@ -22,9 +22,11 @@ Engines never write spans.  They write trace records, and a simulated
 run's forest (``Runtime.spans``) is :func:`from_trace` applied to them:
 :data:`SPAN_ROWS` says, per trace category, which span a record opens,
 closes or marks.  A trace below ``FULL`` holds no entries, so its forest is
-empty.  A :class:`SpanCollector` is written to directly only where there is
-no trace to read: the service's and the load generator's wall-clock request
-trees, and forests moved across the wire (``to_records`` / ``graft``).
+empty.  The live service's request forests are likewise a view of a
+record (:func:`repro.service.flight.request_spans`).  A
+:class:`SpanCollector` is written to directly only for the load
+generator's client roots and for forests moved across the wire
+(``to_records`` / ``graft``).
 """
 
 from __future__ import annotations

@@ -6,12 +6,15 @@ admission, slow-start rate adaptation and explicit overload shedding; an
 open-loop traffic generator (:mod:`repro.service.loadgen`) drives it with
 Poisson or bursty arrivals over a heavy-tailed action-size mix.
 
-Every request can carry a distributed-trace context
-(:class:`~repro.obs.spans.TraceContext`), stitching client send, admission
-queue wait, engine execution and reply into one causal span forest; an
-always-on :class:`~repro.service.flight.FlightRecorder` keeps the last K
-request traces and dumps Chrome-trace artifacts when sheds, latency-budget
-breaches, stalls or protocol errors fire.
+The server keeps one :class:`~repro.service.flight.RequestRecord` per
+request: the instants it reached and what ran.  An always-on
+:class:`~repro.service.flight.FlightRecorder` keeps the last K of them and
+dumps Chrome-trace artifacts when sheds, latency-budget breaches, stalls
+or protocol errors fire.  Every request can carry a distributed-trace
+context (:class:`~repro.obs.spans.TraceContext`); the server then ships
+the record's span forest (:func:`~repro.service.flight.request_spans`) on
+the outcome frame, stitching client send, admission queue wait, engine
+execution and serialization into one causal forest.
 
 Quick start::
 
@@ -23,7 +26,8 @@ Quick start::
 from repro.service.flight import (
     TRIGGER_REASONS,
     FlightRecorder,
-    RequestTrace,
+    RequestRecord,
+    request_spans,
 )
 from repro.service.loadgen import (
     CONTROL_TIMEOUT,
@@ -54,7 +58,7 @@ __all__ = [
     "LoadReport",
     "LoadSpec",
     "MAX_PARTICIPANTS",
-    "RequestTrace",
+    "RequestRecord",
     "ResolutionServer",
     "SERVICE_VARIANTS",
     "ServiceProtocolError",
@@ -64,6 +68,7 @@ __all__ = [
     "execute_request_traced",
     "fetch_server_stats",
     "request_shutdown",
+    "request_spans",
     "rescale_records",
     "run_load",
     "run_traced_requests",

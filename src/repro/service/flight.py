@@ -1,23 +1,23 @@
-"""Always-on flight recorder: the last K request traces, dumped on trouble.
+"""Always-on flight recorder: the last K request records, dumped on trouble.
 
 A production service cannot afford FULL tracing of every request, but the
 moment something goes wrong — a shed, a latency-budget breach, a stalled
 request, a misbehaving peer — the traces you want are precisely the ones
-you just finished (or never finished).  The :class:`FlightRecorder` keeps a
-bounded ring of the last ``capacity`` *completed* request traces plus every
-still-open one, each a small wall-clock span tree (queue-wait / execute /
-serialize / reply, plus the engine-level forest for requests that opted
-into full tracing).  When a trigger fires it writes the whole buffer as a
-Chrome trace-event JSON plus a JSONL span log through the standard
-:mod:`repro.obs.export` machinery — the same artifacts the sim-side
-campaign tooling produces, loadable in Perfetto.
+you just finished (or never finished).  The server keeps one
+:class:`RequestRecord` per request; the :class:`FlightRecorder` holds the
+last ``capacity`` *finished* records plus every still-open one.  The
+server's stage histograms, the spans shipped to a tracing client and the
+trigger dumps (Chrome trace-event JSON plus a JSONL span log, through
+:mod:`repro.obs.export`) are views of the records.  :func:`request_spans`
+is the one function that turns a record into spans, and it runs only
+when a forest is read.
 
 Triggers (all counted per reason, all rate-limited by
 ``min_dump_interval`` so a shed storm produces one dump, not thousands):
 
 * ``shed``            — the server answered ``overloaded``;
 * ``p99-breach``      — the rolling p99 latency crossed the budget;
-* ``stall``           — an open request trace outlived ``stall_after``;
+* ``stall``           — an open request outlived ``stall_after``;
 * ``protocol-error``  — a malformed frame (service session or
   :class:`~repro.rt.tcp.TcpHub` via its ``on_protocol_error`` hook).
 
@@ -28,6 +28,7 @@ clock and the server passes ``loop.time()``.
 
 from __future__ import annotations
 
+import secrets
 from collections import deque
 from pathlib import Path
 from typing import Optional
@@ -39,93 +40,84 @@ from repro.obs.spans import SpanCollector, TraceContext
 #: in a trigger call should fail loudly, not silently miscount).
 TRIGGER_REASONS = ("shed", "p99-breach", "stall", "protocol-error")
 
+#: The stages of a queued request, in order: stage ``k`` runs from instant
+#: ``k`` of its record to instant ``k + 1``.
+STAGES = ("queue-wait", "execute", "serialize", "reply")
 
-class RequestTrace:
-    """One request's wall-clock span tree plus its lifecycle bookkeeping.
 
-    Owns a private wall-clock :class:`SpanCollector` holding the request's
-    root span and stage children.  ``remote_parent`` remembers the
-    client-side parent span id (from the incoming :class:`TraceContext`)
-    so the serialized records can be re-grafted client-side into one
-    connected forest.
+class RequestRecord:
+    """What the server keeps of one request.
+
+    ``instants`` starts with the admission instant; the server appends one
+    per stage boundary (dequeued, executed, serialized), and
+    :meth:`FlightRecorder.finish` the last: replied, shed or failed.
+    ``queue_depth`` is set when the request is queued (a shed request has
+    no stages).  ``execute`` holds the execute stage's attributes;
+    ``engine`` the engine's span records of a ``trace: true`` request,
+    rescaled onto the execute window.
     """
 
     __slots__ = (
-        "trace_id", "request_id", "spans", "root", "remote_parent",
-        "started", "finished", "status", "_stage", "_key",
+        "request_id", "trace_id", "remote_parent", "instants", "queue_depth",
+        "execute", "engine", "status", "stalled",
     )
 
     def __init__(
-        self,
-        trace_id: str,
-        request_id: Optional[int],
-        now: float,
-        subject: str = "server",
-        remote_parent: Optional[int] = None,
+        self, request_id: Optional[int], trace_id: str,
+        remote_parent: Optional[int], now: float,
     ) -> None:
-        self.trace_id = trace_id
         self.request_id = request_id
+        self.trace_id = trace_id
         self.remote_parent = remote_parent
-        self.started = now
-        self.finished: Optional[float] = None
+        self.instants = [now]
+        self.queue_depth: Optional[int] = None
+        self.execute: Optional[dict] = None
+        self.engine: Optional[list[dict]] = None
         self.status: Optional[str] = None
-        self._stage: Optional[int] = None
-        self._key: Optional[int] = None  # recorder-internal open-set key
-        self.spans = SpanCollector(clock="wall")
-        label = f"request {request_id}" if request_id is not None else "request"
-        self.root = self.spans.begin(
-            label, "request", subject, now, trace_id=trace_id
-        )
+        self.stalled = False
 
-    @property
-    def open(self) -> bool:
-        return self.finished is None
 
-    def begin_stage(self, name: str, now: float, **attrs) -> int:
-        """Open a stage child span (closing any still-open previous stage)."""
-        if self._stage is not None:
-            self.spans.end(self._stage, now)
-        self._stage = self.spans.begin(
-            name, "stage", "server", now, parent=self.root, **attrs
-        )
-        return self._stage
+def request_spans(record: RequestRecord, shipped: bool = False) -> SpanCollector:
+    """The wall-clock span forest ``record`` describes.
 
-    def end_stage(self, now: float, **attrs) -> None:
-        self.spans.end(self._stage, now, **attrs)
-        self._stage = None
-
-    def graft_engine(self, records: list[dict]) -> None:
-        """Attach an engine-level span forest under the current stage."""
-        parent = self._stage if self._stage is not None else self.root
-        self.spans.graft(records, parent=parent)
-
-    def finish(self, now: float, status: str) -> None:
-        """Close the trace (idempotent): open stage + root span both end."""
-        if self.finished is not None:
-            return
-        if self._stage is not None:
-            self.spans.end(self._stage, now)
-            self._stage = None
-        self.spans.end(self.root, now, status=status)
-        self.finished = now
-        self.status = status
-
-    def to_records(self) -> list[dict]:
-        """Wire shape for the ``spans`` field of a traced outcome frame."""
-        return self.spans.to_records()
-
-    def context(self) -> TraceContext:
-        return TraceContext(trace_id=self.trace_id, parent_span=self.root)
+    A root span for the request, one child per stage it reached, and the
+    engine's records grafted under ``execute``.  The stage in progress and
+    the root of an unfinished request stay open.  ``shipped`` builds the
+    copy a tracing client receives at the serialize instant: the reply
+    stage happens after the bytes leave, so it is left out and every open
+    span ends at the record's latest instant.
+    """
+    spans = SpanCollector(clock="wall")
+    instants, status = record.instants, record.status
+    label = "request" if record.request_id is None else f"request {record.request_id}"
+    root = spans.begin(label, "request", "server", instants[0], trace_id=record.trace_id)
+    if record.queue_depth is not None:
+        # A finished record's last instant ends its last stage; an open
+        # one's begins the stage in progress.
+        starts = instants[:-1] if status is not None or shipped else instants
+        attrs = ({"queue_depth": record.queue_depth}, record.execute or {}, {}, {})
+        for k, start in enumerate(starts):
+            stage = spans.begin(STAGES[k], "stage", "server", start, parent=root, **attrs[k])
+            if k == 1 and record.engine:
+                spans.graft(record.engine, parent=stage)
+            if k + 1 < len(instants):
+                spans.end(stage, instants[k + 1])
+    if status is not None:
+        spans.end(root, instants[-1], status=status)
+    elif shipped:
+        for span in spans.open_spans():
+            span.end = instants[-1]
+    return spans
 
 
 class FlightRecorder:
-    """Bounded ring of request traces with triggered artifact dumps.
+    """Bounded ring of request records with triggered artifact dumps.
 
     Args:
-        capacity: completed traces retained (oldest evicted first).
+        capacity: finished records retained (oldest evicted first).
         dump_dir: where trigger dumps land; ``None`` records triggers and
             keeps the ring but writes no files (in-memory-only mode).
-        stall_after: wall seconds an open trace may age before
+        stall_after: wall seconds an open record may age before
             :meth:`check_stalls` fires the ``stall`` trigger.
         min_dump_interval: wall seconds between dumps; triggers inside the
             window are counted as ``suppressed`` instead of re-dumping.
@@ -147,53 +139,49 @@ class FlightRecorder:
         self.trigger_counts: dict[str, int] = {}
         self.suppressed = 0
         self.dumps: list[Path] = []
-        self._ring: deque[RequestTrace] = deque(maxlen=capacity)
-        self._open: dict[int, RequestTrace] = {}
-        self._next_key = 0
+        self._ring: deque[RequestRecord] = deque(maxlen=capacity)
+        self._open: dict[RequestRecord, None] = {}  # an ordered set
+        #: An untraced request's trace id: this prefix, then its sequence number.
+        self._prefix = secrets.token_hex(4)
+        self._seq = 0
         self._last_dump: Optional[float] = None
         self._dump_seq = 0
-        self._stalled_keys: set[int] = set()
 
-    # -- trace lifecycle ---------------------------------------------------------
+    # -- record lifecycle --------------------------------------------------------
 
     def start(
-        self,
-        now: float,
-        request_id: Optional[int] = None,
+        self, now: float, request_id: Optional[int] = None,
         context: Optional[TraceContext] = None,
-        subject: str = "server",
-    ) -> RequestTrace:
-        """Open a trace for one request.
+    ) -> RequestRecord:
+        """Open the record of one request.
 
-        With an incoming context the trace joins that distributed trace
-        (same id, remote parent recorded); without one — including the
-        malformed-context case, which parses to ``None`` — it becomes a
-        fresh root trace.
+        With an incoming context the record joins that distributed trace
+        (same id, remote parent kept).  Without one — including the
+        malformed-context case, which parses to ``None`` — its trace id is
+        the recorder's random prefix followed by the request's sequence
+        number: unique, without a random draw per request.
         """
-        context = context or TraceContext.new()
-        trace = RequestTrace(
-            context.trace_id, request_id, now, subject=subject,
-            remote_parent=context.parent_span,
-        )
-        key = self._next_key
-        self._next_key += 1
-        self._open[key] = trace
-        trace._key = key
-        return trace
+        if context is None:
+            trace_id, parent = f"{self._prefix}{self._seq:08x}", None
+        else:
+            trace_id, parent = context.trace_id, context.parent_span
+        self._seq += 1
+        record = RequestRecord(request_id, trace_id, parent, now)
+        self._open[record] = None
+        return record
 
-    def finish(self, trace: RequestTrace, now: float, status: str) -> None:
-        """Close a trace and move it from the open set into the ring."""
-        trace.finish(now, status)
-        key, trace._key = trace._key, None
-        if key is not None and key in self._open:
-            del self._open[key]
-            self._stalled_keys.discard(key)
-            self._ring.append(trace)
+    def finish(self, record: RequestRecord, now: float, status: str) -> None:
+        """Close a record (idempotent): it moves from the open set to the ring."""
+        if record.status is None:
+            record.instants.append(now)
+            record.status = status
+            del self._open[record]
+            self._ring.append(record)
 
-    def open_traces(self) -> list[RequestTrace]:
-        return list(self._open.values())
+    def open_traces(self) -> list[RequestRecord]:
+        return list(self._open)
 
-    def completed_traces(self) -> list[RequestTrace]:
+    def completed_traces(self) -> list[RequestRecord]:
         return list(self._ring)
 
     # -- triggers ----------------------------------------------------------------
@@ -222,33 +210,31 @@ class FlightRecorder:
         return self._dump(reason, now, detail)
 
     def check_stalls(self, now: float) -> int:
-        """Trigger ``stall`` for open traces older than ``stall_after``.
+        """Trigger ``stall`` for open records older than ``stall_after``.
 
-        Each trace stalls at most once (re-checking every pacer tick must
+        Each record stalls at most once (re-checking every pacer tick must
         not re-fire for the same wedged request).  Returns the number of
-        *newly* stalled traces.
+        *newly* stalled records.
         """
         fresh = 0
-        for key, trace in self._open.items():
-            if key in self._stalled_keys:
-                continue
-            if now - trace.started >= self.stall_after:
-                self._stalled_keys.add(key)
+        for record in self._open:
+            age = now - record.instants[0]
+            if not record.stalled and age >= self.stall_after:
+                record.stalled = True
                 fresh += 1
                 self.trigger(
                     "stall", now,
-                    detail=f"request {trace.request_id} open "
-                    f"{now - trace.started:.1f}s",
+                    detail=f"request {record.request_id} open {age:.1f}s",
                 )
         return fresh
 
     # -- dumping -----------------------------------------------------------------
 
     def merged_collector(self) -> SpanCollector:
-        """Every buffered trace (completed then open) as one wall forest."""
+        """Every buffered record (finished, then open) as one wall forest."""
         merged = SpanCollector(clock="wall")
-        for trace in list(self._ring) + list(self._open.values()):
-            merged.graft(trace.to_records(), parent=None)
+        for record in [*self._ring, *self._open]:
+            merged.graft(request_spans(record).to_records())
         return merged
 
     def _dump(self, reason: str, now: float, detail: str) -> Optional[Path]:

@@ -211,6 +211,45 @@ def arrival_times(rng: random.Random, spec: LoadSpec, rate: float) -> list[float
 # -- the generator ----------------------------------------------------------------
 
 
+class _ClientTraces:
+    """The client's half of traced requests: a root span and a ``send``
+    event per request, joined on reply with the span records the server
+    ships back — one connected forest per request."""
+
+    def __init__(self) -> None:
+        self.spans = SpanCollector(clock="wall")
+        self.mismatches = 0  # replies echoing a trace id not their own
+        self._open: dict[int, tuple[int, str]] = {}  # id -> (root span, trace id)
+
+    def send(self, req_id: int, now: float) -> TraceContext:
+        """Open a request's root; returns the context to stamp on it."""
+        context = TraceContext.new()
+        root = self.spans.begin(
+            f"request {req_id}", "request", "client", now, trace_id=context.trace_id
+        )
+        self.spans.event("send", "event", "client", now, parent=root)
+        self._open[req_id] = (root, context.trace_id)
+        return context.child(root)
+
+    def join(self, req_id, reply: dict, now: float, status: str) -> None:
+        """Graft the reply's span records under the root and close it."""
+        entry = self._open.pop(req_id, None)
+        if entry is None:
+            return
+        root, trace_id = entry
+        echoed = reply.get("trace_id")
+        if echoed is not None and echoed != trace_id:
+            self.mismatches += 1
+        records = reply.get("spans")
+        if isinstance(records, list):
+            self.spans.graft(records, parent=root)
+        self.spans.end(root, now, status=status)
+
+    def close_unanswered(self, now: float) -> None:
+        for req_id in list(self._open):
+            self.join(req_id, {}, now, "unanswered")
+
+
 class _Campaign:
     """Shared mutable state across one run's connection tasks."""
 
@@ -219,11 +258,7 @@ class _Campaign:
         self.report = LoadReport(spec_rate=spec.rate, duration=spec.duration)
         self.pending: dict[int, float] = {}  # id -> send wall time
         self.inflight = 0
-        self.spans: Optional[SpanCollector] = (
-            SpanCollector(clock="wall") if spec.trace else None
-        )
-        # id -> (client root span id, trace id) for open traced requests.
-        self.trace_roots: dict[int, tuple[int, str]] = {}
+        self.traces = _ClientTraces() if spec.trace else None
 
     def sent(self, req_id: int, now: float) -> Optional[TraceContext]:
         """Record a submit; returns the trace context to stamp on it."""
@@ -232,16 +267,7 @@ class _Campaign:
         self.inflight += 1
         if self.inflight > self.report.max_inflight:
             self.report.max_inflight = self.inflight
-        if self.spans is None:
-            return None
-        context = TraceContext.new()
-        root = self.spans.begin(
-            f"request {req_id}", "request", "client", now,
-            trace_id=context.trace_id,
-        )
-        self.spans.event("send", "event", "client", now, parent=root)
-        self.trace_roots[req_id] = (root, context.trace_id)
-        return context.child(root)
+        return None if self.traces is None else self.traces.send(req_id, now)
 
     def answered(self, header: dict, now: float) -> None:
         req_id = header.get("id")
@@ -255,30 +281,14 @@ class _Campaign:
             self.report.statuses[status] = self.report.statuses.get(status, 0) + 1
             if sent_at is not None:
                 self.report.latencies_ms.append((now - sent_at) * 1000.0)
-            self._join_trace(req_id, header, now, status)
         elif kind == "overloaded":
             self.report.shed += 1
-            self._join_trace(req_id, header, now, "shed")
+            status = "shed"
         else:
             self.report.errors += 1
-
-    def _join_trace(
-        self, req_id, header: dict, now: float, status: str
-    ) -> None:
-        """Graft the server's span records under the client root span."""
-        if self.spans is None:
             return
-        entry = self.trace_roots.pop(req_id, None)
-        if entry is None:
-            return
-        root, trace_id = entry
-        echoed = header.get("trace_id")
-        if echoed is not None and echoed != trace_id:
-            self.report.trace_mismatches += 1
-        records = header.get("spans")
-        if isinstance(records, list):
-            self.spans.graft(records, parent=root)
-        self.spans.end(root, now, status=status)
+        if self.traces is not None:
+            self.traces.join(req_id, header, now, status)
 
 
 async def _connection(
@@ -362,12 +372,12 @@ async def _run_campaign(
             raise result
     campaign.report.wall_seconds = loop.time() - started
     campaign.report.unanswered = len(campaign.pending)
-    if campaign.spans is not None:
+    traces = campaign.traces
+    if traces is not None:
         # Close out roots of unanswered requests so the forest is clean.
-        now = loop.time()
-        for root, _trace_id in campaign.trace_roots.values():
-            campaign.spans.end(root, now, status="unanswered")
-        campaign.report.spans = campaign.spans
+        traces.close_unanswered(loop.time())
+        campaign.report.spans = traces.spans
+        campaign.report.trace_mismatches = traces.mismatches
     if fetch_stats:
         campaign.report.server_stats = await fetch_server_stats(host, port)
     return campaign.report
@@ -414,37 +424,28 @@ async def fetch_server_stats(
 async def _traced_round_trips(
     host: str, port: int, requests: list[ActionRequest], timeout: float
 ) -> tuple[SpanCollector, list[dict]]:
-    spans = SpanCollector(clock="wall")
+    traces = _ClientTraces()
     outcomes: list[dict] = []
     loop = asyncio.get_running_loop()
     reader, writer = await _open_connection(host, port)
     try:
         for request in requests:
             now = loop.time()
-            context = TraceContext.new()
-            root = spans.begin(
-                f"request {request.id}", "request", "client", now,
-                trace_id=context.trace_id,
-            )
-            spans.event("send", "event", "client", now, parent=root)
             header = request.to_header()
-            header.update(context.child(root).to_fields())
+            header.update(traces.send(request.id, now).to_fields())
             writer.write(encode_frame(header))
             await writer.drain()
             reply, _ = await asyncio.wait_for(read_frame(reader), timeout)
             arrived = loop.time()
-            records = reply.get("spans")
-            if isinstance(records, list):
-                spans.graft(records, parent=root)
             status = reply.get("status", reply.get("type", "?"))
-            spans.end(root, arrived, status=status)
+            traces.join(request.id, reply, arrived, status)
             reply["latency_ms"] = (arrived - now) * 1000.0
             outcomes.append(reply)
     finally:
         writer.close()
         with contextlib.suppress(Exception):
             await writer.wait_closed()
-    return spans, outcomes
+    return traces.spans, outcomes
 
 
 def run_traced_requests(

@@ -31,15 +31,14 @@ Observability: a per-server :class:`~repro.obs.metrics.MetricsRegistry`
 per-stage breakdown histograms, queue/rate gauges) served live over the
 same frame protocol by ``stats`` requests, as JSON or rendered text.
 
-Tracing (PR 8): every request gets a wall-clock span tree — queue-wait /
-execute / serialize / reply under one root — held by an always-on
-:class:`~repro.service.flight.FlightRecorder` (ring of the last K
-completed traces plus all open ones) that dumps Chrome-trace/JSONL
-artifacts when a shed, p99-budget breach, stalled request or protocol
-error fires.  A client that sends ``trace_id``/``parent_span`` header
-fields joins its request to the server trace (the span records come back
-on the ``outcome`` frame); ``trace: true`` additionally runs the engine
-at FULL and nests the protocol-level span forest under the execute span.
+Tracing: every request is one :class:`~repro.service.flight.RequestRecord`
+(the instants it reached, and what ran) in an always-on
+:class:`~repro.service.flight.FlightRecorder`.  The stage histograms are
+read off a record when it finishes; its span tree only when read — by a
+dump (shed, p99-budget breach, stalled request, protocol error) or for
+the ``outcome`` frame of a client that sent ``trace_id``/``parent_span``
+header fields.  ``trace: true`` additionally runs the engine at FULL and
+nests the protocol-level span forest under the execute span.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from repro.obs.metrics import (
 from repro.obs.spans import TraceContext
 from repro.rt.kernel import AsyncioKernel
 from repro.rt.tcp import MAX_FRAME, FrameError, encode_frame, read_frame
-from repro.service.flight import FlightRecorder
+from repro.service.flight import FlightRecorder, RequestRecord, request_spans
 from repro.service.protocol import (
     ActionRequest,
     ServiceProtocolError,
@@ -67,14 +66,19 @@ from repro.service.protocol import (
     rescale_records,
 )
 
-#: Wall-clock latency buckets (milliseconds) for the service histograms:
-#: log-spaced so sub-millisecond stage timings and multi-second overload
-#: queue waits resolve on one axis (the old linear-ish edges binned every
-#: stage under 1 ms into a single bucket).
-MS_BUCKETS = MS_LATENCY_BUCKETS
-
 #: Action-size buckets (participants per action) for the mix histogram.
 N_BUCKETS = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 64.0, 128.0)
+
+#: The histograms a finished request's record feeds, each with the two
+#: instants it measures between: 0 admitted, 1 dequeued, 2 executed,
+#: 3 serialized, 4 replied.
+STAGE_HISTOGRAMS = (
+    ("service.latency_ms", 0, 3),
+    ("service.queue_wait_ms", 0, 1),
+    ("service.execute_ms", 1, 2),
+    ("service.serialize_ms", 2, 3),
+    ("service.reply_ms", 3, 4),
+)
 
 
 class TokenBucket:
@@ -188,6 +192,10 @@ class ResolutionServer:
         # ``run(until=max_seconds)`` and pacer arithmetic read naturally.
         self.kernel = AsyncioKernel(time_scale=1.0)
         self.metrics = MetricsRegistry()
+        self._stage_histograms = [
+            (self.metrics.histogram(name, MS_LATENCY_BUCKETS), first, last)
+            for name, first, last in STAGE_HISTOGRAMS
+        ]
         self.flight = FlightRecorder(
             capacity=flight_capacity, dump_dir=flight_dir,
             stall_after=stall_after,
@@ -358,10 +366,10 @@ class ResolutionServer:
         # Missing/malformed context parses to None → fresh root trace;
         # tracing never turns a request into a protocol error.
         context = TraceContext.from_header(header)
-        trace = self.flight.start(now, request_id=request.id, context=context)
+        record = self.flight.start(now, request_id=request.id, context=context)
         if self._stopping or not self.bucket.try_take(now) or self._queue.full():
             metrics.counter("service.shed").inc()
-            self.flight.finish(trace, self.kernel.loop.time(), "shed")
+            self.flight.finish(record, self.kernel.loop.time(), "shed")
             self.flight.trigger("shed", now, detail=f"request {request.id}")
             reply = {
                 "type": "overloaded",
@@ -370,28 +378,33 @@ class ResolutionServer:
                 "rate": round(self.bucket.rate, 1),
             }
             if context is not None:
-                reply["trace_id"] = trace.trace_id
+                reply["trace_id"] = record.trace_id
             self._reply(writer, reply)
             return
         metrics.counter("service.accepted").inc()
-        trace.begin_stage("queue-wait", now, queue_depth=self._queue.qsize())
-        self._queue.put_nowait((request, writer, now, trace, context))
+        record.queue_depth = self._queue.qsize()
+        self._queue.put_nowait((request, writer, record, context))
+
+    def _finish(self, record: RequestRecord, now: float, status: str) -> None:
+        """Close a queued request's record; the stage histograms read its instants."""
+        self.flight.finish(record, now, status)
+        instants = record.instants
+        reached = len(instants)
+        for histogram, first, last in self._stage_histograms:
+            if last < reached:
+                histogram.observe((instants[last] - instants[first]) * 1000.0)
 
     async def _worker(self) -> None:
         metrics = self.metrics
         loop = self.kernel.loop
-        latency = metrics.histogram("service.latency_ms", MS_BUCKETS)
-        queue_wait = metrics.histogram("service.queue_wait_ms", MS_BUCKETS)
-        execute_ms = metrics.histogram("service.execute_ms", MS_BUCKETS)
-        serialize_ms = metrics.histogram("service.serialize_ms", MS_BUCKETS)
-        reply_ms = metrics.histogram("service.reply_ms", MS_BUCKETS)
         sizes = metrics.histogram("service.action_n", N_BUCKETS)
         while True:
-            request, writer, enqueued, trace, context = await self._queue.get()
+            request, writer, record, context = await self._queue.get()
+            instants = record.instants
             dequeued = loop.time()
-            queue_wait.observe((dequeued - enqueued) * 1000.0)
-            trace.begin_stage("execute", dequeued, variant=request.variant,
-                              n=request.n, p=request.p, q=request.q)
+            instants.append(dequeued)
+            record.execute = {"variant": request.variant, "n": request.n,
+                              "p": request.p, "q": request.q}
             try:
                 if request.trace:
                     outcome, engine_records = execute_request_traced(request)
@@ -399,7 +412,7 @@ class ResolutionServer:
                     outcome, engine_records = execute_request(request), None
             except Exception as exc:  # noqa: BLE001 — engine bug: report, survive
                 metrics.counter("service.engine_errors").inc()
-                self.flight.finish(trace, loop.time(), "error")
+                self._finish(record, loop.time(), "error")
                 self._reply(
                     writer,
                     {
@@ -409,55 +422,37 @@ class ResolutionServer:
                 )
                 continue
             executed = loop.time()
+            instants.append(executed)
+            record.execute["status"] = outcome.status
             if engine_records is not None:
                 # Nest the engine's virtual-time forest inside the
                 # wall-clock execute window.
-                rescale_records(
+                record.engine = rescale_records(
                     engine_records, dequeued, executed,
                     max(outcome.sim_duration, 1e-9),
                 )
-                trace.graft_engine(engine_records)
-            trace.end_stage(executed, status=outcome.status)
-            execute_ms.observe((executed - dequeued) * 1000.0)
-
-            trace.begin_stage("serialize", executed)
             reply = outcome.to_header()
+            instants.append(loop.time())
             if context is not None:
                 # The client is tracing: echo the trace id and ship the
                 # server-side span records so it can graft them into one
-                # connected forest.  The shipped copy is closed at the
-                # serialize timestamp (the reply span happens after the
-                # bytes leave; it stays in the flight recorder).
-                serialized = loop.time()
-                trace.end_stage(serialized)
-                records = trace.to_records()
-                for record in records:
-                    if record["end"] is None:
-                        record["end"] = serialized
-                reply["trace_id"] = trace.trace_id
-                reply["spans"] = records
-            else:
-                serialized = loop.time()
-                trace.end_stage(serialized)
-            serialize_ms.observe((serialized - executed) * 1000.0)
+                # connected forest.
+                reply["trace_id"] = record.trace_id
+                reply["spans"] = request_spans(record, shipped=True).to_records()
 
             metrics.counter("service.completed").inc()
             metrics.counter(f"service.completed.{request.variant}").inc()
-            latency.observe((serialized - enqueued) * 1000.0)
             sizes.observe(request.n)
             metrics.histogram("service.sim_duration").observe(
                 outcome.sim_duration
             )
-            trace.begin_stage("reply", serialized)
             self._reply(writer, reply)
             if not writer.is_closing():
                 with contextlib.suppress(
                     ConnectionResetError, BrokenPipeError
                 ):
                     await writer.drain()
-            replied = loop.time()
-            reply_ms.observe((replied - serialized) * 1000.0)
-            self.flight.finish(trace, replied, outcome.status)
+            self._finish(record, loop.time(), outcome.status)
             # One engine run is a synchronous burst; yield so session
             # readers interleave even when the queue never empties.
             await asyncio.sleep(0)
@@ -481,7 +476,7 @@ class ResolutionServer:
         deltas since the previous tick — no per-request storage)."""
         if self.p99_budget_ms is None:
             return
-        hist = self.metrics.histogram("service.latency_ms", MS_BUCKETS)
+        hist = self.metrics.histogram("service.latency_ms", MS_LATENCY_BUCKETS)
         buckets = list(hist.bucket_counts)
         prev, self._p99_prev_buckets = self._p99_prev_buckets, buckets
         if prev is None:

@@ -123,10 +123,6 @@ class TraceRecorder:
         # property (``_counted`` = how many pending records are folded).
         self._counts: Counter[str] = Counter()
         self._counted = 0
-        # Incremental per-query cache for by_category(): category ->
-        # (matching entries, number of self.entries scanned so far).  The
-        # log is append-only, so a cached result only ever needs extending.
-        self._category_cache: dict[str, tuple[list[TraceEntry], int]] = {}
         self._full = False
         self._counting = False
         self.level = level
@@ -166,8 +162,7 @@ class TraceRecorder:
         """The entry log, materializing any lazily recorded entries.
 
         Returns the backing list itself (append-only semantics; callers may
-        truncate it directly to reclaim memory — :meth:`by_category`
-        tolerates shrinkage).
+        truncate it directly to reclaim memory).
         """
         pending = self._pending
         if pending:
@@ -192,18 +187,16 @@ class TraceRecorder:
     # -- recording -------------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop all entries, counters and query caches.
+        """Drop all entries and counters.
 
         The supported way to reset a recorder mid-run (e.g. between
         campaign phases, or after toggling ``FULL -> COUNTS`` to reclaim
-        entry memory): it keeps the incremental :meth:`by_category` cache
-        coherent with the emptied log.
+        entry memory).
         """
         self._entries.clear()
         self._pending.clear()
         self._counts.clear()
         self._counted = 0
-        self._category_cache.clear()
 
     def record(
         self, time: float, category: str, subject: str, **details: Any
@@ -227,30 +220,13 @@ class TraceRecorder:
         )
 
     def by_category(self, category: str) -> list[TraceEntry]:
-        """All entries whose category equals or starts with ``category``.
-
-        Results are cached incrementally: repeated queries on a growing
-        trace only scan entries appended since the previous call, instead
-        of rescanning the whole log (integration tests query multi-
-        thousand-entry traces repeatedly).
-        """
-        matches, scanned = self._category_cache.get(category, ([], 0))
-        entries = self.entries
-        if scanned > len(entries):
-            # The log shrank under the cache — someone truncated
-            # ``entries`` directly (e.g. reclaiming memory after dropping
-            # to COUNTS mid-run) instead of calling :meth:`clear`.  The
-            # incremental assumption is void; rescan from scratch.
-            matches, scanned = [], 0
-        if scanned < len(entries):
-            prefix = category + "."
-            matches = matches + [
-                entry
-                for entry in entries[scanned:]
-                if entry.category == category or entry.category.startswith(prefix)
-            ]
-            self._category_cache[category] = (matches, len(entries))
-        return list(matches)
+        """All entries whose category equals or starts with ``category``."""
+        prefix = category + "."
+        return [
+            entry
+            for entry in self.entries
+            if entry.category == category or entry.category.startswith(prefix)
+        ]
 
     def __iter__(self) -> Iterator[TraceEntry]:
         return iter(self.entries)

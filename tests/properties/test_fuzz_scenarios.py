@@ -8,10 +8,18 @@ an outer abortion, and belated entry into an aborted action), so it earns
 its keep.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.workloads.campaigns import FUZZ_FAULTS, CampaignCell, run_cell
 from repro.workloads.fuzz import build_random_scenario, check_invariants
+
+#: The faulted worlds tier-1 runs: a fixed draw, so a failure is repeatable
+#: from the cell id it prints.
+FAULTED_DRAW_SEED = 20_261_015
+FAULTED_WORLDS_PER_FAULT = 60
 
 
 class TestFuzzedNestedScenarios:
@@ -91,3 +99,21 @@ class TestFuzzedNestedScenarios:
                 seed, n_participants=3, raise_probability=0.0
             )
             assert plan.raisers  # the generator forces at least one
+
+
+class TestFaultedFuzzWorlds:
+    def test_no_bad_cell_under_any_fault(self):
+        """300 random worlds across the fuzz fault axis (none, drop,
+        corrupt, partition, crash) under the campaign oracles: a crash may
+        stall a world that has no failure detector, nothing may be bad."""
+        rng = random.Random(FAULTED_DRAW_SEED)
+        cells = [
+            CampaignCell(
+                "fuzz", "base", fault, n=rng.choice((4, 5)),
+                seed=rng.randrange(1 << 30),
+            )
+            for _ in range(FAULTED_WORLDS_PER_FAULT)
+            for fault in FUZZ_FAULTS
+        ]
+        bad = [outcome.repro_line() for outcome in map(run_cell, cells) if outcome.bad]
+        assert not bad, "\n".join(bad)

@@ -13,6 +13,7 @@ sessions, so it is exercised here too.
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
 import threading
 import time
@@ -62,6 +63,7 @@ class TestHubDisconnects:
             rude_writer.write(struct.pack("!I", 512) + b"J{half a fra")
             await rude_writer.drain()
             rude_writer.close()
+            await rude_writer.wait_closed()
 
             # Two polite clients still route through the same hub.
             reader_a, writer_a = await asyncio.open_connection(
@@ -93,6 +95,7 @@ class TestHubDisconnects:
                 await asyncio.sleep(0.01)
             for writer in (writer_a, writer_b):
                 writer.close()
+                await writer.wait_closed()
 
         hub = _run_hub_scenario(scenario)
         assert hub.frames_routed == 1
@@ -104,28 +107,29 @@ class TestHubDisconnects:
         and closes every writer — nothing for loop teardown to complain
         about."""
 
-        # Keep the client streams referenced: a dropped StreamWriter is
-        # GC-closed, which would turn "stop with open sessions" into
-        # "stop with already-closed sessions".
-        clients: list = []
+        # Plain blocking sockets, not streams: they belong to no event loop,
+        # so they stay open while the hub's loop stops and closes, and are
+        # closed here afterwards.
+        clients: list[socket.socket] = []
 
         async def scenario(hub: TcpHub) -> None:
             # Three sessions left open on purpose; the driver returns while
             # they are still connected, so hub.serve's finally must reap
             # their handler tasks.
             for index in range(3):
-                reader, writer = await asyncio.open_connection(
-                    hub.host, hub.port
-                )
-                clients.append((reader, writer))
-                writer.write(encode_frame({"register": [f"open-{index}"]}))
-                await writer.drain()
+                client = socket.create_connection((hub.host, hub.port))
+                clients.append(client)
+                client.sendall(encode_frame({"register": [f"open-{index}"]}))
             deadline = asyncio.get_running_loop().time() + 5.0
             while len(hub._conn_tasks) < 3:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.01)
 
-        hub = _run_hub_scenario(scenario)
+        try:
+            hub = _run_hub_scenario(scenario)
+        finally:
+            for client in clients:
+                client.close()
         assert hub._conn_tasks == set(), "handler tasks leaked past stop"
         assert hub._routes == {}
 
@@ -140,6 +144,8 @@ class TestHubDisconnects:
             while hub.protocol_errors == 0:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.01)
+            bad_writer.close()
+            await bad_writer.wait_closed()
 
             # The hub still accepts and routes for everyone else.
             reader, writer = await asyncio.open_connection(hub.host, hub.port)
@@ -149,6 +155,7 @@ class TestHubDisconnects:
             header, _ = await asyncio.wait_for(read_frame(reader), timeout=10)
             assert header["token"] == 5
             writer.close()
+            await writer.wait_closed()
 
         hub = _run_hub_scenario(scenario)
         assert hub.protocol_errors == 1
@@ -182,6 +189,7 @@ class TestServiceDisconnects:
                 ))
             await writer.drain()
             writer.close()
+            await writer.wait_closed()
 
             # Polite: the server must still answer a fresh session.
             reader, writer = await asyncio.open_connection(
@@ -196,6 +204,7 @@ class TestServiceDisconnects:
                 return header
             finally:
                 writer.close()
+                await writer.wait_closed()
 
         try:
             reply = asyncio.run(rude_then_polite())
