@@ -1,10 +1,11 @@
 """E24: mutation-testing smoke — do the oracles actually bite?
 
 A green test suite only means something if it *fails* when the protocol
-is wrong.  This bench applies hand-rolled mutants to the two protocol
+is wrong.  This bench applies hand-rolled mutants to the protocol
 engines — :mod:`repro.core.algorithm` (base Section 4.2, rows of its
-receive and progress tables included) and
-:mod:`repro.core.crash_tolerant` — to the substrate's per-delivery
+receive and progress tables included), :mod:`repro.core.crash_tolerant`
+and the Section 4.5 variants :mod:`repro.core.multicast_variant` and
+:mod:`repro.core.centralized_variant` — to the substrate's per-delivery
 shortcuts (:mod:`repro.core.participant`'s counted exit barrier,
 :mod:`repro.net.network`'s delivery and fan-out), to the failure detector
 (:mod:`repro.net.detector`'s tick) and the datagram path under it
@@ -79,6 +80,8 @@ NET = "src/repro/net/network.py"
 DETECTOR = "src/repro/net/detector.py"
 RELIABLE = "src/repro/net/reliable.py"
 CT = "src/repro/core/crash_tolerant.py"
+MC = "src/repro/core/multicast_variant.py"
+CD = "src/repro/core/centralized_variant.py"
 ENGINE = "src/repro/explore/engine.py"
 CACHE = "src/repro/explore/cache.py"
 INDEPENDENCE = "src/repro/explore/independence.py"
@@ -312,7 +315,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "ct-no-takeover", CT,
         "survivors never take over a dead resolver",
-        """            if not self.le or alive_raisers:
+        """            if not self.raisers or alive_raisers:
                 return""",
         """            if True:
                 return""",
@@ -325,7 +328,7 @@ MUTANTS: tuple[Mutant, ...] = (
         self._checkpoint("aborting")
         self.send_many(
             self.detector.alive_peers(), KIND_CT_HAVE_NESTED,
-            CtHaveNested(self.action, self.name),
+            HaveNestedMsg(self.action, self.name),
         )""",
         """        self.aborting = True
         self.nested_members.add(self.name)
@@ -406,6 +409,46 @@ MUTANTS: tuple[Mutant, ...] = (
         "            self.detector.peers, KIND_CT_REJOIN_REQ,",
         "            self.group, KIND_CT_REJOIN_REQ,",
     ),
+    # -- the Section 4.5 variants: multicast and centralised -------------------
+    Mutant(
+        "mc-exception-no-flush", MC,
+        "a peer's Exception gets no flush: the status round never completes",
+        """        self.statuses[payload.sender] = payload.exception
+        self._flush()""",
+        """        self.statuses[payload.sender] = payload.exception""",
+    ),
+    Mutant(
+        "mc-nested-completed-unrecorded", MC,
+        "a NestedCompleted is not recorded: the resolver awaits it forever",
+        "        self.nested_done[payload.sender] = payload.exception\n",
+        "",
+    ),
+    Mutant(
+        "mc-commit-before-statuses", MC,
+        "a raiser resolves before every status is in: each commits its own",
+        """        if set(self.statuses) != set(self.members):
+            return
+""",
+        "",
+    ),
+    Mutant(
+        "cd-suspended-silent", CD,
+        "a suspended member never sends CD_STATUS: the coordinator waits forever",
+        """        self.send(
+            self.coordinator,
+            KIND_CD_STATUS,
+            CdStatus(self.action, self.name, None),
+        )""",
+        "        pass  # the suspension is never answered",
+    ),
+    Mutant(
+        "cd-commit-before-statuses", CD,
+        "the coordinator commits before every status is in: the first raise wins",
+        """        if self.statuses != set(self.members):
+            return
+""",
+        "",
+    ),
     # -- exploration infrastructure (search drivers + digest cache) --------------
     Mutant(
         "cache-crc-ignored", CACHE,
@@ -482,7 +525,8 @@ SMOKE_IDS = (
     "alg-drop-exception-ack", "alg-ready-or", "alg-handler-restarted",
     "alg-commit-not-broadcast", "ct-ack-before-have-nested",
     "ct-no-acks-missing", "ct-resolver-never-handles", "ct-commit-not-adopted",
-    "ct-commit-to-alive-only", "cache-crc-ignored", "walk-seed-pinned",
+    "ct-commit-to-alive-only", "mc-exception-no-flush", "cd-suspended-silent",
+    "cache-crc-ignored", "walk-seed-pinned",
     "barrier-gate-off-by-one", "deliver-fallback-skipped",
     "tick-checks-before-beating", "heartbeat-sent-sequenced",
     "tick-touches-beat-only",
@@ -515,6 +559,10 @@ def detection_problems() -> list[str]:
         CampaignCell("paper", "ct", "crash_participant", 3, 2, 0, seed=0),
         # ...and survivors must take over a crashed (sole) resolver.
         CampaignCell("paper", "ct", "crash_resolver", 3, 1, 0, seed=0),
+        # The Section 4.5 variants at their exact closed forms: mc with a
+        # nested member, cd with a coordinator and two raisers.
+        CampaignCell("paper", "mc", "none", 4, 2, 1, seed=0),
+        CampaignCell("paper", "cd", "none", 4, 2, 0, seed=0),
     )
     for cell in cells:
         try:
@@ -539,6 +587,7 @@ def detection_problems() -> list[str]:
     except Exception as exc:
         problems.append(f"example2: {type(exc).__name__}: {exc}")
     problems.extend(_rare_row_problems())
+    problems.extend(_verdict_problems())
     # The interleaving that once broke the ct ACK/HaveNested ordering
     # (fixed in commit 01eb862; only this replay catches a reintroduction).
     try:
@@ -578,6 +627,23 @@ def _rare_row_problems() -> list[str]:
         problems += [f"stale traffic: {v}" for v in check_invariants(scenario.run(), plan)]
     except Exception as exc:
         problems.append(f"stale traffic: {type(exc).__name__}: {exc}")
+    return problems
+
+
+def _verdict_problems() -> list[str]:
+    """Two raisers of sibling leaves must be resolved to their join, the
+    root: a resolver that decides before every raise is in still agrees
+    with itself, at the exact count, on one raiser's leaf."""
+    from repro.core.variants import run_action
+
+    problems = []
+    for variant in ("mc", "cd"):
+        try:
+            run = run_action(variant, 4, 2)
+            if not run.all_handled() or run.handled_exceptions() != {"UniversalException"}:
+                problems.append(f"verdict {variant}: {run.handled()}")
+        except Exception as exc:
+            problems.append(f"verdict {variant}: {type(exc).__name__}: {exc}")
     return problems
 
 

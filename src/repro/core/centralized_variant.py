@@ -27,6 +27,9 @@ funnels through one process (a bottleneck and single point of failure:
 if the coordinator's node crashes, no action can recover at all), and
 every message crosses the network twice instead of once.  Experiment E18
 measures both sides of the trade.
+
+Exception and Commit are :mod:`repro.core.messages`' under ``CD_*`` kinds;
+each side's ``RECEIVE`` is its receive rule, a row a §4.2 clause or a delta.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.messages import CommitMsg, ExceptionMsg
 from repro.core.variants import VARIANTS, Member, Setup
 from repro.exceptions.handlers import HandlerSet
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
@@ -51,31 +55,20 @@ CD_KINDS = frozenset(
 
 
 @dataclass(frozen=True)
-class CdException:
-    action: str
-    sender: str
-    exception: ExceptionClass
-
-
-@dataclass(frozen=True)
 class CdSuspend:
+    """The coordinator stopping a participant: in §4.1 an Exception does."""
+
     action: str
     sender: str
 
 
 @dataclass(frozen=True)
 class CdStatus:
+    """A suspended participant's answer: what ACKs tell a §4.2 resolver."""
+
     action: str
     sender: str
     exception: Optional[ExceptionClass]  # raised before suspension, or None
-
-
-@dataclass(frozen=True)
-class CdCommit:
-    action: str
-    sender: str
-    exception: ExceptionClass
-    raisers: tuple[str, ...]
 
 
 class ResolutionCoordinator(DistributedObject):
@@ -91,12 +84,12 @@ class ResolutionCoordinator(DistributedObject):
         self.le: dict[str, ExceptionClass] = {}
         self.statuses: set[str] = set()
         self.suspend_sent = False
-        self.committed: Optional[CdCommit] = None
-        self.on_kind(KIND_CD_EXCEPTION, self._on_exception)
-        self.on_kind(KIND_CD_STATUS, self._on_status)
+        self.committed: Optional[CommitMsg] = None
 
     def _on_exception(self, message: Message) -> None:
-        payload: CdException = message.payload
+        """delta: (4c) at the coordinator alone, ``<A, O_j, E_j> -> LE``; the
+        first one suspends every other participant."""
+        payload: ExceptionMsg = message.payload
         if self.committed is not None:
             return  # post-commit raiser: recovery already decided
         if not self.le and self.runtime.trace._full:
@@ -115,11 +108,15 @@ class ResolutionCoordinator(DistributedObject):
         self._maybe_commit()
 
     def _on_status(self, message: Message) -> None:
+        """delta: a status in place of (6)'s ACKs; with all in, the
+        coordinator resolves and commits, (8) with no raiser election."""
         payload: CdStatus = message.payload
         self.statuses.add(payload.sender)
         if payload.exception is not None:
             self.le[payload.sender] = payload.exception
         self._maybe_commit()
+
+    RECEIVE = {KIND_CD_EXCEPTION: _on_exception, KIND_CD_STATUS: _on_status}
 
     def _maybe_commit(self) -> None:
         if self.committed is not None:
@@ -127,7 +124,7 @@ class ResolutionCoordinator(DistributedObject):
         if self.statuses != set(self.members):
             return
         resolved = self.tree.resolve(self.le.values())
-        self.committed = CdCommit(
+        self.committed = CommitMsg(
             self.action, self.name, resolved, tuple(sorted(self.le))
         )
         self.runtime.trace.record(
@@ -156,8 +153,6 @@ class CentralizedParticipant(Member):
         self.coordinator = coordinator
         self.raised: Optional[ExceptionClass] = None
         self.suspended = False
-        self.on_kind(KIND_CD_SUSPEND, self._on_suspend)
-        self.on_kind(KIND_CD_COMMIT, self._on_commit)
 
     def raise_exception(self, exception: ExceptionClass) -> None:
         if self.suspended or self.raised is not None or self.handled is not None:
@@ -167,10 +162,12 @@ class CentralizedParticipant(Member):
         self.send(
             self.coordinator,
             KIND_CD_EXCEPTION,
-            CdException(self.action, self.name, exception),
+            ExceptionMsg(self.action, self.name, exception),
         )
 
     def _on_suspend(self, message: Message) -> None:
+        """delta: the coordinator's suspension, not an Exception, makes (4b)'s
+        ``S(O_i) := S``; answer with one status."""
         if self.suspended:
             return
         self.suspended = True
@@ -185,9 +182,12 @@ class CentralizedParticipant(Member):
         )
 
     def _on_commit(self, message: Message) -> None:
-        payload: CdCommit = message.payload
+        """(9)/(10) start the handler for E; the coordinator waited for all."""
+        payload: CommitMsg = message.payload
         if self.handled is None:
             self._handle(payload.exception, cause=message.msg_id)
+
+    RECEIVE = {KIND_CD_SUSPEND: _on_suspend, KIND_CD_COMMIT: _on_commit}
 
 
 def build(setup: Setup) -> dict[str, CentralizedParticipant]:

@@ -31,6 +31,9 @@ invalidates a Θ(N²) voting round.  With the adversarial chain workload
 (``domino_chain_tree``) the chain length grows with N, giving the Θ(N³)
 total the paper ascribes to CR — while the new algorithm on the same
 workload stays at 3(N-1).
+
+Exception and ACK are :mod:`repro.core.messages`' under ``CR_*`` kinds;
+``RECEIVE`` below is the receive rule, each row a §4.2 clause or a delta.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.messages import AckMsg, ExceptionMsg
 from repro.core.variants import VARIANTS, ActionRun, Setup
 from repro.exceptions.handlers import Handler, ReducedHandlerSet
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
@@ -55,20 +59,9 @@ CR_KINDS = frozenset({KIND_CR_EXCEPTION, KIND_CR_ACK, KIND_CR_STABLE})
 
 
 @dataclass(frozen=True)
-class CRExceptionMsg:
-    action: str
-    sender: str
-    exception: ExceptionClass
-
-
-@dataclass(frozen=True)
-class CRAckMsg:
-    action: str
-    sender: str
-
-
-@dataclass(frozen=True)
 class CRStableMsg:
+    """A vote on the known raised set: CR's own agreement, not in §4.1."""
+
     action: str
     sender: str
     fingerprint: frozenset
@@ -97,14 +90,11 @@ class CRParticipant(DistributedObject):
         self.raised: set[ExceptionClass] = set()
         self._acks_awaited = 0
         #: The one ACK payload this object ever sends, shared by every reply.
-        self._ack = CRAckMsg(action, name)
+        self._ack = AckMsg(action, name, KIND_CR_EXCEPTION)
         self._voted_fingerprint: Optional[frozenset] = None
         self._votes: dict[str, frozenset] = {}
         self.handled: Optional[ExceptionClass] = None
         self.resolved: Optional[ExceptionClass] = None
-        self.on_kind(KIND_CR_EXCEPTION, self._on_exception)
-        self.on_kind(KIND_CR_ACK, self._on_ack)
-        self.on_kind(KIND_CR_STABLE, self._on_stable)
 
     # -- raising ------------------------------------------------------------------
 
@@ -120,15 +110,17 @@ class CRParticipant(DistributedObject):
         self._acks_awaited += len(self.others)
         self.send_many(
             self.others, KIND_CR_EXCEPTION,
-            CRExceptionMsg(self.action, self.name, exception),
+            ExceptionMsg(self.action, self.name, exception),
         )
         self._maybe_domino(exception)
         self._maybe_vote()
 
-    # -- message handling -------------------------------------------------------------
+    # -- RECEIVE effects --------------------------------------------------------------
 
     def _on_exception(self, message: Message) -> None:
-        payload: CRExceptionMsg = message.payload
+        """(4c) ``<A, O_j, E_j> -> LE_i; ACK => O_j``.  delta: with no handler
+        for E_j, raise its cover (the §3.3 domino); a new one re-opens the vote."""
+        payload: ExceptionMsg = message.payload
         self.send(payload.sender, KIND_CR_ACK, self._ack)
         if (payload.sender, payload.exception) in self.known:
             return
@@ -149,13 +141,17 @@ class CRParticipant(DistributedObject):
             self.raise_exception(cover)
 
     def _on_ack(self, message: Message) -> None:
+        """(6) ``<O_j> -> LP_i``, counted down in ``_acks_awaited``."""
         self._acks_awaited -= 1
         self._maybe_vote()
 
     def _on_stable(self, message: Message) -> None:
+        """delta: a vote in place of (7)-(8): each resolves once all agree."""
         payload: CRStableMsg = message.payload
         self._votes[payload.sender] = payload.fingerprint
         self._maybe_resolve()
+
+    RECEIVE = {KIND_CR_EXCEPTION: _on_exception, KIND_CR_ACK: _on_ack, KIND_CR_STABLE: _on_stable}
 
     # -- stability voting ---------------------------------------------------------------
 
@@ -200,11 +196,10 @@ class CRParticipant(DistributedObject):
         # Each participant handles its own cover of the resolved exception
         # (the resolved one itself may have no local handler).
         self.handled = self.reduced.cover_for(self.resolved)
-        if self.runtime is not None:
-            self.runtime.trace.record(
-                self.sim_now, "cr.handle", self.name,
-                resolved=self.resolved.name(), handled=self.handled.name(),
-            )
+        self.runtime.trace.record(
+            self.sim_now, "cr.handle", self.name,
+            resolved=self.resolved.name(), handled=self.handled.name(),
+        )
 
 
 # -- workload construction ----------------------------------------------------------

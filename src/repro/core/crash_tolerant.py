@@ -16,7 +16,8 @@ piece as an explicit extension:
   crashes before committing, its suspicion re-triggers election and the
   next-biggest raiser commits; if *every* raiser died after broadcasting,
   the biggest surviving member takes the resolution over (all survivors
-  hold the same LE, so the verdict is unique);
+  hold the same LE, so the verdict is unique) — only then: an abortion
+  signal in LE names no raiser, so it alone never triggers a takeover;
 * handlers still start on Commit, whose raiser list covers exceptions
   raised by members that later crashed (their recovery is the survivors'
   business — the crashed object is gone);
@@ -54,6 +55,9 @@ one death mid-abortion no longer stalls the survivors.  Coordinated view
 changes for *concurrent independent* nested resolutions remain future
 work (documented limitation).
 
+The §4.1 messages are :mod:`repro.core.messages`' under ``CT_*`` kinds;
+``RECEIVE`` below is the receive rule, each row a §4.2 clause or a delta.
+
 Fault-free message count for N members, P raisers, Q nested::
 
     P(N-1) exceptions + P(N-1) ACKs + Q(N-1) HaveNested
@@ -88,6 +92,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.messages import AckMsg, CommitMsg, ExceptionMsg, HaveNestedMsg, NestedCompletedMsg
 from repro.core.variants import Member, Setup
 from repro.exceptions.declarations import UniversalException, declare_exception
 from repro.exceptions.handlers import HandlerSet
@@ -122,43 +127,9 @@ _CHECKPOINT_RANK = {
 
 
 @dataclass(frozen=True)
-class CtException:
-    action: str
-    sender: str
-    exception: ExceptionClass
-
-
-@dataclass(frozen=True)
-class CtAck:
-    action: str
-    sender: str
-
-
-@dataclass(frozen=True)
-class CtHaveNested:
-    action: str
-    sender: str
-
-
-@dataclass(frozen=True)
-class CtNestedCompleted:
-    action: str
-    sender: str
-    signal: Optional[ExceptionClass]
-
-
-@dataclass(frozen=True)
-class CtCommit:
-    action: str
-    sender: str
-    exception: ExceptionClass
-    raisers: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class CtRejoinReq:
-    """A restarted member announcing itself, with whatever its WAL said
-    it had raised before the crash (``None`` if it had not raised)."""
+    """A restarted member announcing itself (no §4.1 member comes back),
+    with what its WAL said it had raised (``None`` if it had not raised)."""
 
     action: str
     sender: str
@@ -167,12 +138,12 @@ class CtRejoinReq:
 
 @dataclass(frozen=True)
 class CtRejoinReply:
-    """A peer's answer: the verdict if it already holds one, else
-    ``None`` ("still resolving — normal protocol messages follow")."""
+    """A peer's answer to a rejoin: the verdict if it already holds one,
+    else ``None`` ("still resolving — normal protocol messages follow")."""
 
     action: str
     sender: str
-    commit: Optional[CtCommit]
+    commit: Optional[CommitMsg]
 
 
 class CrashTolerantParticipant(Member):
@@ -200,6 +171,23 @@ class CrashTolerantParticipant(Member):
         self.nested_depth = nested_depth
         self.abort_duration = abort_duration
         self.abort_signal = abort_signal
+        #: The one ACK payload this member ever sends (all three fields are
+        #: its constants), shared by every reply.
+        self._ack = AckMsg(action, name, KIND_CT_EXCEPTION)
+        #: Durable state (WAL + atomic objects); ``None`` = volatile-only.
+        self.store = store
+        self.restarted = False
+        self._forget()
+        # Every RECEIVE effect first stamps its sender's ``last_seen`` as a
+        # heartbeat would: protocol traffic is a sign of life too.
+        self.detector = Heartbeater(
+            self, group, interval=hb_interval, timeout=hb_timeout,
+            on_suspect=self._on_suspect, membership_group=membership_group,
+        )
+
+    def _forget(self) -> None:
+        """Set the volatile state, what a crash loses, to a fresh member's:
+        ``__init__`` and :meth:`restart` both call this, so none survives."""
         #: Every resolution contribution seen: raised exceptions plus
         #: abortion-handler signals, keyed by contributor.
         self.le: dict[str, ExceptionClass] = {}
@@ -208,38 +196,21 @@ class CrashTolerantParticipant(Member):
         #: sender eligible to resolve).
         self.raisers: set[str] = set()
         self.acks_missing: set[str] = set()
-        #: The one ACK payload this member ever sends (both fields are its
-        #: constants), shared by every reply.
-        self._ack = CtAck(action, name)
         self.nested_members: set[str] = set()
         self.nested_done: set[str] = set()
         self.raised_local = False
         self.aborting = False
-        self.commit: Optional[CtCommit] = None
-        #: Durable state (WAL + atomic objects); ``None`` = volatile-only.
-        self.store = store
+        self.commit: Optional[CommitMsg] = None
+        self.handled = None
+        self.state = "N"
         #: The action's open work transaction over the durable store —
         #: the writes a crash cuts short and the WAL must undo.
         self.work_txn: "Transaction | None" = None
-        self.restarted = False
         #: After a restart: ``"rejoined"`` (handler ran with the agreed
         #: verdict) or ``"confirmed-abort"`` (resolution finished without
         #: us; our effects are undone) or ``"already-handled"``.
         self.rejoin_outcome: Optional[str] = None
         self._ckpt_rank = 0
-        # Every handler below first stamps its sender's ``last_seen`` as a
-        # heartbeat would: protocol traffic is a sign of life too.
-        self.detector = Heartbeater(
-            self, group, interval=hb_interval, timeout=hb_timeout,
-            on_suspect=self._on_suspect, membership_group=membership_group,
-        )
-        self.on_kind(KIND_CT_EXCEPTION, self._on_exception)
-        self.on_kind(KIND_CT_ACK, self._on_ack)
-        self.on_kind(KIND_CT_COMMIT, self._on_commit)
-        self.on_kind(KIND_CT_HAVE_NESTED, self._on_have_nested)
-        self.on_kind(KIND_CT_NESTED_COMPLETED, self._on_nested_completed)
-        self.on_kind(KIND_CT_REJOIN_REQ, self._on_rejoin_req)
-        self.on_kind(KIND_CT_REJOIN_REPLY, self._on_rejoin_reply)
 
     def start(self) -> None:
         self.detector.start()
@@ -296,15 +267,17 @@ class CrashTolerantParticipant(Member):
         self.acks_missing = set(self.detector.alive_peers())
         self.send_many(
             self.detector.peers, KIND_CT_EXCEPTION,
-            CtException(self.action, self.name, exception),
+            ExceptionMsg(self.action, self.name, exception),
         )
         self._advance()
 
-    # -- message handling ------------------------------------------------------
+    # -- RECEIVE effects -------------------------------------------------------
 
     def _on_exception(self, message: Message) -> None:
+        """(4c) ``<A, O_j, E_j> -> LE_i; ACK => O_j``, after (4a) on a nested
+        member.  delta: a member holding a verdict answers with its Commit."""
         self.detector.last_seen[message.src] = message.deliver_time
-        payload: CtException = message.payload
+        payload: ExceptionMsg = message.payload
         self.le[payload.sender] = payload.exception
         self.raisers.add(payload.sender)
         self._checkpoint("informed")
@@ -333,13 +306,17 @@ class CrashTolerantParticipant(Member):
         self._advance()
 
     def _on_ack(self, message: Message) -> None:
+        """(6) ``<O_j> -> LP_i``, kept as its complement ``acks_missing``.
+        delta: a suspected peer's ACK is waived (``_on_suspect``)."""
         self.detector.last_seen[message.src] = message.deliver_time
         self.acks_missing.discard(message.src)
         self._advance()
 
     def _on_commit(self, message: Message) -> None:
+        """(9)/(10) start the handler for E at once.  delta: a raiser E does
+        not cover extends and re-broadcasts the Commit; a second one merges."""
         self.detector.last_seen[message.src] = message.deliver_time
-        payload: CtCommit = message.payload
+        payload: CommitMsg = message.payload
         if self.rejoin_outcome == "confirmed-abort":
             # We restarted after the action resolved and confirmed our
             # abort: the verdict is acknowledged, but we are out of the
@@ -355,7 +332,7 @@ class CrashTolerantParticipant(Member):
                 # extend the commit with our own and re-broadcast; joins
                 # commute, so the group still converges on one verdict.
                 merged = self.tree.resolve((payload.exception, own))
-                commit = CtCommit(
+                commit = CommitMsg(
                     self.action, self.name, merged,
                     raisers=tuple(sorted({*payload.raisers, self.name})),
                 )
@@ -383,7 +360,7 @@ class CrashTolerantParticipant(Member):
         merged = self.tree.resolve((self.commit.exception, payload.exception))
         if merged is self.commit.exception:
             return
-        self.commit = CtCommit(
+        self.commit = CommitMsg(
             self.action, payload.sender, merged,
             raisers=tuple(sorted({*self.commit.raisers, *payload.raisers})),
         )
@@ -397,21 +374,27 @@ class CrashTolerantParticipant(Member):
         )
 
     def _on_have_nested(self, message: Message) -> None:
+        """(4c) ``<O_j, A> -> LO_i`` (``nested_members``).  delta: no (4a) or
+        (4b) here: the raiser's Exception, sent to every member, does both."""
         self.detector.last_seen[message.src] = message.deliver_time
-        payload: CtHaveNested = message.payload
+        payload: HaveNestedMsg = message.payload
         self.nested_members.add(payload.sender)
         self._advance()
 
     def _on_nested_completed(self, message: Message) -> None:
+        """delta: (5) without ``ACK => O_j``; a signal ``E_j`` joins LE but
+        makes O_j no raiser, and a suspected nested member is not awaited."""
         self.detector.last_seen[message.src] = message.deliver_time
-        payload: CtNestedCompleted = message.payload
+        payload: NestedCompletedMsg = message.payload
         self.nested_members.add(payload.sender)
         self.nested_done.add(payload.sender)
-        if payload.signal is not None:
-            self.le[payload.sender] = payload.signal
+        if payload.exception is not None:
+            self.le[payload.sender] = payload.exception
         self._advance()
 
     def _on_rejoin_req(self, message: Message) -> None:
+        """delta: a restarted member asks back in: reply with the verdict, or
+        re-admit it and re-send what its lost memory held."""
         self.detector.last_seen[message.src] = message.deliver_time
         payload: CtRejoinReq = message.payload
         self.runtime.trace.record(
@@ -440,19 +423,19 @@ class CrashTolerantParticipant(Member):
         if self.aborting:
             self.send(
                 payload.sender, KIND_CT_HAVE_NESTED,
-                CtHaveNested(self.action, self.name),
+                HaveNestedMsg(self.action, self.name),
             )
             if self.name in self.nested_done:
                 self.send(
                     payload.sender, KIND_CT_NESTED_COMPLETED,
-                    CtNestedCompleted(self.action, self.name, self.abort_signal),
+                    NestedCompletedMsg(self.action, self.name, self.abort_signal),
                 )
         if payload.exception is not None:
             self.send(payload.sender, KIND_CT_ACK, self._ack)
         if self.raised_local:
             self.send(
                 payload.sender, KIND_CT_EXCEPTION,
-                CtException(self.action, self.name, self.le[self.name]),
+                ExceptionMsg(self.action, self.name, self.le[self.name]),
             )
         self.send(
             payload.sender, KIND_CT_REJOIN_REPLY,
@@ -461,6 +444,7 @@ class CrashTolerantParticipant(Member):
         self._advance()
 
     def _on_rejoin_reply(self, message: Message) -> None:
+        """delta: a verdict in the reply: it resolved without us, confirm abort."""
         self.detector.last_seen[message.src] = message.deliver_time
         payload: CtRejoinReply = message.payload
         if payload.commit is None:
@@ -482,6 +466,13 @@ class CrashTolerantParticipant(Member):
             action=self.action, exception=payload.commit.exception.name(),
         )
 
+    RECEIVE = {
+        KIND_CT_EXCEPTION: _on_exception, KIND_CT_HAVE_NESTED: _on_have_nested,
+        KIND_CT_NESTED_COMPLETED: _on_nested_completed, KIND_CT_ACK: _on_ack,
+        KIND_CT_COMMIT: _on_commit, KIND_CT_REJOIN_REQ: _on_rejoin_req,
+        KIND_CT_REJOIN_REPLY: _on_rejoin_reply,
+    }
+
     def _on_suspect(self, peer: str) -> None:
         # Waive anything the dead peer owed us — its ACK and, if it died
         # mid-abortion, its NestedCompleted — then re-evaluate: this is
@@ -500,7 +491,7 @@ class CrashTolerantParticipant(Member):
         self._checkpoint("aborting")
         self.send_many(
             self.detector.alive_peers(), KIND_CT_HAVE_NESTED,
-            CtHaveNested(self.action, self.name),
+            HaveNestedMsg(self.action, self.name),
         )
         self.runtime.trace.record(
             self.sim_now, "ct.abort_start", self.name, action=self.action,
@@ -520,7 +511,7 @@ class CrashTolerantParticipant(Member):
             self.le[self.name] = self.abort_signal
         self.send_many(
             self.detector.alive_peers(), KIND_CT_NESTED_COMPLETED,
-            CtNestedCompleted(self.action, self.name, self.abort_signal),
+            NestedCompletedMsg(self.action, self.name, self.abort_signal),
         )
         self.runtime.trace.record(
             self.sim_now, "ct.abort_done", self.name, action=self.action,
@@ -559,7 +550,9 @@ class CrashTolerantParticipant(Member):
             # to resolve: the biggest surviving member takes over
             # (all survivors hold the same LE, so any of them resolves to
             # the same verdict and the conflicting-commit guard stands).
-            if not self.le or alive_raisers:
+            # An abortion signal in LE names no raiser: without a known
+            # raiser there is no one to have died.
+            if not self.raisers or alive_raisers:
                 return
             alive_members = [
                 m for m in self.group
@@ -576,7 +569,7 @@ class CrashTolerantParticipant(Member):
             if not alive_raisers or self.name != max(alive_raisers):
                 return
         resolved = self.tree.resolve(self.le.values())
-        commit = CtCommit(
+        commit = CommitMsg(
             self.action, self.name, resolved, raisers=tuple(sorted(self.le))
         )
         self.commit = commit
@@ -633,20 +626,8 @@ class CrashTolerantParticipant(Member):
         if store is not None:
             self.store = store
         # -- volatile state dies with the node -------------------------------
-        self.le = {}
-        self.raisers = set()
-        self.acks_missing = set()
-        self.nested_members = set()
-        self.nested_done = set()
-        self.raised_local = False
-        self.aborting = False
-        self.commit = None
-        self.handled = None
-        self.work_txn = None
-        self.state = "N"
+        self._forget()
         self.restarted = True
-        self.rejoin_outcome = None
-        self._ckpt_rank = 0
         self.detector.restart()
         # -- durable state replays -------------------------------------------
         state = (

@@ -19,6 +19,8 @@ message, either its own ``MC_EXCEPTION`` (if it raised) or an ``MC_FLUSH``
 one ``MC_NESTED_COMPLETED``.  Once a member holds a status from every
 group member and a NestedCompleted from every nested one, the raiser set
 is definitive; the biggest raiser resolves and multicasts ``MC_COMMIT``.
+The paper's messages are :mod:`repro.core.messages`' under ``MC_*`` kinds;
+``RECEIVE`` below is the receive rule, each row a §4.2 clause or a delta.
 
 Multicast-operation cost for N members, P raisers, Q nested::
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.messages import CommitMsg, ExceptionMsg, NestedCompletedMsg
 from repro.core.variants import Member, Setup
 from repro.exceptions.handlers import HandlerSet
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
@@ -51,31 +54,12 @@ MC_KINDS = frozenset(
 
 
 @dataclass(frozen=True)
-class McException:
-    action: str
-    sender: str
-    exception: ExceptionClass
-
-
-@dataclass(frozen=True)
 class McFlush:
+    """A non-raiser's flush status (HaveNested rides on it): not in §4.1."""
+
     action: str
     sender: str
     have_nested: bool
-
-
-@dataclass(frozen=True)
-class McNestedCompleted:
-    action: str
-    sender: str
-    exception: Optional[ExceptionClass]
-
-
-@dataclass(frozen=True)
-class McCommit:
-    action: str
-    sender: str
-    exception: ExceptionClass
 
 
 class MulticastParticipant(Member):
@@ -105,9 +89,7 @@ class MulticastParticipant(Member):
         self.nested_members: set[str] = set()
         self.nested_done: dict[str, Optional[ExceptionClass]] = {}
         self.flushed = False
-        self.commit: Optional[McCommit] = None
-        for kind in MC_KINDS:
-            self.on_kind(kind, self._on_message)
+        self.commit: Optional[CommitMsg] = None
 
     # -- sending ------------------------------------------------------------------
 
@@ -121,7 +103,7 @@ class MulticastParticipant(Member):
         self.statuses[self.name] = exception
         self._enter("X", raised=exception)
         self._mcast(
-            KIND_MC_EXCEPTION, McException(self.action, self.name, exception)
+            KIND_MC_EXCEPTION, ExceptionMsg(self.action, self.name, exception)
         )
         self._check_complete()
 
@@ -150,7 +132,6 @@ class MulticastParticipant(Member):
                 self._nested_completed,
                 label=f"mc-abort:{self.name}",
             )
-        self._check_complete()
 
     def _nested_completed(self) -> None:
         self.nested_done[self.name] = self.abort_signal
@@ -164,32 +145,49 @@ class MulticastParticipant(Member):
             )
         self._mcast(
             KIND_MC_NESTED_COMPLETED,
-            McNestedCompleted(self.action, self.name, self.abort_signal),
+            NestedCompletedMsg(self.action, self.name, self.abort_signal),
         )
         self._check_complete()
 
-    # -- receiving -----------------------------------------------------------------
+    # -- RECEIVE effects -------------------------------------------------------------
 
-    def _on_message(self, message: Message) -> None:
-        payload = message.payload
-        if message.kind == KIND_MC_EXCEPTION:
-            self.statuses[payload.sender] = payload.exception
-            self._flush()
-        elif message.kind == KIND_MC_FLUSH:
-            self.statuses.setdefault(payload.sender, None)
-            if payload.have_nested:
-                self.nested_members.add(payload.sender)
-            self._flush()
-        elif message.kind == KIND_MC_NESTED_COMPLETED:
-            self.nested_done[payload.sender] = payload.exception
-            if payload.exception is not None:
-                self.statuses[payload.sender] = payload.exception
-        elif message.kind == KIND_MC_COMMIT:
-            self.commit = payload
-            if self.handled is None:
-                self._handle(payload.exception)
-            return
+    def _on_exception(self, message: Message) -> None:
+        """(4c) ``<A, O_j, E_j> -> LE_i`` as O_j's status, then (4b) this
+        member's flush.  delta: no ``ACK => O_j`` under reliable multicast."""
+        payload: ExceptionMsg = message.payload
+        self.statuses[payload.sender] = payload.exception
+        self._flush()
         self._check_complete()
+
+    def _on_flush(self, message: Message) -> None:
+        """delta: a status in place of ACKs — O_j raised nothing, and
+        ``have_nested`` is its HaveNested (4c); then this member's flush."""
+        payload: McFlush = message.payload
+        self.statuses.setdefault(payload.sender, None)
+        if payload.have_nested:
+            self.nested_members.add(payload.sender)
+        self._flush()
+        self._check_complete()
+
+    def _on_nested_completed(self, message: Message) -> None:
+        """(5) if ``E_j /= null`` then ``<A, O_j, E_j> -> LE_i``; no ACK."""
+        payload: NestedCompletedMsg = message.payload
+        self.nested_done[payload.sender] = payload.exception
+        if payload.exception is not None:
+            self.statuses[payload.sender] = payload.exception
+        self._check_complete()
+
+    def _on_commit(self, message: Message) -> None:
+        """(9)/(10) start the handler for E; the flush round left nothing to wait for."""
+        payload: CommitMsg = message.payload
+        self.commit = payload
+        if self.handled is None:
+            self._handle(payload.exception)
+
+    RECEIVE = {
+        KIND_MC_EXCEPTION: _on_exception, KIND_MC_FLUSH: _on_flush,
+        KIND_MC_NESTED_COMPLETED: _on_nested_completed, KIND_MC_COMMIT: _on_commit,
+    }
 
     # -- resolution ------------------------------------------------------------------
 
@@ -211,13 +209,12 @@ class MulticastParticipant(Member):
         if self.name != max(raisers):
             return  # not the resolver: wait for Commit
         resolved = self.tree.resolve(raisers.values())
-        self.commit = McCommit(self.action, self.name, resolved)
-        if self.runtime is not None:
-            self.runtime.trace.record(
-                self.sim_now, "mc.commit", self.name, action=self.action,
-                exception=resolved.name(),
-            )
-            self.runtime.metrics.counter("resolution.commits").inc()
+        self.commit = CommitMsg(self.action, self.name, resolved, tuple(sorted(raisers)))
+        self.runtime.trace.record(
+            self.sim_now, "mc.commit", self.name, action=self.action,
+            exception=resolved.name(),
+        )
+        self.runtime.metrics.counter("resolution.commits").inc()
         self._mcast(KIND_MC_COMMIT, self.commit)
         self._handle(resolved)
 

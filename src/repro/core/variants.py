@@ -8,7 +8,8 @@ cost in messages.  This module hosts all of them once:
 
 * :class:`Member` — the participant shell the variant engines share:
   identity, the N/X/S/R state, the ``handled`` verdict and the one
-  ``_handle`` that activates the resolved handler;
+  ``_handle`` that activates the resolved handler (the receive rule is the
+  variant class's ``RECEIVE`` table);
 * :class:`VariantSpec` and :data:`VARIANTS` — one row of facts per variant
   (what it counts, its closed form, whether it nests or detects failures,
   the two run defaults that differ and its extra options) — the only list
@@ -41,7 +42,12 @@ from repro.simkernel.trace import TraceLevel
 
 
 class Member(DistributedObject):
-    """What a variant's participant keeps besides its protocol state."""
+    """What a variant's participant keeps besides its protocol state.
+
+    A variant's receive rule is its class's ``RECEIVE`` table, kind ->
+    effect, bound at construction; each effect's docstring opens with the
+    §4.2 clause it mirrors or with ``delta:``.
+    """
 
     #: The variant's tag: ``variant`` detail and ``<tag>.handle`` category.
     tag = ""

@@ -24,11 +24,19 @@ KindHandler = Callable[[Message], None]
 class DistributedObject:
     """A named object bound to a node, communicating by messages only."""
 
+    #: A class's receive rule as one table, kind -> effect (a function of
+    #: ``(self, message)``), bound to each object once at construction.
+    RECEIVE: dict[str, Callable] = {}
+
     def __init__(self, name: str) -> None:
         self.name = name
         self.node: "Node | None" = None
         self.runtime: "Runtime | None" = None
-        self._kind_handlers: dict[str, KindHandler] = {}
+        # Bound methods: a delivery calls the effect with no frame between.
+        self._kind_handlers: dict[str, KindHandler] = (
+            {kind: effect.__get__(self) for kind, effect in self.RECEIVE.items()}
+            if self.RECEIVE else {}  # a table-less object builds nothing
+        )
 
     # -- wiring -----------------------------------------------------------------
 

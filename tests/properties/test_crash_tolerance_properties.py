@@ -1,16 +1,19 @@
 """Property-based tests: crash-tolerant resolution and determinism.
 
 Random crash victims, crash instants and latencies must never break the
-survivors' guarantees; and any run must be bit-for-bit reproducible from
+survivors' guarantees; a slow channel alone must never change a
+fault-free run's outcome; and any run must be bit-for-bit reproducible from
 its seed (the reproduction's foundational promise).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.formulas import crash_tolerant_messages
 from repro.core.variants import run_action
-from repro.net.latency import UniformLatency
+from repro.net.latency import ConstantLatency, UniformLatency
 from repro.objects.naming import canonical_name
+from repro.objects.runtime import runtime_hook
 
 
 class TestCrashToleranceProperties:
@@ -50,6 +53,46 @@ class TestCrashToleranceProperties:
         )
         assert result.all_handled()
         assert len(result.handled_exceptions()) == 1
+
+
+@st.composite
+def slowed_fault_free_runs(draw):
+    """A fault-free ct workload with one ordered pair's latency raised."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    p = draw(st.integers(min_value=1, max_value=n))
+    q = draw(st.integers(min_value=0, max_value=n - p))
+    src, dst = draw(st.permutations(range(n)))[:2]
+    delay = draw(st.floats(min_value=0.1, max_value=5.0))
+    return n, p, q, draw(st.booleans()), src, dst, delay
+
+
+class TestSlowChannelProperties:
+    """A slow channel alone never changes ct's outcome.
+
+    At the default ``hb_interval`` 2 and ``hb_timeout`` 7 no beat over a
+    link of latency ≤ 5.0 is late enough to raise a suspicion, so every
+    run is a fault-free one: the exact count, one verdict, no takeover.
+    """
+
+    @given(slowed_fault_free_runs())
+    @example((4, 1, 1, True, 0, 3, 5.0))  # the signal-only takeover
+    @settings(max_examples=150, deadline=None)
+    def test_a_slow_pair_keeps_the_fault_free_outcome(self, case):
+        n, p, q, nested_signal, src, dst, delay = case
+
+        def slow(runtime):
+            runtime.network.set_pair_latency(
+                canonical_name(src), canonical_name(dst), ConstantLatency(delay)
+            )
+
+        with runtime_hook(slow):
+            run = run_action("ct", n, p, q, nested_signal=nested_signal)
+        trace = run.runtime.trace
+        assert not trace.by_category("detector.suspect"), case
+        assert not trace.by_category("ct.takeover"), case
+        assert run.messages() == crash_tolerant_messages(n, p, q), case
+        assert run.all_handled(), case
+        assert len(run.handled_exceptions()) == 1, case
 
 
 class TestDeterminism:

@@ -191,6 +191,27 @@ class TestCrashTolerantResolution:
         assert all(e.subject != "O0004"
                    for e in result.runtime.trace.by_category("ct.handle"))
 
+    @pytest.mark.parametrize("victim", ["O0001", "O0002"])  # resolver, nested
+    def test_a_restart_forgets_every_volatile_field(self, victim):
+        """A member that crashed after handling, with no WAL to replay,
+        restarts holding exactly a fresh member's state: no protocol field
+        survives the crash.  Only the restart flag and the rejoin
+        announcement's S differ."""
+        fresh = run_action("ct", 4, 2, 1, until=5.0).participants[victim]
+        result = run_action("ct", 4, 2, 1, crashes=[(victim, 14.0)])
+        member = result.participants[victim]
+        # The runtime, node, detector and receive table are wiring, not state.
+        skip = {"runtime", "node", "detector", "_kind_handlers", "restarted", "state"}
+
+        def state(member) -> dict:
+            return {k: v for k, v in vars(member).items() if k not in skip}
+
+        assert member.handled is not None and state(member) != state(fresh)
+        result.runtime.restart_node(f"node:{victim}")
+        member.restart()
+        assert member.restarted and member.state == "S"
+        assert state(member) == state(fresh)
+
     def test_all_raisers_crash_survivor_takes_over(self):
         """Every raiser dies after broadcasting: no raiser is left to
         resolve, so the biggest *surviving* member must take over."""

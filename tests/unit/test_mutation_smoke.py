@@ -48,6 +48,8 @@ def test_mutant_ids_unique_and_smoke_subset_valid() -> None:
         "src/repro/core/algorithm.py",
         "src/repro/core/participant.py",
         "src/repro/core/crash_tolerant.py",
+        "src/repro/core/multicast_variant.py",
+        "src/repro/core/centralized_variant.py",
         "src/repro/net/network.py",
         "src/repro/net/detector.py",
         "src/repro/net/reliable.py",
@@ -55,7 +57,7 @@ def test_mutant_ids_unique_and_smoke_subset_valid() -> None:
         "src/repro/explore/cache.py",
         "src/repro/explore/independence.py",
     }
-    # The CI subset covers every mutated file: both protocol engines, the
+    # The CI subset covers every mutated file: the protocol engines, the
     # substrate, the detector and its transport, and the explorer.
     smoke_targets = {
         m.path for m in mod.MUTANTS if m.mutant_id in mod.SMOKE_IDS
