@@ -9,8 +9,11 @@ EXPERIMENTS.md.
 
 Recording granularity is controlled by :class:`TraceLevel`:
 
-* ``FULL`` — every occurrence becomes a :class:`TraceEntry` (the default;
-  what the worked-example integration tests rely on).
+* ``FULL`` — every occurrence is kept (the default; what the worked-example
+  integration tests rely on).  It is stored as a raw record and becomes a
+  :class:`TraceEntry` only when read: ``entries`` materializes the whole
+  stream, while the queries select on the raw records: ``count`` builds no
+  entry, ``by_category`` one per match.
 * ``COUNTS`` — no entries are allocated, but exact per-category counters
   are still maintained, so every message-count claim of the paper
   (Section 4.4's ``(N-1)(2P+3Q+1)`` and friends) remains verifiable at a
@@ -33,7 +36,7 @@ from typing import Any, Iterator
 
 
 #: Flat-record field shape for the network's ``msg.send`` records.  The
-#: shape is matched *by identity* in :attr:`TraceRecorder.entries`: for
+#: shape is matched *by identity* when a record is materialized: for
 #: these records the stored fourth value is the raw payload object, and the
 #: ``action`` detail is extracted from it lazily at materialization — the
 #: send path then skips a ``getattr`` per message.
@@ -96,6 +99,23 @@ class TraceEntry:
     def __str__(self) -> str:
         detail_str = " ".join(f"{k}={v}" for k, v in sorted(self.details.items()))
         return f"[{self.time:10.3f}] {self.category:<22} {self.subject:<12} {detail_str}"
+
+
+def _materialize(records: list[tuple[Any, ...]]) -> list[TraceEntry]:
+    """Raw records (either shape, see ``TraceRecorder._pending``) as entries."""
+    entries = []
+    append = entries.append
+    for rec in records:
+        details = rec[3]
+        if details.__class__ is tuple:
+            values = rec[4:]
+            if details is SEND_SHAPE:
+                # msg.send stores the payload itself; the action detail is
+                # derived here, off the hot path.
+                values = values[:3] + (getattr(values[3], "action", None),)
+            details = dict(zip(details, values))
+        append(TraceEntry(rec[0], rec[1], rec[2], details))
+    return entries
 
 
 class TraceRecorder:
@@ -167,19 +187,7 @@ class TraceRecorder:
         pending = self._pending
         if pending:
             self.counts  # fold pending tallies before the list is cleared
-            append = self._entries.append
-            for rec in pending:
-                details = rec[3]
-                if details.__class__ is tuple:
-                    values = rec[4:]
-                    if details is SEND_SHAPE:
-                        # msg.send stores the payload itself; the action
-                        # detail is derived here, off the hot path.
-                        values = values[:3] + (
-                            getattr(values[3], "action", None),
-                        )
-                    details = dict(zip(details, values))
-                append(TraceEntry(rec[0], rec[1], rec[2], details))
+            self._entries += _materialize(pending)
             pending.clear()
             self._counted = 0
         return self._entries
@@ -220,13 +228,25 @@ class TraceRecorder:
         )
 
     def by_category(self, category: str) -> list[TraceEntry]:
-        """All entries whose category equals or starts with ``category``."""
+        """All entries whose category equals ``category`` or starts with
+        ``category + "."``, in recording order.
+
+        Selects on the raw records: an entry is built only for a match, and
+        records not yet materialized stay raw (only :attr:`entries` turns
+        the whole stream into entries).
+        """
         prefix = category + "."
-        return [
-            entry
-            for entry in self.entries
-            if entry.category == category or entry.category.startswith(prefix)
+        k = len(prefix)
+        found = [
+            entry for entry in self._entries
+            if (cat := entry.category) == category or cat[:k] == prefix
         ]
+        if self._pending:
+            found += _materialize([
+                rec for rec in self._pending
+                if (cat := rec[1]) == category or cat[:k] == prefix
+            ])
+        return found
 
     def __iter__(self) -> Iterator[TraceEntry]:
         return iter(self.entries)

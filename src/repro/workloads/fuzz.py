@@ -277,15 +277,14 @@ def check_invariants(
             status = result.status(definition.name).value
             missing = set(definition.participants) - set(last)
             if missing and status != "aborted":
-                excused = set()
-                for entry in result.runtime.trace.entries:
-                    if entry.details.get("action") != definition.name:
-                        continue
-                    if entry.category in (
-                        "abort.done", "handler.cancelled",
-                        "action.enter_refused",
-                    ):
-                        excused.add(entry.subject)
+                excused = {
+                    entry.subject
+                    for category in (
+                        "abort.done", "handler.cancelled", "action.enter_refused"
+                    )
+                    for entry in result.runtime.trace.by_category(category)
+                    if entry.details.get("action") == definition.name
+                }
                 entered = {
                     entry.subject
                     for entry in result.runtime.trace.by_category("action.enter")
