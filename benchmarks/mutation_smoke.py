@@ -8,8 +8,9 @@ and the Section 4.5 variants :mod:`repro.core.multicast_variant` and
 :mod:`repro.core.centralized_variant` — to the substrate's per-delivery
 shortcuts (:mod:`repro.core.participant`'s counted exit barrier,
 :mod:`repro.net.network`'s delivery and fan-out), to the failure detector
-(:mod:`repro.net.detector`'s tick) and the datagram path under it
-(:mod:`repro.net.reliable`), and to the exploration infrastructure itself
+(:mod:`repro.net.detector`'s tick) and the transport under it
+(:mod:`repro.net.reliable`: its datagrams, ACK and duplicate
+suppression), and to the exploration infrastructure itself
 (:mod:`repro.explore.engine` search loops, :mod:`repro.explore.cache`
 persistence and :mod:`repro.explore.independence` labels: a skipped CRC
 check, a cache key that forgets the code version, walks that all replay
@@ -268,6 +269,22 @@ MUTANTS: tuple[Mutant, ...] = (
             if message.corrupted:""",
         """        if kind in UNSEQUENCED_KINDS:
             if message.corrupted and kind == KIND_TRANSPORT_ACK:""",
+    ),
+    Mutant(
+        "ack-leaves-timer-armed", RELIABLE,
+        "the T_ACK retires the frame but not its timer: a ghost rto: wakeup "
+        "outlives every settled exchange",
+        """            if settled is not None:
+                settled.timer.cancel()
+            return""",
+        """            return""",
+    ),
+    Mutant(
+        "duplicate-frame-redelivered", RELIABLE,
+        "a duplicate frame falls through to in-order delivery: handed up twice",
+        """            self.trace.record(self.sim.now, "msg.duplicate", dst, src=src, seq=seq)
+            return""",
+        """            self.trace.record(self.sim.now, "msg.duplicate", dst, src=src, seq=seq)""",
     ),
     Mutant(
         "tick-touches-beat-only", INDEPENDENCE,
@@ -529,7 +546,7 @@ SMOKE_IDS = (
     "cache-crc-ignored", "walk-seed-pinned",
     "barrier-gate-off-by-one", "deliver-fallback-skipped",
     "tick-checks-before-beating", "heartbeat-sent-sequenced",
-    "tick-touches-beat-only",
+    "duplicate-frame-redelivered", "tick-touches-beat-only",
 )
 
 
@@ -602,6 +619,7 @@ def detection_problems() -> list[str]:
     problems.extend(_fanout_problems())
     problems.extend(_delivery_problems())
     problems.extend(_detector_problems())
+    problems.extend(_transport_problems())
     problems.extend(_explore_infra_problems())
     return problems
 
@@ -816,6 +834,50 @@ def _detector_problems() -> list[str]:
     tick, delivery = event_meta("hb:O0000"), event_meta("deliver:CT_ACK:O0001->O0000")
     if independent(tick, delivery):
         problems.append("explorer: a tick commutes with its object's protocol delivery")
+    return problems
+
+
+def _transport_problems() -> list[str]:
+    """What the ARQ transport owes one sequenced frame, probed on a bare
+    network: a settled exchange leaves no timer behind (the run ends when
+    the ACK lands), and a frame whose ACK was lost is handed up once, its
+    retransmission dropped as a duplicate and acknowledged again."""
+    from repro.net.failures import FailureInjector
+    from repro.net.latency import ConstantLatency
+    from repro.net.reliable import ReliableNetwork
+    from repro.simkernel import RngRegistry, Simulator
+
+    class DropFirstAck(FailureInjector):
+        def __init__(self) -> None:
+            super().__init__()
+            self.armed = True
+
+        def decide(self, src: str, dst: str, time: float) -> str:
+            if self.armed and src == "b":
+                self.armed = False
+                return self.DROP
+            return self.DELIVER
+
+    problems = []
+    # (injector, when the run ends, duplicates dropped): send t=0, frame
+    # t=1, ACK t=2; a lost ACK brings the retransmission at t=5, t=6, t=7.
+    for injector, end, duplicates in ((None, 2.0, 0), (DropFirstAck(), 7.0, 1)):
+        try:
+            sim = Simulator()
+            net = ReliableNetwork(
+                sim, latency=ConstantLatency(1.0), rng=RngRegistry(0),
+                injector=injector, ack_timeout=5.0,
+            )
+            received = []
+            net.register("a", lambda m: None)
+            net.register("b", lambda m: received.append(m.payload))
+            net.send("a", "b", "K", payload="x")
+            sim.run()
+            seen = (sim.now, received, net.duplicates_dropped)
+            if seen != (end, ["x"], duplicates):
+                problems.append(f"transport: (end, received, duplicates) = {seen}")
+        except Exception as exc:
+            problems.append(f"transport: {type(exc).__name__}: {exc}")
     return problems
 
 

@@ -71,7 +71,7 @@ class ReliableMulticast:
         self.operations[kind] += 1
         sent = self.network.send_many(src, targets, kind, payload)
         # A transport with its own ARQ recovers its drops itself.
-        if not getattr(self.network, "provides_reliable_delivery", False):
+        if not self.network.provides_reliable_delivery:
             for message in sent:
                 if message.dropped:
                     self._retry(src, message.dst, kind, payload, attempt=0)

@@ -50,6 +50,11 @@ class UnknownEndpointError(KeyError):
 class Network:
     """Message transport between named endpoints over FIFO channels."""
 
+    #: True on transports that repair loss themselves (ARQ); upper layers
+    #: (e.g. :class:`~repro.net.multicast.ReliableMulticast`) read it to
+    #: avoid stacking their own retransmission on top.
+    provides_reliable_delivery = False
+
     def __init__(
         self,
         sim: Simulator,

@@ -16,6 +16,14 @@ retransmission timer and a transport ACK per beat, buy nothing, and hold
 back the protocol frames queued behind a lost beat on the same pair.  A
 corrupted datagram is checksum-dropped like a corrupted frame.
 
+One object per sequenced send: the slotted :class:`_Frame` is both the
+wire payload and the sender's pending entry.  On the simulator its
+retransmission timer is one event pushed straight onto the queue, the
+frame as its argument (no closure, no handle), which the ``T_ACK`` — its
+payload the bare seq — cancels.  An in-order frame is unwrapped in place
+and goes up in the wire message itself.  ``docs/SUBSTRATES.md`` states
+what a frame costs.
+
 Accounting: ``sent_by_kind`` keeps counting *logical* sends (one per
 ``send`` call) so the paper's complexity formulas remain checkable;
 retransmissions and transport ACKs are tallied separately
@@ -25,53 +33,44 @@ fault model, not of the algorithm.
 Retry exhaustion (a permanently dead destination) does not raise out of
 the scheduler: the frame is *dead-lettered* — a ``msg.dead_letter`` trace
 event is recorded, ``dead_letters`` incremented and the optional
-``on_delivery_failure`` callback invoked — so one unreachable peer fails
-one send, not the whole simulation.
+``on_delivery_failure`` callback invoked with the frame — so one
+unreachable peer fails one send, not the whole simulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.net.detector import KIND_HEARTBEAT
 from repro.net.failures import FailureInjector
 from repro.net.message import Message
 from repro.net.network import Network
+from repro.simkernel.events import PRIORITY_NORMAL
 
 KIND_TRANSPORT_ACK = "T_ACK"
 UNSEQUENCED_KINDS = frozenset((KIND_TRANSPORT_ACK, KIND_HEARTBEAT))
 
 
-@dataclass
 class _Frame:
-    """Transport envelope: a sequenced user payload."""
+    """One sequenced send: the wire payload and its own pending entry, whose
+    ``timer`` the ACK cancels so no ghost ``rto:`` event outlives it."""
 
-    seq: int
-    kind: str
-    inner: Any
+    __slots__ = ("seq", "kind", "inner", "src", "dst", "retries", "timer")
+
+    def __init__(self, seq: int, kind: str, inner: Any, src: str, dst: str) -> None:
+        self.seq = seq
+        self.kind = kind
+        self.inner = inner
+        self.src = src
+        self.dst = dst
+        self.retries = 0
+        self.timer: Any = None
 
     @property
     def action(self):
         """Expose the wrapped payload's action for per-action tracing."""
         return getattr(self.inner, "action", None)
-
-
-@dataclass
-class _AckFrame:
-    seq: int
-
-
-@dataclass
-class _PendingSend:
-    frame: _Frame
-    src: str
-    dst: str
-    retries: int = 0
-    #: The armed retransmission timer, cancelled on ACK and on
-    #: dead-letter so settled frames leave no ghost ``rto:`` events in
-    #: the schedule space.
-    timer: Any = None
 
 
 class ReliableDeliveryError(RuntimeError):
@@ -93,8 +92,6 @@ class ReliableNetwork(Network):
     after which the frame is dead-lettered (see module docstring).
     """
 
-    #: Upper layers (e.g. :class:`~repro.net.multicast.ReliableMulticast`)
-    #: check this to avoid stacking their own retransmission on top of ARQ.
     provides_reliable_delivery = True
 
     def __init__(
@@ -102,7 +99,7 @@ class ReliableNetwork(Network):
         *args,
         ack_timeout: float = 5.0,
         max_retries: int = 60,
-        on_delivery_failure: Optional[Callable[["_PendingSend"], None]] = None,
+        on_delivery_failure: Optional[Callable[[_Frame], None]] = None,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
@@ -111,8 +108,9 @@ class ReliableNetwork(Network):
         self.on_delivery_failure = on_delivery_failure
         self._next_seq: dict[tuple[str, str], int] = {}
         self._expected: dict[tuple[str, str], int] = {}
+        #: Out-of-order arrivals by pair; a pair leaves once drained empty.
         self._reorder: dict[tuple[str, str], dict[int, Message]] = {}
-        self._pending: dict[tuple[str, str, int], _PendingSend] = {}
+        self._pending: dict[tuple[str, str, int], _Frame] = {}
         #: Tombstones for dead-lettered frames.  A retransmission already
         #: in flight when the retry budget runs out (channel FIFO can
         #: push its arrival past the final timer) must NOT resurrect the
@@ -131,72 +129,79 @@ class ReliableNetwork(Network):
         pair = (src, dst)
         seq = self._next_seq.get(pair, 0)
         self._next_seq[pair] = seq + 1
-        frame = _Frame(seq, kind, payload)
-        pending = _PendingSend(frame, src, dst)
-        self._pending[(src, dst, seq)] = pending
+        frame = _Frame(seq, kind, payload, src, dst)
+        self._pending[(src, dst, seq)] = frame
         message = super().send(src, dst, kind, frame)
-        self._arm_timer(pending)
+        # Simulator.schedule's timer (time, priority, label, seq), sans handle.
+        queue = self._sim_queue
+        if queue is not None:
+            frame.timer = queue.push(
+                self._sim_clock._now + self.ack_timeout, self._maybe_retransmit,
+                PRIORITY_NORMAL, f"rto:{src}->{dst}:{seq}", frame,
+            )
+        else:
+            self._arm_foreign_timer(frame)
         return message
 
-    def _arm_timer(self, pending: _PendingSend) -> None:
-        pending.timer = self.sim.schedule(
-            self.ack_timeout,
-            lambda: self._maybe_retransmit(pending),
-            label=f"rto:{pending.src}->{pending.dst}:{pending.frame.seq}",
+    def _arm_foreign_timer(self, frame: _Frame) -> None:
+        frame.timer = self.sim.schedule(
+            self.ack_timeout, partial(self._maybe_retransmit, frame),
+            label=f"rto:{frame.src}->{frame.dst}:{frame.seq}",
         )
 
-    def _maybe_retransmit(self, pending: _PendingSend) -> None:
-        key = (pending.src, pending.dst, pending.frame.seq)
+    def _maybe_retransmit(self, frame: _Frame) -> None:
+        src, dst, seq = frame.src, frame.dst, frame.seq
+        key = (src, dst, seq)
         if key not in self._pending:
             return  # acknowledged in the meantime
-        if pending.retries >= self.max_retries:
+        clock = self._sim_clock
+        now = clock._now if clock is not None else self.sim.now
+        if frame.retries >= self.max_retries:
             # Retry budget exhausted: dead-letter the frame instead of
             # raising out of the scheduler (which would abort the whole
             # simulation for one unreachable destination).
             del self._pending[key]
             self._dead.add(key)
             self.dead_letters += 1
-            self.trace.record(
-                self.sim.now, "msg.dead_letter", pending.src,
-                dst=pending.dst, kind=pending.frame.kind,
-                seq=pending.frame.seq, retries=pending.retries,
-            )
+            self.trace.record(now, "msg.dead_letter", src, dst=dst, kind=frame.kind,
+                              seq=seq, retries=frame.retries)
             if self.on_delivery_failure is not None:
-                self.on_delivery_failure(pending)
-            # Resynchronize the receive window past the dead frame:
-            # without this every later frame on the channel would buffer
-            # in ``_reorder`` forever, head-of-line blocked on a seq that
-            # will never arrive.  (Loss of the frame was just reported
-            # via on_delivery_failure; skipping it preserves FIFO for
-            # the survivors.)
-            pair = (pending.src, pending.dst)
-            seq = pending.frame.seq
+                self.on_delivery_failure(frame)
+            # Resynchronize the receive window past the dead frame, or every
+            # later frame on the pair buffers forever behind a seq that will
+            # never arrive (its loss was just reported; FIFO holds for the rest).
+            pair = (src, dst)
             if self._expected.get(pair, 0) == seq:
                 self._expected[pair] = seq + 1
-                buffered = self._reorder.get(pair, {})
-                successor = buffered.pop(seq + 1, None)
-                if successor is not None:
-                    self._deliver_in_order(pair, successor)
+                if pair in self._reorder:
+                    self._deliver_buffered(pair)
             return
-        pending.retries += 1
+        frame.retries += 1
         self.retransmissions += 1
         # Re-wire directly (bypassing send() so the logical count stays put).
-        message = Message(
-            src=pending.src, dst=pending.dst, kind=pending.frame.kind,
-            payload=pending.frame,
-        )
-        now = self.sim.now
-        fate = self.injector.decide(pending.src, pending.dst, now)
-        deliver_at = self._channel(pending.src, pending.dst).stamp(message, now)
-        self.trace.record(
-            now, "msg.retransmit", pending.src, dst=pending.dst,
-            kind=pending.frame.kind, seq=pending.frame.seq,
-        )
+        message = Message(src, dst, frame.kind, frame)
+        fate = self.injector.decide(src, dst, now)
+        delay = self._uniform_delay
+        if delay is not None:
+            # As in Network.send: no channel, its FIFO clamp cannot fire.
+            deliver_at = now + delay
+            message.send_time = now
+            message.deliver_time = deliver_at
+        else:
+            deliver_at = self._channel(src, dst).stamp(message, now)
+        self.trace.record(now, "msg.retransmit", src, dst=dst, kind=frame.kind, seq=seq)
         if fate != FailureInjector.DROP:
             if fate == FailureInjector.CORRUPT:
                 message.corrupted = True
             self._schedule_delivery(message, deliver_at)
-        self._arm_timer(pending)
+        queue = self._sim_queue
+        if queue is not None:
+            frame.timer = queue.push(
+                now + self.ack_timeout, self._maybe_retransmit,
+                PRIORITY_NORMAL, f"rto:{src}->{dst}:{seq}", frame,
+            )
+        else:
+            self._arm_foreign_timer(frame)
 
     # -- receiving -----------------------------------------------------------------
 
@@ -208,77 +213,69 @@ class ReliableNetwork(Network):
                 # A corrupted ACK must NOT cancel retransmission (the timer
                 # re-sends the frame and the receiver re-acknowledges), and
                 # a corrupted beat must not count as a sign of life.
-                self.trace.record(
-                    self.sim.now, "msg.checksum_drop", message.dst,
-                    src=message.src, kind=kind,
-                )
+                self.trace.record(self.sim.now, "msg.checksum_drop", message.dst,
+                                  src=message.src, kind=kind)
                 return
             if kind != KIND_TRANSPORT_ACK:
                 super()._deliver(message)
                 return
-            ack: _AckFrame = message.payload
-            settled = self._pending.pop((message.dst, message.src, ack.seq), None)
-            if settled is not None and settled.timer is not None:
+            settled = self._pending.pop((message.dst, message.src, message.payload), None)
+            if settled is not None:
                 settled.timer.cancel()
             return
-        if not isinstance(message.payload, _Frame):
+        frame = message.payload
+        if frame.__class__ is not _Frame:
             super()._deliver(message)
             return
-        frame: _Frame = message.payload
-        pair = (message.src, message.dst)
-        if (message.src, message.dst, frame.seq) in self._dead:
+        src, dst, seq = message.src, message.dst, frame.seq
+        if (src, dst, seq) in self._dead:
             # The frame was dead-lettered while this retransmission was in
             # flight (channel FIFO clamping can delay a redelivery past the
             # final retry timer).  The sender's on_delivery_failure already
             # reported it lost; delivering now would resurrect a message
             # the upper layer has written off — drop it, unacked.
-            self.trace.record(
-                self.sim.now, "msg.dead_letter_drop", message.dst,
-                src=message.src, kind=frame.kind, seq=frame.seq,
-            )
+            self.trace.record(self.sim.now, "msg.dead_letter_drop", dst,
+                              src=src, kind=frame.kind, seq=seq)
             return
         if message.corrupted:
             # Checksum failure: a corrupted frame is discarded unacked and
             # recovered by retransmission — transient channel errors never
             # reach the algorithm (the paper's non-fail-stop hardware
             # faults, Section 2, made harmless by the transport).
-            self.trace.record(
-                self.sim.now, "msg.checksum_drop", message.dst,
-                src=message.src, seq=frame.seq,
-            )
+            self.trace.record(self.sim.now, "msg.checksum_drop", dst, src=src, seq=seq)
             return
         # Always (re-)acknowledge; ACK loss is covered by retransmission.
         self.transport_acks += 1
-        super().send(
-            message.dst, message.src, KIND_TRANSPORT_ACK, _AckFrame(frame.seq)
-        )
+        super().send(dst, src, KIND_TRANSPORT_ACK, seq)
+        pair = (src, dst)
         expected = self._expected.get(pair, 0)
-        if frame.seq < expected:
+        if seq < expected:
             self.duplicates_dropped += 1
-            self.trace.record(
-                self.sim.now, "msg.duplicate", message.dst,
-                src=message.src, seq=frame.seq,
-            )
+            self.trace.record(self.sim.now, "msg.duplicate", dst, src=src, seq=seq)
             return
-        if frame.seq > expected:
-            self._reorder.setdefault(pair, {})[frame.seq] = message
+        if seq > expected:
+            self._reorder.setdefault(pair, {})[seq] = message
             return
-        self._deliver_in_order(pair, message)
+        # In order: unwrap in place (a transmission is delivered at most once).
+        self._expected[pair] = seq + 1
+        clock = self._sim_clock
+        message.payload = frame.inner
+        message.deliver_time = clock._now if clock is not None else self.sim.now
+        super()._deliver(message)
+        if pair in self._reorder:
+            self._deliver_buffered(pair)
 
-    def _deliver_in_order(self, pair: tuple[str, str], message: Message) -> None:
-        frame: _Frame = message.payload
+    def _deliver_buffered(self, pair: tuple[str, str]) -> None:
+        """Hand up the buffered frames that now continue ``pair``'s window."""
+        buffered = self._reorder[pair]
         while True:
-            unwrapped = Message(
-                src=message.src, dst=message.dst, kind=frame.kind,
-                payload=frame.inner, msg_id=message.msg_id,
-                send_time=message.send_time, deliver_time=self.sim.now,
-                corrupted=message.corrupted,
-            )
-            self._expected[pair] = frame.seq + 1
-            super()._deliver(unwrapped)
-            buffered = self._reorder.get(pair, {})
-            next_message = buffered.pop(self._expected[pair], None)
-            if next_message is None:
-                return
-            message = next_message
-            frame = message.payload
+            expected = self._expected[pair]
+            message = buffered.pop(expected, None)
+            if message is None:
+                break
+            self._expected[pair] = expected + 1
+            message.payload = message.payload.inner
+            message.deliver_time = self.sim.now
+            super()._deliver(message)
+        if not buffered:
+            del self._reorder[pair]

@@ -55,6 +55,8 @@ CONFIGS = {
     "late-crash": ({"crashes": [("O0002", 12.5)], "until": 120.0}, None),
     "reliable": ({"failure_plan": lambda: FailurePlan(drop_probability=0.2),
                   "reliable": True, "until": 120.0}, None),
+    "reliable-corrupt": ({"failure_plan": lambda: FailurePlan(corrupt_probability=0.15),
+                          "reliable": True, "until": 120.0}, None),
     "pair-latency": ({}, _slow_pair),
 }
 
@@ -206,11 +208,20 @@ def test_asyncio_kernel_reaches_the_same_verdict(variant, looped):
 #: frame, transport ACK or retransmission per beat), which re-pinned
 #: ``("ct", "reliable")`` (was d0555b4faf5ce4f6 / 8ab99ef18fd53bf7), and the
 #: detector's beat and check timers became one ``hb:`` tick, which re-pinned
-#: the ``ct`` walk's labels (was d2cc60295185711b / 1682eb041f79225b).
+#: the ``ct`` walk's labels (was d2cc60295185711b / 1682eb041f79225b).  The
+#: other ``reliable`` and ``reliable-corrupt`` rows were pinned at 77feb82,
+#: before the ARQ transport's per-frame path was rewritten, so that rewrite
+#: (one slotted frame per send, its timer straight on the queue) is held to
+#: the exact records, ids and times of the transport it replaced.
 GOLDEN = {
     ("ct", "stock"): ("b64dca26ee0b6b99", "96ced39c3498546b"),
     ("ct", "crash"): ("f6e50dfa55dd12dc", "cea0177972fd2094"),
     ("ct", "reliable"): ("f4b0a5825ea052a2", "9ae59c31037ec254"),
+    ("ct", "reliable-corrupt"): ("47145101d6c46b44", "8390c5cd9584c2b0"),
+    ("base", "reliable"): ("7e2f6be712fda094", "e77038d3c477486f"),
+    ("base", "reliable-corrupt"): ("a5aee8f4499753a9", "b55d00b01d1b55e8"),
+    ("mc", "reliable"): ("75dd0e7889f9fd10", "2be2d3ce2aed67a1"),
+    ("cd", "reliable"): ("d1ae9949e9f705dd", "b21958324bd66e79"),
     ("mc", "drop"): ("970718c78792f9e4", "b68f7c7c951444cb"),
     ("cd", "stock"): ("ad795564800c247c", "7ffb4ab38dae68fd"),
     ("cr", "stock"): ("8d2e64ef515f992e", "8d2e64ef515f992e"),

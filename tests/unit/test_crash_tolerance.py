@@ -8,7 +8,7 @@ from repro.net.detector import Heartbeater
 from repro.net.failures import FailurePlan
 from repro.objects import DistributedObject, Runtime
 from repro.objects.runtime import runtime_hook
-from tests.unit.test_reliable import scheduled_labels
+from tests.unit.test_reliable import queued_labels
 
 
 class TestHeartbeater:
@@ -91,7 +91,7 @@ class TestHeartbeater:
 
     def test_one_tick_per_member_per_interval(self):
         rt, objs, hbs = self._world(interval=1.0, timeout=4.0)
-        labels = scheduled_labels(rt.sim)
+        labels = queued_labels(rt.sim)
         for hb in hbs.values():
             hb.start()
         rt.run(until=4.5)  # ticks at t = 0 .. 4, each arming the next
@@ -101,7 +101,7 @@ class TestHeartbeater:
         labels = []
 
         def hook(runtime):
-            labels.append(scheduled_labels(runtime.sim))
+            labels.append(queued_labels(runtime.sim))
 
         with runtime_hook(hook):
             run = run_action(

@@ -10,6 +10,7 @@ from repro.net.reliable import (
 )
 from repro.objects import DistributedObject, Runtime
 from repro.simkernel import RngRegistry, Simulator
+from repro.simkernel.events import PRIORITY_NORMAL
 
 
 def make_reliable(plan=None, seed=0, latency=None, ack_timeout=5.0, max_retries=60):
@@ -23,16 +24,22 @@ def make_reliable(plan=None, seed=0, latency=None, ack_timeout=5.0, max_retries=
     return sim, net
 
 
-def scheduled_labels(sim) -> list[str]:
-    """Record the label of every timer ``sim.schedule`` arms from now on."""
+def queued_labels(sim) -> list[str]:
+    """Record the label of every event pushed on ``sim``'s queue from now on.
+
+    The transport arms its retransmission timers on the queue itself, not
+    through ``sim.schedule``, so this is where an ``rto:`` timer shows.
+    Raw deliveries (``push_raw``) carry no label and are not recorded.
+    """
     labels = []
-    schedule = sim.schedule
+    queue = sim._queue
+    push = queue.push
 
-    def recording(*args, **kwargs):
-        labels.append(kwargs.get("label", args[3] if len(args) > 3 else ""))
-        return schedule(*args, **kwargs)
+    def recording(time, action, priority=PRIORITY_NORMAL, label="", arg=None):
+        labels.append(label)
+        return push(time, action, priority, label, arg)
 
-    sim.schedule = recording
+    queue.push = recording
     return labels
 
 
@@ -57,7 +64,7 @@ class TestHeartbeatDatagrams:
 
     def test_a_beat_creates_no_frame_ack_or_retransmission_timer(self):
         sim, net = make_reliable()
-        labels = scheduled_labels(sim)
+        labels = queued_labels(sim)
         beats = []
         net.register("a", lambda m: None)
         net.register("b", beats.append)
@@ -72,7 +79,7 @@ class TestHeartbeatDatagrams:
 
     def test_a_dropped_beat_is_never_retransmitted(self):
         sim, net = make_reliable(plan=FailurePlan(drop_probability=1.0), ack_timeout=1.0)
-        labels = scheduled_labels(sim)
+        labels = queued_labels(sim)
         net.register("a", lambda m: None)
         net.register("b", lambda m: None)
         net.send("a", "b", KIND_HEARTBEAT)
@@ -203,7 +210,7 @@ class TestLossRecovery:
         assert len(dead) == 1
         assert dead[0].details["dst"] == "b"
         assert dead[0].details["kind"] == "K"
-        assert [p.frame.kind for p in failed] == ["K"]
+        assert [frame.kind for frame in failed] == ["K"]
         assert not net._pending  # the exhausted send is fully retired
 
     def test_corrupted_ack_is_discarded_not_processed(self):
