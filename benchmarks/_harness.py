@@ -8,10 +8,13 @@ here in the same layout.
 
 from __future__ import annotations
 
+import os
+import platform
 from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.report import format_table
+from repro.workloads.parallel import usable_cpus
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -29,3 +32,14 @@ def record_table(
     (RESULTS_DIR / f"{exp_id}.txt").write_text(text + "\n")
     print("\n" + text)
     return text
+
+
+def machine() -> dict[str, object]:
+    """The machine a report was recorded on: the ``machine`` block of
+    ``BENCH_explore.json`` and ``BENCH_mutation.json``."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "usable_cpus": usable_cpus(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+    }

@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import sys
 import tempfile
 import time
@@ -50,7 +48,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 if str(Path(__file__).resolve().parent) not in sys.path:
     sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _harness import record_table  # noqa: E402
+from _harness import machine, record_table  # noqa: E402
 
 from repro.core.variants import VARIANTS  # noqa: E402
 from repro.explore import DigestCache, explore_cell  # noqa: E402
@@ -231,12 +229,7 @@ def main(argv=None) -> int:
         "schema": 2,
         "experiment": "E29",
         "generated_unix": round(time.time(), 3),
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "usable_cpus": usable_cpus(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
+        "machine": machine(),
         "config": {
             "smoke": args.smoke, "campaign": args.campaign,
             "budget_s": args.budget_s if args.campaign else None,

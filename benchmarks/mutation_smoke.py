@@ -302,76 +302,82 @@ MUTANTS: tuple[Mutant, ...] = (
         "ct-ack-before-have-nested", CT,
         "the explorer-found ordering bug: ACK overtakes HaveNested",
         """        self._maybe_start_abort()
-        self.send(payload.sender, KIND_CT_ACK, self._ack)""",
-        """        self.send(payload.sender, KIND_CT_ACK, self._ack)
+        self.send(payload.sender, KIND_CT_ACK, ctx.ack_exception)""",
+        """        self.send(payload.sender, KIND_CT_ACK, ctx.ack_exception)
         self._maybe_start_abort()""",
     ),
     Mutant(
         "ct-no-acks-missing", CT,
         "raiser awaits no ACKs: commits before the group is informed",
-        """        self.acks_missing = set(self.detector.alive_peers())
-        self.send_many(""",
-        """        self.acks_missing = set()
-        self.send_many(""",
+        "        ctx.ack_awaited[KIND_CT_EXCEPTION] = set(self.detector.alive_peers())",
+        "        ctx.ack_awaited[KIND_CT_EXCEPTION] = set()",
     ),
     Mutant(
         "ct-ack-noop", CT,
         "ACKs received but never recorded",
-        """        self.acks_missing.discard(message.src)
-        self._advance()""",
-        """        self._advance()""",
+        "        ctx.ack_awaited[KIND_CT_EXCEPTION].discard(message.src)\n",
+        "",
     ),
     Mutant(
         "ct-commit-without-acks", CT,
         "resolver skips the ACK barrier entirely",
-        """            if self.acks_missing - self.detector.suspected:
-                return  # still waiting on live peers""",
-        """            if False:
-                return  # still waiting on live peers""",
+        """            ctx.ack_awaited[KIND_CT_EXCEPTION] - suspected
+            or ctx.lo - ctx.nested_completed - suspected""",
+        """            ctx.lo - ctx.nested_completed - suspected""",
     ),
     Mutant(
         "ct-no-takeover", CT,
         "survivors never take over a dead resolver",
-        """            if not self.raisers or alive_raisers:
-                return""",
-        """            if True:
-                return""",
+        """        if self.raisers - suspected or ctx.lo - ctx.nested_completed - suspected:
+            return""",
+        """        if True:
+            return""",
     ),
     Mutant(
         "ct-have-nested-silent", CT,
         "nested member aborts without announcing HaveNested",
-        """        self.aborting = True
-        self.nested_members.add(self.name)
+        """        ctx.sent_have_nested = True
+        ctx.lo.add(self.name)
         self._checkpoint("aborting")
         self.send_many(
             self.detector.alive_peers(), KIND_CT_HAVE_NESTED,
             HaveNestedMsg(self.action, self.name),
         )""",
-        """        self.aborting = True
-        self.nested_members.add(self.name)
+        """        ctx.sent_have_nested = True
+        ctx.lo.add(self.name)
         self._checkpoint("aborting")""",
     ),
     Mutant(
         "ct-suspect-no-advance", CT,
         "suspicion recorded but progress never re-evaluated",
-        """        self.acks_missing.discard(peer)
-        self._advance()""",
-        """        self.acks_missing.discard(peer)""",
+        """        ctx.ack_awaited[KIND_CT_EXCEPTION].discard(peer)
+        self.PROGRESS[ctx.state](self)""",
+        """        ctx.ack_awaited[KIND_CT_EXCEPTION].discard(peer)""",
     ),
     Mutant(
         "ct-resolver-never-handles", CT,
         "resolver commits but never starts its own handler",
-        """        self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)
-        self._start_handler(resolved)""",
-        """        self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)""",
+        """        if self.name == max(self.raisers - suspected):
+            commit_step(self, ctx, self._send_commit, self._start_handler)""",
+        """        if self.name == max(self.raisers - suspected):
+            commit_step(self, ctx, self._send_commit, None)""",
     ),
     Mutant(
         "ct-commit-not-adopted", CT,
         "suspended members drop the verdict instead of adopting it",
-        """            self.commit = payload
+        """            ctx.commit = payload
             self._start_handler(payload.exception)
             return""",
         """            return""",
+    ),
+    Mutant(
+        "ct-progress-rows-swapped", CT,
+        "PROGRESS rows X and S swapped: a raiser waits to take over, a "
+        "suspended member to be the biggest raiser, and nobody commits",
+        """        PState.NORMAL: _take_over, PState.EXCEPTIONAL: _ready,
+        PState.SUSPENDED: _take_over,""",
+        """        PState.NORMAL: _take_over, PState.EXCEPTIONAL: _take_over,
+        PState.SUSPENDED: _ready,""",
     ),
     # -- ct fan-out peer sets: whole group vs unsuspected peers vs self ----------
     Mutant(
@@ -401,18 +407,18 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "ct-commit-to-alive-only", CT,
         "Commit skips suspected peers: a falsely suspected one never converges",
-        """        self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)
-        self._start_handler(resolved)""",
-        """        self.send_many(self.detector.alive_peers(), KIND_CT_COMMIT, commit)
-        self._start_handler(resolved)""",
+        """        # genuinely dead one simply never receives it (crash = silence).
+        self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)""",
+        """        # genuinely dead one simply never receives it (crash = silence).
+        self.send_many(self.detector.alive_peers(), KIND_CT_COMMIT, commit)""",
     ),
     Mutant(
         "ct-commit-to-self-too", CT,
         "Commit broadcast includes the resolver itself",
-        """        self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)
-        self._start_handler(resolved)""",
-        """        self.send_many(self.group, KIND_CT_COMMIT, commit)
-        self._start_handler(resolved)""",
+        """        # genuinely dead one simply never receives it (crash = silence).
+        self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)""",
+        """        # genuinely dead one simply never receives it (crash = silence).
+        self.send_many(self.group, KIND_CT_COMMIT, commit)""",
     ),
     Mutant(
         "ct-commit-extend-to-alive-only", CT,
@@ -430,23 +436,22 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "mc-exception-no-flush", MC,
         "a peer's Exception gets no flush: the status round never completes",
-        """        self.statuses[payload.sender] = payload.exception
+        """        self.ctx.le[payload.sender] = payload.exception
         self._flush()""",
-        """        self.statuses[payload.sender] = payload.exception""",
+        """        self.ctx.le[payload.sender] = payload.exception""",
     ),
     Mutant(
         "mc-nested-completed-unrecorded", MC,
         "a NestedCompleted is not recorded: the resolver awaits it forever",
-        "        self.nested_done[payload.sender] = payload.exception\n",
+        "        ctx.nested_completed.add(payload.sender)\n",
         "",
     ),
     Mutant(
         "mc-commit-before-statuses", MC,
         "a raiser resolves before every status is in: each commits its own",
-        """        if set(self.statuses) != set(self.members):
-            return
-""",
-        "",
+        """            set(self.statuses) != self.members
+            or not ctx.lo""",
+        """            not ctx.lo""",
     ),
     Mutant(
         "cd-suspended-silent", CD,
@@ -461,10 +466,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "cd-commit-before-statuses", CD,
         "the coordinator commits before every status is in: the first raise wins",
-        """        if self.statuses != set(self.members):
-            return
-""",
-        "",
+        "        if self.ctx.commit is None and self.statuses == set(self.members):",
+        "        if self.ctx.commit is None:",
     ),
     # -- exploration infrastructure (search drivers + digest cache) --------------
     Mutant(
@@ -1104,7 +1107,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         selected = list(MUTANTS)
 
-    from _harness import record_table
+    from _harness import machine, record_table
 
     import tempfile
 
@@ -1152,6 +1155,7 @@ def main(argv: list[str] | None = None) -> int:
         "schema": 1,
         "experiment": "E24",
         "generated_unix": round(time.time(), 3),
+        "machine": machine(),
         "config": {"smoke": args.smoke, "mutants": len(results)},
         "wall_seconds": round(elapsed, 3),
         "killed": kills,

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.messages import CommitMsg, ExceptionMsg
-from repro.core.variants import VARIANTS, Member, Setup
+from repro.core.state import PState, ResolutionCtx
+from repro.core.variants import VARIANTS, Member, Setup, commit_step
 from repro.exceptions.handlers import HandlerSet
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
 from repro.net.message import Message
@@ -72,7 +73,10 @@ class CdStatus:
 
 
 class ResolutionCoordinator(DistributedObject):
-    """The central meta-object running one action's resolutions."""
+    """The central meta-object running one action's resolutions: its LE and
+    Commit are a :class:`ResolutionCtx`'s, as a resolving member's are."""
+
+    tag = "cd"
 
     def __init__(
         self, name: str, action: str, members: tuple[str, ...], tree: ResolutionTree
@@ -81,26 +85,25 @@ class ResolutionCoordinator(DistributedObject):
         self.action = action
         self.members = members
         self.tree = tree
-        self.le: dict[str, ExceptionClass] = {}
+        self.ctx = ResolutionCtx(action)
         self.statuses: set[str] = set()
-        self.suspend_sent = False
-        self.committed: Optional[CommitMsg] = None
 
     def _on_exception(self, message: Message) -> None:
         """delta: (4c) at the coordinator alone, ``<A, O_j, E_j> -> LE``; the
         first one suspends every other participant."""
         payload: ExceptionMsg = message.payload
-        if self.committed is not None:
+        ctx = self.ctx
+        if ctx.commit is not None:
             return  # post-commit raiser: recovery already decided
-        if not self.le and self.runtime.trace._full:
+        first = not ctx.le  # statuses only answer the suspension sent below
+        if first and self.runtime.trace._full:
             self.runtime.trace.record(
                 self.sim_now, "resolution.join", self.name,
                 action=self.action, variant="cd", cause=message.msg_id,
             )
-        self.le[payload.sender] = payload.exception
+        ctx.le[payload.sender] = payload.exception
         self.statuses.add(payload.sender)
-        if not self.suspend_sent:
-            self.suspend_sent = True
+        if first:
             self.send_many(
                 [m for m in self.members if m != payload.sender],
                 KIND_CD_SUSPEND, CdSuspend(self.action, self.name),
@@ -113,33 +116,28 @@ class ResolutionCoordinator(DistributedObject):
         payload: CdStatus = message.payload
         self.statuses.add(payload.sender)
         if payload.exception is not None:
-            self.le[payload.sender] = payload.exception
+            self.ctx.le[payload.sender] = payload.exception
         self._maybe_commit()
 
     RECEIVE = {KIND_CD_EXCEPTION: _on_exception, KIND_CD_STATUS: _on_status}
 
     def _maybe_commit(self) -> None:
-        if self.committed is not None:
-            return
-        if self.statuses != set(self.members):
-            return
-        resolved = self.tree.resolve(self.le.values())
-        self.committed = CommitMsg(
-            self.action, self.name, resolved, tuple(sorted(self.le))
-        )
-        self.runtime.trace.record(
-            self.sim_now, "cd.commit", self.name,
-            action=self.action, exception=resolved.name(),
-            raisers=self.committed.raisers,
-        )
-        self.runtime.metrics.counter("resolution.commits").inc()
-        self.send_many(self.members, KIND_CD_COMMIT, self.committed)
+        if self.ctx.commit is None and self.statuses == set(self.members):
+            commit_step(self, self.ctx, self._send_commit)
+
+    def _send_commit(self, commit: CommitMsg) -> None:
+        self.send_many(self.members, KIND_CD_COMMIT, commit)
 
 
 class CentralizedParticipant(Member):
     """A flat-action participant under coordinator-based resolution."""
 
     tag = "cd"
+
+    UNPROGRESSED = dict.fromkeys(
+        PState, "the coordinator resolves: a participant only answers its "
+        "suspension and handles the Commit on arrival, both in `RECEIVE`"
+    )
 
     def __init__(
         self,
@@ -151,14 +149,12 @@ class CentralizedParticipant(Member):
     ) -> None:
         super().__init__(name, action, tree, handlers)
         self.coordinator = coordinator
-        self.raised: Optional[ExceptionClass] = None
         self.suspended = False
 
     def raise_exception(self, exception: ExceptionClass) -> None:
-        if self.suspended or self.raised is not None or self.handled is not None:
+        if self.ctx.state is not PState.NORMAL:
             return  # informed first: no further raising (paper assumption)
-        self.raised = exception
-        self._enter("X", raised=exception)
+        self._enter(PState.EXCEPTIONAL, raised=exception)
         self.send(
             self.coordinator,
             KIND_CD_EXCEPTION,
@@ -171,7 +167,7 @@ class CentralizedParticipant(Member):
         if self.suspended:
             return
         self.suspended = True
-        self._enter("S", message.msg_id)
+        self._enter(PState.SUSPENDED, message.msg_id)
         # Answer the suspension.  Even if we raced it with a raise of our
         # own, the CD_EXCEPTION already carries that exception, so the
         # status is always "clean" — the coordinator dedupes by sender.

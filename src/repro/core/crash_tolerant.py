@@ -93,7 +93,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.messages import AckMsg, CommitMsg, ExceptionMsg, HaveNestedMsg, NestedCompletedMsg
-from repro.core.variants import Member, Setup
+from repro.core.state import PState, ResolutionCtx
+from repro.core.variants import Member, Setup, commit_step
 from repro.exceptions.declarations import UniversalException, declare_exception
 from repro.exceptions.handlers import HandlerSet
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
@@ -147,7 +148,8 @@ class CtRejoinReply:
 
 
 class CrashTolerantParticipant(Member):
-    """A participant that survives peer crashes, including mid-abortion."""
+    """A participant that survives peer crashes, including mid-abortion;
+    beyond ``ctx`` it keeps ``raisers``, its WAL fields and ``rejoin_outcome``."""
 
     tag = "ct"
 
@@ -171,9 +173,6 @@ class CrashTolerantParticipant(Member):
         self.nested_depth = nested_depth
         self.abort_duration = abort_duration
         self.abort_signal = abort_signal
-        #: The one ACK payload this member ever sends (all three fields are
-        #: its constants), shared by every reply.
-        self._ack = AckMsg(action, name, KIND_CT_EXCEPTION)
         #: Durable state (WAL + atomic objects); ``None`` = volatile-only.
         self.store = store
         self.restarted = False
@@ -188,21 +187,17 @@ class CrashTolerantParticipant(Member):
     def _forget(self) -> None:
         """Set the volatile state, what a crash loses, to a fresh member's:
         ``__init__`` and :meth:`restart` both call this, so none survives."""
-        #: Every resolution contribution seen: raised exceptions plus
-        #: abortion-handler signals, keyed by contributor.
-        self.le: dict[str, ExceptionClass] = {}
+        #: LE holds raised exceptions and abortion signals; only this member's
+        #: Exception is ever ACKed, and its one ACK payload serves every reply.
+        self.ctx = ResolutionCtx(
+            self.action, ack_awaited={KIND_CT_EXCEPTION: set()},
+            ack_exception=AckMsg(self.action, self.name, KIND_CT_EXCEPTION),
+        )
         #: Members that *broadcast* an exception — the resolver candidates
         #: (an abortion signal contributes to LE but does not make its
         #: sender eligible to resolve).
         self.raisers: set[str] = set()
-        self.acks_missing: set[str] = set()
-        self.nested_members: set[str] = set()
-        self.nested_done: set[str] = set()
-        self.raised_local = False
-        self.aborting = False
-        self.commit: Optional[CommitMsg] = None
         self.handled = None
-        self.state = "N"
         #: The action's open work transaction over the durable store —
         #: the writes a crash cuts short and the WAL must undo.
         self.work_txn: "Transaction | None" = None
@@ -211,9 +206,6 @@ class CrashTolerantParticipant(Member):
         #: us; our effects are undone) or ``"already-handled"``.
         self.rejoin_outcome: Optional[str] = None
         self._ckpt_rank = 0
-
-    def start(self) -> None:
-        self.detector.start()
 
     # -- durability ------------------------------------------------------------
 
@@ -252,24 +244,31 @@ class CrashTolerantParticipant(Member):
     # -- raising --------------------------------------------------------------
 
     def raise_exception(self, exception: ExceptionClass) -> None:
-        if self.raised_local or self.le or self.handled is not None:
+        ctx = self.ctx
+        if ctx.raised_local or ctx.le or self.handled is not None:
             return  # informed or already recovered: suspended semantics
         if self.nested_depth > 0:
             raise RuntimeError(
                 f"{self.name}: a nested member raises within its nested "
                 "action, not the crash-tolerant top-level one"
             )
-        self.raised_local = True
-        self.raisers.add(self.name)
-        self.le[self.name] = exception
+        self._adopt_raise(exception)
         self._checkpoint("raised", exception=exception.name())
-        self._enter("X", raised=exception)
-        self.acks_missing = set(self.detector.alive_peers())
+        self._enter(PState.EXCEPTIONAL, raised=exception)
+        ctx.state = PState.EXCEPTIONAL  # also after a restart announced S
         self.send_many(
             self.detector.peers, KIND_CT_EXCEPTION,
             ExceptionMsg(self.action, self.name, exception),
         )
-        self._advance()
+        self.PROGRESS[ctx.state](self)
+
+    def _adopt_raise(self, exception: ExceptionClass) -> None:
+        """A raiser in LE, awaiting an ACK from every unsuspected peer."""
+        ctx = self.ctx
+        ctx.raised_local = True
+        self.raisers.add(self.name)
+        ctx.le[self.name] = exception
+        ctx.ack_awaited[KIND_CT_EXCEPTION] = set(self.detector.alive_peers())
 
     # -- RECEIVE effects -------------------------------------------------------
 
@@ -278,11 +277,12 @@ class CrashTolerantParticipant(Member):
         member.  delta: a member holding a verdict answers with its Commit."""
         self.detector.last_seen[message.src] = message.deliver_time
         payload: ExceptionMsg = message.payload
-        self.le[payload.sender] = payload.exception
+        ctx = self.ctx
+        ctx.le[payload.sender] = payload.exception
         self.raisers.add(payload.sender)
         self._checkpoint("informed")
-        self._enter("S", message.msg_id)
-        if self.commit is not None:
+        self._enter(PState.SUSPENDED, message.msg_id)
+        if ctx.commit is not None:
             # Decision already taken (the sender is a late raiser — e.g.
             # falsely suspected and slow): reply with the verdict, not an
             # ACK, so it adopts our commit instead of resolving its own.
@@ -290,11 +290,11 @@ class CrashTolerantParticipant(Member):
                 self.sim_now, "ct.late_exception", self.name,
                 action=self.action, peer=payload.sender,
             )
-            self.send(payload.sender, KIND_CT_COMMIT, self.commit)
+            self.send(payload.sender, KIND_CT_COMMIT, ctx.commit)
             return
         # HaveNested must go out *before* the ACK: per-channel FIFO then
         # guarantees the resolver sees our nested announcement no later
-        # than our ACK, so it can never drain ``acks_missing`` and commit
+        # than our ACK, so it can never drain its awaited ACKs and commit
         # while our abortion is still unannounced.  (Sending the ACK
         # first loses that ordering across channels: the resolver may
         # process the other members' ACKs and ours before our HaveNested
@@ -302,15 +302,16 @@ class CrashTolerantParticipant(Member):
         # NestedCompleted round — found by ``repro explore``, schedule
         # ``ch:3=1`` on ``paper:ct:none:n3p1q1:s0``.)
         self._maybe_start_abort()
-        self.send(payload.sender, KIND_CT_ACK, self._ack)
-        self._advance()
+        self.send(payload.sender, KIND_CT_ACK, ctx.ack_exception)
+        self.PROGRESS[ctx.state](self)
 
     def _on_ack(self, message: Message) -> None:
-        """(6) ``<O_j> -> LP_i``, kept as its complement ``acks_missing``.
+        """(6) ``<O_j> -> LP_i``, kept as its complement ``ack_awaited``.
         delta: a suspected peer's ACK is waived (``_on_suspect``)."""
         self.detector.last_seen[message.src] = message.deliver_time
-        self.acks_missing.discard(message.src)
-        self._advance()
+        ctx = self.ctx
+        ctx.ack_awaited[KIND_CT_EXCEPTION].discard(message.src)
+        self.PROGRESS[ctx.state](self)
 
     def _on_commit(self, message: Message) -> None:
         """(9)/(10) start the handler for E at once.  delta: a raiser E does
@@ -323,8 +324,9 @@ class CrashTolerantParticipant(Member):
             # action — a straggler or merged Commit must not pull us back
             # into running a handler the survivor view excluded us from.
             return
-        if self.commit is None:
-            own = self.le.get(self.name) if self.raised_local else None
+        ctx = self.ctx
+        if ctx.commit is None:
+            own = ctx.le.get(self.name) if ctx.raised_local else None
             if own is not None and not self.tree.covers(payload.exception, own):
                 # The resolver decided without our raise — it falsely
                 # suspected us, or committed before our Exception landed.
@@ -336,7 +338,7 @@ class CrashTolerantParticipant(Member):
                     self.action, self.name, merged,
                     raisers=tuple(sorted({*payload.raisers, self.name})),
                 )
-                self.commit = commit
+                ctx.commit = commit
                 self.runtime.trace.record(
                     self.sim_now, "ct.commit_extend", self.name,
                     action=self.action, exception=merged.name(),
@@ -344,10 +346,10 @@ class CrashTolerantParticipant(Member):
                 self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)
                 self._start_handler(merged)
                 return
-            self.commit = payload
+            ctx.commit = payload
             self._start_handler(payload.exception)
             return
-        if self.commit.exception is payload.exception:
+        if ctx.commit.exception is payload.exception:
             return
         # Two resolvers committed different verdicts: a falsely suspected
         # partition elected its own resolver over a subset of the raised
@@ -357,12 +359,12 @@ class CrashTolerantParticipant(Member):
         # had seen both LE sets would have committed.  Every commit is
         # broadcast to the whole group, so all survivors fold the same
         # set of verdicts and converge on the same join.
-        merged = self.tree.resolve((self.commit.exception, payload.exception))
-        if merged is self.commit.exception:
+        merged = self.tree.resolve((ctx.commit.exception, payload.exception))
+        if merged is ctx.commit.exception:
             return
-        self.commit = CommitMsg(
+        ctx.commit = CommitMsg(
             self.action, payload.sender, merged,
-            raisers=tuple(sorted({*self.commit.raisers, *payload.raisers})),
+            raisers=tuple(sorted({*ctx.commit.raisers, *payload.raisers})),
         )
         previous = self.handled
         self.handled = merged
@@ -374,23 +376,25 @@ class CrashTolerantParticipant(Member):
         )
 
     def _on_have_nested(self, message: Message) -> None:
-        """(4c) ``<O_j, A> -> LO_i`` (``nested_members``).  delta: no (4a) or
-        (4b) here: the raiser's Exception, sent to every member, does both."""
+        """(4c) ``<O_j, A> -> LO_i``.  delta: no (4a) or (4b) here: the
+        raiser's Exception, sent to every member, does both."""
         self.detector.last_seen[message.src] = message.deliver_time
         payload: HaveNestedMsg = message.payload
-        self.nested_members.add(payload.sender)
-        self._advance()
+        ctx = self.ctx
+        ctx.lo.add(payload.sender)
+        self.PROGRESS[ctx.state](self)
 
     def _on_nested_completed(self, message: Message) -> None:
         """delta: (5) without ``ACK => O_j``; a signal ``E_j`` joins LE but
         makes O_j no raiser, and a suspected nested member is not awaited."""
         self.detector.last_seen[message.src] = message.deliver_time
         payload: NestedCompletedMsg = message.payload
-        self.nested_members.add(payload.sender)
-        self.nested_done.add(payload.sender)
+        ctx = self.ctx
+        ctx.lo.add(payload.sender)
+        ctx.nested_completed.add(payload.sender)
         if payload.exception is not None:
-            self.le[payload.sender] = payload.exception
-        self._advance()
+            ctx.le[payload.sender] = payload.exception
+        self.PROGRESS[ctx.state](self)
 
     def _on_rejoin_req(self, message: Message) -> None:
         """delta: a restarted member asks back in: reply with the verdict, or
@@ -401,13 +405,14 @@ class CrashTolerantParticipant(Member):
             self.sim_now, "ct.rejoin_req", self.name,
             action=self.action, peer=payload.sender,
         )
-        if self.commit is not None:
+        ctx = self.ctx
+        if ctx.commit is not None:
             # The action resolved while the sender was down.  Decisions
             # made over the survivor view are stable: hand it the verdict
             # (it will confirm its abort) and leave the suspicion alone.
             self.send(
                 payload.sender, KIND_CT_REJOIN_REPLY,
-                CtRejoinReply(self.action, self.name, self.commit),
+                CtRejoinReply(self.action, self.name, ctx.commit),
             )
             return
         # Still resolving: the returnee's silence was no worse than
@@ -417,31 +422,31 @@ class CrashTolerantParticipant(Member):
         # guarantees (HaveNested before the ACK, see ``_on_exception``).
         self.detector.rejoin(payload.sender)
         if payload.exception is not None:
-            self.le[payload.sender] = payload.exception
+            ctx.le[payload.sender] = payload.exception
             self.raisers.add(payload.sender)
             self._maybe_start_abort()
-        if self.aborting:
+        if ctx.sent_have_nested:
             self.send(
                 payload.sender, KIND_CT_HAVE_NESTED,
                 HaveNestedMsg(self.action, self.name),
             )
-            if self.name in self.nested_done:
+            if self.name in ctx.nested_completed:
                 self.send(
                     payload.sender, KIND_CT_NESTED_COMPLETED,
                     NestedCompletedMsg(self.action, self.name, self.abort_signal),
                 )
         if payload.exception is not None:
-            self.send(payload.sender, KIND_CT_ACK, self._ack)
-        if self.raised_local:
+            self.send(payload.sender, KIND_CT_ACK, ctx.ack_exception)
+        if ctx.raised_local:
             self.send(
                 payload.sender, KIND_CT_EXCEPTION,
-                ExceptionMsg(self.action, self.name, self.le[self.name]),
+                ExceptionMsg(self.action, self.name, ctx.le[self.name]),
             )
         self.send(
             payload.sender, KIND_CT_REJOIN_REPLY,
             CtRejoinReply(self.action, self.name, None),
         )
-        self._advance()
+        self.PROGRESS[ctx.state](self)
 
     def _on_rejoin_reply(self, message: Message) -> None:
         """delta: a verdict in the reply: it resolved without us, confirm abort."""
@@ -454,8 +459,8 @@ class CrashTolerantParticipant(Member):
         # The action already resolved without us: our WAL replay undid our
         # effects, the survivor view excluded us — confirm the abort
         # instead of running a handler we were never committed into.
-        if self.commit is None:
-            self.commit = payload.commit
+        if self.ctx.commit is None:
+            self.ctx.commit = payload.commit
         self.rejoin_outcome = "confirmed-abort"
         self._checkpoint(
             "confirmed-abort", exception=payload.commit.exception.name()
@@ -474,20 +479,22 @@ class CrashTolerantParticipant(Member):
     }
 
     def _on_suspect(self, peer: str) -> None:
-        # Waive anything the dead peer owed us — its ACK and, if it died
-        # mid-abortion, its NestedCompleted — then re-evaluate: this is
-        # the liveness fix and the resolver re-election trigger in one.
-        self.acks_missing.discard(peer)
-        self._advance()
+        # Waive the ACK the dead peer owed us (a NestedCompleted it owes is
+        # waived by the rows), then re-evaluate: this is the liveness fix
+        # and the resolver re-election trigger in one.
+        ctx = self.ctx
+        ctx.ack_awaited[KIND_CT_EXCEPTION].discard(peer)
+        self.PROGRESS[ctx.state](self)
 
     # -- nested abortion ---------------------------------------------------------
 
     def _maybe_start_abort(self) -> None:
         """On first being informed, a nested member aborts its chain."""
-        if self.nested_depth <= 0 or self.aborting:
+        ctx = self.ctx
+        if self.nested_depth <= 0 or ctx.sent_have_nested:
             return
-        self.aborting = True
-        self.nested_members.add(self.name)
+        ctx.sent_have_nested = True
+        ctx.lo.add(self.name)
         self._checkpoint("aborting")
         self.send_many(
             self.detector.alive_peers(), KIND_CT_HAVE_NESTED,
@@ -506,9 +513,10 @@ class CrashTolerantParticipant(Member):
     def _nested_completed(self) -> None:
         if self.crashed or self.handled is not None:
             return  # died mid-abortion, or an outer commit overtook us
-        self.nested_done.add(self.name)
+        ctx = self.ctx
+        ctx.nested_completed.add(self.name)
         if self.abort_signal is not None:
-            self.le[self.name] = self.abort_signal
+            ctx.le[self.name] = self.abort_signal
         self.send_many(
             self.detector.alive_peers(), KIND_CT_NESTED_COMPLETED,
             NestedCompletedMsg(self.action, self.name, self.abort_signal),
@@ -517,74 +525,60 @@ class CrashTolerantParticipant(Member):
             self.sim_now, "ct.abort_done", self.name, action=self.action,
             signal=self.abort_signal.name() if self.abort_signal else None,
         )
-        self._advance()
+        self.PROGRESS[ctx.state](self)
 
-    # -- progress ----------------------------------------------------------------
+    # -- PROGRESS rows: run after every event that may advance this member --
 
-    def _alive_raisers(self) -> list[str]:
-        return [
-            name
-            for name in self.raisers
-            if name == self.name or not self.detector.is_suspected(name)
-        ]
-
-    def _nested_pending(self) -> set[str]:
-        return {
-            member
-            for member in self.nested_members
-            if member not in self.nested_done
-            and not self.detector.is_suspected(member)
-        }
-
-    def _advance(self) -> None:
-        if self.crashed:
-            return  # halt semantics: a dead object takes no decisions
-        if self.handled is not None or self.commit is not None:
+    def _take_over(self) -> None:
+        """delta: decision 9 — a member that did not raise waits for the
+        Commit, unless some raiser is known and every known raiser is
+        suspected: then the biggest unsuspected member resolves in their
+        place (every survivor holds the same LE, so the same verdict).  An
+        abortion signal in LE names no raiser, so it alone never does."""
+        ctx = self.ctx
+        if (  # ``handled`` in N: a restart replayed a finished handler
+            ctx.commit is not None or self.handled is not None
+            or not self.raisers or self.crashed
+        ):
             return
-        if self._nested_pending():
-            return  # a live nested member is still aborting
-        alive_raisers = self._alive_raisers()
-        if not self.raised_local:
-            # Suspended members normally wait for Commit — but if every
-            # known raiser has died after broadcasting, no raiser is left
-            # to resolve: the biggest surviving member takes over
-            # (all survivors hold the same LE, so any of them resolves to
-            # the same verdict and the conflicting-commit guard stands).
-            # An abortion signal in LE names no raiser: without a known
-            # raiser there is no one to have died.
-            if not self.raisers or alive_raisers:
-                return
-            alive_members = [
-                m for m in self.group
-                if m == self.name or not self.detector.is_suspected(m)
-            ]
-            if self.name != max(alive_members):
-                return
-            self.runtime.trace.record(
-                self.sim_now, "ct.takeover", self.name, action=self.action
-            )
-        else:
-            if self.acks_missing - self.detector.suspected:
-                return  # still waiting on live peers
-            if not alive_raisers or self.name != max(alive_raisers):
-                return
-        resolved = self.tree.resolve(self.le.values())
-        commit = CommitMsg(
-            self.action, self.name, resolved, raisers=tuple(sorted(self.le))
-        )
-        self.commit = commit
-        if self.state == "N":  # the takeover path joins only now
-            self._enter("X")
+        suspected = self.detector.suspected
+        if self.raisers - suspected or ctx.lo - ctx.nested_completed - suspected:
+            return  # a raiser lives, or a live nested member is still aborting
+        if self.name != max(set(self.group) - suspected):
+            return
         self.runtime.trace.record(
-            self.sim_now, "ct.commit", self.name,
-            action=self.action, exception=resolved.name(), raisers=commit.raisers,
+            self.sim_now, "ct.takeover", self.name, action=self.action
         )
-        self.runtime.metrics.counter("resolution.commits").inc()
+        self._enter(PState.EXCEPTIONAL)  # the takeover joins only now
+        commit_step(self, ctx, self._send_commit, self._start_handler)
+
+    def _ready(self) -> None:
+        """delta: (7) and (8) over the alive view — once every ACK and
+        NestedCompleted owed by an unsuspected member is in, the biggest
+        unsuspected raiser resolves.  ``detector.suspected`` is read here,
+        not baked into LO, because ``Heartbeater.rejoin`` clears a suspicion."""
+        ctx = self.ctx
+        if ctx.commit is not None or self.crashed:
+            return  # halt semantics: a dead object takes no decisions
+        suspected = self.detector.suspected
+        if (
+            ctx.ack_awaited[KIND_CT_EXCEPTION] - suspected
+            or ctx.lo - ctx.nested_completed - suspected
+        ):
+            return  # still waiting on live peers
+        if self.name == max(self.raisers - suspected):
+            commit_step(self, ctx, self._send_commit, self._start_handler)
+
+    PROGRESS = {
+        PState.NORMAL: _take_over, PState.EXCEPTIONAL: _ready,
+        PState.SUSPENDED: _take_over, PState.READY: Member._progress_r,
+    }
+
+    def _send_commit(self, commit: CommitMsg) -> None:
         # Commit goes to the *whole* group, not just unsuspected peers: a
         # falsely suspected member is alive and must still converge, and a
         # genuinely dead one simply never receives it (crash = silence).
         self.send_many(self.detector.peers, KIND_CT_COMMIT, commit)
-        self._start_handler(resolved)
 
     def _start_handler(self, exception: ExceptionClass) -> None:
         if self.handled is not None:
@@ -656,14 +650,11 @@ class CrashTolerantParticipant(Member):
         if exception is not None:
             # Re-adopt our own raise; ACKs must be re-collected because
             # the pre-crash ones died with our memory.
-            self.raised_local = True
-            self.raisers.add(self.name)
-            self.le[self.name] = exception
-            self.acks_missing = set(self.detector.alive_peers())
+            self._adopt_raise(exception)
             self._ckpt_rank = _CHECKPOINT_RANK["raised"]
         elif last is not None:
             self._ckpt_rank = _CHECKPOINT_RANK[last]
-        self._enter("X" if exception is not None else "S")
+        self._enter(PState.EXCEPTIONAL if exception is not None else PState.SUSPENDED)
         self.send_many(
             self.detector.peers, KIND_CT_REJOIN_REQ,
             CtRejoinReq(self.action, self.name, exception),
@@ -735,7 +726,7 @@ def build(
         )
         runtime.register(participant)
         participants[name] = participant
-        runtime.sim.schedule(0.0, participant.start, label=f"start:{name}")
+        runtime.sim.schedule(0.0, participant.detector.start, label=f"start:{name}")
     if durable_dir is not None:
         for name in names:
             runtime.sim.schedule(

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.messages import CommitMsg, ExceptionMsg, NestedCompletedMsg
-from repro.core.variants import Member, Setup
+from repro.core.state import PState
+from repro.core.variants import Member, Setup, commit_step
 from repro.exceptions.handlers import HandlerSet
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
 from repro.net.message import Message
@@ -63,7 +64,9 @@ class McFlush:
 
 
 class MulticastParticipant(Member):
-    """A participant of the flat-action multicast variant."""
+    """A participant of the flat-action multicast variant; beyond ``ctx`` it
+    keeps ``statuses``, the members whose status (Exception or flush) it
+    holds, its own once flushed (dict keys: an item assignment costs no call)."""
 
     tag = "mc"
 
@@ -81,15 +84,11 @@ class MulticastParticipant(Member):
     ) -> None:
         super().__init__(name, action, tree, handlers)
         self.group = group
-        self.members = members
+        self.members = frozenset(members)
         self.nested_depth = nested_depth
         self.abort_duration = abort_duration
         self.abort_signal = abort_signal
-        self.statuses: dict[str, Optional[ExceptionClass]] = {}
-        self.nested_members: set[str] = set()
-        self.nested_done: dict[str, Optional[ExceptionClass]] = {}
-        self.flushed = False
-        self.commit: Optional[CommitMsg] = None
+        self.statuses: dict[str, None] = {}
 
     # -- sending ------------------------------------------------------------------
 
@@ -97,29 +96,29 @@ class MulticastParticipant(Member):
         self.runtime.multicast.multicast(self.group, self.name, kind, payload)
 
     def raise_exception(self, exception: ExceptionClass) -> None:
-        if self.flushed or self.handled is not None:
+        ctx = self.ctx
+        if ctx.state is not PState.NORMAL:
             return  # informed first: suspended, does not raise any more
-        self.flushed = True
-        self.statuses[self.name] = exception
-        self._enter("X", raised=exception)
+        self.statuses[self.name] = None
+        ctx.le[self.name] = exception
+        self._enter(PState.EXCEPTIONAL, raised=exception)
         self._mcast(
             KIND_MC_EXCEPTION, ExceptionMsg(self.action, self.name, exception)
         )
-        self._check_complete()
+        self.PROGRESS[ctx.state](self)
 
     def _flush(self) -> None:
         """The one status multicast of a non-raiser (flush round)."""
-        if self.flushed:
+        if self.name in self.statuses:
             return
-        self.flushed = True
         self.statuses[self.name] = None
-        self._enter("S")
+        self._enter(PState.SUSPENDED)
         has_nested = self.nested_depth > 0
         self._mcast(
             KIND_MC_FLUSH, McFlush(self.action, self.name, has_nested)
         )
         if has_nested:
-            self.nested_members.add(self.name)
+            self.ctx.lo.add(self.name)
             if self._full:
                 self.runtime.trace.record(
                     self.sim_now, "mc.abort_start", self.name,
@@ -134,9 +133,12 @@ class MulticastParticipant(Member):
             )
 
     def _nested_completed(self) -> None:
-        self.nested_done[self.name] = self.abort_signal
+        if self.crashed:
+            return  # halt semantics: a dead member finishes no abortion
+        ctx = self.ctx
+        ctx.nested_completed.add(self.name)
         if self.abort_signal is not None:
-            self.statuses[self.name] = self.abort_signal
+            ctx.le[self.name] = self.abort_signal
         if self._full:
             signal = self.abort_signal
             self.runtime.trace.record(
@@ -147,40 +149,42 @@ class MulticastParticipant(Member):
             KIND_MC_NESTED_COMPLETED,
             NestedCompletedMsg(self.action, self.name, self.abort_signal),
         )
-        self._check_complete()
+        self.PROGRESS[ctx.state](self)
 
     # -- RECEIVE effects -------------------------------------------------------------
 
     def _on_exception(self, message: Message) -> None:
-        """(4c) ``<A, O_j, E_j> -> LE_i`` as O_j's status, then (4b) this
+        """(4c) ``<A, O_j, E_j> -> LE_i`` and O_j's status, then (4b) this
         member's flush.  delta: no ``ACK => O_j`` under reliable multicast."""
         payload: ExceptionMsg = message.payload
-        self.statuses[payload.sender] = payload.exception
+        self.statuses[payload.sender] = None
+        self.ctx.le[payload.sender] = payload.exception
         self._flush()
-        self._check_complete()
+        self.PROGRESS[self.ctx.state](self)
 
     def _on_flush(self, message: Message) -> None:
         """delta: a status in place of ACKs — O_j raised nothing, and
         ``have_nested`` is its HaveNested (4c); then this member's flush."""
         payload: McFlush = message.payload
-        self.statuses.setdefault(payload.sender, None)
+        self.statuses[payload.sender] = None
         if payload.have_nested:
-            self.nested_members.add(payload.sender)
+            self.ctx.lo.add(payload.sender)
         self._flush()
-        self._check_complete()
+        self.PROGRESS[self.ctx.state](self)
 
     def _on_nested_completed(self, message: Message) -> None:
         """(5) if ``E_j /= null`` then ``<A, O_j, E_j> -> LE_i``; no ACK."""
         payload: NestedCompletedMsg = message.payload
-        self.nested_done[payload.sender] = payload.exception
+        ctx = self.ctx
+        ctx.nested_completed.add(payload.sender)
         if payload.exception is not None:
-            self.statuses[payload.sender] = payload.exception
-        self._check_complete()
+            ctx.le[payload.sender] = payload.exception
+        self.PROGRESS[ctx.state](self)
 
     def _on_commit(self, message: Message) -> None:
         """(9)/(10) start the handler for E; the flush round left nothing to wait for."""
         payload: CommitMsg = message.payload
-        self.commit = payload
+        self.ctx.commit = payload
         if self.handled is None:
             self._handle(payload.exception)
 
@@ -189,34 +193,32 @@ class MulticastParticipant(Member):
         KIND_MC_NESTED_COMPLETED: _on_nested_completed, KIND_MC_COMMIT: _on_commit,
     }
 
-    # -- resolution ------------------------------------------------------------------
+    # -- PROGRESS ------------------------------------------------------------------
 
-    def _raisers(self) -> dict[str, ExceptionClass]:
-        return {
-            name: exc for name, exc in self.statuses.items() if exc is not None
-        }
+    def _flush_complete(self) -> None:
+        """delta: the flush-complete guard in place of (7) — a status from
+        every member (this one's own too, so in N it waits) and a
+        NestedCompleted from every nested one — then (8) the biggest in LE
+        resolves; in S too, as a nested member's abortion signal joins LE."""
+        ctx = self.ctx
+        if (
+            set(self.statuses) != self.members
+            or not ctx.lo <= ctx.nested_completed
+            or not ctx.le
+        ):
+            return
+        if self.name == max(ctx.le):
+            commit_step(
+                self, ctx, self._mcast_commit, self._handle, record_raisers=False
+            )
 
-    def _check_complete(self) -> None:
-        if self.handled is not None or self.commit is not None:
-            return
-        if set(self.statuses) != set(self.members):
-            return
-        if not self.nested_members <= set(self.nested_done):
-            return
-        raisers = self._raisers()
-        if not raisers:
-            return
-        if self.name != max(raisers):
-            return  # not the resolver: wait for Commit
-        resolved = self.tree.resolve(raisers.values())
-        self.commit = CommitMsg(self.action, self.name, resolved, tuple(sorted(raisers)))
-        self.runtime.trace.record(
-            self.sim_now, "mc.commit", self.name, action=self.action,
-            exception=resolved.name(),
-        )
-        self.runtime.metrics.counter("resolution.commits").inc()
-        self._mcast(KIND_MC_COMMIT, self.commit)
-        self._handle(resolved)
+    PROGRESS = {
+        PState.NORMAL: _flush_complete, PState.EXCEPTIONAL: _flush_complete,
+        PState.SUSPENDED: _flush_complete, PState.READY: Member._progress_r,
+    }
+
+    def _mcast_commit(self, commit: CommitMsg) -> None:
+        self._mcast(KIND_MC_COMMIT, commit)
 
 
 def build(setup: Setup, abort_duration: float = 0.5) -> dict[str, MulticastParticipant]:

@@ -6,10 +6,12 @@ Mirrors Section 4.1/4.2 of the paper: participant states ``N``, ``X``,
 represented here as the complement, the set still awaited, which is the
 quantity the ready-check needs).
 
-A :class:`ResolutionCtx` exists only while a resolution is in progress for
-one action; starting a resolution for a containing action *replaces* the
-context (the paper's "empty LE_i, LO_i, LP_i" — an outer resolution
-eliminates any inner one, Section 3.3 problem 4).
+A base participant's :class:`ResolutionCtx` exists only while a resolution
+is in progress for one action; starting a resolution for a containing action
+*replaces* the context (the paper's "empty LE_i, LO_i, LP_i" — an outer
+resolution eliminates any inner one, Section 3.3 problem 4).  A variant's
+member (:class:`repro.core.variants.Member`) holds one for its one action
+from construction on.
 """
 
 from __future__ import annotations
@@ -84,12 +86,6 @@ class ResolutionCtx:
     #: shared by the N-1 replies.
     ack_exception: Optional["AckMsg"] = None
     ack_nested_completed: Optional["AckMsg"] = None
-
-    def all_acks_received(self) -> bool:
-        return not any(self.ack_awaited.values())
-
-    def nested_all_completed(self) -> bool:
-        return self.lo <= self.nested_completed
 
     def raisers(self) -> list[str]:
         """Names of all objects known to have raised, sorted."""

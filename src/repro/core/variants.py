@@ -7,9 +7,12 @@ are asked the same questions afterwards: who handled what, and what did it
 cost in messages.  This module hosts all of them once:
 
 * :class:`Member` — the participant shell the variant engines share:
-  identity, the N/X/S/R state, the ``handled`` verdict and the one
+  identity, one :class:`~repro.core.state.ResolutionCtx` (base's N/X/S/R,
+  LE, LO, ACKs awaited and Commit), the ``handled`` verdict and the one
   ``_handle`` that activates the resolved handler (the receive rule is the
-  variant class's ``RECEIVE`` table);
+  variant class's ``RECEIVE`` table, the progress step its ``PROGRESS``);
+* :func:`commit_step` — the resolver's (8), shared by every variant that
+  elects one;
 * :class:`VariantSpec` and :data:`VARIANTS` — one row of facts per variant
   (what it counts, its closed form, whether it nests or detects failures,
   the two run defaults that differ and its extra options) — the only list
@@ -32,6 +35,8 @@ from importlib import import_module
 from typing import Callable, NamedTuple, Optional
 
 from repro.analysis import formulas
+from repro.core.messages import CommitMsg
+from repro.core.state import PState, ResolutionCtx
 from repro.exceptions.declarations import UniversalException, declare_exception
 from repro.exceptions.handlers import HandlerSet
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
@@ -42,15 +47,21 @@ from repro.simkernel.trace import TraceLevel
 
 
 class Member(DistributedObject):
-    """What a variant's participant keeps besides its protocol state.
+    """What a variant's participant keeps: its protocol state is one
+    :class:`ResolutionCtx`, ``ctx``, in base's vocabulary.
 
     A variant's receive rule is its class's ``RECEIVE`` table, kind ->
-    effect, bound at construction; each effect's docstring opens with the
-    §4.2 clause it mirrors or with ``delta:``.
+    effect, bound at construction; its progress step is ``PROGRESS``, state
+    -> row, run as ``self.PROGRESS[self.ctx.state](self)`` after each event
+    that may advance it.  Each effect's and row's docstring opens with the
+    §4.2 clause it mirrors or with ``delta:``; ``UNPROGRESSED`` names each
+    state a variant gives no row, and why.
     """
 
     #: The variant's tag: ``variant`` detail and ``<tag>.handle`` category.
     tag = ""
+    PROGRESS: dict[PState, Callable] = {}
+    UNPROGRESSED: dict[PState, str] = {}
 
     def __init__(
         self, name: str, action: str, tree: ResolutionTree, handlers: HandlerSet
@@ -60,8 +71,7 @@ class Member(DistributedObject):
         self.tree = tree
         self.handlers = handlers
         self.handled: Optional[ExceptionClass] = None
-        #: Section 4.2's N / X / S / R, as far as this member has got.
-        self.state = "N"
+        self.ctx = ResolutionCtx(action)
         #: True at FULL trace level (cached in attach): the one test that
         #: guards the FULL-only ``resolution.join`` / ``state`` / ``raise``.
         self._full = False
@@ -72,22 +82,24 @@ class Member(DistributedObject):
 
     def _enter(
         self,
-        state: str,
+        state: PState,
         cause: Optional[int] = None,
         raised: Optional[ExceptionClass] = None,
     ) -> None:
         """Join the resolution in ``state`` — X on raising ``raised``, S on
         being informed by message ``cause``; a no-op once joined."""
-        if self.state != "N":
+        ctx = self.ctx
+        if ctx.state is not PState.NORMAL:
             return
-        self.state = state
+        ctx.state = state
         if self._full:
             record, now, me = self.runtime.trace.record, self.sim_now, self.name
             record(
                 now, "resolution.join", me,
                 action=self.action, variant=self.tag, cause=cause,
             )
-            record(now, "state", me, action=self.action, state=state)
+            # ``_value_``: the member's own attribute, not Enum's descriptor call.
+            record(now, "state", me, action=self.action, state=state._value_)
             if raised is not None:
                 record(
                     now, "raise", me, action=self.action, exception=raised.name()
@@ -97,16 +109,41 @@ class Member(DistributedObject):
         """Activate the handler for the resolved ``exception`` (S/X -> R)."""
         self.handled = exception
         if self._full:
-            self._enter("S", cause)  # the Commit raced ahead of everything
+            self._enter(PState.SUSPENDED, cause)  # the Commit raced ahead of everything
             self.runtime.trace.record(
                 self.sim_now, "state", self.name,
                 action=self.action, state="R", cause=cause,
             )
-        self.state = "R"
+        self.ctx.state = PState.READY
         self.runtime.trace.record(
             self.sim_now, f"{self.tag}.handle", self.name,
             exception=exception.name(), cause=cause,
         )
+
+    def _progress_r(self) -> None:
+        """(9) done: the handler for the verdict has started; nothing is
+        left to advance."""
+
+
+def commit_step(
+    resolver, ctx: ResolutionCtx, fan_out: Callable, handle: Optional[Callable] = None,
+    record_raisers: bool = True,
+) -> None:
+    """(8) ``resolver`` resolves LE and commits: ``ctx.commit``, its
+    ``<tag>.commit`` record (mc's carries no raiser list), the
+    ``resolution.commits`` count, ``fan_out(commit)``, then ``handle`` (a
+    coordinator has none)."""
+    resolved = resolver.tree.resolve(ctx.le.values())
+    ctx.commit = commit = CommitMsg(ctx.action, resolver.name, resolved, tuple(sorted(ctx.le)))
+    raisers = {"raisers": commit.raisers} if record_raisers else {}
+    resolver.runtime.trace.record(
+        resolver.sim_now, f"{resolver.tag}.commit", resolver.name,
+        action=ctx.action, exception=resolved.name(), **raisers,
+    )
+    resolver.runtime.metrics.counter("resolution.commits").inc()
+    fan_out(commit)
+    if handle is not None:
+        handle(resolved)
 
 
 # -- the registry --------------------------------------------------------------------

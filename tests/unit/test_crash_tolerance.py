@@ -1,8 +1,11 @@
 """Tests for the heartbeat failure detector and crash-tolerant resolution."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import crash_tolerant_messages as ct_expected_messages
+from repro.core.state import PState
 from repro.core.variants import run_action
 from repro.net.detector import Heartbeater
 from repro.net.failures import FailurePlan
@@ -201,15 +204,17 @@ class TestCrashTolerantResolution:
         result = run_action("ct", 4, 2, 1, crashes=[(victim, 14.0)])
         member = result.participants[victim]
         # The runtime, node, detector and receive table are wiring, not state.
-        skip = {"runtime", "node", "detector", "_kind_handlers", "restarted", "state"}
+        skip = {"runtime", "node", "detector", "_kind_handlers", "restarted"}
 
         def state(member) -> dict:
-            return {k: v for k, v in vars(member).items() if k not in skip}
+            fields = {k: v for k, v in vars(member).items() if k not in skip}
+            fields["ctx"] = replace(member.ctx, state=PState.NORMAL)
+            return fields
 
         assert member.handled is not None and state(member) != state(fresh)
         result.runtime.restart_node(f"node:{victim}")
         member.restart()
-        assert member.restarted and member.state == "S"
+        assert member.restarted and member.ctx.state is PState.SUSPENDED
         assert state(member) == state(fresh)
 
     def test_all_raisers_crash_survivor_takes_over(self):

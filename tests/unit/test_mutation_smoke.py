@@ -9,6 +9,7 @@ instead, pointing at the drifted mutant.
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -93,3 +94,16 @@ def test_detection_suite_passes_on_pristine_tree() -> None:
     """A detection suite that fails on healthy code kills nothing honestly."""
     mod = _load_module()
     assert mod.detection_problems() == []
+
+
+def test_the_report_names_its_machine() -> None:
+    """``BENCH_mutation.json`` says where it was recorded, in the block
+    ``BENCH_explore.json`` carries."""
+    _load_module()  # puts benchmarks/ on sys.path for ``_harness``
+    from _harness import machine
+
+    report = json.loads((REPO_ROOT / "BENCH_mutation.json").read_text())
+    assert set(report["machine"]) == set(machine()) == {
+        "cpu_count", "usable_cpus", "platform", "python",
+    }
+    assert all(value is not None for value in report["machine"].values())
