@@ -215,6 +215,25 @@ MUTANTS: tuple[Mutant, ...] = (
         "        ids = islice(_message_mod._msg_ids, count - 1)",
     ),
     Mutant(
+        "send-many-delivers-to-unreachable", NET,
+        "the batched loop reads only the drop draw: a copy to a crashed or "
+        "partitioned peer is sent as if the peer were up",
+        "                if everyone or dst in unreachable or (drop_p and draw() < drop_p):",
+        "                if everyone or (drop_p and draw() < drop_p):",
+    ),
+    Mutant(
+        "send-many-corrupt-before-drop", NET,
+        "the batched loop draws corrupt before drop: each copy's fate, and "
+        "every draw after it, differs from decide()'s",
+        """                if everyone or dst in unreachable or (drop_p and draw() < drop_p):
+                    message.dropped = True""",
+        """                if not (everyone or dst in unreachable) and corrupt_p and draw() < corrupt_p:
+                    message.corrupted = True
+                    injector.corrupted += 1
+                elif everyone or dst in unreachable or (drop_p and draw() < drop_p):
+                    message.dropped = True""",
+    ),
+    Mutant(
         "deliver-fallback-skipped", NET,
         "a kind absent from the kind map no longer reaches receive / on_unhandled",
         """            except KeyError:
@@ -548,6 +567,7 @@ SMOKE_IDS = (
     "ct-commit-to-alive-only", "mc-exception-no-flush", "cd-suspended-silent",
     "cache-crc-ignored", "walk-seed-pinned",
     "barrier-gate-off-by-one", "deliver-fallback-skipped",
+    "send-many-delivers-to-unreachable",
     "tick-checks-before-beating", "heartbeat-sent-sequenced",
     "duplicate-frame-redelivered", "tick-touches-beat-only",
 )
@@ -621,6 +641,7 @@ def detection_problems() -> list[str]:
         problems.append(f"explore ch:3=1: {type(exc).__name__}: {exc}")
     problems.extend(_fanout_problems())
     problems.extend(_delivery_problems())
+    problems.extend(_faulted_fanout_problems())
     problems.extend(_detector_problems())
     problems.extend(_transport_problems())
     problems.extend(_explore_infra_problems())
@@ -724,6 +745,59 @@ def _fanout_problems() -> list[str]:
                 )
         except Exception as exc:
             problems.append(f"fan-out {label}: {type(exc).__name__}: {exc}")
+    return problems
+
+
+def _faulted_fanout_problems() -> list[str]:
+    """A faulted fan-out is the per-send loop, fate for fate: a copy to a
+    crashed or cut-off peer is dropped at the send, and each copy draws
+    drop before corrupt.  Compared on twin networks, ids aligned."""
+    from repro.net.failures import (
+        CrashWindow, FailureInjector, FailurePlan, PartitionWindow,
+    )
+    from repro.net.message import reset_msg_ids
+    from repro.net.network import Network
+    from repro.simkernel import RngRegistry, Simulator
+
+    names = [f"P{i}" for i in range(6)]
+    plans = {
+        "crash": FailurePlan(crashes=[CrashWindow("P2", 0.0)]),
+        "partition": FailurePlan(partitions=[
+            PartitionWindow(frozenset(names[:3]), frozenset(names[3:]), 0.0)
+        ]),
+        "drop-corrupt": FailurePlan(drop_probability=0.3, corrupt_probability=0.3),
+    }
+
+    def fates(plan, batched: bool) -> tuple:
+        reset_msg_ids()
+        rng = RngRegistry(0)
+        network = Network(
+            Simulator(), rng=rng,
+            injector=FailureInjector(plan, rng.stream("net.failures")),
+        )
+        for name in names:
+            network.register(name, lambda message: None)
+        sent = []
+        for src in names:
+            dsts = [dst for dst in names if dst != src]
+            if batched:
+                sent += network.send_many(src, dsts, "K")
+            else:
+                sent += [network.send(src, dst, "K") for dst in dsts]
+        network.sim.run()
+        injector = network.injector
+        return (
+            [(m.msg_id, m.dst, m.dropped, m.corrupted) for m in sent],
+            injector.dropped, injector.corrupted, network.trace.dump(),
+        )
+
+    problems = []
+    for label, plan in plans.items():
+        try:
+            if fates(plan, batched=True) != fates(plan, batched=False):
+                problems.append(f"faulted fan-out {label}: fates differ from the loop")
+        except Exception as exc:
+            problems.append(f"faulted fan-out {label}: {type(exc).__name__}: {exc}")
     return problems
 
 

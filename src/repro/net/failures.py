@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
+INF = float("inf")
+
 
 @dataclass(frozen=True)
 class CrashWindow:
@@ -43,13 +45,6 @@ class PartitionWindow:
     side_b: frozenset[str]
     start: float
     end: float = float("inf")
-
-    def separates(self, x: str, y: str, time: float) -> bool:
-        if not (self.start <= time < self.end):
-            return False
-        return (x in self.side_a and y in self.side_b) or (
-            x in self.side_b and y in self.side_a
-        )
 
 
 def split_partition(
@@ -86,7 +81,16 @@ class FailurePlan:
 
 
 class FailureInjector:
-    """Applies a :class:`FailurePlan` to messages as the network sends them."""
+    """Applies a :class:`FailurePlan` to messages as the network sends them.
+
+    The injector is the one owner of crash state: it copies the plan's
+    windows at construction, indexed by name, and :meth:`crash` /
+    :meth:`restart` open and close windows from there on (the plan itself
+    is never edited).  What the windows say at one instant — who is down,
+    and each name's opposite side under the partitions active then — is
+    kept with the span of time it holds for, so a fate costs set lookups,
+    not a scan of every window, until the clock crosses a window's edge.
+    """
 
     DELIVER = "deliver"
     DROP = "drop"
@@ -97,10 +101,31 @@ class FailureInjector:
         plan: FailurePlan | None = None,
         rng: random.Random | Callable[[], random.Random] | None = None,
     ):
-        self.plan = plan if plan is not None else FailurePlan()
+        if plan is None:
+            plan = FailurePlan()
+        self.plan = plan
         self._rng_source = rng
         self.dropped = 0
         self.corrupted = 0
+        #: name -> its crash windows, the plan's first.
+        self._crashes: dict[str, list[CrashWindow]] = {}
+        for window in plan.crashes:
+            self._crashes.setdefault(window.name, []).append(window)
+        self._partitions = tuple(plan.partitions)
+        #: False while nothing can touch a message: the senders' one test.
+        self.active = bool(
+            self._crashes
+            or self._partitions
+            or plan.drop_probability
+            or plan.corrupt_probability
+        )
+        #: The windows read at one instant, valid over ``[_since, _until)``:
+        #: the names down, and name -> the names a partition cuts it off from.
+        #: The empty span makes the first reader call :meth:`_read_plan`.
+        self._down: frozenset[str] = frozenset()
+        self._cut: dict[str, frozenset[str]] = {}
+        self._since = INF
+        self._until = -INF
 
     @cached_property
     def _rng(self) -> random.Random:
@@ -113,36 +138,60 @@ class FailureInjector:
             return random.Random(0)
         return source if isinstance(source, random.Random) else source()
 
-    def crashed(self, name: str, time: float) -> bool:
-        """True if endpoint ``name`` is inside a crash window at ``time``."""
-        # Plain loops here and in ``decide``: every send of a faulted run
-        # asks, and ``any(<genexpr>)`` pays a generator step per window.
-        for window in self.plan.crashes:
-            if window.name == name and window.covers(time):
-                return True
-        return False
+    def _read_plan(self, time: float) -> None:
+        """Read every window at ``time``, and the span that reading holds
+        for: from the last window edge at or before ``time`` to the first
+        edge after it."""
+        windows = [w for by_name in self._crashes.values() for w in by_name]
+        since, until = -INF, INF
+        for window in (*windows, *self._partitions):
+            for edge in (window.start, window.end):
+                if edge <= time:
+                    since = max(since, edge)
+                else:
+                    until = min(until, edge)
+        cut: dict[str, frozenset[str]] = {}
+        for partition in self._partitions:
+            if partition.start <= time < partition.end:
+                a, b = partition.side_a, partition.side_b
+                for near, far in ((a, b), (b, a)):
+                    for name in near:
+                        cut[name] = cut.get(name, frozenset()) | far
+        self._down = frozenset(w.name for w in windows if w.covers(time))
+        self._cut = cut
+        self._since, self._until = since, until
+
+    def crash(self, name: str, time: float) -> None:
+        """``name`` is down from ``time`` on, until :meth:`restart`."""
+        self._crashes.setdefault(name, []).append(CrashWindow(name, time))
+        self.active = True
+        self._until = -INF
+
+    def restart(self, name: str, time: float) -> None:
+        """Close ``name``'s windows open at ``time`` there: it was down over
+        ``[start, time)`` and is up from ``time`` on."""
+        windows = self._crashes.get(name, [])
+        for index, window in enumerate(windows):
+            if window.covers(time):
+                windows[index] = CrashWindow(name, window.start, time)
+        self._until = -INF
 
     def decide(self, src: str, dst: str, time: float) -> str:
-        """Fate of a message sent ``src → dst`` at ``time``."""
-        plan = self.plan
-        if not (
-            plan.crashes
-            or plan.partitions
-            or plan.drop_probability
-            or plan.corrupt_probability
-        ):
+        """Fate of a message sent ``src → dst`` at ``time``: crash, then
+        partition, then a drop draw, then a corrupt draw."""
+        if not self.active:
             # Fault-free plan: the common case in count sweeps.  No RNG is
             # drawn on this path in the slow branch either (probability
             # checks short-circuit before sampling), so skipping it keeps
             # all random streams bit-identical.
             return self.DELIVER
-        if plan.crashes and (self.crashed(src, time) or self.crashed(dst, time)):
+        if not self._since <= time < self._until:
+            self._read_plan(time)
+        down, cut = self._down, self._cut
+        if src in down or dst in down or (src in cut and dst in cut[src]):
             self.dropped += 1
             return self.DROP
-        for partition in plan.partitions:
-            if partition.separates(src, dst, time):
-                self.dropped += 1
-                return self.DROP
+        plan = self.plan
         if plan.drop_probability and self._rng.random() < plan.drop_probability:
             self.dropped += 1
             return self.DROP

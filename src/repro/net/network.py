@@ -94,10 +94,6 @@ class Network:
             if self.default_latency.__class__ is ConstantLatency
             else None
         )
-        #: True when ``send`` is not overridden by a subclass; the batched
-        #: :meth:`send_many` fast loop is only sound then (a subclass like
-        #: ReliableNetwork must see every individual send).
-        self._stock_send = type(self).send is Network.send
         self.sent_by_kind: Counter[str] = Counter()
         self.delivered_by_kind: Counter[str] = Counter()
         # Kernel shortcuts for the deterministic Simulator: direct access to
@@ -228,17 +224,11 @@ class Network:
         clock = self._sim_clock
         now = clock._now if clock is not None else self.sim.now
         # Fault-free plans (every count sweep) skip the decide() frame; the
-        # inline test mirrors decide()'s own fast-return condition.  Only
-        # the stock injector class qualifies — subclasses may override
-        # decide() with logic beyond the plan.
+        # inline test is decide()'s own fast return.  Only the stock
+        # injector class qualifies — subclasses may override decide() with
+        # logic beyond the plan.
         injector = self.injector
-        plan = injector.plan
-        if injector.__class__ is not FailureInjector or (
-            plan.crashes
-            or plan.partitions
-            or plan.drop_probability
-            or plan.corrupt_probability
-        ):
+        if injector.__class__ is not FailureInjector or injector.active:
             fate = injector.decide(src, dst, now)
         else:
             fate = FailureInjector.DELIVER
@@ -313,6 +303,12 @@ class Network:
         self._schedule_delivery(message, deliver_at)
         return message
 
+    #: Per-copy wire hook ``(src, dst, kind, payload) -> wire payload`` of a
+    #: transport that wraps what it sends (ReliableNetwork's sequenced
+    #: frames), for every kind outside ``_unframed``; None sends the payload.
+    _frame = None
+    _unframed: frozenset[str] = frozenset()
+
     def send_many(
         self, src: str, dsts: list[str], kind: str, payload: object = None
     ) -> list[Message]:
@@ -320,35 +316,31 @@ class Network:
 
         Semantically identical to ``[send(src, d, kind, payload) for d in
         dsts]`` — same messages, same ids, same counters, same trace
-        records, same raised error on an unknown endpoint — but the
-        per-send constants (clock read, injector check, latency lookup,
-        counter hashes, queue bookkeeping) are hoisted out of the loop.
-        Broadcasts (DONE, EXCEPTION, COMMIT, ...) are ~70% of all sends in
-        a resolution run and heartbeats most of a crash-tolerant one, so
-        this is the one entry point every fan-out in the stack goes
-        through (engines, failure detector, multicast layer).
+        records, same fates and RNG draws, same raised error on an unknown
+        endpoint — but the per-send constants (clock read, injector check,
+        the plan at this instant, latency lookup, counter hashes, queue
+        bookkeeping) are hoisted out of the loop.  Broadcasts (DONE,
+        EXCEPTION, COMMIT, ...) are ~70% of all sends in a resolution run
+        and heartbeats most of a crash-tolerant one, so this is the one
+        entry point every fan-out in the stack goes through (engines,
+        failure detector, multicast layer).
 
-        The batched loop is only sound on the stock configuration; any
-        wrinkle (subclassed ``send``, per-pair latency, wire diversion,
-        active fault plan, controlled scheduling, foreign kernel) falls
-        back to the per-send loop.
+        The batched loop covers every fault plan of the stock injector and
+        a transport's per-copy ``_frame`` (a subclass's ``send`` must be
+        ``Network.send`` over that hook); per-pair or sampled latency, wire
+        diversion, a foreign kernel, controlled scheduling or a subclassed
+        injector fall back to the per-send loop.
         """
         delay = self._uniform_delay
         queue = self._sim_queue
         injector = self.injector
-        plan = injector.plan
         if (
-            not self._stock_send
-            or delay is None
+            delay is None
             or self.deliver_via is not None
             or not self._raw_push
             or queue is None
             or queue.tie_break is not None
             or injector.__class__ is not FailureInjector
-            or plan.crashes
-            or plan.partitions
-            or plan.drop_probability
-            or plan.corrupt_probability
         ):
             return [self.send(src, dst, kind, payload) for dst in dsts]
         receivers = self._receivers
@@ -364,6 +356,21 @@ class Network:
         trace = self.trace
         full = trace._full
         pending = trace._pending
+        frame = None if kind in self._unframed else self._frame
+        # The plan at the send instant, read once, and decide()'s checks in
+        # its order: the names a copy from ``src`` cannot reach (every name
+        # when ``src`` is down), then a drop draw, then a corrupt draw.
+        faulty = injector.active
+        if faulty:
+            if not injector._since <= now < injector._until:
+                injector._read_plan(now)
+            down, cut = injector._down, injector._cut
+            everyone = src in down
+            unreachable = down | cut[src] if src in cut else down
+            plan = injector.plan
+            drop_p, corrupt_p = plan.drop_probability, plan.corrupt_probability
+            draw = injector._rng.random if drop_p or corrupt_p else None
+        lost = 0
         # Ids are taken as one block of the shared counter per fan-out and
         # the list is sized once: no ``next()`` and no ``append`` per copy.
         count = len(dsts)
@@ -371,10 +378,11 @@ class Network:
         ids = islice(_message_mod._msg_ids, count)
         for i, (dst, mid) in enumerate(zip(dsts, ids)):
             messages[i] = message = Message.__new__(Message)
+            wire = payload if frame is None else frame(src, dst, kind, payload)
             message.src = src
             message.dst = dst
             message.kind = kind
-            message.payload = payload
+            message.payload = wire
             message.msg_id = mid
             message.corrupted = False
             message.dropped = False
@@ -382,14 +390,36 @@ class Network:
             message.deliver_time = deliver_at
             if full:
                 pending.append((
-                    now, "msg.send", src, _SEND_FIELDS, dst, kind, mid, payload,
+                    now, "msg.send", src, _SEND_FIELDS, dst, kind, mid, wire,
                 ))
-        # One bucket extension for the whole broadcast: every copy lands at
-        # the same instant, in ``dsts`` order.
-        queue.push_raw(deliver_at, PRIORITY_DELIVERY, messages)
+            if faulty:
+                if everyone or dst in unreachable or (drop_p and draw() < drop_p):
+                    message.dropped = True
+                    lost += 1
+                    if full:
+                        pending.append((
+                            now, "msg.drop", src, _DROP_FIELDS, dst, kind, mid,
+                        ))
+                elif corrupt_p and draw() < corrupt_p:
+                    message.corrupted = True
+                    injector.corrupted += 1
+        # One bucket extension for the whole broadcast: every delivered copy
+        # lands at the same instant, in ``dsts`` order.
+        if not lost:
+            queue.push_raw(deliver_at, PRIORITY_DELIVERY, messages)
+        else:
+            injector.dropped += lost
+            if lost < count:
+                queue.push_raw(
+                    deliver_at, PRIORITY_DELIVERY,
+                    [m for m in messages if not m.dropped],
+                )
         self.sent_by_kind[kind] += count
         if not full and trace._counting:
-            trace._counts["msg.send"] += count
+            counts = trace._counts
+            counts["msg.send"] += count
+            if lost:
+                counts["msg.drop"] += lost
         return messages
 
     def _schedule_delivery(self, message: Message, deliver_at: float) -> None:
@@ -416,18 +446,16 @@ class Network:
         try:
             target = self._targets[dst]
         except KeyError:
-            # Endpoint disappeared (e.g. crashed and deregistered) while the
+            target = None
+        # The receiving end's half of the crash model, read like a fate: no
+        # call unless the clock has crossed a window's edge.
+        injector = self.injector
+        if injector._crashes and not injector._since <= now < injector._until:
+            injector._read_plan(now)
+        if target is None or dst in injector._down:
+            # Endpoint crashed, or disappeared (deregistered) while the
             # message was in flight: the message is silently lost, matching
             # the non-fail-stop fault model.
-            if trace._full:
-                trace._pending.append((
-                    now, "msg.lost", dst, _LOST_FIELDS, kind, message.msg_id,
-                ))
-            elif trace._counting:
-                trace._counts["msg.lost"] += 1
-            return
-        injector = self.injector
-        if injector.plan.crashes and injector.crashed(dst, now):
             if trace._full:
                 trace._pending.append((
                     now, "msg.lost", dst, _LOST_FIELDS, kind, message.msg_id,

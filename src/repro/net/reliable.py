@@ -21,11 +21,13 @@ wire payload and the sender's pending entry.  On the simulator its
 retransmission timer is one event pushed straight onto the queue, the
 frame as its argument (no closure, no handle), which the ``T_ACK`` — its
 payload the bare seq — cancels.  An in-order frame is unwrapped in place
-and goes up in the wire message itself.  ``docs/SUBSTRATES.md`` states
+and goes up in the wire message itself.  ``send`` is ``Network.send`` over
+the per-copy :meth:`ReliableNetwork._frame`, so a fan-out stays one batched
+``Network.send_many`` that frames each copy.  ``docs/SUBSTRATES.md`` states
 what a frame costs.
 
 Accounting: ``sent_by_kind`` keeps counting *logical* sends (one per
-``send`` call) so the paper's complexity formulas remain checkable;
+``send`` call or fan-out copy) so the paper's complexity formulas remain checkable;
 retransmissions and transport ACKs are tallied separately
 (``retransmissions``, ``transport_acks``) — they are the price of the
 fault model, not of the algorithm.
@@ -45,8 +47,8 @@ from typing import Any, Callable, Optional
 from repro.net.detector import KIND_HEARTBEAT
 from repro.net.failures import FailureInjector
 from repro.net.message import Message
-from repro.net.network import Network
-from repro.simkernel.events import PRIORITY_NORMAL
+from repro.net.network import Network, UnknownEndpointError
+from repro.simkernel.events import PRIORITY_DELIVERY, PRIORITY_NORMAL
 
 KIND_TRANSPORT_ACK = "T_ACK"
 UNSEQUENCED_KINDS = frozenset((KIND_TRANSPORT_ACK, KIND_HEARTBEAT))
@@ -126,12 +128,20 @@ class ReliableNetwork(Network):
     def send(self, src: str, dst: str, kind: str, payload: object = None) -> Message:
         if kind in UNSEQUENCED_KINDS:
             return super().send(src, dst, kind, payload)
+        if dst not in self._receivers:
+            # Before the frame: an unknown name consumes no sequence number.
+            raise UnknownEndpointError(dst)
+        return super().send(src, dst, kind, self._frame(src, dst, kind, payload))
+
+    _unframed = UNSEQUENCED_KINDS
+
+    def _frame(self, src: str, dst: str, kind: str, payload: object) -> _Frame:
+        """One copy's wire payload: its frame, ``_pending`` entry and timer."""
         pair = (src, dst)
         seq = self._next_seq.get(pair, 0)
         self._next_seq[pair] = seq + 1
         frame = _Frame(seq, kind, payload, src, dst)
         self._pending[(src, dst, seq)] = frame
-        message = super().send(src, dst, kind, frame)
         # Simulator.schedule's timer (time, priority, label, seq), sans handle.
         queue = self._sim_queue
         if queue is not None:
@@ -141,7 +151,7 @@ class ReliableNetwork(Network):
             )
         else:
             self._arm_foreign_timer(frame)
-        return message
+        return frame
 
     def _arm_foreign_timer(self, frame: _Frame) -> None:
         frame.timer = self.sim.schedule(
@@ -179,6 +189,7 @@ class ReliableNetwork(Network):
         frame.retries += 1
         self.retransmissions += 1
         # Re-wire directly (bypassing send() so the logical count stays put).
+        queue = self._sim_queue
         message = Message(src, dst, frame.kind, frame)
         fate = self.injector.decide(src, dst, now)
         delay = self._uniform_delay
@@ -193,8 +204,12 @@ class ReliableNetwork(Network):
         if fate != FailureInjector.DROP:
             if fate == FailureInjector.CORRUPT:
                 message.corrupted = True
-            self._schedule_delivery(message, deliver_at)
-        queue = self._sim_queue
+            # Queued raw like a first send; tie_break and foreign kernels
+            # keep the labelled delivery.
+            if self._raw_push and queue.tie_break is None and self.deliver_via is None:
+                queue.push_raw(deliver_at, PRIORITY_DELIVERY, (message,))
+            else:
+                self._schedule_delivery(message, deliver_at)
         if queue is not None:
             frame.timer = queue.push(
                 now + self.ack_timeout, self._maybe_retransmit,

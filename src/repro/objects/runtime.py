@@ -141,14 +141,10 @@ class Runtime:
         errors — senders cannot know the destination died (no fail-stop
         assumption, paper Section 2).
         """
-        from repro.net.failures import CrashWindow
-
         node = self.nodes[node_id]
         node.crashed = True
         for name in node.hosted_names():
-            self.network.injector.plan.crashes.append(
-                CrashWindow(name, self.sim.now)
-            )
+            self.network.injector.crash(name, self.sim.now)
         self.trace.record(self.sim.now, "node.crash", node_id)
         self.metrics.counter("node.crashes").inc()
 
@@ -163,18 +159,13 @@ class Runtime:
         state from durable storage (WAL replay, rejoin) is the restarted
         object's own business.  No-op on a node that is not crashed.
         """
-        from repro.net.failures import CrashWindow
-
         node = self.nodes[node_id]
         if not node.crashed:
             return
         node.crashed = False
         now = self.sim.now
-        hosted = set(node.hosted_names())
-        crashes = self.network.injector.plan.crashes
-        for index, window in enumerate(crashes):
-            if window.name in hosted and window.covers(now):
-                crashes[index] = CrashWindow(window.name, window.start, now)
+        for name in node.hosted_names():
+            self.network.injector.restart(name, now)
         self.trace.record(now, "node.restart", node_id)
         self.metrics.counter("node.restarts").inc()
 

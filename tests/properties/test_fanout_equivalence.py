@@ -1,8 +1,9 @@
 """Batched ≡ loop, for every caller of ``send_many``.
 
 Every engine and the failure detector fan out through one call,
-:meth:`repro.net.network.Network.send_many`, which batches on the stock
-configuration and otherwise *is* the per-send loop.  So for each variant
+:meth:`repro.net.network.Network.send_many`, which batches on any
+uniform-latency simulator network — fault plans and the ARQ transport
+included — and otherwise *is* the per-send loop.  So for each variant
 and each way of configuring a run, one action with ``send_many`` replaced
 by the plain loop must be indistinguishable from the same action as
 shipped: same message ids in the same order, same counters, same FULL
@@ -24,10 +25,11 @@ from repro.core.participant import CAParticipant
 from repro.core.variants import VARIANTS, run_action
 from repro.explore import ScheduleSpec, run_digest
 from repro.explore.engine import _run as explore_run
-from repro.net.failures import FailurePlan
+from repro.net.failures import FailurePlan, PartitionWindow
 from repro.net.latency import ConstantLatency
 from repro.net.message import reset_msg_ids
 from repro.net.network import Network
+from repro.net.reliable import ReliableNetwork
 from repro.objects.runtime import runtime_hook
 from repro.rt.backend import asyncio_backend
 from repro.simkernel.trace import TraceEntry
@@ -44,8 +46,26 @@ def _slow_pair(runtime) -> None:
     runtime.network.set_pair_latency("O0000", "O0001", ConstantLatency(2.5))
 
 
-#: name -> (run_action keywords, runtime hook or None).  Only ``stock`` takes
-#: the batched loop; every other row is one of ``send_many``'s fallbacks.
+def _restart(runtime) -> None:
+    """Close the ``crash`` row's window mid-run: sends to and from O0002 are
+    dropped before t=14 and delivered after it."""
+    runtime.sim.schedule(
+        14.0, lambda: runtime.restart_node("node:O0002"), label="restart:O0002"
+    )
+
+
+def _partition() -> FailurePlan:
+    """Two participants cut off from the other three over the raises of
+    every variant (t=1 and t=10)."""
+    return FailurePlan(partitions=[PartitionWindow(
+        frozenset({"O0000", "O0001"}), frozenset({"O0002", "O0003", "O0004"}),
+        0.5, 12.0,
+    )])
+
+
+#: name -> (run_action keywords, runtime hook or None).  Every row but
+#: ``pair-latency`` takes the batched loop, faulted and reliable ones
+#: included; ``pair-latency`` is one of ``send_many``'s fallbacks.
 CONFIGS = {
     "stock": ({}, None),
     "drop": ({"failure_plan": lambda: FailurePlan(drop_probability=0.2),
@@ -58,11 +78,21 @@ CONFIGS = {
     "reliable-corrupt": ({"failure_plan": lambda: FailurePlan(corrupt_probability=0.15),
                           "reliable": True, "until": 120.0}, None),
     "pair-latency": ({}, _slow_pair),
+    "corrupt": ({"failure_plan": lambda: FailurePlan(corrupt_probability=0.15),
+                 "until": 120.0}, None),
+    "partition": ({"failure_plan": _partition, "until": 120.0}, None),
+    "reliable-partition": ({"failure_plan": _partition, "reliable": True,
+                            "until": 120.0}, None),
+    "restart": ({"crashes": [("O0002", 10.5)], "until": 120.0}, _restart),
 }
 
 
 def _loop_send_many(self, src, dsts, kind, payload=None):
     return [self.send(src, dst, kind, payload) for dst in dsts]
+
+
+def _batched_loop_ran(self, src, dsts, kind, payload=None):
+    raise AssertionError("the batched fan-out ran in a looped run")
 
 
 def _sha(text: str) -> str:
@@ -109,6 +139,7 @@ def fingerprint(variant: str, config: str, seed: int = 3) -> dict:
         "sent": dict(sorted(network.sent_by_kind.items())),
         "delivered": dict(sorted(network.delivered_by_kind.items())),
         "handled": dict(sorted(run.handled().items())),
+        "faults": (network.injector.dropped, network.injector.corrupted),
     }
 
 
@@ -121,9 +152,17 @@ def explored(variant: str) -> tuple:
 
 @pytest.fixture
 def looped(monkeypatch):
-    """Replace the batched fan-out by the loop it must equal."""
+    """Replace the batched fan-out by the loop it must equal, on every
+    network class, and make the batched loop itself a tripwire: a fan-out
+    that still reaches it (a bound method held from before, an override
+    that calls it) fails the looped run instead of comparing batched
+    against batched."""
     def install():
+        batched = Network.send_many
         monkeypatch.setattr(Network, "send_many", _loop_send_many)
+        monkeypatch.setattr(batched, "__code__", _batched_loop_ran.__code__)
+        for cls in (Network, ReliableNetwork):
+            assert cls.send_many is _loop_send_many, cls
     return install
 
 
@@ -212,7 +251,10 @@ def test_asyncio_kernel_reaches_the_same_verdict(variant, looped):
 #: other ``reliable`` and ``reliable-corrupt`` rows were pinned at 77feb82,
 #: before the ARQ transport's per-frame path was rewritten, so that rewrite
 #: (one slotted frame per send, its timer straight on the queue) is held to
-#: the exact records, ids and times of the transport it replaced.
+#: the exact records, ids and times of the transport it replaced.  The
+#: ``corrupt``, ``partition``, ``reliable-partition`` and ``restart`` rows
+#: were pinned at 39e2b1b, while every faulted or reliable fan-out was
+#: still a per-send loop, so batching those holds to that loop's records.
 GOLDEN = {
     ("ct", "stock"): ("b64dca26ee0b6b99", "96ced39c3498546b"),
     ("ct", "crash"): ("f6e50dfa55dd12dc", "cea0177972fd2094"),
@@ -225,6 +267,26 @@ GOLDEN = {
     ("mc", "drop"): ("970718c78792f9e4", "b68f7c7c951444cb"),
     ("cd", "stock"): ("ad795564800c247c", "7ffb4ab38dae68fd"),
     ("cr", "stock"): ("8d2e64ef515f992e", "8d2e64ef515f992e"),
+    ("base", "corrupt"): ("ce24651001c1ea8b", "3d55015a6cfe9e25"),
+    ("ct", "corrupt"): ("b64dca26ee0b6b99", "96ced39c3498546b"),
+    ("mc", "corrupt"): ("2cc8b6d3237efe55", "8b8ff2cb314178d0"),
+    ("cd", "corrupt"): ("ad795564800c247c", "7ffb4ab38dae68fd"),
+    ("cr", "corrupt"): ("8d2e64ef515f992e", "8d2e64ef515f992e"),
+    ("base", "partition"): ("2ce374fe98c446b5", "5dd9d4629a9ed6a8"),
+    ("ct", "partition"): ("3b85772362aa386c", "68fa11eecfaaabd5"),
+    ("mc", "partition"): ("f08a870edf3f5426", "782d56c4a7858c3e"),
+    ("cd", "partition"): ("ad795564800c247c", "7ffb4ab38dae68fd"),
+    ("cr", "partition"): ("b69f0042679328cd", "b69f0042679328cd"),
+    ("base", "reliable-partition"): ("f47cf3c98da22797", "f6957c2b2c88548e"),
+    ("ct", "reliable-partition"): ("524fed29fa9da0ff", "95a44f83cbf1a8ed"),
+    ("mc", "reliable-partition"): ("7801aac997db4dea", "5bda6b2b6e4ef1cc"),
+    ("cd", "reliable-partition"): ("7581012fe035cf6b", "64802853ccf42202"),
+    ("cr", "reliable-partition"): ("1e2dc5124da10305", "1e2dc5124da10305"),
+    ("base", "restart"): ("00a8da37a4366875", "14d8906c93f975e8"),
+    ("ct", "restart"): ("88c13e385b66faa8", "6b29aa1b0948012c"),
+    ("mc", "restart"): ("55ca3f887c221c38", "1ce36e9254c30677"),
+    ("cd", "restart"): ("c21ab978b9f203fd", "ed4bc538d2e66f64"),
+    ("cr", "restart"): ("b2c0a28a4c185ff2", "b2c0a28a4c185ff2"),
 }
 
 GOLDEN_WALKS = {

@@ -9,12 +9,14 @@ way it sums them — so a per-peer loop that creeps back into the detector or
 an engine, or a per-``DONE`` barrier test, fails here in well under a
 second.  Likewise one fault-free campaign cell per FULL-trace variant,
 oracles included: a query that materializes the whole trace again fails
-here, not only in the benchmark's ``faults`` workload; and one lossy cell
-per variant, where the ARQ transport's per-frame path is most of the work.
+here, not only in the benchmark's ``faults`` workload; one lossy cell per
+variant, where the ARQ transport's per-frame path is most of the work; and
+three faulted ct cells, whose fan-outs must stay one batched loop with no
+fate scanning the plan's windows.
 
-``docs/SUBSTRATES.md`` states what a delivery of each kind costs and what
-each step of a sequenced frame costs; both tables are generated here and
-checked.  Regenerate on purpose:
+``docs/SUBSTRATES.md`` states what a delivery of each kind costs, what each
+step of a sequenced frame costs and what a copy of a fan-out costs under
+each fault; the three tables are generated here and checked.  Regenerate on purpose:
 ``PYTHONPATH=src python tests/unit/test_call_count_guard.py``.
 """
 
@@ -31,12 +33,14 @@ import pytest
 from repro.core.messages import AckMsg
 from repro.core.participant import CAParticipant
 from repro.core.variants import VARIANTS, run_action
+from repro.net.failures import CrashWindow, FailureInjector, FailurePlan, PartitionWindow
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.reliable import KIND_TRANSPORT_ACK, ReliableNetwork
 from repro.simkernel.events import EventQueue
+from repro.simkernel.rng import RngRegistry
 from repro.simkernel.scheduler import Simulator
-from repro.simkernel.trace import TraceLevel
+from repro.simkernel.trace import TraceLevel, TraceRecorder
 from repro.workloads.campaigns import OK, default_matrix, observe_cell, run_cell
 from repro.workloads.generator import general_case
 
@@ -75,9 +79,12 @@ CELL_CALL_CEILINGS = {"ct": 2_947, "mc": 794, "cd": 662}
 #: 8,543 → 7,701, mc 2,823 → 2,097, cd 1,721 → 1,346 once a frame became one
 #: slotted object with its timer pushed straight on the queue and its
 #: delivery unwrapped in place; ct 7,701 → 7,438, mc 2,097 → 2,080 (cd
-#: 1,346 → 1,355) once the ct/mc progress steps became ``PROGRESS`` rows.
-#: Each ceiling is 5 % above the lowest measure.
-LOSSY_CELL_CALL_CEILINGS = {"base": 5_666, "ct": 7_810, "mc": 2_184, "cd": 1_414}
+#: 1,346 → 1,355) once the ct/mc progress steps became ``PROGRESS`` rows;
+#: base 5,396 → 5,120, ct 7,438 → 5,662, mc 2,080 → 1,904, cd 1,355 → 1,306
+#: once a faulted or reliable fan-out stayed one batched ``send_many`` and a
+#: fate stopped scanning the plan's windows.  Each ceiling is 5 % above the
+#: lowest measure.
+LOSSY_CELL_CALL_CEILINGS = {"base": 5_376, "ct": 5_945, "mc": 1_999, "cd": 1_371}
 #: Every function the ARQ transport defines: the callers the lossy cells'
 #: per-frame assertions look under.
 TRANSPORT = [f for f in vars(ReliableNetwork).values() if isinstance(f, FunctionType)]
@@ -90,6 +97,8 @@ BEGIN = "<!-- delivery-cost: generated by tests/unit/test_call_count_guard.py --
 END = "<!-- /delivery-cost -->"
 FRAME_BEGIN = "<!-- frame-cost: generated by tests/unit/test_call_count_guard.py -->"
 FRAME_END = "<!-- /frame-cost -->"
+FANOUT_BEGIN = "<!-- fanout-cost: generated by tests/unit/test_call_count_guard.py -->"
+FANOUT_END = "<!-- /fanout-cost -->"
 
 
 def profiled(run):
@@ -227,6 +236,35 @@ def test_a_lossy_cell_and_its_oracles_under_a_ceiling(variant):
     assert not calls_from(stats, TRANSPORT, Simulator.schedule_at)
 
 
+#: ct cells whose fan-outs meet every fate: a crashed peer (plain network),
+#: a partition and 20 % loss (both over the ARQ transport, whose sequenced
+#: kinds are framed per copy and whose beats are datagrams).
+FAULTED_FANOUT_CELLS = ("crash_participant", "partition", "drop")
+
+
+@pytest.mark.parametrize("fault", FAULTED_FANOUT_CELLS)
+def test_a_faulted_fan_out_stays_one_fan_out(fault):
+    cell = first_paper_cell("ct", fault)
+    outcome, stats = profiled_stats(lambda: run_cell(cell))
+    rows = [(entry.code, entry.callcount) for entry in stats]
+    assert outcome.classification == OK
+    network = observe_cell(cell).runtime.network
+    assert network.injector.dropped, "no fan-out copy met its fault"
+    # No copy of a fan-out is a send of its own, framed or not, and none
+    # asks the injector for its fate ...
+    fan_out = [Network.send_many]
+    assert calls_of(rows, Network.send_many) > 0
+    assert not calls_from(stats, fan_out, Network.send)
+    assert not calls_from(stats, fan_out, ReliableNetwork.send)
+    assert not calls_from(stats, fan_out, FailureInjector.decide)
+    # ... and no fate scans the windows: they are read once per edge the
+    # clock crosses (a crash opens one, a partition opens and closes one),
+    # each reading a crash window once.
+    reads = calls_of(rows, FailureInjector._read_plan)
+    assert 1 <= reads <= 3
+    assert calls_of(rows, CrashWindow.covers) <= reads
+
+
 # -- what a delivery of each kind costs (docs/SUBSTRATES.md) ------------------
 
 
@@ -288,11 +326,14 @@ def generated_block() -> str:
 #: Transport entry points by code; ``None`` is ``_deliver``, named by the kind
 #: it is delivering.
 FRAME_STEPS = {
-    ReliableNetwork.send.__code__: "send",
+    ReliableNetwork._frame.__code__: "framing",
+    ReliableNetwork.send.__code__: "unicast send",
     ReliableNetwork._deliver.__code__: None,
     ReliableNetwork._maybe_retransmit.__code__: "retransmission",
 }
-STEP_ORDER = ("send", "frame delivery", "`T_ACK` delivery", "retransmission")
+STEP_ORDER = (
+    "framing", "unicast send", "frame delivery", "`T_ACK` delivery", "retransmission",
+)
 
 
 def frame_costs() -> tuple[dict[str, list[int]], int]:
@@ -353,7 +394,90 @@ def generated_frame_block() -> str:
     return "\n".join(lines)
 
 
-BLOCKS = ((BEGIN, END, generated_block), (FRAME_BEGIN, FRAME_END, generated_frame_block))
+# -- what a copy of a fan-out costs (docs/SUBSTRATES.md) -----------------------
+
+
+FANOUT_PEERS = 15
+FANOUTS = 64
+_PEERS = [f"P{i:02d}" for i in range(FANOUT_PEERS + 1)]
+#: (row, network class, kind, plan): each plan touches some copies of every
+#: fan-out at the send instant.
+FANOUT_ROWS = (
+    ("stock", Network, "K", FailurePlan()),
+    ("crash", Network, "K", FailurePlan(crashes=[CrashWindow("P01", 0.0)])),
+    ("partition", Network, "K", FailurePlan(partitions=[
+        PartitionWindow(frozenset(_PEERS[:8]), frozenset(_PEERS[8:]), 0.0)
+    ])),
+    ("drop", Network, "K", FailurePlan(drop_probability=0.2)),
+    ("reliable datagram", ReliableNetwork, "HEARTBEAT", FailurePlan(drop_probability=0.2)),
+    ("reliable sequenced", ReliableNetwork, "K", FailurePlan(drop_probability=0.2)),
+)
+
+
+def fanout_cost(cls, kind: str, plan: FailurePlan) -> float:
+    """``call`` + ``c_call`` events inside ``send_many`` (its own frame
+    included) per copy, over ``FANOUTS`` fan-outs from rotating sources at
+    one instant; nothing is delivered."""
+    rng = RngRegistry(0)
+    network = cls(
+        Simulator(), rng=rng,
+        injector=FailureInjector(plan, rng.stream("net.failures")),
+        trace=TraceRecorder(level=TraceLevel.COUNTS),
+    )
+    for name in _PEERS:
+        network.register(name, lambda message: None)
+    fan_outs = [(src, [dst for dst in _PEERS if dst != src]) for src in _PEERS]
+    code = Network.send_many.__code__
+    state = {"depth": 0, "calls": 0}
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            state["depth"] += 1
+        if state["depth"] and (event == "call" or event == "c_call"):
+            state["calls"] += 1
+        elif event == "return" and frame.f_code is code:
+            state["depth"] -= 1
+
+    def run():
+        state["calls"] = 0
+        for index in range(FANOUTS):
+            src, dsts = fan_outs[index % len(fan_outs)]
+            network.send_many(src, dsts, kind)
+
+    measured(run, lambda: sys.setprofile(hook), lambda: sys.setprofile(None))
+    return state["calls"] / (FANOUTS * FANOUT_PEERS)
+
+
+def generated_fanout_block() -> str:
+    lines = [
+        FANOUT_BEGIN,
+        f"{FANOUTS} fan-outs of one payload to {FANOUT_PEERS} peers at `COUNTS` "
+        f"on CPython {MEASURED_ON[0]}.{MEASURED_ON[1]}, deliveries not run:",
+        "",
+        "| fan-out | network | plan | calls per copy |",
+        "|---|---|---|---|",
+    ]
+    for row, cls, kind, plan in FANOUT_ROWS:
+        faults = [
+            label for label, on in (
+                ("one peer down", plan.crashes),
+                ("half the peers cut off", plan.partitions),
+                (f"{plan.drop_probability:.0%} loss", plan.drop_probability),
+            ) if on
+        ]
+        lines.append(
+            f"| {row} (`{kind}`) | `{cls.__name__}` | {', '.join(faults) or 'none'} | "
+            f"{fanout_cost(cls, kind, plan):.2f} |"
+        )
+    lines.append(FANOUT_END)
+    return "\n".join(lines)
+
+
+BLOCKS = (
+    (BEGIN, END, generated_block),
+    (FRAME_BEGIN, FRAME_END, generated_frame_block),
+    (FANOUT_BEGIN, FANOUT_END, generated_fanout_block),
+)
 
 
 @pytest.mark.skipif(
@@ -372,6 +496,15 @@ def test_substrates_doc_states_what_a_frame_costs():
     text = DOC.read_text()
     stated = text[text.index(FRAME_BEGIN): text.index(FRAME_END) + len(FRAME_END)]
     assert stated == generated_frame_block()
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != MEASURED_ON, reason="exact counts are per interpreter"
+)
+def test_substrates_doc_states_what_a_fan_out_copy_costs():
+    text = DOC.read_text()
+    stated = text[text.index(FANOUT_BEGIN): text.index(FANOUT_END) + len(FANOUT_END)]
+    assert stated == generated_fanout_block()
 
 
 if __name__ == "__main__":

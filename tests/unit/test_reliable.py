@@ -1,9 +1,11 @@
 """Unit tests for the reliable (ARQ) transport layer."""
 
+import pytest
 
 from repro.net.detector import KIND_HEARTBEAT, Heartbeater
 from repro.net.failures import CrashWindow, FailurePlan, FailureInjector
 from repro.net.latency import UniformLatency
+from repro.net.network import UnknownEndpointError
 from repro.net.reliable import (
     KIND_TRANSPORT_ACK,
     ReliableNetwork,
@@ -153,6 +155,22 @@ class TestLosslessPath:
             net.send("a", "b", "K", payload=i)
         sim.run()
         assert order == list(range(30))
+
+    def test_send_to_an_unknown_endpoint_consumes_no_sequence_number(self):
+        # Regression: the frame used to be numbered and held pending before
+        # the endpoint check raised, so the pair's next frame (seq 1) sat in
+        # the receiver's reorder buffer behind a seq 0 that never came.
+        sim, net = make_reliable()
+        received = []
+        net.register("a", lambda m: None)
+        with pytest.raises(UnknownEndpointError):
+            net.send("a", "b", "X", 1)
+        assert not net._pending and not net._next_seq
+        net.register("b", lambda m: received.append(m.payload))
+        net.send("a", "b", "X", 2)
+        sim.run()
+        assert received == [2]
+        assert not net._reorder
 
 
 class TestLossRecovery:

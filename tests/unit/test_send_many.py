@@ -1,9 +1,9 @@
 """``Network.send_many``: the batched broadcast must equal a send loop.
 
 The fast loop hoists per-send constants, so every observable — message
-identity fields, ids, timestamps, counters, trace records, delivery order,
-raised errors — is compared against the plain ``send`` loop on a twin
-network, message-id counter aligned.
+identity fields, ids, timestamps, fates, counters, trace records, delivery
+order, raised errors — is compared against the plain ``send`` loop on a
+twin network, message-id counter aligned.
 """
 
 import pytest
@@ -17,10 +17,11 @@ from repro.net import (
 )
 from repro.net import message as message_mod
 from repro.net.detector import KIND_HEARTBEAT, Heartbeater
+from repro.net.failures import CrashWindow, PartitionWindow
 from repro.net.membership import GroupMembership
 from repro.net.multicast import ReliableMulticast
 from repro.net.network import UnknownEndpointError
-from repro.net.reliable import ReliableNetwork
+from repro.net.reliable import ReliableNetwork, _Frame
 from repro.objects import DistributedObject, Runtime
 from repro.simkernel import RngRegistry, Simulator
 from repro.simkernel.trace import TraceLevel
@@ -44,28 +45,29 @@ def wire(net, names, log):
         )
 
 
-def run_broadcasts(net, sim, batched, names):
+def run_broadcasts(net, sim, batched, names, kind="K"):
     """Three staggered broadcasts, mixed with singles; return observables."""
     log = []
     wire(net, names, log)
     others = [n for n in names if n != names[0]]
     if batched:
-        sent = list(net.send_many(names[0], others, "K", "p0"))
+        sent = list(net.send_many(names[0], others, kind, "p0"))
         sim.run(until=1.5)
         sent += [net.send(names[0], others[0], "S", "p1")]
-        sent += list(net.send_many(names[1], [n for n in names if n != names[1]], "K", "p2"))
+        sent += list(net.send_many(names[1], [n for n in names if n != names[1]], kind, "p2"))
     else:
-        sent = [net.send(names[0], dst, "K", "p0") for dst in others]
+        sent = [net.send(names[0], dst, kind, "p0") for dst in others]
         sim.run(until=1.5)
         sent.append(net.send(names[0], others[0], "S", "p1"))
         sent += [
-            net.send(names[1], dst, "K", "p2")
+            net.send(names[1], dst, kind, "p2")
             for dst in names
             if dst != names[1]
         ]
     sim.run()
     envelopes = [
-        (m.src, m.dst, m.kind, m.payload, m.msg_id, m.send_time, m.deliver_time)
+        (m.src, m.dst, m.kind, unframed(m.payload), m.msg_id, m.send_time,
+         m.deliver_time, m.dropped, m.corrupted)
         for m in sent
     ]
     trace = [
@@ -79,7 +81,27 @@ def run_broadcasts(net, sim, batched, names):
         "delivered_by_kind": dict(net.delivered_by_kind),
         "counts": dict(net.trace.counts),
         "trace": trace,
+        "faults": (net.injector.dropped, net.injector.corrupted),
+        "frames": dict(getattr(net, "_next_seq", {})),
+        "retransmissions": getattr(net, "retransmissions", 0),
     }
+
+
+def unframed(payload):
+    """A frame by what it carries (twin networks hold distinct objects)."""
+    if isinstance(payload, _Frame):
+        return ("frame", payload.seq, payload.kind, payload.inner)
+    return payload
+
+
+def pushes_of(sim):
+    """The sizes of the raw queue pushes made from here on."""
+    sizes = []
+    push_raw = sim._queue.push_raw
+    sim._queue.push_raw = lambda t, p, payloads: (
+        sizes.append(len(payloads)), push_raw(t, p, payloads)
+    )
+    return sizes
 
 
 def reset_msg_ids():
@@ -112,26 +134,76 @@ class TestEquivalence:
         assert batched == looped
 
     def test_faulty_plan_falls_back_identically(self):
+        # A lossy plan no longer falls back: the fan-out is still one
+        # batched loop, equal to the per-send loop, copy for copy.
         plan = FailurePlan(drop_probability=0.3)
         reset_msg_ids()
         sim_a, net_a = make_network(plan=plan)
         looped = run_broadcasts(net_a, sim_a, batched=False, names=NAMES)
         reset_msg_ids()
         sim_b, net_b = make_network(plan=plan)
+        pushes = pushes_of(sim_b)
         batched = run_broadcasts(net_b, sim_b, batched=True, names=NAMES)
         assert batched == looped
+        assert looped["faults"][0]  # something was dropped
+        # One push per fan-out (of the copies that survived) and one per
+        # delivered unicast, never one per broadcast copy.
+        assert len(pushes) < looped["delivered_by_kind"]["K"]
 
     def test_subclassed_send_takes_the_per_send_path(self):
-        # ReliableNetwork overrides send (ACK bookkeeping); send_many must
-        # route every message through that override.
+        # ReliableNetwork overrides send (ACK bookkeeping) as Network.send
+        # over its per-copy _frame: every copy of a fan-out still reaches
+        # the override's bookkeeping — one frame, pending entry and timer
+        # each — inside the one batched loop, equal to the loop of sends.
         sim, net = make_network(cls=ReliableNetwork)
         log = []
         wire(net, NAMES, log)
-        assert not net._stock_send
+        pushes = pushes_of(sim)
         sent = net.send_many("O1", ["O2", "O3"], "K", "x")
+        assert pushes == [2]
+        assert [(f.dst, f.seq) for f in net._pending.values()] == [("O2", 0), ("O3", 0)]
+        assert all(f.timer is not None for f in net._pending.values())
         sim.run()
         assert [m.dst for m in sent] == ["O2", "O3"]
         assert sorted(name for name, _, _ in log) == ["O2", "O3"]
+        assert not net._pending and net.transport_acks == 2
+        reset_msg_ids()
+        sim_a, net_a = make_network(cls=ReliableNetwork)
+        looped = run_broadcasts(net_a, sim_a, batched=False, names=NAMES)
+        reset_msg_ids()
+        sim_b, net_b = make_network(cls=ReliableNetwork)
+        assert run_broadcasts(net_b, sim_b, batched=True, names=NAMES) == looped
+
+    @pytest.mark.parametrize("cls, kind", [
+        (Network, "K"), (ReliableNetwork, "K"), (ReliableNetwork, KIND_HEARTBEAT),
+    ], ids=["plain", "sequenced", "heartbeat"])
+    @pytest.mark.parametrize("plan", [
+        FailurePlan(crashes=[CrashWindow("O3", 0.0, 1.2), CrashWindow("O2", 1.4, 9.0)]),
+        FailurePlan(partitions=[
+            PartitionWindow(frozenset({"O1"}), frozenset({"O3", "O4"}), 0.0, 1.2),
+            PartitionWindow(frozenset({"O2", "O3"}), frozenset({"O4"}), 1.0, 9.0),
+        ]),
+        FailurePlan(corrupt_probability=0.5),
+        FailurePlan(drop_probability=0.3, corrupt_probability=0.3),
+    ], ids=["crash", "partition", "corrupt", "drop-corrupt"])
+    def test_faulted_fan_out_batches_identically(self, plan, cls, kind):
+        """Crash, partition, drop and corrupt fates, read from the plan at
+        the send instant, on either side of a window's edge: the batched
+        loop equals the loop of sends, on the plain network and on the ARQ
+        transport's sequenced and datagram kinds."""
+        reset_msg_ids()
+        sim_a, net_a = make_network(plan=plan, cls=cls)
+        looped = run_broadcasts(net_a, sim_a, batched=False, names=NAMES, kind=kind)
+        reset_msg_ids()
+        sim_b, net_b = make_network(plan=plan, cls=cls)
+        sends = []
+        send = net_b.send
+        net_b.send = lambda *args: (sends.append(args), send(*args))[1]
+        batched = run_broadcasts(net_b, sim_b, batched=True, names=NAMES, kind=kind)
+        assert batched == looped
+        assert sum(looped["faults"])  # the plan touched something
+        # Only the single ``S`` went through send; the broadcasts did not.
+        assert [args[2] for args in sends] == ["S"]
 
     def test_unknown_endpoint_raises_after_earlier_sends(self):
         # Mid-broadcast unknown dst: earlier names are sent (and counted)
@@ -144,6 +216,19 @@ class TestEquivalence:
         assert net.sent_by_kind["K"] == 1
         sim.run()
         assert [name for name, _, _ in log] == ["O2"]
+
+    def test_unknown_endpoint_frames_only_the_earlier_names(self):
+        sim, net = make_network(cls=ReliableNetwork)
+        log = []
+        wire(net, ["O1", "O2", "O3"], log)
+        with pytest.raises(UnknownEndpointError):
+            net.send_many("O1", ["O2", "GHOST", "O3"], "K", "x")
+        assert net._next_seq == {("O1", "O2"): 1}
+        assert [key for key in net._pending] == [("O1", "O2", 0)]
+        wire(net, ["GHOST"], log)
+        net.send_many("O1", ["GHOST", "O3"], "K", "y")
+        sim.run()
+        assert [name for name, _, _ in log] == ["O2", "GHOST", "O3"]
 
 
 class TestOneBucketPerBroadcast:
