@@ -6,7 +6,8 @@ engines — :mod:`repro.core.algorithm` (base Section 4.2, rows of its
 receive and progress tables included), :mod:`repro.core.crash_tolerant`
 and the Section 4.5 variants :mod:`repro.core.multicast_variant` and
 :mod:`repro.core.centralized_variant` — to the substrate's per-delivery
-shortcuts (:mod:`repro.core.participant`'s counted exit barrier,
+shortcuts (:mod:`repro.core.participant`'s counted exit barrier and the
+reset of an action's ``SA_i`` record on retry,
 :mod:`repro.net.network`'s delivery and fan-out), to the failure detector
 (:mod:`repro.net.detector`'s tick) and the transport under it
 (:mod:`repro.net.reliable`: its datagrams, ACK and duplicate
@@ -207,6 +208,13 @@ MUTANTS: tuple[Mutant, ...] = (
         "nobody leaves",
         "and len(arrived) >= self._barrier_need:",
         "and len(arrived) > self._barrier_need:",
+    ),
+    Mutant(
+        "retry-keeps-done-sent", PARTICIPANT,
+        "a retried action's record keeps its DONE-sent flag: the next "
+        "attempt never broadcasts DONE, so no peer leaves",
+        "        record.done_sent = False\n",
+        "",
     ),
     Mutant(
         "send-many-ids-misaligned", NET,
@@ -566,7 +574,7 @@ SMOKE_IDS = (
     "ct-no-acks-missing", "ct-resolver-never-handles", "ct-commit-not-adopted",
     "ct-commit-to-alive-only", "mc-exception-no-flush", "cd-suspended-silent",
     "cache-crc-ignored", "walk-seed-pinned",
-    "barrier-gate-off-by-one", "deliver-fallback-skipped",
+    "barrier-gate-off-by-one", "retry-keeps-done-sent", "deliver-fallback-skipped",
     "send-many-delivers-to-unreachable",
     "tick-checks-before-beating", "heartbeat-sent-sequenced",
     "duplicate-frame-redelivered", "tick-touches-beat-only",
@@ -627,6 +635,7 @@ def detection_problems() -> list[str]:
     except Exception as exc:
         problems.append(f"example2: {type(exc).__name__}: {exc}")
     problems.extend(_rare_row_problems())
+    problems.extend(_retry_problems())
     problems.extend(_verdict_problems())
     # The interleaving that once broke the ct ACK/HaveNested ordering
     # (fixed in commit 01eb862; only this replay catches a reintroduction).
@@ -670,6 +679,24 @@ def _rare_row_problems() -> list[str]:
     except Exception as exc:
         problems.append(f"stale traffic: {type(exc).__name__}: {exc}")
     return problems
+
+
+def _retry_problems() -> list[str]:
+    """A nested base world whose root action fails its acceptance test
+    twice: every attempt's exit line must be crossed by every member, so
+    all three attempts run and every behaviour finishes."""
+    from repro.workloads.fuzz import build_random_scenario, check_invariants
+
+    try:
+        scenario, plan = build_random_scenario(23, n_participants=4, failing_attempts=2)
+        result = scenario.run()
+        problems = [f"retried world: {v}" for v in check_invariants(result, plan)]
+        attempts = result.manager.attempt_of(plan.actions[0].name)
+        if attempts != 3:
+            problems.append(f"retried world: {attempts} attempts, not 3")
+        return problems
+    except Exception as exc:
+        return [f"retried world: {type(exc).__name__}: {exc}"]
 
 
 def _verdict_problems() -> list[str]:

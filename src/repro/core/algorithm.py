@@ -48,6 +48,7 @@ from repro.obs.metrics import COUNT_BUCKETS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.participant import CAParticipant
+    from repro.exceptions.context import ExceptionContext
 
 
 class ResolutionProtocolError(RuntimeError):
@@ -61,8 +62,6 @@ class ResolutionEngine:
         self.p = participant
         self.ctx: Optional[ResolutionCtx] = None
         self.abortion: Optional[AbortionTask] = None
-        #: Actions whose resolution committed (stragglers are drained).
-        self.completed: dict[str, CommitMsg] = {}
         #: True when the trace level is FULL (set by the participant's
         #: attach()): the one test guarding the FULL-only ``state`` records.
         self._full = False
@@ -100,7 +99,6 @@ class ResolutionEngine:
 
     def forget_action(self, action: str) -> None:
         """Called when the participant exits ``action``."""
-        self.completed.pop(action, None)
         if self.ctx is not None and self.ctx.action == action:
             self.ctx = None
 
@@ -117,8 +115,11 @@ class ResolutionEngine:
     # -- local raise ------------------------------------------------------------
 
     def local_raise(self, action: str, exception: ExceptionClass) -> None:
-        """``E_i`` is raised in ``O_i`` within its active action."""
-        if action in self.completed:
+        """``E_i`` is raised in ``O_i`` within its active action:
+        ``S(O_i) := X``, ``le[O_i]`` records it, the Exception goes to every
+        other member with ``ack_awaited[EXCEPTION]`` armed, and the
+        behaviour is interrupted (termination model)."""
+        if self.p.contexts.find(action).committed is not None:
             raise ResolutionProtocolError(
                 f"{self.p.name}: raise after committed resolution in {action}"
             )
@@ -178,12 +179,13 @@ class ResolutionEngine:
             return "stale"
         if status is ActionStatus.COMPLETED and kind == KIND_ACK:
             return "straggler"
-        if action in self.completed:
-            return "resolved"
         contexts = self.p.contexts
-        if not contexts.entered(action):
+        record = contexts.find(action)
+        if record is None:
             return "belated"
-        nested = contexts.depth_below(action) > 0
+        if record.committed is not None:
+            return "resolved"
+        nested = record is not contexts._stack[-1]
         registry = self.p.registry
         if nested and registry.get(action).policy is NestedPolicy.WAIT_FOR_NESTED:
             return "deferred"
@@ -297,7 +299,7 @@ class ResolutionEngine:
         """(9)/(10) A resolver group's other Commit after the handler ran:
         dropped if it agrees, a protocol error if not."""
         m: CommitMsg = message.payload
-        committed = self.completed[m.action]
+        committed = self.p.contexts.find(m.action).committed
         if committed.exception is not m.exception or committed.raisers != m.raisers:
             raise ResolutionProtocolError(
                 f"{self.p.name}: conflicting late Commit for {m.action}"
@@ -425,13 +427,15 @@ class ResolutionEngine:
             )
         self.p.start_resolved_handler(ctx.action, ctx.commit.exception)
 
-    def handler_finished(self, action: str) -> None:
-        """The handler for the resolved exception ran; retire the context."""
-        if self.ctx is None or self.ctx.action != action:
+    def handler_finished(self, record: "ExceptionContext") -> None:
+        """The handler for the resolved exception ran: its Commit becomes
+        the verdict on A's record, and the context retires."""
+        ctx = self.ctx
+        if ctx is None or ctx.action != record.action_name:
             raise ResolutionProtocolError(
-                f"{self.p.name}: handler finished for {action} without context"
+                f"{self.p.name}: handler finished for {record.action_name} without context"
             )
-        self.completed[action] = self.ctx.commit
+        record.committed = ctx.commit
         self.ctx = None
 
 

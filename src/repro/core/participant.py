@@ -10,7 +10,8 @@ connecting a set of meta-objects: one for each CA action participant").
 
 The participant owns everything that is *not* the resolution algorithm:
 
-* the exception-context stack (``SA_i``) following entered actions,
+* the exception-context stack (``SA_i``): one record per entered action,
+  holding all this participant keeps about it, popped by one exit,
 * buffering of protocol messages for actions not yet entered (belated
   participants, Section 3.3 problem 3),
 * the synchronous exit barrier ("leave A synchronously", Section 4.2),
@@ -105,16 +106,13 @@ class CAParticipant(DistributedObject):
         #: messages deferred by the WAIT_FOR_NESTED policy.
         self.pending: dict[str, list[Message]] = {}
         #: DONE senders per (action, attempt) — the exit barrier; attempts
-        #: are the epochs of Figure 2(b)'s backward-recovery retries.
+        #: are the epochs of Figure 2(b)'s backward-recovery retries.  Like
+        #: ``pending``, it holds traffic for what is not reached yet: an
+        #: action not entered, or a faster peer's next attempt.
         self._barrier: dict[tuple[str, int], set[str]] = {}
-        self._done_broadcast: set[str] = set()
         self._waiting_barrier: Optional[str] = None
         #: How many DONEs ``_waiting_barrier`` needs (set with it).
         self._barrier_need = 0
-        self._handled_markers: dict[str, ExceptionClass] = {}
-        self._handler_handles: dict[str, object] = {}
-        #: This participant's attempt number per action (1 = primary).
-        self._attempts: dict[str, int] = {}
         #: Hook called when the action's acceptance test fails and a new
         #: attempt starts: (action, next_attempt).
         self.on_action_retry: Callable[[str, int], None] = (
@@ -182,11 +180,11 @@ class CAParticipant(DistributedObject):
     # -- action entry/exit API (called by behaviours) ---------------------------
 
     def enter_action(self, action: str) -> None:
-        """Enter ``action``: push its exception context, join its group.
+        """``<A> -> SA_i``: push A's record, at attempt 1 with nothing sent,
+        then process the protocol messages buffered for A while this
+        participant had not entered it ("process messages having arrived").
 
-        Objects "may enter a CA action asynchronously" (Section 4); any
-        protocol messages that arrived before entry are processed now
-        ("process messages having arrived", Section 4.2).
+        Objects "may enter a CA action asynchronously" (Section 4).
         """
         definition = self.registry.get(action)
         if definition.parent is not None and self.active_action != definition.parent:
@@ -213,8 +211,12 @@ class CAParticipant(DistributedObject):
         self._process_pending(action)
 
     def request_leave(self, action: str) -> None:
-        """Start the synchronous exit: broadcast DONE, wait for the rest."""
-        if self.active_action != action:
+        """The exit barrier, "leave A synchronously": broadcast this
+        attempt's DONE (kind ``DONE``, outside the Section 4.4 counts, which
+        treat application traffic "independently") unless the record's
+        ``done_sent`` says it went out already, then wait for the others'."""
+        record = self.contexts.active
+        if record is None or record.action_name != action:
             raise ProtocolViolation(
                 f"{self.name} cannot leave {action}: active action is "
                 f"{self.active_action}"
@@ -224,9 +226,9 @@ class CAParticipant(DistributedObject):
                 f"{self.name} cannot leave {action} during resolution"
             )
         definition = self.registry.get(action)
-        attempt = self._attempts.setdefault(action, 1)
-        if action not in self._done_broadcast:
-            self._done_broadcast.add(action)
+        attempt = record.attempt
+        if not record.done_sent:
+            record.done_sent = True
             done_msg = DoneMsg(action, self.name, epoch=attempt)
             me = self.name
             send_many = self._net_send_many
@@ -254,21 +256,26 @@ class CAParticipant(DistributedObject):
         # size.  Every other way the barrier opens (leave requested after
         # the last DONE, a live resolution context retiring) goes through
         # an ungated caller: request_leave, reached also from
-        # _exit_after_handler.
+        # _finish_handler.
         if self._waiting_barrier == action and len(arrived) >= self._barrier_need:
             self._check_barrier(action)
 
     def _check_barrier(self, action: str) -> None:
-        if self._waiting_barrier != action or action not in self._done_broadcast:
+        """The barrier opens once every other member's DONE for this attempt
+        is in and no resolution involves this participant; then the
+        acceptance test commits A, retries it (the record starts its next
+        attempt in place) or signals its failure."""
+        if self._waiting_barrier != action:
             return
         if self.engine.ctx is not None:
             # A resolution is in progress: either for this action (the exit
-            # resumes from _exit_after_handler once the handler completes)
-            # or for a containing one, whose abortion chain is about to pop
+            # resumes from _finish_handler once the handler completes) or
+            # for a containing one, whose abortion chain is about to pop
             # this context — in both cases the barrier must not fire now.
             return
-        attempt = self._attempts.get(action, 1)
-        arrived = self._barrier.get((action, attempt))
+        # Only the active action waits: every exit clears the wait.
+        record = self.contexts.active
+        arrived = self._barrier.get((action, record.attempt))
         expected = self.registry.get(action).others_set(self.name)
         if arrived is None:
             # No DONE has arrived for this attempt; the barrier is open
@@ -276,19 +283,19 @@ class CAParticipant(DistributedObject):
             if expected:
                 return
             self._waiting_barrier = None
-            self._complete_action(action)
+            self._complete_action(record)
             return
         # Cheap length gate first: the subset test is O(N), and an ungated
         # caller may get here long before the last arrival.
         if len(arrived) >= len(expected) and expected <= arrived:
             self._waiting_barrier = None
-            self._complete_action(action)
+            self._complete_action(record)
 
-    def _complete_action(self, action: str) -> None:
-        attempt = self._attempts.get(action, 1)
+    def _complete_action(self, record: ExceptionContext) -> None:
+        action, attempt = record.action_name, record.attempt
         decision = self.action_manager.exit_decision(action, attempt, self.sim_now)
         if decision == self.action_manager.EXIT_RETRY:
-            self._start_retry(action, attempt)
+            self._start_retry(record)
             return
         if decision == self.action_manager.EXIT_FAIL:
             from repro.exceptions.declarations import ActionFailureException
@@ -296,12 +303,8 @@ class CAParticipant(DistributedObject):
             self.trace("action.acceptance_failed", action=action, attempt=attempt)
             self._signal_failure(action, ActionFailureException)
             return
-        handled = self._handled_markers.pop(action, None)
-        self.contexts.pop(action)
-        self._barrier.pop((action, attempt), None)
-        self._done_broadcast.discard(action)
-        self._attempts.pop(action, None)
-        self.engine.forget_action(action)
+        handled = record.handled
+        self._leave(action)
         self.action_manager.note_completed(action, self.sim_now, handled)
         self.trace(
             "action.exit", action=action, outcome=EXIT_COMPLETED,
@@ -314,33 +317,27 @@ class CAParticipant(DistributedObject):
         if new_active is not None:
             self._process_pending(new_active)
 
-    def _start_retry(self, action: str, attempt: int) -> None:
+    def _start_retry(self, record: ExceptionContext) -> None:
         """Backward recovery: the acceptance test failed; rerun the block.
 
-        The exception context stays (the object remains inside the
-        action); barrier and resolution bookkeeping reset for the new
-        attempt; atomic-object state was already rolled back by the
-        manager's implicit transaction abort.
+        The object remains inside the action, so its record stays and
+        starts the next attempt in place; atomic-object state was already
+        rolled back by the manager's implicit transaction abort.
         """
-        next_attempt = attempt + 1
-        self._attempts[action] = next_attempt
-        self._barrier.pop((action, attempt), None)
-        self._done_broadcast.discard(action)
-        self._handled_markers.pop(action, None)
+        action = record.action_name
+        self._barrier.pop((action, record.attempt), None)
+        record.attempt = next_attempt = record.attempt + 1
+        record.done_sent = False
+        record.handled = record.handler = record.committed = None
+        record.raised.clear()  # a fresh attempt may raise anew
         self.engine.forget_action(action)
         # Descendant actions rerun as fresh incarnations: purge whatever
         # protocol state the failed attempt left for them (their stale
         # traffic has fully drained — see CAActionManager.exit_decision).
         for descendant in self.registry.descendants(action):
             self.engine.forget_action(descendant)
-            self._attempts.pop(descendant, None)
             self._purge_barrier(descendant)
-            self._done_broadcast.discard(descendant)
-            self._handled_markers.pop(descendant, None)
             self.pending.pop(descendant, None)
-        context = self.contexts.find(action)
-        if context is not None:
-            context.raised.clear()  # a fresh attempt may raise anew
         self.trace("action.retry", action=action, attempt=next_attempt)
         self.on_action_retry(action, next_attempt)
         # A faster peer may have raised in the new attempt already; its
@@ -349,21 +346,23 @@ class CAParticipant(DistributedObject):
         self._process_pending(action)
 
     def abort_local(self, action: str) -> None:
-        """Pop ``action`` during nested-chain abortion.
+        """Leave ``action`` during nested-chain abortion (a participant may
+        be aborted out of an action while waiting on its exit line) and
+        record the abortion with the manager, which rolls back the
+        action's transaction."""
+        self._leave(action)
+        self.action_manager.note_aborted(action, self.sim_now)
 
-        Clears any half-finished exit-barrier state for the action (a
-        participant may be aborted out of an action while waiting on its
-        exit line) and records the abortion with the manager, which rolls
-        back the action's transaction.
-        """
+    def _leave(self, action: str) -> None:
+        """``delete last element in SA_i``: the one exit of a commit, an
+        abortion and a signalled failure alike pops A's record, and with it
+        the attempt, the DONE sent, the verdict and the handler; A's DONEs
+        and any wait on them go too, so entering A again starts afresh."""
         self.contexts.pop(action)
         self._purge_barrier(action)
-        self._done_broadcast.discard(action)
-        self._handled_markers.pop(action, None)
-        self._attempts.pop(action, None)
         if self._waiting_barrier == action:
             self._waiting_barrier = None
-        self.action_manager.note_aborted(action, self.sim_now)
+        self.engine.forget_action(action)
 
     def _purge_barrier(self, action: str) -> None:
         for key in [k for k in self._barrier if k[0] == action]:
@@ -401,9 +400,10 @@ class CAParticipant(DistributedObject):
             "handler.start", action=action, exception=exception.name(),
             duration=handler.duration,
         )
-        self._handler_handles[action] = self.runtime.sim.schedule(
+        record = self.contexts.find(action)
+        record.handler = self.runtime.sim.schedule(
             handler.duration,
-            lambda: self._finish_handler(action, exception, handler),
+            lambda: self._finish_handler(record, exception, handler),
             label=f"handler:{self.name}:{action}",
         )
 
@@ -411,47 +411,41 @@ class CAParticipant(DistributedObject):
         """Stop a still-running handler: an outer abortion supersedes it
         ("any activity of the nested action is stopped (including ...
         execution of any handlers)", Section 4.1)."""
-        handle = self._handler_handles.pop(action, None)
-        if handle is not None:
-            handle.cancel()
+        record = self.contexts.find(action)
+        if record is not None and record.handler is not None:
+            record.handler.cancel()
+            record.handler = None
             self.trace("handler.cancelled", action=action)
 
-    def _finish_handler(self, action, exception, handler) -> None:
-        self._handler_handles.pop(action, None)
+    def _finish_handler(self, record: ExceptionContext, exception, handler) -> None:
+        record.handler = None
+        action = record.action_name
         result = handler.run(self, exception)
-        chain = [action, *self.registry.ancestors(action)]
-        incarnation = ".".join(
-            str(self._attempts.get(level, 1)) for level in reversed(chain)
-        )
+        stack = self.contexts._stack
+        chain = stack[: stack.index(record) + 1]  # A and its ancestors
         self.handler_log.append(
             HandlerExecution(
                 time=self.sim_now,
                 action=action,
                 exception=exception.name(),
                 outcome=result.outcome.value,
-                attempt=self._attempts.get(action, 1),
-                incarnation=incarnation,
+                attempt=record.attempt,
+                incarnation=".".join(str(level.attempt) for level in chain),
             )
         )
         self.trace(
             "handler.done", action=action, exception=exception.name(),
             outcome=result.outcome.value,
         )
-        self.engine.handler_finished(action)
+        self.engine.handler_finished(record)
         if result.outcome is HandlerOutcome.COMPLETED:
             # Termination model: the handler took over and completed the
-            # action; proceed to the synchronous exit.
-            self._exit_after_handler(action, exception)
+            # action; proceed to the synchronous exit (a DONE already sent
+            # in this attempt is not sent again).
+            record.handled = exception
+            self.request_leave(action)
         else:
             self._signal_failure(action, result.signal)
-
-    def _exit_after_handler(self, action: str, handled: ExceptionClass) -> None:
-        # Record the handled exception for the completion record, then run
-        # the normal synchronous exit (DONE dedupes by sender, so a
-        # participant that already broadcast before the exception need not
-        # rebroadcast).
-        self._handled_markers[action] = handled
-        self.request_leave(action)
 
     def _signal_failure(self, action: str, signal: ExceptionClass) -> None:
         """Handlers failed: signal ``signal`` to the containing action.
@@ -461,11 +455,7 @@ class CAParticipant(DistributedObject):
         failed action's context and raises the signalled exception in the
         containing action, where resolution proceeds as usual.
         """
-        self.contexts.pop(action)
-        self._purge_barrier(action)
-        self._done_broadcast.discard(action)
-        self._attempts.pop(action, None)
-        self.engine.forget_action(action)
+        self._leave(action)
         self.action_manager.note_failed(action, self.sim_now, signal)
         self.trace(
             "action.exit", action=action, outcome=EXIT_FAILED,

@@ -42,7 +42,10 @@ class PState(enum.Enum):
 
 @dataclass
 class ResolutionCtx:
-    """Protocol state for one in-progress resolution of one action."""
+    """``empty LE_i, LO_i, LP_i``: the lists of one in-progress resolution
+    of one action, ``LE_i`` a dict and ``LO_i`` a set; ``LP_i`` is stored as
+    its complement ``ack_awaited``, since the ready check needs who is still
+    missing."""
 
     action: str
     state: PState = PState.NORMAL

@@ -6,22 +6,31 @@ object enters a new exception context whenever it enters an action, and the
 nesting of actions causes the nesting of contexts (Section 3.1).  The stack
 here is the paper's ``SA_i``: it "stores the exception context and the
 exception tree corresponding to each of nested CA actions" (Section 4.1).
+A base participant keeps everything it knows about an entered action on
+that action's entry, so leaving the action forgets it whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.exceptions.tree import ExceptionClass, ResolutionTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.messages import CommitMsg
     from repro.exceptions.handlers import HandlerSet
 
 
-@dataclass
+@dataclass(eq=False)
 class ExceptionContext:
-    """One level of the context stack: an action with its tree and handlers.
+    """``empty SA_i``: ``ExceptionContextStack`` holds one record per
+    entered action, innermost last: the action's tree and handlers, the
+    exception raised in it here, this participant's backward-recovery
+    ``attempt``, whether this attempt's DONE went out (``done_sent``), the
+    exception whose handler completed it (``handled``), the running
+    handler (``handler``) and the Commit that handler ran for
+    (``committed``).
 
     Attributes:
         action_name: the CA action this context belongs to.
@@ -35,6 +44,17 @@ class ExceptionContext:
     #: Exceptions raised locally in this context so far (at most one is
     #: allowed by the Section 4.1 assumption; tracked to enforce it).
     raised: list[ExceptionClass] = field(default_factory=list)
+    #: This participant's backward-recovery attempt of the action (1 is
+    #: the primary; Figure 2(b)'s retries count up).
+    attempt: int = 1
+    #: True once this attempt's DONE went out ("leave A synchronously").
+    done_sent: bool = False
+    #: The exception whose handler completed the action, for its exit.
+    handled: Optional[ExceptionClass] = None
+    #: The scheduled handle of the resolution handler running here.
+    handler: Optional[object] = None
+    #: The Commit whose handler ran: this attempt's verdict.
+    committed: Optional["CommitMsg"] = None
 
 
 class ContextError(RuntimeError):

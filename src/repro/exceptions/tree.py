@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.exceptions.declarations import ActionException, UniversalException
+from repro.exceptions.declarations import ActionException
 
 ExceptionClass = type[ActionException]
 
@@ -198,8 +198,3 @@ class ResolutionTree:
         return (
             f"ResolutionTree(root={self.root.name()}, size={len(self)})"
         )
-
-
-def default_tree() -> ResolutionTree:
-    """A one-node tree containing only :class:`UniversalException`."""
-    return ResolutionTree(UniversalException)

@@ -69,10 +69,6 @@ class EventMeta:
     #: Heartbeat deliveries commute with everything but their own channel.
     commuting: bool = False
 
-    @property
-    def is_delivery(self) -> bool:
-        return self.channel is not None and not self.label.startswith("rto:")
-
 
 def _parse_endpoint_pair(text: str) -> Optional[tuple[str, str]]:
     if "->" not in text:

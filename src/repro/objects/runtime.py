@@ -35,10 +35,6 @@ _runtime_hooks: tuple["RuntimeHook", ...] = ()
 RuntimeHook = Callable[["Runtime"], None]
 
 
-def current_runtime_hooks() -> tuple[RuntimeHook, ...]:
-    return _runtime_hooks
-
-
 @contextmanager
 def runtime_hook(hook: RuntimeHook) -> Iterator[RuntimeHook]:
     """Run ``hook(runtime)`` on every Runtime built in scope."""

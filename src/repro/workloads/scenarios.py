@@ -69,9 +69,6 @@ class ScenarioResult:
                 counts[entry.details["kind"]] += 1
         return counts
 
-    def resolution_messages_for_action(self, action: str) -> int:
-        return sum(self.messages_for_action(action).values())
-
     # -- outcomes -------------------------------------------------------------------
 
     def status(self, action: str) -> ActionStatus:

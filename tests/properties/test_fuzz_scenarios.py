@@ -10,11 +10,63 @@ its keep.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.campaigns import FUZZ_FAULTS, CampaignCell, run_cell
 from repro.workloads.fuzz import build_random_scenario, check_invariants
+
+#: Per-action stores a participant may keep for an action it is not in:
+#: its configuration, and traffic for what it has not reached yet (messages
+#: for an action not entered, DONEs of an attempt not begun — or, after an
+#: abortion, DONEs still in flight when it left).
+NOT_PER_ENTRY = {"handler_sets", "abortion_handlers", "pending", "_barrier"}
+
+
+def kept_after_leaving(participant) -> list[str]:
+    """What ``participant`` still holds for actions off its stack: any
+    dict or set of it or its engine keyed by an action name (or a tuple
+    led by one), a resolution context, or a wait on a barrier."""
+    entered = set(participant.contexts.names())
+    actions = set(participant.handler_sets) - entered
+    kept = []
+    for owner in (participant, participant.engine):
+        for name, store in vars(owner).items():
+            if name in NOT_PER_ENTRY or not isinstance(store, (dict, set)):
+                continue
+            for key in store:
+                if (key[0] if isinstance(key, tuple) else key) in actions:
+                    kept.append(f"{participant.name}.{name}[{key!r}]")
+    ctx = participant.engine.ctx
+    if ctx is not None and ctx.action in actions:
+        kept.append(f"{participant.name}: context of {ctx.action}")
+    if participant._waiting_barrier not in (None, participant.active_action):
+        kept.append(f"{participant.name}: waits on {participant._waiting_barrier}")
+    return kept
+
+
+class TestOneRecordPerEnteredAction:
+    """Everything a base participant keeps about an entered action lives on
+    that action's ``SA_i`` record, so leaving it — by commit, retry,
+    abortion or signalled failure — leaves nothing behind."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**20),
+        failing_attempts=st.sampled_from((0, 2)),
+        random_latency=st.booleans(),
+    )
+    # The world that kept A2's Commit on O03 after its abortion.
+    @example(seed=1, failing_attempts=0, random_latency=True)
+    @settings(max_examples=60, deadline=None)
+    def test_nothing_outlives_its_record(self, seed, failing_attempts, random_latency):
+        scenario, plan = build_random_scenario(
+            seed, n_participants=4, failing_attempts=failing_attempts,
+            random_latency=random_latency,
+        )
+        result = scenario.run(max_events=800_000)
+        kept = [k for p in result.participants.values() for k in kept_after_leaving(p)]
+        assert not kept, f"{plan.describe()}: {kept}"
+
 
 #: The faulted worlds tier-1 runs: a fixed draw, so a failure is repeatable
 #: from the cell id it prints.

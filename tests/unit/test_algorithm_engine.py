@@ -454,3 +454,120 @@ class TestExitBarrier:
         p.request_leave("A1")
         assert exits == ["completed"]
         assert runtime.network.total_sent() == 0
+
+
+class TestOneExit:
+    """Commit, abortion and signalled failure all leave through ``_leave``,
+    which pops the action's ``SA_i`` record and all it held; a retry starts
+    the record's next attempt in place.  O1 is driven by hand inside A2,
+    nested in A1, whose first attempt fails its acceptance test: each test
+    leaves A2 one way, lets A1 retry and enters A2 again, fresh."""
+
+    def world(self, a2_handler=None):
+        tree = ResolutionTree(
+            UniversalException,
+            {ExcA: UniversalException, ExcB: UniversalException},
+        )
+        verdicts = iter([False, True])
+        registry = ActionRegistry()
+        registry.declare(CAActionDef(
+            "A1", ("O1", "O2", "O3"), tree,
+            acceptance=lambda: next(verdicts), max_attempts=2,
+        ))
+        registry.declare(CAActionDef("A2", ("O1", "O2"), tree, parent="A1"))
+        manager = CAActionManager(registry)
+        runtime = Runtime()
+        handlers = HandlerSet.completing_all(tree)
+        in_a2 = handlers if a2_handler is None else handlers.with_override(ExcA, a2_handler)
+        for name in ("O1", "O2", "O3"):
+            runtime.register(
+                CAParticipant(name, registry, manager, {"A1": handlers, "A2": in_a2})
+            )
+        p = runtime.objects["O1"]
+        p.enter_action("A1")
+        p.enter_action("A2")
+        return runtime, p
+
+    @staticmethod
+    def resolve(runtime, p, action, raiser):
+        """``raiser`` raised ExcA in ``action`` and committed it: O1's
+        handler runs to its end."""
+        deliver(p, raiser, KIND_EXCEPTION, ExceptionMsg(action, raiser, ExcA))
+        deliver(p, raiser, KIND_COMMIT, CommitMsg(action, raiser, ExcA, (raiser,)))
+        runtime.run()
+
+    @staticmethod
+    def assert_fresh(record, attempt=1):
+        assert (record.attempt, record.done_sent, record.raised) == (attempt, False, [])
+        assert record.handled is record.handler is record.committed is None
+
+    def assert_left(self, p, action):
+        from tests.properties.test_fuzz_scenarios import kept_after_leaving
+
+        assert action not in p.contexts.names()
+        assert kept_after_leaving(p) == []
+        assert not [key for key in p._barrier if key[0] == action]
+
+    def retry_and_reenter(self, runtime, p):
+        """O1 completes A1's first attempt, which fails: the record stays
+        for attempt 2, and A2, entered again, starts at attempt 1."""
+        if p.engine.ctx is None and p._waiting_barrier is None:
+            p.request_leave("A1")
+        for peer in ("O2", "O3"):
+            deliver(p, peer, KIND_DONE, DoneMsg("A1", peer, 1))
+        assert p.contexts.names() == ["A1"]
+        self.assert_fresh(p.contexts.active, attempt=2)
+        p.enter_action("A2")
+        self.assert_fresh(p.contexts.active)
+        sent = runtime.network.sent_by_kind
+        before = sent["DONE"]
+        p.request_leave("A2")
+        assert p.contexts.active.done_sent and sent["DONE"] == before + 1  # to O2
+
+    def test_commit(self):
+        runtime, p = self.world()
+        self.resolve(runtime, p, "A2", "O2")
+        record = p.contexts.active
+        assert record.committed.exception is ExcA and record.handled is ExcA
+        assert record.done_sent and p._waiting_barrier == "A2"
+        deliver(p, "O2", KIND_DONE, DoneMsg("A2", "O2", 1))
+        self.assert_left(p, "A2")
+        self.retry_and_reenter(runtime, p)
+
+    def test_retry(self):
+        runtime, p = self.world()
+        p.request_leave("A2")
+        deliver(p, "O2", KIND_DONE, DoneMsg("A2", "O2", 1))
+        p.raise_exception(ExcA)
+        for peer in ("O2", "O3"):
+            deliver(p, peer, KIND_ACK, AckMsg("A1", peer, KIND_EXCEPTION))
+        runtime.run()  # O1 resolved alone, ran its handler and asked to leave
+        record = p.contexts.active
+        assert record.raised == [ExcA] and record.committed.exception is ExcA
+        assert record.handled is ExcA and record.done_sent
+        self.retry_and_reenter(runtime, p)
+
+    def test_abortion_after_the_handler_ran(self):
+        """Fuzz world 1's path: O03 ran A2's handler and waited at A2's exit
+        when A1's resolution aborted A2."""
+        runtime, p = self.world()
+        self.resolve(runtime, p, "A2", "O2")
+        assert p.contexts.active.committed is not None and p._waiting_barrier == "A2"
+        deliver(p, "O3", KIND_EXCEPTION, ExceptionMsg("A1", "O3", ExcA))
+        runtime.run()  # the abortion handler of A2
+        self.assert_left(p, "A2")
+        assert runtime.trace.by_category("abort.done")
+        self.resolve(runtime, p, "A1", "O3")
+        self.retry_and_reenter(runtime, p)
+
+    def test_signalled_failure(self):
+        from repro.exceptions.handlers import Handler
+
+        runtime, p = self.world(a2_handler=Handler.signalling(ExcB))
+        self.resolve(runtime, p, "A2", "O2")
+        self.assert_left(p, "A2")
+        assert p.contexts.active.raised == [ExcB]  # signalled into A1
+        for peer in ("O2", "O3"):
+            deliver(p, peer, KIND_ACK, AckMsg("A1", peer, KIND_EXCEPTION))
+        runtime.run()
+        self.retry_and_reenter(runtime, p)

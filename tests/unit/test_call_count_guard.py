@@ -12,7 +12,8 @@ oracles included: a query that materializes the whole trace again fails
 here, not only in the benchmark's ``faults`` workload; one lossy cell per
 variant, where the ARQ transport's per-frame path is most of the work; and
 three faulted ct cells, whose fan-outs must stay one batched loop with no
-fate scanning the plan's windows.
+fate scanning the plan's windows; and one nested base world that retries
+its root action twice, whose every exit goes through one ``_leave``.
 
 ``docs/SUBSTRATES.md`` states what a delivery of each kind costs, what each
 step of a sequenced frame costs and what a copy of a fan-out costs under
@@ -42,6 +43,7 @@ from repro.simkernel.rng import RngRegistry
 from repro.simkernel.scheduler import Simulator
 from repro.simkernel.trace import TraceLevel, TraceRecorder
 from repro.workloads.campaigns import OK, default_matrix, observe_cell, run_cell
+from repro.workloads.fuzz import build_random_scenario
 from repro.workloads.generator import general_case
 
 N, P, Q = 16, 3, 2
@@ -85,6 +87,13 @@ CELL_CALL_CEILINGS = {"ct": 2_947, "mc": 794, "cd": 662}
 #: fate stopped scanning the plan's windows.  Each ceiling is 5 % above the
 #: lowest measure.
 LOSSY_CELL_CALL_CEILINGS = {"base": 5_376, "ct": 5_945, "mc": 1_999, "cd": 1_371}
+#: The fuzz world (n=4, FULL trace) whose root action fails its acceptance
+#: test twice: 8 retries, 14 completions and 8 abortions across 5 nested
+#: actions.  Measured 11,039 → 10,650 once every exit went through
+#: ``_leave`` and the classification of an unentered or resolved action
+#: walked the context stack once; the ceiling is 5 % above the latter.
+RETRIED_WORLD_SEED = 23
+RETRIED_WORLD_CALL_CEILING = 11_182
 #: Every function the ARQ transport defines: the callers the lossy cells'
 #: per-frame assertions look under.
 TRANSPORT = [f for f in vars(ReliableNetwork).values() if isinstance(f, FunctionType)]
@@ -263,6 +272,25 @@ def test_a_faulted_fan_out_stays_one_fan_out(fault):
     reads = calls_of(rows, FailureInjector._read_plan)
     assert 1 <= reads <= 3
     assert calls_of(rows, CrashWindow.covers) <= reads
+
+
+def retried_world():
+    scenario, _ = build_random_scenario(
+        RETRIED_WORLD_SEED, n_participants=4, failing_attempts=2
+    )
+    return scenario.run()
+
+
+def test_one_exit_per_left_action_in_a_retried_world():
+    result, rows = profiled(retried_world)
+    trace = result.runtime.trace
+    assert len(trace.by_category("action.retry")) == 2 * 4
+    # Each (participant, action) left — completed, failed or aborted — is
+    # one ``_leave``; a retry keeps the record and leaves nothing.
+    left = trace.by_category("action.exit") + trace.by_category("abort.done")
+    assert len(trace.by_category("abort.done")) > 0
+    assert calls_of(rows, CAParticipant._leave) == len(left)
+    assert sum(count for _, count in rows) <= RETRIED_WORLD_CALL_CEILING
 
 
 # -- what a delivery of each kind costs (docs/SUBSTRATES.md) ------------------
