@@ -29,7 +29,7 @@ Typical use::
                         {"mission": HandlerSet.completing_all(tree)}),
     ]
     result = Scenario([action], specs).run()
-    print(result.handlers_started("mission"))
+    print(result.handled("mission"))   # {"ctl": "UniversalException", ...}
 
 See ``examples/`` for complete programs and :mod:`repro.analysis.report`
 (``python -m repro report``) for the experiments reproducing the paper's
@@ -52,6 +52,7 @@ from repro.core import (
     NestedPolicy,
 )
 from repro.core.abortion import AbortionHandler
+from repro.core.variants import ActionRun
 from repro.exceptions import (
     AbortionException,
     ActionException,
@@ -78,7 +79,6 @@ from repro.workloads import (
     ParticipantSpec,
     Raise,
     Scenario,
-    ScenarioResult,
 )
 
 __version__ = "1.0.0"
@@ -91,6 +91,7 @@ __all__ = [
     "ActionException",
     "ActionFailureException",
     "ActionRegistry",
+    "ActionRun",
     "ActionStatus",
     "Alternate",
     "AtomicObject",
@@ -118,7 +119,6 @@ __all__ = [
     "ResolutionTree",
     "Runtime",
     "Scenario",
-    "ScenarioResult",
     "TransactionManager",
     "UniformLatency",
     "UniversalException",

@@ -95,6 +95,14 @@ class CRParticipant(DistributedObject):
         self._votes: dict[str, frozenset] = {}
         self.handled: Optional[ExceptionClass] = None
         self.resolved: Optional[ExceptionClass] = None
+        #: How many times this object resolved and handled.
+        self.activations = 0
+
+    def handled_in(self, action: str) -> Optional[str]:
+        """The verdict this object holds for ``action``: participants agree
+        on the *resolved* exception and each handles its own cover of it."""
+        resolved = self.resolved
+        return None if resolved is None or action != self.action else resolved.name()
 
     # -- raising ------------------------------------------------------------------
 
@@ -196,6 +204,7 @@ class CRParticipant(DistributedObject):
         # Each participant handles its own cover of the resolved exception
         # (the resolved one itself may have no local handler).
         self.handled = self.reduced.cover_for(self.resolved)
+        self.activations += 1
         self.runtime.trace.record(
             self.sim_now, "cr.handle", self.name,
             resolved=self.resolved.name(), handled=self.handled.name(),

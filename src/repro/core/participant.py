@@ -391,6 +391,14 @@ class CAParticipant(DistributedObject):
         active.raised.append(exception)
         self.engine.local_raise(active.action_name, exception)
 
+    def handled_in(self, action: str) -> Optional[str]:
+        """The exception whose handler this object last ran in ``action``."""
+        handled = None
+        for execution in self.handler_log:
+            if execution.action == action:
+                handled = execution.exception
+        return handled
+
     # -- handler execution (called by the engine after Commit) ---------------------
 
     def start_resolved_handler(self, action: str, exception: ExceptionClass) -> None:

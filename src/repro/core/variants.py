@@ -19,16 +19,21 @@ cost in messages.  This module hosts all of them once:
   of variant names in the repo;
 * :func:`run_action` — validation, exception tree, ``Runtime``,
   registration, raise and crash scheduling and the run, for any row;
-* :class:`ActionRun` — the one result type.
+* :class:`ActionRun` — the one result type, which ``Scenario.run()``
+  returns too, and its one answer to "who handled what":
+  :meth:`ActionRun.handled` over each participant's ``handled_in``.
 
 The engines (``crash_tolerant``, ``multicast_variant``,
-``centralized_variant``, ``cr_baseline``; ``base`` is
-:func:`repro.workloads.generator.general_case`) are imported on a
-variant's first run, so importing the registry costs no engine.
+``centralized_variant``, ``cr_baseline``) are imported on a variant's
+first run, so importing the registry costs no engine.  ``base`` has no
+engine ``build``: ``run_action("base", ...)`` is
+``general_case(...).run()``, whose raises and action entries are the
+behaviour steps the goldens pin.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from importlib import import_module
@@ -71,6 +76,8 @@ class Member(DistributedObject):
         self.tree = tree
         self.handlers = handlers
         self.handled: Optional[ExceptionClass] = None
+        #: How many times ``_handle`` ran; a restart does not reset it.
+        self.activations = 0
         self.ctx = ResolutionCtx(action)
         #: True at FULL trace level (cached in attach): the one test that
         #: guards the FULL-only ``resolution.join`` / ``state`` / ``raise``.
@@ -115,10 +122,17 @@ class Member(DistributedObject):
                 action=self.action, state="R", cause=cause,
             )
         self.ctx.state = PState.READY
+        self.activations += 1
         self.runtime.trace.record(
             self.sim_now, f"{self.tag}.handle", self.name,
             exception=exception.name(), cause=cause,
         )
+
+    def handled_in(self, action: str) -> Optional[str]:
+        """The verdict this member holds for ``action``: its final
+        ``handled``, so a ct upgrade counts."""
+        handled = self.handled
+        return None if handled is None or action != self.action else handled.name()
 
     def _progress_r(self) -> None:
         """(9) done: the handler for the verdict has started; nothing is
@@ -147,27 +161,6 @@ def commit_step(
 
 
 # -- the registry --------------------------------------------------------------------
-
-
-def _state_handled(participant) -> Optional[str]:
-    handled = participant.handled
-    return None if handled is None else handled.name()
-
-
-def _log_handled(participant) -> Optional[str]:
-    """base: the last ``A1`` entry of the participant's handler log."""
-    handled = None
-    for execution in participant.handler_log:
-        if execution.action == "A1":
-            handled = execution.exception
-    return handled
-
-
-def _resolved(participant) -> Optional[str]:
-    """cr: participants agree on the *resolved* exception and each handles
-    its own cover of it."""
-    resolved = participant.resolved
-    return None if resolved is None else resolved.name()
 
 
 @dataclass(frozen=True)
@@ -205,8 +198,6 @@ class VariantSpec:
     #: Virtual time by which a fault-free run has resolved, for a variant
     #: that never quiesces (heartbeats); ``None``: it stops on its own.
     horizon: Optional[float] = None
-    #: Name of the exception a participant handled, or ``None``.
-    handled_of: Callable[[object], Optional[str]] = _state_handled
     #: When the raisers raise, and when a run stops (``None``: once quiet).
     raise_at: float = 10.0
     until: Optional[float] = None
@@ -225,7 +216,7 @@ VARIANTS: dict[str, VariantSpec] = {
             "base", "§4.2, the decentralised algorithm", "GeneralExc",
             "repro.core.messages:RESOLUTION_KINDS",
             "(N-1)(2P+3Q+1) messages", formulas.general_messages,
-            nests=True, handled_of=_log_handled,
+            nests=True,
             options=(
                 "policy", "abort_duration", "nested_work", "resolver_group_size",
             ),
@@ -263,7 +254,7 @@ VARIANTS: dict[str, VariantSpec] = {
             "repro.core.cr_baseline:CR_KINDS",
             "O(N^3) messages, measured", None,
             build="repro.core.cr_baseline:build",
-            servable=False, handled_of=_resolved,
+            servable=False,
             raise_at=1.0,  # the pinned cr fan-out hash was recorded at t=1
             options=("stagger",),
         ),
@@ -336,15 +327,17 @@ class Setup(NamedTuple):
 
 @dataclass
 class ActionRun:
-    """Outcome of one :func:`run_action`."""
+    """Outcome of one run: :func:`run_action` or ``Scenario.run()``."""
 
     spec: VariantSpec
     runtime: Runtime
     participants: dict
     crashed: tuple[str, ...] = ()
     #: base only: the behaviour runners — a base participant is done when
-    #: its behaviour has left the action, not when its handler started.
+    #: its behaviour has left the action, not when its handler started —
+    #: and the action manager, which holds each action's status.
     runners: Optional[dict] = None
+    manager: Optional[object] = None
 
     @property
     def variant(self) -> str:
@@ -360,15 +353,39 @@ class ActionRun:
             p for name, p in self.participants.items() if name not in self.crashed
         ]
 
-    def handled(self) -> dict[str, str]:
-        """Participant -> the exception it handled, for all that handled one."""
-        handled_of = self.spec.handled_of
+    def handled(self, action: str = "A1") -> dict[str, str]:
+        """Participant -> the exception it handled in ``action``, for all
+        that handled one: the verdict each participant holds."""
         handled = {}
         for name, participant in self.participants.items():
-            exception = handled_of(participant)
+            exception = participant.handled_in(action)
             if exception is not None:
                 handled[name] = exception
         return handled
+
+    # The frozen perf harness calls this name.
+    handlers_started = handled
+
+    def double_handled(self) -> list[str]:
+        """One line per repeated activation: base, a second handler in one
+        incarnation of an action; the others, a second ``_handle``."""
+        doubles: list[str] = []
+        for name, participant in self.participants.items():
+            if self.runners is None:
+                doubles += [f"{name} activated a handler twice"] * (
+                    participant.activations - 1
+                )
+                continue
+            seen = set()
+            for execution in participant.handler_log:
+                key = (execution.action, execution.incarnation)
+                if key in seen:
+                    doubles.append(
+                        f"{name} handled twice in {execution.action} "
+                        f"incarnation {execution.incarnation}"
+                    )
+                seen.add(key)
+        return doubles
 
     def all_handled(self) -> bool:
         """Did every survivor start a resolved handler?"""
@@ -376,12 +393,50 @@ class ActionRun:
         return all(name in handled for name in self.participants
                    if name not in self.crashed)
 
+    def all_finished(self) -> bool:
+        """Is every survivor done?  base: its behaviour has left the
+        action; the others: its handler started."""
+        if self.runners is None:
+            return self.all_handled()
+        return all(
+            runner.finished for name, runner in self.runners.items()
+            if name not in self.crashed
+        )
+
     def handled_exceptions(self) -> set[str]:
         """What the survivors handled (one name when they agree)."""
         return {
             exception for name, exception in self.handled().items()
             if name not in self.crashed
         }
+
+    # -- base: per-action outcomes and traffic ----------------------------------
+
+    def status(self, action: str):
+        return self.manager.instance(action).status
+
+    def handled_exception(self, action: str):
+        return self.manager.instance(action).handled_exception
+
+    def messages_by_kind(self) -> Counter:
+        return Counter(self.runtime.network.sent_by_kind)
+
+    def messages_for_action(self, action: str) -> Counter:
+        """Per-kind messages of the variant's kinds belonging to ``action``."""
+        kinds = set(_load(self.spec.kinds))
+        counts: Counter = Counter()
+        for entry in self.runtime.trace.by_category("msg.send"):
+            details = entry.details
+            if details.get("action") == action and details.get("kind") in kinds:
+                counts[details["kind"]] += 1
+        return counts
+
+    def commit_entries(self, action: str):
+        return [
+            e
+            for e in self.runtime.trace.by_category("resolution.commit")
+            if e.details.get("action") == action
+        ]
 
     def unicasts(self) -> int:
         """Network messages of the variant's kinds."""
@@ -393,6 +448,9 @@ class ActionRun:
         if self.spec.multicast:
             return self.runtime.multicast.total_operations(kinds)
         return self.runtime.network.total_sent(kinds)
+
+    # The frozen perf harness calls this name; base's cost metric.
+    resolution_message_total = messages
 
     # -- ct: membership view, crash-restart and durable state --------------------
 
@@ -483,17 +541,12 @@ def run_action(
         # victims); its scenario knows how many events its traffic needs.
         from repro.workloads.generator import general_case
 
-        scenario = general_case(
+        return general_case(
             n, p, q, latency=latency, seed=seed, raise_at=raise_at,
             trace_level=trace_level, failure_plan=failure_plan,
             reliable=reliable, ack_timeout=ack_timeout,
             max_retries=max_retries, crashes=crashes, **options,
-        )
-        runtime, _manager, participants, runners = scenario.build()
-        if max_events is None:
-            max_events = scenario.max_events
-        runtime.run(until=until, max_events=max_events)
-        return ActionRun(spec, runtime, participants, victims, runners)
+        ).run(until=until, max_events=max_events)
 
     names = tuple([canonical_name(i) for i in range(n)])
     if victims:

@@ -95,30 +95,6 @@ class ExceptionContextStack:
                 return context
         return None
 
-    def depth_below(self, action_name: str) -> int:
-        """How many contexts are nested strictly inside ``action_name``.
-
-        Zero means ``action_name`` is the active action.  Used to decide
-        whether an incoming protocol message for action ``A`` finds this
-        object "in the action nested within A" (Section 4.2).
-        """
-        for index, context in enumerate(reversed(self._stack)):
-            if context.action_name == action_name:
-                return index
-        raise ContextError(f"not inside action {action_name}")
-
-    def inner_chain(self, action_name: str) -> list[ExceptionContext]:
-        """Contexts nested inside ``action_name``, innermost first.
-
-        This is the abortion order of Section 4.1: "it must execute abortion
-        handlers in the order (i+k), (i+k-1), ..., (i+1)".
-        """
-        depth = self.depth_below(action_name)
-        return list(reversed(self._stack[len(self._stack) - depth:]))
-
-    def entered(self, action_name: str) -> bool:
-        return self.find(action_name) is not None
-
     def __len__(self) -> int:
         return len(self._stack)
 

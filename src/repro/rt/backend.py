@@ -1,11 +1,13 @@
 """Backend selection helpers for real-concurrency runs.
 
-:func:`repro.core.variants.run_action` (like ``Scenario.run``) builds its
-:class:`~repro.objects.runtime.Runtime` internally, so the asyncio kernel
-is installed around it via the kernel seam::
+:func:`repro.core.variants.run_action` and ``Scenario.run`` build their
+:class:`~repro.objects.runtime.Runtime` internally and both return an
+:class:`~repro.core.variants.ActionRun`, so the asyncio kernel is
+installed around either via the kernel seam::
 
     with asyncio_backend(time_scale=0.005):
         run = run_action("ct", 5, 2)
+    run.handled()   # the same answer as on the simulator
 
 Every Runtime constructed inside the block runs on a fresh
 :class:`~repro.rt.kernel.AsyncioKernel` — same protocol state machines,

@@ -18,7 +18,7 @@ from repro.workloads.behaviour import (
     Raise,
     Step,
 )
-from repro.workloads.scenarios import ParticipantSpec, Scenario, ScenarioResult
+from repro.workloads.scenarios import ParticipantSpec, Scenario
 
 __all__ = [
     "ActionBlock",
@@ -29,6 +29,5 @@ __all__ = [
     "ParticipantSpec",
     "Raise",
     "Scenario",
-    "ScenarioResult",
     "Step",
 ]

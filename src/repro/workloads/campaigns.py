@@ -334,41 +334,6 @@ def expected_rejoin_outcome(cell: CampaignCell) -> Optional[str]:
     return None
 
 
-def _log_handled(participants) -> tuple[dict[str, str], list[str]]:
-    """(who handled what in ``A1``, double-activation violations) from the
-    base participants' handler logs — every action, every incarnation."""
-    handled: dict[str, str] = {}
-    double: list[str] = []
-    for name, participant in participants.items():
-        seen = set()
-        for execution in participant.handler_log:
-            key = (execution.action, execution.incarnation)
-            if key in seen:
-                double.append(
-                    f"{name} handled twice in {execution.action} "
-                    f"incarnation {execution.incarnation}"
-                )
-            seen.add(key)
-            if execution.action == "A1":
-                handled[name] = execution.exception
-    return handled, double
-
-
-def _trace_handled(runtime, category: str) -> tuple[dict[str, str], list[str]]:
-    """(who handled what, double-activation violations) from handle traces."""
-    handled: dict[str, str] = {}
-    double: list[str] = []
-    for entry in runtime.trace.by_category(category):
-        if entry.subject in handled:
-            double.append(f"{entry.subject} activated a handler twice")
-        # CR participants agree on the *resolved* exception and
-        # legitimately handle different covers of it.
-        handled[entry.subject] = entry.details.get(
-            "resolved", entry.details.get("exception", "?")
-        )
-    return handled, double
-
-
 def _observe_paper(
     cell: CampaignCell, run_until: Optional[float] = None
 ) -> _Observation:
@@ -412,18 +377,10 @@ def _observe_paper(
         )
         survivors = tuple(n for n in names if n not in victims)
         problems: list[str] = []
-        if run.runners is not None:
-            # base: a participant is done when its behaviour has left the
-            # action; crashed members' pre-death handlers stay in the
-            # agreement check.
-            handled, double = _log_handled(run.participants)
-            finished = all(
-                runner.finished
-                for name, runner in run.runners.items()
-                if name not in victims
-            )
-        else:
-            handled, double = _trace_handled(run.runtime, f"{spec.tag}.handle")
+        handled = run.handled()
+        # base: crashed members' pre-death handlers stay in the agreement
+        # check; the others judge survivors and rejoined returnees only.
+        if run.runners is None:
             judged = set(survivors)
             if restart_at is not None:
                 problems.extend(_check_recovery(cell, run))
@@ -434,7 +391,7 @@ def _observe_paper(
                     if run.participants[v].rejoin_outcome == "rejoined"
                 )
             handled = {n: e for n, e in handled.items() if n in judged}
-            finished = all(n in handled for n in survivors)
+        finished = run.all_finished()
         if finished and not victims:
             missing = set(names) - set(handled)
             if missing:
@@ -444,7 +401,8 @@ def _observe_paper(
                 )
         fault_free = cell.fault == "none" and spec.expected is not None
         return _Observation(
-            finished=finished, handled=handled, double_handled=double,
+            finished=finished, handled=handled,
+            double_handled=run.double_handled(),
             problems=problems, measured=run.messages(),
             expected=spec.expected(cell.n, cell.p, q) if fault_free else None,
             crashed=victims, survivors=survivors,
@@ -518,7 +476,7 @@ def _observe_fuzz(
         until=RUN_UNTIL if run_until is None else run_until,
         max_events=2_000_000,
     )
-    problems = check_invariants(result, plan, crashed=victims)
+    problems = check_invariants(result, plan)
     stalls = [p for p in problems if p.startswith("non-termination")]
     problems = [p for p in problems if not p.startswith("non-termination")]
     return _Observation(

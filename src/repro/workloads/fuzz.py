@@ -218,13 +218,11 @@ def build_random_scenario(
     return scenario, plan
 
 
-def check_invariants(
-    result, plan: FuzzPlan, crashed: tuple[str, ...] = ()
-) -> list[str]:
+def check_invariants(result, plan: FuzzPlan) -> list[str]:
     """The paper's guarantees, checked on a finished run.
 
-    Returns a list of violations (empty = all good).  ``crashed`` names
-    participants whose nodes were killed mid-run: they are exempt from
+    Returns a list of violations (empty = all good).  ``result.crashed``
+    names participants whose nodes were killed mid-run: they are exempt from
     the termination and completeness checks (a dead object owes nobody
     anything) but their *recorded* handler executions still count toward
     agreement — a crashed object must not have handled a conflicting
@@ -233,15 +231,13 @@ def check_invariants(
     non-termination, naming whom it waits on, not as partial handling.
     """
     problems: list[str] = []
-    dead = set(crashed)
+    dead = set(result.crashed)
     if not result.all_finished():
         unfinished = [
-            name
-            for name, runner in result.runners.items()
+            name for name, runner in result.runners.items()
             if not runner.finished and name not in dead
         ]
-        if unfinished:
-            problems.append(f"non-termination: {unfinished} never finished")
+        problems.append(f"non-termination: {unfinished} never finished")
     # Per-action, per-attempt handler agreement: within one incarnation of
     # one action, every participant that ran a resolved handler ran the
     # same exception's handler.  (Across backward-recovery attempts the

@@ -1,23 +1,23 @@
-"""Scenario assembly and result collection.
+"""Scenario assembly.
 
 A :class:`Scenario` wires action declarations, participant specs (behaviour
-+ handlers) and atomic objects into a complete simulated system, runs it,
-and returns a :class:`ScenarioResult` with everything the benchmarks and
-tests assert on: per-kind and per-action message counts, handler
-executions, action outcomes and timing.
++ handlers) and atomic objects into a complete simulated system of §4.2
+participants, runs it, and returns the one result type,
+:class:`~repro.core.variants.ActionRun` of the ``base`` variant: who
+handled what (``handled(action)``), per-kind and per-action message
+counts, action outcomes and timing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.core.abortion import AbortionHandler
 from repro.core.action import ActionRegistry, CAActionDef
-from repro.core.manager import ActionStatus, CAActionManager
-from repro.core.messages import RESOLUTION_KINDS
+from repro.core.manager import CAActionManager
 from repro.core.participant import CAParticipant
+from repro.core.variants import VARIANTS, ActionRun
 from repro.exceptions.handlers import HandlerSet
 from repro.net.failures import FailurePlan
 from repro.net.latency import LatencyModel
@@ -37,75 +37,6 @@ class ParticipantSpec:
     abortion_handlers: dict[str, AbortionHandler] = field(default_factory=dict)
     start_delay: float = 0.0
     node_id: Optional[str] = None
-
-
-@dataclass
-class ScenarioResult:
-    """Outcome of one scenario run."""
-
-    runtime: Runtime
-    manager: CAActionManager
-    participants: dict[str, CAParticipant]
-    runners: dict[str, BehaviourRunner]
-    duration: float
-
-    # -- message accounting ------------------------------------------------------
-
-    def messages_by_kind(self) -> Counter:
-        return Counter(self.runtime.network.sent_by_kind)
-
-    def resolution_message_total(self) -> int:
-        """Total resolution-protocol messages — the paper's metric."""
-        return self.runtime.network.total_sent(set(RESOLUTION_KINDS))
-
-    def messages_for_action(self, action: str) -> Counter:
-        """Per-kind resolution messages belonging to one action's protocol."""
-        counts: Counter = Counter()
-        for entry in self.runtime.trace.by_category("msg.send"):
-            if (
-                entry.details.get("action") == action
-                and entry.details.get("kind") in RESOLUTION_KINDS
-            ):
-                counts[entry.details["kind"]] += 1
-        return counts
-
-    # -- outcomes -------------------------------------------------------------------
-
-    def status(self, action: str) -> ActionStatus:
-        return self.manager.instance(action).status
-
-    def handled_exception(self, action: str):
-        return self.manager.instance(action).handled_exception
-
-    def handlers_started(self, action: str) -> dict[str, str]:
-        """participant name -> exception name handled, for ``action``."""
-        started = {}
-        for name, participant in self.participants.items():
-            for execution in participant.handler_log:
-                if execution.action == action:
-                    started[name] = execution.exception
-        return started
-
-    def all_finished(self) -> bool:
-        return all(runner.finished for runner in self.runners.values())
-
-    def commit_entries(self, action: str):
-        return [
-            e
-            for e in self.runtime.trace.by_category("resolution.commit")
-            if e.details.get("action") == action
-        ]
-
-    # -- observability ----------------------------------------------------------------
-
-    @property
-    def spans(self):
-        """The run's causal span forest (empty unless trace level FULL)."""
-        return self.runtime.spans
-
-    def metrics_snapshot(self) -> dict:
-        """Picklable metrics view (see :meth:`Runtime.metrics_snapshot`)."""
-        return self.runtime.metrics_snapshot()
 
 
 #: Event budget of :meth:`Scenario.run` for scenarios that do not set one.
@@ -190,17 +121,14 @@ class Scenario:
 
     def run(
         self, until: float | None = None, max_events: int | None = None
-    ) -> ScenarioResult:
+    ) -> ActionRun:
         """Build and run; ``max_events=None`` means the scenario's own
         budget (:attr:`max_events`), an explicit value always wins."""
         runtime, manager, participants, runners = self.build()
         if max_events is None:
             max_events = self.max_events
         runtime.run(until=until, max_events=max_events)
-        return ScenarioResult(
-            runtime=runtime,
-            manager=manager,
-            participants=participants,
-            runners=runners,
-            duration=runtime.sim.now,
+        crashed = tuple([victim for victim, _ in self.crashes])
+        return ActionRun(
+            VARIANTS["base"], runtime, participants, crashed, runners, manager
         )

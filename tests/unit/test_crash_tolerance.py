@@ -203,8 +203,12 @@ class TestCrashTolerantResolution:
         fresh = run_action("ct", 4, 2, 1, until=5.0).participants[victim]
         result = run_action("ct", 4, 2, 1, crashes=[(victim, 14.0)])
         member = result.participants[victim]
-        # The runtime, node, detector and receive table are wiring, not state.
-        skip = {"runtime", "node", "detector", "_kind_handlers", "restarted"}
+        # The runtime, node, detector and receive table are wiring, not
+        # state; the activation count is the run's tally, kept on purpose.
+        skip = {
+            "runtime", "node", "detector", "_kind_handlers", "restarted",
+            "activations",
+        }
 
         def state(member) -> dict:
             fields = {k: v for k, v in vars(member).items() if k not in skip}
@@ -216,6 +220,7 @@ class TestCrashTolerantResolution:
         member.restart()
         assert member.restarted and member.ctx.state is PState.SUSPENDED
         assert state(member) == state(fresh)
+        assert member.activations == 1 and fresh.activations == 0
 
     def test_all_raisers_crash_survivor_takes_over(self):
         """Every raiser dies after broadcasting: no raiser is left to

@@ -225,25 +225,6 @@ class TestExceptionContextStack:
         stack.push(self._context("A2"))
         assert stack.find("A1").action_name == "A1"
         assert stack.find("missing") is None
-        assert stack.entered("A2")
-        assert not stack.entered("A3")
-
-    def test_depth_below(self):
-        stack = ExceptionContextStack()
-        for name in ("A1", "A2", "A3"):
-            stack.push(self._context(name))
-        assert stack.depth_below("A3") == 0
-        assert stack.depth_below("A1") == 2
-        with pytest.raises(ContextError):
-            stack.depth_below("A9")
-
-    def test_inner_chain_is_innermost_first(self):
-        stack = ExceptionContextStack()
-        for name in ("A1", "A2", "A3"):
-            stack.push(self._context(name))
-        chain = stack.inner_chain("A1")
-        assert [c.action_name for c in chain] == ["A3", "A2"]
-        assert stack.inner_chain("A3") == []
 
     def test_names_outermost_first(self):
         stack = ExceptionContextStack()

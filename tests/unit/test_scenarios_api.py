@@ -1,9 +1,10 @@
-"""Unit tests for the Scenario/ScenarioResult API surface."""
+"""Unit tests for the Scenario API surface and the ``ActionRun`` it returns."""
 
 import pytest
 
 from repro.core.action import CAActionDef
 from repro.core.messages import RESOLUTION_KINDS
+from repro.core.variants import ActionRun, run_action
 from repro.exceptions import HandlerSet, ResolutionTree, UniversalException
 from repro.simkernel.scheduler import SimulationError
 from repro.workloads import ActionBlock, ParticipantSpec, Scenario
@@ -58,6 +59,32 @@ class TestScenarioValidation:
         assert all(not r.finished for r in runners.values())
         runtime.run()
         assert all(r.finished for r in runners.values())
+
+
+class TestScenarioRunIsAnActionRun:
+    @pytest.mark.parametrize("shape", [(5, 2, 1), (4, 1, 0), (6, 3, 2)])
+    def test_general_case_run_equals_run_action_base(self, shape):
+        run = general_case(*shape).run()
+        assert isinstance(run, ActionRun) and run.variant == "base"
+        via = run_action("base", *shape)
+        assert run.handled() == via.handled() and len(run.handled()) == shape[0]
+        assert run.messages() == via.messages() == expected_general_messages(*shape)
+        assert run.duration == via.duration
+        assert run.crashed == via.crashed == ()
+
+    @pytest.mark.parametrize("at", [11.0, 30.0])
+    def test_crashed_names_the_scenarios_victims(self, at):
+        run = general_case(4, 1, 0, crashes=[("O0003", at)]).run(until=300.0)
+        assert run.crashed == ("O0003",)
+        # mid-resolution a base crash stalls the survivors; after it, none
+        assert run.all_finished() is (at == 30.0)
+
+    def test_all_finished_judges_survivors_only(self):
+        run = general_case(4, 1, 0).run()
+        run.runners["O0003"].finished = False
+        assert not run.all_finished()
+        run.crashed = ("O0003",)
+        assert run.all_finished()
 
 
 class TestScenarioResultHelpers:

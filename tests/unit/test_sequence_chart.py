@@ -139,7 +139,7 @@ class TestSpanChart:
         """The Section 4.3 worked example renders byte-for-byte stably."""
         result = example1_scenario().run()
         chart = render_span_chart(
-            result.spans, ["O1", "O2", "O3"], lane_width=24,
+            result.runtime.spans, ["O1", "O2", "O3"], lane_width=24,
         )
         # Compare line-wise, trailing lane padding stripped (the golden
         # text cannot carry significant trailing whitespace).
@@ -149,7 +149,7 @@ class TestSpanChart:
 
     def test_rows_indented_by_forest_depth(self):
         result = example1_scenario().run()
-        rows = span_chart_rows(result.spans, ["O1", "O2", "O3"])
+        rows = span_chart_rows(result.runtime.spans, ["O1", "O2", "O3"])
         texts = [r.text for r in rows]
         assert "▶ action A1" in texts  # depth 0: no indent
         assert "· ▶ resolution A1" in texts  # child of the action span
@@ -159,7 +159,7 @@ class TestSpanChart:
     def test_abortion_chain_renders_inside_resolution(self):
         result = example2_scenario().run()
         rows = span_chart_rows(
-            result.spans, ["O1", "O2", "O3", "O4"]
+            result.runtime.spans, ["O1", "O2", "O3", "O4"]
         )
         abort_rows = [r for r in rows if "abort A" in r.text]
         assert abort_rows, "nested example must produce abort spans"

@@ -6,14 +6,19 @@ import random
 import pytest
 
 from repro.cli import build_parser
-from repro.core.variants import SERVABLE, VARIANTS, run_action
+from repro.core.participant import CAParticipant
+from repro.core.variants import SERVABLE, VARIANTS, Member, run_action
+from repro.net.latency import UniformLatency
 from repro.rt.harness import CONFORMANCE_VARIANTS, conformance_cells, fault_cells
 from repro.service.loadgen import LoadSpec, sample_request
 from repro.service.protocol import ActionRequest, ServiceProtocolError
+from repro.simkernel.trace import TraceLevel
 from repro.workloads.campaigns import (
+    INVARIANT_VIOLATION,
     CampaignCell,
     default_matrix,
     observe_cell,
+    run_cell,
     stall_expected,
 )
 
@@ -105,6 +110,61 @@ class TestEveryConsumerReadsTheRow:
         (row,) = [r for r in variants_table().splitlines() if f"| `{tag}` |" in r]
         for doc in ("README.md", "DESIGN.md"):
             assert row in (root / doc).read_text(), f"{doc} lacks the {tag} row"
+
+
+#: ct under false suspicion: two resolvers commit and three members upgrade.
+_KNOBS = {
+    "ct": dict(
+        seed=2, latency=UniformLatency(0.5, 3.0), hb_interval=1.0, hb_timeout=2.0,
+    ),
+}
+
+
+def _run(tag: str, trace_level=TraceLevel.FULL):
+    q = 1 if VARIANTS[tag].nests else 0
+    return run_action(tag, 4, 2, q, trace_level=trace_level, **_KNOBS.get(tag, {}))
+
+
+@pytest.mark.parametrize("tag", VARIANTS)
+class TestOneHandledView:
+    """``handled()`` / ``double_handled()`` read the verdict each
+    participant holds, never the trace."""
+
+    def test_full_and_counts_give_the_same_answer(self, tag):
+        full, counts = _run(tag), _run(tag, TraceLevel.COUNTS)
+        assert counts.runtime.trace.by_category("msg.send") == []
+        if tag == "ct":
+            assert len(full.runtime.trace.by_category("ct.handle_upgrade")) == 3
+        assert full.handled() == counts.handled()
+        assert len(full.handled()) == 4
+        assert full.double_handled() == counts.double_handled() == []
+
+    def test_a_forced_second_activation_is_named(self, tag):
+        run = _run(tag)
+        name, participant = next(iter(run.participants.items()))
+        if isinstance(participant, CAParticipant):
+            # base: the same handler logged twice in one incarnation
+            last = participant.handler_log[-1]
+            participant.handler_log.append(last)
+            want = f"{name} handled twice in {last.action} incarnation {last.incarnation}"
+        elif isinstance(participant, Member):
+            participant._handle(participant.handled)
+            want = f"{name} activated a handler twice"
+        else:  # cr: resolve a second time
+            participant.handled = None
+            participant._maybe_resolve()
+            want = f"{name} activated a handler twice"
+        assert run.double_handled() == [want]
+
+    def test_the_seeded_double_is_flagged(self, tag):
+        q = 1 if VARIANTS[tag].nests else 0
+        outcome = run_cell(
+            CampaignCell("paper", tag, "none", 4, 2, q, sabotage="double")
+        )
+        assert outcome.classification == INVARIANT_VIOLATION
+        assert outcome.violations == (
+            "exactly-once violated: sabotage: seeded double activation",
+        )
 
 
 class TestRunActionRejects:
