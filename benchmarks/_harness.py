@@ -25,11 +25,15 @@ def record_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
     notes: str = "",
+    persist: bool = True,
 ) -> str:
-    """Format, print and persist one experiment's table."""
+    """Format and print one experiment's table; ``persist`` also writes it
+    to ``RESULTS_DIR``.  A bench passes ``persist=args.out == DEFAULT_OUT``,
+    so a run whose report goes elsewhere leaves the committed table alone."""
     text = format_table(exp_id, title, headers, rows, notes)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{exp_id}.txt").write_text(text + "\n")
+    if persist:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{exp_id}.txt").write_text(text + "\n")
     print("\n" + text)
     return text
 

@@ -1,8 +1,7 @@
-"""E29 — schedule exploration campaign: certified bounds, pooled walks, caching.
+"""E29 — schedule exploration campaign: certified bounds and pooled walks.
 
-Extends the PR-8 explorer bench (E22) with the walk pool and the digest
-cache, all through the one entry point
-:func:`repro.explore.engine.explore_cell`:
+Extends the PR-8 explorer bench (E22) with the walk pool, all through
+the one entry point :func:`repro.explore.engine.explore_cell`:
 
 1. **Certified bounds** — bounded-exhaustive DFS over every protocol
    variant's fault-free cell: N=3 (and the crash-tolerant cell at N=4) in
@@ -20,10 +19,6 @@ cache, all through the one entry point
    pooled/in-process ratio is recorded with the usable-CPU count and is
    judged by nothing; below four usable CPUs the pooled row's verdict
    reads ``not-measurable``.
-4. **Cross-run digest cache** — the same campaign cold then warm
-   (:class:`repro.explore.cache.DigestCache`): the warm pass must skip
-   at least half of its runs via cache hits while reproducing the cold
-   digest sets and findings exactly.
 
 Results land in ``BENCH_explore.json``.  ``--smoke`` is the CI gate
 (N=3, well under 90 s); ``--campaign --budget-s N`` runs the fullest
@@ -38,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -51,7 +45,7 @@ if str(Path(__file__).resolve().parent) not in sys.path:
 from _harness import machine, record_table  # noqa: E402
 
 from repro.core.variants import VARIANTS  # noqa: E402
-from repro.explore import DigestCache, explore_cell  # noqa: E402
+from repro.explore import explore_cell  # noqa: E402
 from repro.explore.engine import export_schedule_trace  # noqa: E402
 from repro.workloads.campaigns import parse_cell_id  # noqa: E402
 from repro.workloads.parallel import usable_cpus  # noqa: E402
@@ -92,9 +86,6 @@ DELAY_CELLS = (
 WALK_CELL = "paper:ct:none:n3p1q1:s0"
 
 THROUGHPUT_FLOOR = 500.0  # schedules/min, absolute sanity floor
-
-#: Warm cache pass must skip at least this fraction of its lookups.
-CACHE_SKIP_FLOOR = 0.5
 
 #: Per-search run budgets.  The N=4 trees measured serially: mc 736,
 #: cd 6, ct 4.5k, cr 12.8k nodes — base is the heavyweight.  The budget
@@ -154,7 +145,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="CI gate: N=3 DFS + walks + warm-cache check",
+        help="CI gate: N=3 DFS + walks",
     )
     parser.add_argument(
         "--campaign", action="store_true",
@@ -175,11 +166,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers", type=int, default=usable_cpus(),
         help="processes for the pooled walks (default: usable CPUs)",
-    )
-    parser.add_argument(
-        "--cache", type=Path, default=None, metavar="FILE",
-        help="persistent digest-cache file (default: a per-run temp file; "
-             "pass a stable path to make successive campaigns incremental)",
     )
     parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT,
@@ -203,26 +189,15 @@ def main(argv=None) -> int:
     problems: list[str] = []
     skipped: list[str] = []
     rows = []
-    sections: dict[str, list[dict]] = {
-        "dfs": [], "delay": [], "random": [], "cache": [],
-    }
-
-    tmp_ctx = None
-    cache_path = args.cache
-    if cache_path is None:
-        tmp_ctx = tempfile.TemporaryDirectory(prefix="repro-explore-cache-")
-        cache_path = Path(tmp_ctx.name) / "digests.jsonl"
+    sections: dict[str, list[dict]] = {"dfs": [], "delay": [], "random": []}
 
     try:
         _run_campaign(
             args, walks, dfs_n, delay_bound, deadline,
-            cache_path, problems, skipped, rows, sections,
+            problems, skipped, rows, sections,
         )
     except BudgetExceeded as exc:
         print(f"budget exhausted before: {exc}", file=sys.stderr)
-    finally:
-        if tmp_ctx is not None:
-            tmp_ctx.cleanup()
 
     elapsed = time.perf_counter() - started
     payload = {
@@ -235,7 +210,6 @@ def main(argv=None) -> int:
             "budget_s": args.budget_s if args.campaign else None,
             "walks": walks, "seed": args.seed, "workers": args.workers,
             "dfs_n": dfs_n, "delay_bound": delay_bound,
-            "cache_file": str(args.cache) if args.cache else "(temp)",
         },
         "wall_seconds": round(elapsed, 3),
         "throughput_floor_per_min": THROUGHPUT_FLOOR,
@@ -248,7 +222,7 @@ def main(argv=None) -> int:
 
     record_table(
         "E29",
-        "schedule exploration campaign: certified bounds, pooled walks, cache",
+        "schedule exploration campaign: certified bounds and pooled walks",
         (
             "mode", "cell", "runs", "pruned", "exhaustive",
             "digests", "findings", "sched/min", "verdict",
@@ -263,6 +237,7 @@ def main(argv=None) -> int:
             f"POR documented in EXPERIMENTS.md E22/E29; budget-truncated "
             f"searches fail the bench"
         ),
+        persist=args.out == DEFAULT_OUT,
     )
     print(f"\nwrote {args.out}")
     for problem in problems:
@@ -272,7 +247,7 @@ def main(argv=None) -> int:
 
 def _run_campaign(
     args, walks, dfs_n, delay_bound, deadline,
-    cache_path, problems, skipped, rows, sections,
+    problems, skipped, rows, sections,
 ) -> None:
     # -- certified DFS bounds --------------------------------------------------
     cells = dfs_cells(dfs_n, SMOKE_VARIANTS if args.smoke else VARIANTS)
@@ -367,58 +342,6 @@ def _run_campaign(
         f"random(w={args.workers})", WALK_CELL, pooled.schedules_run,
         pooled.pruned, "-", pooled.distinct_digests, len(pooled.findings),
         f"{pooled_throughput:.0f}", pooled_verdict,
-    ))
-
-    # -- cross-run digest cache: cold then warm -------------------------------
-    _budget_check(deadline, skipped, "cache cold/warm")
-    with DigestCache(cache_path) as cold_cache:
-        cold = explore_cell(
-            WALK_CELL, mode="random", schedules=walks, seed=args.seed,
-            workers=args.workers, cache=cold_cache,
-        )
-        cold_stats = cold_cache.stats.to_payload()
-    with DigestCache(cache_path) as warm_cache:
-        warm_started = time.perf_counter()
-        warm = explore_cell(
-            WALK_CELL, mode="random", schedules=walks, seed=args.seed,
-            workers=args.workers, cache=warm_cache,
-        )
-        warm_elapsed = time.perf_counter() - warm_started
-        warm_stats = warm_cache.stats.to_payload()
-    identical = (
-        warm.digests == cold.digests
-        and [f.to_payload() for f in warm.findings]
-        == [f.to_payload() for f in cold.findings]
-    )
-    skip_rate = warm_stats["hit_rate"]
-    cache_ok = identical and skip_rate >= CACHE_SKIP_FLOOR
-    if not identical:
-        problems.append(
-            "warm cache pass diverged from the cold pass — a cache hit "
-            "replayed a wrong outcome"
-        )
-    if skip_rate < CACHE_SKIP_FLOOR:
-        problems.append(
-            f"warm cache pass skipped only {skip_rate:.0%} of lookups "
-            f"(floor {CACHE_SKIP_FLOOR:.0%})"
-        )
-    sections["cache"].append({
-        "cell": WALK_CELL,
-        "mode": "random",
-        "schedules": walks,
-        "cold": cold_stats,
-        "warm": warm_stats,
-        "warm_skip_rate": skip_rate,
-        "warm_elapsed_s": round(warm_elapsed, 3),
-        "identical_results": identical,
-        "ok": cache_ok,
-    })
-    rows.append((
-        "cache(warm)", WALK_CELL, warm.schedules_run,
-        warm_stats["hits"], "-", warm.distinct_digests,
-        len(warm.findings),
-        f"{warm.schedules_per_minute():.0f}",
-        "OK" if cache_ok else "FAIL",
     ))
 
 

@@ -168,6 +168,7 @@ def main(argv=None) -> int:
             f"oracle self-test: "
             f"{'FAILED' if selftest_problems else 'all sabotages caught'}"
         ),
+        persist=args.out == DEFAULT_OUT,
     )
     print(f"\nwrote {args.out}")
 

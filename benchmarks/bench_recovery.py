@@ -194,6 +194,7 @@ def main(argv=None) -> int:
             f"recovery oracle self-test: "
             f"{'FAILED' if selftest_problems else 'sabotage caught'}"
         ),
+        persist=args.out == DEFAULT_OUT,
     )
     print(f"\nwrote {args.out}")
 

@@ -167,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
             f"count {'exact' if tcp_ok else 'MISMATCH'}; "
             f"time_scale={args.time_scale}, {elapsed:.1f}s total"
         ),
+        persist=args.out == DEFAULT_OUT,
     )
     print(f"\nwrote {args.out}")
 

@@ -334,6 +334,7 @@ def main(argv: list[str] | None = None) -> int:
             "with goodput > 0 at every step"
             + (f"; PROBLEMS: {problems}" if problems else "; all checks passed")
         ),
+        persist=args.out == DEFAULT_OUT,
     )
 
     e27_rows = []
@@ -360,6 +361,7 @@ def main(argv: list[str] | None = None) -> int:
                 else "no prior baseline for the tracing-off comparison"
             )
         ),
+        persist=args.out == DEFAULT_OUT,
     )
 
     payload = {

@@ -12,16 +12,15 @@ reset of an action's ``SA_i`` record on retry,
 (:mod:`repro.net.detector`'s tick) and the transport under it
 (:mod:`repro.net.reliable`: its datagrams, ACK and duplicate
 suppression), and to the exploration infrastructure itself
-(:mod:`repro.explore.engine` search loops, :mod:`repro.explore.cache`
-persistence and :mod:`repro.explore.independence` labels: a skipped CRC
-check, a cache key that forgets the code version, walks that all replay
-one seed, a search that hits its budget silently, a tick that commutes
-with the protocol work it can trigger).
+(:mod:`repro.explore.engine` search loops and
+:mod:`repro.explore.independence` labels: walks that all replay one
+seed, a search that hits its budget silently, a tick that commutes with
+the protocol work it can trigger).
 Each is a realistic implementation slip: a dropped ACK, a swapped send
 order, a guard turned permissive.  For every mutant, a shadow copy of
 ``src/`` is patched and a fast detection suite (campaign cells with the
 invariant oracles, exact Section 4.4 counts, one schedule-explorer
-replay, plus search/cache safety probes) runs against it in a fresh
+replay, plus search probes) runs against it in a fresh
 interpreter.
 
 The bench passes only if **at least 90 %** of the mutants are killed
@@ -85,7 +84,6 @@ CT = "src/repro/core/crash_tolerant.py"
 MC = "src/repro/core/multicast_variant.py"
 CD = "src/repro/core/centralized_variant.py"
 ENGINE = "src/repro/explore/engine.py"
-CACHE = "src/repro/explore/cache.py"
 INDEPENDENCE = "src/repro/explore/independence.py"
 
 MUTANTS: tuple[Mutant, ...] = (
@@ -496,57 +494,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "        if self.ctx.commit is None and self.statuses == set(self.members):",
         "        if self.ctx.commit is None:",
     ),
-    # -- exploration infrastructure (search drivers + digest cache) --------------
-    Mutant(
-        "cache-crc-ignored", CACHE,
-        "corrupted cache lines accepted: bit rot replays stale digests",
-        """        if zlib.crc32(payload) != crc:
-            return None""",
-        """        if False:
-            return None""",
-    ),
-    Mutant(
-        "cache-scan-past-bad-line", CACHE,
-        "reader skips a bad line instead of stopping: untrusted tail read",
-        """                    if entry is None:
-                        # Torn tail or corruption: everything beyond the
-                        # first bad line is untrusted.  Forget it — a
-                        # smaller cache is a correct cache.
-                        self.stats.bad_lines += 1
-                        break""",
-        """                    if entry is None:
-                        # Torn tail or corruption: everything beyond the
-                        # first bad line is untrusted.  Forget it — a
-                        # smaller cache is a correct cache.
-                        self.stats.bad_lines += 1
-                        continue""",
-    ),
-    Mutant(
-        "cache-context-ignored", CACHE,
-        "cache key forgets the code version: stale entries survive edits",
-        """        body = json.dumps(
-            [SCHEMA, self.context, kind, list(parts)],
-            separators=(",", ":"), default=str,
-        )""",
-        """        body = json.dumps(
-            [SCHEMA, kind, list(parts)],
-            separators=(",", ":"), default=str,
-        )""",
-    ),
-    Mutant(
-        "cache-run-key-ignores-schedule", CACHE,
-        "run key forgets the schedule: any walk hits any other walk's entry",
-        """        return self._key(
-            "run",
-            (cell_id, schedule, list(window) if window else None,
-             max_choice_points),
-        )""",
-        """        return self._key(
-            "run",
-            (cell_id, list(window) if window else None,
-             max_choice_points),
-        )""",
-    ),
+    # -- exploration infrastructure (search drivers) ---------------------------------
     Mutant(
         "walk-seed-pinned", ENGINE,
         "every random walk of a search replays the search's first seed",
@@ -573,7 +521,7 @@ SMOKE_IDS = (
     "alg-commit-not-broadcast", "ct-ack-before-have-nested",
     "ct-no-acks-missing", "ct-resolver-never-handles", "ct-commit-not-adopted",
     "ct-commit-to-alive-only", "mc-exception-no-flush", "cd-suspended-silent",
-    "cache-crc-ignored", "walk-seed-pinned",
+    "walk-seed-pinned",
     "barrier-gate-off-by-one", "retry-keeps-done-sent", "deliver-fallback-skipped",
     "send-many-delivers-to-unreachable",
     "tick-checks-before-beating", "heartbeat-sent-sequenced",
@@ -986,89 +934,50 @@ def _transport_problems() -> list[str]:
 
 
 def _explore_infra_problems() -> list[str]:
-    """Probes over the explorer's drivers and the digest cache.
+    """Probes over the explorer's drivers.
 
-    Behavioral properties, not pinned constants: a search's walks must be
-    the absolute seeds' walks bit-for-bit, a DFS that hits its budget must
-    say so, and the cache must *miss* for the wrong schedule / code
-    version / anything behind a bad line.  Each probe is exactly the
-    wrong-skip or wrong-result a mutant of ``engine.py`` / ``cache.py``
-    would cause.
+    Behavioral properties, not pinned constants: walk ``i`` of a search
+    must run schedule ``rw:<seed+i>``, and a DFS that hits its budget must
+    say so.  Each probe is exactly the wrong-skip a mutant of
+    ``engine.py`` would cause.
     """
-    import tempfile
-
-    from repro.explore import DigestCache, explore_cell, run_digest
-    from repro.explore.engine import DEFAULT_WINDOW, _run
-    from repro.workloads.campaigns import parse_cell_id
+    from repro.explore import engine
 
     problems: list[str] = []
     cell_id = "paper:ct:none:n3p1q1:s0"
-    try:
-        baseline, _, _ = _run(parse_cell_id(cell_id))
-    except Exception as exc:
-        return [f"explore baseline: {type(exc).__name__}: {exc}"]
 
-    # A three-walk search must leave, per seed, that seed's own walk in the
-    # cache — schedule string included.
-    with tempfile.TemporaryDirectory(prefix="repro-mutwalks-") as tmp:
-        try:
-            with DigestCache(Path(tmp) / "walks.jsonl") as cache:
-                explore_cell(
-                    cell_id, mode="random", schedules=3, seed=4,
-                    minimize=False, cache=cache,
-                )
-                for seed in (4, 5, 6):
-                    want = run_digest(cell_id, f"rw:{seed}")
-                    hit = cache.get_run(cache.run_key(
-                        cell_id, f"rw:{seed}", DEFAULT_WINDOW, 400
-                    ))
-                    if hit is None or hit[0] != want:
-                        problems.append(f"walk diverged at seed {seed}")
-                        break
-        except Exception as exc:
-            problems.append(f"walks: {type(exc).__name__}: {exc}")
+    # A three-walk search from seed 4 must run rw:4, rw:5 and rw:6.  Healthy
+    # walks of this cell share one digest, so the schedules the search hands
+    # to replay_cell are what a pinned seed changes.
+    ran: list[str] = []
+    replay = engine.replay_cell
+
+    def recording_replay(item: tuple):
+        ran.append(item[1])
+        return replay(item)
+
+    engine.replay_cell = recording_replay
+    try:
+        engine.explore_cell(
+            cell_id, mode="random", schedules=3, seed=4, minimize=False,
+            workers=1,
+        )
+        if ran != ["rw:4", "rw:5", "rw:6"]:
+            problems.append(f"walks ran {ran}, not rw:4, rw:5, rw:6")
+    except Exception as exc:
+        problems.append(f"walks: {type(exc).__name__}: {exc}")
+    finally:
+        engine.replay_cell = replay
 
     # A DFS that hits max_runs must report it loudly.
     try:
-        result = explore_cell(cell_id, mode="dfs", max_runs=1, minimize=False)
+        result = engine.explore_cell(
+            cell_id, mode="dfs", max_runs=1, minimize=False
+        )
         if not result.budget_exhausted:
             problems.append("dfs hit max_runs silently")
     except Exception as exc:
         problems.append(f"dfs budget: {type(exc).__name__}: {exc}")
-
-    # Cache safety: every lookup below must MISS on correct code.
-    with tempfile.TemporaryDirectory(prefix="repro-mutcache-") as tmp:
-        path = Path(tmp) / "cache.jsonl"
-        scratch = Path(tmp) / "scratch.jsonl"
-        with DigestCache(path, context="ctx-a") as writer:
-            key0 = writer.run_key(cell_id, "rw:0", DEFAULT_WINDOW, 400)
-            writer.put_run(key0, baseline)
-        with DigestCache(scratch, context="ctx-a") as aux:
-            key_crc = aux.run_key(cell_id, "rw:2", DEFAULT_WINDOW, 400)
-            key_torn = aux.run_key(cell_id, "rw:3", DEFAULT_WINDOW, 400)
-            aux.put_run(key_crc, baseline)
-            aux.put_run(key_torn, baseline)
-        crc_line, torn_line = scratch.read_bytes().splitlines(keepends=True)
-        # A CRC-tampered but JSON-valid line, then a valid line behind it:
-        # both must stay invisible (stop at first bad line; verify CRCs).
-        bad_crc = (b"00000000" if crc_line[:8] != b"00000000" else b"11111111")
-        with open(path, "ab") as fh:
-            fh.write(bad_crc + crc_line[8:])
-            fh.write(torn_line)
-        with DigestCache(path, context="ctx-a") as reader:
-            if reader.get_run(
-                reader.run_key(cell_id, "rw:1", DEFAULT_WINDOW, 400)
-            ) is not None:
-                problems.append("cache: rw:1 hit rw:0's entry")
-            if reader.get_run(key_crc) is not None:
-                problems.append("cache: CRC-tampered entry was trusted")
-            if reader.get_run(key_torn) is not None:
-                problems.append("cache: entry behind a bad line was read")
-        with DigestCache(path, context="ctx-b") as other:
-            if other.get_run(
-                other.run_key(cell_id, "rw:0", DEFAULT_WINDOW, 400)
-            ) is not None:
-                problems.append("cache: wrong code-version token hit")
     return problems
 
 
@@ -1279,6 +1188,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{kills}/{len(results)} killed ({score:.0%}); threshold 90%; "
             f"{elapsed:.1f}s"
         ),
+        persist=args.out == DEFAULT_OUT,
     )
     print(f"\nwrote {args.out}")
     if score < 0.9:

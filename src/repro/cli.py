@@ -202,9 +202,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     import json
-    from contextlib import nullcontext
 
-    from repro.explore import DigestCache, explore_cell, run_digest
+    from repro.explore import explore_cell, run_digest
     from repro.explore.engine import DEFAULT_WINDOW, export_schedule_trace
 
     window = DEFAULT_WINDOW if args.window is None else tuple(args.window)
@@ -235,21 +234,17 @@ def cmd_explore(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    with (
-        DigestCache(args.cache) if args.cache is not None else nullcontext()
-    ) as cache:
-        result = explore_cell(
-            args.cell,
-            mode=args.mode,
-            schedules=args.schedules,
-            seed=args.seed,
-            bound=args.bound,
-            max_runs=args.max_runs,
-            window=window,
-            por=not args.no_por,
-            workers=args.workers,
-            cache=cache,
-        )
+    result = explore_cell(
+        args.cell,
+        mode=args.mode,
+        schedules=args.schedules,
+        seed=args.seed,
+        bound=args.bound,
+        max_runs=args.max_runs,
+        window=window,
+        por=not args.no_por,
+        workers=args.workers,
+    )
     payload = result.to_payload()
     if args.artifacts and result.findings:
         exported = []
@@ -734,10 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument(
         "--workers", type=int, default=1,
         help="processes to run the random walks on (mode=random only)",
-    )
-    p_explore.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="persistent cross-run digest cache (append-only jsonl)",
     )
     p_explore.add_argument("--no-por", action="store_true",
                            help="disable partial-order reduction (dfs)")

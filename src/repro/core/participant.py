@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Optional
 
 from repro.core.abortion import AbortionHandler
 from repro.core.action import ActionRegistry
-from repro.core.manager import CAActionManager
+from repro.core.manager import ActionStatus, CAActionManager
 from repro.core.messages import KIND_DONE, DoneMsg
 from repro.exceptions.context import ExceptionContext, ExceptionContextStack
 from repro.exceptions.handlers import HandlerOutcome, HandlerSet
@@ -248,6 +248,15 @@ class CAParticipant(DistributedObject):
         key = (action, done.epoch)
         arrived = barrier.get(key)
         if arrived is None:
+            # A late DONE for an action this participant has left would
+            # re-create the entry _leave purged: drop it.  Off the stack,
+            # an ABORTED action cannot be entered any more, and a COMPLETED
+            # one needed this participant's own DONE, so it was entered.
+            status = self.action_manager.instance(action).status
+            if (
+                status is ActionStatus.ABORTED or status is ActionStatus.COMPLETED
+            ) and self.contexts.find(action) is None:
+                return
             barrier[key] = arrived = set()
         arrived.add(done.sender)
         # Invariant: a DONE can newly open the barrier only by completing

@@ -21,7 +21,6 @@ exception, same commit outcome, same fault-free message count); every
 violation is ddmin-shrunk to a minimal schedule with a one-line repro.
 """
 
-from repro.explore.cache import CacheStats, DigestCache, context_token
 from repro.explore.campaign import (
     default_roster,
     hunt_schedule,
@@ -40,14 +39,11 @@ from repro.explore.schedule import ScheduleSpec
 from repro.explore.shrink import ddmin
 
 __all__ = [
-    "CacheStats",
-    "DigestCache",
     "ExploreResult",
     "Finding",
     "PruneRun",
     "ScheduleController",
     "ScheduleSpec",
-    "context_token",
     "ddmin",
     "default_roster",
     "explore_cell",

@@ -6,8 +6,7 @@ deep search — should keep guarding the tree forever.  This module closes
 that loop:
 
 * :func:`default_roster` names the cells worth searching adversarially;
-  a campaign is ``[explore_cell(cell, cache=...) for cell in roster]``,
-  with the cross-run digest cache making repeat campaigns incremental;
+  a campaign is ``[explore_cell(cell) for cell in roster]``;
 * :func:`pin_regression` turns a :class:`~repro.explore.engine.Finding`
   into a pytest module under ``tests/regressions/`` following the repo's
   pinned-cell convention (module-level ``CELL`` and ``MINIMIZED``

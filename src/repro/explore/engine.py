@@ -36,7 +36,7 @@ import hashlib
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.explore.controller import PruneRun, ScheduleController
 from repro.explore.independence import EventMeta, event_meta, independent
@@ -53,9 +53,6 @@ from repro.workloads.campaigns import (
     parse_cell_id,
 )
 from repro.workloads.parallel import parallel_map
-
-if TYPE_CHECKING:  # cache.py imports this module for RunOutcome/Finding
-    from repro.explore.cache import DigestCache
 
 #: Choice points are only opened inside this virtual-time window: before
 #: it the system is quiescent start-up chatter (heartbeats, which commute;
@@ -551,7 +548,6 @@ def explore_cell(
     minimize: bool = True,
     shrink_budget: int = 150,
     workers: int = 1,
-    cache: Optional[DigestCache] = None,
 ) -> ExploreResult:
     """Explore one cell's schedule space.
 
@@ -569,33 +565,10 @@ def explore_cell(
     * ``delay`` — all schedules with at most ``bound`` deviations from
       FIFO, deviation positions increasing (CHESS-style delay bounding),
       capped by ``max_runs``.
-
-    ``cache`` short-circuits repeated searches across processes: walks
-    hit per-seed ``run`` entries; ``dfs`` and ``delay`` hit one
-    whole-``result`` entry keyed by every bound above (a DFS run's suffix
-    depends on accumulated search state, so only the whole certified tree
-    is reusable).  The cache is read and appended in this process only,
-    never in a worker.
     """
     if isinstance(cell, str):
         cell = parse_cell_id(cell)
     started = time.perf_counter()
-    result_key = None
-    if cache is not None and mode in ("dfs", "delay"):
-        config = {
-            "window": list(window) if window else None,
-            "max_choice_points": max_choice_points,
-            "max_runs": max_runs,
-            "por": por,
-            "minimize": minimize,
-            "shrink_budget": shrink_budget,
-        }
-        if mode == "delay":
-            config["bound"] = bound
-        result_key = cache.result_key(cell.cell_id, mode, config)
-        cached = cache.get_result(result_key)
-        if cached is not None:
-            return _from_cached_result(cell, mode, window, cached, started)
     baseline, base_controller, _ = _run(
         cell, None, window=window, max_choice_points=max_choice_points
     )
@@ -669,26 +642,14 @@ def explore_cell(
             (cell.cell_id, f"rw:{seed + walk}", window, max_choice_points)
             for walk in range(schedules)
         ]
-        outcomes: dict[tuple, RunOutcome] = {}
-        if cache is not None:
-            for item in items:
-                hit = cache.get_run(cache.run_key(*item))
-                if hit is not None:
-                    outcomes[item] = hit[0]
-        misses = [item for item in items if item not in outcomes]
-        ran = parallel_map(replay_cell, misses, workers=workers)
-        for item, outcome in zip(misses, ran):
-            outcomes[item] = outcome
-            if cache is not None:
-                cache.put_run(cache.run_key(*item), outcome)
-        for walk, item in enumerate(items):
-            outcome = outcomes[item]
+        outcomes = parallel_map(replay_cell, items, workers=workers)
+        for walk, outcome in enumerate(outcomes):
             schedules_run += 1
             digests.add(outcome.digest)
             if _diverges(outcome, baseline):
-                # Outcomes cross process and cache boundaries, controllers
-                # do not: re-run the walk here for the choice record that
-                # ddmin starts from.
+                # Outcomes cross process boundaries, controllers do not:
+                # re-run the walk here for the choice record that ddmin
+                # starts from.
                 _, controller, _ = _run(
                     cell, ScheduleSpec.random_walk(seed + walk),
                     window=window, max_choice_points=max_choice_points,
@@ -698,9 +659,6 @@ def explore_cell(
                     controller, minimize, shrink_budget,
                 )
         bounds = {"schedules": schedules, "seed": seed}
-        if cache is not None:
-            bounds["cache_hits"] = schedules - len(misses)
-            bounds["cache_misses"] = len(misses)
     elif mode == "delay":
         queue: deque[tuple[tuple[int, int], ...]] = deque([()])
         seen: set[tuple[tuple[int, int], ...]] = {()}
@@ -741,7 +699,7 @@ def explore_cell(
     else:
         raise ValueError(f"unknown exploration mode: {mode!r}")
 
-    result = ExploreResult(
+    return ExploreResult(
         cell=cell,
         mode=mode,
         window=window,
@@ -755,31 +713,6 @@ def explore_cell(
         ),
         exhaustive=exhaustive,
         budget_exhausted=budget_exhausted,
-        elapsed_s=time.perf_counter() - started,
-        bounds=bounds,
-    )
-    if result_key is not None:
-        cache.put_result(result_key, result)
-    return result
-
-
-def _from_cached_result(
-    cell, mode, window, cached: dict, started: float
-) -> ExploreResult:
-    bounds = dict(cached["bounds"])
-    bounds["from_cache"] = True
-    return ExploreResult(
-        cell=cell,
-        mode=mode,
-        window=window,
-        baseline=cached["baseline"],
-        schedules_run=cached["schedules_run"],
-        pruned=cached["pruned"],
-        distinct_digests=len(cached["digests"]),
-        digests=cached["digests"],
-        findings=list(cached["findings"]),
-        exhaustive=cached["exhaustive"],
-        budget_exhausted=cached["budget_exhausted"],
         elapsed_s=time.perf_counter() - started,
         bounds=bounds,
     )

@@ -28,14 +28,6 @@ from repro.net.membership import GroupMembership
 from repro.net.network import Network
 
 
-class MulticastDeliveryError(RuntimeError):
-    """A member could not be reached within the retry budget.
-
-    Kept for API compatibility: exhaustion no longer raises (the unicast
-    is dead-lettered instead); see the module docstring.
-    """
-
-
 class ReliableMulticast:
     """Reliable FIFO multicast to closed groups."""
 

@@ -75,15 +75,6 @@ class _Frame:
         return getattr(self.inner, "action", None)
 
 
-class ReliableDeliveryError(RuntimeError):
-    """A frame could not be delivered within the retry budget.
-
-    Kept for API compatibility: exhaustion no longer raises (it
-    dead-letters the frame instead), but callers may still use this class
-    in their own ``on_delivery_failure`` handling.
-    """
-
-
 class ReliableNetwork(Network):
     """A :class:`Network` with ARQ-style reliable, in-order delivery.
 

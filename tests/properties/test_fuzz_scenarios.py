@@ -13,13 +13,15 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.manager import ActionStatus
 from repro.workloads.campaigns import FUZZ_FAULTS, CampaignCell, run_cell
 from repro.workloads.fuzz import build_random_scenario, check_invariants
 
 #: Per-action stores a participant may keep for an action it is not in:
 #: its configuration, and traffic for what it has not reached yet (messages
-#: for an action not entered, DONEs of an attempt not begun — or, after an
-#: abortion, DONEs still in flight when it left).
+#: for an action not entered, DONEs of an attempt not begun).  A DONE that
+#: arrives after the participant left is dropped, so no ``_barrier`` key
+#: names an action that has already ended (checked below).
 NOT_PER_ENTRY = {"handler_sets", "abortion_handlers", "pending", "_barrier"}
 
 
@@ -57,6 +59,10 @@ class TestOneRecordPerEnteredAction:
     )
     # The world that kept A2's Commit on O03 after its abortion.
     @example(seed=1, failing_attempts=0, random_latency=True)
+    # Late DONEs re-created O02's _barrier entry for the ABORTED A4, and
+    # O03's for the COMPLETED A2, after each had left the action.
+    @example(seed=66, failing_attempts=0, random_latency=True)
+    @example(seed=62, failing_attempts=0, random_latency=True)
     @settings(max_examples=60, deadline=None)
     def test_nothing_outlives_its_record(self, seed, failing_attempts, random_latency):
         scenario, plan = build_random_scenario(
@@ -66,6 +72,16 @@ class TestOneRecordPerEnteredAction:
         result = scenario.run(max_events=800_000)
         kept = [k for p in result.participants.values() for k in kept_after_leaving(p)]
         assert not kept, f"{plan.describe()}: {kept}"
+        ended = {
+            name for name, inst in result.manager.instances().items()
+            if inst.status in (ActionStatus.ABORTED, ActionStatus.COMPLETED)
+        }
+        late = [
+            f"{p.name}._barrier[{key!r}]"
+            for p in result.participants.values() for key in p._barrier
+            if key[0] in ended
+        ]
+        assert not late, f"{plan.describe()}: {late}"
 
 
 #: The faulted worlds tier-1 runs: a fixed draw, so a failure is repeatable

@@ -49,3 +49,24 @@ class TestRecordTable:
         )
         header_line = text.splitlines()[1]
         assert len(header_line) == len("a-very-wide-cell")
+
+    def test_unpersisted_table_leaves_results_dir_untouched(
+        self, tmp_path, monkeypatch
+    ):
+        harness = _load_harness()
+        (tmp_path / "E29.txt").write_text("committed\n")
+        monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path)
+        text = harness.record_table("E29", "t", ("x",), [(1,)], persist=False)
+        assert "E29" in text
+        assert [p.name for p in tmp_path.iterdir()] == ["E29.txt"]
+        assert (tmp_path / "E29.txt").read_text() == "committed\n"
+
+    def test_every_bench_persists_only_to_its_default_report(self):
+        # A bench run with --out elsewhere must not rewrite the committed
+        # table, so each call site ties persist to the default path.
+        for path in sorted(BENCH_DIR.glob("*.py")):
+            text = path.read_text()
+            calls = text.count("record_table(") - text.count("def record_table(")
+            if path.name in ("_harness.py", "experiments.py") or not calls:
+                continue
+            assert text.count("persist=args.out == DEFAULT_OUT") == calls, path

@@ -55,7 +55,6 @@ def test_mutant_ids_unique_and_smoke_subset_valid() -> None:
         "src/repro/net/detector.py",
         "src/repro/net/reliable.py",
         "src/repro/explore/engine.py",
-        "src/repro/explore/cache.py",
         "src/repro/explore/independence.py",
     }
     # The CI subset covers every mutated file: the protocol engines, the

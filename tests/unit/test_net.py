@@ -397,7 +397,7 @@ class TestReliableMulticast:
         net.register("b", lambda m: None)
         mcast = ReliableMulticast(net, gm, retry_delay=0.1, max_retries=3)
         mcast.multicast("g", "a", "K")
-        sim.run()  # completes; no MulticastDeliveryError
+        sim.run()  # exhausted retries dead-letter the unicast; nothing raises
         assert mcast.dead_letters == 1
         dead = net.trace.by_category("mcast.dead_letter")
         assert len(dead) == 1

@@ -222,7 +222,7 @@ class TestLossRecovery:
         net.register("a", lambda m: None)
         net.register("b", lambda m: None)
         net.send("a", "b", "K")
-        sim.run(max_events=10_000)  # completes; no ReliableDeliveryError
+        sim.run(max_events=10_000)  # exhausted retries dead-letter; nothing raises
         assert net.dead_letters == 1
         dead = net.trace.by_category("msg.dead_letter")
         assert len(dead) == 1
