@@ -184,6 +184,11 @@ class CrashTolerantParticipant(Member):
             on_suspect=self._on_suspect, membership_group=membership_group,
         )
 
+    def _unwire(self) -> None:
+        """The detector's links back: its object and its suspicion hook."""
+        detector = self.detector
+        detector.obj = detector.on_suspect = None
+
     def _forget(self) -> None:
         """Set the volatile state, what a crash loses, to a fresh member's:
         ``__init__`` and :meth:`restart` both call this, so none survives."""

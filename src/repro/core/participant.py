@@ -155,6 +155,13 @@ class CAParticipant(DistributedObject):
         self.engine._send = runtime.network.send
         self.engine._send_many = runtime.network.send_many
 
+    def _unwire(self) -> None:
+        """The engine's link back, its abortion task (which holds this
+        participant) and the behaviour's hooks, bound to its runner."""
+        engine = self.engine
+        engine.p = engine.abortion = None
+        self.on_interrupt = self.on_action_exit = self.on_action_retry = None
+
     def trace(self, category: str, **details: object) -> None:
         if self.runtime is not None:
             self.runtime.trace.record(

@@ -339,6 +339,11 @@ class ActionRun:
     runners: Optional[dict] = None
     manager: Optional[object] = None
 
+    def __del__(self) -> None:
+        # The run is this runtime's one owner: dropping it frees the whole
+        # object graph by reference counting (see Runtime.release).
+        self.runtime.release()
+
     @property
     def variant(self) -> str:
         return self.spec.tag

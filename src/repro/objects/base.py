@@ -44,6 +44,12 @@ class DistributedObject:
         """Called by the runtime when the object is registered."""
         self.runtime = runtime
 
+    def _unwire(self) -> None:
+        """Cut the edges this class wired from the object back into its run
+        (:meth:`Runtime.release` has already cut the handler table and the
+        ``runtime`` and ``node`` links).  Attribute stores only: one call
+        per object is the whole per-object cost of a release."""
+
     def on_kind(self, kind: str, handler: KindHandler) -> None:
         """Register the handler for messages of ``kind``."""
         if kind in self._kind_handlers:

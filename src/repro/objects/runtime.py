@@ -91,6 +91,7 @@ class Runtime:
         self.multicast = ReliableMulticast(self.network, self.membership)
         self.nodes: dict[str, Node] = {}
         self.objects: dict[str, DistributedObject] = {}
+        self._released = False
         for hook in _runtime_hooks:
             hook(self)
 
@@ -169,7 +170,39 @@ class Runtime:
 
     def run(self, until: float | None = None, max_events: int | None = 200_000) -> None:
         """Run the simulation (with a default livelock budget for safety)."""
+        if self._released:
+            raise RuntimeError("this runtime was released: its run is over")
         self.sim.run(until=until, max_events=max_events)
+
+    def release(self) -> None:
+        """Cut every edge that closes a reference cycle through this run,
+        so that dropping it frees it by reference counting (idempotent).
+
+        The inverse of :meth:`register` for each object — its handler
+        table, whose entries are bound to it, and its ``runtime`` and
+        ``node`` links — plus what the object's class wired on top
+        (``_unwire``); the network's receivers; and, on the simulator,
+        every queued entry and the queue's delivery sink.  What is read
+        from a finished run stays readable: the trace and spans, the
+        network's counters, the clock, :meth:`metrics_snapshot`,
+        :attr:`objects` and each object's own state.  :meth:`run` refuses
+        from here on.  :class:`~repro.core.variants.ActionRun` calls this
+        when it is dropped.
+        """
+        if self._released:
+            return
+        self._released = True
+        for obj in self.objects.values():
+            obj._kind_handlers = {}
+            obj.runtime = obj.node = None
+            obj._unwire()
+        network = self.network
+        network._receivers = {}
+        network._targets = {}
+        network.deliver_via = None
+        queue = network._sim_queue
+        if queue is not None:
+            queue.discard()
 
     # -- observability -----------------------------------------------------------
 

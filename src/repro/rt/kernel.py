@@ -60,9 +60,12 @@ class _RtHandle:
         self._timer: asyncio.TimerHandle | None = None
 
     def cancel(self) -> None:
+        """Disarm, and drop the action: an ARQ frame's timer action points
+        back at its frame, whose ``timer`` is this handle."""
         if self.cancelled:
             return
         self.cancelled = True
+        self.action = None
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -196,9 +199,13 @@ class AsyncioKernel:
             self._now = until
 
     def close(self) -> None:
-        """Close the underlying loop (the kernel is finished after this)."""
+        """Close the underlying loop (the kernel is finished after this),
+        and drop the services and timers, which point back at their
+        transports and their runs."""
         if not self._loop.is_closed():
             self._loop.close()
+        self._service_factories = []
+        self._live = set()
 
     # -- transport hooks ---------------------------------------------------------
 

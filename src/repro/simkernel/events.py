@@ -105,10 +105,13 @@ class Event:
         return self.action(self.arg)
 
     def cancel(self) -> None:
-        """Mark this event so the simulator will skip it."""
+        """Mark this event so the simulator will skip it, and drop its
+        callback: a timer whose ``arg`` points back at its holder (an ARQ
+        frame's ``timer``) would otherwise stay a reference cycle."""
         if self.cancelled:
             return
         self.cancelled = True
+        self.action = self.arg = None
         queue = self._queue
         if queue is not None:
             queue._note_cancel()
@@ -369,3 +372,19 @@ class EventQueue:
                 del buckets[key]
             self._keys[:] = buckets
             heapify(self._keys)
+
+    def discard(self) -> None:
+        """Drop every queued entry and the delivery sink: the run is over.
+
+        Each queued event loses its callback and its queue link as well,
+        so a handle still held elsewhere (a behaviour's next step, an ARQ
+        frame's timer) no longer closes a cycle back into the run.
+        """
+        for bucket in self._buckets.values():
+            for entry in bucket:
+                if entry.__class__ is Event:
+                    entry.action = entry.arg = entry._queue = None
+        self._buckets = {}
+        self._keys = []
+        self._live = self._cancelled_in_heap = 0
+        self.message_sink = None

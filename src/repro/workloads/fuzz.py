@@ -196,6 +196,11 @@ def build_random_scenario(
             )
         )
 
+    # A recursive closure holds itself through its own cell, and every
+    # closure here shares ``rng``, ``plan`` and ``exceptions``: emptying
+    # the two cells lets the world be freed by reference counting.
+    del grow, behaviour_for
+
     if not raisers_chosen:
         # Force one raiser in the root action so every scenario exercises
         # at least one resolution.
