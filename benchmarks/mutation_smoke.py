@@ -241,7 +241,18 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "deliver-fallback-skipped", NET,
-        "a kind absent from the kind map no longer reaches receive / on_unhandled",
+        "a run of deliveries drops a kind absent from the kind map instead of "
+        "handing it to receive / on_unhandled",
+        """                    except KeyError:
+                        handler = target[0]""",
+        """                    except KeyError:
+                        continue""",
+    ),
+    Mutant(
+        "deliver-one-fallback-skipped", NET,
+        "a single delivery (step(), the explorer, the ARQ transport's release) "
+        "drops a kind absent from the kind map instead of handing it to "
+        "receive / on_unhandled",
         """            except KeyError:
                 pass
             else:""",
@@ -254,7 +265,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "tick-checks-before-beating", DETECTOR,
         "the tick suspects before it beats: the peer it suspects misses the "
         "beat of that instant",
-        """        obj.send_many(self.alive_peers(), KIND_HEARTBEAT)
+        """        self._send_many(obj.name, self.alive_peers(), KIND_HEARTBEAT)
         sim = obj.runtime.sim
         now = sim.now
         # ``start`` stamped every peer, so ``last_seen`` is total here.
@@ -269,7 +280,7 @@ MUTANTS: tuple[Mutant, ...] = (
         for peer in self.peers:
             if peer not in suspected and now - last_seen[peer] > self.timeout:
                 self._suspect(peer, now)
-        obj.send_many(self.alive_peers(), KIND_HEARTBEAT)""",
+        self._send_many(obj.name, self.alive_peers(), KIND_HEARTBEAT)""",
     ),
     Mutant(
         "tick-rearms-stale-generation", DETECTOR,
@@ -779,7 +790,8 @@ def _faulted_fanout_problems() -> list[str]:
 def _delivery_problems() -> list[str]:
     """What the network owes every endpoint, whatever it costs: a fan-out
     takes the ids the per-send loop would, and a kind the object registered
-    no handler for still reaches ``on_unhandled``."""
+    no handler for still reaches ``on_unhandled`` — in a run of deliveries
+    (``run()``) and in a single one (``step()``)."""
     from repro.net.message import reset_msg_ids
     from repro.objects.base import DistributedObject
     from repro.objects.runtime import Runtime
@@ -793,22 +805,30 @@ def _delivery_problems() -> list[str]:
         def on_unhandled(self, message) -> None:
             self.unhandled.append(message.msg_id)
 
-    try:
-        reset_msg_ids()
-        runtime = Runtime()
-        objects = [Recorder(f"R{i}") for i in range(4)]
-        for obj in objects:
-            runtime.register(obj)
-        first = objects[0].send("R1", "KNOWN").msg_id
-        ids = [m.msg_id for m in objects[0].send_many(["R1", "R2", "R3"], "UNKNOWN")]
-        after = objects[0].send("R1", "KNOWN").msg_id
-        runtime.run()
-        got = [obj.unhandled for obj in objects[1:]]
-        if [first, *ids, after] != [1, 2, 3, 4, 5] or got != [[2], [3], [4]]:
-            return [f"delivery: ids {first} {ids} {after}, unhandled {got}"]
-    except Exception as exc:
-        return [f"delivery: {type(exc).__name__}: {exc}"]
-    return []
+    problems = []
+    for drain in ("run", "step"):
+        try:
+            reset_msg_ids()
+            runtime = Runtime()
+            objects = [Recorder(f"R{i}") for i in range(4)]
+            for obj in objects:
+                runtime.register(obj)
+            first = objects[0].send("R1", "KNOWN").msg_id
+            ids = [m.msg_id for m in objects[0].send_many(["R1", "R2", "R3"], "UNKNOWN")]
+            after = objects[0].send("R1", "KNOWN").msg_id
+            if drain == "run":
+                runtime.run()
+            else:
+                while runtime.sim.step():
+                    pass
+            got = [obj.unhandled for obj in objects[1:]]
+            if [first, *ids, after] != [1, 2, 3, 4, 5] or got != [[2], [3], [4]]:
+                problems.append(
+                    f"delivery by {drain}: ids {first} {ids} {after}, unhandled {got}"
+                )
+        except Exception as exc:
+            problems.append(f"delivery by {drain}: {type(exc).__name__}: {exc}")
+    return problems
 
 
 def _detector_problems() -> list[str]:

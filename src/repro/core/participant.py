@@ -163,10 +163,9 @@ class CAParticipant(DistributedObject):
         self.on_interrupt = self.on_action_exit = self.on_action_retry = None
 
     def trace(self, category: str, **details: object) -> None:
-        if self.runtime is not None:
-            self.runtime.trace.record(
-                self.sim_now, category, self.name, **details
-            )
+        runtime = self.runtime
+        if runtime is not None:
+            runtime.trace.record(runtime.sim.now, category, self.name, **details)
 
     def handler_set_for(self, action: str) -> HandlerSet:
         try:

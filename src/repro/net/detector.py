@@ -22,7 +22,6 @@ view, and under the crash-only fault model they will never answer again.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Sequence
 
 from repro.net.message import Message
@@ -63,6 +62,9 @@ class Heartbeater:
         # (doubled heartbeat traffic and check frequency).
         self._generation = 0
         self._label = f"hb:{obj.name}"
+        #: The network's bound ``send_many``, taken at :meth:`start`: a beat
+        #: is one fan-out with no object wrapper between.
+        self._send_many: Callable[..., object] | None = None
         obj.on_kind(KIND_HEARTBEAT, self._on_heartbeat)
 
     def start(self) -> None:
@@ -71,6 +73,7 @@ class Heartbeater:
             return
         self._running = True
         self._generation += 1
+        self._send_many = self.obj.runtime.network.send_many
         now = self.obj.sim_now
         for peer in self.peers:
             self.last_seen[peer] = now
@@ -126,7 +129,7 @@ class Heartbeater:
         if generation != self._generation or obj.crashed:
             return
         # One beat is one fan-out: the unsuspected peers, one shared payload.
-        obj.send_many(self.alive_peers(), KIND_HEARTBEAT)
+        self._send_many(obj.name, self.alive_peers(), KIND_HEARTBEAT)
         sim = obj.runtime.sim
         now = sim.now
         # ``start`` stamped every peer, so ``last_seen`` is total here.
@@ -134,7 +137,7 @@ class Heartbeater:
         for peer in self.peers:
             if peer not in suspected and now - last_seen[peer] > self.timeout:
                 self._suspect(peer, now)
-        sim.schedule(self.interval, partial(self._tick, generation), label=self._label)
+        sim.schedule(self.interval, self._tick, label=self._label, arg=generation)
 
     def _on_heartbeat(self, message: Message) -> None:
         """Stamp ``last_seen`` with the message's delivery stamp, not a clock

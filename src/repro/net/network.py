@@ -20,7 +20,7 @@ from repro.net.failures import FailureInjector
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net import message as _message_mod
 from repro.net.message import Message
-from repro.simkernel.events import PRIORITY_DELIVERY
+from repro.simkernel.events import PRIORITY_DELIVERY, Event
 from repro.simkernel.rng import RngRegistry
 from repro.simkernel.scheduler import Simulator
 from repro.simkernel.trace import SEND_SHAPE, TraceRecorder
@@ -96,26 +96,25 @@ class Network:
         )
         self.sent_by_kind: Counter[str] = Counter()
         self.delivered_by_kind: Counter[str] = Counter()
-        # Kernel shortcuts for the deterministic Simulator: direct access to
-        # its event queue and clock lets the send path skip the
-        # schedule_at wrapper (validation + handle) and the ``now``
-        # property hop.  Foreign kernels (e.g. the asyncio backend) leave
-        # these as None and take the generic path.
+        # Kernel shortcut for the deterministic Simulator: direct access to
+        # its event queue lets the send path skip the schedule_at wrapper
+        # (validation and the returned Event).  Foreign kernels (e.g. the
+        # asyncio backend) leave it None and take the generic path.
         self._sim_queue = getattr(sim, "_queue", None)
-        self._sim_clock = getattr(sim, "clock", None)
         #: dst -> the object's live kind-handler dict, for receivers that
         #: are the stock ``DistributedObject.receive`` bound method: the
         #: delivery path then dispatches to the kind handler directly,
         #: skipping the ``receive`` frame.  ``None`` for custom receivers.
         self._targets: dict[str, tuple[Receiver, dict[str, Receiver] | None]] = {}
-        # Claim the queue's raw-delivery sink (first network wins): sends
-        # may then queue the message itself (EventQueue.push_raw) with no
-        # Event allocated, and the drain loop hands it straight to
-        # _deliver.
+        # Claim the queue's raw-delivery sink, in both forms (first network
+        # wins): sends may then queue the message itself
+        # (EventQueue.push_raw) with no Event allocated, and the drain loop
+        # hands each run of them straight to _deliver_run.
         self._raw_push = False
         queue = self._sim_queue
         if queue is not None and getattr(queue, "message_sink", False) is None:
             queue.message_sink = self._deliver
+            queue.run_sink = self._deliver_run
             self._raw_push = True
 
     # -- endpoint management -------------------------------------------------
@@ -221,8 +220,7 @@ class Network:
         message.corrupted = False
         message.dropped = False
         self.sent_by_kind[kind] += 1
-        clock = self._sim_clock
-        now = clock._now if clock is not None else self.sim.now
+        now = self.sim.now
         # Fault-free plans (every count sweep) skip the decide() frame; the
         # inline test is decide()'s own fast return.  Only the stock
         # injector class qualifies — subclasses may override decide() with
@@ -286,7 +284,7 @@ class Network:
             message.corrupted = True  # fate == CORRUPT
         # Delivery fast path: with the deterministic kernel and FIFO
         # tie-breaks, queue the message itself as a *raw* entry —
-        # no Event, no closure, no label string, no ScheduledHandle, no
+        # no Event, no closure, no label string, no
         # schedule_at validation (``deliver_at >= now`` by construction).
         # Controlled (explorer) runs keep the labelled slow path because
         # schedule replay keys on delivery labels.
@@ -350,8 +348,7 @@ class Network:
                 # UnknownEndpointError raised at the same point it would
                 # have been by the plain loop.
                 return [self.send(src, d, kind, payload) for d in dsts]
-        clock = self._sim_clock
-        now = clock._now if clock is not None else self.sim.now
+        now = self.sim.now
         deliver_at = now + delay
         trace = self.trace
         full = trace._full
@@ -441,8 +438,7 @@ class Network:
         trace = self.trace
         dst = message.dst
         kind = message.kind
-        clock = self._sim_clock
-        now = clock._now if clock is not None else self.sim.now
+        now = self.sim.now
         try:
             target = self._targets[dst]
         except KeyError:
@@ -484,6 +480,86 @@ class Network:
                 handler(message)
                 return
         target[0](message)
+
+    def _deliver_run(self, bucket: list, index: int, budget: float) -> int:
+        """Deliver the run of raw entries at ``bucket[index:]`` in one frame:
+        the queue's ``run_sink``, the drain loop's form of ``_deliver``.
+
+        Semantically ``[self._deliver(m) for m in run]`` — same trace
+        records, tallies, counters and handler calls, in the same order —
+        where the run ends before the first :class:`Event`, after
+        ``budget`` deliveries, or after a handler that queued a smaller key
+        than the bucket's; each entry leaves the queue's live count before
+        its handler runs.  Returns how many entries were consumed; when a
+        handler raises, that count (its own entry included) goes to the
+        queue's ``run_consumed`` first.  The per-delivery constants (the
+        clock, the trace, the endpoint table, the injector) are read once
+        per run.  A network whose class overrides ``_deliver`` (the ARQ
+        transport unwraps frames there) is driven through its override,
+        one call per message.
+        """
+        queue = self._sim_queue
+        keys = queue._keys
+        key = keys[0]
+        each = None if self.__class__._deliver is Network._deliver else self._deliver
+        trace = self.trace
+        targets = self._targets
+        injector = self.injector
+        crashes = injector._crashes
+        delivered = self.delivered_by_kind
+        now = self.sim.now
+        count = 0
+        try:
+            for message in bucket if not index else islice(bucket, index, None):
+                if message.__class__ is Event or count >= budget:
+                    break
+                queue._live -= 1
+                count += 1
+                if each is not None:
+                    each(message)
+                    if keys[0] is not key:
+                        break
+                    continue
+                # _deliver's body, over the constants read above.
+                dst = message.dst
+                kind = message.kind
+                try:
+                    target = targets[dst]
+                except KeyError:
+                    target = None
+                if crashes and not injector._since <= now < injector._until:
+                    injector._read_plan(now)
+                if target is None or dst in injector._down:
+                    if trace._full:
+                        trace._pending.append((
+                            now, "msg.lost", dst, _LOST_FIELDS, kind, message.msg_id,
+                        ))
+                    elif trace._counting:
+                        trace._counts["msg.lost"] += 1
+                    continue  # no handler ran, so nothing was queued
+                delivered[kind] += 1
+                if trace._full:
+                    trace._pending.append((
+                        now, "msg.recv", dst, _RECV_FIELDS, message.src, kind,
+                        message.msg_id,
+                    ))
+                elif trace._counting:
+                    trace._counts["msg.recv"] += 1
+                kind_map = target[1]
+                if kind_map is not None:
+                    try:
+                        handler = kind_map[kind]
+                    except KeyError:
+                        handler = target[0]
+                else:
+                    handler = target[0]
+                handler(message)
+                if keys[0] is not key:
+                    break
+        except BaseException:
+            queue.run_consumed = count
+            raise
+        return count
 
     # -- accounting ------------------------------------------------------------
 

@@ -41,7 +41,6 @@ unreachable peer fails one send, not the whole simulation.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.net.detector import KIND_HEARTBEAT
@@ -133,11 +132,11 @@ class ReliableNetwork(Network):
         self._next_seq[pair] = seq + 1
         frame = _Frame(seq, kind, payload, src, dst)
         self._pending[(src, dst, seq)] = frame
-        # Simulator.schedule's timer (time, priority, label, seq), sans handle.
+        # Simulator.schedule's timer, pushed without its validation.
         queue = self._sim_queue
         if queue is not None:
             frame.timer = queue.push(
-                self._sim_clock._now + self.ack_timeout, self._maybe_retransmit,
+                self.sim.now + self.ack_timeout, self._maybe_retransmit,
                 PRIORITY_NORMAL, f"rto:{src}->{dst}:{seq}", frame,
             )
         else:
@@ -146,8 +145,8 @@ class ReliableNetwork(Network):
 
     def _arm_foreign_timer(self, frame: _Frame) -> None:
         frame.timer = self.sim.schedule(
-            self.ack_timeout, partial(self._maybe_retransmit, frame),
-            label=f"rto:{frame.src}->{frame.dst}:{frame.seq}",
+            self.ack_timeout, self._maybe_retransmit,
+            label=f"rto:{frame.src}->{frame.dst}:{frame.seq}", arg=frame,
         )
 
     def _maybe_retransmit(self, frame: _Frame) -> None:
@@ -155,8 +154,7 @@ class ReliableNetwork(Network):
         key = (src, dst, seq)
         if key not in self._pending:
             return  # acknowledged in the meantime
-        clock = self._sim_clock
-        now = clock._now if clock is not None else self.sim.now
+        now = self.sim.now
         if frame.retries >= self.max_retries:
             # Retry budget exhausted: dead-letter the frame instead of
             # raising out of the scheduler (which would abort the whole
@@ -264,9 +262,8 @@ class ReliableNetwork(Network):
             return
         # In order: unwrap in place (a transmission is delivered at most once).
         self._expected[pair] = seq + 1
-        clock = self._sim_clock
         message.payload = frame.inner
-        message.deliver_time = clock._now if clock is not None else self.sim.now
+        message.deliver_time = self.sim.now
         super()._deliver(message)
         if pair in self._reorder:
             self._deliver_buffered(pair)

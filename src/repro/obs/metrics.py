@@ -141,7 +141,7 @@ class HistogramMetric:
 
     def __init__(self, name: str, bounds: Sequence[float] = VT_BUCKETS) -> None:
         self.name = name
-        self.bounds = tuple(float(b) for b in bounds)
+        self.bounds = tuple(map(float, bounds))
         if list(self.bounds) != sorted(set(self.bounds)):
             raise ValueError(f"histogram bounds must be strictly increasing: {bounds}")
         self.bucket_counts = [0] * (len(self.bounds) + 1)
@@ -192,7 +192,7 @@ class MetricsRegistry:
         metric = self._histograms.get(name)
         if metric is None:
             metric = self._histograms[name] = HistogramMetric(name, bounds)
-        elif metric.bounds != tuple(float(b) for b in bounds):
+        elif metric.bounds != tuple(map(float, bounds)):
             raise ValueError(
                 f"histogram {name!r} already exists with bounds "
                 f"{metric.bounds}, requested {tuple(bounds)}"

@@ -48,13 +48,15 @@ DEFAULT_TIME_SCALE = 0.005
 class _RtHandle:
     """A scheduled action: armed on the loop while a run is active."""
 
-    __slots__ = ("_kernel", "time", "action", "label", "cancelled", "_timer")
+    __slots__ = ("_kernel", "time", "action", "arg", "label", "cancelled", "_timer")
 
     def __init__(self, kernel: "AsyncioKernel", time: float,
-                 action: Callable[[], Any], label: str) -> None:
+                 action: Callable[..., Any], label: str, arg: Any = None) -> None:
         self._kernel = kernel
         self.time = time
         self.action = action
+        #: Passed to ``action`` when set, as on the simulator's Event.
+        self.arg = arg
         self.label = label
         self.cancelled = False
         self._timer: asyncio.TimerHandle | None = None
@@ -65,7 +67,7 @@ class _RtHandle:
         if self.cancelled:
             return
         self.cancelled = True
-        self.action = None
+        self.action = self.arg = None
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -131,25 +133,27 @@ class AsyncioKernel:
     def schedule(
         self,
         delay: float,
-        action: Callable[[], Any],
+        action: Callable[..., Any],
         priority: int = 0,
         label: str = "",
+        arg: Any = None,
     ) -> _RtHandle:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        return self._push(self.now + delay, action, label)
+        return self._push(self.now + delay, action, label, arg)
 
     def schedule_at(
         self,
         time: float,
-        action: Callable[[], Any],
+        action: Callable[..., Any],
         priority: int = 0,
         label: str = "",
+        arg: Any = None,
     ) -> _RtHandle:
         # Unlike the Simulator this tolerates times slightly in the past:
         # the wall clock drifts past a computed deliver_at while the
         # computing callback itself runs.  Such actions fire immediately.
-        return self._push(time, action, label)
+        return self._push(time, action, label, arg)
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until quiescent, ``until`` passes, or the budget trips."""
@@ -247,8 +251,10 @@ class AsyncioKernel:
 
     # -- internals ---------------------------------------------------------------
 
-    def _push(self, time: float, action: Callable[[], Any], label: str) -> _RtHandle:
-        handle = _RtHandle(self, time, action, label)
+    def _push(
+        self, time: float, action: Callable[..., Any], label: str, arg: Any
+    ) -> _RtHandle:
+        handle = _RtHandle(self, time, action, label, arg)
         self._live.add(handle)
         if self._running:
             self._arm(handle)
@@ -278,7 +284,10 @@ class AsyncioKernel:
         if handle.time > self._now:
             self._now = handle.time
         try:
-            handle.action()
+            if handle.arg is None:
+                handle.action()
+            else:
+                handle.action(handle.arg)
         except BaseException as exc:  # noqa: BLE001 — propagate out of run()
             self._error = exc
             self._loop.stop()

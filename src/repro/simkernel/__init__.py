@@ -23,7 +23,7 @@ from repro.simkernel.kernel import (
 )
 from repro.simkernel.process import Delay, SimProcess, Stop
 from repro.simkernel.rng import RngRegistry
-from repro.simkernel.scheduler import ScheduledHandle, Simulator
+from repro.simkernel.scheduler import Simulator
 from repro.simkernel.trace import TraceEntry, TraceLevel, TraceRecorder
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "current_kernel_factory",
     "kernel_backend",
     "RngRegistry",
-    "ScheduledHandle",
     "SimProcess",
     "Simulator",
     "Stop",

@@ -1,9 +1,8 @@
-"""Virtual clock for the discrete-event simulator.
+"""A standalone monotonic virtual clock.
 
-The clock only ever moves forward, and only the simulator advances it.
-Keeping the clock as its own small object (rather than a bare float on the
-simulator) lets substrates hold a reference to "the current time" without
-holding a reference to the whole simulator.
+The clock only ever moves forward.  The simulator does not hold one: its
+time is the plain attribute ``Simulator.now``, which the drain loop writes
+once per event and every substrate reads without a property call.
 """
 
 from __future__ import annotations

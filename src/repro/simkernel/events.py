@@ -182,11 +182,22 @@ class EventQueue:
         self.tie_break: TieBreakPolicy | None = None
         #: Delivery sink for *raw* entries.  The network claims this
         #: (first come, first served) and may then queue plain payloads
-        #: instead of :class:`Event` objects (:meth:`push_raw`); the drain
-        #: loops call ``message_sink(payload)`` for those.  Raw entries are
-        #: uncancellable by construction (deliveries never cancel) and
-        #: skip one Event allocation per message.
+        #: instead of :class:`Event` objects (:meth:`push_raw`); ``step()``
+        #: and the controlled loop call ``message_sink(payload)`` for those.
+        #: Raw entries are uncancellable by construction (deliveries never
+        #: cancel) and skip one Event allocation per message.
         self.message_sink: Callable[[Any], None] | None = None
+        #: The same sink's run form, claimed with it, for the FIFO drain
+        #: loop: ``run_sink(bucket, index, budget)`` delivers the raw
+        #: entries from ``bucket[index]`` on, exactly as ``message_sink``
+        #: would one by one, taking each off the live count before its
+        #: handler.  It stops before the first :class:`Event`, once
+        #: ``budget`` entries are delivered, or after a handler that queued
+        #: a smaller key, and returns how many it consumed; if a handler
+        #: raises, that count (the raising entry included) is left in
+        #: :attr:`run_consumed` first.
+        self.run_sink: Callable[[list[Any], int, float], int] | None = None
+        self.run_consumed = 0
 
     def __len__(self) -> int:
         return self._live
@@ -252,7 +263,8 @@ class EventQueue:
         """Materialize an :class:`Event` for a raw delivery entry.
 
         Only the non-fast paths (``step()``, controlled pops) see raw
-        entries as events; the fast drain loop dispatches them directly.
+        entries as events; the fast drain loop hands them to
+        :attr:`run_sink` a run at a time.
         """
         seq = self._seq
         self._seq = seq + 1
@@ -374,7 +386,8 @@ class EventQueue:
             heapify(self._keys)
 
     def discard(self) -> None:
-        """Drop every queued entry and the delivery sink: the run is over.
+        """Drop every queued entry and both forms of the delivery sink: the
+        run is over.
 
         Each queued event loses its callback and its queue link as well,
         so a handle still held elsewhere (a behaviour's next step, an ARQ
@@ -387,4 +400,4 @@ class EventQueue:
         self._buckets = {}
         self._keys = []
         self._live = self._cancelled_in_heap = 0
-        self.message_sink = None
+        self.message_sink = self.run_sink = None

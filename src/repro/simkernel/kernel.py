@@ -5,7 +5,8 @@ crash-tolerant / multicast / centralised variants, the CR baseline, the
 network and its ARQ transport, the heartbeat detector — drives itself
 through exactly four operations on ``runtime.sim``: read ``now``, arm a
 timer with ``schedule``/``schedule_at`` (getting back a cancellable
-handle), and ``run`` the event loop.  Nothing touches the event queue,
+handle, the queued :class:`~repro.simkernel.events.Event` itself on the
+simulator), and ``run`` the event loop.  Nothing touches the event queue,
 the virtual clock, or any other :class:`~repro.simkernel.scheduler.Simulator`
 internals.
 
@@ -65,19 +66,22 @@ class Kernel(Protocol):
     def schedule(
         self,
         delay: float,
-        action: Callable[[], Any],
+        action: Callable[..., Any],
         priority: int = 0,
         label: str = "",
+        arg: Any = None,
     ) -> KernelHandle:
-        """Run ``action`` ``delay`` time units from now."""
+        """Run ``action`` ``delay`` time units from now (called with ``arg``
+        when one is given)."""
         ...
 
     def schedule_at(
         self,
         time: float,
-        action: Callable[[], Any],
+        action: Callable[..., Any],
         priority: int = 0,
         label: str = "",
+        arg: Any = None,
     ) -> KernelHandle:
         """Run ``action`` at absolute time ``time``."""
         ...

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
-from repro.simkernel.scheduler import ScheduledHandle, Simulator
+from repro.simkernel.events import Event
+from repro.simkernel.scheduler import Simulator
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class SimProcess:
         self.name = name
         self._on_finish = on_finish
         self._on_command = on_command
-        self._pending: Optional[ScheduledHandle] = None
+        self._pending: Optional[Event] = None
         self.finished = False
         self.interrupted = False
 

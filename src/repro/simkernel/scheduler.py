@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
 from heapq import heappop
 from typing import Any, Callable, Iterator
 
-from repro.simkernel.clock import VirtualClock
 from repro.simkernel.events import PRIORITY_NORMAL, Event, EventQueue, TieBreakPolicy
 
 
@@ -52,24 +50,6 @@ def scheduling_policy(policy: TieBreakPolicy | None) -> Iterator[TieBreakPolicy 
         _installed_policy = previous
 
 
-@dataclass
-class ScheduledHandle:
-    """Handle to a scheduled event, allowing cancellation."""
-
-    event: Event
-
-    def cancel(self) -> None:
-        self.event.cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self.event.cancelled
-
-    @property
-    def time(self) -> float:
-        return self.event.time
-
-
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -83,19 +63,16 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self.clock = VirtualClock(start_time)
+        if start_time < 0:
+            raise ValueError(f"clock cannot start at negative time: {start_time}")
+        #: Current virtual time.  A plain attribute, the most-read value of
+        #: a run: only the drain loop, :meth:`step` and :meth:`advance_to`
+        #: write it, and it never moves backwards.
+        self.now = float(start_time)
         self._queue = EventQueue()
         self._queue.tie_break = _installed_policy
         self._events_executed = 0
         self._running = False
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        # Reads the clock's backing field directly: this property is the
-        # single most-called accessor in a run, and the extra property hop
-        # through VirtualClock.now is measurable in large sweeps.
-        return self.clock._now
 
     @property
     def events_executed(self) -> int:
@@ -107,40 +84,54 @@ class Simulator:
         """Number of live events still queued."""
         return len(self._queue)
 
+    def advance_to(self, time: float) -> None:
+        """Move the clock forward to ``time``.
+
+        Raises:
+            ValueError: if ``time`` is earlier than the current time.
+        """
+        if time < self.now:
+            raise ValueError(
+                f"clock cannot move backwards: now={self.now}, requested={time}"
+            )
+        self.now = time
+
     def schedule(
         self,
         delay: float,
-        action: Callable[[], Any],
+        action: Callable[..., Any],
         priority: int = PRIORITY_NORMAL,
         label: str = "",
-    ) -> ScheduledHandle:
-        """Schedule ``action`` to run ``delay`` time units from now."""
+        arg: Any = None,
+    ) -> Event:
+        """Schedule ``action`` to run ``delay`` time units from now, called
+        with ``arg`` when one is given; returns the queued (cancellable)
+        :class:`Event`."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        event = self._queue.push(self.now + delay, action, priority, label)
-        return ScheduledHandle(event)
+        return self._queue.push(self.now + delay, action, priority, label, arg)
 
     def schedule_at(
         self,
         time: float,
-        action: Callable[[], Any],
+        action: Callable[..., Any],
         priority: int = PRIORITY_NORMAL,
         label: str = "",
-    ) -> ScheduledHandle:
+        arg: Any = None,
+    ) -> Event:
         """Schedule ``action`` at absolute virtual time ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule into the past: now={self.now}, time={time}"
             )
-        event = self._queue.push(time, action, priority, label)
-        return ScheduledHandle(event)
+        return self._queue.push(time, action, priority, label, arg)
 
     def step(self) -> bool:
         """Execute the single next event.  Returns ``False`` when idle."""
         event = self._queue.pop()
         if event is None:
             return False
-        self.clock.advance_to(event.time)
+        self.advance_to(event.time)
         self._events_executed += 1
         event.fire()
         return True
@@ -176,7 +167,7 @@ class Simulator:
             else:
                 self._run_controlled(until, max_events)
             if until is not None and until > self.now:
-                self.clock.advance_to(until)
+                self.now = until
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -190,19 +181,23 @@ class Simulator:
         a plain ``for`` over its list, so entries appended under the same
         key by the handlers themselves run in the same pass, and no heap
         operation, ``step()``/``pop()`` call or monotonicity-checked
-        ``advance_to`` is paid per event.  A handler that queues a
-        *smaller* key (a zero-latency delivery from local work) pre-empts
-        the pass: the consumed prefix is trimmed off, the tail stays
-        queued, and the new head bucket runs first.  Execution order,
-        budget semantics and the observable state after an exhausted
-        budget, a reached ``until`` or a raising handler (consumed entries
-        gone, the next one still queued) are those of ``step()`` in a loop.
+        ``advance_to`` is paid per event.  A run of raw delivery entries
+        (see ``Network.send``) is handed to the queue's ``run_sink`` in one
+        call: it delivers from the given index until the next
+        :class:`Event`, the budget or a pre-emption, and says how many
+        entries it consumed, which this loop then steps over.  A handler
+        that queues a *smaller* key (a zero-latency delivery from local
+        work) pre-empts the pass: the consumed prefix is trimmed off, the
+        tail stays queued, and the new head bucket runs first.  Execution
+        order, ``len(queue)`` as a handler sees it, budget semantics and
+        the observable state after an exhausted budget, a reached
+        ``until`` or a raising handler (consumed entries gone, the next
+        one still queued) are those of ``step()`` in a loop.
         """
         queue = self._queue
         keys = queue._keys
         buckets = queue._buckets
-        clock = self.clock
-        sink = queue.message_sink
+        run_sink = queue.run_sink
         # Fold the optional bounds into always-comparable sentinels: one
         # comparison per event instead of a None test plus a comparison.
         limit = float("inf") if until is None else until
@@ -215,43 +210,57 @@ class Simulator:
                 time = key[0]
                 queue._draining = bucket = buckets[key]
                 # The first ``executed - start + skipped`` entries of the
-                # bucket are consumed.  Past ``until`` the pass may still
-                # discard cancelled entries but halts at the first live one.
+                # bucket are consumed, the last ``ahead`` of them by a run
+                # this pass has not stepped over yet.  Past ``until`` the
+                # pass may still discard cancelled entries but halts at the
+                # first live one.
                 start = executed
-                skipped = 0
+                skipped = ahead = 0
                 halt = executed if time > limit else budget
                 for event in bucket:
-                    if event.__class__ is Event and event.cancelled:
-                        queue._cancelled_in_heap -= 1
-                        skipped += 1
+                    if event.__class__ is Event:
+                        if event.cancelled:
+                            queue._cancelled_in_heap -= 1
+                            skipped += 1
+                            continue
+                    elif ahead:
+                        ahead -= 1
                         continue
                     if executed >= halt:
                         if time > limit:
                             return
                         raise SimulationError(
                             f"event budget exhausted after {executed} events at "
-                            f"t={clock._now}; likely livelock"
+                            f"t={self.now}; likely livelock"
                         )
-                    queue._live -= 1
                     # Keys leave the heap in non-decreasing time order and
                     # pushes are validated against the clock, so the
                     # monotonicity check of advance_to is redundant here.
-                    clock._now = time
-                    executed += 1
-                    if event.__class__ is not Event:
-                        # Raw delivery entry (see Network.send): the payload
-                        # is the message itself, dispatched straight to the
-                        # sink — no Event was ever allocated for it.  The
-                        # fallback read covers a sink claimed after this
-                        # loop hoisted it (a network constructed mid-run).
-                        (sink or queue.message_sink)(event)
-                    else:
+                    self.now = time
+                    if event.__class__ is Event:
+                        queue._live -= 1
+                        executed += 1
                         event._queue = None
                         arg = event.arg
                         if arg is None:
                             event.action()
                         else:
                             event.action(arg)
+                    else:
+                        # A run of raw deliveries, one sink call for all of
+                        # it: the sink counts each entry off ``_live`` as it
+                        # delivers it.  The fallback read covers a sink
+                        # claimed after this loop hoisted it (a network
+                        # constructed mid-run).
+                        try:
+                            ahead = (run_sink or queue.run_sink)(
+                                bucket, executed - start + skipped, halt - executed
+                            )
+                        except BaseException:
+                            executed += queue.run_consumed
+                            raise
+                        executed += ahead
+                        ahead -= 1
                     if keys[0] is not key:
                         # Pre-empted: a smaller key was queued just now.
                         del bucket[: executed - start + skipped]

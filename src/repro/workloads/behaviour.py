@@ -20,7 +20,7 @@ from repro.core.participant import (
     CAParticipant,
 )
 from repro.exceptions.tree import ExceptionClass
-from repro.simkernel.scheduler import ScheduledHandle
+from repro.simkernel.kernel import KernelHandle
 from repro.transactions.atomic_object import AtomicObject
 from repro.transactions.locks import LockMode
 
@@ -126,7 +126,7 @@ class BehaviourRunner:
     def __init__(self, participant: CAParticipant, steps: Sequence[Step]) -> None:
         self.participant = participant
         self._frames: list[_Frame] = [_Frame(tuple(steps))]
-        self._pending: Optional[ScheduledHandle] = None
+        self._pending: Optional[KernelHandle] = None
         self._lock_generation = 0
         self.finished = False
         #: Result of the outermost action if it failed: the signalled

@@ -10,7 +10,9 @@ produce the same pop order, the same ``len`` after every operation, and a
 fully drained queue at the end, while compaction keeps the cancelled
 residue bounded.  A second property drives the queue through the
 simulator's drain loop, with most pushes sharing a key and the handlers
-themselves pushing and cancelling.
+themselves pushing and cancelling; a third mixes a network's raw delivery
+entries into the same buckets and checks that draining them a run at a time
+equals draining them by ``step()``.
 """
 
 import heapq
@@ -18,6 +20,7 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net import Message, Network
 from repro.simkernel import Simulator
 from repro.simkernel.events import PRIORITY_DELIVERY, PRIORITY_NORMAL, EventQueue
 from repro.simkernel.scheduler import SimulationError
@@ -185,7 +188,7 @@ def test_same_key_churn_through_the_drain_loop(ops):
             for op in script:
                 apply(op)
 
-        event = sim.schedule_at(time, handler, priority=priority).event
+        event = sim.schedule_at(time, handler, priority=priority)
         cell.append(event)
         ref_seq = reference.push(time, priority)
         assert event.seq == ref_seq
@@ -224,3 +227,113 @@ def test_same_key_churn_through_the_drain_loop(ops):
     assert reference.pop() is None
     assert (len(queue), queue.heap_size) == (0, 0)
     assert queue.pop() is None and queue.peek_time() is None
+
+
+# -- raw deliveries and events in one bucket ---------------------------------------
+#
+# Raw entries (a network's deliveries, which the drain loop hands over a run
+# at a time) and events interleave in the same buckets.  Each entry carries
+# a script it performs when it runs: queue more entries, raw or event, on
+# the same key, a smaller one or a later one, and maybe raise.  The same
+# operations drive two worlds, one drained by ``run()`` and one by
+# ``step()`` in a loop; after every operation both have run the same
+# entries in the same order, each seeing the same clock and ``len(queue)``,
+# and agree on ``events_executed``, the live count and the clock.
+
+
+class _Boom(Exception):
+    pass
+
+
+_ENTRY_KINDS = st.sampled_from(["raw", "event"])
+_SPAWN = st.tuples(_ENTRY_KINDS, _FEW_TIMES, _TWO_PRIORITIES)
+_ENTRY_SCRIPT = st.lists(st.one_of(_SPAWN, st.just(("raise",))), max_size=3)
+_MIXED_OPS = st.one_of(
+    st.tuples(st.just("push"), _ENTRY_KINDS, _FEW_TIMES, _TWO_PRIORITIES, _ENTRY_SCRIPT),
+    _CANCEL,
+    st.tuples(st.just("run"), st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("until"), _FEW_TIMES),
+)
+
+
+class _MixedWorld:
+    def __init__(self, by_runs: bool) -> None:
+        self.by_runs = by_runs
+        self.sim = Simulator()
+        self.network = Network(self.sim)
+        self.network.register("r", lambda message: self._execute(message.payload))
+        self.log = []
+        self.events = []  # cancel targets
+        self.pushed = 0
+
+    def push(self, kind, time, priority, script=()):
+        time = max(time, self.sim.now)  # the simulator refuses the past
+        entry = (self.pushed, tuple(script))
+        self.pushed += 1
+        if kind == "raw":
+            message = Message("s", "r", "K", entry)
+            self.sim._queue.push_raw(time, priority, (message,))
+        else:
+            self.events.append(
+                self.sim.schedule_at(time, self._execute, priority, arg=entry)
+            )
+
+    def _execute(self, entry):
+        ident, script = entry
+        self.log.append((ident, self.sim.now, len(self.sim._queue)))
+        for op in script:
+            if op == ("raise",):
+                raise _Boom(ident)
+            self.push(*op)  # spawned entries carry no script
+
+    def cancel(self, index):
+        if self.events:
+            self.events[index % len(self.events)].cancel()
+
+    def drain(self, budget=None, until=None):
+        """``run()``, or the same as ``step()`` in a loop; a raising handler
+        ends either."""
+        sim = self.sim
+        try:
+            if self.by_runs:
+                try:
+                    sim.run(until=until, max_events=budget)
+                except SimulationError:
+                    pass  # budget exhausted: the tail must survive
+                return
+            steps = 0
+            while budget is None or steps < budget:
+                next_time = sim._queue.peek_time()
+                if next_time is None or (until is not None and next_time > until):
+                    break
+                steps += 1
+                sim.step()
+            if until is not None and until > sim.now:
+                sim.advance_to(until)
+        except _Boom:
+            pass
+
+    def state(self):
+        sim = self.sim
+        return self.log, sim.events_executed, sim.pending_events, sim.now
+
+
+@given(ops=st.lists(_MIXED_OPS, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_runs_of_raw_entries_drain_like_steps(ops):
+    worlds = [_MixedWorld(by_runs=True), _MixedWorld(by_runs=False)]
+    for op in ops:
+        for world in worlds:
+            if op[0] == "push":
+                world.push(*op[1:])
+            elif op[0] == "cancel":
+                world.cancel(op[1])
+            elif op[0] == "run":
+                world.drain(budget=op[1])
+            else:
+                world.drain(until=op[1])
+        assert worlds[0].state() == worlds[1].state()
+    for world in worlds:
+        while world.sim.pending_events:
+            world.drain()
+    assert worlds[0].state() == worlds[1].state()

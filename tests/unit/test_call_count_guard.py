@@ -188,7 +188,9 @@ def test_one_queue_push_per_beat_and_a_ceiling_on_calls():
     # One push per fan-out — beat or broadcast — plus one per unicast ACK:
     # with a per-peer loop anywhere this is (N-1) times bigger.
     assert calls_of(rows, "push_raw") == beats + broadcasts + sent["CT_ACK"]
-    assert calls_of(rows, "send_many") == 2 * (beats + broadcasts)  # object + network
+    # A broadcast passes the participant's wrapper and the network; a beat
+    # goes to the network's bound send_many directly.
+    assert calls_of(rows, "send_many") == beats + 2 * broadcasts
     assert sum(count for _, count in rows) <= CALL_CEILING
 
 
@@ -296,20 +298,46 @@ def test_one_exit_per_left_action_in_a_retried_world():
 # -- what a delivery of each kind costs (docs/SUBSTRATES.md) ------------------
 
 
-def calls_by_kind() -> tuple[dict[str, int], dict[str, int], int]:
+def run_messages(frame, consumed) -> list:
+    """The messages a returning ``Network._deliver_run`` frame consumed."""
+    start = frame.f_locals["index"]
+    return frame.f_locals["bucket"][start: start + consumed]
+
+
+def calls_by_kind() -> tuple[dict[str, float], dict[str, int], int]:
     """One budget action under ``sys.setprofile``: ``call`` + ``c_call``
-    events inside each ``Network._deliver`` frame (itself included) by
-    message kind, deliveries by kind, and the events outside any delivery."""
+    events by the kind of the message being delivered, deliveries by kind,
+    and the events outside any delivery.  An event inside a
+    ``Network._deliver`` frame (itself included) is its message's; inside
+    a ``Network._deliver_run`` frame, the message the run is delivering
+    owns each event, and the run's own frame is spread evenly over the
+    messages of the run."""
     deliver = Network._deliver.__code__
-    inside: dict[str, int] = {}
+    run = Network._deliver_run.__code__
+    inside: dict[str, float] = {}
     state = {"kind": None, "outside": 0}
 
     def hook(frame, event, arg):
-        if frame.f_code is deliver:
+        code = frame.f_code
+        if code is deliver:
             if event == "call":
                 state["kind"] = frame.f_locals["message"].kind
             elif event == "return":
                 state["kind"] = None
+        elif code is run:
+            if event == "call":
+                return  # the run's own frame: spread when it returns
+            if event == "return":
+                messages = run_messages(frame, arg)
+                for message in messages:
+                    kind = message.kind
+                    inside[kind] = inside.get(kind, 0) + 1 / len(messages)
+                state["kind"] = None
+                return
+            if event == "c_call":
+                state["kind"] = frame.f_locals["message"].kind
+        elif event == "call" and frame.f_back.f_code is run:
+            state["kind"] = frame.f_back.f_locals["message"].kind
         if event == "call" or event == "c_call":
             kind = state["kind"]
             if kind is None:
@@ -335,14 +363,14 @@ def generated_block() -> str:
     ]
     for kind in sorted(delivered, key=lambda k: (-delivered[k], k)):
         lines.append(
-            f"| `{kind}` | {delivered[kind]:,} | {inside[kind]:,} | "
+            f"| `{kind}` | {delivered[kind]:,} | {inside[kind]:,.0f} | "
             f"{inside[kind] / delivered[kind]:.2f} |"
         )
     total = sum(inside.values()) + outside
     count = sum(delivered.values())
     lines += [
         f"| outside any delivery | — | {outside:,} | — |",
-        f"| **whole action** | {count:,} | {total:,} | {total / count:.2f} |",
+        f"| **whole action** | {count:,} | {total:,.0f} | {total / count:.2f} |",
         END,
     ]
     return "\n".join(lines)

@@ -12,7 +12,11 @@ free have to be kept on purpose.  Each test fails if its rule is dropped:
 4. a run that stops mid-bucket (budget, ``until``, a raising handler)
    never re-executes a consumed entry, keeps the tail queued, reports the
    sizes a per-event heap would, and ``step``/``pop``/``peek_time``/``run``
-   can follow in any order.
+   can follow in any order;
+5. a run of raw deliveries, handed to the network in one call, stops where
+   ``step()`` in a loop would: at the budget, after a raising handler, after
+   a handler that queued a smaller key, and at an event in its bucket; its
+   handlers see the queue length of a step.
 """
 
 import pytest
@@ -312,3 +316,149 @@ class TestRawAndEventEntriesShareBuckets:
         sim.schedule_at(1.0, build_and_send)
         sim.run()
         assert got == ["late"]
+
+
+# -- runs of raw deliveries ----------------------------------------------------
+#
+# The drain loop hands a run of consecutive raw entries to the network's
+# run form in one call.  Each test queues one fan-out of four raw copies
+# (a, b, c, d) at t=1 and a local event at t=2, drains it with ``run()``
+# and, separately, with ``step()`` in a loop, and checks that both give the
+# same handler order, ``events_executed`` and queued remainder.
+
+COPIES = "abcd"
+
+
+def _fan_out(script):
+    """A simulator whose receivers log their name and then run
+    ``script[name](sim, log)``, with the four copies and the later event
+    queued."""
+    sim = Simulator()
+    net = Network(sim)
+    log = []
+
+    def receiver(name):
+        def receive(message):
+            log.append(name)
+            if name in script:
+                script[name](sim, log)
+        return receive
+
+    net.register("src", log.append)
+    for name in COPIES:
+        net.register(name, receiver(name))
+    net.send_many("src", list(COPIES), "K")
+    sim.schedule_at(2.0, lambda: log.append("later"), label="later")
+    assert sim._queue.heap_size == len(COPIES) + 1
+    return sim, log
+
+
+def _remainder(sim):
+    """What is still queued, in pop order: a delivery by its destination,
+    an event by its label."""
+    return [
+        event.arg.dst if event.label == "deliver" else event.label
+        for event in iter(sim._queue.pop, None)
+    ]
+
+
+def _by_step(sim, budget=None):
+    """``step()`` in a loop, at most ``budget`` times."""
+    steps = 0
+    while budget is None or steps < budget:
+        if not sim.step():
+            break
+        steps += 1
+
+
+class TestRunsOfDeliveries:
+    def test_budget_runs_out_at_the_second_copy(self):
+        sim, log = _fan_out({})
+        with pytest.raises(SimulationError, match="after 1 events"):
+            sim.run(max_events=1)
+        stepped, stepped_log = _fan_out({})
+        _by_step(stepped, budget=1)
+        assert log == stepped_log == ["a"]
+        assert sim.events_executed == stepped.events_executed == 1
+        assert sim.pending_events == stepped.pending_events == 4
+        assert sim.now == stepped.now == 1.0
+        assert _remainder(sim) == _remainder(stepped) == ["b", "c", "d", "later"]
+
+    def test_budget_runs_out_mid_run_and_the_rest_follows(self):
+        sim, log = _fan_out({})
+        with pytest.raises(SimulationError):
+            sim.run(max_events=2)
+        sim.run()
+        stepped, stepped_log = _fan_out({})
+        _by_step(stepped)
+        assert log == stepped_log == ["a", "b", "c", "d", "later"]
+        assert sim.events_executed == stepped.events_executed == 5
+
+    def test_second_copy_raises(self):
+        def boom(sim, log):
+            raise ValueError("boom")
+
+        sim, log = _fan_out({"b": boom})
+        with pytest.raises(ValueError, match="boom"):
+            sim.run()
+        stepped, stepped_log = _fan_out({"b": boom})
+        with pytest.raises(ValueError, match="boom"):
+            _by_step(stepped)
+        assert log == stepped_log == ["a", "b"]
+        # The raising copy was consumed, the rest stay queued.
+        assert sim.events_executed == stepped.events_executed == 2
+        assert sim.pending_events == stepped.pending_events == 3
+        assert _remainder(sim) == _remainder(stepped) == ["c", "d", "later"]
+
+    def test_second_copy_queues_a_smaller_key(self):
+        def urgent(sim, log):
+            sim.schedule(
+                0.0, lambda: log.append("urgent"), priority=PRIORITY_DELIVERY - 1
+            )
+
+        sim, log = _fan_out({"b": urgent})
+        sim.run()
+        stepped, stepped_log = _fan_out({"b": urgent})
+        _by_step(stepped)
+        assert log == stepped_log == ["a", "b", "urgent", "c", "d", "later"]
+        assert sim.events_executed == stepped.events_executed == 6
+        assert sim.pending_events == stepped.pending_events == 0
+        assert sim._queue.heap_size == stepped._queue.heap_size == 0
+
+    def test_handlers_read_the_queue_length_of_a_step(self):
+        def length(sim, log):
+            log.append(len(sim._queue))
+
+        script = {name: length for name in COPIES}
+        sim, log = _fan_out(script)
+        sim.run()
+        stepped, stepped_log = _fan_out(script)
+        _by_step(stepped)
+        assert log == stepped_log == ["a", 4, "b", 3, "c", 2, "d", 1, "later"]
+        assert sim.events_executed == stepped.events_executed == 5
+
+    def test_a_run_stops_at_an_event_in_its_bucket(self):
+        def world():
+            sim = Simulator()
+            net = Network(sim)
+            log = []
+            net.register("src", log.append)
+            for name in COPIES:
+                net.register(name, lambda message: log.append(message.dst))
+            # One bucket at (1.0, delivery): a, b, the event, c, d.
+            net.send_many("src", ["a", "b"], "K")
+            sim.schedule_at(1.0, lambda: log.append("event"), PRIORITY_DELIVERY, "event")
+            net.send_many("src", ["c", "d"], "K")
+            return sim, log
+
+        sim, log = world()
+        with pytest.raises(SimulationError, match="after 3 events"):
+            sim.run(max_events=3)
+        stepped, stepped_log = world()
+        _by_step(stepped, budget=3)
+        assert log == stepped_log == ["a", "b", "event"]
+        assert _remainder(sim) == _remainder(stepped) == ["c", "d"]
+        sim, log = world()
+        sim.run()
+        assert log == ["a", "b", "event", "c", "d"]
+        assert sim.events_executed == 5
