@@ -243,22 +243,32 @@ MUTANTS: tuple[Mutant, ...] = (
         "deliver-fallback-skipped", NET,
         "a run of deliveries drops a kind absent from the kind map instead of "
         "handing it to receive / on_unhandled",
-        """                    except KeyError:
-                        handler = target[0]""",
-        """                    except KeyError:
-                        continue""",
+        """                            except KeyError:
+                                handler = target[0]""",
+        """                            except KeyError:
+                                break""",
     ),
     Mutant(
         "deliver-one-fallback-skipped", NET,
-        "a single delivery (step(), the explorer, the ARQ transport's release) "
-        "drops a kind absent from the kind map instead of handing it to "
-        "receive / on_unhandled",
-        """            except KeyError:
-                pass
-            else:""",
-        """            except KeyError:
-                return
-            else:""",
+        "a single delivery (step(), the explorer, a release after a dead "
+        "letter) drops a kind absent from the kind map instead of handing it "
+        "to receive / on_unhandled",
+        """                    except KeyError:
+                        handler = target[0]""",
+        """                    except KeyError:
+                        return""",
+    ),
+    Mutant(
+        "receive-step-before-crash-check", NET,
+        "a run of deliveries runs the transport's receive step before the "
+        "crash check: a frame that lands on a crashed endpoint consumes its "
+        "seq, and its retransmission is dropped as a duplicate",
+        """                while True:
+                    dst = message.dst""",
+        """                while True:
+                    if receive is not None and (message := receive(message)) is None:
+                        break
+                    dst = message.dst""",
     ),
     # -- the failure detector and the transport under it -------------------------
     Mutant(
@@ -293,10 +303,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "heartbeat-sent-sequenced", RELIABLE,
         "a beat goes through ARQ again: framed, acknowledged, retransmitted",
-        """        if kind in UNSEQUENCED_KINDS:
-            return super().send(src, dst, kind, payload)""",
-        """        if kind == KIND_TRANSPORT_ACK:
-            return super().send(src, dst, kind, payload)""",
+        "    _unframed = UNSEQUENCED_KINDS",
+        "    _unframed = frozenset((KIND_TRANSPORT_ACK,))",
     ),
     Mutant(
         "corrupt-datagram-delivered", RELIABLE,
@@ -312,14 +320,14 @@ MUTANTS: tuple[Mutant, ...] = (
         "outlives every settled exchange",
         """            if settled is not None:
                 settled.timer.cancel()
-            return""",
-        """            return""",
+            return None""",
+        """            return None""",
     ),
     Mutant(
         "duplicate-frame-redelivered", RELIABLE,
         "a duplicate frame falls through to in-order delivery: handed up twice",
         """            self.trace.record(self.sim.now, "msg.duplicate", dst, src=src, seq=seq)
-            return""",
+            return None""",
         """            self.trace.record(self.sim.now, "msg.duplicate", dst, src=src, seq=seq)""",
     ),
     Mutant(
@@ -912,9 +920,11 @@ def _detector_problems() -> list[str]:
 def _transport_problems() -> list[str]:
     """What the ARQ transport owes one sequenced frame, probed on a bare
     network: a settled exchange leaves no timer behind (the run ends when
-    the ACK lands), and a frame whose ACK was lost is handed up once, its
-    retransmission dropped as a duplicate and acknowledged again."""
-    from repro.net.failures import FailureInjector
+    the ACK lands), a frame whose ACK was lost is handed up once, its
+    retransmission dropped as a duplicate and acknowledged again, and a
+    frame that lands on a crashed receiver is lost, not consumed: its
+    retransmission is handed up once the receiver is back."""
+    from repro.net.failures import CrashWindow, FailureInjector, FailurePlan
     from repro.net.latency import ConstantLatency
     from repro.net.reliable import ReliableNetwork
     from repro.simkernel import RngRegistry, Simulator
@@ -932,8 +942,12 @@ def _transport_problems() -> list[str]:
 
     problems = []
     # (injector, when the run ends, duplicates dropped): send t=0, frame
-    # t=1, ACK t=2; a lost ACK brings the retransmission at t=5, t=6, t=7.
-    for injector, end, duplicates in ((None, 2.0, 0), (DropFirstAck(), 7.0, 1)):
+    # t=1, ACK t=2; a lost ACK, or a receiver down at t=1, brings the
+    # retransmission at t=5, t=6, t=7.
+    b_down = FailureInjector(FailurePlan(crashes=[CrashWindow("b", 0.5, 3.0)]))
+    for injector, end, duplicates in (
+        (None, 2.0, 0), (DropFirstAck(), 7.0, 1), (b_down, 7.0, 0),
+    ):
         try:
             sim = Simulator()
             net = ReliableNetwork(

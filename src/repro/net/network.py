@@ -55,6 +55,17 @@ class Network:
     #: avoid stacking their own retransmission on top.
     provides_reliable_delivery = False
 
+    # A transport's two hooks (ReliableNetwork's ARQ); None here.
+    #: ``(src, dst, kind, payload) -> wire payload``, run by ``send`` and
+    #: ``send_many`` on each copy of a kind outside ``_unframed``.
+    _frame = None
+    _unframed: frozenset[str] = frozenset()
+    #: ``message -> message | None``, run on a message that reached a live
+    #: endpoint before it is counted: what to hand up, or None if consumed.
+    _receive = None
+    #: What the receive step released to go up next, in order.
+    _released: list[Message] | tuple = ()
+
     def __init__(
         self,
         sim: Simulator,
@@ -106,16 +117,15 @@ class Network:
         #: delivery path then dispatches to the kind handler directly,
         #: skipping the ``receive`` frame.  ``None`` for custom receivers.
         self._targets: dict[str, tuple[Receiver, dict[str, Receiver] | None]] = {}
-        # Claim the queue's raw-delivery sink, in both forms (first network
-        # wins): sends may then queue the message itself
-        # (EventQueue.push_raw) with no Event allocated, and the drain loop
-        # hands each run of them straight to _deliver_run.
-        self._raw_push = False
+        # Claim the queue's raw-delivery sink, in both forms: sends queue
+        # the message itself (push_raw), and the drain loop hands each run
+        # of them to _deliver_run.  A simulator serves one network.
         queue = self._sim_queue
-        if queue is not None and getattr(queue, "message_sink", False) is None:
+        if queue is not None:
+            if queue.message_sink is not None:
+                raise RuntimeError("this simulator already serves a network")
             queue.message_sink = self._deliver
             queue.run_sink = self._deliver_run
-            self._raw_push = True
 
     # -- endpoint management -------------------------------------------------
 
@@ -207,6 +217,10 @@ class Network:
         """
         if dst not in self._receivers:
             raise UnknownEndpointError(dst)
+        frame = self._frame
+        if frame is not None and kind not in self._unframed:
+            # After the name check: an unknown name consumes no sequence number.
+            payload = frame(src, dst, kind, payload)
         # Message.__init__ unrolled (one envelope per send is one of the
         # hottest allocations in a sweep): send/deliver times are always
         # overwritten by the stamp below, so only the identity fields and
@@ -291,21 +305,10 @@ class Network:
         if self.deliver_via is None:
             queue = self._sim_queue
             if queue is not None and queue.tie_break is None:
-                if self._raw_push:
-                    queue.push_raw(deliver_at, PRIORITY_DELIVERY, (message,))
-                else:
-                    queue.push(
-                        deliver_at, self._deliver, PRIORITY_DELIVERY, "", message
-                    )
+                queue.push_raw(deliver_at, PRIORITY_DELIVERY, (message,))
                 return message
         self._schedule_delivery(message, deliver_at)
         return message
-
-    #: Per-copy wire hook ``(src, dst, kind, payload) -> wire payload`` of a
-    #: transport that wraps what it sends (ReliableNetwork's sequenced
-    #: frames), for every kind outside ``_unframed``; None sends the payload.
-    _frame = None
-    _unframed: frozenset[str] = frozenset()
 
     def send_many(
         self, src: str, dsts: list[str], kind: str, payload: object = None
@@ -324,10 +327,9 @@ class Network:
         failure detector, multicast layer).
 
         The batched loop covers every fault plan of the stock injector and
-        a transport's per-copy ``_frame`` (a subclass's ``send`` must be
-        ``Network.send`` over that hook); per-pair or sampled latency, wire
-        diversion, a foreign kernel, controlled scheduling or a subclassed
-        injector fall back to the per-send loop.
+        a transport's per-copy ``_frame``, as ``send`` does; per-pair or
+        sampled latency, wire diversion, a foreign kernel, controlled
+        scheduling or a subclassed injector fall back to the per-send loop.
         """
         delay = self._uniform_delay
         queue = self._sim_queue
@@ -335,7 +337,6 @@ class Network:
         if (
             delay is None
             or self.deliver_via is not None
-            or not self._raw_push
             or queue is None
             or queue.tie_break is not None
             or injector.__class__ is not FailureInjector
@@ -423,10 +424,6 @@ class Network:
         if self.deliver_via is not None:
             self.deliver_via(message, deliver_at)
             return
-        queue = self._sim_queue
-        if queue is not None and queue.tie_break is None:
-            queue.push(deliver_at, self._deliver, PRIORITY_DELIVERY, "", message)
-            return
         self.sim.schedule_at(
             deliver_at,
             lambda: self._deliver(message),
@@ -436,115 +433,40 @@ class Network:
 
     def _deliver(self, message: Message) -> None:
         trace = self.trace
-        dst = message.dst
-        kind = message.kind
         now = self.sim.now
-        try:
-            target = self._targets[dst]
-        except KeyError:
-            target = None
-        # The receiving end's half of the crash model, read like a fate: no
-        # call unless the clock has crossed a window's edge.
         injector = self.injector
-        if injector._crashes and not injector._since <= now < injector._until:
-            injector._read_plan(now)
-        if target is None or dst in injector._down:
-            # Endpoint crashed, or disappeared (deregistered) while the
-            # message was in flight: the message is silently lost, matching
-            # the non-fail-stop fault model.
-            if trace._full:
-                trace._pending.append((
-                    now, "msg.lost", dst, _LOST_FIELDS, kind, message.msg_id,
-                ))
-            elif trace._counting:
-                trace._counts["msg.lost"] += 1
-            return
-        self.delivered_by_kind[kind] += 1
-        if trace._full:
-            trace._pending.append((
-                now, "msg.recv", dst, _RECV_FIELDS, message.src, kind,
-                message.msg_id,
-            ))
-        elif trace._counting:
-            trace._counts["msg.recv"] += 1
-        # Dispatch straight to the kind handler when the receiver is the
-        # stock DistributedObject.receive (skips one frame per delivery);
-        # unknown kinds fall back so on_unhandled semantics are preserved.
-        kind_map = target[1]
-        if kind_map is not None:
+        receive = self._receive
+        released = self._released
+        while True:
+            dst = message.dst
             try:
-                handler = kind_map[kind]
+                target = self._targets[dst]
             except KeyError:
-                pass
-            else:
-                handler(message)
-                return
-        target[0](message)
-
-    def _deliver_run(self, bucket: list, index: int, budget: float) -> int:
-        """Deliver the run of raw entries at ``bucket[index:]`` in one frame:
-        the queue's ``run_sink``, the drain loop's form of ``_deliver``.
-
-        Semantically ``[self._deliver(m) for m in run]`` — same trace
-        records, tallies, counters and handler calls, in the same order —
-        where the run ends before the first :class:`Event`, after
-        ``budget`` deliveries, or after a handler that queued a smaller key
-        than the bucket's; each entry leaves the queue's live count before
-        its handler runs.  Returns how many entries were consumed; when a
-        handler raises, that count (its own entry included) goes to the
-        queue's ``run_consumed`` first.  The per-delivery constants (the
-        clock, the trace, the endpoint table, the injector) are read once
-        per run.  A network whose class overrides ``_deliver`` (the ARQ
-        transport unwraps frames there) is driven through its override,
-        one call per message.
-        """
-        queue = self._sim_queue
-        keys = queue._keys
-        key = keys[0]
-        each = None if self.__class__._deliver is Network._deliver else self._deliver
-        trace = self.trace
-        targets = self._targets
-        injector = self.injector
-        crashes = injector._crashes
-        delivered = self.delivered_by_kind
-        now = self.sim.now
-        count = 0
-        try:
-            for message in bucket if not index else islice(bucket, index, None):
-                if message.__class__ is Event or count >= budget:
-                    break
-                queue._live -= 1
-                count += 1
-                if each is not None:
-                    each(message)
-                    if keys[0] is not key:
-                        break
-                    continue
-                # _deliver's body, over the constants read above.
-                dst = message.dst
-                kind = message.kind
-                try:
-                    target = targets[dst]
-                except KeyError:
-                    target = None
-                if crashes and not injector._since <= now < injector._until:
-                    injector._read_plan(now)
-                if target is None or dst in injector._down:
-                    if trace._full:
-                        trace._pending.append((
-                            now, "msg.lost", dst, _LOST_FIELDS, kind, message.msg_id,
-                        ))
-                    elif trace._counting:
-                        trace._counts["msg.lost"] += 1
-                    continue  # no handler ran, so nothing was queued
-                delivered[kind] += 1
+                target = None
+            # The receiving end's half of the crash model, read like a fate:
+            # no call unless the clock has crossed a window's edge.
+            if injector._crashes and not injector._since <= now < injector._until:
+                injector._read_plan(now)
+            if target is None or dst in injector._down:
+                # Endpoint crashed, or deregistered while the message was in
+                # flight: it is silently lost (the non-fail-stop fault model).
                 if trace._full:
                     trace._pending.append((
-                        now, "msg.recv", dst, _RECV_FIELDS, message.src, kind,
-                        message.msg_id,
+                        now, "msg.lost", dst, _LOST_FIELDS, message.kind, message.msg_id,
+                    ))
+                elif trace._counting:
+                    trace._counts["msg.lost"] += 1
+            elif receive is None or (message := receive(message)) is not None:
+                kind = message.kind
+                self.delivered_by_kind[kind] += 1
+                if trace._full:
+                    trace._pending.append((
+                        now, "msg.recv", dst, _RECV_FIELDS, message.src, kind, message.msg_id,
                     ))
                 elif trace._counting:
                     trace._counts["msg.recv"] += 1
+                # Straight to the kind handler of a stock DistributedObject.receive;
+                # an unknown kind falls back to it, for on_unhandled.
                 kind_map = target[1]
                 if kind_map is not None:
                     try:
@@ -554,6 +476,80 @@ class Network:
                 else:
                     handler = target[0]
                 handler(message)
+            if not released:
+                return
+            message = released.pop(0)
+
+    def _deliver_run(self, bucket: list, index: int, budget: float) -> int:
+        """Deliver the run of raw entries at ``bucket[index:]`` in one frame:
+        the queue's ``run_sink``, the drain loop's form of ``_deliver``.
+
+        Semantically ``[self._deliver(m) for m in run]`` — same trace
+        records, tallies, counters and handler calls, in the same order —
+        where the run ends before the first :class:`Event`, after
+        ``budget`` deliveries, or after a message whose handler or receive
+        step queued a smaller key than the bucket's; each entry leaves the
+        queue's live count before its handler runs.  Returns how many
+        entries were consumed; when a handler raises, that count (its own
+        entry included) goes to the queue's ``run_consumed`` first.  The
+        per-delivery constants are read once per run.
+        """
+        queue = self._sim_queue
+        keys = queue._keys
+        key = keys[0]
+        trace = self.trace
+        targets = self._targets
+        injector = self.injector
+        crashes = injector._crashes
+        delivered = self.delivered_by_kind
+        receive = self._receive
+        released = self._released
+        now = self.sim.now
+        count = 0
+        try:
+            for message in bucket if not index else islice(bucket, index, None):
+                if message.__class__ is Event or count >= budget:
+                    break
+                queue._live -= 1
+                count += 1
+                # _deliver's body, over the constants read above.
+                while True:
+                    dst = message.dst
+                    try:
+                        target = targets[dst]
+                    except KeyError:
+                        target = None
+                    if crashes and not injector._since <= now < injector._until:
+                        injector._read_plan(now)
+                    if target is None or dst in injector._down:
+                        if trace._full:
+                            trace._pending.append((
+                                now, "msg.lost", dst, _LOST_FIELDS, message.kind, message.msg_id,
+                            ))
+                        elif trace._counting:
+                            trace._counts["msg.lost"] += 1
+                    elif receive is None or (message := receive(message)) is not None:
+                        kind = message.kind
+                        delivered[kind] += 1
+                        if trace._full:
+                            trace._pending.append((
+                                now, "msg.recv", dst, _RECV_FIELDS, message.src,
+                                kind, message.msg_id,
+                            ))
+                        elif trace._counting:
+                            trace._counts["msg.recv"] += 1
+                        kind_map = target[1]
+                        if kind_map is not None:
+                            try:
+                                handler = kind_map[kind]
+                            except KeyError:
+                                handler = target[0]
+                        else:
+                            handler = target[0]
+                        handler(message)
+                    if not released:
+                        break
+                    message = released.pop(0)
                 if keys[0] is not key:
                     break
         except BaseException:

@@ -8,6 +8,18 @@ over the lossy base network: per-pair sequence numbers, positive
 acknowledgements, timer-driven retransmission, duplicate suppression and
 in-order delivery.
 
+It is two hooks on the base network's one send and delivery rule:
+
+* ``_frame`` wraps each copy of a sequenced kind, in ``send`` and in the
+  batched ``send_many`` alike, in a slotted :class:`_Frame`: the wire
+  payload *and* the pending entry.  On the simulator its retransmission
+  timer is one event pushed straight onto the queue, the frame its arg.
+* ``_receive``, the receive step, sees what reached a live endpoint.  The
+  ``T_ACK`` (its payload the bare seq) settles a frame and cancels its
+  timer; checksum and dead-letter drops, duplicates and out-of-order
+  frames are consumed; an in-order frame is unwrapped in place and goes
+  up in the wire message itself, the frames it frees after it.
+
 Two kinds travel unsequenced, as plain datagrams (``UNSEQUENCED_KINDS``):
 the transport's own ``T_ACK`` and the failure detector's ``HEARTBEAT``.  A
 beat is a liveness probe, so its loss is the signal the detector
@@ -15,16 +27,6 @@ measures: sending it reliably would cost a frame, a pending entry, a
 retransmission timer and a transport ACK per beat, buy nothing, and hold
 back the protocol frames queued behind a lost beat on the same pair.  A
 corrupted datagram is checksum-dropped like a corrupted frame.
-
-One object per sequenced send: the slotted :class:`_Frame` is both the
-wire payload and the sender's pending entry.  On the simulator its
-retransmission timer is one event pushed straight onto the queue, the
-frame as its argument (no closure, no handle), which the ``T_ACK`` — its
-payload the bare seq — cancels.  An in-order frame is unwrapped in place
-and goes up in the wire message itself.  ``send`` is ``Network.send`` over
-the per-copy :meth:`ReliableNetwork._frame`, so a fan-out stays one batched
-``Network.send_many`` that frames each copy.  ``docs/SUBSTRATES.md`` states
-what a frame costs.
 
 Accounting: ``sent_by_kind`` keeps counting *logical* sends (one per
 ``send`` call or fan-out copy) so the paper's complexity formulas remain checkable;
@@ -46,7 +48,7 @@ from typing import Any, Callable, Optional
 from repro.net.detector import KIND_HEARTBEAT
 from repro.net.failures import FailureInjector
 from repro.net.message import Message
-from repro.net.network import Network, UnknownEndpointError
+from repro.net.network import Network
 from repro.simkernel.events import PRIORITY_DELIVERY, PRIORITY_NORMAL
 
 KIND_TRANSPORT_ACK = "T_ACK"
@@ -82,6 +84,11 @@ class ReliableNetwork(Network):
     order, even when the failure plan drops frames.  Liveness requires the
     destination to stay up; ``max_retries`` bounds the wait for a dead one,
     after which the frame is dead-lettered (see module docstring).
+
+    The receive step runs after the crash check: a frame or ``T_ACK`` that
+    reaches a crashed endpoint is lost (``msg.lost``) with no sequence
+    number consumed and nothing acknowledged or settled, so a
+    retransmission delivers it once the endpoint is back up.
     """
 
     provides_reliable_delivery = True
@@ -108,20 +115,13 @@ class ReliableNetwork(Network):
         #: push its arrival past the final timer) must NOT resurrect the
         #: frame after ``on_delivery_failure`` reported it lost.
         self._dead: set[tuple[str, str, int]] = set()
+        self._released: list[Message] = []
         self.retransmissions = 0
         self.transport_acks = 0
         self.duplicates_dropped = 0
         self.dead_letters = 0
 
     # -- sending ------------------------------------------------------------------
-
-    def send(self, src: str, dst: str, kind: str, payload: object = None) -> Message:
-        if kind in UNSEQUENCED_KINDS:
-            return super().send(src, dst, kind, payload)
-        if dst not in self._receivers:
-            # Before the frame: an unknown name consumes no sequence number.
-            raise UnknownEndpointError(dst)
-        return super().send(src, dst, kind, self._frame(src, dst, kind, payload))
 
     _unframed = UNSEQUENCED_KINDS
 
@@ -173,7 +173,9 @@ class ReliableNetwork(Network):
             if self._expected.get(pair, 0) == seq:
                 self._expected[pair] = seq + 1
                 if pair in self._reorder:
-                    self._deliver_buffered(pair)
+                    self._release(pair)
+                    if self._released:  # unwrapped: _deliver hands them all up
+                        self._deliver(self._released.pop(0))
             return
         frame.retries += 1
         self.retransmissions += 1
@@ -195,7 +197,7 @@ class ReliableNetwork(Network):
                 message.corrupted = True
             # Queued raw like a first send; tie_break and foreign kernels
             # keep the labelled delivery.
-            if self._raw_push and queue.tie_break is None and self.deliver_via is None:
+            if queue is not None and queue.tie_break is None and self.deliver_via is None:
                 queue.push_raw(deliver_at, PRIORITY_DELIVERY, (message,))
             else:
                 self._schedule_delivery(message, deliver_at)
@@ -209,7 +211,9 @@ class ReliableNetwork(Network):
 
     # -- receiving -----------------------------------------------------------------
 
-    def _deliver(self, message: Message) -> None:
+    def _receive(self, message: Message) -> Optional[Message]:
+        """The ARQ receive step (``Network._receive``): ``message`` reached a
+        live endpoint; return it to hand up, or ``None`` once consumed."""
         kind = message.kind
         if kind in UNSEQUENCED_KINDS:
             if message.corrupted:
@@ -219,66 +223,63 @@ class ReliableNetwork(Network):
                 # a corrupted beat must not count as a sign of life.
                 self.trace.record(self.sim.now, "msg.checksum_drop", message.dst,
                                   src=message.src, kind=kind)
-                return
+                return None
             if kind != KIND_TRANSPORT_ACK:
-                super()._deliver(message)
-                return
+                return message
             settled = self._pending.pop((message.dst, message.src, message.payload), None)
             if settled is not None:
                 settled.timer.cancel()
-            return
+            return None
         frame = message.payload
         if frame.__class__ is not _Frame:
-            super()._deliver(message)
-            return
+            return message  # unwrapped already: released after a dead letter
         src, dst, seq = message.src, message.dst, frame.seq
         if (src, dst, seq) in self._dead:
-            # The frame was dead-lettered while this retransmission was in
-            # flight (channel FIFO clamping can delay a redelivery past the
-            # final retry timer).  The sender's on_delivery_failure already
-            # reported it lost; delivering now would resurrect a message
-            # the upper layer has written off — drop it, unacked.
+            # Dead-lettered while this retransmission was in flight (FIFO
+            # clamping can delay it past the final retry timer): the sender
+            # already reported it lost, so drop it, unacked, not resurrect it.
             self.trace.record(self.sim.now, "msg.dead_letter_drop", dst,
                               src=src, kind=frame.kind, seq=seq)
-            return
+            return None
         if message.corrupted:
             # Checksum failure: a corrupted frame is discarded unacked and
             # recovered by retransmission — transient channel errors never
             # reach the algorithm (the paper's non-fail-stop hardware
             # faults, Section 2, made harmless by the transport).
             self.trace.record(self.sim.now, "msg.checksum_drop", dst, src=src, seq=seq)
-            return
-        # Always (re-)acknowledge; ACK loss is covered by retransmission.
+            return None
+        # Always (re-)acknowledge; ACK loss is covered by retransmission.  The
+        # class's send: a wrapper on the instance sees upper-layer sends only.
         self.transport_acks += 1
-        super().send(dst, src, KIND_TRANSPORT_ACK, seq)
+        Network.send(self, dst, src, KIND_TRANSPORT_ACK, seq)
         pair = (src, dst)
         expected = self._expected.get(pair, 0)
         if seq < expected:
             self.duplicates_dropped += 1
             self.trace.record(self.sim.now, "msg.duplicate", dst, src=src, seq=seq)
-            return
+            return None
         if seq > expected:
             self._reorder.setdefault(pair, {})[seq] = message
-            return
+            return None
         # In order: unwrap in place (a transmission is delivered at most once).
         self._expected[pair] = seq + 1
         message.payload = frame.inner
         message.deliver_time = self.sim.now
-        super()._deliver(message)
         if pair in self._reorder:
-            self._deliver_buffered(pair)
+            self._release(pair)
+        return message
 
-    def _deliver_buffered(self, pair: tuple[str, str]) -> None:
-        """Hand up the buffered frames that now continue ``pair``'s window."""
+    def _release(self, pair: tuple[str, str]) -> None:
+        """Move the buffered frames that now continue ``pair``'s window to
+        ``_released``, unwrapped: they go up after the one that closed the gap."""
         buffered = self._reorder[pair]
-        while True:
-            expected = self._expected[pair]
-            message = buffered.pop(expected, None)
-            if message is None:
-                break
-            self._expected[pair] = expected + 1
+        expected = self._expected[pair]
+        while expected in buffered:
+            message = buffered.pop(expected)
             message.payload = message.payload.inner
             message.deliver_time = self.sim.now
-            super()._deliver(message)
+            self._released.append(message)
+            expected += 1
+        self._expected[pair] = expected
         if not buffered:
             del self._reorder[pair]

@@ -13,7 +13,6 @@ The protocol stack only ever touches the :class:`Kernel` seam
 the real-concurrency asyncio backend in :mod:`repro.rt`.
 """
 
-from repro.simkernel.clock import VirtualClock
 from repro.simkernel.events import Event, EventQueue
 from repro.simkernel.kernel import (
     Kernel,
@@ -41,5 +40,4 @@ __all__ = [
     "TraceEntry",
     "TraceLevel",
     "TraceRecorder",
-    "VirtualClock",
 ]

@@ -3,18 +3,26 @@
 ``run()`` hands each run of queued raw deliveries to the network in one
 call (``Network._deliver_run``); ``step()`` pops them one at a time and
 delivers each through ``Network._deliver``.  For every variant of the
-fault matrix under no fault, message loss over the ARQ transport and a
-crashed participant, both drains must give the same FULL trace, the same
-tallies and counters and the same ``events_executed``.
+fault matrix under no fault, each fault of the ARQ transport (loss,
+corruption, a partition) and a crashed participant, both drains must give
+the same FULL trace, the same tallies and counters and the same
+``events_executed``.  ``run()`` delivers the ARQ transport's traffic in
+runs too: its receive step is a hook of the one delivery rule, not an
+override that needs a call per message.
 """
+
+import sys
 
 import pytest
 
 from repro.net.message import reset_msg_ids
+from repro.net.network import Network
+from repro.net.reliable import ReliableNetwork
 from repro.simkernel.scheduler import SimulationError, Simulator
 from repro.workloads.campaigns import default_matrix, observe_cell
 
-FAULTS = ("none", "drop", "crash_participant")
+ARQ_FAULTS = ("drop", "corrupt", "partition")
+FAULTS = ("none", *ARQ_FAULTS, "crash_participant")
 
 
 def _first_cells():
@@ -72,3 +80,23 @@ def test_run_and_step_drain_a_cell_alike(cell, monkeypatch):
     monkeypatch.setattr(Simulator, "run", run_by_step)
     by_steps = observed(cell)
     assert by_steps == by_runs
+
+
+@pytest.mark.parametrize(
+    "cell", [c for c in _first_cells() if c.fault in ARQ_FAULTS], ids=lambda cell: cell.cell_id
+)
+def test_run_delivers_every_frame_through_the_run_form(cell):
+    codes = {Network._deliver.__code__: 0, Network._deliver_run.__code__: 0}
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            codes[frame.f_code] += 1
+
+    sys.setprofile(hook)
+    try:
+        network = observe_cell(cell).runtime.network
+    finally:
+        sys.setprofile(None)
+    assert isinstance(network, ReliableNetwork) and network.transport_acks
+    assert codes[Network._deliver_run.__code__]
+    assert not codes[Network._deliver.__code__]

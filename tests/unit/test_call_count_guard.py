@@ -37,7 +37,12 @@ from repro.core.variants import VARIANTS, run_action
 from repro.net.failures import CrashWindow, FailureInjector, FailurePlan, PartitionWindow
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.net.reliable import KIND_TRANSPORT_ACK, ReliableNetwork
+from repro.net.reliable import (
+    KIND_TRANSPORT_ACK,
+    UNSEQUENCED_KINDS,
+    ReliableNetwork,
+    _Frame,
+)
 from repro.simkernel.events import EventQueue
 from repro.simkernel.rng import RngRegistry
 from repro.simkernel.scheduler import Simulator
@@ -266,7 +271,6 @@ def test_a_faulted_fan_out_stays_one_fan_out(fault):
     fan_out = [Network.send_many]
     assert calls_of(rows, Network.send_many) > 0
     assert not calls_from(stats, fan_out, Network.send)
-    assert not calls_from(stats, fan_out, ReliableNetwork.send)
     assert not calls_from(stats, fan_out, FailureInjector.decide)
     # ... and no fate scans the windows: they are read once per edge the
     # clock crosses (a crash opens one, a partition opens and closes one),
@@ -379,12 +383,13 @@ def generated_block() -> str:
 # -- what each step of a sequenced frame costs (docs/SUBSTRATES.md) -------------
 
 
-#: Transport entry points by code; ``None`` is ``_deliver``, named by the kind
-#: it is delivering.
+#: Transport entry points by code.  ``Network.send`` is a step only for a
+#: sequenced kind (a ``T_ACK`` it sends belongs to the delivery that sends
+#: it), and the receive step is named by the kind it is delivering.
 FRAME_STEPS = {
     ReliableNetwork._frame.__code__: "framing",
-    ReliableNetwork.send.__code__: "unicast send",
-    ReliableNetwork._deliver.__code__: None,
+    Network.send.__code__: "unicast send",
+    ReliableNetwork._receive.__code__: "frame delivery",
     ReliableNetwork._maybe_retransmit.__code__: "retransmission",
 }
 STEP_ORDER = (
@@ -392,39 +397,63 @@ STEP_ORDER = (
 )
 
 
+def frame_step(frame) -> str | None:
+    """The transport step a Python frame starts, if any."""
+    step = FRAME_STEPS.get(frame.f_code)
+    if step == "unicast send" and frame.f_locals["kind"] in UNSEQUENCED_KINDS:
+        return None
+    if step == "frame delivery" and frame.f_locals["message"].kind == KIND_TRANSPORT_ACK:
+        return "`T_ACK` delivery"
+    return step
+
+
 def frame_costs() -> tuple[dict[str, list[int]], int]:
     """The lossy ``base`` cell under ``sys.setprofile``: per transport step,
-    ``[runs, call + c_call events inside them]``, and the frames sent.  The
-    upper layer's handler under a delivery counts as its one call, not its
-    body — the body is the engine's, in the table above."""
+    ``[runs, call + c_call events inside them]``, and the frames sent.  A
+    message the receive step returns goes up in the delivery loop: its
+    hand-up — the trace record, the frames it released, the handler — is
+    the step's, and the upper layer's handler counts as its one call, not
+    its body (the body is the engine's, in the table above).  A run of a
+    frame delivery is a receive step on a wire frame; a frame it released
+    takes a receive step of its own, which is no run."""
     cell = first_paper_cell("base", "drop")
-    dispatch = Network._deliver.__code__
+    receive = ReliableNetwork._receive.__code__
+    dispatch = {Network._deliver.__code__, Network._deliver_run.__code__}
     costs: dict[str, list[int]] = {}
     stack: list[tuple[object, str | None]] = []  # (frame, step; None in a handler)
+    up: list[str | None] = [None]  # the step whose message is going up
 
     def hook(frame, event, arg):
         if event == "return":
             if stack and stack[-1][0] is frame:
-                stack.pop()
+                step = stack.pop()[1]
+                if frame.f_code is receive:
+                    up[0] = step if arg is not None else None
+            elif frame.f_code in dispatch:
+                up[0] = None
             return
         if event == "call":
-            code = frame.f_code
-            if code in FRAME_STEPS:
-                step = FRAME_STEPS[code] or (
-                    "`T_ACK` delivery"
-                    if frame.f_locals["message"].kind == KIND_TRANSPORT_ACK
-                    else "frame delivery"
+            step = frame_step(frame)
+            if step is not None:
+                runs = (
+                    step != "frame delivery"
+                    or frame.f_locals["message"].payload.__class__ is _Frame
                 )
-                costs.setdefault(step, [0, 0])[0] += 1
+                costs.setdefault(step, [0, 0])[0] += runs
+                costs[step][1] += 1
                 stack.append((frame, step))
-            elif stack and stack[-1][1] is not None and frame.f_back.f_code is dispatch:
-                costs[stack[-1][1]][1] += 1
-                stack.append((frame, None))
                 return
-        elif event != "c_call":
+            direct = frame.f_back.f_code in dispatch
+        elif event == "c_call":
+            direct = frame.f_code in dispatch
+        else:
             return
-        if stack and stack[-1][1] is not None:
-            costs[stack[-1][1]][1] += 1
+        owner = up[0] if direct and up[0] else (stack[-1][1] if stack else None)
+        if owner is None:
+            return
+        costs[owner][1] += 1
+        if event == "call" and direct:
+            stack.append((frame, None))
 
     measured(lambda: run_cell(cell), lambda: sys.setprofile(hook), lambda: sys.setprofile(None))
     network = observe_cell(cell).runtime.network

@@ -317,6 +317,14 @@ class TestRawAndEventEntriesShareBuckets:
         sim.run()
         assert got == ["late"]
 
+    def test_a_simulator_serves_one_network(self):
+        sim = Simulator()
+        net = Network(sim)
+        with pytest.raises(RuntimeError):
+            Network(sim)
+        assert sim._queue.message_sink == net._deliver
+        assert sim._queue.run_sink == net._deliver_run
+
 
 # -- runs of raw deliveries ----------------------------------------------------
 #

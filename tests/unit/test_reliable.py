@@ -5,7 +5,7 @@ import pytest
 from repro.net.detector import KIND_HEARTBEAT, Heartbeater
 from repro.net.failures import CrashWindow, FailurePlan, FailureInjector
 from repro.net.latency import UniformLatency
-from repro.net.network import UnknownEndpointError
+from repro.net.network import Network, UnknownEndpointError
 from repro.net.reliable import (
     KIND_TRANSPORT_ACK,
     ReliableNetwork,
@@ -316,3 +316,10 @@ class TestResolutionOverLossyNetwork:
         assert result.all_finished()
         assert sum(result.messages_for_action("A1").values()) == 36
         assert len(set(result.handlers_started("A1").values())) == 1
+
+
+def test_the_transport_is_two_hooks_on_the_stock_send_and_delivery():
+    assert ReliableNetwork.send is Network.send
+    assert ReliableNetwork._deliver is Network._deliver
+    assert ReliableNetwork._deliver_run is Network._deliver_run
+    assert Network._frame is None and Network._receive is None

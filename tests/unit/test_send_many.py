@@ -151,10 +151,10 @@ class TestEquivalence:
         assert len(pushes) < looped["delivered_by_kind"]["K"]
 
     def test_subclassed_send_takes_the_per_send_path(self):
-        # ReliableNetwork overrides send (ACK bookkeeping) as Network.send
-        # over its per-copy _frame: every copy of a fan-out still reaches
-        # the override's bookkeeping — one frame, pending entry and timer
-        # each — inside the one batched loop, equal to the loop of sends.
+        # ReliableNetwork's send is Network.send running its per-copy
+        # _frame hook: every copy of a fan-out still reaches the hook's
+        # bookkeeping — one frame, pending entry and timer each — inside
+        # the one batched loop, equal to the loop of sends.
         sim, net = make_network(cls=ReliableNetwork)
         log = []
         wire(net, NAMES, log)

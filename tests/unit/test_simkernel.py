@@ -11,37 +11,39 @@ from repro.simkernel import (
     Stop,
     TraceLevel,
     TraceRecorder,
-    VirtualClock,
 )
 from repro.simkernel.events import PRIORITY_DELIVERY
 from repro.simkernel.scheduler import SimulationError
 
 
-class TestVirtualClock:
+class TestSimulatorClock:
+    """``Simulator.now`` is the one monotonic virtual clock."""
+
     def test_starts_at_zero(self):
-        assert VirtualClock().now == 0.0
+        assert Simulator().now == 0.0
 
     def test_custom_start(self):
-        assert VirtualClock(7.5).now == 7.5
+        assert Simulator(7.5).now == 7.5
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
-            VirtualClock(-1.0)
+            Simulator(-1.0)
 
     def test_advances(self):
-        clock = VirtualClock()
-        clock.advance_to(3.0)
-        assert clock.now == 3.0
+        sim = Simulator()
+        sim.advance_to(3.0)
+        assert sim.now == 3.0
 
     def test_cannot_go_backwards(self):
-        clock = VirtualClock(5.0)
+        sim = Simulator(5.0)
         with pytest.raises(ValueError):
-            clock.advance_to(4.0)
+            sim.advance_to(4.0)
+        assert sim.now == 5.0
 
     def test_advance_to_same_time_allowed(self):
-        clock = VirtualClock(5.0)
-        clock.advance_to(5.0)
-        assert clock.now == 5.0
+        sim = Simulator(5.0)
+        sim.advance_to(5.0)
+        assert sim.now == 5.0
 
 
 class TestEventQueue:
