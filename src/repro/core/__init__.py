@@ -4,12 +4,12 @@ concurrent-exception resolution.
 Layout:
 
 * :mod:`repro.core.messages` — the five protocol messages of Section 4.1;
-* :mod:`repro.core.action` — static CA action declarations and nesting;
+* :mod:`repro.core.action` — static CA action declarations and nesting,
+  and ``NestedPolicy``: Figure 1's wait vs. abort nested policies;
 * :mod:`repro.core.manager` — the (centralised) CA action manager;
 * :mod:`repro.core.participant` — participating objects;
 * :mod:`repro.core.algorithm` — the Section 4.2 resolution engine;
 * :mod:`repro.core.abortion` — nested-action abortion chains (Section 4.1);
-* :mod:`repro.core.policies` — Figure 1's wait vs. abort nested policies;
 * :mod:`repro.core.variants` — ``run_action``: the one way to run any
   variant below on the Section 4.4 workload, and the registry of their facts;
 * :mod:`repro.core.cr_baseline` — the Campbell–Randell 1986 comparator;

@@ -51,8 +51,7 @@ from repro.net.detector import KIND_HEARTBEAT
 #: touches the object's protocol state like any other local work.
 _LOCAL_PREFIXES = (
     "hb", "behaviour", "start", "crash", "handler", "abort",
-    "ct-abort", "mc-abort", "prop", "arche", "ct-raise", "mc-raise",
-    "cd-raise", "cr-raise",
+    "ct-abort", "mc-abort", "ct-raise", "mc-raise", "cd-raise", "cr-raise",
 )
 
 

@@ -21,7 +21,6 @@ EXPECTED_MARKERS = {
     "production_cell.py": "SafetyLightInterrupted",
     "conversation_rollback.py": "accepted: True",
     "paper_example2_walkthrough.py": "(N-1)(2P+3Q+1) = 3*(2+9+1) = 36",
-    "related_work_tour.py": "three exception-handling paradigms",
     "warehouse_competition.py": "StockContention",
 }
 

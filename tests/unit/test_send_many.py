@@ -150,7 +150,7 @@ class TestEquivalence:
         # delivered unicast, never one per broadcast copy.
         assert len(pushes) < looped["delivered_by_kind"]["K"]
 
-    def test_subclassed_send_takes_the_per_send_path(self):
+    def test_framed_fan_out_runs_in_the_batched_loop(self):
         # ReliableNetwork's send is Network.send running its per-copy
         # _frame hook: every copy of a fan-out still reaches the hook's
         # bookkeeping — one frame, pending entry and timer each — inside
