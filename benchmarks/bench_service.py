@@ -4,8 +4,8 @@ Starts the ``repro service serve`` server as a *subprocess* (real process
 isolation: the loadgen's Python runtime never shares the GIL with the
 server it measures) and drives it with the open-loop generator:
 
-1. **Sustained phase (E26)** — a warm-up burst lets the slow-start token
-   bucket converge, then a measured window at the offered rate.  The
+1. **Sustained phase (E26)** — a warm-up burst warms the server's lazy
+   imports, then a measured window at the offered rate.  The
    acceptance floor is ``--floor`` completed actions/sec (default 500)
    with p50/p99 resolution latency reported.
 2. **Overload ramp (E26)** — stepwise-increasing offered rates far past
@@ -22,8 +22,10 @@ server it measures) and drives it with the open-loop generator:
    — the tracing machinery must cost ≤5% when off (hard-gated only under
    ``--baseline``; always recorded).
 
-Writes ``BENCH_service.json`` and ``benchmarks/results/E26.txt`` /
-``E27.txt``; flight dumps land in ``benchmarks/results/flight-e27/``.
+Writes ``BENCH_service.json`` (with a ``machine`` block: CPU count,
+usable CPUs, Python version, kernel release) and
+``benchmarks/results/E26.txt`` / ``E27.txt``; flight dumps land in
+``benchmarks/results/flight-e27/``.
 
 Usage::
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -44,7 +47,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from _harness import record_table  # noqa: E402
+from _harness import machine, record_table  # noqa: E402
 
 from repro.obs.export import validate_chrome_trace  # noqa: E402
 from repro.obs.metrics import histogram_quantile  # noqa: E402
@@ -204,7 +207,8 @@ def main(argv: list[str] | None = None) -> int:
           f"on {server.host}:{server.port}")
     problems: list[str] = []
     try:
-        # Warm-up: let slow-start converge on capacity (not measured).
+        # Warm-up: the first requests pay for the server's lazy imports
+        # (not measured).
         run_load(server.host, server.port, LoadSpec(
             rate=args.rate, duration=2.0, seed=args.seed + 999,
             drain_seconds=3.0,
@@ -368,6 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": "E26",
         "smoke": args.smoke,
         "floor": args.floor,
+        "machine": {**machine(), "kernel": platform.release()},
         "ok": not problems,
         "problems": problems,
         "sustained": _round_trip(sustained),

@@ -23,7 +23,7 @@ Commands:
   ``rt hub`` serves a standalone frame-routing hub for multi-process
   experiments;
 * ``service``        — the resolution service: ``service serve`` runs the
-  long-running CA-action resolution server (bounded admission, slow-start
+  long-running CA-action resolution server (bounded admission, AIMD
   token bucket, OVERLOADED shedding, live stats endpoint),
   ``service load`` drives it with open-loop Poisson/bursty traffic and
   prints goodput, shed counts and latency percentiles.
@@ -389,7 +389,6 @@ def cmd_service_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         queue_limit=args.queue_limit,
-        initial_rate=args.initial_rate,
         max_rate=args.max_rate,
         flight_dir=Path(args.flight_dir) if args.flight_dir else None,
         flight_capacity=args.flight_capacity,
@@ -791,9 +790,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=2)
     p_serve.add_argument("--queue-limit", type=int, default=2048,
                          help="admission queue slots (the in-flight bound)")
-    p_serve.add_argument("--initial-rate", type=float, default=100.0,
-                         help="slow-start starting admission rate (actions/s)")
-    p_serve.add_argument("--max-rate", type=float, default=20000.0)
+    p_serve.add_argument("--max-rate", type=float, default=20000.0,
+                         help="admission rate ceiling (actions/s); a fresh "
+                              "server starts at it")
     p_serve.add_argument("--max-seconds", type=float, default=None,
                          help="stop after this much wall time (default: run "
                               "until a shutdown frame or Ctrl-C)")

@@ -2,7 +2,7 @@
 
 A long-running server (:mod:`repro.service.server`) resolves CA actions
 submitted by clients over length-prefixed TCP frames, with bounded
-admission, slow-start rate adaptation and explicit overload shedding; an
+admission, AIMD rate adaptation and explicit overload shedding; an
 open-loop traffic generator (:mod:`repro.service.loadgen`) drives it with
 Poisson or bursty arrivals over a heavy-tailed action-size mix.
 

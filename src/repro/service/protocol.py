@@ -15,8 +15,8 @@ client → server
 
 server → client
     ``outcome``    the resolution result for one accepted ``submit``;
-    ``overloaded`` the request was shed at admission (explicit reply, so
-                   open-loop clients can count goodput vs shed);
+    ``overloaded`` the request was shed at admission (``reason``: ``stopping``,
+                   ``queue-full`` or ``rate``), so clients can count goodput vs shed;
     ``stats`` / ``pong`` / ``error`` / ``bye``.
 
 Execution runs the *actual* protocol engines — each accepted request

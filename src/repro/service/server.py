@@ -12,24 +12,24 @@ Load discipline (the part the paper's batch campaigns never needed):
   ``queue_limit`` slots shared by every session; worker coroutines drain
   it.  The queue *is* the in-flight buffer: its depth is the live signal
   of how far offered load exceeds service capacity.
-* **Slow-start token bucket** — admission is additionally rate-limited by
-  :class:`TokenBucket`.  The admitted rate starts low (``initial_rate``)
-  and grows multiplicatively while the queue stays shallow; when the
-  queue crowds past its high watermark the rate is cut.  The bucket
-  therefore *converges on the server's measured capacity* instead of
-  trusting a static configuration — classic slow-start/AIMD, applied to
-  admission instead of a congestion window.
-* **Load shedding** — a request that finds the bucket empty or the queue
-  full is answered immediately with an ``overloaded`` frame (never
-  silently dropped), so open-loop clients can distinguish goodput from
-  shed work and back off.  Under overload the server keeps completing
-  admitted work at capacity: goodput degrades to the service rate, not to
-  zero.
+* **AIMD token bucket** — admission is additionally rate-limited by
+  :class:`TokenBucket`, which starts at its ceiling (``max_rate``, a hard
+  cap), so a fresh server serves at capacity from its first request.  The
+  rate is cut when the queue crowds past its high watermark and grows
+  back while the queue stays shallow.
+* **Load shedding** — a request that finds the server stopping, the
+  queue full or the bucket empty (checked in that order, so a queue-full
+  shed spends no token) is answered at once with an ``overloaded`` frame
+  naming that ``reason``, never silently dropped, so open-loop clients
+  can distinguish goodput from shed work and back off.  Under overload
+  the server keeps completing admitted work at capacity: goodput
+  degrades to the service rate, not to zero.
 
 Observability: a per-server :class:`~repro.obs.metrics.MetricsRegistry`
-(counters for submitted/accepted/shed/completed, wall-clock latency and
-per-stage breakdown histograms, queue/rate gauges) served live over the
-same frame protocol by ``stats`` requests, as JSON or rendered text.
+(counters for submitted/accepted/shed/completed and ``service.shed.<reason>``,
+wall-clock latency and per-stage breakdown histograms, queue/rate gauges)
+served live over the same frame protocol by ``stats`` requests, as JSON or
+rendered text.
 
 Tracing: every request is one :class:`~repro.service.flight.RequestRecord`
 (the instants it reached, and what ran) in an always-on
@@ -82,40 +82,34 @@ STAGE_HISTOGRAMS = (
 
 
 class TokenBucket:
-    """Admission rate limiter with slow-start adaptation.
+    """Admission rate limiter with AIMD adaptation.
 
     Tokens refill continuously at ``rate`` per second up to one second's
-    worth (``burst``).  :meth:`adjust` implements the control loop: grow
-    the rate while the queue is shallow, cut it when the queue crowds —
-    see the module docstring.
+    worth (``burst``).  A new bucket starts at ``max_rate`` and full.
+    :meth:`adjust` implements the control loop: cut the rate when the
+    queue crowds, grow it back while the queue is shallow — see the
+    module docstring.
     """
 
     def __init__(
         self,
-        initial_rate: float = 100.0,
         max_rate: float = 20_000.0,
         min_rate: float = 50.0,
         growth: float = 1.5,
         backoff: float = 0.7,
     ) -> None:
-        if not 0 < min_rate <= initial_rate <= max_rate:
-            raise ValueError(
-                f"need 0 < min_rate <= initial_rate <= max_rate, got "
-                f"{min_rate}/{initial_rate}/{max_rate}"
-            )
-        self.rate = initial_rate
+        if not 0 < min_rate <= max_rate:
+            raise ValueError(f"need 0 < min_rate <= max_rate, got {min_rate}/{max_rate}")
+        self.rate = max_rate
         self.max_rate = max_rate
         self.min_rate = min_rate
         self.growth = growth
         self.backoff = backoff
-        self._tokens = initial_rate  # start with one second of burst
+        # One second of burst; the first refill caps it at the rate.
+        self._tokens = max_rate
         self._last = 0.0
-        self._primed = False
 
     def _refill(self, now: float) -> None:
-        if not self._primed:
-            self._last, self._primed = now, True
-            return
         self._tokens = min(
             self.rate, self._tokens + (now - self._last) * self.rate
         )
@@ -129,7 +123,7 @@ class TokenBucket:
         return False
 
     def adjust(self, queue_occupancy: float) -> None:
-        """One control tick: slow-start up, multiplicative cut on crowding."""
+        """One control tick: multiplicative cut on crowding, growth when shallow."""
         if queue_occupancy > 0.75:
             self.rate = max(self.min_rate, self.rate * self.backoff)
         elif queue_occupancy < 0.25:
@@ -146,8 +140,8 @@ class ResolutionServer:
             synchronous CPU work, so workers add *multiplexing* across
             sessions (and overlap with socket I/O), not parallelism.
         queue_limit: admission queue slots (the in-flight bound).
-        initial_rate / max_rate / min_rate: token-bucket parameters.
-        pacer_interval: wall seconds between slow-start control ticks.
+        max_rate / min_rate: token-bucket parameters (it starts at ``max_rate``).
+        pacer_interval: wall seconds between AIMD control ticks.
         max_frame: per-frame byte ceiling (protocol hardening).
         flight_dir: directory for flight-recorder dumps (``None`` keeps
             the ring in memory but writes no artifacts).
@@ -165,7 +159,6 @@ class ResolutionServer:
         port: int = 0,
         workers: int = 2,
         queue_limit: int = 2048,
-        initial_rate: float = 100.0,
         max_rate: float = 20_000.0,
         min_rate: float = 50.0,
         pacer_interval: float = 0.25,
@@ -185,9 +178,7 @@ class ResolutionServer:
         self.queue_limit = queue_limit
         self.pacer_interval = pacer_interval
         self.p99_budget_ms = p99_budget_ms
-        self.bucket = TokenBucket(
-            initial_rate=initial_rate, max_rate=max_rate, min_rate=min_rate
-        )
+        self.bucket = TokenBucket(max_rate=max_rate, min_rate=min_rate)
         # time_scale=1.0: one virtual unit == one wall second, so
         # ``run(until=max_seconds)`` and pacer arithmetic read naturally.
         self.kernel = AsyncioKernel(time_scale=1.0)
@@ -367,13 +358,22 @@ class ResolutionServer:
         # tracing never turns a request into a protocol error.
         context = TraceContext.from_header(header)
         record = self.flight.start(now, request_id=request.id, context=context)
-        if self._stopping or not self.bucket.try_take(now) or self._queue.full():
+        reason = None
+        if self._stopping:
+            reason = "stopping"
+        elif self._queue.full():
+            reason = "queue-full"
+        elif not self.bucket.try_take(now):
+            reason = "rate"
+        if reason is not None:
             metrics.counter("service.shed").inc()
+            metrics.counter(f"service.shed.{reason}").inc()
             self.flight.finish(record, self.kernel.loop.time(), "shed")
-            self.flight.trigger("shed", now, detail=f"request {request.id}")
+            self.flight.trigger("shed", now, detail=f"request {request.id}: {reason}")
             reply = {
                 "type": "overloaded",
                 "id": request.id,
+                "reason": reason,
                 "queue": self._queue.qsize(),
                 "rate": round(self.bucket.rate, 1),
             }

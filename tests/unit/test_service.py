@@ -149,13 +149,15 @@ class TestExecuteRequest:
 
 class TestTokenBucket:
     def test_initial_burst_then_refusal(self) -> None:
-        bucket = TokenBucket(initial_rate=50.0, max_rate=50.0, min_rate=50.0)
-        taken = sum(bucket.try_take(0.0) for _ in range(60))
-        assert taken == 50
+        # A new bucket starts at its ceiling, full: max_rate tokens.
+        bucket = TokenBucket(max_rate=80.0, min_rate=50.0)
+        assert bucket.rate == 80.0
+        taken = sum(bucket.try_take(0.0) for _ in range(100))
+        assert taken == 80
         assert not bucket.try_take(0.0)
 
     def test_refills_at_rate(self) -> None:
-        bucket = TokenBucket(initial_rate=100.0, max_rate=100.0, min_rate=50.0)
+        bucket = TokenBucket(max_rate=100.0, min_rate=50.0)
         while bucket.try_take(0.0):
             pass
         # Half a second later: ~50 tokens back.
@@ -163,22 +165,26 @@ class TestTokenBucket:
         assert 45 <= taken <= 55
 
     def test_adjust_grows_when_queue_shallow(self) -> None:
-        bucket = TokenBucket(initial_rate=100.0, max_rate=1000.0)
+        bucket = TokenBucket(max_rate=1000.0)
+        bucket.adjust(queue_occupancy=0.9)
+        bucket.adjust(queue_occupancy=0.9)
+        assert bucket.rate == pytest.approx(490.0)
         bucket.adjust(queue_occupancy=0.0)
-        assert bucket.rate == pytest.approx(150.0)
+        assert bucket.rate == pytest.approx(735.0)
 
     def test_adjust_cuts_when_queue_crowded(self) -> None:
-        bucket = TokenBucket(initial_rate=100.0)
+        bucket = TokenBucket(max_rate=100.0)
         bucket.adjust(queue_occupancy=0.9)
         assert bucket.rate == pytest.approx(70.0)
 
     def test_adjust_holds_in_dead_band(self) -> None:
-        bucket = TokenBucket(initial_rate=100.0)
+        bucket = TokenBucket(max_rate=100.0)
+        bucket.adjust(queue_occupancy=0.9)
         bucket.adjust(queue_occupancy=0.5)
-        assert bucket.rate == pytest.approx(100.0)
+        assert bucket.rate == pytest.approx(70.0)
 
     def test_rate_clamped_to_bounds(self) -> None:
-        bucket = TokenBucket(initial_rate=60.0, max_rate=100.0, min_rate=50.0)
+        bucket = TokenBucket(max_rate=100.0, min_rate=50.0)
         for _ in range(20):
             bucket.adjust(queue_occupancy=1.0)
         assert bucket.rate == pytest.approx(50.0)
@@ -188,7 +194,7 @@ class TestTokenBucket:
 
     def test_invalid_bounds_rejected(self) -> None:
         with pytest.raises(ValueError, match="min_rate"):
-            TokenBucket(initial_rate=10.0, max_rate=5.0)
+            TokenBucket(max_rate=5.0, min_rate=10.0)
 
 
 # -- live sessions ----------------------------------------------------------------
@@ -328,7 +334,7 @@ class TestLiveServer:
     def test_overload_sheds_with_explicit_reply(self, start_server) -> None:
         # A deliberately tiny, non-adaptive bucket: 50-token burst, 50/s
         # refill, no growth — a 200-request burst must shed most of itself.
-        server = start_server(initial_rate=50.0, max_rate=50.0, min_rate=50.0)
+        server = start_server(max_rate=50.0, min_rate=50.0)
         headers = [
             ActionRequest(id=i, variant="base", n=2, p=1, q=0, seed=i).to_header()
             for i in range(200)
@@ -342,6 +348,78 @@ class TestLiveServer:
         assert kinds["outcome"] + kinds["overloaded"] == 200
         shed = server.metrics.counter("service.shed").value
         assert shed == kinds["overloaded"]
+        # The queue never fills: every shed is the bucket's.
+        reasons = {r["reason"] for r in replies if r["type"] == "overloaded"}
+        assert reasons == {"rate"}
+        assert server.metrics.counter("service.shed.rate").value == shed
+
+    def test_full_queue_sheds_without_spending_a_token(
+        self, start_server
+    ) -> None:
+        # One queue slot and a pipelined burst: the session admits while
+        # the slot is free and sheds the rest as queue-full.  Only an
+        # admitted request may take a token.
+        server = start_server(queue_limit=1)
+        bucket = server.bucket
+        takes = []
+        take = bucket.try_take
+
+        def counting_take(now: float) -> bool:
+            takes.append(now)
+            return take(now)
+
+        bucket.try_take = counting_take
+        headers = [
+            ActionRequest(id=i, variant="base", n=2, p=1, q=0, seed=i).to_header()
+            for i in range(100)
+        ]
+        replies = _exchange(server.port, headers, replies=100)
+        shed = [r for r in replies if r["type"] == "overloaded"]
+        completed = [r for r in replies if r["type"] == "outcome"]
+        assert shed, "a one-slot queue must shed a pipelined burst"
+        assert {r["reason"] for r in shed} == {"queue-full"}
+        assert len(completed) + len(shed) == 100
+        assert len(takes) == len(completed)
+        counter = server.metrics.counter
+        assert counter("service.shed.queue-full").value == len(shed)
+        assert counter("service.shed").value == len(shed)
+
+    def test_fresh_server_sheds_nothing_for_two_closed_loop_clients(
+        self, start_server
+    ) -> None:
+        """A fresh server admits at its ceiling.  A bucket that started in
+        slow start (100 tokens, 100/s) shed most of these 500 requests,
+        though two closed-loop clients never queue more than two."""
+        server = start_server()
+        todo = [
+            ActionRequest(id=i, variant="base", n=2 + i % 2, p=1, q=0, seed=i)
+            for i in range(500)
+        ][::-1]
+        replies: list[dict] = []
+
+        async def client() -> None:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                while todo:
+                    writer.write(encode_frame(todo.pop().to_header()))
+                    await writer.drain()
+                    reply, _ = await asyncio.wait_for(
+                        read_frame(reader), timeout=REPLY_TIMEOUT
+                    )
+                    replies.append(reply)
+            finally:
+                writer.close()
+
+        async def two_clients() -> None:
+            await asyncio.gather(client(), client())
+
+        asyncio.run(two_clients())
+        kinds = [reply["type"] for reply in replies]
+        assert kinds.count("overloaded") == 0
+        assert kinds.count("outcome") == 500
+        assert server.metrics.counter("service.shed").value == 0
 
     def test_stats_snapshot_over_the_wire(self, start_server) -> None:
         server = start_server()
@@ -475,8 +553,7 @@ class TestLiveTracing:
         from repro.obs.export import validate_chrome_trace
 
         server = start_server(
-            initial_rate=50.0, max_rate=50.0, min_rate=50.0,
-            flight_dir=tmp_path,
+            max_rate=50.0, min_rate=50.0, flight_dir=tmp_path,
         )
         headers = [
             ActionRequest(id=i, variant="base", n=2, p=1, q=0, seed=i).to_header()
@@ -489,6 +566,7 @@ class TestLiveTracing:
         doc = json.loads(dumps[0].read_text())
         assert validate_chrome_trace(doc) == []
         assert doc["otherData"]["trigger"] == "shed"
+        assert doc["otherData"]["detail"].endswith(": rate")
         assert server.flight.trigger_counts["shed"] >= 1
         # A shed storm rate-limits to one dump, not one per shed.
         assert len(dumps) == 1
