@@ -130,23 +130,30 @@ def _round_trip(report) -> dict:
 STAGE_HISTOGRAMS = ("latency", "queue_wait", "execute", "serialize", "reply")
 
 
-def _stage_breakdown(snapshot: dict, previous: dict | None = None) -> dict:
-    """p50/p99 per stage from the server's histograms.
+def _window_stats(end: dict, start: dict | None) -> dict:
+    """The server's stats over the window between two snapshots.
 
-    With ``previous``, quantiles are estimated over the bucket-count
-    *deltas* between the two snapshots — the same trick the server's own
-    p99-budget check uses — so one window's breakdown is not polluted by
-    everything served before it.
+    Counters and histograms are cumulative from server start, so each is
+    taken as ``end`` minus ``start`` (histograms bucket by bucket, the
+    same trick the server's own p99-budget check uses); gauges are read
+    at ``end``.  The window's histogram extremes are unknown: ``min`` is
+    dropped (quantiles skip that clamp) and ``max`` stays the cumulative
+    one.  Without ``start`` the window is everything since server start.
     """
-    out: dict = {}
-    histograms = snapshot.get("histograms", {})
-    prev_histograms = (previous or {}).get("histograms", {})
-    for stage in STAGE_HISTOGRAMS:
-        name = f"service.{stage}_ms"
-        data = histograms.get(name)
-        if data is None:
-            continue
-        prev = prev_histograms.get(name)
+    if not (start and end):
+        return end
+    counters = start.get("counters", {})
+    histograms = start.get("histograms", {})
+    window = {
+        "counters": {
+            name: value - counters.get(name, 0)
+            for name, value in end.get("counters", {}).items()
+        },
+        "gauges": end.get("gauges", {}),
+        "histograms": {},
+    }
+    for name, data in end.get("histograms", {}).items():
+        prev = histograms.get(name)
         if prev is not None:
             data = {
                 "bounds": data["bounds"],
@@ -154,10 +161,24 @@ def _stage_breakdown(snapshot: dict, previous: dict | None = None) -> dict:
                     a - b
                     for a, b in zip(data["bucket_counts"], prev["bucket_counts"])
                 ],
+                "sum": data["sum"] - prev["sum"],
                 "count": data["count"] - prev["count"],
-                "min": None,  # window extremes unknown; skip the clamp
+                "min": None,
                 "max": data.get("max"),
             }
+        window["histograms"][name] = data
+    return window
+
+
+def _stage_breakdown(snapshot: dict) -> dict:
+    """p50/p99 per stage from the server's histograms in ``snapshot``
+    (one window's, when it comes from :func:`_window_stats`)."""
+    out: dict = {}
+    histograms = snapshot.get("histograms", {})
+    for stage in STAGE_HISTOGRAMS:
+        data = histograms.get(f"service.{stage}_ms")
+        if data is None:
+            continue
         out[stage] = {
             "count": data["count"],
             "p50_ms": histogram_quantile(data, 0.50),
@@ -208,11 +229,12 @@ def main(argv: list[str] | None = None) -> int:
     problems: list[str] = []
     try:
         # Warm-up: the first requests pay for the server's lazy imports
-        # (not measured).
-        run_load(server.host, server.port, LoadSpec(
+        # (not measured).  Its closing stats snapshot opens the sustained
+        # window, so the recorded server stats count that window alone.
+        warmup = run_load(server.host, server.port, LoadSpec(
             rate=args.rate, duration=2.0, seed=args.seed + 999,
             drain_seconds=3.0,
-        ))
+        ), fetch_stats=True)
 
         sustained = run_load(server.host, server.port, LoadSpec(
             rate=args.rate, duration=sustain_secs, seed=args.seed,
@@ -277,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
 
     breakdown_1x = _stage_breakdown(traced_1x.server_stats or {})
     breakdown_8x = _stage_breakdown(
-        traced_8x.server_stats or {}, previous=traced_1x.server_stats
+        _window_stats(traced_8x.server_stats or {}, traced_1x.server_stats)
     )
     if traced_1x.completed == 0:
         problems.append("traced 1x window completed nothing")
@@ -380,7 +402,9 @@ def main(argv: list[str] | None = None) -> int:
             {"offered_rate": rate, **_round_trip(report)}
             for rate, report in zip(ramp_rates, ramp)
         ],
-        "server_stats": sustained.server_stats,
+        "server_stats": _window_stats(
+            sustained.server_stats, warmup.server_stats
+        ),
         "tracing": {
             "experiment": "E27",
             "traced_1x": _round_trip(traced_1x),

@@ -69,7 +69,7 @@ from repro.net import (
     FailurePlan,
     UniformLatency,
 )
-from repro.objects import DistributedObject, RemoteInvoker, Runtime
+from repro.objects import DistributedObject, Runtime
 from repro.transactions import AtomicObject, TransactionManager
 from repro.workloads import (
     ActionBlock,
@@ -115,7 +115,6 @@ __all__ = [
     "ParticipantSpec",
     "Raise",
     "RecoveryBlock",
-    "RemoteInvoker",
     "ResolutionTree",
     "Runtime",
     "Scenario",

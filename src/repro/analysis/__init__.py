@@ -3,15 +3,15 @@
 :mod:`repro.analysis.formulas` encodes the paper's closed-form message
 counts; :mod:`repro.analysis.fitting` estimates empirical growth orders
 from measured sweeps (log-log regression), used to verify the O(N²) vs
-O(N³) comparison without relying on absolute counts.
+O(N³) comparison without relying on absolute counts;
+:mod:`repro.analysis.sequence_chart` lays a trace out as a message
+sequence chart, one lane per object (``repro chart``).
 """
 
 from repro.analysis.fitting import fit_power_law, growth_order
 from repro.analysis.sequence_chart import (
     chart_rows,
     render_sequence_chart,
-    render_span_chart,
-    span_chart_rows,
 )
 from repro.analysis.formulas import (
     case1_messages,
@@ -36,7 +36,5 @@ __all__ = [
     "growth_order",
     "multicast_operations",
     "render_sequence_chart",
-    "render_span_chart",
-    "span_chart_rows",
     "resolver_group_messages",
 ]

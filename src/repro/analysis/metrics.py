@@ -143,19 +143,3 @@ class LatencySummary:
             p50=percentile(0.50),
             p95=percentile(0.95),
         )
-
-
-def delivery_latencies(
-    trace: TraceRecorder, kinds: Optional[set[str]] = None
-) -> list[float]:
-    """Per-message send→receive latencies, matched by message id."""
-    sends: dict[int, float] = {}
-    for entry in trace.by_category("msg.send"):
-        if kinds is None or entry.details.get("kind") in kinds:
-            sends[entry.details["id"]] = entry.time
-    latencies = []
-    for entry in trace.by_category("msg.recv"):
-        sent = sends.get(entry.details.get("id"))
-        if sent is not None:
-            latencies.append(entry.time - sent)
-    return latencies

@@ -99,13 +99,20 @@ def chart_rows(
     return rows
 
 
-def _render_rows(
-    rows: Sequence[ChartRow],
+def render_sequence_chart(
+    trace: TraceRecorder,
     lanes: Sequence[str],
-    lane_width: int,
-    max_rows: int,
-) -> list[str]:
-    """The shared lane-diagram renderer behind both chart flavours."""
+    categories: Iterable[str] = DEFAULT_CATEGORIES,
+    kinds: Optional[set[str]] = None,
+    lane_width: int = 0,
+    max_rows: int = 200,
+) -> str:
+    """Render the lane diagram as a string.
+
+    ``lane_width`` of 0 auto-sizes to the longest annotation per lane.
+    Rows beyond ``max_rows`` are elided with a summary line.
+    """
+    rows = chart_rows(trace, lanes, categories, kinds)
     if lane_width <= 0:
         lane_width = 12
         for row in rows:
@@ -128,101 +135,4 @@ def _render_rows(
         lines.append(f"{row.time:>10.3f} │ " + " │ ".join(cells))
     if elided:
         lines.append(f"... {elided} further events elided ...")
-    return lines
-
-
-def render_sequence_chart(
-    trace: TraceRecorder,
-    lanes: Sequence[str],
-    categories: Iterable[str] = DEFAULT_CATEGORIES,
-    kinds: Optional[set[str]] = None,
-    lane_width: int = 0,
-    max_rows: int = 200,
-) -> str:
-    """Render the lane diagram as a string.
-
-    ``lane_width`` of 0 auto-sizes to the longest annotation per lane.
-    Rows beyond ``max_rows`` are elided with a summary line.
-    """
-    rows = chart_rows(trace, lanes, categories, kinds)
-    return "\n".join(_render_rows(rows, lanes, lane_width, max_rows))
-
-
-def span_chart_rows(spans, lanes: Sequence[str]) -> list[ChartRow]:
-    """Lane rows from a causal span forest (see :mod:`repro.obs.spans`).
-
-    Each span contributes a ``▶ name`` row at its start and a ``■ name
-    (outcome)`` row at its end; instantaneous event spans render as a
-    single ``● name`` row.  Rows are indented by forest depth, so nested
-    abortion chains (action span → resolution span → abort spans) read as
-    an indented ladder inside their parent's lifetime.
-    """
-    lane_set = set(lanes)
-
-    def depth_of(span) -> int:
-        depth = 0
-        current = span
-        while current.parent_id is not None:
-            parent = spans.get(current.parent_id)
-            if parent is None:
-                break
-            depth += 1
-            current = parent
-        return depth
-
-    keyed: list[tuple[float, int, int, ChartRow]] = []
-    for span in spans:
-        if span.subject not in lane_set:
-            continue
-        indent = "· " * depth_of(span)
-        if span.is_event:
-            keyed.append((
-                span.start, span.span_id, 0,
-                ChartRow(span.start, span.subject, f"{indent}● {span.name}"),
-            ))
-            continue
-        keyed.append((
-            span.start, span.span_id, 0,
-            ChartRow(span.start, span.subject, f"{indent}▶ {span.name}"),
-        ))
-        if span.closed:
-            outcome = span.attrs.get("outcome")
-            suffix = f" ({outcome})" if outcome else ""
-            keyed.append((
-                span.end, span.span_id, 1,
-                ChartRow(span.end, span.subject, f"{indent}■ {span.name}{suffix}"),
-            ))
-    # Same-instant rows follow span creation order (then begin-before-end
-    # for a single span), so a dwell that closes as its successor opens
-    # renders closed-then-opened.
-    keyed.sort(key=lambda item: item[:3])
-    return [row for *_, row in keyed]
-
-
-def render_span_chart(
-    spans,
-    lanes: Sequence[str],
-    lane_width: int = 0,
-    max_rows: int = 200,
-) -> str:
-    """Render a span forest as a lane diagram.
-
-    The span-level companion to :func:`render_sequence_chart`: instead of
-    one row per message, it shows each participant's span lifecycle —
-    action entry, resolution start, N→X/S→R state dwells, abortion chains,
-    raise/commit/handler instants.  Spans still open at the end of the
-    run (crashed or stalled members) are listed in a footer, since they
-    have no end row to render.
-    """
-    rows = span_chart_rows(spans, lanes)
-    lines = _render_rows(rows, lanes, lane_width, max_rows)
-    lane_set = set(lanes)
-    still_open = [
-        span for span in spans.open_spans() if span.subject in lane_set
-    ]
-    for span in still_open:
-        lines.append(
-            f"... open: {span.subject} {span.name} "
-            f"[{span.start:.3f} → …] ..."
-        )
     return "\n".join(lines)

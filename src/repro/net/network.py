@@ -43,6 +43,13 @@ _LOST_FIELDS = ("kind", "id")
 _RECV_FIELDS = ("src", "kind", "id")
 
 
+def _delivery_label(message: Message) -> str:
+    """A delivery event's label, ``deliver:<kind>:<src>-><dst>``: the
+    explorer reads channel and receiver from it
+    (:mod:`repro.explore.independence`)."""
+    return f"deliver:{message.kind}:{message.src}->{message.dst}"
+
+
 class UnknownEndpointError(KeyError):
     """Sent to an endpoint name that was never registered."""
 
@@ -117,15 +124,17 @@ class Network:
         #: delivery path then dispatches to the kind handler directly,
         #: skipping the ``receive`` frame.  ``None`` for custom receivers.
         self._targets: dict[str, tuple[Receiver, dict[str, Receiver] | None]] = {}
-        # Claim the queue's raw-delivery sink, in both forms: sends queue
-        # the message itself (push_raw), and the drain loop hands each run
-        # of them to _deliver_run.  A simulator serves one network.
+        # Claim the queue's raw-delivery sink, in both forms, and its
+        # labeller: sends queue the message itself (push_raw), the drain
+        # loop hands each run of them to _deliver_run, and a controlled
+        # pop labels each one it wraps.  A simulator serves one network.
         queue = self._sim_queue
         if queue is not None:
             if queue.message_sink is not None:
                 raise RuntimeError("this simulator already serves a network")
             queue.message_sink = self._deliver
             queue.run_sink = self._deliver_run
+            queue._message_label = _delivery_label
 
     # -- endpoint management -------------------------------------------------
 
@@ -282,7 +291,7 @@ class Network:
                 now, "msg.send", src, _SEND_FIELDS, dst, kind,
                 message.msg_id, payload,
             ))
-        elif trace._counting:
+        else:
             trace._counts["msg.send"] += 1
         if fate != FailureInjector.DELIVER:
             if fate == FailureInjector.DROP:
@@ -292,19 +301,18 @@ class Network:
                         now, "msg.drop", src, _DROP_FIELDS, dst, kind,
                         message.msg_id,
                     ))
-                elif trace._counting:
+                else:
                     trace._counts["msg.drop"] += 1
                 return message
             message.corrupted = True  # fate == CORRUPT
-        # Delivery fast path: with the deterministic kernel and FIFO
-        # tie-breaks, queue the message itself as a *raw* entry —
-        # no Event, no closure, no label string, no
-        # schedule_at validation (``deliver_at >= now`` by construction).
-        # Controlled (explorer) runs keep the labelled slow path because
-        # schedule replay keys on delivery labels.
+        # On the deterministic kernel, queue the message itself as a *raw*
+        # entry: no Event, no closure, no label string, no schedule_at
+        # validation (``deliver_at >= now`` by construction).  Controlled
+        # (explorer) runs take this path too: the queue labels a raw entry
+        # (``_delivery_label``) when it wraps it for the tie-break policy.
         if self.deliver_via is None:
             queue = self._sim_queue
-            if queue is not None and queue.tie_break is None:
+            if queue is not None:
                 queue.push_raw(deliver_at, PRIORITY_DELIVERY, (message,))
                 return message
         self._schedule_delivery(message, deliver_at)
@@ -327,9 +335,10 @@ class Network:
         failure detector, multicast layer).
 
         The batched loop covers every fault plan of the stock injector and
-        a transport's per-copy ``_frame``, as ``send`` does; per-pair or
-        sampled latency, wire diversion, a foreign kernel, controlled
-        scheduling or a subclassed injector fall back to the per-send loop.
+        a transport's per-copy ``_frame``, as ``send`` does, and explored
+        (controlled) runs as well; per-pair or sampled latency, wire
+        diversion, a foreign kernel or a subclassed injector fall back to
+        the per-send loop.
         """
         delay = self._uniform_delay
         queue = self._sim_queue
@@ -338,7 +347,6 @@ class Network:
             delay is None
             or self.deliver_via is not None
             or queue is None
-            or queue.tie_break is not None
             or injector.__class__ is not FailureInjector
         ):
             return [self.send(src, dst, kind, payload) for dst in dsts]
@@ -413,7 +421,7 @@ class Network:
                     [m for m in messages if not m.dropped],
                 )
         self.sent_by_kind[kind] += count
-        if not full and trace._counting:
+        if not full:
             counts = trace._counts
             counts["msg.send"] += count
             if lost:
@@ -428,7 +436,7 @@ class Network:
             deliver_at,
             lambda: self._deliver(message),
             priority=PRIORITY_DELIVERY,
-            label=f"deliver:{message.kind}:{message.src}->{message.dst}",
+            label=_delivery_label(message),
         )
 
     def _deliver(self, message: Message) -> None:
@@ -454,7 +462,7 @@ class Network:
                     trace._pending.append((
                         now, "msg.lost", dst, _LOST_FIELDS, message.kind, message.msg_id,
                     ))
-                elif trace._counting:
+                else:
                     trace._counts["msg.lost"] += 1
             elif receive is None or (message := receive(message)) is not None:
                 kind = message.kind
@@ -463,7 +471,7 @@ class Network:
                     trace._pending.append((
                         now, "msg.recv", dst, _RECV_FIELDS, message.src, kind, message.msg_id,
                     ))
-                elif trace._counting:
+                else:
                     trace._counts["msg.recv"] += 1
                 # Straight to the kind handler of a stock DistributedObject.receive;
                 # an unknown kind falls back to it, for on_unhandled.
@@ -526,7 +534,7 @@ class Network:
                             trace._pending.append((
                                 now, "msg.lost", dst, _LOST_FIELDS, message.kind, message.msg_id,
                             ))
-                        elif trace._counting:
+                        else:
                             trace._counts["msg.lost"] += 1
                     elif receive is None or (message := receive(message)) is not None:
                         kind = message.kind
@@ -536,7 +544,7 @@ class Network:
                                 now, "msg.recv", dst, _RECV_FIELDS, message.src,
                                 kind, message.msg_id,
                             ))
-                        elif trace._counting:
+                        else:
                             trace._counts["msg.recv"] += 1
                         kind_map = target[1]
                         if kind_map is not None:
@@ -564,7 +572,3 @@ class Network:
         if kinds is None:
             return sum(self.sent_by_kind.values())
         return sum(count for kind, count in self.sent_by_kind.items() if kind in kinds)
-
-    def reset_counters(self) -> None:
-        self.sent_by_kind.clear()
-        self.delivered_by_kind.clear()

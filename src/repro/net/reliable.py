@@ -195,9 +195,9 @@ class ReliableNetwork(Network):
         if fate != FailureInjector.DROP:
             if fate == FailureInjector.CORRUPT:
                 message.corrupted = True
-            # Queued raw like a first send; tie_break and foreign kernels
-            # keep the labelled delivery.
-            if queue is not None and queue.tie_break is None and self.deliver_via is None:
+            # Queued raw like a first send; foreign kernels and wire
+            # diversion keep the scheduled delivery.
+            if queue is not None and self.deliver_via is None:
                 queue.push_raw(deliver_at, PRIORITY_DELIVERY, (message,))
             else:
                 self._schedule_delivery(message, deliver_at)

@@ -2,8 +2,8 @@
 
 A :class:`DistributedObject` receives messages through its runtime and
 dispatches them by ``kind`` to registered handlers.  Protocol engines (the
-resolution algorithm, the transaction manager's client side, remote
-invocation) are layered on objects by registering their own kinds, so the
+resolution algorithm, the transaction manager's client side, the failure
+detector) are layered on objects by registering their own kinds, so the
 application-visible object stays a plain class — the paper's requirement
 that the resolution mechanism be "transparent to programmers" (Section 4.4).
 """

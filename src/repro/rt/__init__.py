@@ -9,8 +9,9 @@ failure-injection / ARQ / heartbeat stack, optionally with every message
 riding a real localhost TCP socket (:class:`TcpTransport`).
 
 The headline deliverable is the conformance kit (:mod:`repro.rt.harness`):
-run identical campaign cells on both backends and check their oracle
-digests agree — the sim-vs-real gap as a correctness oracle.
+:class:`ProtocolHarness` runs identical campaign cells on both backends
+and checks their oracle digests agree — the sim-vs-real gap as a
+correctness oracle (``repro rt conformance``).
 """
 
 from repro.rt.backend import BACKENDS, asyncio_backend, backend
@@ -20,7 +21,6 @@ from repro.rt.harness import (
     ProtocolHarness,
     conformance_cells,
     oracle_digest,
-    run_conformance,
 )
 from repro.rt.kernel import DEFAULT_TIME_SCALE, AsyncioKernel
 from repro.rt.tcp import TcpHub, TcpTransport, tcp_transport
@@ -38,6 +38,5 @@ __all__ = [
     "backend",
     "conformance_cells",
     "oracle_digest",
-    "run_conformance",
     "tcp_transport",
 ]

@@ -290,19 +290,6 @@ def fault_cells(
     return cells
 
 
-def run_conformance(
-    cells: Optional[Sequence[CampaignCell]] = None,
-    backends: Sequence[str] = BACKENDS,
-    time_scale: float = DEFAULT_TIME_SCALE,
-    trace_dir: Optional[Path] = None,
-) -> ConformanceReport:
-    """One-call conformance pass over ``cells`` (default: the matrix)."""
-    harness = ProtocolHarness(backends=backends, time_scale=time_scale)
-    return harness.run(
-        conformance_cells() if cells is None else cells, trace_dir=trace_dir
-    )
-
-
 # -- divergence artifacts --------------------------------------------------------
 
 

@@ -80,31 +80,32 @@ STAGE_HISTOGRAMS = (
     ("service.reply_ms", 3, 4),
 )
 
+#: AIMD factors of :meth:`TokenBucket.adjust`: the rate grows by
+#: ``GROWTH`` on a shallow-queue tick and is cut by ``BACKOFF`` on a
+#: crowded one.
+GROWTH = 1.5
+BACKOFF = 0.7
+
+#: Wall seconds between the server's AIMD control ticks (its pacer).
+PACER_INTERVAL = 0.25
+
 
 class TokenBucket:
     """Admission rate limiter with AIMD adaptation.
 
     Tokens refill continuously at ``rate`` per second up to one second's
     worth (``burst``).  A new bucket starts at ``max_rate`` and full.
-    :meth:`adjust` implements the control loop: cut the rate when the
-    queue crowds, grow it back while the queue is shallow — see the
-    module docstring.
+    :meth:`adjust` implements the control loop: cut the rate by
+    ``BACKOFF`` when the queue crowds, grow it back by ``GROWTH`` while
+    the queue is shallow — see the module docstring.
     """
 
-    def __init__(
-        self,
-        max_rate: float = 20_000.0,
-        min_rate: float = 50.0,
-        growth: float = 1.5,
-        backoff: float = 0.7,
-    ) -> None:
+    def __init__(self, max_rate: float = 20_000.0, min_rate: float = 50.0) -> None:
         if not 0 < min_rate <= max_rate:
             raise ValueError(f"need 0 < min_rate <= max_rate, got {min_rate}/{max_rate}")
         self.rate = max_rate
         self.max_rate = max_rate
         self.min_rate = min_rate
-        self.growth = growth
-        self.backoff = backoff
         # One second of burst; the first refill caps it at the rate.
         self._tokens = max_rate
         self._last = 0.0
@@ -125,9 +126,9 @@ class TokenBucket:
     def adjust(self, queue_occupancy: float) -> None:
         """One control tick: multiplicative cut on crowding, growth when shallow."""
         if queue_occupancy > 0.75:
-            self.rate = max(self.min_rate, self.rate * self.backoff)
+            self.rate = max(self.min_rate, self.rate * BACKOFF)
         elif queue_occupancy < 0.25:
-            self.rate = min(self.max_rate, self.rate * self.growth)
+            self.rate = min(self.max_rate, self.rate * GROWTH)
 
 
 class ResolutionServer:
@@ -140,8 +141,8 @@ class ResolutionServer:
             synchronous CPU work, so workers add *multiplexing* across
             sessions (and overlap with socket I/O), not parallelism.
         queue_limit: admission queue slots (the in-flight bound).
-        max_rate / min_rate: token-bucket parameters (it starts at ``max_rate``).
-        pacer_interval: wall seconds between AIMD control ticks.
+        max_rate / min_rate: token-bucket parameters (it starts at
+            ``max_rate``); the AIMD control ticks every ``PACER_INTERVAL``.
         max_frame: per-frame byte ceiling (protocol hardening).
         flight_dir: directory for flight-recorder dumps (``None`` keeps
             the ring in memory but writes no artifacts).
@@ -161,7 +162,6 @@ class ResolutionServer:
         queue_limit: int = 2048,
         max_rate: float = 20_000.0,
         min_rate: float = 50.0,
-        pacer_interval: float = 0.25,
         max_frame: int = MAX_FRAME,
         flight_dir: Optional[Path] = None,
         flight_capacity: int = 256,
@@ -176,7 +176,6 @@ class ResolutionServer:
         self.port = port
         self.max_frame = max_frame
         self.queue_limit = queue_limit
-        self.pacer_interval = pacer_interval
         self.p99_budget_ms = p99_budget_ms
         self.bucket = TokenBucket(max_rate=max_rate, min_rate=min_rate)
         # time_scale=1.0: one virtual unit == one wall second, so
@@ -461,7 +460,7 @@ class ResolutionServer:
 
     async def _pacer(self) -> None:
         while True:
-            await asyncio.sleep(self.pacer_interval)
+            await asyncio.sleep(PACER_INTERVAL)
             now = self.kernel.loop.time()
             self.bucket.adjust(self._queue.qsize() / self.queue_limit)
             gauges = self.metrics

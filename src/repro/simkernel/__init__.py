@@ -2,8 +2,8 @@
 
 This package provides the virtual-time substrate on which the distributed
 system is simulated: an event queue with deterministic tie-breaking, a
-simulator loop, generator-based simulated processes, named seeded random
-streams and a structured trace recorder.
+simulator loop, named seeded random streams and a structured trace
+recorder.
 
 The kernel is intentionally single-threaded: all concurrency in the
 reproduction is *simulated* concurrency, which makes every run reproducible
@@ -20,13 +20,11 @@ from repro.simkernel.kernel import (
     current_kernel_factory,
     kernel_backend,
 )
-from repro.simkernel.process import Delay, SimProcess, Stop
 from repro.simkernel.rng import RngRegistry
 from repro.simkernel.scheduler import Simulator
 from repro.simkernel.trace import TraceEntry, TraceLevel, TraceRecorder
 
 __all__ = [
-    "Delay",
     "Event",
     "EventQueue",
     "Kernel",
@@ -34,9 +32,7 @@ __all__ = [
     "current_kernel_factory",
     "kernel_backend",
     "RngRegistry",
-    "SimProcess",
     "Simulator",
-    "Stop",
     "TraceEntry",
     "TraceLevel",
     "TraceRecorder",

@@ -198,6 +198,10 @@ class EventQueue:
         #: :attr:`run_consumed` first.
         self.run_sink: Callable[[list[Any], int, float], int] | None = None
         self.run_consumed = 0
+        #: ``payload -> label``, claimed with the sinks: the label of a
+        #: raw entry wrapped for the tie-break policy, so the policy sees
+        #: the label a scheduled delivery would carry.
+        self._message_label: Callable[[Any], str] | None = None
 
     def __len__(self) -> int:
         return self._live
@@ -259,16 +263,19 @@ class EventQueue:
         bucket += payloads
         self._live += len(payloads)
 
-    def _wrap_raw(self, key: tuple[float, int], payload: Any) -> Event:
+    def _wrap_raw(
+        self, key: tuple[float, int], payload: Any, label: str = "deliver"
+    ) -> Event:
         """Materialize an :class:`Event` for a raw delivery entry.
 
         Only the non-fast paths (``step()``, controlled pops) see raw
         entries as events; the fast drain loop hands them to
-        :attr:`run_sink` a run at a time.
+        :attr:`run_sink` a run at a time.  A controlled pop passes the
+        network's label, which the tie-break policy reads.
         """
         seq = self._seq
         self._seq = seq + 1
-        return Event(key[0], key[1], seq, self.message_sink, "deliver", False, payload)
+        return Event(key[0], key[1], seq, self.message_sink, label, False, payload)
 
     def _head(self) -> tuple[tuple[float, int], list[Any]] | None:
         """The key and bucket of the next live entry, now at ``bucket[0]``.
@@ -326,7 +333,7 @@ class EventQueue:
         group = []
         for payload in bucket:
             if payload.__class__ is not Event:
-                payload = self._wrap_raw(key, payload)
+                payload = self._wrap_raw(key, payload, self._message_label(payload))
             elif payload.cancelled:
                 continue
             group.append(payload)

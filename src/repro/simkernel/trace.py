@@ -18,9 +18,8 @@ Recording granularity is controlled by :class:`TraceLevel`:
   are still maintained, so every message-count claim of the paper
   (Section 4.4's ``(N-1)(2P+3Q+1)`` and friends) remains verifiable at a
   fraction of the cost.  This is the fast path for large sweeps.
-* ``OFF`` — nothing is recorded at all.
 
-Per-category counters are maintained at every level except ``OFF``, so
+Per-category counters are maintained at both levels, so
 ``count("msg.send")`` agrees between ``FULL`` and ``COUNTS`` runs of the
 same seeded scenario.  The exception is the few categories a writer emits
 at ``FULL`` only, behind its own cached "trace is FULL" test (protocol
@@ -46,7 +45,6 @@ SEND_SHAPE = ("dst", "kind", "id", "action")
 class TraceLevel(enum.IntEnum):
     """How much a :class:`TraceRecorder` keeps."""
 
-    OFF = 0
     COUNTS = 1
     FULL = 2
 
@@ -137,14 +135,13 @@ class TraceRecorder:
         #:   field-name tuple shared across records, so no dict is built
         #:   unless the entries are actually read.
         self._pending: list[tuple[Any, ...]] = []
-        # Exact number of record() calls per category (any level but OFF).
+        # Exact number of record() calls per category, at either level.
         # At FULL the hot paths do not touch this directly: a pending
         # record's category is folded in lazily by the :attr:`counts`
         # property (``_counted`` = how many pending records are folded).
         self._counts: Counter[str] = Counter()
         self._counted = 0
         self._full = False
-        self._counting = False
         self.level = level
 
     # -- level management ------------------------------------------------------
@@ -157,11 +154,10 @@ class TraceRecorder:
     def level(self, value: TraceLevel) -> None:
         self._level = TraceLevel(value)
         self._full = self._level is TraceLevel.FULL
-        self._counting = self._level is not TraceLevel.OFF
 
     @property
     def counts(self) -> Counter[str]:
-        """Exact per-category record() tallies (any level but ``OFF``).
+        """Exact per-category record() tallies, at either level.
 
         FULL-level hot paths only append to ``_pending``; the tallies for
         those records are folded in here, on first read.
@@ -211,7 +207,7 @@ class TraceRecorder:
     ) -> None:
         if self._full:
             self._pending.append((time, category, subject, details))
-        elif self._counting:
+        else:
             self._counts[category] += 1
 
     # -- queries ---------------------------------------------------------------

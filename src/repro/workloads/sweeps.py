@@ -72,7 +72,7 @@ def measure_point(
 
     The one measurement function: :func:`sweep_general` loops over it and
     a pooled sweep maps it with :func:`repro.workloads.parallel.parallel_map`,
-    so both produce bit-identical points.  Under ``COUNTS``/``OFF`` tracing the
+    so both produce bit-identical points.  Under ``COUNTS`` tracing the
     commit-latency timeline cannot be extracted (it needs full entries), so
     ``commit_latency`` is ``None`` — measured counts are unaffected.
     """

@@ -144,8 +144,9 @@ def fingerprint(variant: str, config: str, seed: int = 3) -> dict:
 
 
 def explored(variant: str) -> tuple:
-    """One random walk under the explorer's ``tie_break`` (labelled
-    per-send deliveries): its oracle digest and FULL-trace hash."""
+    """One random walk under the explorer's ``tie_break`` (the batched
+    fan-out and raw deliveries, labelled when the policy sees them): its
+    oracle digest and FULL-trace hash."""
     outcome = run_digest(f"paper:{variant}:none:n4p1q1:s0", "rw:5")
     return outcome.digest, outcome.trace_hash, outcome.choice_points
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.metrics import (
     LatencySummary,
-    delivery_latencies,
     resolution_timeline,
     traffic_breakdown,
 )
@@ -84,15 +83,6 @@ class TestLatencySummary:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             LatencySummary.of([])
-
-    def test_delivery_latencies_constant_network(self):
-        result = single_exception_case(3).run()
-        latencies = delivery_latencies(
-            result.runtime.trace, kinds=set(RESOLUTION_KINDS)
-        )
-        assert latencies
-        assert all(latency == 1.0 for latency in latencies)  # default model
-
 
 class TestSweeps:
     def test_sweep_matches_model_everywhere(self):

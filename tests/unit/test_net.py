@@ -17,6 +17,7 @@ from repro.net.failures import CrashWindow, PartitionWindow
 from repro.net.message import Message
 from repro.net.network import UnknownEndpointError
 from repro.simkernel import RngRegistry, Simulator
+from repro.simkernel.events import Event, TieBreakPolicy
 
 
 def make_network(latency=None, plan=None, seed=0):
@@ -120,14 +121,6 @@ class TestNetwork:
         assert net.total_sent({"ACK"}) == 1
         assert net.delivered_by_kind["EXCEPTION"] == 2
 
-    def test_reset_counters(self):
-        sim, net = make_network()
-        net.register("b", lambda m: None)
-        net.send("a", "b", "K")
-        sim.run()
-        net.reset_counters()
-        assert net.total_sent() == 0
-
     def test_fifo_across_network(self):
         sim, net = make_network(UniformLatency(0.1, 5.0))
         order = []
@@ -172,6 +165,66 @@ class TestNetwork:
         sim.run()
         assert len(net.trace.by_category("msg.send")) == 1
         assert len(net.trace.by_category("msg.recv")) == 1
+
+
+class _PickLast(TieBreakPolicy):
+    """Runs the last of each choice group and records the groups' labels."""
+
+    def __init__(self):
+        self.groups = []
+
+    def choose(self, candidates):
+        self.groups.append([event.label for event in candidates])
+        return len(candidates) - 1
+
+
+def make_explored_network():
+    sim, net = make_network(ConstantLatency(1.0))
+    policy = _PickLast()
+    sim._queue.tie_break = policy
+    return sim, net, policy
+
+
+class TestExploredSends:
+    """Under a tie-break policy (the explorer's controlled loop) sends take
+    the same raw-entry path as every other run; the queue labels each raw
+    delivery when it wraps it for the policy."""
+
+    def test_send_queues_the_message_itself(self):
+        sim, net, _ = make_explored_network()
+        net.register("b", lambda m: None)
+        message = net.send("a", "b", "PING")
+        (bucket,) = sim._queue._buckets.values()
+        assert bucket == [message]
+        assert bucket[0].__class__ is not Event
+
+    def test_policy_sees_the_delivery_labels(self):
+        sim, net, policy = make_explored_network()
+        order = []
+        net.register("b", lambda m: order.append(m.dst))
+        net.register("c", lambda m: order.append(m.dst))
+        net.send("a", "b", "PING")
+        net.send("a", "c", "PING")
+        sim.run()
+        assert policy.groups == [["deliver:PING:a->b", "deliver:PING:a->c"]]
+        assert order == ["c", "b"]
+
+    def test_send_many_matches_a_loop_of_sends(self):
+        def deliveries(batched):
+            sim, net, policy = make_explored_network()
+            order = []
+            for name in "bcd":
+                net.register(name, lambda m: order.append((m.dst, m.payload)))
+            if batched:
+                net.send_many("a", list("bcd"), "EXC", payload=7)
+            else:
+                for name in "bcd":
+                    net.send("a", name, "EXC", payload=7)
+            assert len(sim._queue) == 3
+            sim.run()
+            return order, policy.groups, dict(net.sent_by_kind)
+
+        assert deliveries(batched=True) == deliveries(batched=False)
 
 
 class TestFailureInjection:

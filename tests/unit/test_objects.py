@@ -5,9 +5,7 @@ import pytest
 from repro.net.failures import FailurePlan
 from repro.objects import (
     DistributedObject,
-    InvocationError,
     Node,
-    RemoteInvoker,
     Runtime,
     canonical_name,
 )
@@ -147,68 +145,3 @@ class TestRuntime:
         assert obj.sim_now == 0.0
         with pytest.raises(RuntimeError):
             DistributedObject("loose").sim_now
-
-
-class TestRemoteInvocation:
-    def _pair(self):
-        rt = Runtime()
-        a, b = DistributedObject("O1"), DistributedObject("O2")
-        rt.register(a)
-        rt.register(b)
-        return rt, RemoteInvoker(a), RemoteInvoker(b)
-
-    def test_call_and_result(self):
-        rt, inv_a, inv_b = self._pair()
-        inv_b.expose("add", lambda x, y: x + y)
-        results = []
-        inv_a.call("O2", "add", 2, 3, on_result=results.append)
-        rt.run()
-        assert results == [5]
-
-    def test_kwargs(self):
-        rt, inv_a, inv_b = self._pair()
-        inv_b.expose("fmt", lambda x, pad=0: f"{x:0{pad}d}")
-        results = []
-        inv_a.call("O2", "fmt", 7, pad=3, on_result=results.append)
-        rt.run()
-        assert results == ["007"]
-
-    def test_missing_operation_error(self):
-        rt, inv_a, inv_b = self._pair()
-        errors = []
-        inv_a.call("O2", "nope", on_error=errors.append)
-        rt.run()
-        assert errors and "no such operation" in errors[0]
-
-    def test_remote_exception_becomes_error(self):
-        rt, inv_a, inv_b = self._pair()
-
-        def boom():
-            raise ValueError("bad input")
-
-        inv_b.expose("boom", boom)
-        errors = []
-        inv_a.call("O2", "boom", on_error=errors.append)
-        rt.run()
-        assert errors == ["ValueError: bad input"]
-
-    def test_error_without_handler_raises(self):
-        rt, inv_a, inv_b = self._pair()
-        inv_a.call("O2", "nope")
-        with pytest.raises(InvocationError):
-            rt.run()
-
-    def test_duplicate_expose_rejected(self):
-        _, inv_a, _ = self._pair()
-        inv_a.expose("op", lambda: None)
-        with pytest.raises(ValueError):
-            inv_a.expose("op", lambda: None)
-
-    def test_concurrent_calls_matched_by_id(self):
-        rt, inv_a, inv_b = self._pair()
-        inv_b.expose("echo", lambda v: v)
-        results = []
-        for value in ("x", "y", "z"):
-            inv_a.call("O2", "echo", value, on_result=results.append)
-        rt.run()
-        assert results == ["x", "y", "z"]

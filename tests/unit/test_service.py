@@ -16,6 +16,7 @@ from repro.service import (
     TokenBucket,
     execute_request,
 )
+from repro.service.server import BACKOFF, GROWTH
 
 REPLY_TIMEOUT = 30.0
 
@@ -191,6 +192,14 @@ class TestTokenBucket:
         for _ in range(20):
             bucket.adjust(queue_occupancy=0.0)
         assert bucket.rate == pytest.approx(100.0)
+
+    def test_adjust_factors_are_the_module_constants(self) -> None:
+        bucket = TokenBucket(max_rate=1000.0, min_rate=1.0)
+        bucket.adjust(queue_occupancy=1.0)
+        bucket.adjust(queue_occupancy=1.0)
+        assert bucket.rate == pytest.approx(1000.0 * BACKOFF**2)
+        bucket.adjust(queue_occupancy=0.0)
+        assert bucket.rate == pytest.approx(1000.0 * BACKOFF**2 * GROWTH)
 
     def test_invalid_bounds_rejected(self) -> None:
         with pytest.raises(ValueError, match="min_rate"):

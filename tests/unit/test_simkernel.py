@@ -3,13 +3,9 @@
 import pytest
 
 from repro.simkernel import (
-    Delay,
     EventQueue,
     RngRegistry,
-    SimProcess,
     Simulator,
-    Stop,
-    TraceLevel,
     TraceRecorder,
 )
 from repro.simkernel.events import PRIORITY_DELIVERY
@@ -167,114 +163,6 @@ class TestSimulator:
         assert sim.events_executed == 4
 
 
-class TestSimProcess:
-    def test_delays_advance_time(self):
-        sim = Simulator()
-        seen = []
-
-        def body():
-            seen.append(sim.now)
-            yield Delay(2.0)
-            seen.append(sim.now)
-            yield Delay(3.0)
-            seen.append(sim.now)
-
-        proc = SimProcess(sim, body(), name="p")
-        proc.start()
-        sim.run()
-        assert seen == [0.0, 2.0, 5.0]
-        assert proc.finished
-        assert not proc.interrupted
-
-    def test_stop_terminates(self):
-        sim = Simulator()
-        seen = []
-
-        def body():
-            seen.append("a")
-            yield Stop()
-            seen.append("never")
-
-        proc = SimProcess(sim, body())
-        proc.start()
-        sim.run()
-        assert seen == ["a"]
-        assert proc.finished
-
-    def test_interrupt_cancels_wakeup(self):
-        sim = Simulator()
-        seen = []
-
-        def body():
-            seen.append("start")
-            yield Delay(10.0)
-            seen.append("never")
-
-        proc = SimProcess(sim, body())
-        proc.start()
-        sim.schedule(5.0, proc.interrupt)
-        sim.run()
-        assert seen == ["start"]
-        assert proc.interrupted
-
-    def test_on_finish_callback(self):
-        sim = Simulator()
-        done = []
-
-        def body():
-            yield Delay(1.0)
-
-        proc = SimProcess(sim, body(), on_finish=lambda: done.append(True))
-        proc.start()
-        sim.run()
-        assert done == [True]
-
-    def test_unknown_command_suspends_and_resumes(self):
-        sim = Simulator()
-        seen = []
-        commands = []
-
-        class WaitForSignal:
-            pass
-
-        def body():
-            yield WaitForSignal()
-            seen.append(sim.now)
-
-        proc = SimProcess(sim, body(), on_command=commands.append)
-        proc.start()
-        sim.run()
-        assert proc.suspended
-        assert len(commands) == 1
-        sim.schedule(4.0, proc.resume_now)
-        sim.run()
-        assert seen == [4.0]
-
-    def test_unknown_command_without_handler_raises(self):
-        sim = Simulator()
-
-        def body():
-            yield object()
-
-        proc = SimProcess(sim, body())
-        proc.start()
-        with pytest.raises(RuntimeError, match="command handler"):
-            sim.run()
-
-    def test_interrupt_finished_process_is_noop(self):
-        sim = Simulator()
-
-        def body():
-            yield Delay(1.0)
-
-        proc = SimProcess(sim, body())
-        proc.start()
-        sim.run()
-        proc.interrupt()
-        assert proc.finished
-        assert not proc.interrupted
-
-
 class TestRngRegistry:
     def test_streams_are_reproducible(self):
         a = RngRegistry(42).stream("x")
@@ -321,12 +209,6 @@ class TestTraceRecorder:
         trace.record(1.0, "msg.send", "a")
         trace.record(1.0, "msgother", "b")
         assert len(trace.by_category("msg")) == 1
-
-    def test_disabled_recorder_drops(self):
-        trace = TraceRecorder()
-        trace.level = TraceLevel.OFF
-        trace.record(1.0, "x", "y")
-        assert len(trace) == 0
 
     def test_dump_is_printable(self):
         trace = TraceRecorder()

@@ -71,12 +71,6 @@ class TestLevels:
         assert trace.counts["msg.recv"] == 1
         assert trace.count("msg") == 6
 
-    def test_off_records_nothing(self):
-        trace = TraceRecorder(level=TraceLevel.OFF)
-        trace.record(1.0, "msg.send", "O1")
-        assert len(trace) == 0
-        assert trace.counts == {}
-
     def test_count_is_prefix_component_wise(self):
         trace = TraceRecorder(level=TraceLevel.COUNTS)
         trace.record(1.0, "msg.send", "a")
