@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import statistics
 import sys
@@ -39,7 +38,7 @@ if str(REPO_ROOT / "src") not in sys.path:  # allow plain `python benchmarks/...
 if str(Path(__file__).resolve().parent) not in sys.path:
     sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _harness import record_table  # noqa: E402
+from _harness import machine, record_table  # noqa: E402
 
 from repro.rt import ProtocolHarness, conformance_cells, tcp_transport  # noqa: E402
 from repro.rt.harness import cell_horizon, fault_cells  # noqa: E402
@@ -125,11 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         "schema": 1,
         "experiment": "E23",
         "generated_unix": round(time.time(), 3),
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
+        "machine": {**machine(), "kernel": platform.release()},
         "config": {
             "smoke": args.smoke,
             "seed": args.seed,

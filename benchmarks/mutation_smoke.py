@@ -6,8 +6,9 @@ engines — :mod:`repro.core.algorithm` (base Section 4.2, rows of its
 receive and progress tables included), :mod:`repro.core.crash_tolerant`
 and the Section 4.5 variants :mod:`repro.core.multicast_variant` and
 :mod:`repro.core.centralized_variant` — to the substrate's per-delivery
-shortcuts (:mod:`repro.core.participant`'s counted exit barrier and the
-reset of an action's ``SA_i`` record on retry,
+shortcuts (:mod:`repro.core.participant`'s counted exit barrier, the
+DONEs it holds for an attempt not begun and the reset of an action's
+``SA_i`` record on retry,
 :mod:`repro.net.network`'s delivery and fan-out), to the failure detector
 (:mod:`repro.net.detector`'s tick) and the transport under it
 (:mod:`repro.net.reliable`: its datagrams, ACK and duplicate
@@ -204,15 +205,23 @@ MUTANTS: tuple[Mutant, ...] = (
         "barrier-gate-off-by-one", PARTICIPANT,
         "the DONE that completes the set does not reach the barrier test: "
         "nobody leaves",
-        "and len(arrived) >= self._barrier_need:",
-        "and len(arrived) > self._barrier_need:",
+        "        if record.leaving and arrived >= record.others:",
+        "        if record.leaving and arrived > record.others:",
+    ),
+    Mutant(
+        "next-attempt-done-counted", PARTICIPANT,
+        "a faster peer's DONE of the next attempt is counted against this "
+        "participant's current attempt instead of held: the retry waits for "
+        "a DONE already spent",
+        "        if record is None or record.attempt != done.epoch:",
+        "        if record is None or record.attempt > done.epoch:",
     ),
     Mutant(
         "retry-keeps-done-sent", PARTICIPANT,
         "a retried action's record keeps its DONE-sent flag: the next "
         "attempt never broadcasts DONE, so no peer leaves",
-        "        record.done_sent = False\n",
-        "",
+        "        record.done_sent = record.leaving = False\n",
+        "        record.leaving = False\n",
     ),
     Mutant(
         "send-many-ids-misaligned", NET,
@@ -603,6 +612,7 @@ def detection_problems() -> list[str]:
         problems.append(f"example2: {type(exc).__name__}: {exc}")
     problems.extend(_rare_row_problems())
     problems.extend(_retry_problems())
+    problems.extend(_held_done_problems())
     problems.extend(_verdict_problems())
     # The interleaving that once broke the ct ACK/HaveNested ordering
     # (fixed in commit 01eb862; only this replay catches a reintroduction).
@@ -664,6 +674,54 @@ def _retry_problems() -> list[str]:
         return problems
     except Exception as exc:
         return [f"retried world: {type(exc).__name__}: {exc}"]
+
+
+def _held_done_problems() -> list[str]:
+    """DONEs the exit barrier cannot count yet, which no world above sends,
+    driven by hand into one member of a three-member action that fails its
+    first acceptance test: a peer's DONE that arrives before this member
+    enters, and a faster peer's DONE of the next attempt.  Both must be
+    held and counted later, so the second attempt's barrier opens."""
+    from repro.core.action import ActionRegistry, CAActionDef
+    from repro.core.manager import CAActionManager
+    from repro.core.messages import KIND_DONE, DoneMsg
+    from repro.core.participant import CAParticipant
+    from repro.exceptions import HandlerSet, ResolutionTree, UniversalException
+    from repro.net.message import Message
+    from repro.objects.runtime import Runtime
+
+    verdicts = iter([False, True])
+    tree = ResolutionTree(UniversalException)
+    registry = ActionRegistry()
+    registry.declare(CAActionDef(
+        "A1", ("O1", "O2", "O3"), tree,
+        acceptance=lambda: next(verdicts), max_attempts=2,
+    ))
+    manager, runtime = CAActionManager(registry), Runtime()
+    for name in ("O1", "O2", "O3"):
+        runtime.register(CAParticipant(
+            name, registry, manager, {"A1": HandlerSet.completing_all(tree)}
+        ))
+    member = runtime.objects["O1"]
+    exits: list[str] = []
+    member.on_action_exit = lambda action, outcome, exc: exits.append(outcome)
+
+    def done(sender: str, epoch: int) -> None:
+        member.receive(Message(
+            src=sender, dst="O1", kind=KIND_DONE, payload=DoneMsg("A1", sender, epoch)
+        ))
+
+    try:
+        done("O2", 1)  # O1 has not entered A1 yet
+        member.enter_action("A1")
+        member.request_leave("A1")
+        done("O2", 2)  # O2 is through its retry already
+        done("O3", 1)  # the first attempt's barrier: O1 retries
+        done("O3", 2)
+        member.request_leave("A1")
+    except Exception as exc:
+        return [f"held DONEs: {type(exc).__name__}: {exc}"]
+    return [] if exits == ["completed"] else [f"held DONEs: exits {exits}"]
 
 
 def _verdict_problems() -> list[str]:

@@ -110,9 +110,9 @@ class CAActionDef:
     def others_set(self, name: str) -> frozenset[str]:
         """Frozen-set view of :meth:`others`, memoized.
 
-        The exit barrier compares arrivals against this on every barrier
-        test; building a fresh set there made the barrier O(N²) per
-        participant and dominated large-N sweeps.
+        The exit barrier compares arrivals against this, held on the
+        action's ``SA_i`` record once its DONE goes out; memoized, so the
+        attempts and runs of one declaration share one set per member.
         """
         memo: dict[str, frozenset[str]] = self._others_set_memo
         cached = memo.get(name)

@@ -12,9 +12,10 @@ The participant owns everything that is *not* the resolution algorithm:
 
 * the exception-context stack (``SA_i``): one record per entered action,
   holding all this participant keeps about it, popped by one exit,
-* buffering of protocol messages for actions not yet entered (belated
+* buffering of messages for actions not yet entered (belated
   participants, Section 3.3 problem 3),
 * the synchronous exit barrier ("leave A synchronously", Section 4.2),
+  kept on the action's record,
 * running exception handlers and signalling failures to containing actions.
 """
 
@@ -102,17 +103,11 @@ class CAParticipant(DistributedObject):
         self.handler_sets = dict(handler_sets)
         self.abortion_handlers = dict(abortion_handlers or {})
         self.contexts = ExceptionContextStack()
-        #: Buffered protocol messages for actions not yet entered, and
-        #: messages deferred by the WAIT_FOR_NESTED policy.
+        #: Traffic for what is not reached yet, replayed on entry or retry:
+        #: messages for an action not entered, DONEs of a faster peer's
+        #: next attempt (the epochs of Figure 2(b)'s backward-recovery
+        #: retries), and messages deferred by the WAIT_FOR_NESTED policy.
         self.pending: dict[str, list[Message]] = {}
-        #: DONE senders per (action, attempt) — the exit barrier; attempts
-        #: are the epochs of Figure 2(b)'s backward-recovery retries.  Like
-        #: ``pending``, it holds traffic for what is not reached yet: an
-        #: action not entered, or a faster peer's next attempt.
-        self._barrier: dict[tuple[str, int], set[str]] = {}
-        self._waiting_barrier: Optional[str] = None
-        #: How many DONEs ``_waiting_barrier`` needs (set with it).
-        self._barrier_need = 0
         #: Hook called when the action's acceptance test fails and a new
         #: attempt starts: (action, next_attempt).
         self.on_action_retry: Callable[[str, int], None] = (
@@ -128,9 +123,6 @@ class CAParticipant(DistributedObject):
         self.on_action_exit: Callable[
             [str, str, Optional[ExceptionClass]], None
         ] = lambda action, outcome, exc: None
-
-        #: Bound ``network.send_many`` once attached (broadcast hot path).
-        self._net_send_many = None
 
         # Engine import is deferred to dodge the module cycle.
         from repro.core.algorithm import KINDS, ResolutionEngine
@@ -151,7 +143,6 @@ class CAParticipant(DistributedObject):
         self.engine._metrics = runtime.metrics
         # Bind the network's send directly for the protocol hot paths (the
         # DistributedObject.send wrapper only re-derives these arguments).
-        self._net_send_many = runtime.network.send_many
         self.engine._send = runtime.network.send
         self.engine._send_many = runtime.network.send_many
 
@@ -187,8 +178,9 @@ class CAParticipant(DistributedObject):
 
     def enter_action(self, action: str) -> None:
         """``<A> -> SA_i``: push A's record, at attempt 1 with nothing sent,
-        then process the protocol messages buffered for A while this
-        participant had not entered it ("process messages having arrived").
+        then process the messages, DONEs included, buffered for A while
+        this participant had not entered it ("process messages having
+        arrived").
 
         Objects "may enter a CA action asynchronously" (Section 4).
         """
@@ -231,79 +223,62 @@ class CAParticipant(DistributedObject):
             raise ProtocolViolation(
                 f"{self.name} cannot leave {action} during resolution"
             )
-        definition = self.registry.get(action)
         attempt = record.attempt
         if not record.done_sent:
             record.done_sent = True
-            done_msg = DoneMsg(action, self.name, epoch=attempt)
-            me = self.name
-            send_many = self._net_send_many
-            if send_many is None:  # not attached (unit-test construction)
-                self.send_many(definition.others(me), KIND_DONE, done_msg)
-            else:
-                send_many(me, definition.others(me), KIND_DONE, done_msg)
-        self._waiting_barrier = action
-        self._barrier_need = len(definition.others(self.name))
+            me, definition = self.name, self.registry.get(action)
+            record.others = definition.others_set(me)
+            self.engine._send_many(
+                me, definition.others(me), KIND_DONE, DoneMsg(action, me, epoch=attempt)
+            )
+        record.leaving = True
         self.trace("action.leave_requested", action=action, attempt=attempt)
-        self._check_barrier(action)
+        self._check_barrier(record)
 
     def _on_done(self, message: Message) -> None:
+        """Count a DONE on its action's record, or hold it in ``pending``
+        while it cannot be counted yet: its action not entered, or a faster
+        peer's next attempt.  Entry and retry replay it."""
         done: DoneMsg = message.payload
         action = done.action
-        barrier = self._barrier
-        key = (action, done.epoch)
-        arrived = barrier.get(key)
-        if arrived is None:
-            # A late DONE for an action this participant has left would
-            # re-create the entry _leave purged: drop it.  Off the stack,
-            # an ABORTED action cannot be entered any more, and a COMPLETED
-            # one needed this participant's own DONE, so it was entered.
+        stack = self.contexts._stack
+        record = stack[-1] if stack else None
+        if record is None or record.action_name != action:
+            record = self.contexts.find(action)
+        if record is None:
+            # A late DONE for an action this participant has left is
+            # dropped: an ABORTED action cannot be entered any more, and a
+            # COMPLETED one needed this participant's own DONE, so it was
+            # entered.
             status = self.action_manager.instance(action).status
-            if (
-                status is ActionStatus.ABORTED or status is ActionStatus.COMPLETED
-            ) and self.contexts.find(action) is None:
+            if status is ActionStatus.ABORTED or status is ActionStatus.COMPLETED:
                 return
-            barrier[key] = arrived = set()
+        if record is None or record.attempt != done.epoch:
+            self.buffer_pending(action, message)
+            return
+        arrived = record.done_from
         arrived.add(done.sender)
         # Invariant: a DONE can newly open the barrier only by completing
-        # the sender set of this participant's own attempt, so the full
-        # test runs only once the set just grown has reached the needed
-        # size.  Every other way the barrier opens (leave requested after
-        # the last DONE, a live resolution context retiring) goes through
-        # an ungated caller: request_leave, reached also from
-        # _finish_handler.
-        if self._waiting_barrier == action and len(arrived) >= self._barrier_need:
-            self._check_barrier(action)
+        # the sender set of this participant's own attempt, so the test runs
+        # only once the set covers the others (the superset test fails on
+        # the sizes first); every other way the barrier opens goes through
+        # request_leave, reached also from _finish_handler.
+        if record.leaving and arrived >= record.others:
+            self._check_barrier(record)
 
-    def _check_barrier(self, action: str) -> None:
+    def _check_barrier(self, record: ExceptionContext) -> None:
         """The barrier opens once every other member's DONE for this attempt
         is in and no resolution involves this participant; then the
         acceptance test commits A, retries it (the record starts its next
         attempt in place) or signals its failure."""
-        if self._waiting_barrier != action:
-            return
-        if self.engine.ctx is not None:
-            # A resolution is in progress: either for this action (the exit
-            # resumes from _finish_handler once the handler completes) or
-            # for a containing one, whose abortion chain is about to pop
-            # this context — in both cases the barrier must not fire now.
-            return
-        # Only the active action waits: every exit clears the wait.
-        record = self.contexts.active
-        arrived = self._barrier.get((action, record.attempt))
-        expected = self.registry.get(action).others_set(self.name)
-        if arrived is None:
-            # No DONE has arrived for this attempt; the barrier is open
-            # only in the degenerate single-participant case.
-            if expected:
-                return
-            self._waiting_barrier = None
-            self._complete_action(record)
-            return
-        # Cheap length gate first: the subset test is O(N), and an ungated
-        # caller may get here long before the last arrival.
-        if len(arrived) >= len(expected) and expected <= arrived:
-            self._waiting_barrier = None
+        # A resolution in progress holds the barrier shut: of this action
+        # (the exit resumes from _finish_handler once the handler completes)
+        # or of a containing one, whose abortion chain will pop this record.
+        if (
+            record.leaving
+            and self.engine.ctx is None
+            and record.done_from >= record.others
+        ):
             self._complete_action(record)
 
     def _complete_action(self, record: ExceptionContext) -> None:
@@ -340,9 +315,9 @@ class CAParticipant(DistributedObject):
         rolled back by the manager's implicit transaction abort.
         """
         action = record.action_name
-        self._barrier.pop((action, record.attempt), None)
         record.attempt = next_attempt = record.attempt + 1
-        record.done_sent = False
+        record.done_sent = record.leaving = False
+        record.done_from.clear()
         record.handled = record.handler = record.committed = None
         record.raised.clear()  # a fresh attempt may raise anew
         self.engine.forget_action(action)
@@ -351,13 +326,13 @@ class CAParticipant(DistributedObject):
         # traffic has fully drained — see CAActionManager.exit_decision).
         for descendant in self.registry.descendants(action):
             self.engine.forget_action(descendant)
-            self._purge_barrier(descendant)
             self.pending.pop(descendant, None)
         self.trace("action.retry", action=action, attempt=next_attempt)
         self.on_action_retry(action, next_attempt)
-        # A faster peer may have raised in the new attempt already; its
+        # A faster peer may have reached the new attempt already: its
         # Exception was buffered against our completed previous attempt
-        # (the engine's ``resolved`` × Exception row) and is live again now.
+        # (the engine's ``resolved`` × Exception row), its DONE by _on_done,
+        # and both are live again now.
         self._process_pending(action)
 
     def abort_local(self, action: str) -> None:
@@ -371,17 +346,11 @@ class CAParticipant(DistributedObject):
     def _leave(self, action: str) -> None:
         """``delete last element in SA_i``: the one exit of a commit, an
         abortion and a signalled failure alike pops A's record, and with it
-        the attempt, the DONE sent, the verdict and the handler; A's DONEs
-        and any wait on them go too, so entering A again starts afresh."""
+        the attempt, the DONE sent, the barrier (A's DONEs and the wait on
+        them), the verdict and the handler, so entering A again starts
+        afresh."""
         self.contexts.pop(action)
-        self._purge_barrier(action)
-        if self._waiting_barrier == action:
-            self._waiting_barrier = None
         self.engine.forget_action(action)
-
-    def _purge_barrier(self, action: str) -> None:
-        for key in [k for k in self._barrier if k[0] == action]:
-            del self._barrier[key]
 
     # -- raising -----------------------------------------------------------------
 
@@ -503,9 +472,9 @@ class CAParticipant(DistributedObject):
         """Discard buffered messages of actions nested within ``action``.
 
         The Section 4.2 "clean up messages related to nested actions": when
-        an outer resolution cancels inner actions, protocol traffic of
-        those inner actions must never be processed (e.g. the Exception O2
-        sent within A3 to the belated O3 in Example 2).
+        an outer resolution cancels inner actions, traffic of those inner
+        actions must never be processed (e.g. the Exception O2 sent within
+        A3 to the belated O3 in Example 2); held DONEs go and count too.
         """
         # Walk what is buffered (almost always nothing), not the action's
         # descendants: this runs once per HaveNested receipt.
@@ -523,8 +492,9 @@ class CAParticipant(DistributedObject):
             return
         if self.action_manager.is_cancelled(action):
             return
+        handlers = self._kind_handlers
         for message in queued:
-            self.engine._dispatch(message)
+            handlers[message.kind](message)
 
     # -- behaviour integration -----------------------------------------------------
 

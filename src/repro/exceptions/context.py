@@ -28,9 +28,11 @@ class ExceptionContext:
     entered action, innermost last: the action's tree and handlers, the
     exception raised in it here, this participant's backward-recovery
     ``attempt``, whether this attempt's DONE went out (``done_sent``), the
-    exception whose handler completed it (``handled``), the running
-    handler (``handler``) and the Commit that handler ran for
-    (``committed``).
+    exit barrier of this attempt (the members it waits for, ``others``,
+    the DONE senders in so far, ``done_from``, and whether this
+    participant waits at the exit line, ``leaving``), the exception whose
+    handler completed it (``handled``), the running handler (``handler``)
+    and the Commit that handler ran for (``committed``).
 
     Attributes:
         action_name: the CA action this context belongs to.
@@ -49,6 +51,13 @@ class ExceptionContext:
     attempt: int = 1
     #: True once this attempt's DONE went out ("leave A synchronously").
     done_sent: bool = False
+    #: The other members, whose DONEs for this attempt open the barrier
+    #: (set when this attempt's DONE goes out).
+    others: frozenset[str] = frozenset()
+    #: The members whose DONE for this attempt has arrived here.
+    done_from: set[str] = field(default_factory=set)
+    #: True once this participant asked to leave and waits for the others.
+    leaving: bool = False
     #: The exception whose handler completed the action, for its exit.
     handled: Optional[ExceptionClass] = None
     #: The scheduled handle of the resolution handler running here.

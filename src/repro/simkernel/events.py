@@ -199,8 +199,8 @@ class EventQueue:
         self.run_sink: Callable[[list[Any], int, float], int] | None = None
         self.run_consumed = 0
         #: ``payload -> label``, claimed with the sinks: the label of a
-        #: raw entry wrapped for the tie-break policy, so the policy sees
-        #: the label a scheduled delivery would carry.
+        #: raw entry wherever it is wrapped, so ``step()`` and the
+        #: tie-break policy see the label a scheduled delivery would carry.
         self._message_label: Callable[[Any], str] | None = None
 
     def __len__(self) -> int:
@@ -263,19 +263,20 @@ class EventQueue:
         bucket += payloads
         self._live += len(payloads)
 
-    def _wrap_raw(
-        self, key: tuple[float, int], payload: Any, label: str = "deliver"
-    ) -> Event:
-        """Materialize an :class:`Event` for a raw delivery entry.
+    def _wrap_raw(self, key: tuple[float, int], payload: Any) -> Event:
+        """Materialize an :class:`Event` for a raw delivery entry, labelled
+        by the network.
 
         Only the non-fast paths (``step()``, controlled pops) see raw
         entries as events; the fast drain loop hands them to
-        :attr:`run_sink` a run at a time.  A controlled pop passes the
-        network's label, which the tie-break policy reads.
+        :attr:`run_sink` a run at a time.
         """
         seq = self._seq
         self._seq = seq + 1
-        return Event(key[0], key[1], seq, self.message_sink, label, False, payload)
+        return Event(
+            key[0], key[1], seq, self.message_sink, self._message_label(payload),
+            False, payload,
+        )
 
     def _head(self) -> tuple[tuple[float, int], list[Any]] | None:
         """The key and bucket of the next live entry, now at ``bucket[0]``.
@@ -333,7 +334,7 @@ class EventQueue:
         group = []
         for payload in bucket:
             if payload.__class__ is not Event:
-                payload = self._wrap_raw(key, payload, self._message_label(payload))
+                payload = self._wrap_raw(key, payload)
             elif payload.cancelled:
                 continue
             group.append(payload)

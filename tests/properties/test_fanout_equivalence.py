@@ -183,27 +183,54 @@ def test_explorer_walk_equals_looped_walk(variant, looped):
     assert explored(variant) == shipped
 
 
+class BarrierTests:
+    """Counts the exit-barrier tests of the runs it makes; ``ungate()``
+    then runs the whole test after every ``DONE`` too, as before the
+    barrier counted."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.monkeypatch = monkeypatch
+        self.count = 0
+        shipped = CAParticipant._check_barrier
+
+        def check_barrier(participant, record):
+            self.count += 1
+            shipped(participant, record)
+
+        monkeypatch.setattr(CAParticipant, "_check_barrier", check_barrier)
+
+    def ungate(self) -> None:
+        gated = CAParticipant._on_done
+
+        def on_done(participant, message):
+            gated(participant, message)
+            record = participant.contexts.find(message.payload.action)
+            if record is not None:
+                participant._check_barrier(record)
+
+        self.monkeypatch.setattr(CAParticipant, "_on_done", on_done)
+
+    def run(self, run) -> tuple:
+        """``run()``'s result and the barrier tests it made."""
+        self.count = 0
+        return run(), self.count
+
+
 @pytest.fixture
-def ungated(monkeypatch):
-    """Run the whole exit-barrier test on every ``DONE``, as before the
-    barrier counted: the size a ``DONE`` must reach reads 0 whatever
-    ``request_leave`` writes."""
-    def install():
-        monkeypatch.setattr(
-            CAParticipant, "_barrier_need",
-            property(lambda self: 0, lambda self, value: None), raising=False,
-        )
-    return install
+def barrier_tests(monkeypatch):
+    return BarrierTests(monkeypatch)
 
 
 @pytest.mark.parametrize(
     "config", ["stock", "reliable", "late-crash", "pair-latency"]
 )
-def test_counted_barrier_equals_a_test_on_every_done(config, ungated):
-    shipped = fingerprint("base", config)
+def test_counted_barrier_equals_a_test_on_every_done(config, barrier_tests):
+    shipped, counted = barrier_tests.run(lambda: fingerprint("base", config))
     assert shipped["delivered"]["DONE"], "nobody reached the exit line"
-    ungated()
-    assert fingerprint("base", config) == shipped
+    barrier_tests.ungate()
+    ungated, every_done = barrier_tests.run(lambda: fingerprint("base", config))
+    assert ungated == shipped
+    assert every_done > counted, "the barrier was never ungated"
 
 
 def _retried_world(seed: int) -> str:
@@ -215,11 +242,15 @@ def _retried_world(seed: int) -> str:
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_counted_barrier_equals_a_test_on_every_done_across_retries(seed, ungated):
-    shipped = _retried_world(seed)
+def test_counted_barrier_equals_a_test_on_every_done_across_retries(
+    seed, barrier_tests
+):
+    shipped, counted = barrier_tests.run(lambda: _retried_world(seed))
     assert shipped.count(" action.retry ") >= 2
-    ungated()
-    assert _retried_world(seed) == shipped
+    barrier_tests.ungate()
+    ungated, every_done = barrier_tests.run(lambda: _retried_world(seed))
+    assert ungated == shipped
+    assert every_done > counted, "the barrier was never ungated"
 
 
 @pytest.mark.parametrize("variant", ["base", "ct", "mc", "cd"])

@@ -14,21 +14,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.manager import ActionStatus
+from repro.core.messages import KIND_DONE
 from repro.workloads.campaigns import FUZZ_FAULTS, CampaignCell, run_cell
 from repro.workloads.fuzz import build_random_scenario, check_invariants
 
 #: Per-action stores a participant may keep for an action it is not in:
 #: its configuration, and traffic for what it has not reached yet (messages
 #: for an action not entered, DONEs of an attempt not begun).  A DONE that
-#: arrives after the participant left is dropped, so no ``_barrier`` key
-#: names an action that has already ended (checked below).
-NOT_PER_ENTRY = {"handler_sets", "abortion_handlers", "pending", "_barrier"}
+#: arrives after the participant left is dropped, so no ``pending`` list of
+#: an action that has already ended holds a DONE (checked below).
+NOT_PER_ENTRY = {"handler_sets", "abortion_handlers", "pending"}
 
 
 def kept_after_leaving(participant) -> list[str]:
     """What ``participant`` still holds for actions off its stack: any
     dict or set of it or its engine keyed by an action name (or a tuple
-    led by one), a resolution context, or a wait on a barrier."""
+    led by one), a resolution context; or a wait at the exit line of an
+    action that is not its active one."""
     entered = set(participant.contexts.names())
     actions = set(participant.handler_sets) - entered
     kept = []
@@ -42,8 +44,9 @@ def kept_after_leaving(participant) -> list[str]:
     ctx = participant.engine.ctx
     if ctx is not None and ctx.action in actions:
         kept.append(f"{participant.name}: context of {ctx.action}")
-    if participant._waiting_barrier not in (None, participant.active_action):
-        kept.append(f"{participant.name}: waits on {participant._waiting_barrier}")
+    for record in participant.contexts._stack[:-1]:
+        if record.leaving:
+            kept.append(f"{participant.name}: waits on {record.action_name}")
     return kept
 
 
@@ -59,8 +62,8 @@ class TestOneRecordPerEnteredAction:
     )
     # The world that kept A2's Commit on O03 after its abortion.
     @example(seed=1, failing_attempts=0, random_latency=True)
-    # Late DONEs re-created O02's _barrier entry for the ABORTED A4, and
-    # O03's for the COMPLETED A2, after each had left the action.
+    # Late DONEs were kept for O02's ABORTED A4, and O03's COMPLETED A2,
+    # after each had left the action.
     @example(seed=66, failing_attempts=0, random_latency=True)
     @example(seed=62, failing_attempts=0, random_latency=True)
     @settings(max_examples=60, deadline=None)
@@ -77,9 +80,10 @@ class TestOneRecordPerEnteredAction:
             if inst.status in (ActionStatus.ABORTED, ActionStatus.COMPLETED)
         }
         late = [
-            f"{p.name}._barrier[{key!r}]"
-            for p in result.participants.values() for key in p._barrier
-            if key[0] in ended
+            f"{p.name}.pending[{action!r}]"
+            for p in result.participants.values()
+            for action, held in p.pending.items()
+            if action in ended and any(m.kind == KIND_DONE for m in held)
         ]
         assert not late, f"{plan.describe()}: {late}"
 

@@ -76,6 +76,14 @@ def deliver(participant, src, kind, payload):
                                 payload=payload))
 
 
+def waits_on(participant):
+    """The action whose exit line ``participant`` waits at, if any: the
+    one record with its leave-requested flag up."""
+    waiting = [r.action_name for r in participant.contexts._stack if r.leaving]
+    assert len(waiting) <= 1, waiting
+    return waiting[0] if waiting else None
+
+
 class TestStateTransitions:
     def test_normal_until_involved(self):
         _, _, ps = make_world()
@@ -380,7 +388,8 @@ class TestExitBarrier:
         p.on_action_exit = lambda action, outcome, exc: exits.append(outcome)
         real = p._check_barrier
         monkeypatch.setattr(
-            p, "_check_barrier", lambda action: (tests.append(action), real(action))
+            p, "_check_barrier",
+            lambda record: (tests.append(record.action_name), real(record)),
         )
         p.enter_action("A1")
         return runtime, p, exits, tests
@@ -405,7 +414,8 @@ class TestExitBarrier:
         self.done(p, "O2", epoch=2)
         self.done(p, "O3", epoch=2)  # a full set, of another attempt
         self.done(p, "O2", epoch=1)
-        assert exits == [] and p._waiting_barrier == "A1"
+        assert exits == [] and waits_on(p) == "A1"
+        assert p.contexts.active.done_from == {"O2"}
         self.done(p, "O3", epoch=1)
         assert exits == ["completed"]
 
@@ -428,7 +438,7 @@ class TestExitBarrier:
         deliver(p, "O3", KIND_COMMIT, CommitMsg("A1", "O3", ExcA, ("O3",)))
         assert p.engine.ctx is not None and p.engine.ctx.handler_scheduled
         self.done(p, "O3")  # completes the set while the context is live
-        assert exits == [] and tests == ["A1", "A1"] and p._waiting_barrier == "A1"
+        assert exits == [] and tests == ["A1", "A1"] and waits_on(p) == "A1"
         runtime.run()  # the handler completes and asks to leave again
         assert exits == ["completed"] and tests == ["A1", "A1", "A1"]
 
@@ -443,7 +453,7 @@ class TestExitBarrier:
         self.done(p, "O2", epoch=1)
         self.done(p, "O2", epoch=2)  # O2 already finished its second attempt
         self.done(p, "O3", epoch=1)  # attempt 1's barrier: test fails, retry
-        assert retries == [2] and exits == [] and p._waiting_barrier is None
+        assert retries == [2] and exits == [] and waits_on(p) is None
         self.done(p, "O3", epoch=2)  # before this participant asked to leave
         assert exits == []
         p.request_leave("A1")
@@ -454,6 +464,64 @@ class TestExitBarrier:
         p.request_leave("A1")
         assert exits == ["completed"]
         assert runtime.network.total_sent() == 0
+
+
+class TestHeldDones:
+    """A DONE that cannot be counted yet waits in ``pending`` and reaches
+    ``_on_done`` again on entry; one for an entered action is counted on
+    that action's record at once, wherever this participant sits.  O1 is
+    driven by hand; A2, nested in A1, has O1 and O2 as members."""
+
+    def world(self):
+        tree = ResolutionTree(UniversalException, {ExcA: UniversalException})
+        registry = ActionRegistry()
+        registry.declare(CAActionDef("A1", ("O1", "O2", "O3"), tree))
+        registry.declare(CAActionDef("A2", ("O1", "O2"), tree, parent="A1"))
+        manager = CAActionManager(registry)
+        runtime = Runtime()
+        handlers = HandlerSet.completing_all(tree)
+        for name in ("O1", "O2", "O3"):
+            runtime.register(
+                CAParticipant(name, registry, manager, {"A1": handlers, "A2": handlers})
+            )
+        p = runtime.objects["O1"]
+        exits = []
+        p.on_action_exit = lambda action, outcome, exc: exits.append(action)
+        return runtime, p, exits
+
+    def test_a_done_before_entry_counts_once_entered(self):
+        _, p, exits = self.world()
+        deliver(p, "O2", KIND_DONE, DoneMsg("A1", "O2", 1))  # O1 is belated
+        assert [m.payload.sender for m in p.pending["A1"]] == ["O2"]
+        p.enter_action("A1")
+        assert p.pending == {} and p.contexts.active.done_from == {"O2"}
+        p.request_leave("A1")
+        assert exits == []
+        deliver(p, "O3", KIND_DONE, DoneMsg("A1", "O3", 1))
+        assert exits == ["A1"]
+
+    def test_a_done_while_nested_counts_on_the_containing_record(self):
+        _, p, exits = self.world()
+        p.enter_action("A1")
+        p.enter_action("A2")
+        deliver(p, "O3", KIND_DONE, DoneMsg("A1", "O3", 1))  # O3 is not in A2
+        assert p.pending == {} and p.contexts.find("A1").done_from == {"O3"}
+        p.request_leave("A2")
+        deliver(p, "O2", KIND_DONE, DoneMsg("A2", "O2", 1))
+        deliver(p, "O2", KIND_DONE, DoneMsg("A1", "O2", 1))
+        assert exits == ["A2"] and p.contexts.active.done_from == {"O2", "O3"}
+        p.request_leave("A1")  # every DONE is in: no further one is needed
+        assert exits == ["A2", "A1"]
+
+    def test_a_held_done_of_a_nested_action_goes_with_its_cleanup(self):
+        runtime, p, exits = self.world()
+        p.enter_action("A1")
+        deliver(p, "O2", KIND_DONE, DoneMsg("A2", "O2", 1))  # O1 is belated to A2
+        assert [m.kind for m in p.pending["A2"]] == [KIND_DONE]
+        deliver(p, "O2", KIND_HAVE_NESTED, HaveNestedMsg("A1", "O2"))
+        assert p.pending == {}
+        cleanup = [e.details for e in runtime.trace.entries if e.category == "pending.cleanup"]
+        assert cleanup == [{"action": "A1", "dropped": 1}]
 
 
 class TestOneExit:
@@ -506,12 +574,12 @@ class TestOneExit:
 
         assert action not in p.contexts.names()
         assert kept_after_leaving(p) == []
-        assert not [key for key in p._barrier if key[0] == action]
+        assert not [m for m in p.pending.get(action, ()) if m.kind == KIND_DONE]
 
     def retry_and_reenter(self, runtime, p):
         """O1 completes A1's first attempt, which fails: the record stays
         for attempt 2, and A2, entered again, starts at attempt 1."""
-        if p.engine.ctx is None and p._waiting_barrier is None:
+        if p.engine.ctx is None and waits_on(p) is None:
             p.request_leave("A1")
         for peer in ("O2", "O3"):
             deliver(p, peer, KIND_DONE, DoneMsg("A1", peer, 1))
@@ -529,7 +597,7 @@ class TestOneExit:
         self.resolve(runtime, p, "A2", "O2")
         record = p.contexts.active
         assert record.committed.exception is ExcA and record.handled is ExcA
-        assert record.done_sent and p._waiting_barrier == "A2"
+        assert record.done_sent and waits_on(p) == "A2"
         deliver(p, "O2", KIND_DONE, DoneMsg("A2", "O2", 1))
         self.assert_left(p, "A2")
         self.retry_and_reenter(runtime, p)
@@ -552,7 +620,7 @@ class TestOneExit:
         when A1's resolution aborted A2."""
         runtime, p = self.world()
         self.resolve(runtime, p, "A2", "O2")
-        assert p.contexts.active.committed is not None and p._waiting_barrier == "A2"
+        assert p.contexts.active.committed is not None and waits_on(p) == "A2"
         deliver(p, "O3", KIND_EXCEPTION, ExceptionMsg("A1", "O3", ExcA))
         runtime.run()  # the abortion handler of A2
         self.assert_left(p, "A2")

@@ -1,6 +1,7 @@
 """The service benchmark records one window's server stats, not the
 server's whole life: ``_window_stats`` subtracts the snapshot taken at a
-window's start from the one taken at its end."""
+window's start from the one taken at its end.  Its tracing-off check reads
+the server's cost per request from such a window."""
 
 import importlib.util
 from pathlib import Path
@@ -64,3 +65,48 @@ class TestWindowStats:
         bench = _load_bench()
         assert bench._window_stats(END, None) is END
         assert bench._window_stats(None, START) is None
+
+
+def _server_stats(execute_ms, serialize_ms, reply_ms, count=1_000):
+    """A window's stats whose requests took these mean stage times."""
+    def stage(mean):
+        return {
+            "bounds": [1.0], "bucket_counts": [count, 0], "sum": mean * count,
+            "count": count, "min": None, "max": None,
+        }
+
+    return {"histograms": {
+        "service.execute_ms": stage(execute_ms),
+        "service.serialize_ms": stage(serialize_ms),
+        "service.reply_ms": stage(reply_ms),
+        "service.queue_wait_ms": stage(50.0),
+    }}
+
+
+class TestTracingOffCheck:
+    """The ≤5 % check compares the server's own cost per request, which an
+    open-loop window's goodput (its offered rate, below capacity) cannot
+    show: the same window served 10 % slower has the same goodput."""
+
+    PRIOR = _server_stats(0.80, 0.002, 0.25)
+    SLOWER = _server_stats(0.88, 0.0022, 0.275)
+
+    def test_a_ten_percent_slower_server_fails_under_baseline(self):
+        ratio, problems = _load_bench()._tracing_off_check(self.SLOWER, self.PRIOR, True)
+        assert abs(ratio - 1.10) < 1e-9
+        assert len(problems) == 1 and "beyond 5%" in problems[0]
+
+    def test_advisory_without_baseline(self):
+        ratio, problems = _load_bench()._tracing_off_check(self.SLOWER, self.PRIOR, False)
+        assert ratio > 1.05 and problems == []
+
+    def test_queue_wait_is_not_server_cost(self):
+        bench = _load_bench()
+        assert abs(bench._server_ms_per_request(self.PRIOR) - 1.052) < 1e-9
+        ratio, problems = bench._tracing_off_check(self.PRIOR, self.PRIOR, True)
+        assert ratio == 1.0 and problems == []
+
+    def test_no_prior_recording_no_ratio(self):
+        bench = _load_bench()
+        assert bench._tracing_off_check(self.SLOWER, None, True) == (None, [])
+        assert bench._tracing_off_check(self.SLOWER, {"counters": {}}, True) == (None, [])

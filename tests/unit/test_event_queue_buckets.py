@@ -297,7 +297,9 @@ class TestRawAndEventEntriesShareBuckets:
         assert queue.heap_size == 3
         assert sim.step() and got == ["event-1"]
         wrapped = queue.pop()
-        assert (wrapped.time, wrapped.priority, wrapped.label) == (1.0, PRIORITY_DELIVERY, "deliver")
+        assert (wrapped.time, wrapped.priority, wrapped.label) == (
+            1.0, PRIORITY_DELIVERY, "deliver:raw:a->b"
+        )
         wrapped.fire()
         sim.run()
         assert got == ["event-1", "raw", "event-2"]
@@ -365,7 +367,7 @@ def _remainder(sim):
     """What is still queued, in pop order: a delivery by its destination,
     an event by its label."""
     return [
-        event.arg.dst if event.label == "deliver" else event.label
+        event.arg.dst if event.label.startswith("deliver:") else event.label
         for event in iter(sim._queue.pop, None)
     ]
 
