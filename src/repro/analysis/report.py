@@ -823,8 +823,7 @@ def _e17() -> Table:
     ):
         result = run_action("ct", n, raisers, crashes=[(v, 10.2) for v in crashed])
         commits = [
-            e for e in result.runtime.trace.by_category("ct.commit")
-            if e.subject not in crashed
+            e for e in result.commit_entries("A1") if e.subject not in crashed
         ]
         rows.append((
             label, ",".join(crashed) or "-",

@@ -375,12 +375,6 @@ class SpanRow(NamedTuple):
 
 
 _COMMIT = SpanRow("event", "commit", "commit {exception}", "resolution", ("exception", "raisers"))
-_ABORT_START = SpanRow("open", "abort", "abort {action}", "resolution", ("depth",))
-_ABORT_DONE = SpanRow("close", "abort", attrs=("signal",))
-_HANDLE = SpanRow(
-    "event", "handler", "handler {exception}", "resolution", ("exception",),
-    ends="handled {exception}",
-)
 _DEAD_LETTER = SpanRow(
     "event", "dead_letter", "dead_letter {kind}", attrs=("dst", "kind", "retries")
 )
@@ -389,7 +383,9 @@ _DEAD_LETTER = SpanRow(
 #: causal edge of the span it opens or marks.  A category that is not here
 #: (every ``msg.*`` but the dead letters, say) leaves the forest alone.
 SPAN_ROWS: dict[str, SpanRow] = {
-    # the Section 4.2 participant: core/{participant,algorithm,abortion}.py
+    # the Section 4.2 participant, core/{participant,algorithm,abortion}.py;
+    # the Member variants write the join, commit and abort records too, with
+    # a ``variant`` detail
     "action.enter": SpanRow("open", "action", "action {action}", "action"),
     "action.exit": SpanRow("close", "action", attrs=("outcome", "signal")),
     "action.retry": SpanRow("event", "retry", "retry {action}", "action", ("attempt",)),
@@ -398,24 +394,19 @@ SPAN_ROWS: dict[str, SpanRow] = {
     "state": SpanRow("open", "state", "state {state}", "resolution"),
     "raise": SpanRow("event", "raise", "raise {exception}", "resolution", ("exception",)),
     "resolution.commit": _COMMIT,
-    "abort.start": _ABORT_START,
-    "abort.done": _ABORT_DONE,
+    "abort.start": SpanRow("open", "abort", "abort {action}", "resolution", ("depth",)),
+    "abort.done": SpanRow("close", "abort", attrs=("signal",)),
     "handler.start": SpanRow(
         "open", "handler", "handler {exception}", "resolution", ("exception",)
     ),
     "handler.done": SpanRow("close", "handler", attrs=("outcome",), ends="handled {exception}"),
     "handler.cancelled": SpanRow("close", "handler", outcome="cancelled"),
-    # the Member variants: core/{crash_tolerant,multicast_variant,centralized_variant}.py
-    "ct.commit": _COMMIT,
-    "mc.commit": _COMMIT,
-    "cd.commit": _COMMIT._replace(ends="committed {exception}"),
-    "ct.abort_start": _ABORT_START,
-    "ct.abort_done": _ABORT_DONE,
-    "mc.abort_start": _ABORT_START,
-    "mc.abort_done": _ABORT_DONE,
-    "ct.handle": _HANDLE,
-    "mc.handle": _HANDLE,
-    "cd.handle": _HANDLE,
+    # the Member variants alone: core/{variants,crash_tolerant,centralized_variant}.py
+    "resolution.handle": SpanRow(
+        "event", "handler", "handler {exception}", "resolution", ("exception",),
+        ends="handled {exception}",
+    ),
+    "coordinator.commit": _COMMIT._replace(ends="committed {exception}"),
     "ct.rejoin_abort": SpanRow(
         "event", "rejoin", "rejoin confirmed-abort", "resolution", ("exception",)
     ),

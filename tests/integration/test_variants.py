@@ -39,7 +39,7 @@ class TestMulticastVariant:
 
     def test_single_resolver_commits(self):
         result = run_action("mc", 5, 3, 0)
-        commits = result.runtime.trace.by_category("mc.commit")
+        commits = result.runtime.trace.by_category("resolution.commit")
         assert len(commits) == 1
         assert commits[0].subject == "O0002"  # biggest raiser among O0..O2
 

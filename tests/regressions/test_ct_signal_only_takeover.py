@@ -30,7 +30,7 @@ def test_a_signal_without_a_known_raiser_is_waited_out():
     assert not trace.by_category("detector.suspect")
     assert not trace.by_category("ct.takeover")
     assert not trace.by_category("ct.commit_extend")
-    (commit,) = trace.by_category("ct.commit")
+    (commit,) = trace.by_category("resolution.commit")
     assert commit.subject == "O0000"
     assert commit.details["raisers"] == ("O0000", "O0001")
     assert run.messages() == crash_tolerant_messages(4, 1, 1) == 15

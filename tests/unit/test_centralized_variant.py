@@ -46,7 +46,7 @@ class TestSemantics:
 
     def test_exactly_one_commit_round(self):
         result = run_action("cd", 6, 4)
-        commits = result.runtime.trace.by_category("cd.commit")
+        commits = result.runtime.trace.by_category("coordinator.commit")
         assert len(commits) == 1
         assert commits[0].subject == "coord"
 
@@ -65,7 +65,7 @@ class TestSinglePointOfFailure:
             "cd", 4, 2, crashes=[("coord", 10.5)], until=300.0
         )
         assert not result.all_handled()
-        assert not result.runtime.trace.by_category("cd.commit")
+        assert not result.runtime.trace.by_category("coordinator.commit")
 
     def test_participant_crash_does_not_matter_here(self):
         """Conversely, the centralised variant shrugs off a *suspended

@@ -144,7 +144,7 @@ class TestCrashTolerantResolution:
         deadlock case; here the next-biggest commits."""
         result = run_action("ct", 5, 5, crashes=[("O0004", 10.2)])
         assert result.all_handled()
-        commits = result.runtime.trace.by_category("ct.commit")
+        commits = result.runtime.trace.by_category("resolution.commit")
         live_commits = [e for e in commits if e.subject != "O0004"]
         assert len(live_commits) == 1
         assert live_commits[0].subject == "O0003"
@@ -192,7 +192,7 @@ class TestCrashTolerantResolution:
         victim = result.participants["O0004"]
         assert victim.handled is None
         assert all(e.subject != "O0004"
-                   for e in result.runtime.trace.by_category("ct.handle"))
+                   for e in result.runtime.trace.by_category("resolution.handle"))
 
     @pytest.mark.parametrize("victim", ["O0001", "O0002"])  # resolver, nested
     def test_a_restart_forgets_every_volatile_field(self, victim):
@@ -310,15 +310,26 @@ class TestNestedAbortion:
         assert result.all_handled()
         assert result.handled_exceptions() == {"UniversalException"}
         assert result.messages() == ct_expected_messages(5, 2, 2)
-        assert len(result.runtime.trace.by_category("ct.abort_done")) == 2
+        assert len(result.runtime.trace.by_category("abort.done")) == 2
+
+    def test_a_nested_member_that_takes_over_resolves_its_own_signal(self):
+        """The raiser dies after its raise, so the nested member, the one
+        survivor, takes over: its verdict joins the raised leaf with its
+        own abortion signal, the root, not the leaf alone."""
+        result = run_action(
+            "ct", 2, 1, 1, nested_signal=True, crashes=[("O0000", 10.2)]
+        )
+        (takeover,) = result.runtime.trace.by_category("ct.takeover")
+        assert takeover.subject == "O0001"
+        assert result.handled() == {"O0001": "UniversalException"}
 
     def test_commit_waits_for_live_nested_member(self):
         # With a slow abortion the resolver must not commit before the
         # nested member reports CT_NESTED_COMPLETED.
         result = run_action("ct", 5, 2, 1, abort_duration=5.0)
         assert result.all_handled()
-        done = result.runtime.trace.by_category("ct.abort_done")
-        commits = result.runtime.trace.by_category("ct.commit")
+        done = result.runtime.trace.by_category("abort.done")
+        commits = result.runtime.trace.by_category("resolution.commit")
         assert len(done) == 1 and len(commits) == 1
         assert commits[0].time >= done[0].time
 
@@ -333,7 +344,7 @@ class TestNestedAbortion:
         assert result.all_handled()
         assert result.handled_exceptions() == {"UniversalException"}
         # The victim started aborting but never finished.
-        starts = result.runtime.trace.by_category("ct.abort_start")
+        starts = result.runtime.trace.by_category("abort.start")
         assert [e.subject for e in starts] == ["O0002"]
-        assert result.runtime.trace.by_category("ct.abort_done") == []
+        assert result.runtime.trace.by_category("abort.done") == []
         assert "O0002" not in result.final_view()

@@ -48,6 +48,7 @@ def test_mutant_ids_unique_and_smoke_subset_valid() -> None:
     assert targets == {
         "src/repro/core/algorithm.py",
         "src/repro/core/participant.py",
+        "src/repro/core/variants.py",
         "src/repro/core/crash_tolerant.py",
         "src/repro/core/multicast_variant.py",
         "src/repro/core/centralized_variant.py",
