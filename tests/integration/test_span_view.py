@@ -7,7 +7,10 @@ read from the trace (:func:`repro.obs.spans.from_trace`); these tests hold
 the view to what the engines used to say: the rendered tree byte for byte,
 the JSONL equal up to a renumbering of span ids (``cause_ids`` are message
 ids, numbered from 1 in every run as in a fresh ``repro trace`` process, and
-compare as they are).
+compare as they are).  ``ct``, ``mc`` and ``ct_crash`` were re-pinned once,
+on purpose, when a ct or mc member's handler record began to carry the
+Commit that started it, as cd's always had: only the ``cause_ids`` of their
+``state R`` and handler spans moved.
 
 Regenerate on purpose only: ``PYTHONPATH=src python
 tests/integration/test_span_view.py``.
