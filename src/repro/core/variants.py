@@ -101,7 +101,8 @@ class Member(DistributedObject):
         self.activations = 0
         self.ctx = ResolutionCtx(action)
         #: True at FULL trace level (cached in attach): the one test that
-        #: guards the FULL-only ``resolution.join`` / ``state`` / ``raise``.
+        #: guards the FULL-only ``resolution.join`` / ``state`` / ``raise``
+        #: and ``abort.start`` / ``abort.done``.
         self._full = False
 
     def attach(self, runtime: Runtime) -> None:
@@ -200,10 +201,11 @@ class Member(DistributedObject):
             self.KIND_NESTED_COMPLETED,
             NestedCompletedMsg(self.action, self.name, signal),
         )
-        self.runtime.trace.record(
-            self.sim_now, "abort.done", self.name, action=self.action,
-            variant=self.tag, signal=signal.name() if signal else None,
-        )
+        if self._full:
+            self.runtime.trace.record(
+                self.sim_now, "abort.done", self.name, action=self.action,
+                variant=self.tag, signal=signal.name() if signal else None,
+            )
         self.PROGRESS[ctx.state](self)
 
     def _on_nested_completed(self, message: Message) -> None:

@@ -68,6 +68,7 @@ from repro.core import variants
 from repro.net.failures import FailurePlan, split_partition
 from repro.net.latency import ConstantLatency
 from repro.objects.naming import canonical_name
+from repro.simkernel.trace import TraceLevel
 from repro.workloads.parallel import parallel_map
 
 # Classifications --------------------------------------------------------------
@@ -335,10 +336,12 @@ def expected_rejoin_outcome(cell: CampaignCell) -> Optional[str]:
 
 
 def _observe_paper(
-    cell: CampaignCell, run_until: Optional[float] = None
+    cell: CampaignCell, run_until: Optional[float], trace_level: TraceLevel
 ) -> _Observation:
     """One paper-family cell of any variant: ``run_action`` plus one
-    reduction to the facts the oracles judge."""
+    reduction to the facts the oracles judge.  Every fact comes from
+    participant and runner state or the send counters, never from a trace
+    record, so the verdict is the same at ``COUNTS`` as at ``FULL``."""
     import shutil
     import tempfile
 
@@ -373,7 +376,7 @@ def _observe_paper(
             crashes=[(victim, crash_at) for victim in victims],
             ack_timeout=ACK_TIMEOUT, max_retries=MAX_RETRIES,
             until=RUN_UNTIL if run_until is None else run_until,
-            **knobs,
+            trace_level=trace_level, **knobs,
         )
         survivors = tuple(n for n in names if n not in victims)
         problems: list[str] = []
@@ -456,10 +459,15 @@ def _check_recovery(cell: CampaignCell, result) -> list[str]:
 
 
 def _observe_fuzz(
-    cell: CampaignCell, run_until: Optional[float] = None
+    cell: CampaignCell, run_until: Optional[float], trace_level: TraceLevel
 ) -> _Observation:
     from repro.workloads.fuzz import build_random_scenario, check_invariants
 
+    if trace_level != TraceLevel.FULL:
+        raise ValueError(
+            "fuzz cells are judged from their trace records: "
+            "check_invariants needs TraceLevel.FULL"
+        )
     scenario, plan = build_random_scenario(
         cell.seed, n_participants=cell.n, random_latency=True
     )
@@ -488,7 +496,9 @@ def _observe_fuzz(
 
 
 def observe_cell(
-    cell: CampaignCell, run_until: Optional[float] = None
+    cell: CampaignCell,
+    run_until: Optional[float] = None,
+    trace_level: TraceLevel = TraceLevel.FULL,
 ) -> _Observation:
     """Run one cell's observer (raises on harness error — callers that
     need the never-raises contract use :func:`run_cell`).
@@ -496,6 +506,9 @@ def observe_cell(
     ``run_until`` overrides the campaign-wide :data:`RUN_UNTIL` horizon —
     the conformance harness shortens it on the wall-clocked asyncio
     backend, where simulated time units cost real seconds.
+    ``trace_level`` is the run's: callers that read the returned runtime's
+    records keep the default ``FULL``; a paper cell's verdict needs none
+    of them, and a fuzz cell accepts ``FULL`` only.
     """
     if cell.family == "paper" and cell.variant in variants.VARIANTS:
         observer = _observe_paper
@@ -513,7 +526,7 @@ def observe_cell(
             f"recovery fault {cell.fault!r} requires the ct variant "
             "(only the crash-tolerant extension has a rejoin protocol)"
         )
-    return observer(cell, run_until=run_until)
+    return observer(cell, run_until, trace_level)
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -583,9 +596,12 @@ def classify_observation(
 def run_cell(cell: CampaignCell) -> CellOutcome:
     """Run one cell and classify it.  Never raises: harness failures come
     back as ``CRASHED-HARNESS`` outcomes so one broken cell cannot take a
-    campaign down."""
+    campaign down.  A paper cell runs at ``TraceLevel.COUNTS``: its
+    verdict reads no trace record, and nobody reads the runtime after."""
+    # The fuzz oracle, ``check_invariants``, reads trace records.
+    level = TraceLevel.COUNTS if cell.family == "paper" else TraceLevel.FULL
     try:
-        obs = observe_cell(cell)
+        obs = observe_cell(cell, trace_level=level)
     except Exception:  # noqa: BLE001 — any harness error becomes an outcome
         return CellOutcome(
             cell, CRASHED_HARNESS, detail=traceback.format_exc()

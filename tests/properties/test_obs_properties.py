@@ -168,6 +168,7 @@ class TestForestIsAViewOfTheTrace:
             assert runtime.trace.count("resolution.join") == 0
             assert runtime.trace.count("raise") == 0
             assert runtime.trace.count("abort.start") == 0
+            assert runtime.trace.count("abort.done") == 0
 
     def test_no_engine_or_substrate_writes_spans(self):
         """Engines write trace records; nothing under core/, net/ or

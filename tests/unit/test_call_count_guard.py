@@ -7,9 +7,10 @@ one crash-tolerant N=16 action and one base N=32 action under ``cProfile``
 — the same ``call`` + ``c_call`` events the benchmark counts, summed the
 way it sums them — so a per-peer loop that creeps back into the detector or
 an engine, or a per-``DONE`` barrier test, fails here in well under a
-second.  Likewise one fault-free campaign cell per FULL-trace variant,
-oracles included: a query that materializes the whole trace again fails
-here, not only in the benchmark's ``faults`` workload; one lossy cell per
+second.  Likewise one fault-free campaign cell per Member variant,
+oracles included, at the ``COUNTS`` level ``run_cell`` runs it at: a record
+written for nobody or an oracle query fails here, not only in the
+benchmark's ``faults`` workload; one lossy cell per
 variant, where the ARQ transport's per-frame path is most of the work; and
 three faulted ct cells, whose fan-outs must stay one batched loop with no
 fate scanning the plan's windows; and one nested base world that retries
@@ -72,14 +73,17 @@ BASE_N, BASE_P, BASE_Q = 32, 16, 8
 CALLS_PER_DELIVERY_CEILING = 11.89
 DICT_GET_CEILING = 2_666
 
-#: ``run_cell`` on the first fault-free paper cell of each variant whose
-#: oracle reads its FULL trace (``default_matrix(seed=0)``: n=6, p=4, q=0).
+#: ``run_cell`` on the first fault-free paper cell of each Member variant
+#: (``default_matrix(seed=0)``: n=6, p=4, q=0), whose oracles read
+#: participant state and the send counters, not the trace.
 #: Measured ct 4,902 → 3,075, mc 1,105 → 783, cd 850 → 630 once
 #: ``by_category`` stopped materializing every record; ct 3,075 → 2,807 and
 #: mc 776 → 756 once their progress steps became ``PROGRESS`` rows (cd
-#: 630 → 639: a ``ResolutionCtx`` per member and the shared commit step).
+#: 630 → 639: a ``ResolutionCtx`` per member and the shared commit step);
+#: ct 2,343 → 1,774, mc 704 → 565, cd 603 → 491 once ``run_cell`` ran
+#: paper cells at ``COUNTS`` (ct's heartbeats write no records).
 #: Each ceiling is 5 % above the lowest measure.
-CELL_CALL_CEILINGS = {"ct": 2_947, "mc": 794, "cd": 662}
+CELL_CALL_CEILINGS = {"ct": 1_863, "mc": 593, "cd": 516}
 
 #: ``run_cell`` on the first ``drop`` paper cell of each variant (n=6, p=4,
 #: q=0, 20 % loss over the ARQ transport).  Measured base 6,846 → 5,396, ct
@@ -89,9 +93,10 @@ CELL_CALL_CEILINGS = {"ct": 2_947, "mc": 794, "cd": 662}
 #: 1,346 → 1,355) once the ct/mc progress steps became ``PROGRESS`` rows;
 #: base 5,396 → 5,120, ct 7,438 → 5,662, mc 2,080 → 1,904, cd 1,355 → 1,306
 #: once a faulted or reliable fan-out stayed one batched ``send_many`` and a
-#: fate stopped scanning the plan's windows.  Each ceiling is 5 % above the
-#: lowest measure.
-LOSSY_CELL_CALL_CEILINGS = {"base": 5_376, "ct": 5_945, "mc": 1_999, "cd": 1_371}
+#: fate stopped scanning the plan's windows; base 4,534 → 4,088, ct 5,023 →
+#: 4,120, mc 1,846 → 1,617, cd 1,268 → 1,113 once ``run_cell`` ran paper
+#: cells at ``COUNTS``.  Each ceiling is 5 % above the lowest measure.
+LOSSY_CELL_CALL_CEILINGS = {"base": 4_292, "ct": 4_326, "mc": 1_698, "cd": 1_169}
 #: The fuzz world (n=4, FULL trace) whose root action fails its acceptance
 #: test twice: 8 retries, 14 completions and 8 abortions across 5 nested
 #: actions.  Measured 11,039 → 10,650 once every exit went through
