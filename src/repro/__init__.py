@@ -5,10 +5,12 @@ The package implements the paper's CA-action model with its distributed
 algorithm for resolving concurrently raised exceptions, together with every
 substrate the paper assumes: a deterministic discrete-event simulator, a
 FIFO message network with fault injection, a distributed-object runtime,
-a transactional layer for external atomic objects, and conversations for
-backward error recovery.  The Campbell–Randell baseline, the Section 4.5
-multicast variant and the k-resolver extension are included for the
-paper's comparisons.
+and a transactional layer for external atomic objects.  Backward error
+recovery (Section 2.2, Figure 2(b)) is part of the CA action itself: an
+action's ``acceptance`` test at the synchronized exit line, an implicit
+transaction abort, and a retry with the block's ``alternates``.  The
+Campbell–Randell baseline, the Section 4.5 multicast variant and the
+k-resolver extension are included for the paper's comparisons.
 
 Typical use::
 
@@ -36,13 +38,6 @@ See ``examples/`` for complete programs and :mod:`repro.analysis.report`
 Section 4.4 analysis.
 """
 
-from repro.conversation import (
-    AcceptanceTest,
-    Alternate,
-    Conversation,
-    ConversationProcess,
-    RecoveryBlock,
-)
 from repro.core import (
     ActionRegistry,
     ActionStatus,
@@ -86,14 +81,12 @@ __version__ = "1.0.0"
 __all__ = [
     "AbortionException",
     "AbortionHandler",
-    "AcceptanceTest",
     "ActionBlock",
     "ActionException",
     "ActionFailureException",
     "ActionRegistry",
     "ActionRun",
     "ActionStatus",
-    "Alternate",
     "AtomicObject",
     "AtomicRead",
     "AtomicWrite",
@@ -102,8 +95,6 @@ __all__ = [
     "CAParticipant",
     "Compute",
     "ConstantLatency",
-    "Conversation",
-    "ConversationProcess",
     "DistributedObject",
     "ExponentialLatency",
     "FailurePlan",
@@ -114,7 +105,6 @@ __all__ = [
     "NestedPolicy",
     "ParticipantSpec",
     "Raise",
-    "RecoveryBlock",
     "ResolutionTree",
     "Runtime",
     "Scenario",

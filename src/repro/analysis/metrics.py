@@ -39,13 +39,6 @@ class ResolutionTimeline:
             return None
         return self.first_commit - self.first_raise
 
-    @property
-    def detection_to_recovery(self) -> Optional[float]:
-        """Raise → every participant finished its handler."""
-        if self.first_raise is None or self.last_handler_done is None:
-            return None
-        return self.last_handler_done - self.first_raise
-
 
 def resolution_timeline(trace: TraceRecorder, action: str) -> ResolutionTimeline:
     """Extract the resolution timeline of ``action`` from a trace."""
@@ -84,11 +77,6 @@ class TrafficBreakdown:
 
     def total(self) -> int:
         return sum(self.by_kind.values())
-
-    def busiest_sender(self) -> Optional[str]:
-        if not self.by_sender:
-            return None
-        return max(self.by_sender, key=lambda s: (self.by_sender[s], s))
 
 
 def traffic_breakdown(

@@ -60,8 +60,9 @@ class CAActionDef:
             participant retries its block ("the start, abort and commit
             functions would be called implicitly, corresponding to three
             different cases that an attempt of the CA action starts, or
-            fails or passes the acceptance test").  ``None`` disables the
-            test (forward-recovery-only actions).
+            fails or passes the acceptance test").  A predicate that
+            raises fails the test.  ``None`` disables the test
+            (forward-recovery-only actions).
         max_attempts: how many attempts (primary + alternates) before the
             action signals :class:`ActionFailureException` to its
             container.

@@ -739,13 +739,8 @@ def build(
                 )
             participants[victim].restart(store)
 
-        def schedule_restarts() -> None:
-            for victim, _ in setup.crashes:
-                runtime.sim.schedule(
-                    restart_at,
-                    lambda v=victim: restart(v),
-                    label=f"restart:{victim}",
-                )
-
-        setup.after_crashes.append(schedule_restarts)
+        for victim, _ in setup.crashes:
+            runtime.sim.schedule(
+                restart_at, lambda v=victim: restart(v), label=f"restart:{victim}"
+            )
     return participants

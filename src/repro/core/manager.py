@@ -167,7 +167,15 @@ class CAActionManager:
         if verdict is not None:
             return verdict
         definition = inst.definition
-        passed = definition.acceptance is None or bool(definition.acceptance())
+        if definition.acceptance is None:
+            passed = True
+        else:
+            # A predicate that raises fails the test: an error inside the
+            # check is itself an error.
+            try:
+                passed = bool(definition.acceptance())
+            except Exception:
+                passed = False
         if passed:
             verdict = self.EXIT_COMMIT
         elif attempt < definition.max_attempts:

@@ -398,10 +398,8 @@ class Setup(NamedTuple):
     q: int
     raise_at: float
     crashes: tuple[tuple[str, float], ...]
-    #: Callables a build leaves behind for the host to call once the
-    #: crashes are scheduled (ct: the restarts that follow them) and once
-    #: the run has ended (ct: closing the write-ahead logs).
-    after_crashes: list
+    #: Callables a build leaves behind for the host to call once the run
+    #: has ended (ct: closing the write-ahead logs).
     after_run: list
 
 
@@ -645,7 +643,7 @@ def run_action(
         trace_level=trace_level,
     )
     setup = Setup(
-        runtime, names, tree, leaves, handlers, p, q, raise_at, crashes, [], [],
+        runtime, names, tree, leaves, handlers, p, q, raise_at, crashes, [],
     )
     # cr only (checked above): raiser i raises at raise_at + i * stagger.
     stagger = options.pop("stagger", 0.0)
@@ -666,8 +664,6 @@ def run_action(
                 else f"crash:{victim}"
             ),
         )
-    for late in setup.after_crashes:
-        late()
     runtime.run(until=until, max_events=MAX_EVENTS if max_events is None else max_events)
     for done in setup.after_run:
         done()

@@ -32,7 +32,7 @@ class AtomicObject:
         self._state: dict[Hashable, Any] = dict(initial or {})
         self._invariant = invariant
         #: Count of committed top-level transactions that touched this
-        #: object — a cheap version number for tests and recovery points.
+        #: object — a cheap version number for tests and reports.
         self.version = 0
 
     # -- raw access (used by the transaction layer and undo records) ---------
@@ -42,7 +42,7 @@ class AtomicObject:
         return self._state.get(key, default)
 
     def snapshot(self) -> dict[Hashable, Any]:
-        """Copy of the full state (recovery points, acceptance tests)."""
+        """Copy of the full state (acceptance tests, assertions)."""
         return dict(self._state)
 
     def get(self, key: Hashable) -> Any:
@@ -68,10 +68,6 @@ class AtomicObject:
 
     def remove(self, key: Hashable) -> None:
         self._state.pop(key, None)
-
-    def restore_snapshot(self, snapshot: dict[Hashable, Any]) -> None:
-        """Replace the whole state (conversation rollback)."""
-        self._state = dict(snapshot)
 
     # -- integrity -----------------------------------------------------------
 

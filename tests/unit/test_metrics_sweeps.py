@@ -28,7 +28,7 @@ class TestResolutionTimeline:
         assert timeline.first_commit > timeline.first_raise
         assert timeline.last_handler_done >= timeline.last_handler_start
         assert timeline.detection_to_commit > 0
-        assert timeline.detection_to_recovery >= timeline.detection_to_commit
+        assert timeline.last_handler_done >= timeline.first_commit
 
     def test_no_exception_run_has_empty_timeline(self):
         result = no_exception_case(3).run()
@@ -36,7 +36,7 @@ class TestResolutionTimeline:
         assert timeline.first_raise is None
         assert timeline.first_commit is None
         assert timeline.detection_to_commit is None
-        assert timeline.detection_to_recovery is None
+        assert timeline.last_handler_done is None
 
     def test_filtered_by_action(self):
         result = single_exception_case(3).run()
@@ -61,13 +61,11 @@ class TestTrafficBreakdown:
         # O2 resolves: 2 Exceptions + 1 ACK + 2 Commits = 5 sends.
         assert breakdown.by_sender["O2"] == 5
         assert breakdown.by_pair[("O2", "O3")] == 2  # EXCEPTION + COMMIT
-        assert breakdown.busiest_sender() == "O2"
 
     def test_action_filter(self):
         result = example1_scenario().run()
         nothing = traffic_breakdown(result.runtime.trace, action="missing")
         assert nothing.total() == 0
-        assert nothing.busiest_sender() is None
 
 
 class TestLatencySummary:

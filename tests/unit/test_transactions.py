@@ -146,12 +146,16 @@ class TestAtomicObject:
         assert (old, existed) == (1, True)
 
     def test_snapshot_restore(self):
+        # A snapshot is a copy; the transaction's undo log, not a stored
+        # snapshot, brings the state back to it.
         obj = AtomicObject("o", {"a": 1})
         snap = obj.snapshot()
-        obj.put("a", 2)
-        obj.put("b", 3)
-        obj.restore_snapshot(snap)
-        assert obj.snapshot() == {"a": 1}
+        txn = TransactionManager().begin()
+        txn.write(obj, "a", 2)
+        txn.write(obj, "b", 3)
+        assert snap == {"a": 1}
+        txn.abort()
+        assert obj.snapshot() == snap
 
     def test_integrity(self):
         obj = AtomicObject("acct", {"balance": 10}, invariant=lambda s: s["balance"] >= 0)
