@@ -202,6 +202,27 @@ MUTANTS: tuple[Mutant, ...] = (
         """            and ctx.lo <= ctx.nested_completed
         ):""",
     ),
+    # -- which receipts skip their PROGRESS row ---------------------------------------
+    Mutant(
+        "progress-skip-ack-emptied", ALG,
+        "the ACK that empties its set skips X's row: the raiser never "
+        "becomes ready",
+        """            awaited.discard(m.sender)
+            if awaited:
+                return None""",
+        """            awaited.discard(m.sender)
+            return None""",
+    ),
+    Mutant(
+        "progress-skip-commit-held", ALG,
+        "an Exception to a suspended participant skips S's row though it "
+        "holds the Commit: the handler never starts when the Commit "
+        "overtook that Exception",
+        """        if state is PState.EXCEPTIONAL or (
+            state is PState.SUSPENDED and ctx.commit is None
+        ):""",
+        """        if state is PState.EXCEPTIONAL or state is PState.SUSPENDED:""",
+    ),
     # -- the substrate's constant cost per delivery ------------------------------
     Mutant(
         "barrier-gate-off-by-one", PARTICIPANT,
@@ -652,8 +673,9 @@ def detection_problems() -> list[str]:
 def _rare_row_problems() -> list[str]:
     """Base worlds that reach the receive table's rarer rows: a
     NestedCompleted that trails the Commit (still ACKed, so the Section 4.4
-    count stays exact) and traffic of an aborted nested action (dropped, so
-    the fuzz invariants hold)."""
+    count stays exact), traffic of an aborted nested action (dropped, so
+    the fuzz invariants hold) and an Exception that a Commit overtook (its
+    suspended receiver's row must run, or the handler never starts)."""
     from repro.net.latency import UniformLatency
     from repro.workloads.fuzz import build_random_scenario, check_invariants
     from repro.workloads.generator import expected_general_messages, general_case
@@ -670,6 +692,11 @@ def _rare_row_problems() -> list[str]:
         problems += [f"stale traffic: {v}" for v in check_invariants(scenario.run(), plan)]
     except Exception as exc:
         problems.append(f"stale traffic: {type(exc).__name__}: {exc}")
+    try:
+        scenario, plan = build_random_scenario(483, n_participants=3)
+        problems += [f"Commit first: {v}" for v in check_invariants(scenario.run(), plan)]
+    except Exception as exc:
+        problems.append(f"Commit first: {type(exc).__name__}: {exc}")
     return problems
 
 

@@ -4,8 +4,9 @@ This engine is the paper's contribution: an event-driven state machine per
 participant, written once as two tables built at import.  :data:`RECEIVE`
 maps a message's relation to this participant (:data:`RELATIONS`) and its
 kind to one effect, or to an explicit reject; :data:`PROGRESS` maps each of
-N / X / S / R to the row run after every processed message — clauses (4b),
-(7), (8)/(9) and (10).  ``docs/ALGORITHM.md`` quotes both, clause by clause.
+N / X / S / R to the row run after a message whose write can enable it —
+clauses (4b), (7), (8)/(9) and (10).  ``docs/ALGORITHM.md`` quotes both,
+clause by clause.
 
 Differences from a literal reading of the pseudocode are deliberate
 clarifications, each grounded in the paper's own prose:
@@ -140,7 +141,7 @@ class ResolutionEngine:
 
     def _dispatch(self, message: Message) -> None:
         """Receive one protocol message: classify it, run its ``RECEIVE``
-        row and, when that row processed it, its context's ``PROGRESS`` row."""
+        row and, when that row returns a context, its ``PROGRESS`` row."""
         action: str = message.payload.action
         ctx = self.ctx
         # Stamp the causal edge for records this message may cause.  Done
@@ -201,39 +202,63 @@ class ResolutionEngine:
         return "unrelated"
 
     # -- RECEIVE effects: (ctx, message) -> the context to advance, or None once
-    # the message is consumed.  Each docstring opens with its clause.
+    # the message is consumed or when its write cannot enable the state's row.
+    # Each docstring opens with its clause; one that can skip the row ends with why.
 
-    def _on_exception(self, ctx: ResolutionCtx, message: Message) -> ResolutionCtx:
-        """(4c) ``<A, O_j, E_j> -> LE_i; ACK => O_j``."""
+    def _on_exception(
+        self, ctx: ResolutionCtx, message: Message
+    ) -> Optional[ResolutionCtx]:
+        """(4c) ``<A, O_j, E_j> -> LE_i; ACK => O_j``.  LE enables no row in X
+        (its guard does not read LE), nor in S until a Commit is held."""
         m: ExceptionMsg = message.payload
         ctx.le[m.sender] = m.exception
         self._send(self.p.name, m.sender, KIND_ACK, ctx.ack_exception)
+        state = ctx.state
+        if state is PState.EXCEPTIONAL or (
+            state is PState.SUSPENDED and ctx.commit is None
+        ):
+            return None
         return ctx
 
-    def _on_have_nested(self, ctx: ResolutionCtx, message: Message) -> ResolutionCtx:
+    def _on_have_nested(
+        self, ctx: ResolutionCtx, message: Message
+    ) -> Optional[ResolutionCtx]:
         """(4c) ``<O_j, A> -> LO_i``; "clean up messages related to nested
-        actions" deletes what is buffered for every action nested in A."""
+        actions" deletes what is buffered for every action nested in A.  More
+        LO only delays X's guard, and S's does not read LO: neither row runs."""
         ctx.lo.add(message.payload.sender)
-        self.p.drop_pending_nested(ctx.action)
+        if self.p.pending:
+            self.p.drop_pending_nested(ctx.action)
+        state = ctx.state
+        if state is PState.EXCEPTIONAL or state is PState.SUSPENDED:
+            return None
         return ctx
 
-    def _on_nested_completed(self, ctx: ResolutionCtx, message: Message) -> ResolutionCtx:
+    def _on_nested_completed(
+        self, ctx: ResolutionCtx, message: Message
+    ) -> Optional[ResolutionCtx]:
         """(5) ``ACK => O_j``; if ``E_j /= null`` then ``<A, O_j, E_j> -> LE_i``
-        (the pseudocode's ``E_i`` here is read as ``E_j``, an evident typo)."""
+        (the pseudocode's ``E_i`` here is read as ``E_j``, an evident typo).
+        S's guard reads neither write until a Commit is held."""
         m: NestedCompletedMsg = message.payload
         self._send(self.p.name, m.sender, KIND_ACK, ctx.ack_nested_completed)
         ctx.nested_completed.add(m.sender)
         if m.exception is not None:
             ctx.le[m.sender] = m.exception
+        if ctx.state is PState.SUSPENDED and ctx.commit is None:
+            return None
         return ctx
 
-    def _on_ack(self, ctx: ResolutionCtx, message: Message) -> ResolutionCtx:
+    def _on_ack(self, ctx: ResolutionCtx, message: Message) -> Optional[ResolutionCtx]:
         """(6) ``<O_j> -> LP_i``, kept as its complement: the sender leaves
-        ``ack_awaited`` of the broadcast the ACK's ``ref_kind`` names."""
+        ``ack_awaited`` of the broadcast the ACK's ``ref_kind`` names.  Only
+        the last ACK of a set can enable X's guard; no other row reads it."""
         m: AckMsg = message.payload
         awaited = ctx.ack_awaited.get(m.ref_kind)
         if awaited is not None:
             awaited.discard(m.sender)
+            if awaited:
+                return None
         return ctx
 
     def _on_commit(self, ctx: ResolutionCtx, message: Message) -> ResolutionCtx:
@@ -350,7 +375,7 @@ class ResolutionEngine:
             self._set_state(ctx, PState.SUSPENDED)
         PROGRESS[ctx.state](self, ctx)
 
-    # -- PROGRESS rows: the algorithm's tail, run after every processed message --
+    # -- PROGRESS rows: the algorithm's tail, run after a write that may enable one --
 
     def _progress_n(self, ctx: ResolutionCtx) -> None:
         """(4b) ``if S(O_i) = N then S(O_i) := S``, once its own abortion
@@ -519,7 +544,7 @@ RECEIVE: dict[tuple[str, str], Callable] = {
     for kind, effect in zip(KINDS, row)
 }
 
-#: Protocol state -> the row that advances it after a processed message.
+#: Protocol state -> the row that advances it after a write that can enable it.
 PROGRESS: dict[PState, Callable] = {
     PState.NORMAL: _E._progress_n,
     PState.EXCEPTIONAL: _E._progress_x,

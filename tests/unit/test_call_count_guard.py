@@ -32,6 +32,7 @@ from types import FunctionType
 
 import pytest
 
+from repro.core.algorithm import PROGRESS
 from repro.core.messages import AckMsg
 from repro.core.participant import CAParticipant
 from repro.core.variants import VARIANTS, run_action
@@ -69,8 +70,11 @@ CALL_CEILING = 9_475
 BASE_N, BASE_P, BASE_Q = 32, 16, 8
 #: Measured at N=32, da31896 → ISSUE 23, each ceiling 5 % above the
 #: latter: calls per delivery 17.70 → 11.32 (fixed costs weigh more than at
-#: N=256, where it is 14.8 → 8.2), ``dict.get`` c-calls 10,812 → 2,539.
-CALLS_PER_DELIVERY_CEILING = 11.89
+#: N=256, where it is 14.8 → 8.2), ``dict.get`` c-calls 10,812 → 2,539;
+#: calls per delivery 8.52 → 7.72 once a receipt whose write cannot enable
+#: its state's ``PROGRESS`` row stopped running it (the ceiling is 5 %
+#: above the latter).
+CALLS_PER_DELIVERY_CEILING = 8.11
 DICT_GET_CEILING = 2_666
 
 #: ``run_cell`` on the first fault-free paper cell of each Member variant
@@ -219,6 +223,12 @@ def test_a_delivery_costs_a_constant_number_of_calls():
     assert calls_of(rows, CAParticipant._check_barrier) <= 2 * n
     # One ACK payload per (context, ref kind), not one per reply.
     assert calls_of(rows, AckMsg.__init__) <= 2 * n
+    # A PROGRESS row runs on a receipt that can enable it (a join, the ACK
+    # that empties its set, a NestedCompleted, the Commit, a receipt in N),
+    # not on each of the 2P+3Q+1 resolution messages a participant gets:
+    # O(N) rows per participant (367 here; 1,815 when every receipt ran one).
+    progress = sum(calls_of(rows, row) for row in set(PROGRESS.values()))
+    assert progress <= 2 * n * (BASE_Q + 1) < n * (2 * BASE_P + 3 * BASE_Q + 1)
     assert calls_of(rows, "<method 'get' of 'dict' objects>") <= DICT_GET_CEILING
 
 
